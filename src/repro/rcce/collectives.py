@@ -84,11 +84,12 @@ def _resolve(comm: "Rcce", group_size: Optional[int], members) -> tuple[int, int
         # surface mid-collective — after some ranks already entered the
         # tree — as an obscure placement error on one rank while its
         # peers block forever on tree edges that never fire (a deadlock).
-        bad = [m for m in members if not 0 <= m < comm.num_ranks]
+        num_ranks = comm.num_ranks
+        bad = [m for m in members if not 0 <= m < num_ranks]
         if bad:
             raise ValueError(
                 f"collective group members {bad} out of range "
-                f"0..{comm.num_ranks - 1}"
+                f"0..{num_ranks - 1}"
             )
         if len(set(members)) != len(members):
             dupes = sorted({m for m in members if members.count(m) > 1})

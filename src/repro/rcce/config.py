@@ -110,7 +110,7 @@ class RankLayout:
         return len(self._placements)
 
     def placement(self, rank: int) -> tuple[int, int]:
-        if not 0 <= rank < self.num_ranks:
+        if not 0 <= rank < len(self._placements):
             raise ValueError(f"rank {rank} out of range 0..{self.num_ranks - 1}")
         return self._placements[rank]
 

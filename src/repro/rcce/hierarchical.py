@@ -66,13 +66,21 @@ __all__ = ["barrier", "bcast", "reduce", "allreduce", "gather", "GroupPlan"]
 
 
 class GroupPlan:
-    """The shared decomposition of one collective group (two or three levels).
+    """One rank's view of the shared decomposition of a collective group.
 
-    Every field is a pure function of the (identical) group argument and
-    the rank layout, so all participants compute the same plan with no
-    communication. ``leaders`` is ordered by first appearance of each
-    device in the group — the leader tree's shape is therefore stable
-    under ``members=`` permutations of non-leader ranks.
+    The decomposition's *shape* — ``groups``, ``leaders`` and, on a
+    multi-host fabric, ``host_groups`` and ``host_leaders`` — is a pure
+    function of the (identical) group argument, the root and the
+    immutable rank layout, so all participants derive the same shape
+    with no communication. The same purity lets them share one copy: the
+    shape is computed once per ``(group, root)`` and memoized on the
+    system's topology (:attr:`repro.vscc.topology.FabricTopology.
+    plan_shapes`); each plan only adds its rank's own fields (``sub``,
+    ``my_leader``, ``host_sub``, ``my_host_leader``). The shared lists
+    are never mutated — every collective copies its ``members``.
+    ``leaders`` is ordered by first appearance of each device in the
+    group — the leader tree's shape is therefore stable under
+    ``members=`` permutations of non-leader ranks.
 
     On a multi-host fabric (``topology.num_hosts() > 1``) the plan adds a
     third level: the device leaders of each host elect a *host leader*
@@ -99,45 +107,25 @@ class GroupPlan:
         if root is not None and not 0 <= root < self.n:
             raise ValueError(f"root {root} out of range")
         topo = comm.topology
-        #: device id -> ordered global-rank sublist (group order).
-        self.groups = topo.device_groups(self.ranks)
-        root_rank = None if root is None else self.ranks[root]
-        root_device = None if root_rank is None else topo.device_of(root_rank)
-        #: One leader per device: the first group member on the device,
-        #: except the root's device, which the root itself leads (saves
-        #: one on-chip forwarding hop for every rooted operation).
-        self.leaders = [
-            root_rank if device == root_device else sub[0]
-            for device, sub in self.groups.items()
-        ]
+        key = (tuple(self.ranks), root)
+        shape = topo.plan_shapes.get(key)
+        if shape is None:
+            shape = topo.plan_shapes[key] = _plan_shape(topo, self.ranks, root)
+        self.groups, self.leaders, self.host_groups, self.host_leaders = shape
         my_device = topo.device_of(self.ranks[self.me])
         #: My device's subgroup (ordered global ranks) and its leader.
         self.sub = self.groups[my_device]
         self.my_leader = self.leaders[list(self.groups).index(my_device)]
-        if topo.num_hosts() > 1:
-            #: host id -> ordered device-leader sublist (leader order).
-            self.host_groups = topo.host_groups(self.leaders)
-            root_host = (
-                None if root_rank is None else topo.host_of_rank(root_rank)
-            )
-            #: One host leader per host: the host's first device leader,
-            #: except the root's host, which the root itself leads (the
-            #: root already leads its device, hence is in the sublist).
-            self.host_leaders = [
-                root_rank if host == root_host else subl[0]
-                for host, subl in self.host_groups.items()
-            ]
-            my_host = topo.host_of_rank(self.ranks[self.me])
+        if self.host_groups is None:
+            self.host_sub = None
+            self.my_host_leader = None
+        else:
+            my_host = topo.host_of(my_device)
             #: My host's device leaders (ordered) and their host leader.
             self.host_sub = self.host_groups[my_host]
             self.my_host_leader = self.host_leaders[
                 list(self.host_groups).index(my_host)
             ]
-        else:
-            self.host_groups = None
-            self.host_leaders = None
-            self.host_sub = None
-            self.my_host_leader = None
 
     @property
     def is_leader(self) -> bool:
@@ -157,6 +145,38 @@ class GroupPlan:
     @property
     def num_hosts(self) -> int:
         return 1 if self.host_groups is None else len(self.host_groups)
+
+
+def _plan_shape(topo, ranks: list, root: Optional[int]) -> tuple:
+    """``(groups, leaders, host_groups, host_leaders)`` of one group.
+
+    The rank-independent part of a :class:`GroupPlan`; ``host_groups``
+    and ``host_leaders`` are ``None`` on a single host.
+    """
+    # device id -> ordered global-rank sublist (group order).
+    groups = topo.device_groups(ranks)
+    root_rank = None if root is None else ranks[root]
+    root_device = None if root_rank is None else topo.device_of(root_rank)
+    # One leader per device: the first group member on the device,
+    # except the root's device, which the root itself leads (saves one
+    # on-chip forwarding hop for every rooted operation).
+    leaders = [
+        root_rank if device == root_device else sub[0]
+        for device, sub in groups.items()
+    ]
+    if topo.num_hosts() == 1:
+        return groups, leaders, None, None
+    # host id -> ordered device-leader sublist (leader order).
+    host_groups = topo.host_groups(leaders)
+    root_host = None if root_device is None else topo.host_of(root_device)
+    # One host leader per host: the host's first device leader, except
+    # the root's host, which the root itself leads (the root already
+    # leads its device, hence is in the sublist).
+    host_leaders = [
+        root_rank if host == root_host else subl[0]
+        for host, subl in host_groups.items()
+    ]
+    return groups, leaders, host_groups, host_leaders
 
 
 # -- leader-phase helpers --------------------------------------------------

@@ -24,6 +24,7 @@ from repro.scc.chip import SCCDevice
 from repro.scc.params import SCCParams
 from repro.sim.engine import Process, Simulator
 from repro.sim.kernel import KERNEL_ENV_VAR, Kernel, kernel_from_spec
+from repro.vscc.topology import VsccTopology
 
 from .api import Rcce, RcceOptions
 from .config import RankLayout, SccConfigFile
@@ -59,6 +60,7 @@ class RcceSession:
         self.config = SccConfigFile.from_devices([self.device])
         self.layout = RankLayout.from_config(self.config, core_order)
         self.flags = FlagLayout(self.layout, self.params)
+        self.topology = VsccTopology(self.layout, self.params)
         self._comms: dict[int, Rcce] = {}
 
     @property
@@ -82,6 +84,9 @@ class RcceSession:
                 options=self.options,
                 flags=self.flags,
             )
+            # One topology for every rank, so all of them share its
+            # memo of hierarchical plan shapes.
+            comm._topology = self.topology
             self._comms[rank] = comm
         return comm
 

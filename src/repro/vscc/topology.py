@@ -26,7 +26,7 @@ configuration — every device on host 0) and preserves the historic
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.rcce.config import RankLayout
@@ -50,6 +50,26 @@ class FabricTopology:
     params: SCCParams
     #: device id -> host id; ``None`` = one host owning every device.
     host_map: Optional[tuple[int, ...]] = None
+    #: Memo of the rank-independent shape of each hierarchical
+    #: collective plan, keyed by ``(tuple(group), root)`` and filled by
+    #: :class:`repro.rcce.hierarchical.GroupPlan`. It lives on the
+    #: topology, not in a module, because a shape is only valid for the
+    #: rank layout and host map it was derived from.
+    plan_shapes: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    _num_devices: int = field(init=False, compare=False, repr=False)
+    _num_hosts: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # The layout is immutable, so both counts are fixed for life.
+        devices = {
+            self.layout.placement(r)[0] for r in range(self.layout.num_ranks)
+        }
+        object.__setattr__(self, "_num_devices", len(devices))
+        object.__setattr__(
+            self, "_num_hosts", len({self.host_of(d) for d in devices})
+        )
 
     # -- coordinates ---------------------------------------------------------
 
@@ -90,14 +110,11 @@ class FabricTopology:
         return self.host_of(self.device_of(rank))
 
     def num_devices(self) -> int:
-        return len({self.layout.placement(r)[0] for r in range(self.layout.num_ranks)})
+        return self._num_devices
 
     def num_hosts(self) -> int:
         """Hosts spanned by the layout (1 on a single-host fabric)."""
-        if self.host_map is None:
-            return 1
-        return len({self.host_of(self.layout.placement(r)[0])
-                    for r in range(self.layout.num_ranks)})
+        return self._num_hosts
 
     # -- group decompositions ------------------------------------------------
 
@@ -227,3 +244,4 @@ class VsccTopology(FabricTopology):
                 "VsccTopology is the single-host specialization; build a "
                 "FabricTopology to place devices on multiple hosts"
             )
+        super().__post_init__()

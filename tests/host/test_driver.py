@@ -57,9 +57,9 @@ def test_pcie_byte_accounting():
 
     sim.spawn(prog())
     sim.run()
-    stats = host.pcie_bytes()
-    assert stats[0][0] > 0  # device 0 up
-    assert stats[1][1] > 0  # device 1 down
+    stats = host.metrics_snapshot()
+    assert stats["pcie.bytes{device=0,dir=up}"] > 0
+    assert stats["pcie.bytes{device=1,dir=down}"] > 0
 
 
 def test_require_extensions_message():

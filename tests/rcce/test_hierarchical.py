@@ -83,6 +83,196 @@ def test_plan_single_device_degenerates(system):
         assert plan.sub == [5, 1, 9]
 
 
+# -- GroupPlan memo: one shared shape per (group, root) per topology -----------
+
+PLAN_FIELDS = (
+    "me", "n", "ranks", "groups", "leaders", "sub", "my_leader",
+    "host_groups", "host_leaders", "host_sub", "my_host_leader",
+)
+
+
+def fresh_plan(topo, ranks, rank, root=None):
+    """Reference: one rank's plan derived from scratch, with no memo."""
+    groups = topo.device_groups(ranks)
+    root_rank = None if root is None else ranks[root]
+    root_device = None if root is None else topo.device_of(root_rank)
+    leaders = [
+        root_rank if device == root_device else sub[0]
+        for device, sub in groups.items()
+    ]
+    my_device = topo.device_of(rank)
+    plan = {
+        "me": ranks.index(rank), "n": len(ranks), "ranks": ranks,
+        "groups": groups, "leaders": leaders, "sub": groups[my_device],
+        "my_leader": leaders[list(groups).index(my_device)],
+        "host_groups": None, "host_leaders": None,
+        "host_sub": None, "my_host_leader": None,
+    }
+    all_ranks = range(topo.layout.num_ranks)
+    if len({topo.host_of_rank(r) for r in all_ranks}) > 1:
+        host_groups = topo.host_groups(leaders)
+        root_host = None if root is None else topo.host_of_rank(root_rank)
+        host_leaders = [
+            root_rank if host == root_host else sub[0]
+            for host, sub in host_groups.items()
+        ]
+        my_host = topo.host_of_rank(rank)
+        plan.update(
+            host_groups=host_groups,
+            host_leaders=host_leaders,
+            host_sub=host_groups[my_host],
+            my_host_leader=host_leaders[list(host_groups).index(my_host)],
+        )
+    return plan
+
+
+def as_fields(plan):
+    return {name: getattr(plan, name) for name in PLAN_FIELDS}
+
+
+def ordered(fields):
+    """Dict fields as item lists, so key order is compared too."""
+    return {
+        name: list(value.items()) if isinstance(value, dict) else value
+        for name, value in fields.items()
+    }
+
+
+def assert_matches_fresh(system, members, root=None):
+    from repro.rcce.hierarchical import GroupPlan
+
+    topo = system.topology
+    ranks = list(range(system.num_ranks)) if members is None else members
+    plans = {
+        rank: GroupPlan(system.comm_for(rank), None, members, root=root)
+        for rank in ranks
+    }
+    for rank, plan in plans.items():
+        expected = fresh_plan(topo, ranks, rank, root)
+        assert ordered(as_fields(plan)) == ordered(expected)
+    # Every member shares the one memoized shape.
+    first = plans[ranks[0]]
+    assert all(p.groups is first.groups for p in plans.values())
+    assert all(p.leaders is first.leaders for p in plans.values())
+    assert (tuple(ranks), root) in topo.plan_shapes
+
+
+@pytest.fixture(scope="module")
+def five_devices():
+    return VSCCSystem(num_devices=5, scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA)
+
+
+@pytest.fixture(scope="module")
+def fabric_2x2():
+    return VSCCSystem(
+        num_hosts=2, devices_per_host=2,
+        scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA,
+    )
+
+
+def permuted_members(num_ranks, size, seed):
+    rng = np.random.default_rng(seed)
+    return [int(r) for r in rng.permutation(num_ranks)[:size]]
+
+
+@pytest.mark.parametrize("system_name", ["five_devices", "fabric_2x2"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_memoized_plan_matches_fresh_derivation_every_root(
+    request, system_name, seed
+):
+    system = request.getfixturevalue(system_name)
+    members = permuted_members(system.num_ranks, 14, seed)
+    for root in [None, *range(len(members))]:
+        assert_matches_fresh(system, members, root)
+        # A second build hits the memo and still matches.
+        assert_matches_fresh(system, members, root)
+
+
+@pytest.mark.parametrize("system_name", ["five_devices", "fabric_2x2"])
+def test_memoized_full_group_plan_matches_fresh_derivation(request, system_name):
+    system = request.getfixturevalue(system_name)
+    for root in (None, 0, system.num_ranks - 1):
+        assert_matches_fresh(system, None, root)
+
+
+def test_plan_memo_is_per_topology():
+    """Systems with different host maps or layouts never share entries."""
+    kwargs = dict(scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA)
+    one_host = VSCCSystem(num_devices=4, **kwargs)
+    two_hosts = VSCCSystem(num_hosts=2, devices_per_host=2, **kwargs)
+    failed = VSCCSystem(
+        num_hosts=2, devices_per_host=2, failure_prob=0.25, seed=3, **kwargs
+    )
+    assert failed.num_ranks < two_hosts.num_ranks
+    members = [130, 3, 100, 50, 140, 1, 60, 120]
+    root = members.index(100)
+    for system in (one_host, two_hosts, failed):
+        assert_matches_fresh(system, members, root)
+    key = (tuple(members), root)
+    shapes = [s.topology.plan_shapes[key] for s in (one_host, two_hosts, failed)]
+    assert shapes[0][2] is None and shapes[1][2] is not None
+    # The failed-core layout moves ranks to other devices.
+    assert list(shapes[2][0].items()) != list(shapes[1][0].items())
+    for i, a in enumerate(shapes):
+        for b in shapes[i + 1:]:
+            assert all(x is not y for x, y in zip(a, b) if x is not None)
+
+
+def test_cached_shapes_survive_a_full_hierarchical_run():
+    """After real collectives, every memoized shape is still exactly a
+    fresh derivation: no collective mutates the shared lists."""
+    system = VSCCSystem(
+        num_hosts=2, devices_per_host=2,
+        scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA,
+    )
+    members = permuted_members(system.num_ranks, 16, seed=7)
+    root = 5
+    values = np.arange(4.0)
+
+    def program(comm):
+        kw = dict(members=members, hierarchical=True)
+        yield from comm.barrier(**kw)
+        yield from comm.bcast(
+            b"abcd" if comm.rank == members[root] else None, 4, root, **kw
+        )
+        yield from comm.reduce(values, np.add, root, **kw)
+        yield from comm.allreduce(values, np.add, **kw)
+        yield from comm.gather(values, root, **kw)
+
+    system.run(program, ranks=members)
+    topo = system.topology
+    assert set(topo.plan_shapes) == {
+        (tuple(members), None), (tuple(members), root), (tuple(members), 0)
+    }
+    for (ranks, key_root), shape in topo.plan_shapes.items():
+        expected = fresh_plan(topo, list(ranks), ranks[0], key_root)
+        got = dict(zip(("groups", "leaders", "host_groups", "host_leaders"), shape))
+        assert ordered(got) == ordered({k: expected[k] for k in got})
+
+
+def test_plan_shape_is_built_once_per_group_and_root(monkeypatch):
+    """All 192 ranks of the 2x2 fabric build their plans for one
+    (group, root) with exactly one device_groups scan."""
+    from repro.rcce.hierarchical import GroupPlan
+    from repro.vscc.topology import FabricTopology
+
+    system = VSCCSystem(
+        num_hosts=2, devices_per_host=2,
+        scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA,
+    )
+    calls = []
+    original = FabricTopology.device_groups
+
+    def counting(self, ranks):
+        calls.append(len(ranks))
+        return original(self, ranks)
+
+    monkeypatch.setattr(FabricTopology, "device_groups", counting)
+    for rank in range(system.num_ranks):
+        GroupPlan(system.comm_for(rank), None, None, root=7)
+    assert calls == [192]
+
+
 # -- topology helpers ----------------------------------------------------------
 
 
