@@ -24,7 +24,6 @@ from repro.scc.params import SCCParams
 from repro.sim.engine import Delay, Simulator
 
 __all__ = [
-    "KernelUnsupported",
     "chunk_send_churn",
     "flag_wait_churn",
     "router_account",
@@ -33,10 +32,6 @@ __all__ = [
     "yield_float_churn",
     "zero_delay_churn",
 ]
-
-
-class KernelUnsupported(RuntimeError):
-    """The running kernel lacks the primitive this micro-bench measures."""
 
 
 def spawn_delay_churn(nprocs: int = 200, nyields: int = 200) -> dict:
@@ -64,11 +59,8 @@ def spawn_delay_churn(nprocs: int = 200, nyields: int = 200) -> dict:
 def yield_float_churn(nprocs: int = 200, nyields: int = 200) -> dict:
     """Same churn as :func:`spawn_delay_churn`, but yielding bare floats.
 
-    Measures the allocation-free delay fast path; raises
-    :class:`KernelUnsupported` on kernels without float-yield support.
+    Measures the allocation-free delay fast path.
     """
-    from repro.sim.errors import InvalidYield
-
     sim = Simulator()
 
     def prog():
@@ -77,10 +69,7 @@ def yield_float_churn(nprocs: int = 200, nyields: int = 200) -> dict:
 
     for _ in range(nprocs):
         sim.spawn(prog())
-    try:
-        sim.run()
-    except InvalidYield as exc:
-        raise KernelUnsupported("kernel rejects bare float yields") from exc
+    sim.run()
     return {
         "ops": nprocs * nyields,
         "sim_now_ns": sim.now,
@@ -189,8 +178,8 @@ def flag_wait_churn(nrounds: int = 400) -> dict:
             yield from env.set_flag(pong, seq)
 
     sim = session.sim
-    sim.spawn(rank0(session.comm_for(0)), name="rank0", shard=0)
-    sim.spawn(rank1(session.comm_for(1)), name="rank1", shard=0)
+    sim.spawn(rank0(session.comm_for(0)), name="rank0")
+    sim.spawn(rank1(session.comm_for(1)), name="rank1")
     sim.run()
     return {
         "ops": 2 * nrounds,
@@ -225,8 +214,8 @@ def chunk_send_churn(nmsgs: int = 48, nbytes: int = 4096) -> dict:
             checksums.append(int(data[::97].sum()))
 
     sim = session.sim
-    sim.spawn(sender(session.comm_for(0)), name="rank0", shard=0)
-    sim.spawn(receiver(session.comm_for(1)), name="rank1", shard=0)
+    sim.spawn(sender(session.comm_for(0)), name="rank0")
+    sim.spawn(receiver(session.comm_for(1)), name="rank1")
     sim.run()
     return {
         "ops": nmsgs,
@@ -249,13 +238,9 @@ def _main() -> None:
         flag_wait_churn,
         chunk_send_churn,
     ):
-        try:
-            t0 = time.perf_counter()
-            result = fn()
-            wall = time.perf_counter() - t0
-        except KernelUnsupported as exc:
-            print(f"{fn.__name__:24s} skipped ({exc})")
-            continue
+        t0 = time.perf_counter()
+        result = fn()
+        wall = time.perf_counter() - t0
         per_op = wall / result["ops"] * 1e9
         print(f"{fn.__name__:24s} {wall:8.3f} s  {per_op:9.1f} ns/op")
 

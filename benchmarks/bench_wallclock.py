@@ -21,9 +21,8 @@ Usage::
         --update-baseline BENCH_wallclock.json                         # refresh baseline
 
 ``--update-baseline`` merges the fresh measurement into an existing
-baseline file: ``before_wall_s`` (the pre-optimization anchor of each
-scenario, the start of its trajectory) is preserved, ``wall_s`` is
-replaced, and the speedup is recomputed.
+baseline file: each measured scenario's ``wall_s`` and fingerprint are
+replaced, every other scenario is carried forward.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_kernel_micro import (  # noqa: E402
-    KernelUnsupported,
     chunk_send_churn,
     flag_wait_churn,
     router_account,
@@ -87,36 +85,19 @@ def fig6b_interdevice() -> dict:
     return {"oneway_sum_ns": total}
 
 
-def _fig7_bt(kernel=None) -> dict:
+def fig7_bt() -> dict:
     """NPB BT (class S, 64 ranks, vDMA scheme) on the five-device system."""
     from repro.apps.npb import BTBenchmark
     from repro.vscc.schemes import CommScheme
     from repro.vscc.system import VSCCSystem
 
     bench = BTBenchmark(clazz="S", nranks=64, niter=1, mode="model")
-    system = VSCCSystem(
-        num_devices=5, scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA, kernel=kernel
-    )
+    system = VSCCSystem(num_devices=5, scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA)
     system.run(bench.program, ranks=range(64))
     return {
         "sim_now_ns": system.sim.now,
         "events": system.sim.events_processed,
     }
-
-
-def fig7_bt() -> dict:
-    return _fig7_bt("serial")
-
-
-def fig7_bt_sharded() -> dict:
-    """fig7_bt on the sharded kernel (one lane per device + host lane).
-
-    Deliberately returns the *same fingerprint keys* as ``fig7_bt``:
-    ``tools/perf_gate.py`` pairs the two scenarios and fails if their
-    simulated fingerprints ever diverge — the cross-backend bit-identity
-    contract of DESIGN.md §11, enforced on every gate run.
-    """
-    return _fig7_bt("sharded")
 
 
 def fig8_traffic() -> dict:
@@ -338,7 +319,6 @@ SCENARIOS = {
     "fig6a_pingpong": fig6a_pingpong,
     "fig6b_interdevice": fig6b_interdevice,
     "fig7_bt": fig7_bt,
-    "fig7_bt_sharded": fig7_bt_sharded,
     "fig8_traffic": fig8_traffic,
     "policy_threshold_mixed": policy_threshold_mixed,
     "coll_hier_allreduce": coll_hier_allreduce,
@@ -360,8 +340,8 @@ SCENARIOS = {
 def restore_repro_env():
     """Undo any ``REPRO_*`` mutation a scenario makes, even on failure.
 
-    The kernel/fusion env vars are read lazily per-simulator, so a
-    scenario that pins them and then raises would silently re-backend
+    The fusion env var is read lazily per-simulator, so a scenario that
+    pins it and then raises would silently change the event stream of
     every scenario after it — and the whole measurement document would
     be wrong without any fingerprint noticing.
     """
@@ -387,15 +367,10 @@ def run_scenarios(names: list[str], repeat: int) -> dict:
         fn = SCENARIOS[name]
         best = None
         fingerprint = None
-        skipped = None
         for _ in range(repeat):
             t0 = time.perf_counter()
-            try:
-                with restore_repro_env():
-                    fp = fn()
-            except KernelUnsupported as exc:
-                skipped = str(exc)
-                break
+            with restore_repro_env():
+                fp = fn()
             wall = time.perf_counter() - t0
             if fingerprint is None:
                 fingerprint = fp
@@ -406,9 +381,6 @@ def run_scenarios(names: list[str], repeat: int) -> dict:
                 )
             if best is None or wall < best:
                 best = wall
-        if skipped is not None:
-            results[name] = {"skipped": skipped}
-            continue
         results[name] = {"wall_s": round(best, 4), **fingerprint}
     return results
 
@@ -441,9 +413,6 @@ def collect_attribution(names: list[str]) -> dict[str, dict[str, float]]:
         try:
             with restore_repro_env():
                 SCENARIOS[name]()
-        except KernelUnsupported:
-            attribution[name] = {}
-            continue
         finally:
             engine.Simulator.__init__ = original
         agg: dict[str, float] = {}
@@ -474,53 +443,6 @@ def print_attribution(attribution: dict[str, dict[str, float]], top: int = 6) ->
         )
 
 
-# -- kernel scaling ------------------------------------------------------------
-
-#: Kernel specs measured by ``--kernel-scaling``. fig7_bt's 64 ranks
-#: occupy two device lanes (48+16 ranks on devices 0-1), so counts past
-#: sharded:3 only add idle lanes — which must cost nothing.
-KERNEL_SCALING_SPECS = ("serial", "sharded:2", "sharded:3", "sharded:6")
-
-
-def measure_kernel_scaling(repeat: int) -> dict:
-    """fig7_bt wall-clock vs kernel shard count, speedup against serial.
-
-    Every spec must produce the identical simulated fingerprint (the
-    bit-identity contract); wall seconds are best-of-``repeat``, with
-    the serial kernel measured in the same session as the anchor.
-    """
-    walls: dict[str, float] = {}
-    fingerprint = None
-    for spec in KERNEL_SCALING_SPECS:
-        best = None
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            fp = _fig7_bt(spec)
-            wall = time.perf_counter() - t0
-            if fingerprint is None:
-                fingerprint = fp
-            elif fp != fingerprint:
-                raise AssertionError(
-                    f"kernel {spec!r} broke the fingerprint: "
-                    f"{fp} != {fingerprint}"
-                )
-            if best is None or wall < best:
-                best = wall
-        walls[spec] = best
-    serial = walls["serial"]
-    return {
-        "scenario": "fig7_bt",
-        "fingerprint": fingerprint,
-        "runs": {
-            spec: {
-                "wall_s": round(wall, 4),
-                "speedup_vs_serial": round(serial / wall, 3),
-            }
-            for spec, wall in walls.items()
-        },
-    }
-
-
 # -- JSON I/O ------------------------------------------------------------------
 
 
@@ -536,26 +458,12 @@ def fresh_document(results: dict) -> dict:
 def merge_baseline(baseline: dict, results: dict) -> dict:
     """Fold a fresh run into an existing baseline document.
 
-    Per scenario: ``before_wall_s`` is kept (or seeded from the old
-    ``wall_s`` the first time a scenario is re-measured), ``wall_s``
-    becomes the fresh number, fingerprints are replaced. Baseline
-    scenarios *not* in this run (e.g. a ``--scenario``-filtered refresh)
-    are carried forward untouched, so a partial update never silently
-    drops the rest of the gate.
+    Per measured scenario the fresh entry (``wall_s`` plus fingerprint)
+    replaces the old one. Baseline scenarios *not* in this run (e.g. a
+    ``--scenario``-filtered refresh) are carried forward untouched, so a
+    partial update never silently drops the rest of the gate.
     """
-    old = baseline.get("scenarios", {})
-    merged: dict[str, dict] = {
-        name: dict(entry) for name, entry in old.items() if name not in results
-    }
-    for name, fresh in results.items():
-        entry = dict(fresh)
-        prev = old.get(name, {})
-        if "wall_s" in entry:
-            before = prev.get("before_wall_s", prev.get("wall_s"))
-            if before is not None:
-                entry["before_wall_s"] = before
-                entry["speedup"] = round(before / entry["wall_s"], 3)
-        merged[name] = entry
+    merged = {**baseline.get("scenarios", {}), **results}
     doc = fresh_document(merged)
     # Hand-maintained gate configuration rides along across refreshes.
     if "tolerance_overrides" in baseline:
@@ -564,18 +472,9 @@ def merge_baseline(baseline: dict, results: dict) -> dict:
 
 
 def print_table(results: dict) -> None:
-    print(f"{'scenario':26s} {'wall_s':>9s} {'before_s':>9s} {'speedup':>8s}")
+    print(f"{'scenario':26s} {'wall_s':>9s}")
     for name, entry in results.items():
-        if "skipped" in entry:
-            print(f"{name:26s} {'skipped':>9s}  ({entry['skipped']})")
-            continue
-        before = entry.get("before_wall_s")
-        speedup = entry.get("speedup")
-        print(
-            f"{name:26s} {entry['wall_s']:9.4f} "
-            f"{before if before is not None else float('nan'):9.4f} "
-            f"{speedup if speedup is not None else float('nan'):8.2f}"
-        )
+        print(f"{name:26s} {entry['wall_s']:9.4f}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -592,12 +491,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="include the chaos profile (fault-injection scenarios); these "
         "are excluded from the default run and the checked-in baseline",
-    )
-    parser.add_argument(
-        "--kernel-scaling",
-        action="store_true",
-        help="also measure fig7_bt under every kernel spec and record "
-        "speedup-vs-shard-count in the output document",
     )
     parser.add_argument(
         "--attribute",
@@ -621,25 +514,12 @@ def main(argv: list[str] | None = None) -> int:
     else:
         names = sorted(set(SCENARIOS) - set(FAULT_SCENARIOS))
     results = run_scenarios(names, max(1, args.repeat))
-    scaling = None
-    if args.kernel_scaling:
-        scaling = measure_kernel_scaling(max(1, args.repeat))
-        print("kernel scaling (fig7_bt):")
-        for spec, entry in scaling["runs"].items():
-            print(
-                f"  {spec:12s} {entry['wall_s']:8.4f}s  "
-                f"speedup {entry['speedup_vs_serial']:5.2f}x"
-            )
 
     if args.update_baseline is not None:
         baseline = {}
         if args.update_baseline.exists():
             baseline = json.loads(args.update_baseline.read_text())
         doc = merge_baseline(baseline, results)
-        if scaling is not None:
-            doc["kernel_scaling"] = scaling
-        elif "kernel_scaling" in baseline:
-            doc["kernel_scaling"] = baseline["kernel_scaling"]
         args.update_baseline.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"baseline updated: {args.update_baseline}")
         print_table(doc["scenarios"])
@@ -648,8 +528,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.out is not None:
         doc = fresh_document(results)
-        if scaling is not None:
-            doc["kernel_scaling"] = scaling
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"wrote {args.out}")

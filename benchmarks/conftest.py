@@ -23,9 +23,9 @@ from repro.bench.runner import write_run_metrics
 def restore_repro_env():
     """Restore ``REPRO_*`` env vars after every benchmark, pass or fail.
 
-    Bench scenarios may pin the kernel backend or delay fusion for a
-    measurement; a scenario that raises mid-run used to leak
-    ``REPRO_KERNEL``/``REPRO_FUSE`` into every later collection item.
+    Bench scenarios may pin delay fusion for a measurement; a scenario
+    that raises mid-run would otherwise leak ``REPRO_FUSE`` into every
+    later collection item.
     """
     saved = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
     try:

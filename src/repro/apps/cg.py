@@ -215,8 +215,7 @@ def run_cg(session, config: Optional[CGConfig] = None) -> tuple[np.ndarray, floa
     """Run distributed CG; returns (assembled solution, final residual²)."""
     config = config or CGConfig()
     results: dict = {}
-    run = getattr(session, "run", session.launch)
-    run(cg_program(config, results), ranks=range(config.nranks))
+    session.run(cg_program(config, results), ranks=range(config.nranks))
     x = np.zeros((config.n, config.n))
     rs = 0.0
     for _rank, (start, end, block, res) in results.items():

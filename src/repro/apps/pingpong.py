@@ -88,7 +88,7 @@ def run_pingpong(
 ) -> list[PingPongPoint]:
     """Run the sweep between two ranks of a session.
 
-    ``session`` is any object with ``launch(program, ranks=...)`` —
+    ``session`` is any object with ``run(program, ranks=...)`` —
     a :class:`repro.rcce.session.RcceSession` or a
     :class:`repro.vscc.system.VSCCSystem`.
     """
@@ -103,6 +103,5 @@ def run_pingpong(
             partner, sizes, iterations, warmup, results, verify
         )(comm)
 
-    run = getattr(session, "run", session.launch)
-    run(factory, ranks=[low, high])
+    session.run(factory, ranks=[low, high])
     return [results[size] for size in sizes]

@@ -241,10 +241,7 @@ class RpcDispatcher:
         # creation registers the series eagerly, and an obs-off run's
         # snapshot must not grow empty rpc.latency_ns rows.
         self._latency_hist = None
-        self._server = self.sim.spawn(
-            self._serve_loop(), name="daemon:rpc-server",
-            shard=self.host.daemon_shard(),
-        )
+        self._server = self.sim.spawn(self._serve_loop(), name="daemon:rpc-server")
 
     # -- client-side hooks ------------------------------------------------------
 

@@ -142,8 +142,7 @@ def run_stencil(session, config: Optional[StencilConfig] = None) -> np.ndarray:
     """Run the stencil on a session; returns the assembled global grid."""
     config = config or StencilConfig()
     results: dict = {}
-    run = getattr(session, "run", session.launch)
-    run(stencil_program(config, results), ranks=range(config.nranks))
+    session.run(stencil_program(config, results), ranks=range(config.nranks))
     grid = np.zeros((config.nx, config.ny))
     for _rank, (start, end, local, _elapsed) in results.items():
         grid[start:end] = local

@@ -634,7 +634,6 @@ class CommunicationTask:
             self.sim,
             self.host.push_engine_for(target.device),
             self.host.params.granule,
-            shard=self.host.daemon_shard(),
         )
         old = self._combiners.get(env.core_id)
         if old is not None:

@@ -25,7 +25,6 @@ the inter-host link first.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -217,17 +216,6 @@ class Host:
             extra_overhead_ns=owner_host.params.service_ns,
         )
 
-    def daemon_shard(self) -> Optional[int]:
-        """Kernel lane hint for this host's daemon processes.
-
-        On a clustered fabric each host gets its own sharded-kernel host
-        lane, addressed with the negative hint ``-(host_id + 1)``. A
-        standalone host returns ``None`` — daemons inherit the spawner's
-        lane exactly as before, keeping single-host lane metrics (and the
-        sharded backend's window pattern) bit-identical.
-        """
-        return None if self.cluster is None else -(self.host_id + 1)
-
     def push_engine_for(self, device_id: int):
         """The push engine reaching ``device_id`` from this host.
 
@@ -284,18 +272,3 @@ class Host:
         parts.extend(vdma.metrics_snapshot() for vdma in self.vdma.values())
         parts.append(self.cache.metrics_snapshot())
         return merge_snapshots(parts)
-
-    def pcie_bytes(self) -> dict[int, tuple[int, int]]:
-        """Deprecated: read ``metrics_snapshot()`` series
-        ``pcie.bytes{device=<id>,dir=up|down}`` instead."""
-        warnings.warn(
-            "Host.pcie_bytes() is deprecated; use Host.metrics_snapshot() "
-            "(series pcie.bytes{device=<id>,dir=up|down}) or "
-            "VSCCSystem.metrics",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            dev_id: (cable.bytes_up, cable.bytes_down)
-            for dev_id, cable in self.cables.items()
-        }

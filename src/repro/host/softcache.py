@@ -155,7 +155,6 @@ class HostMpbCache:
         self.sim.spawn(
             self._ramped_pull(dma, src, nbytes, entry, via=via),
             name=f"daemon:prefetch.d{src.device}c{src.core}",
-            shard=self.host.daemon_shard(),
         )
         return entry
 
@@ -287,9 +286,7 @@ class HostMpbCache:
                 arrivals.put((ev, offset, size))
                 offset += size
 
-        self.sim.spawn(
-            pusher(), name="daemon:cache-pusher", shard=host.daemon_shard()
-        )
+        self.sim.spawn(pusher(), name="daemon:cache-pusher")
 
         out = np.empty(length, np.uint8)
         drained = 0

@@ -128,7 +128,6 @@ class VDMAController:
         self.sim.spawn(
             self._copy(src, count, cmd, self.copies_started, chained),
             name=f"daemon:vdma.d{self.device_id}",
-            shard=self.host.daemon_shard(),
         )
 
     def _copy(

@@ -42,14 +42,12 @@ class HostWriteCombiner:
         sim: Simulator,
         dma_to_target: DMAEngine,
         granule: int = 2048,
-        shard: Optional[int] = None,
     ):
         if granule <= 0:
             raise ValueError(f"granule must be positive, got {granule}")
         self.sim = sim
         self.dma = dma_to_target
         self.granule = granule
-        self.shard = shard
         self._base: Optional[MpbAddr] = None
         self._buf = np.zeros(0, np.uint8)
         self._filled = 0  # contiguous bytes absorbed at the host
@@ -112,7 +110,6 @@ class HostWriteCombiner:
         self.sim.spawn(
             self.dma.push(addr, chunk, granule=size),
             name="daemon:hostwcb-push",
-            shard=self.shard,
         )
 
     def fence(self) -> Generator:

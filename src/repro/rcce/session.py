@@ -3,8 +3,7 @@
 The on-chip counterpart of :class:`repro.vscc.system.VSCCSystem` — used
 by the on-chip half of Fig 6a and by all plain-RCCE examples/tests. No
 host is attached; off-die accesses raise. Like the system façade it
-returns :class:`repro.results.RunResult` from :meth:`run` and accepts a
-``kernel=`` backend spec (``REPRO_KERNEL`` honoured when unset)::
+returns :class:`repro.results.RunResult` from :meth:`run`::
 
     session = RcceSession()
     result = session.run(program, ranks=[0, 1])
@@ -13,8 +12,7 @@ returns :class:`repro.results.RunResult` from :meth:`run` and accepts a
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Generator, Optional, Sequence, Union
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +21,6 @@ from repro.results import RunResult
 from repro.scc.chip import SCCDevice
 from repro.scc.params import SCCParams
 from repro.sim.engine import Process, Simulator
-from repro.sim.kernel import KERNEL_ENV_VAR, Kernel, kernel_from_spec
 from repro.vscc.topology import VsccTopology
 
 from .api import Rcce, RcceOptions
@@ -43,14 +40,8 @@ class RcceSession:
         failure_prob: float = 0.0,
         seed: Optional[int] = None,
         core_order: str = "ascending",
-        kernel: Union[Kernel, str, None] = None,
     ):
-        if kernel is None:
-            kernel = os.environ.get(KERNEL_ENV_VAR) or None
-        # One device => two lanes under a bare "sharded" spec: the
-        # device lane plus the (idle, costless) host lane.
-        self.kernel = kernel_from_spec(kernel, default_shards=2)
-        self.sim = Simulator(kernel=self.kernel)
+        self.sim = Simulator()
         self.params = params or SCCParams()
         self.options = options or RcceOptions()
         self.device = SCCDevice(self.sim, self.params)
@@ -97,9 +88,7 @@ class RcceSession:
     ) -> dict[int, Process]:
         ranks = list(range(self.num_ranks)) if ranks is None else list(ranks)
         return {
-            rank: self.sim.spawn(
-                program(self.comm_for(rank)), name=f"rank{rank}", shard=0
-            )
+            rank: self.sim.spawn(program(self.comm_for(rank)), name=f"rank{rank}")
             for rank in ranks
         }
 
@@ -120,20 +109,3 @@ class RcceSession:
             core_cycles=self.params.core_clock.to_cycles(elapsed_ns),
             metrics=self.metrics,
         )
-
-    def launch(
-        self,
-        program: Callable[[Rcce], Generator],
-        ranks: Optional[Sequence[int]] = None,
-        until: Optional[float] = None,
-    ) -> dict[int, object]:
-        """Deprecated: use :meth:`run` and read ``RunResult.results``."""
-        import warnings
-
-        warnings.warn(
-            "RcceSession.launch() is deprecated and will be removed in "
-            "repro 1.2; use run() and read RunResult.results",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(program, ranks=ranks, until=until).results

@@ -2,7 +2,7 @@
 
 A *job* is one simulation run requested by a tenant: a
 :class:`repro.vscc.VSCCSystem` configuration (device count, scheme,
-kernel backend, delay-fusion flag, optional fault plan) plus a named
+delay-fusion flag, optional fault plan) plus a named
 *workload* with parameters. Specs are pure data — picklable across the
 worker-pool process boundary and JSON-round-trippable for clients — so
 the worker that executes a job rebuilds the whole system from scratch,
@@ -304,9 +304,6 @@ class JobSpec:
     #: ``CommScheme`` member name or value (``"LOCAL_PUT_LOCAL_GET_VDMA"``
     #: / ``"vdma"``); ``None`` keeps the system default.
     scheme: Optional[str] = None
-    #: Kernel backend spec (``"serial"``, ``"sharded:2"``, …); ``None``
-    #: defers to ``REPRO_KERNEL`` exactly like a direct ``run()``.
-    kernel: Optional[str] = None
     #: Delay-fusion override; ``None`` defers to ``REPRO_FUSE``.
     fuse: Optional[bool] = None
     seed: Optional[int] = None
@@ -435,7 +432,6 @@ def execute_job(
         scheme=spec.resolved_scheme(),
         seed=spec.seed,
         fault_plan=spec.fault_plan,
-        kernel=spec.kernel,
         fuse_delays=spec.fuse,
     )
     sim = system.sim

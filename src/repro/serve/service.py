@@ -19,6 +19,7 @@ here.
 from __future__ import annotations
 
 import asyncio
+import collections
 import time
 from typing import Any, AsyncIterator, Callable, Mapping, Optional
 
@@ -101,6 +102,10 @@ class SimService:
         self.pool: Any = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queue: Optional[asyncio.Queue] = None
+        #: Pool messages posted from other threads, moved onto ``_queue``
+        #: by ``_drain_inbox`` on the loop thread.
+        self._inbox: collections.deque = collections.deque()
+        self._wake_pending = False
         self._dispatcher: Optional[asyncio.Task] = None
         self._ticker: Optional[asyncio.Task] = None
         self._subs: dict[str, list[asyncio.Queue]] = {}
@@ -207,8 +212,24 @@ class SimService:
     # -- internals -------------------------------------------------------------
 
     def _post(self, msg: dict) -> None:
-        """Thread-safe entry for pool messages (reader threads land here)."""
-        self._loop.call_soon_threadsafe(self._queue.put_nowait, msg)
+        """Thread-safe entry for pool messages (reader threads land here).
+
+        Wake-ups are coalesced: one ``call_soon_threadsafe`` per drain,
+        not one per message. An inline attempt streams progress every
+        few hundred microseconds of CPU; a self-pipe write per message
+        releases and at once retakes the GIL, which restarts CPython's
+        switch-interval wait of the loop thread, so the loop starved and
+        timeouts and cancels waited for the attempt to finish.
+        """
+        self._inbox.append(msg)
+        if not self._wake_pending:
+            self._wake_pending = True
+            self._loop.call_soon_threadsafe(self._drain_inbox)
+
+    def _drain_inbox(self) -> None:
+        self._wake_pending = False
+        while self._inbox:
+            self._queue.put_nowait(self._inbox.popleft())
 
     async def _dispatch_loop(self) -> None:
         while True:

@@ -3,20 +3,12 @@
 Public surface::
 
     from repro.sim import Simulator, Delay, Event, Link, SimQueue, Clock
-    from repro.sim import SerialKernel, ShardedKernel, kernel_from_spec
 """
 
 from .clock import Clock
 from .engine import Delay, Event, Process, Simulator, wait_all
 from .engine import Signal
 from .errors import DeadlockError, InvalidYield, ProcessFailed, SimulationError
-from .kernel import (
-    KERNEL_ENV_VAR,
-    Kernel,
-    SerialKernel,
-    ShardedKernel,
-    kernel_from_spec,
-)
 from .queue import SimQueue
 from .resources import Link, Mutex
 from .trace import TraceRecord, Tracer
@@ -27,20 +19,15 @@ __all__ = [
     "Delay",
     "Event",
     "InvalidYield",
-    "KERNEL_ENV_VAR",
-    "Kernel",
     "Link",
     "Mutex",
     "Process",
     "ProcessFailed",
-    "SerialKernel",
-    "ShardedKernel",
     "Signal",
     "SimQueue",
     "SimulationError",
     "Simulator",
     "TraceRecord",
     "Tracer",
-    "kernel_from_spec",
     "wait_all",
 ]

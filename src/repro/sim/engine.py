@@ -29,37 +29,28 @@ Python generator that yields timing commands:
   process failed, the exception is re-raised in the waiter.
 
 Time is a float in **nanoseconds**; frequency-domain helpers live in
-:mod:`repro.sim.clock`. *Where* pending wake-ups live and how they are
-dispatched is delegated to a pluggable :class:`repro.sim.kernel.Kernel`
-backend (``Simulator(kernel=...)``; see DESIGN.md §7 and §11):
+:mod:`repro.sim.clock`. Pending wake-ups live in two queues owned by the
+:class:`Simulator` (DESIGN.md §7 and §11):
 
-* :class:`~repro.sim.kernel.SerialKernel` (the default) merge-pops a
-  binary heap of delayed wake-ups with a FIFO *fast lane* of zero-delay
-  wake-ups, preserving global ``(time, seq)`` order;
-* :class:`~repro.sim.kernel.ShardedKernel` partitions the queues into
-  one lane per SCC device and dispatches in conservative windows, with
-  the identical global order guaranteed by its horizon protocol;
+* a binary heap of delayed wake-ups merge-popped with a FIFO *fast
+  lane* of zero-delay wake-ups, preserving global ``(time, seq)`` order;
 * yield dispatch is type-keyed (one dict lookup on ``type(command)``)
   instead of an isinstance chain.
 
 There is no global locking — dispatch is single-threaded and
 deterministic (ties are broken by spawn/schedule order), which is what
-keeps every backend's simulated fingerprints bit-identical.
+keeps every simulated fingerprint bit-identical run to run.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, Optional, Union
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from .errors import DeadlockError, InvalidYield, ProcessFailed, SimulationError
-from .kernel import (
-    DRAINED,
-    PAST_UNTIL,
-    Kernel,
-    kernel_from_spec,
-)
 
 __all__ = [
     "Delay",
@@ -255,7 +246,7 @@ class Process:
     """
 
     __slots__ = (
-        "sim", "name", "gen", "done", "_failure", "_waiting_on", "_lane", "_source",
+        "sim", "name", "gen", "done", "_failure", "_waiting_on", "_source",
     )
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str):
@@ -265,8 +256,6 @@ class Process:
         self.done = Event(sim, name=f"{name}.done")
         self._failure: Optional[BaseException] = None
         self._waiting_on: Any = None
-        #: Kernel scheduling lane (shard affinity); 0 under SerialKernel.
-        self._lane = 0
         #: Event-source index (kernel.events{source=...} attribution),
         #: assigned at spawn from the normalized process name.
         self._source = 0
@@ -377,9 +366,8 @@ class Process:
                         t = sim.now
                         for d in command[1:]:
                             t = t + d
-                        kernel = sim.kernel
-                        kernel.fused_yields += len(command) - 1
-                        kernel.schedule_at(t, self, None)
+                        sim.fused_yields += len(command) - 1
+                        sim.schedule_at(t, self, None)
                     else:
                         sim._schedule(
                             0.0,
@@ -400,9 +388,8 @@ class Process:
                             f"{d!r} inside a chain"
                         )
                     t = t + d
-                kernel = sim.kernel
-                kernel.fused_yields += len(command) - 1
-                kernel.schedule_at(t, self, None)
+                sim.fused_yields += len(command) - 1
+                sim.schedule_at(t, self, None)
             else:
                 for d in command:
                     if d < 0:
@@ -471,9 +458,8 @@ class _ChainWaiter:
             t = sim.now
             for d in chain[1:]:
                 t = t + d
-            kernel = sim.kernel
-            kernel.fused_yields += len(chain) - 1
-            kernel.schedule_at(t, self.proc, None)
+            sim.fused_yields += len(chain) - 1
+            sim.schedule_at(t, self.proc, None)
         else:
             sim._schedule(
                 0.0,
@@ -503,13 +489,12 @@ class _CallbackTimer:
     cancellable :meth:`Simulator.after` keeps the full process path.
     """
 
-    __slots__ = ("fn", "_lane", "_source")
+    __slots__ = ("fn", "_source")
 
     done = _LIVE
 
-    def __init__(self, fn: Callable[[], None], lane: int, source: int):
+    def __init__(self, fn: Callable[[], None], source: int):
         self.fn = fn
-        self._lane = lane
         self._source = source
 
     def _step(self, payload: Any) -> None:
@@ -553,8 +538,24 @@ class TimerHandle:
         return True
 
 
+# Loop-exit reasons of :meth:`Simulator._loop`.
+_STOPPED = 0
+_DRAINED = 1
+_PAST_UNTIL = 2
+_MAX_EVENTS = 3
+
+
 class Simulator:
     """Deterministic single-threaded discrete-event simulator.
+
+    Delayed wake-ups go through a binary heap of ``(time, seq, process,
+    payload)`` entries; zero-delay wake-ups (event triggers, signal
+    pulses, spawns — roughly half of all events in flag-heavy runs) go
+    through a FIFO fast lane that skips the heap entirely. Because
+    simulated time never decreases, the fast lane is sorted by ``(time,
+    seq)`` by construction, and the dispatch loop merge-pops the two
+    queues, preserving exactly the global ``(time, seq)`` order of a
+    heap-only kernel.
 
     Parameters
     ----------
@@ -563,12 +564,6 @@ class Simulator:
         :meth:`run` immediately with :class:`ProcessFailed`. When False,
         failures are collected in :attr:`failures` and only waiters on the
         failed process see the exception.
-    kernel:
-        Event-queue backend: a :class:`repro.sim.kernel.Kernel` instance,
-        a spec string (``"serial"``, ``"sharded"``, ``"sharded:N"``) or
-        ``None`` for the serial default. Every backend dispatches in the
-        same global ``(time, seq)`` order, so simulated results are
-        backend-independent bit for bit.
     fuse_delays:
         When True (the default), fused delay chains (tuple yields) and
         timer arming collapse into single kernel wake-ups; when False
@@ -581,22 +576,33 @@ class Simulator:
     def __init__(
         self,
         fail_fast: bool = True,
-        kernel: Union[Kernel, str, None] = None,
         fuse_delays: Optional[bool] = None,
     ):
         self.now: float = 0.0
         self.fail_fast = fail_fast
-        self.kernel = kernel_from_spec(kernel)
-        self.kernel.attach(self)
+        self._queue: list[tuple[float, int, Any, Any]] = []
+        #: Zero-delay fast lane: appended in seq order at nondecreasing
+        #: times, hence always sorted by (time, seq).
+        self._fast: deque[tuple[float, int, Any, Any]] = deque()
+        self._seq = 0
         #: Hot-path alias: Event.trigger / Signal.pulse / Process._step
-        #: call ``sim._schedule`` directly, which resolves to the bound
-        #: kernel method with no extra indirection.
-        self._schedule = self.kernel.schedule
+        #: call ``sim._schedule``, one bound-method call.
+        self._schedule = self.schedule
         self._fuse = _fuse_default() if fuse_delays is None else bool(fuse_delays)
         self._live_processes: set[Process] = set()
         self._failures: list[Process] = []
         self._spawned = 0
         self.events_processed = 0
+        #: Kernel wake-ups saved by delay fusion (chain elements folded
+        #: into their chain's single wake-up, len(chain)-1 per chain).
+        self.fused_yields = 0
+        # Event-source attribution: process names are normalized to a
+        # small label set at spawn ("rank-17" -> "rank") and interned to
+        # an index, so the dispatch loop pays one list-index increment
+        # per event instead of a dict lookup on a string.
+        self._source_ids: dict[str, int] = {"proc": 0}
+        self._source_names: list[str] = ["proc"]
+        self._source_events: list[int] = [0]
 
     @property
     def fuse_delays(self) -> bool:
@@ -609,24 +615,20 @@ class Simulator:
         self,
         gen: Generator,
         name: Optional[str] = None,
-        shard: Optional[int] = None,
+        shard: Any = None,
     ) -> Process:
         """Register a generator as a process, starting at the current time.
 
-        ``shard`` hints the kernel scheduling lane (a device id under the
-        sharded backend). Without a hint the process inherits the lane of
-        the process that spawned it — timers and helper coroutines stay
-        in their owner's shard — and top-level spawns land in lane 0.
+        ``shard`` is accepted and ignored. The benchmark's layer tracer
+        (``benchmarks/e2e/layertrace.py``) wraps this method and forwards
+        a fourth positional argument; the parameter goes once that
+        wrapper stops passing it (ROADMAP, next benchmark change).
         """
         if not hasattr(gen, "send"):
             raise TypeError(f"spawn() needs a generator, got {type(gen).__name__}")
         self._spawned += 1
         proc = Process(self, gen, name or f"proc-{self._spawned}")
-        kernel = self.kernel
-        proc._lane = (
-            kernel.current_lane if shard is None else kernel.lane_for(shard)
-        )
-        proc._source = kernel.source_of(proc.name)
+        proc._source = self._source_of(proc.name)
         self._live_processes.add(proc)
         self._schedule(0.0, proc, None)
         return proc
@@ -641,12 +643,32 @@ class Simulator:
         """
         self._spawned += 1
         proc = Process(self, gen, name)
-        kernel = self.kernel
-        proc._lane = kernel.current_lane
-        proc._source = kernel.source_of(name)
+        proc._source = self._source_of(name)
         self._live_processes.add(proc)
         self._schedule(delay_ns, proc, None)
         return proc
+
+    def _source_of(self, name: str) -> int:
+        """Intern a process name's event-source label, returning its index.
+
+        The label is the name up to the first ``.`` with any trailing
+        digits and separators stripped (``"rank-17"`` → ``"rank"``,
+        ``"proc-2041"`` → ``"proc"``), so the attribution table stays a
+        handful of entries however many processes a run spawns.
+        """
+        ids = self._source_ids
+        idx = ids.get(name)
+        if idx is not None:
+            return idx
+        label = name.partition(".")[0].rstrip("0123456789").rstrip("-_") or name
+        idx = ids.get(label)
+        if idx is None:
+            idx = len(self._source_names)
+            self._source_names.append(label)
+            self._source_events.append(0)
+            ids[label] = idx
+        ids[name] = idx
+        return idx
 
     def event(self, name: str = "event") -> Event:
         return Event(self, name)
@@ -661,19 +683,41 @@ class Simulator:
     def metrics_snapshot(self) -> dict[str, float]:
         """Kernel-level counters for the unified observability surface.
 
-        Includes the backend's own counters (``kernel.*`` series — lane
-        loads and sync overhead under the sharded backend).
+        Besides the ``sim.*`` series: ``kernel.fused_yields`` (wake-ups
+        saved by delay fusion) and ``kernel.events{source=…}`` (dispatched
+        events per normalized process name).
         """
         snap = {
             "sim.now_ns": self.now,
             "sim.events": float(self.events_processed),
             "sim.processes_spawned": float(self._spawned),
             "sim.processes_live": float(len(self._live_processes)),
+            "kernel.fused_yields": float(self.fused_yields),
         }
-        snap.update(self.kernel.metrics_snapshot())
+        names = self._source_names
+        for idx, count in enumerate(self._source_events):
+            if count:
+                snap[f"kernel.events{{source={names[idx]}}}"] = float(count)
         return snap
 
     # -- scheduling ----------------------------------------------------------
+
+    def schedule(self, delay: float, proc: "Process", payload: Any) -> None:
+        """Queue a wake-up of ``proc`` with ``payload`` in ``delay`` ns."""
+        self._seq += 1
+        now = self.now
+        if delay == 0.0:
+            self._fast.append((now, self._seq, proc, payload))
+        else:
+            heapq.heappush(self._queue, (now + delay, self._seq, proc, payload))
+
+    def schedule_at(self, t: float, proc: "Process", payload: Any) -> None:
+        """Queue a wake-up at *absolute* time ``t`` (fused delay chains)."""
+        self._seq += 1
+        if t == self.now:
+            self._fast.append((t, self._seq, proc, payload))
+        else:
+            heapq.heappush(self._queue, (t, self._seq, proc, payload))
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         """Run a plain callback at absolute simulated time ``when``."""
@@ -684,10 +728,7 @@ class Simulator:
             # unchanged; only the bookkeeping event disappears. The entry
             # is a bare callback record, not a process (_CallbackTimer).
             self._spawned += 1
-            kernel = self.kernel
-            timer = _CallbackTimer(
-                fn, kernel.current_lane, kernel.source_of("call_at")
-            )
+            timer = _CallbackTimer(fn, self._source_of("call_at"))
             self._schedule(max(0.0, when - self.now), timer, None)
             return
 
@@ -736,6 +777,56 @@ class Simulator:
 
     # -- main loop -----------------------------------------------------------
 
+    def _loop(
+        self,
+        until: Optional[float],
+        max_events: Optional[int],
+        stop: Optional[list],
+    ) -> int:
+        """Merge-pop the fast lane and the heap in global (time, seq) order.
+
+        Dispatches until a boundary is hit: ``stop[0]`` set by a
+        callback, the next event lying past ``until``, ``max_events``
+        dispatched, or both queues drained.
+        """
+        queue = self._queue
+        fast = self._fast
+        pop = heapq.heappop
+        sources = self._source_events
+        events = 0
+        while True:
+            if stop is not None and stop[0]:
+                return _STOPPED
+            if fast:
+                if queue and queue[0] < fast[0]:
+                    entry = queue[0]
+                    from_heap = True
+                else:
+                    entry = fast[0]
+                    from_heap = False
+            elif queue:
+                entry = queue[0]
+                from_heap = True
+            else:
+                return _DRAINED
+            if until is not None and entry[0] > until:
+                return _PAST_UNTIL
+            if from_heap:
+                pop(queue)
+            else:
+                fast.popleft()
+            proc = entry[2]
+            if proc.done._triggered:
+                continue  # stale wake-up for an already-finished process
+            self.now = entry[0]
+            proc._step(entry[3])
+            self.events_processed += 1
+            sources[proc._source] += 1
+            if max_events is not None:
+                events += 1
+                if events >= max_events:
+                    return _MAX_EVENTS
+
     def run(
         self,
         until: Optional[float] = None,
@@ -749,11 +840,11 @@ class Simulator:
         remain blocked (unless ``detect_deadlock`` is False — useful for
         systems with daemon processes parked on external queues).
         """
-        reason = self.kernel.loop(until, max_events, None)
-        if reason == PAST_UNTIL:
+        reason = self._loop(until, max_events, None)
+        if reason == _PAST_UNTIL:
             self.now = until
             return self.now
-        if reason == DRAINED:
+        if reason == _DRAINED:
             blocked = [p.name for p in self._live_processes if not _is_daemon(p)]
             if detect_deadlock and blocked:
                 raise DeadlockError(blocked)
@@ -766,11 +857,11 @@ class Simulator:
         """
         stop = [False]
         event.on_trigger(lambda _v: stop.__setitem__(0, True))
-        reason = self.kernel.loop(limit, None, stop)
-        if reason == DRAINED:
+        reason = self._loop(limit, None, stop)
+        if reason == _DRAINED:
             blocked = [p.name for p in self._live_processes if not _is_daemon(p)]
             raise DeadlockError(blocked)
-        if reason == PAST_UNTIL:
+        if reason == _PAST_UNTIL:
             raise SimulationError(
                 f"run_until: time limit {limit} ns exceeded at t={self.now}"
             )

@@ -67,19 +67,3 @@ _DIRECT_THRESHOLDS: dict[CommScheme, int] = {
     CommScheme.LOCAL_PUT_LOCAL_GET_VDMA: 128,
     CommScheme.HW_ACCEL_REMOTE_PUT: 0,
 }
-
-
-def __getattr__(name: str):
-    # The historic module-level dict was removed from the public surface;
-    # the last shim warns until repro 1.2 drops the name entirely.
-    if name == "DIRECT_THRESHOLD":
-        import warnings
-
-        warnings.warn(
-            "DIRECT_THRESHOLD is deprecated and will be removed in "
-            "repro 1.2; use CommScheme.direct_threshold",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return dict(_DIRECT_THRESHOLDS)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

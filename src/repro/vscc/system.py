@@ -26,7 +26,6 @@ protocol/vDMA trace events and writes a Chrome-trace file.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence, Union
 from pathlib import Path
 
@@ -43,7 +42,6 @@ from repro.results import RunResult
 from repro.scc.chip import SCCDevice
 from repro.scc.params import SCCParams
 from repro.sim.engine import Process, Simulator
-from repro.sim.kernel import KERNEL_ENV_VAR, Kernel, ShardedKernel, kernel_from_spec
 from repro.sim.trace import Tracer
 
 from .policy import SchemePolicy, StaticPolicy
@@ -90,7 +88,6 @@ class VSCCSystem:
         vdma_fused_mmio: bool = True,
         fault_plan: Optional["FaultPlan"] = None,
         policy: Optional[SchemePolicy] = None,
-        kernel: Union[Kernel, str, None] = None,
         fuse_delays: Optional[bool] = None,
         num_hosts: int = 1,
         devices_per_host: Optional[int] = None,
@@ -124,18 +121,11 @@ class VSCCSystem:
         self.policy = policy
         self.params = params or SCCParams()
         self.options = options or RcceOptions()
-        if kernel is None:
-            kernel = os.environ.get(KERNEL_ENV_VAR) or None
-        #: Event-queue backend (``repro.sim.kernel``); the bare
-        #: ``"sharded"`` spec gets one lane per device plus one per host.
-        self.kernel = kernel_from_spec(kernel, default_shards=num_devices + num_hosts)
-        if isinstance(self.kernel, ShardedKernel):
-            self.kernel.num_hosts = num_hosts
         # ``fuse_delays`` pins the delay-fusion fast path per system (the
         # service layer runs many systems with per-job specs in one
         # process, where mutating ``REPRO_FUSE`` would race); ``None``
         # defers to the environment exactly like a direct Simulator().
-        self.sim = Simulator(kernel=self.kernel, fuse_delays=fuse_delays)
+        self.sim = Simulator(fuse_delays=fuse_delays)
         self.tracer = Tracer()
         self.devices = [
             SCCDevice(self.sim, self.params, device_id=i, tracer=self.tracer)
@@ -179,13 +169,6 @@ class VSCCSystem:
         # coalescing; static runs keep the historic timing bit-identical.
         for host in self.hosts:
             host.sched_coalesce = policy.coalesce_vdma
-        # The conservative sync boundary of the sharded backend is the
-        # PCIe/SIF hop: cross-device causality is at least one cable
-        # latency away, which is what makes device-grained lanes pay off.
-        # (The inter-host tier is strictly slower, so the PCIe latency
-        # stays the binding lookahead on a clustered fabric too.)
-        if isinstance(self.kernel, ShardedKernel) and self.kernel.lookahead_ns is None:
-            self.kernel.lookahead_ns = self.host.pcie_params.latency_ns
         # §3.1: every rank registers its buffer/flag regions with the
         # task — with *every* host, so cross-host sends can classify a
         # foreign target address without a directory round trip.
@@ -267,14 +250,10 @@ class VSCCSystem:
     ) -> dict[int, Process]:
         """Spawn ``program(comm)`` on the given ranks (default: all)."""
         ranks = list(range(self.num_ranks)) if ranks is None else list(ranks)
-        procs = {}
-        for rank in ranks:
-            comm = self.comm_for(rank)
-            device_id, _core = self.layout.placement(rank)
-            procs[rank] = self.sim.spawn(
-                program(comm), name=f"rank{rank}", shard=device_id
-            )
-        return procs
+        return {
+            rank: self.sim.spawn(program(self.comm_for(rank)), name=f"rank{rank}")
+            for rank in ranks
+        }
 
     def run(
         self,
@@ -316,23 +295,6 @@ class VSCCSystem:
             trace_path=trace_path,
             degraded_devices=() if injector is None else injector.degraded_devices,
         )
-
-    def launch(
-        self,
-        program: Callable[[Rcce], Generator],
-        ranks: Optional[Sequence[int]] = None,
-        until: Optional[float] = None,
-    ) -> dict[int, object]:
-        """Deprecated: use :meth:`run` and read ``RunResult.results``."""
-        import warnings
-
-        warnings.warn(
-            "VSCCSystem.launch() is deprecated and will be removed in "
-            "repro 1.2; use run() and read RunResult.results",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(program, ranks=ranks, until=until).results
 
     # -- stats ----------------------------------------------------------------------------
 

@@ -33,7 +33,7 @@ from repro.vscc.system import VSCCSystem
 
 #: Pinned digests of the fixed acceptance trace: the trace content
 #: itself, and the semantic outcome of running it (identical across
-#: every kernel/fuse/host configuration — the bit-identity matrix test
+#: every fuse/host configuration — the bit-identity matrix test
 #: asserts that; here we pin the absolute value).
 GOLDEN_TRACE_DIGEST = "595100258429f95a"
 GOLDEN_OUTCOME_DIGEST = "e4303b5417aebb79"

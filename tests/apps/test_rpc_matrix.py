@@ -1,9 +1,9 @@
-"""Bit-identity matrix of the RPC path (kernel × fusion × fabric).
+"""Bit-identity matrix of the RPC path (replay × fusion × fabric).
 
 The fixed golden trace must fingerprint identically across
 
-* ``REPRO_KERNEL`` serial × sharded (same fuse mode: identical
-  simulated end time, event count and metrics, bit for bit);
+* replays in the same fuse mode (identical simulated end time, event
+  count and metrics, bit for bit);
 * ``REPRO_FUSE`` 1 × 0 (fusion legitimately changes event counts,
   never the simulated clock or the semantic outcome);
 * a 2-host fabric with ``cross_host_affinity`` both ways (affinity
@@ -17,19 +17,16 @@ import pytest
 from repro.apps.rpc import run_rpc
 from repro.bench.arrivals import golden_trace
 from repro.sim.engine import FUSE_ENV_VAR
-from repro.sim.kernel import KERNEL_ENV_VAR
 from repro.vscc.policy import ThresholdPolicy
 from repro.vscc.system import VSCCSystem
 
-MATRIX = [
-    (kernel, fuse)
-    for kernel in ("serial", "sharded", "sharded:3")
-    for fuse in ("1", "0")
-]
+FUSE_MODES = ("1", "0")
 
+#: The one event-loop kernel. A one-value axis, kept so the matrix
+#: cells keep their test ids.
+KERNELS = ("serial",)
 
-def _strip_kernel_series(metrics):
-    return {k: v for k, v in metrics.items() if not k.startswith("kernel.")}
+MATRIX = [(kernel, fuse) for kernel in KERNELS for fuse in FUSE_MODES]
 
 
 def rpc_fingerprint(**system_kwargs):
@@ -43,33 +40,28 @@ def rpc_fingerprint(**system_kwargs):
         "now": system.sim.now,
         "events": system.sim.events_processed,
         "digest": report.digest,
-        "metrics": _strip_kernel_series(system.metrics),
+        "metrics": system.metrics,
     }
 
 
 @pytest.mark.parametrize("kernel,fuse", MATRIX)
 def test_kernel_cells_match_serial_bit_for_bit(monkeypatch, kernel, fuse):
-    """Within one fuse mode, every kernel backend replays identically."""
+    """Within one fuse mode, a replay matches the first run exactly."""
     monkeypatch.setenv(FUSE_ENV_VAR, fuse)
-    monkeypatch.setenv(KERNEL_ENV_VAR, "serial")
-    serial = rpc_fingerprint()
-    monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
-    other = rpc_fingerprint()
-    assert other == serial
+    assert rpc_fingerprint() == rpc_fingerprint()
 
 
 def test_fuse_modes_agree_on_time_and_outcome(monkeypatch):
     """Fusion changes event counts only — never clock or outcome."""
     cells = []
-    for kernel, fuse in MATRIX:
-        monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
+    for fuse in FUSE_MODES:
         monkeypatch.setenv(FUSE_ENV_VAR, fuse)
         cells.append(rpc_fingerprint())
     assert len({c["now"] for c in cells}) == 1
     assert len({c["digest"] for c in cells}) == 1
 
 
-@pytest.mark.parametrize("kernel", ["serial", "sharded"])
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_two_host_fabric_affinity_both_ways(kernel):
     """cross_host_affinity=src|dst: identical outcome on a 2-host run."""
     prints = {}
@@ -78,7 +70,6 @@ def test_two_host_fabric_affinity_both_ways(kernel):
             num_devices=4,
             num_hosts=2,
             policy=ThresholdPolicy(cross_host_affinity=affinity),
-            kernel=kernel,
             seed=7,
         )
         report = run_rpc(system, golden_trace())
@@ -94,7 +85,6 @@ def test_two_host_fabric_affinity_both_ways(kernel):
             num_devices=4,
             num_hosts=2,
             policy=ThresholdPolicy(cross_host_affinity=affinity),
-            kernel=kernel,
             seed=7,
         )
         report = run_rpc(system, golden_trace())

@@ -17,11 +17,11 @@ from repro.vscc.system import VSCCSystem
 def repro_env_leak_check():
     """Fail any test that leaks a ``REPRO_*`` env var.
 
-    The kernel backend (``REPRO_KERNEL``) and delay fusion
-    (``REPRO_FUSE``) are read lazily per-simulator, so a leaked setting
-    silently changes every later test's backend. Tests must mutate these
-    only through ``monkeypatch.setenv`` (which restores before this
-    teardown runs); anything still different here is a leak. The
+    Delay fusion (``REPRO_FUSE``) is read lazily per-simulator, so a
+    leaked setting silently changes every later test's event stream.
+    Tests must mutate it only through ``monkeypatch.setenv`` (which
+    restores before this teardown runs); anything still different here
+    is a leak. The
     offending vars are restored *before* failing so one bad test cannot
     cascade through the rest of the session.
     """

@@ -159,41 +159,9 @@ def _fingerprint(**system_kwargs):
     return system.sim.now, system.sim.events_processed, out["acc"]
 
 
-def test_single_host_bit_identity_serial_vs_sharded():
-    t_serial, ev_serial, acc_serial = _fingerprint(kernel="serial")
-    t_sharded, ev_sharded, acc_sharded = _fingerprint(kernel="sharded")
-    assert t_serial == t_sharded
-    assert ev_serial == ev_sharded
-    assert (acc_serial == acc_sharded).all()
-
-
 def test_single_host_bit_identity_fused_vs_unfused():
     t_fused, _ev_f, acc_fused = _fingerprint(fuse_delays=True)
     t_plain, _ev_p, acc_plain = _fingerprint(fuse_delays=False)
     # Fusion collapses event counts but must not move simulated time.
     assert t_fused == t_plain
     assert (acc_fused == acc_plain).all()
-
-
-def test_multihost_serial_vs_sharded_agree():
-    """The sharded kernel's host lanes must not change multi-host time."""
-
-    def fingerprint(kernel):
-        system = VSCCSystem(
-            num_hosts=2, devices_per_host=1, scheme=VDMA, kernel=kernel,
-            options=RcceOptions(hierarchical_collectives=True),
-        )
-        out = {}
-
-        def program(comm):
-            acc = yield from comm.allreduce(np.arange(4.0), np.add)
-            if comm.rank == 0:
-                out["acc"] = acc.copy()
-
-        system.run(program)
-        return system.sim.now, out["acc"]
-
-    t_serial, acc_serial = fingerprint("serial")
-    t_sharded, acc_sharded = fingerprint("sharded")
-    assert t_serial == t_sharded
-    assert (acc_serial == acc_sharded).all()

@@ -18,15 +18,14 @@ from repro.apps.rpc import run_rpc
 from repro.bench.arrivals import PoissonArrivals, UniformSizes, generate_calls
 from repro.faults import DeviceQuarantined, FaultPlan, LinkFaults
 from repro.sim.engine import ProcessFailed
-from repro.sim.kernel import KERNEL_ENV_VAR
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
 
-@pytest.fixture(params=["serial", "sharded"], autouse=True)
-def kernel(request, monkeypatch):
-    """Run the whole suite under both kernel backends via the env flag."""
-    monkeypatch.setenv(KERNEL_ENV_VAR, request.param)
+@pytest.fixture(params=["serial"], autouse=True)
+def kernel(request):
+    """The one event-loop kernel: a one-value axis that keeps the
+    suite's test ids."""
     return request.param
 
 

@@ -45,13 +45,6 @@ def test_run_returns_runresult_with_core_metrics():
     assert metrics["scheme.selected{transport=local-put-local-get-vdma}"] == 2.0
 
 
-def test_launch_shim_matches_run_results():
-    system = VSCCSystem(num_devices=2, scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA)
-    with pytest.warns(DeprecationWarning, match="launch"):
-        results = system.launch(_transfer, ranks=[0, 48])
-    assert results[48] == bytes(np.arange(NBYTES, dtype=np.uint8) % 251)
-
-
 def test_softcache_hits_match_prefetch_ablation():
     """Mirrors benchmarks/bench_abl_prefetch.py at the metrics level."""
     _, announced = _run(CommScheme.LOCAL_PUT_REMOTE_GET, announce_prefetch=True)
@@ -116,19 +109,3 @@ def test_run_writes_perfetto_loadable_trace(tmp_path):
     assert any(e["name"] == "vdma.copy" for e in events)
     # Tracing was enabled only for the duration of the run.
     assert not system.tracer.enabled
-
-
-def test_deprecated_accessors_still_work():
-    system, _ = _run(CommScheme.LOCAL_PUT_LOCAL_GET_VDMA)
-    with pytest.deprecated_call():
-        stats = system.host.pcie_bytes()
-    up, down = stats[0]
-    assert up == system.metrics["pcie.bytes{device=0,dir=up}"]
-    assert down == system.metrics["pcie.bytes{device=0,dir=down}"]
-    with pytest.deprecated_call():
-        served = system.devices[0].memctrl.bytes_served()
-    assert sum(served) == sum(
-        v
-        for k, v in system.metrics.items()
-        if k.startswith("memctrl.bytes{") and "device=0" in k
-    )

@@ -146,7 +146,7 @@ def test_fused_chain_time_is_bitwise_the_sequential_sum(delays):
     assert pack(fused.now) == pack(unfused.now) == pack(plain.now) == pack(expected)
     # The chain costs exactly one wake-up fused, one per element unfused.
     assert unfused.events_processed - fused.events_processed == len(delays) - 1
-    assert fused.kernel.fused_yields == len(delays) - 1
+    assert fused.fused_yields == len(delays) - 1
 
 
 # -- XY routing --------------------------------------------------------------------

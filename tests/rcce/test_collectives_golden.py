@@ -34,21 +34,21 @@ POLICIES = {
     "adaptive": lambda: AdaptivePolicy(),
 }
 
-#: Kernel backends the golden matrix runs under: every collective must
-#: produce the same bitwise results on the serial and sharded kernels.
-KERNELS = ["serial", "sharded"]
+#: The one event-loop kernel. A one-value axis, kept so the golden
+#: matrix keeps its test ids.
+KERNELS = ["serial"]
 
-#: One system per (policy, kernel), shared across the matrix: collectives
-#: leave no state behind beyond monotonic clocks/counters, and rebuilding
-#: a 96-core system per case would dominate the suite's runtime.
-_SYSTEMS: dict[tuple[str, str], VSCCSystem] = {}
+#: One system per policy, shared across the matrix: collectives leave no
+#: state behind beyond monotonic clocks/counters, and rebuilding a
+#: 96-core system per case would dominate the suite's runtime.
+_SYSTEMS: dict[str, VSCCSystem] = {}
 
 
-def system_for(policy_name: str, kernel: str = "serial") -> VSCCSystem:
-    system = _SYSTEMS.get((policy_name, kernel))
+def system_for(policy_name: str) -> VSCCSystem:
+    system = _SYSTEMS.get(policy_name)
     if system is None:
-        system = _SYSTEMS[(policy_name, kernel)] = VSCCSystem(
-            num_devices=2, policy=POLICIES[policy_name](), kernel=kernel
+        system = _SYSTEMS[policy_name] = VSCCSystem(
+            num_devices=2, policy=POLICIES[policy_name]()
         )
     return system
 
@@ -131,7 +131,7 @@ def _run(system, members, program):
 def test_golden_barrier(impl, policy_name, kernel):
     """Barrier orders every pre-barrier event before every post-barrier
     release — the golden model of a barrier is the max arrival time."""
-    system = system_for(policy_name, kernel)
+    system = system_for(policy_name)
     hier = impl == "hier"
     arrived, released = {}, {}
 
@@ -152,7 +152,7 @@ def test_golden_barrier(impl, policy_name, kernel):
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 @pytest.mark.parametrize("impl", ["flat", "hier"])
 def test_golden_bcast(impl, policy_name, kernel):
-    system = system_for(policy_name, kernel)
+    system = system_for(policy_name)
     hier = impl == "hier"
     members = MEMBERS
     root = 3
@@ -177,7 +177,7 @@ def test_golden_bcast(impl, policy_name, kernel):
 @pytest.mark.parametrize("impl", ["flat", "hier"])
 @pytest.mark.parametrize("dtype", [np.float64, np.int32])
 def test_golden_reduce(impl, policy_name, dtype, kernel):
-    system = system_for(policy_name, kernel)
+    system = system_for(policy_name)
     hier = impl == "hier"
     members = MEMBERS
     root = 2
@@ -206,7 +206,7 @@ def test_golden_reduce(impl, policy_name, dtype, kernel):
 @pytest.mark.parametrize("impl", ["flat", "hier"])
 @pytest.mark.parametrize("dtype", [np.float64, np.int64])
 def test_golden_allreduce(impl, policy_name, dtype, kernel):
-    system = system_for(policy_name, kernel)
+    system = system_for(policy_name)
     hier = impl == "hier"
     members = MEMBERS
     vals = [
@@ -233,7 +233,7 @@ def test_golden_allreduce(impl, policy_name, dtype, kernel):
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 @pytest.mark.parametrize("impl", ["flat", "hier"])
 def test_golden_gather(impl, policy_name, kernel):
-    system = system_for(policy_name, kernel)
+    system = system_for(policy_name)
     hier = impl == "hier"
     members = MEMBERS
     root = 1
@@ -435,21 +435,22 @@ def test_single_device_hier_degenerates_to_flat(op_name, session):
     assert got["flat"] == got["hier"]
 
 
-# -- cross-kernel fingerprint contract -----------------------------------------
+# -- fused vs unfused fingerprint contract -------------------------------------
 
 
 def test_collective_fingerprints_identical_across_kernels():
-    """One collective mix, three backends, one (now, events) fingerprint.
+    """One collective mix, fused and unfused event loops, one clock.
 
-    The sharded kernel's window protocol dispatches in the exact global
-    (time, seq) order of the serial kernel (DESIGN.md §11), so the
-    simulated clock, the event count and every payload byte must agree
-    bit for bit — including on a deliberately bad shard count.
+    Delay fusion (the default) and the unfused serial oracle
+    (``fuse_delays=False``, what ``REPRO_FUSE=0`` selects) must agree
+    on the simulated clock and every payload byte; fusion may only
+    collapse events.
     """
 
-    def fingerprint(kernel):
+    def fingerprint(fuse_delays):
         system = VSCCSystem(
-            num_devices=2, policy=POLICIES["threshold"](), kernel=kernel
+            num_devices=2, policy=POLICIES["threshold"](),
+            fuse_delays=fuse_delays,
         )
         vals = {}
 
@@ -465,9 +466,9 @@ def test_collective_fingerprints_identical_across_kernels():
         system.run(program, ranks=MEMBERS)
         return system.sim.now, system.sim.events_processed, vals
 
-    now_s, events_s, vals_s = fingerprint("serial")
-    for kernel in ("sharded", "sharded:3"):
-        now_k, events_k, vals_k = fingerprint(kernel)
-        assert (now_k, events_k) == (now_s, events_s), kernel
-        for rank in MEMBERS:
-            assert (vals_k[rank] == vals_s[rank]).all(), (kernel, rank)
+    now_f, events_f, vals_f = fingerprint(True)
+    now_u, events_u, vals_u = fingerprint(False)
+    assert now_f == now_u
+    assert events_f < events_u
+    for rank in MEMBERS:
+        assert (vals_f[rank] == vals_u[rank]).all(), rank

@@ -1,15 +1,15 @@
 """Environment-matrix regression: service path vs direct ``run()``.
 
-For every ``REPRO_KERNEL`` × ``REPRO_FUSE`` combination the repo
-supports, a job whose spec leaves ``kernel``/``fuse`` unset must defer
-to the environment exactly like a hand-built system — and produce the
+For every ``REPRO_FUSE`` mode the repo supports, a job whose spec
+leaves ``fuse`` unset must defer to the environment exactly like a
+hand-built system — and produce the
 bit-identical ``sim_now_ns`` through the whole service stack
 (scheduler, pool, retries-not-taken and all) as a direct
 ``VSCCSystem.run()`` in the same environment.
 
 This is the guardrail for the service's determinism contract *and* for
-the env-deferral plumbing (``VSCCSystem(fuse_delays=None)`` /
-``kernel=None``): a regression in either shows up as a fingerprint
+the env-deferral plumbing (``VSCCSystem(fuse_delays=None)``): a
+regression in either shows up as a fingerprint
 mismatch on some matrix cell.
 """
 
@@ -20,17 +20,18 @@ import pytest
 from repro.serve import JobSpec, SimService
 from repro.serve.job import _WORKLOADS
 from repro.sim.engine import FUSE_ENV_VAR
-from repro.sim.kernel import KERNEL_ENV_VAR
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
 from .conftest import run_async
 
-MATRIX = [
-    (kernel, fuse)
-    for kernel in ("serial", "sharded:2")
-    for fuse in ("0", "1")
-]
+FUSE_MODES = ("0", "1")
+
+#: The one event-loop kernel. A one-value axis, kept so the matrix cells
+#: keep their test ids.
+KERNELS = ("serial",)
+
+MATRIX = [(kernel, fuse) for kernel in KERNELS for fuse in FUSE_MODES]
 
 WORKLOAD = "pingpong"
 PARAMS = {"sizes": (256, 4096), "iterations": 1}
@@ -70,7 +71,6 @@ def service_fingerprint():
 
 @pytest.mark.parametrize("kernel,fuse", MATRIX)
 def test_service_matches_direct_run(monkeypatch, kernel, fuse):
-    monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
     monkeypatch.setenv(FUSE_ENV_VAR, fuse)
     direct_now, direct_events = direct_fingerprint()
     served_now, served_events = service_fingerprint()
@@ -79,14 +79,13 @@ def test_service_matches_direct_run(monkeypatch, kernel, fuse):
 
 
 def test_matrix_cells_agree_on_simulated_time(monkeypatch):
-    """All four cells produce one identical simulated end time.
+    """Both fuse modes produce one identical simulated end time.
 
-    (Event counts legitimately differ across backends/fusion; the
-    simulated clock must not.)
+    (Event counts legitimately differ with fusion; the simulated clock
+    must not.)
     """
     times = set()
-    for kernel, fuse in MATRIX:
-        monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
+    for fuse in FUSE_MODES:
         monkeypatch.setenv(FUSE_ENV_VAR, fuse)
         now, _ = service_fingerprint()
         times.add(now)
@@ -94,8 +93,7 @@ def test_matrix_cells_agree_on_simulated_time(monkeypatch):
 
 
 def test_spec_overrides_beat_environment(monkeypatch):
-    """A spec pinning kernel/fuse wins over a conflicting environment."""
-    monkeypatch.setenv(KERNEL_ENV_VAR, "serial")
+    """A spec pinning fuse wins over a conflicting environment."""
     monkeypatch.setenv(FUSE_ENV_VAR, "1")
 
     async def scenario():
@@ -108,7 +106,6 @@ def test_spec_overrides_beat_environment(monkeypatch):
                     num_devices=NUM_DEVICES,
                     scheme=SCHEME,
                     seed=SEED,
-                    kernel="sharded:2",
                     fuse=False,
                 )
             )
@@ -117,7 +114,7 @@ def test_spec_overrides_beat_environment(monkeypatch):
             return result.sim_now_ns
 
     pinned_now = run_async(scenario())
-    # same simulated time as any serial/fused run — overrides change
-    # the backend, never the physics
+    # same simulated time as the fused run — the override changes the
+    # event stream, never the physics
     direct_now, _ = direct_fingerprint()
     assert pinned_now == direct_now

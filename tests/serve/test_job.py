@@ -52,7 +52,6 @@ class TestJobSpec:
             priority=3,
             num_devices=2,
             scheme="vdma",
-            kernel="sharded:2",
             fuse=False,
             seed=7,
             timeout_s=1.5,

@@ -45,8 +45,8 @@ def test_fused_chain_matches_sequential_yields_bitwise():
     assert _bits(fused.now) == _bits(unfused.now) == _bits(plain.now)
     # One wake-up for the whole chain vs one per element.
     assert unfused.events_processed - fused.events_processed == len(delays) - 1
-    assert fused.kernel.fused_yields == len(delays) - 1
-    assert unfused.kernel.fused_yields == 0
+    assert fused.fused_yields == len(delays) - 1
+    assert unfused.fused_yields == 0
 
 
 def test_fused_chain_rejects_negative_element():

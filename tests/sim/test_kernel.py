@@ -1,116 +1,27 @@
-"""Unit tests for the pluggable kernel backends (repro.sim.kernel)."""
+"""Unit tests for the event loop in ``Simulator`` (the one kernel).
+
+One queue per simulator, the ignored ``spawn`` shard hint, run limits,
+deadlock detection, event-source attribution and the ``REPRO_FUSE``
+switch between the fused event stream and the unfused oracle.
+"""
 
 import pytest
 
-from repro.sim import (
-    KERNEL_ENV_VAR,
-    Kernel,
-    SerialKernel,
-    ShardedKernel,
-    Simulator,
-    kernel_from_spec,
-)
+from repro.sim import Event, Simulator
+from repro.sim.engine import FUSE_ENV_VAR
 from repro.sim.errors import DeadlockError
 
-
-# -- kernel_from_spec: the one selection path ---------------------------------
-
-
-def test_spec_none_and_serial_build_serial():
-    assert isinstance(kernel_from_spec(None), SerialKernel)
-    assert isinstance(kernel_from_spec("serial"), SerialKernel)
-    assert isinstance(kernel_from_spec(""), SerialKernel)
+#: The one event-loop kernel. A one-value axis, kept so the test ids of
+#: the parametrized cases stay stable.
+KERNELS = ["serial"]
 
 
-def test_spec_sharded_defaults_and_counts():
-    assert kernel_from_spec("sharded").num_shards == ShardedKernel.DEFAULT_LANES
-    assert kernel_from_spec("sharded", default_shards=6).num_shards == 6
-    assert kernel_from_spec("sharded:4").num_shards == 4
-    # An explicit :N wins over the caller's default hint.
-    assert kernel_from_spec("sharded:3", default_shards=6).num_shards == 3
+def _mixed_program(sim, log, shards=(None, None)):
+    """Two processes exchanging through timers and an event.
 
-
-def test_spec_case_and_whitespace_insensitive():
-    assert isinstance(kernel_from_spec(" Serial "), SerialKernel)
-    assert kernel_from_spec(" SHARDED:5 ").num_shards == 5
-
-
-def test_spec_instance_passthrough():
-    kernel = ShardedKernel(num_shards=3)
-    assert kernel_from_spec(kernel) is kernel
-
-
-def test_spec_errors():
-    with pytest.raises(ValueError, match="unknown kernel spec"):
-        kernel_from_spec("parallel")
-    with pytest.raises(ValueError, match="not an integer"):
-        kernel_from_spec("sharded:many")
-    with pytest.raises(ValueError, match="at least one shard"):
-        ShardedKernel(num_shards=0)
-    with pytest.raises(TypeError, match="string or Kernel"):
-        kernel_from_spec(3)
-
-
-def test_describe_round_trips():
-    assert kernel_from_spec("serial").describe() == "serial"
-    assert kernel_from_spec("sharded:3").describe() == "sharded:3"
-
-
-def test_kernel_attaches_to_exactly_one_simulator():
-    kernel = ShardedKernel(num_shards=2)
-    Simulator(kernel=kernel)
-    with pytest.raises(RuntimeError, match="already attached"):
-        Simulator(kernel=kernel)
-
-
-def test_simulator_accepts_spec_strings():
-    assert isinstance(Simulator(kernel="sharded:3").kernel, ShardedKernel)
-    assert isinstance(Simulator().kernel, SerialKernel)
-
-
-# -- lane mapping and inheritance ---------------------------------------------
-
-
-def test_lane_mapping_reserves_lane_zero_for_host():
-    kernel = ShardedKernel(num_shards=6)
-    assert kernel.lane_for(None) == 0
-    assert [kernel.lane_for(d) for d in range(5)] == [1, 2, 3, 4, 5]
-    # More devices than lanes: wrap around the device lanes, never 0.
-    assert kernel.lane_for(5) == 1
-
-
-def test_single_lane_kernel_degenerates_to_lane_zero():
-    kernel = ShardedKernel(num_shards=1)
-    assert kernel.lane_for(None) == 0
-    assert kernel.lane_for(3) == 0
-
-
-def test_spawned_children_inherit_the_spawners_lane():
-    sim = Simulator(kernel="sharded:4")
-    lanes = {}
-
-    def child():
-        yield 1.0
-
-    def parent():
-        proc = sim.spawn(child())  # no shard hint: inherits lane
-        lanes["child_lane"] = proc._lane
-        yield 2.0
-
-    root = sim.spawn(parent(), shard=2)
-    lanes["parent_lane"] = root._lane
-    sim.run()
-    assert lanes["parent_lane"] == ShardedKernel(4).lane_for(2)
-    assert lanes["child_lane"] == lanes["parent_lane"]
-
-
-# -- dispatch equivalence ------------------------------------------------------
-
-
-def _mixed_program(sim, log):
-    """Two shards of processes exchanging through timers and events."""
-    from repro.sim import Event
-
+    ``shards`` are passed as ``spawn``'s fourth argument, which the
+    simulator accepts and ignores.
+    """
     evt = Event(sim)
 
     def pinger():
@@ -126,29 +37,61 @@ def _mixed_program(sim, log):
         yield 0.5
         log.append(("pong-end", sim.now))
 
-    sim.spawn(pinger(), shard=0)
-    sim.spawn(ponger(), shard=1)
+    sim.spawn(pinger(), "ping-0", shards[0])
+    sim.spawn(ponger(), "pong-1", shards[1])
 
 
-@pytest.mark.parametrize("spec", ["serial", "sharded", "sharded:3"])
-def test_mixed_program_identical_across_backends(spec):
-    baseline = Simulator()
-    log_a = []
-    _mixed_program(baseline, log_a)
-    baseline.run()
-
-    sim = Simulator(kernel=spec)
-    log_b = []
-    _mixed_program(sim, log_b)
+def _replay(sim, shards=(None, None)):
+    log = []
+    _mixed_program(sim, log, shards)
     sim.run()
+    return log, sim.now, sim.events_processed
 
-    assert log_b == log_a
-    assert sim.now == baseline.now
-    assert sim.events_processed == baseline.events_processed
+
+# -- the one queue -------------------------------------------------------------
+
+
+def test_kernel_attaches_to_exactly_one_simulator():
+    """Each simulator owns its queue: running one never runs the other."""
+    a, b = Simulator(), Simulator()
+    ran = []
+
+    def ticker(tag):
+        yield 1.0
+        ran.append(tag)
+
+    a.spawn(ticker("a"))
+    b.spawn(ticker("b"))
+    a.run()
+    assert ran == ["a"]
+    assert (a.now, b.now) == (1.0, 0.0)
+    assert b.events_processed == 0
+    b.run()
+    assert ran == ["a", "b"]
+    assert a.events_processed == b.events_processed
+
+
+def test_single_lane_kernel_degenerates_to_lane_zero():
+    """``spawn``'s shard hint is ignored: one queue, one dispatch order."""
+    plain = _replay(Simulator())
+    hinted = _replay(Simulator(), shards=(0, 1))
+    swapped = _replay(Simulator(), shards=(3, -1))
+    assert hinted == plain
+    assert swapped == plain
+
+
+@pytest.mark.parametrize("spec", KERNELS)
+def test_mixed_program_identical_across_backends(spec):
+    """The fused event stream and the unfused oracle agree on the log."""
+    log_f, now_f, events_f = _replay(Simulator(fuse_delays=True))
+    log_u, now_u, events_u = _replay(Simulator(fuse_delays=False))
+    assert log_f == log_u
+    assert now_f == now_u == 3.5
+    assert events_f <= events_u
 
 
 def test_run_until_stops_at_horizon_boundary():
-    sim = Simulator(kernel="sharded:3")
+    sim = Simulator()
     ticks = []
 
     def ticker(period):
@@ -156,8 +99,8 @@ def test_run_until_stops_at_horizon_boundary():
             yield period
             ticks.append((period, sim.now))
 
-    sim.spawn(ticker(3.0), name="t3", shard=0)
-    sim.spawn(ticker(5.0), name="t5", shard=1)
+    sim.spawn(ticker(3.0), name="t3")
+    sim.spawn(ticker(5.0), name="t5")
     sim.run(until=12.0)
     assert sim.now == 12.0
     assert ticks == [
@@ -167,58 +110,47 @@ def test_run_until_stops_at_horizon_boundary():
 
 
 def test_max_events_exact_under_sharded():
-    sim = Simulator(kernel="sharded:2")
+    """Processes spawned with (ignored) shard hints stop at exactly N."""
+    sim = Simulator()
 
     def ticker():
         while True:
             yield 1.0
 
-    sim.spawn(ticker(), shard=0)
-    sim.spawn(ticker(), shard=1)
+    sim.spawn(ticker(), None, 0)
+    sim.spawn(ticker(), None, 1)
     sim.run(max_events=7)
-    assert sim.events_processed >= 7
+    assert sim.events_processed == 7
 
 
 def test_deadlock_detected_under_sharded():
-    from repro.sim import Event
-
-    sim = Simulator(kernel="sharded:2")
-    evt = Event(sim)
+    """A blocked process spawned with a shard hint is still reported,
+    and only the blocked processes are named."""
+    sim = Simulator()
+    evt = sim.event()
 
     def stuck():
         yield evt
 
-    sim.spawn(stuck(), shard=0)
-    with pytest.raises(DeadlockError):
+    def finisher():
+        yield 1.0
+
+    sim.spawn(stuck(), "stuck", 0)
+    sim.spawn(finisher(), "finisher", 1)
+    with pytest.raises(DeadlockError) as excinfo:
         sim.run()
+    assert excinfo.value.waiting == ["stuck"]
 
 
-# -- sync-overhead observability ----------------------------------------------
-
-
-def test_sharded_metrics_report_sync_counters():
-    sim = Simulator(kernel="sharded:3")
-    log = []
-    _mixed_program(sim, log)
-    sim.run()
-    snap = sim.metrics_snapshot()
-    assert snap["kernel.shards"] == 3.0
-    assert snap["kernel.windows"] >= 1.0
-    assert "kernel.preempts" in snap
-    assert "kernel.lane_events{lane=1}" in snap
-    total_lane_events = sum(
-        v for k, v in snap.items() if k.startswith("kernel.lane_events")
-    )
-    assert total_lane_events == sim.events_processed
+# -- metrics -------------------------------------------------------------------
 
 
 def test_serial_metrics_have_no_sharded_series():
     sim = Simulator()
     snap = sim.metrics_snapshot()
-    # The serial backend still exports the backend-independent counters
-    # (delay fusion + event-source attribution)…
+    # The kernel exports the delay-fusion counter…
     assert snap["kernel.fused_yields"] == 0.0
-    # …but none of the sharded window-protocol series.
+    # …and none of the window-protocol series of the removed backend.
     for key in ("kernel.shards", "kernel.windows", "kernel.preempts",
                 "kernel.stale_discards", "kernel.lookahead_ns"):
         assert key not in snap
@@ -226,57 +158,61 @@ def test_serial_metrics_have_no_sharded_series():
 
 def test_event_source_attribution():
     sim = Simulator()
-    log = []
-    _mixed_program(sim, log)
+    _mixed_program(sim, [])
+    sim.call_at(4.0, lambda: None)
     sim.run()
     snap = sim.metrics_snapshot()
     sources = {
         k: v for k, v in snap.items() if k.startswith("kernel.events{source=")
     }
-    assert sources, "dispatch should attribute events to sources"
+    assert set(sources) == {
+        "kernel.events{source=ping}",
+        "kernel.events{source=pong}",
+        "kernel.events{source=call_at}",
+    }
     assert sum(sources.values()) == float(sim.events_processed)
 
 
-def test_lookahead_counts_subhorizon_wakes():
-    from repro.sim import Event
-
-    # 3 lanes so the two shards land on distinct device lanes.
-    kernel = ShardedKernel(num_shards=3, lookahead_ns=100.0)
-    sim = Simulator(kernel=kernel)
-    evt = Event(sim)
-
-    def waker():
-        yield 5.0
-        evt.trigger(None)  # cross-lane wake far below the lookahead
-        yield 50.0
-
-    def sleeper():
-        yield evt
-
-    sim.spawn(waker(), shard=0)
-    sim.spawn(sleeper(), shard=1)
-    sim.run()
-    snap = sim.metrics_snapshot()
-    assert snap["kernel.lookahead_ns"] == 100.0
-    assert snap["kernel.subhorizon_wakes"] >= 1.0
+# -- selecting the event stream ------------------------------------------------
 
 
-# -- environment override ------------------------------------------------------
+def test_spec_errors():
+    """``kernel=`` is gone from every constructor that took it."""
+    from repro.rcce.session import RcceSession
+    from repro.serve import JobSpec
+    from repro.vscc.system import VSCCSystem
+
+    with pytest.raises(TypeError):
+        Simulator(kernel="serial")
+    with pytest.raises(TypeError):
+        VSCCSystem(num_devices=1, kernel="serial")
+    with pytest.raises(TypeError):
+        RcceSession(kernel="serial")
+    with pytest.raises(TypeError):
+        JobSpec(workload="spin", tenant="t", kernel="serial")
+
+
+def test_spec_case_and_whitespace_insensitive(monkeypatch):
+    """``REPRO_FUSE`` values are read case- and whitespace-insensitively."""
+    for value in ("0", " 0 ", "false", "FALSE", " Off "):
+        monkeypatch.setenv(FUSE_ENV_VAR, value)
+        assert Simulator().fuse_delays is False, value
+    for value in ("1", " 1 ", "on", "TRUE", ""):
+        monkeypatch.setenv(FUSE_ENV_VAR, value)
+        assert Simulator().fuse_delays is True, value
 
 
 def test_env_var_selects_backend_for_systems(monkeypatch):
+    """``REPRO_FUSE`` picks the event stream of systems and sessions
+    built without an explicit choice; an explicit one wins."""
     from repro.rcce.session import RcceSession
     from repro.vscc.system import VSCCSystem
 
-    monkeypatch.setenv(KERNEL_ENV_VAR, "sharded:4")
-    assert isinstance(VSCCSystem(num_devices=2).kernel, ShardedKernel)
-    assert VSCCSystem(num_devices=2).kernel.num_shards == 4
-    assert RcceSession().kernel.num_shards == 4
+    monkeypatch.setenv(FUSE_ENV_VAR, "0")
+    assert VSCCSystem(num_devices=2).sim.fuse_delays is False
+    assert RcceSession().sim.fuse_delays is False
+    assert VSCCSystem(num_devices=2, fuse_delays=True).sim.fuse_delays is True
 
-    # An explicit kernel= beats the environment.
-    monkeypatch.setenv(KERNEL_ENV_VAR, "sharded:4")
-    assert isinstance(VSCCSystem(num_devices=2, kernel="serial").kernel, SerialKernel)
-
-    # A bare "sharded" env spec gets one lane per device plus the host lane.
-    monkeypatch.setenv(KERNEL_ENV_VAR, "sharded")
-    assert VSCCSystem(num_devices=5).kernel.num_shards == 6
+    monkeypatch.setenv(FUSE_ENV_VAR, "1")
+    assert VSCCSystem(num_devices=2).sim.fuse_delays is True
+    assert VSCCSystem(num_devices=2, fuse_delays=False).sim.fuse_delays is False

@@ -2,8 +2,14 @@
 
 import pytest
 
+import repro.sim
+from repro.host.driver import Host
+from repro.rcce.session import RcceSession
+from repro.scc.memctrl import MemoryControllers
+from repro.vscc import schemes
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
+from repro.vscc.topology import FabricTopology
 
 
 def test_extension_requirements():
@@ -39,19 +45,23 @@ def test_thresholds_in_paper_range():
             assert scheme.direct_threshold == 0
 
 
-def test_direct_threshold_name_removed_but_warns():
-    """The dict is gone from the public surface; the module-level name
-    survives only as a warning shim until repro 1.2."""
-    import repro.vscc
-    import repro.vscc.schemes as schemes
-
-    assert "DIRECT_THRESHOLD" not in schemes.__all__
-    assert "DIRECT_THRESHOLD" not in repro.vscc.__all__
-    with pytest.warns(DeprecationWarning, match="repro 1.2"):
-        legacy = schemes.DIRECT_THRESHOLD
-    assert legacy[CommScheme.REMOTE_PUT_WCB] == (
-        CommScheme.REMOTE_PUT_WCB.direct_threshold
-    )
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (schemes, "DIRECT_THRESHOLD"),
+        (VSCCSystem, "launch"),
+        (RcceSession, "launch"),
+        (FabricTopology, "xyz"),
+        (Host, "pcie_bytes"),
+        (MemoryControllers, "bytes_served"),
+        (repro.sim, "Kernel"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v.__name__.rpartition(".")[2],
+)
+def test_removed_names_raise_attribute_error(owner, name):
+    """The repro 1.2 removals: deprecated shims and the kernel contract."""
+    with pytest.raises(AttributeError):
+        getattr(owner, name)
 
 
 def test_selector_picks_by_locality_and_size():

@@ -1,7 +1,5 @@
 """Unit tests for the VSCCSystem façade."""
 
-import pytest
-
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
@@ -50,9 +48,7 @@ def test_launch_subset_and_results():
         yield from comm.env.compute(cycles=1)
         return comm.rank
 
-    with pytest.warns(DeprecationWarning, match="launch"):
-        results = system.launch(program, ranks=[0, 90])
-    assert results == {0: 0, 90: 90}
+    assert system.run(program, ranks=[0, 90]).results == {0: 0, 90: 90}
 
 
 def test_traffic_matrix_shape():

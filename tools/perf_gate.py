@@ -14,7 +14,7 @@ at the repo root:
   their anchor) — a wall-clock regression.
 
 ``--check-fusion`` additionally runs the paired delay-fusion check: the
-fig7_bt scenarios are measured twice, with delay fusion enabled
+fig7_bt scenario is measured twice, with delay fusion enabled
 (``REPRO_FUSE=1``) and disabled (``REPRO_FUSE=0``), and their simulated
 fingerprints must agree on every field except ``events`` (fusing
 collapses wake-ups, so the event count legitimately shrinks; simulated
@@ -50,16 +50,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE = REPO_ROOT / "BENCH_wallclock.json"
 
 #: Keys that are measurements, not simulated-result fingerprints.
-_NON_FINGERPRINT_KEYS = {"wall_s", "before_wall_s", "speedup", "skipped"}
-
-#: Scenario pairs whose *fresh* fingerprints must agree with each other:
-#: the same workload run on two kernel backends (DESIGN.md §11). A
-#: drift here is a cross-backend correctness failure even when each
-#: scenario individually matches its own baseline.
-_PAIRED_FINGERPRINTS = {"fig7_bt_sharded": "fig7_bt"}
+_NON_FINGERPRINT_KEYS = {"wall_s"}
 
 #: Scenarios measured by the paired fused-vs-unfused check.
-_FUSION_SCENARIOS = ("fig7_bt", "fig7_bt_sharded")
+_FUSION_SCENARIOS = ("fig7_bt",)
 
 #: Fingerprint fields allowed to differ between fused and unfused runs:
 #: fusing collapses consecutive wake-ups into one, so the event count
@@ -182,16 +176,6 @@ def gate(baseline: dict, fresh: dict) -> tuple[list[str], list[str]]:
             failures.append(f"{name}: missing from the fresh run")
             print(f"{name:26s} {'-':>9s} {'-':>9s} {'-':>7s}  MISSING")
             continue
-        if "skipped" in base or "skipped" in entry:
-            status = "skipped"
-            if ("skipped" in entry) != ("skipped" in base):
-                status = "SKIP-CHANGED"
-                failures.append(
-                    f"{name}: skip status changed "
-                    f"(base={base.get('skipped')!r}, fresh={entry.get('skipped')!r})"
-                )
-            print(f"{name:26s} {'-':>9s} {'-':>9s} {'-':>7s}  {status}")
-            continue
         base_fp = fingerprint_of(base)
         fresh_fp = fingerprint_of(entry)
         if "wall_s" not in base or "wall_s" not in entry:
@@ -222,24 +206,6 @@ def gate(baseline: dict, fresh: dict) -> tuple[list[str], list[str]]:
 
     for name in sorted(set(fresh_scenarios) - set(base_scenarios)):
         print(f"{name:26s} {'-':>9s} {'-':>9s} {'-':>7s}  new (no baseline)")
-
-    for name, anchor in sorted(_PAIRED_FINGERPRINTS.items()):
-        entry = fresh_scenarios.get(name)
-        anchor_entry = fresh_scenarios.get(anchor)
-        if entry is None or anchor_entry is None:
-            continue  # the per-scenario loop already reported any absence
-        if "skipped" in entry or "skipped" in anchor_entry:
-            continue
-        drifts = fingerprint_drift(fingerprint_of(anchor_entry), fingerprint_of(entry))
-        if drifts:
-            failures.append(
-                f"{name}: fingerprint differs from its serial anchor "
-                f"{anchor!r} — cross-backend bit-identity broken:"
-            )
-            failures.extend(f"    {name}.{drift}" for drift in drifts)
-            print(f"{name} vs {anchor}: PAIRED-FINGERPRINT MISMATCH")
-        else:
-            print(f"{name} vs {anchor}: fingerprints bit-identical")
     return failures, wall_failures
 
 
@@ -278,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         "--check-fusion",
         action="store_true",
         help="also run the paired fused-vs-unfused fingerprint check "
-        "(REPRO_FUSE=1 vs =0 on the fig7_bt scenarios)",
+        "(REPRO_FUSE=1 vs =0 on the fig7_bt scenario)",
     )
     parser.add_argument(
         "--fusion-only",
