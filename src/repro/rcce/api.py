@@ -31,7 +31,7 @@ from repro.scc.params import CACHE_LINE
 
 from . import collectives
 from .config import RankLayout
-from .flags import FlagLayout
+from .flags import SEQ_MOD, FlagLayout
 from .gory import Gory
 from .malloc import MpbAllocator
 from .transport import TransportSelector
@@ -92,6 +92,7 @@ class Rcce:
         self.user_mpb_base = self.comm_buffer_bytes
         self.user_mpb_bytes = user
         self._alloc = MpbAllocator(user) if user else None
+        self._buffer_addrs: dict[int, MpbAddr] = {}  # rank -> offset-0 address
         self.gory = Gory(self)
         self._seq: dict[tuple[int, int], int] = {}
         self.sends = 0
@@ -126,6 +127,12 @@ class Rcce:
 
     def comm_buffer_addr(self, rank: int, offset: int = 0) -> MpbAddr:
         """Address of a rank's communication buffer (chunk staging area)."""
+        if offset == 0:
+            addr = self._buffer_addrs.get(rank)
+            if addr is None:
+                device, core = self.layout.placement(rank)
+                addr = self._buffer_addrs[rank] = MpbAddr(device, core, 0)
+            return addr
         device, core = self.layout.placement(rank)
         if not 0 <= offset < self.comm_buffer_bytes:
             raise ValueError(f"offset {offset} outside the communication buffer")
@@ -141,7 +148,7 @@ class Rcce:
         role; both end points advance the streams in lockstep.
         """
         key = (src, dst, channel)
-        seq = FlagLayout.next_seq(self._seq.get(key, 0))
+        seq = self._seq.get(key, 0) % SEQ_MOD + 1  # FlagLayout.next_seq
         self._seq[key] = seq
         return seq
 

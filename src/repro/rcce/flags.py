@@ -56,6 +56,10 @@ class FlagLayout:
         self.layout = layout
         self.params = params
         self._sf_base = params.mpb_payload_bytes
+        # sent/ready addresses per (owner, peer): protocols look them up
+        # inside chunk loops, and the placement never changes.
+        self._sent: dict[tuple[int, int], MpbAddr] = {}
+        self._ready: dict[tuple[int, int], MpbAddr] = {}
 
     def _owner_addr(self, owner_rank: int, sf_offset: int) -> MpbAddr:
         device, core = self.layout.placement(owner_rank)
@@ -63,13 +67,21 @@ class FlagLayout:
 
     def sent(self, owner_rank: int, peer_rank: int) -> MpbAddr:
         """``sent[peer]`` in ``owner``'s SF: peer signals data for owner."""
-        self.layout.placement(peer_rank)
-        return self._owner_addr(owner_rank, _SENT_BASE + peer_rank)
+        addr = self._sent.get((owner_rank, peer_rank))
+        if addr is None:
+            self.layout.placement(peer_rank)
+            addr = self._owner_addr(owner_rank, _SENT_BASE + peer_rank)
+            self._sent[(owner_rank, peer_rank)] = addr
+        return addr
 
     def ready(self, owner_rank: int, peer_rank: int) -> MpbAddr:
         """``ready[peer]`` in ``owner``'s SF: peer acknowledges owner's data."""
-        self.layout.placement(peer_rank)
-        return self._owner_addr(owner_rank, _READY_BASE + peer_rank)
+        addr = self._ready.get((owner_rank, peer_rank))
+        if addr is None:
+            self.layout.placement(peer_rank)
+            addr = self._owner_addr(owner_rank, _READY_BASE + peer_rank)
+            self._ready[(owner_rank, peer_rank)] = addr
+        return addr
 
     def misc(self, owner_rank: int, slot: int) -> MpbAddr:
         if not 0 <= slot < 16:

@@ -57,8 +57,14 @@ class CoreEnv:
         self.wcb = WriteCombineBuffer()
         # Derived per-access costs, hoisted out of the coroutines: the
         # params are frozen, so these never change (clock_scale, which
-        # does change under power management, is applied per access).
+        # does change under power management, is read per access from
+        # the power manager's per-tile list).
         p = device.params
+        self._scales = device.power.scales
+        costs = p.hop_costs
+        self._remote_read_ns = costs.remote_read_ns
+        self._remote_write_ns = costs.remote_write_ns
+        self._remote_write_arrival_ns = costs.remote_write_arrival_ns
         self._core_clock = p.core_clock
         self._cores_per_tile = p.cores_per_tile
         self._tiles_x = p.tiles_x
@@ -111,10 +117,6 @@ class CoreEnv:
             and addr.core // self._cores_per_tile == self.tile
         )
 
-    def _hops_to(self, core: int) -> int:
-        """XY hop count from this core's tile to ``core``'s tile."""
-        return self._hops_table[core]
-
     @property
     def clock_scale(self) -> float:
         """Core-cycle cost multiplier from the tile's frequency divider.
@@ -126,7 +128,7 @@ class CoreEnv:
         (DESIGN.md §6), so scaling the whole per-line cost is the
         documented approximation.
         """
-        return self.device.power.clock_scale(self.tile)
+        return self._scales[self.tile]
 
     def _fabric(self):
         fabric = self.device.fabric
@@ -141,7 +143,7 @@ class CoreEnv:
 
     def compute(self, ns: float = 0.0, cycles: float = 0.0) -> Generator:
         """Charge pure compute time (``cycles`` are core cycles)."""
-        total = (ns + self._core_clock.cycles(cycles)) * self.clock_scale
+        total = (ns + self._core_clock.cycles(cycles)) * self._scales[self.tile]
         self.stats["compute_ns"] += total
         if total > 0:
             yield total
@@ -166,7 +168,7 @@ class CoreEnv:
         bites when several cores of one quadrant stream at once)."""
         lines = -(-nbytes // CACHE_LINE)
         self.stats["private_bytes"] += nbytes
-        core_side = lines * line_ns * self.clock_scale
+        core_side = lines * line_ns * self._scales[self.tile]
         mc_wait = self.device.memctrl.occupancy_wait_ns(self.core_id, nbytes)
         yield max(core_side, mc_wait)
 
@@ -175,7 +177,7 @@ class CoreEnv:
     def cl1invmb(self) -> Generator:
         """Invalidate all MPBT lines in L1 (single instruction)."""
         self.l1.cl1invmb()
-        yield self._cl1invmb_ns * self.clock_scale
+        yield self._cl1invmb_ns * self._scales[self.tile]
 
     def mpb_read(self, addr: MpbAddr, length: int, assume_cold: bool = False) -> Generator:
         """Read ``length`` bytes of on-chip memory; returns an ndarray.
@@ -187,13 +189,12 @@ class CoreEnv:
             data = yield from self._fabric().remote_read(self, addr, length)
             self.stats["mpb_bytes_read"] += length
             return data
-        p = self.params
         mem = self.device.mpb
         mem.check_span(addr, length)
         local = self._is_local(addr)
-        hops = 0 if local else self._hops_to(addr.core)
+        hops = 0 if local else self._hops_table[addr.core]
         cost = self._read_cost_ns(addr, length, local, hops, assume_cold)
-        cost *= self.clock_scale
+        cost *= self._scales[self.tile]
         if not local:
             self.device.router.account(
                 self.tile, addr.core // self._cores_per_tile, length
@@ -209,7 +210,7 @@ class CoreEnv:
         if local:
             miss_ns = self._local_read_ns
         else:
-            miss_ns = self.params.remote_read_ns(hops)
+            miss_ns = self._remote_read_ns[hops]
         if assume_cold or length > BULK_THRESHOLD_BYTES:
             return lines * miss_ns
         flat = self.device.mpb.flat(addr)
@@ -231,23 +232,22 @@ class CoreEnv:
             yield from self._fabric().remote_write(self, addr, data)
             self.stats["mpb_bytes_written"] += len(data)
             return
-        p = self.params
         mem = self.device.mpb
         length = len(data)
         mem.check_span(addr, length)
         lines = max(1, -(-length // CACHE_LINE))
         self.stats["mpb_bytes_written"] += length
         if self._is_local(addr):
-            yield lines * self._local_write_ns * self.clock_scale
+            yield lines * self._local_write_ns * self._scales[self.tile]
             mem.write(addr, data)
         else:
-            hops = self._hops_to(addr.core)
+            hops = self._hops_table[addr.core]
             self.device.router.account(
                 self.tile, addr.core // self._cores_per_tile, length
             )
-            yield lines * p.remote_write_ns(hops) * self.clock_scale
+            yield lines * self._remote_write_ns[hops] * self._scales[self.tile]
             payload = bytes(data)
-            arrival = self.sim.now + p.remote_write_arrival_ns(hops)
+            arrival = self.sim.now + self._remote_write_arrival_ns[hops]
             self.sim.call_at(arrival, lambda: mem.write(addr, payload))
 
     # -- fused chunk moves (DESIGN.md §12) -----------------------------------------------------
@@ -269,7 +269,7 @@ class CoreEnv:
             return
         mem = self.device.mpb
         mem.check_span(addr, length)
-        scale = self.clock_scale
+        scale = self._scales[self.tile]
         stats = self.stats
         stats["private_bytes"] += length
         stats["mpb_bytes_written"] += length
@@ -300,14 +300,14 @@ class CoreEnv:
             return data
         mem = self.device.mpb
         mem.check_span(addr, length)
-        scale = self.clock_scale
+        scale = self._scales[self.tile]
         self.l1.cl1invmb()
         d1 = self._cl1invmb_ns * scale
         lines = max(1, -(-length // CACHE_LINE))
         if self._is_local(addr):
             miss_ns = self._local_read_ns
         else:
-            miss_ns = self.params.remote_read_ns(self._hops_table[addr.core])
+            miss_ns = self._remote_read_ns[self._hops_table[addr.core]]
             self.device.router.account(
                 self.tile, addr.core // self._cores_per_tile, length
             )
@@ -333,18 +333,17 @@ class CoreEnv:
         if addr.device != self.device.device_id:
             yield from self._fabric().remote_flag_write(self, addr, value)
             return
-        p = self.params
         mem = self.device.mpb
         if self._is_local(addr):
-            yield self._local_write_ns * self.clock_scale
+            yield self._local_write_ns * self._scales[self.tile]
             mem.write_byte(addr, value)
         else:
-            hops = self._hops_to(addr.core)
+            hops = self._hops_table[addr.core]
             self.device.router.account(
                 self.tile, addr.core // self._cores_per_tile, 1
             )
-            yield p.remote_write_ns(hops) * self.clock_scale
-            arrival = self.sim.now + p.remote_write_arrival_ns(hops)
+            yield self._remote_write_ns[hops] * self._scales[self.tile]
+            arrival = self.sim.now + self._remote_write_arrival_ns[hops]
             self.sim.call_at(arrival, lambda: mem.write_byte(addr, value))
 
     def read_flag(self, addr: MpbAddr) -> Generator:
@@ -352,11 +351,13 @@ class CoreEnv:
         if addr.device != self.device.device_id:
             data = yield from self._fabric().remote_read(self, addr, 1)
             return int(data[0])
-        local = self._is_local(addr)
-        if local:
-            yield self._local_read_ns * self.clock_scale
+        if self._is_local(addr):
+            yield self._local_read_ns * self._scales[self.tile]
         else:
-            yield self.params.remote_read_ns(self._hops_to(addr.core)) * self.clock_scale
+            yield (
+                self._remote_read_ns[self._hops_table[addr.core]]
+                * self._scales[self.tile]
+            )
         return self.device.mpb.read_byte(addr)
 
     def wait_flag(
@@ -366,7 +367,7 @@ class CoreEnv:
         timeout_ns: Optional[float] = DEFAULT_FLAG_TIMEOUT_NS,
     ) -> Generator:
         """Busy-wait until the (local) flag equals ``value``."""
-        yield from self.wait_flag_pred(addr, lambda v: v == value, timeout_ns)
+        return self._poll_flag(addr, value, None, timeout_ns)
 
     def wait_flag_pred(
         self,
@@ -376,10 +377,20 @@ class CoreEnv:
     ) -> Generator:
         """Busy-wait until ``predicate(flag_byte)`` holds on a local flag.
 
-        Each poll costs a poll iteration plus a local read; between polls
-        the process parks on the memory watchpoint, so a long wait is one
-        simulator event, not thousands. Counter-valued flags (the
-        pipelined and vDMA protocols) wait with ``>=`` predicates here.
+        Counter-valued flags (the pipelined and vDMA protocols) wait
+        with ``>=``-style predicates here.
+        """
+        return self._poll_flag(addr, None, predicate, timeout_ns)
+
+    def _poll_flag(
+        self, addr: MpbAddr, value, predicate, timeout_ns: Optional[float]
+    ) -> Generator:
+        """The flag-polling loop of :meth:`wait_flag` and :meth:`wait_flag_pred`.
+
+        Without a ``predicate`` the flag byte is compared with ``value``
+        inline. Each poll costs a poll iteration plus a local read;
+        between polls the process parks on the memory watchpoint, so a
+        long wait is one simulator event, not thousands.
         """
         if addr.device != self.device.device_id or not self._is_local(addr):
             raise SimulationError(
@@ -387,7 +398,7 @@ class CoreEnv:
                 f"local flags (core {self.core_id}, flag at {addr})"
             )
         mem = self.device.mpb
-        poll_ns = self._poll_base_ns * self.clock_scale
+        poll_ns = self._poll_base_ns * self._scales[self.tile]
         deadline = None if timeout_ns is None else self.sim.now + timeout_ns
         stats = self.stats
         watch = None
@@ -400,7 +411,8 @@ class CoreEnv:
                 # fused chain: woken poll_ns after the write lands, the
                 # same instant the unfused watch-wake + poll pair reaches.
                 yield (watch, poll_ns)
-            if predicate(mem.read_byte(addr)):
+            byte = mem.read_byte(addr)
+            if (byte == value) if predicate is None else predicate(byte):
                 return
             if deadline is not None and self.sim.now > deadline:
                 raise SimulationError(
@@ -429,7 +441,7 @@ class CoreEnv:
                 raise SimulationError(
                     f"wait_any_flag on non-local flag {addr} (core {self.core_id})"
                 )
-        poll_ns = self._poll_base_ns * self.clock_scale
+        poll_ns = self._poll_base_ns * self._scales[self.tile]
         deadline = None if timeout_ns is None else self.sim.now + timeout_ns
         while True:
             self.stats["flag_polls"] += 1

@@ -19,11 +19,12 @@ Calibration anchors (see DESIGN.md §5):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, fields
 
 from repro.sim.clock import Clock
 
-__all__ = ["SCCParams", "CACHE_LINE"]
+__all__ = ["SCCParams", "HopCosts", "CACHE_LINE"]
 
 #: Cache-line size of the P54C and granularity of the MPB/WCB (bytes).
 CACHE_LINE = 32
@@ -111,19 +112,34 @@ class SCCParams:
         """Usable message-passing payload per core (LMB minus SF region)."""
         return self.lmb_bytes_per_core - self.sf_bytes
 
-    # -- clocks --------------------------------------------------------------------
-
     @property
+    def max_hops(self) -> int:
+        """XY hop count between opposite corners of the mesh."""
+        return (self.tiles_x - 1) + (self.tiles_y - 1)
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only: the cached clocks and cost tables below
+        # live in the instance dict and are rebuilt on first use.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    # -- clocks (built once per instance; the dataclass is frozen) -----------------
+
+    @functools.cached_property
     def core_clock(self) -> Clock:
         return Clock(self.core_freq_mhz)
 
-    @property
+    @functools.cached_property
     def mesh_clock(self) -> Clock:
         return Clock(self.mesh_freq_mhz)
 
-    @property
+    @functools.cached_property
     def mem_clock(self) -> Clock:
         return Clock(self.mem_freq_mhz)
+
+    @functools.cached_property
+    def hop_costs(self) -> "HopCosts":
+        """Per-hop-count cost tables of this parameter set."""
+        return HopCosts(self)
 
     # -- coordinate helpers -----------------------------------------------------
 
@@ -172,10 +188,12 @@ class SCCParams:
         )
 
     def remote_write_ns(self, hops: int) -> float:
-        """Core-visible cost of a posted 32 B write to another tile."""
-        return self.core_clock.cycles(self.mpb_remote_write_cycles) + (
-            self.mesh_clock.cycles(self.mesh_hop_mesh_cycles * hops) * 0.0
-        )
+        """Core-visible cost of a posted 32 B write to another tile.
+
+        The write is posted through the WCB, so the issuing core pays the
+        same cost at every distance.
+        """
+        return self.core_clock.cycles(self.mpb_remote_write_cycles)
 
     def remote_write_arrival_ns(self, hops: int) -> float:
         """Time after issue at which a posted remote write becomes visible."""
@@ -183,8 +201,44 @@ class SCCParams:
             (self.mesh_hop_mesh_cycles + self.mesh_flit_mesh_cycles) * max(hops, 1)
         ) + self.core_clock.cycles(6.0)
 
+    def mesh_path_ns(self, hops: int, nbytes: int) -> float:
+        """Analytic mesh traversal of ``nbytes`` over ``hops`` routers."""
+        flits = max(1, -(-nbytes // CACHE_LINE))
+        return self.mesh_clock.cycles(
+            self.mesh_hop_mesh_cycles * hops + self.mesh_flit_mesh_cycles * flits
+        )
+
     def dram_read_line_ns(self) -> float:
         return self.core_clock.cycles(self.dram_read_cycles)
 
     def dram_write_line_ns(self) -> float:
         return self.core_clock.cycles(self.dram_write_cycles)
+
+
+class HopCosts:
+    """The hop-dependent costs of one parameter set, indexed by hop count.
+
+    Remote MPB accesses and SIF traversals cost a pure function of the
+    XY hop count, which spans only ``0 … max_hops``. Each table entry is
+    the :class:`SCCParams` method's own result, so a lookup is bitwise
+    the value the method returns (DESIGN.md §12).
+    """
+
+    __slots__ = (
+        "remote_read_ns",
+        "remote_write_ns",
+        "remote_write_arrival_ns",
+        "mesh_path_memo",
+    )
+
+    def __init__(self, params: SCCParams):
+        hops = range(params.max_hops + 1)
+        self.remote_read_ns = tuple(params.remote_read_ns(h) for h in hops)
+        self.remote_write_ns = tuple(params.remote_write_ns(h) for h in hops)
+        self.remote_write_arrival_ns = tuple(
+            params.remote_write_arrival_ns(h) for h in hops
+        )
+        #: Per hop count, ``mesh_path_ns(hops, nbytes)`` keyed by
+        #: ``nbytes``, filled on demand by the system interface: the host
+        #: path moves only a handful of sizes.
+        self.mesh_path_memo: tuple[dict[int, float], ...] = tuple({} for _ in hops)

@@ -14,8 +14,9 @@ voltage ramp is slow) and the real constraint that a tile's frequency
 is capped by its domain's voltage level.
 
 Timing integration: :class:`repro.scc.core.CoreEnv` scales its
-core-cycle costs by the tile's divider relative to the baseline, so a
-down-clocked tile computes and copies proportionally slower.
+core-cycle costs by the tile's divider relative to the baseline (the
+:attr:`PowerManager.scales` list), so a down-clocked tile computes and
+copies proportionally slower.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ class PowerManager:
             base = max(2, base)
         self.base_divider = base
         self._dividers = [base] * params.num_tiles
+        #: Per-tile ``clock_scale`` (``divider / base_divider``), kept
+        #: current by :meth:`set_frequency`; every core reads its tile's
+        #: entry on each timed access.
+        self.scales = [1.0] * params.num_tiles
         self._voltages = [self._min_voltage(base)] * self.num_voltage_domains
         self.freq_changes = 0
         self.voltage_ramps = 0
@@ -98,7 +103,7 @@ class PowerManager:
     def clock_scale(self, tile: int) -> float:
         """Cost multiplier for core-cycle work on this tile (1.0 = the
         baseline configuration the timing model was calibrated at)."""
-        return self._dividers[tile] / self.base_divider
+        return self.scales[tile]
 
     @staticmethod
     def _min_voltage(divider: int) -> float:
@@ -126,6 +131,7 @@ class PowerManager:
             )
         yield FREQ_CHANGE_NS
         self._dividers[tile] = divider
+        self.scales[tile] = divider / self.base_divider
         self.freq_changes += 1
 
     def set_voltage(self, requester_core: int, domain: int, volts: float) -> Generator:

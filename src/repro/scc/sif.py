@@ -34,10 +34,12 @@ class SystemInterface:
         self.tile = params.tile_at(x, y)
         #: Set when the host attaches this device to a PCIe cable.
         self.cable: Optional["PCIeCable"] = None
-        # mesh_to_sif_ns is pure in (core_id, nbytes) for fixed params and
-        # the host path recomputes it for the same few request shapes on
-        # every transaction — memoize the exact float.
-        self._mesh_ns_memo: dict[tuple[int, int], float] = {}
+        # mesh_to_sif_ns is pure in (hops, nbytes): each core's hop count
+        # to the SIF tile is resolved here, and costs are memoized per hop
+        # count in the parameter set's tables.
+        self._core_hops = [self.hops_from_core(c) for c in range(params.num_cores)]
+        memo = params.hop_costs.mesh_path_memo
+        self._core_memo = [memo[h] for h in self._core_hops]
 
     @property
     def connected(self) -> bool:
@@ -51,15 +53,10 @@ class SystemInterface:
 
     def mesh_to_sif_ns(self, core_id: int, nbytes: int) -> float:
         """Analytic mesh traversal cost core-tile → SIF for ``nbytes``."""
-        key = (core_id, nbytes)
-        cost = self._mesh_ns_memo.get(key)
+        memo = self._core_memo[core_id]
+        cost = memo.get(nbytes)
         if cost is None:
-            params = self.device.params
-            hops = self.hops_from_core(core_id)
-            flits = max(1, -(-nbytes // 32))
-            cost = params.mesh_clock.cycles(
-                params.mesh_hop_mesh_cycles * hops
-                + params.mesh_flit_mesh_cycles * flits
+            cost = memo[nbytes] = self.device.params.mesh_path_ns(
+                self._core_hops[core_id], nbytes
             )
-            self._mesh_ns_memo[key] = cost
         return cost

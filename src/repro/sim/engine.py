@@ -468,74 +468,162 @@ class _ChainWaiter:
             )
 
 
-class _NeverTriggered:
-    """Permanent not-done sentinel shared by all callback timers."""
+class _DoneStub:
+    """Stand-in ``done`` of a queue record that has no event of its own.
 
-    __slots__ = ()
-    _triggered = False
-    triggered = False
-
-
-_LIVE = _NeverTriggered()
-
-
-class _CallbackTimer:
-    """A one-shot timer entry without generator machinery.
-
-    The fused :meth:`Simulator.call_at` path queues these directly: the
-    dispatch loops treat them like processes (same ``done``-staleness
-    check, same source attribution), but firing is a single call — no
-    generator, no Event, no live-set bookkeeping. Not cancellable; the
-    cancellable :meth:`Simulator.after` keeps the full process path.
+    The dispatch loop skips an entry whose ``done._triggered`` is set;
+    records point ``done`` at one of the two shared instances below.
     """
 
-    __slots__ = ("fn", "_source")
+    __slots__ = ("_triggered",)
+
+    def __init__(self, triggered: bool):
+        self._triggered = triggered
+
+
+#: ``done`` of a pending record.
+_LIVE = _DoneStub(False)
+#: ``done`` of a timer that fired or was cancelled.
+_DEAD = _DoneStub(True)
+
+#: Payload of an unfused record's first, zero-delay wake-up: the legacy
+#: spawn dispatch, after which the record schedules its real delay.
+_ARM = object()
+
+
+# One-record wake-ups. Each class below is both the queue entry (``done``,
+# ``_source``, ``_step``, as the dispatch loop expects of a process) and
+# what the caller gets back, so a callback, a posted transfer or a timer
+# costs one object and — fused — one queue entry. Each carries ``delay``,
+# the wake-up's offset from its arming instant (Simulator._arm).
+
+
+class _Callback:
+    """A :meth:`Simulator.call_at` callback."""
+
+    __slots__ = ("sim", "fn", "delay", "_source")
 
     done = _LIVE
 
-    def __init__(self, fn: Callable[[], None], source: int):
+    def __init__(self, sim: "Simulator", fn: Callable[[], None], delay: float, source: int):
+        self.sim = sim
         self.fn = fn
+        self.delay = delay
         self._source = source
 
     def _step(self, payload: Any) -> None:
-        self.fn()
+        if payload is _ARM:
+            self.sim._schedule(self.delay, self, None)
+        else:
+            self.fn()
+
+
+class _TimedEvent(Event):
+    """An :class:`Event` that triggers itself: :meth:`Simulator.trigger_at`.
+
+    Until it fires, ``_value`` holds the value it will trigger with
+    (an untriggered event never exposes ``_value``).
+    """
+
+    __slots__ = ("delay", "_before", "_source")
+
+    done = _LIVE
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        name: str,
+        delay: float,
+        before: Optional[Callable[[], None]],
+        value: Any,
+        source: int,
+    ):
+        self.sim = sim
+        self.name = name
+        self._triggered = False
+        self._value = value
+        self._waiters = []
+        self._callbacks = []
+        self.delay = delay
+        self._before = before
+        self._source = source
+
+    def _step(self, payload: Any) -> None:
+        if payload is _ARM:
+            self.sim._schedule(self.delay, self, None)
+            return
+        if self._before is not None:
+            self._before()
+        self.trigger(self._value)
 
 
 class TimerHandle:
     """A cancellable one-shot timeout from :meth:`Simulator.after`.
 
-    Cancellation reuses the kernel's stale-wakeup check: triggering the
-    timer process's ``done`` event makes the dispatch loop skip its
-    pending queue entry, so a cancelled timer costs no callback run and
-    never advances simulated time. Cancelling after the timer fired (or
-    twice) is a no-op that returns False — the usual watchdog idiom
-    ``timer.cancel()`` on the success path needs no guard.
+    The handle is itself the timer's queue entry. Cancelling points its
+    ``done`` at the triggered stub, so the dispatch loop skips the
+    pending entry: a cancelled timer costs no callback run and never
+    advances simulated time. Cancelling after the timer fired (or
+    twice, or from inside its own callback) is a no-op that returns
+    False — the usual watchdog idiom ``timer.cancel()`` on the success
+    path needs no guard.
     """
 
-    __slots__ = ("_proc", "fired")
+    __slots__ = ("sim", "fn", "delay", "done", "fired", "failure", "_name", "_source")
 
-    def __init__(self, proc: Process):
-        self._proc = proc
+    def __init__(
+        self, sim: "Simulator", fn: Callable[[], None], delay: float, name: str, source: int
+    ):
+        self.sim = sim
+        self.fn = fn
+        self.delay = delay
+        self.done = _LIVE
         #: True once the callback has run.
         self.fired = False
+        #: The exception the callback raised, if it raised.
+        self.failure: Optional[BaseException] = None
+        self._name = name
+        self._source = source
+
+    @property
+    def name(self) -> str:
+        """The timer's process name, ``daemon:<name>``."""
+        return "daemon:" + self._name
 
     @property
     def active(self) -> bool:
-        """True while the timer is pending (not fired, not cancelled)."""
-        return not self._proc.done.triggered
+        """True while the timer is pending (not fired, not cancelled);
+        still True while its callback runs."""
+        return self.done is _LIVE
 
     @property
     def cancelled(self) -> bool:
-        return self._proc.done.triggered and not self.fired
+        return self.done is _DEAD and not self.fired
 
     def cancel(self) -> bool:
         """Disarm the timer; True if it was still pending."""
-        proc = self._proc
-        if self.fired or proc.done._triggered:
+        if self.fired or self.done is _DEAD:
             return False
-        proc.done.trigger(None)
-        proc.sim._live_processes.discard(proc)
+        self.done = _DEAD
+        self.sim._live_timers -= 1
         return True
+
+    def _step(self, payload: Any) -> None:
+        sim = self.sim
+        if payload is _ARM:
+            sim._schedule(self.delay, self, None)
+            return
+        self.fired = True
+        try:
+            self.fn()
+        except BaseException as exc:  # noqa: BLE001 - must capture sim faults
+            self.failure = exc
+            sim._failures.append(self)
+            if sim.fail_fast:
+                raise ProcessFailed(self.name, exc) from exc
+        finally:
+            self.done = _DEAD
+            sim._live_timers -= 1
 
 
 # Loop-exit reasons of :meth:`Simulator._loop`.
@@ -590,7 +678,10 @@ class Simulator:
         self._schedule = self.schedule
         self._fuse = _fuse_default() if fuse_delays is None else bool(fuse_delays)
         self._live_processes: set[Process] = set()
-        self._failures: list[Process] = []
+        #: Armed :class:`TimerHandle` records; with the live processes
+        #: they make up ``sim.processes_live``.
+        self._live_timers = 0
+        self._failures: list[Any] = []
         self._spawned = 0
         self.events_processed = 0
         #: Kernel wake-ups saved by delay fusion (chain elements folded
@@ -603,6 +694,8 @@ class Simulator:
         self._source_ids: dict[str, int] = {"proc": 0}
         self._source_names: list[str] = ["proc"]
         self._source_events: list[int] = [0]
+        #: Timer name -> source id of ``daemon:<name>``.
+        self._timer_sources: dict[str, int] = {}
 
     @property
     def fuse_delays(self) -> bool:
@@ -631,21 +724,6 @@ class Simulator:
         proc._source = self._source_of(proc.name)
         self._live_processes.add(proc)
         self._schedule(0.0, proc, None)
-        return proc
-
-    def _spawn_at(self, delay_ns: float, gen: Generator, name: str) -> Process:
-        """Spawn ``gen`` with its *first* resume at ``now + delay_ns``.
-
-        Timer fast path (fusion mode only): where :meth:`spawn` costs a
-        zero-delay dispatch that immediately yields the real delay, this
-        schedules the sole wake-up directly — one kernel event instead of
-        two, at the bitwise-identical time ``now + delay_ns``.
-        """
-        self._spawned += 1
-        proc = Process(self, gen, name)
-        proc._source = self._source_of(name)
-        self._live_processes.add(proc)
-        self._schedule(delay_ns, proc, None)
         return proc
 
     def _source_of(self, name: str) -> int:
@@ -677,7 +755,8 @@ class Simulator:
         return Signal(self, name)
 
     @property
-    def failures(self) -> list[Process]:
+    def failures(self) -> list:
+        """Failed processes and timer handles (``name``, ``failure``)."""
         return list(self._failures)
 
     def metrics_snapshot(self) -> dict[str, float]:
@@ -691,7 +770,7 @@ class Simulator:
             "sim.now_ns": self.now,
             "sim.events": float(self.events_processed),
             "sim.processes_spawned": float(self._spawned),
-            "sim.processes_live": float(len(self._live_processes)),
+            "sim.processes_live": float(len(self._live_processes) + self._live_timers),
             "kernel.fused_yields": float(self.fused_yields),
         }
         names = self._source_names
@@ -719,24 +798,47 @@ class Simulator:
         else:
             heapq.heappush(self._queue, (t, self._seq, proc, payload))
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Run a plain callback at absolute simulated time ``when``."""
+    def _arm(self, record: Any) -> None:
+        """Queue a one-record wake-up ``record.delay`` ns from now.
+
+        Fused, the record is scheduled once. Unfused, it first takes the
+        zero-delay wake-up a spawned process's start would, then
+        schedules its delay from there — the legacy two-event stream.
+        Either way it counts as a spawned process, as it used to be one.
+        """
+        self._spawned += 1
         if self._fuse:
-            # One wake-up at max(0, when - now) from the current instant —
-            # the same float the legacy spawn-then-yield path computes at
-            # its zero-delay first resume, so the firing time is bitwise
-            # unchanged; only the bookkeeping event disappears. The entry
-            # is a bare callback record, not a process (_CallbackTimer).
-            self._spawned += 1
-            timer = _CallbackTimer(fn, self._source_of("call_at"))
-            self._schedule(max(0.0, when - self.now), timer, None)
-            return
+            self._schedule(record.delay, record, None)
+        else:
+            self._schedule(0.0, record, _ARM)
 
-        def _runner() -> Generator:
-            yield max(0.0, when - self.now)
-            fn()
+    def call_at(self, when: float, fn: Callable[[], None]) -> None:
+        """Run a plain callback at absolute simulated time ``when``.
 
-        self.spawn(_runner(), name="call_at")
+        It fires at ``now + max(0, when - now)``, attributed to the
+        ``call_at`` event source.
+        """
+        self._arm(_Callback(self, fn, max(0.0, when - self.now), self._source_of("call_at")))
+
+    def trigger_at(
+        self,
+        when: float,
+        value: Any = None,
+        before: Optional[Callable[[], None]] = None,
+        name: str = "event",
+    ) -> Event:
+        """Return an :class:`Event` that triggers itself at time ``when``.
+
+        At ``now + max(0, when - now)`` it runs ``before()`` (if given)
+        and then triggers with ``value`` — the timing and event stream of
+        a :meth:`call_at` callback doing both. Posted transfers
+        (:meth:`repro.sim.resources.Link.post`) arrive this way.
+        """
+        event = _TimedEvent(
+            self, name, max(0.0, when - self.now), before, value, self._source_of("call_at")
+        )
+        self._arm(event)
+        return event
 
     def after(
         self, delay_ns: float, fn: Callable[[], None], name: str = "timer"
@@ -746,33 +848,17 @@ class Simulator:
         Returns a :class:`TimerHandle`; ``handle.cancel()`` before expiry
         disarms it without running the callback. This is the watchdog
         primitive of the fault/resilience layer (retry timeouts, stalled
-        vDMA copies). The timer process is a daemon — an armed timer
-        never counts as a deadlocked process.
+        vDMA copies). Its events are attributed to ``daemon:<name>``, and
+        an armed timer never counts as a deadlocked process.
         """
         if delay_ns < 0:
             raise ValueError(f"negative timer delay: {delay_ns}")
-
-        if self._fuse:
-            # Timer fast path: arm the single wake-up directly (see
-            # _spawn_at). Cancellation is unchanged — TimerHandle works
-            # through proc.done and the kernel's stale-wakeup check.
-            def _fast_runner() -> Generator:
-                handle.fired = True
-                fn()
-                return
-                yield  # pragma: no cover - makes this a generator
-
-            proc = self._spawn_at(delay_ns, _fast_runner(), f"daemon:{name}")
-            handle = TimerHandle(proc)
-            return handle
-
-        def _runner() -> Generator:
-            yield delay_ns
-            handle.fired = True
-            fn()
-
-        proc = self.spawn(_runner(), name=f"daemon:{name}")
-        handle = TimerHandle(proc)
+        source = self._timer_sources.get(name)
+        if source is None:
+            source = self._timer_sources[name] = self._source_of("daemon:" + name)
+        handle = TimerHandle(self, fn, delay_ns, name, source)
+        self._live_timers += 1
+        self._arm(handle)
         return handle
 
     # -- main loop -----------------------------------------------------------

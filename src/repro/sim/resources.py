@@ -52,6 +52,7 @@ class Link:
         self.latency_ns = latency_ns
         self.bandwidth_bpns = bandwidth_bpns
         self.overhead_ns = overhead_ns
+        self._arrive_name = f"{name}.arrive"
         self._free_at = 0.0
         # Serialization-time memo: overhead + extra + nbytes/bandwidth is
         # a pure function of (nbytes, extra) for a link's fixed rate, and
@@ -146,15 +147,7 @@ class Link:
         payload: Any,
     ) -> Event:
         """Schedule the arrival-side commit + completion event."""
-        done = self.sim.event(name=f"{self.name}.arrive")
-
-        def _deliver() -> None:
-            if on_arrival is not None:
-                on_arrival()
-            done.trigger(payload)
-
-        self.sim.call_at(arrival, _deliver)
-        return done
+        return self.sim.trigger_at(arrival, payload, on_arrival, self._arrive_name)
 
     def metrics_snapshot(self) -> dict[str, float]:
         """Unlabeled series; owners qualify them via ``obs.label_keys``."""

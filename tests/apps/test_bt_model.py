@@ -101,3 +101,23 @@ def test_traffic_volume_tracks_cost_model():
     matrix2 = traffic_matrix(session2.layout)
     ratio = matrix2.sum() / matrix.sum()
     assert 1.8 < ratio < 2.1
+
+
+def test_run_builds_no_clock(monkeypatch):
+    """Timing lookups on the hot path use prebuilt tables and cached
+    clocks: a BT run across two devices constructs no ``Clock``."""
+    from repro.sim.clock import Clock
+
+    bench = BTBenchmark(clazz="S", nranks=64, niter=1, mode="model")
+    system = VSCCSystem(num_devices=2, scheme=CommScheme.LOCAL_PUT_REMOTE_GET)
+    built = []
+    post_init = Clock.__post_init__
+
+    def counting(self):
+        built.append(self.freq_mhz)
+        post_init(self)
+
+    monkeypatch.setattr(Clock, "__post_init__", counting)
+    system.run(bench.program, ranks=range(64))
+    assert bench.result().nranks == 64
+    assert built == []

@@ -131,3 +131,22 @@ def test_seq_channels_are_independent(session):
     assert comm.next_seq(0, 1, "sent") == 2
     assert comm.next_seq(0, 1, "ready") == 1
     assert comm.next_seq(1, 0, "sent") == 1
+
+
+def test_seq_counters_wrap_after_254(session):
+    comm = session.comm_for(0)
+    seqs = [comm.next_seq(0, 1, "sent") for _ in range(256)]
+    assert seqs[:2] == [1, 2] and seqs[253:] == [254, 1, 2]
+
+
+def test_comm_buffer_addresses(session):
+    comm = session.comm_for(0)
+    base = comm.comm_buffer_addr(5)
+    assert base is comm.comm_buffer_addr(5)  # resolved once per rank
+    assert (base.core, base.offset) == (5, 0)
+    assert comm.comm_buffer_addr(5, 64) == base + 64
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            comm.comm_buffer_addr(48)
+    with pytest.raises(ValueError):
+        comm.comm_buffer_addr(5, comm.comm_buffer_bytes)

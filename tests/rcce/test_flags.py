@@ -102,3 +102,27 @@ def test_reached_target_bounds():
 def test_misc_slot_bounds(flags):
     with pytest.raises(ValueError):
         flags.misc(0, 16)
+
+
+def test_flag_addresses_are_resolved_once_per_pair(flags):
+    assert flags.sent(50, 3) is flags.sent(50, 3)
+    assert flags.ready(3, 50) is flags.ready(3, 50)
+    assert flags.sent(50, 3) != flags.sent(3, 50)
+
+
+@pytest.mark.parametrize("lookup", ["sent", "ready"])
+def test_out_of_range_ranks_raise_on_every_lookup(flags, lookup):
+    fn = getattr(flags, lookup)
+    for _ in range(2):  # a failed lookup caches nothing
+        with pytest.raises(ValueError):
+            fn(0, 96)
+        with pytest.raises(ValueError):
+            fn(0, -1)
+        with pytest.raises(ValueError):
+            fn(96, 0)
+    fn(0, 95)  # a valid pair, then the bad ones again
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            fn(0, 96)
+        with pytest.raises(ValueError):
+            fn(96, 0)

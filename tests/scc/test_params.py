@@ -1,8 +1,14 @@
 """Unit tests for the SCC parameter/timing model."""
 
+import dataclasses
+import pickle
+import struct
+
 import pytest
 
+from repro.scc.chip import SCCDevice
 from repro.scc.params import CACHE_LINE, SCCParams
+from repro.sim.engine import Simulator
 
 
 @pytest.fixture
@@ -75,3 +81,86 @@ def test_validation():
         SCCParams().tile_at(6, 0)
     with pytest.raises(ValueError):
         SCCParams()._check_core(48)
+
+
+# -- cached clocks and per-hop cost tables --------------------------------------
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def test_remote_write_cost_is_the_same_at_every_distance(params):
+    """Posted through the WCB: the issuing core pays no per-hop cost."""
+    base = params.remote_write_ns(0)
+    assert base == params.core_clock.cycles(params.mpb_remote_write_cycles)
+    for hops in range(params.max_hops + 1):
+        assert _bits(params.remote_write_ns(hops)) == _bits(base)
+
+
+def test_clocks_are_built_once(params):
+    assert params.core_clock is params.core_clock
+    assert params.mesh_clock is params.mesh_clock
+    assert params.mem_clock is params.mem_clock
+    assert params.core_clock.freq_mhz == params.core_freq_mhz
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"mesh_freq_mhz": 400.0}])
+def test_hop_tables_match_the_cost_methods_bitwise(kwargs):
+    params = SCCParams(**kwargs)
+    costs = params.hop_costs
+    assert params.max_hops == 8
+    assert len(costs.remote_read_ns) == params.max_hops + 1
+    for hops in range(params.max_hops + 1):
+        assert _bits(costs.remote_read_ns[hops]) == _bits(params.remote_read_ns(hops))
+        assert _bits(costs.remote_write_ns[hops]) == _bits(params.remote_write_ns(hops))
+        assert _bits(costs.remote_write_arrival_ns[hops]) == _bits(
+            params.remote_write_arrival_ns(hops)
+        )
+        for nbytes in (0, 1, 16, 32, 33, 4096):
+            flits = max(1, -(-nbytes // 32))
+            analytic = params.mesh_clock.cycles(
+                params.mesh_hop_mesh_cycles * hops + params.mesh_flit_mesh_cycles * flits
+            )
+            assert _bits(params.mesh_path_ns(hops, nbytes)) == _bits(analytic)
+
+
+def test_params_do_not_share_tables():
+    default, slow_mesh = SCCParams(), SCCParams(mesh_freq_mhz=400.0)
+    assert default.hop_costs is default.hop_costs
+    assert slow_mesh.hop_costs is not default.hop_costs
+    # The mesh clock enters reads and arrivals, not the posted write.
+    assert slow_mesh.hop_costs.remote_read_ns[3] > default.hop_costs.remote_read_ns[3]
+    assert slow_mesh.hop_costs.remote_write_arrival_ns[3] > (
+        default.hop_costs.remote_write_arrival_ns[3]
+    )
+    assert slow_mesh.mesh_path_ns(3, 64) == 2 * default.mesh_path_ns(3, 64)
+
+
+def test_sif_costs_come_from_the_hop_table():
+    for params in (SCCParams(), SCCParams(mesh_freq_mhz=400.0)):
+        dev = SCCDevice(Simulator(), params)
+        for _ in range(2):  # memo misses, then hits
+            for core in range(params.num_cores):
+                hops = dev.sif.hops_from_core(core)
+                for nbytes in (16, 32, 4096):
+                    assert _bits(dev.sif.mesh_to_sif_ns(core, nbytes)) == _bits(
+                        params.mesh_path_ns(hops, nbytes)
+                    )
+        memo = params.hop_costs.mesh_path_memo
+        assert {nbytes for row in memo for nbytes in row} == {16, 32, 4096}
+        for hops, row in enumerate(memo):
+            for nbytes, cost in row.items():
+                assert _bits(cost) == _bits(params.mesh_path_ns(hops, nbytes))
+
+
+def test_params_stay_frozen_equal_hashable_and_picklable(params):
+    params.hop_costs  # populate the cached attributes first
+    params.core_clock
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.core_freq_mhz = 800.0
+    copy = pickle.loads(pickle.dumps(params))
+    assert copy == params and hash(copy) == hash(params)
+    assert vars(copy) == {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
+    assert copy.hop_costs.remote_read_ns == params.hop_costs.remote_read_ns
+    assert SCCParams(mesh_freq_mhz=400.0) != params

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.scc.chip import SCCDevice
+from repro.scc.mpb import MpbAddr
 from repro.scc.power import GLOBAL_CLOCK_MHZ, VOLTAGE_LEVELS
 from repro.sim.engine import Simulator
 
@@ -116,3 +117,51 @@ def test_divider_bounds(dev):
         list(dev.power.set_frequency(0, 0, 1))
     with pytest.raises(ValueError):
         list(dev.power.set_voltage(0, 0, 0.95))
+
+
+@pytest.mark.parametrize("core, scale", [(0, 2.0), (2, 1.0)])
+def test_reclocked_tile_scales_flag_and_chunk_costs_exactly(dev, core, scale):
+    """Divider 6 doubles every core-cycle cost on tile 0 — remote flag
+    writes, flag polls, chunk gets and flag reads alike — while core 2
+    on tile 1 keeps the calibrated costs."""
+    sim, p = dev.sim, dev.params
+
+    def reclock():
+        yield from dev.power.set_frequency(0, 0, 6)
+
+    sim.spawn(reclock())
+    sim.run()
+    assert dev.power.scales[:2] == [2.0, 1.0]
+    env = dev.core(core)
+    assert env.clock_scale == scale
+
+    hops = p.hops(core, 20)  # core 20 sits on tile 10, off both tiles
+    remote_flag = MpbAddr(0, 20, p.mpb_payload_bytes + 1)
+    local_flag = MpbAddr(0, core, p.mpb_payload_bytes + 2)
+    spans = {}
+
+    def timed(label, op):
+        t0 = sim.now
+        yield from op
+        spans[label] = (t0, sim.now)
+
+    def program():
+        yield from timed("set_flag", env.set_flag(remote_flag, 3))
+        dev.mpb.write_byte(local_flag, 4)
+        yield from timed("wait_flag", env.wait_flag(local_flag, 4))
+        yield from timed("get_chunk", env.get_chunk(MpbAddr(0, 20, 0), 64))
+        yield from timed("read_flag", env.read_flag(remote_flag))
+
+    sim.spawn(program())
+    sim.run()
+    poll = p.core_clock.cycles(p.flag_poll_cycles) + p.local_read_ns()
+    cl1 = p.core_clock.cycles(p.cl1invmb_cycles)
+    expected = {
+        "set_flag": lambda t: t + p.remote_write_ns(hops) * scale,
+        "wait_flag": lambda t: t + poll * scale,
+        "get_chunk": lambda t: ((t + cl1 * scale) + (2 * p.remote_read_ns(hops)) * scale)
+        + (2 * p.dram_write_line_ns()) * scale,
+        "read_flag": lambda t: t + p.remote_read_ns(hops) * scale,
+    }
+    for label, (t0, t1) in spans.items():
+        assert t1 == expected[label](t0), label
