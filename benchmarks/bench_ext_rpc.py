@@ -16,9 +16,8 @@ What the curves show:
 * the **threshold/adaptive** policies pick per-request, journaled
   through ``policy.decisions{scheme=}``.
 
-The ``rpc_open_loop`` scenario at the bottom is registered in
-``benchmarks/bench_wallclock.py`` and fingerprint-gated by
-``tools/perf_gate.py --scenario rpc_open_loop``.
+The ``rpc_open_loop`` scenario at the bottom is registered in and
+gated by ``tools/fingerprint_gate.py --scenario rpc_open_loop``.
 """
 
 import sys
@@ -179,7 +178,7 @@ def test_rpc_open_loop_curves(benchmark, once):
 
 
 def rpc_open_loop() -> dict:
-    """Fingerprint scenario for ``BENCH_wallclock.json`` / perf_gate.
+    """Fingerprint scenario pinned in ``FINGERPRINTS.json``.
 
     Three policy configs over the bursty mid-load trace: the
     fingerprint pins the simulated clocks, the outcome digest, and the

@@ -6,10 +6,10 @@ router accounting — at a fixed, deterministic operation count, and
 returns a fingerprint dict (simulated time, event/op counts) that must
 be bit-identical run-to-run and across kernel refactors.
 
-``benchmarks/bench_wallclock.py`` registers these as ``micro_*``
-scenarios so their wall-clock cost lands in ``BENCH_wallclock.json``
-next to the figure-level benches: future kernel PRs see the
-per-primitive cost they changed, not just the end-to-end effect.
+``tools/fingerprint_gate.py`` registers these as ``micro_*`` scenarios
+and pins their fingerprints in ``FINGERPRINTS.json`` next to the
+figure-level ones, so a kernel change that moves any primitive's
+simulated result fails per field.
 
 Run standalone for a quick ns/op table::
 

@@ -18,9 +18,8 @@ results. Wall-clock measurements are excluded on purpose — the
 fingerprint captures *what* every job computed, which is deterministic
 under the service's contract (same specs, any scheduling order, any
 worker, any retry count), while jobs/sec and latency move with the host.
-``tools/perf_gate.py`` gates the ``serve_mixed_tenants`` scenario on
-exactly this split: fingerprint drift is a correctness failure,
-wall-clock drift is a perf regression.
+``tools/fingerprint_gate.py`` gates the ``serve_mixed_tenants``
+scenario on the fingerprint alone: any drift is a correctness failure.
 
 Usage::
 
@@ -142,10 +141,9 @@ def outcome_fingerprint(results) -> dict:
 def serve_mixed_tenants() -> dict:
     """Burst 132 mixed-tenant jobs through the service; fingerprint them.
 
-    Registered in ``benchmarks/bench_wallclock.py`` and gated by
-    ``tools/perf_gate.py``: the wall second is the end-to-end drain of
-    the whole fleet (scheduler + pool + per-job system builds), the
-    fingerprint is the outcome digest. The in-scenario assertions *are*
+    Registered in and gated by ``tools/fingerprint_gate.py``: the
+    fingerprint is the outcome digest of the whole fleet (scheduler +
+    pool + per-job system builds). The in-scenario assertions *are*
     the service-level acceptance bar — a backlog of >= 100 concurrently
     queued jobs across >= 3 tenants, every job terminal.
     """

@@ -55,8 +55,7 @@ class PipelinedTransport(Transport):
         if self.packet_bytes is not None:
             packet = self.packet_bytes
         else:
-            packet = comm.comm_buffer_bytes // 2
-            packet -= packet % CACHE_LINE
+            packet = comm.slot_bytes
         if 2 * packet > comm.comm_buffer_bytes:
             raise ValueError(
                 f"two packets of {packet} B do not fit the "

@@ -45,10 +45,9 @@ Bytes = Union[bytes, bytearray, np.ndarray]
 class RcceOptions:
     """Session-wide protocol configuration (identical on every rank)."""
 
-    #: Use the iRCCE pipelined protocol for large on-chip messages.
+    #: Use the iRCCE pipelined protocol for on-chip messages larger than
+    #: :data:`repro.rcce.transport.PIPELINE_THRESHOLD`.
     pipelined: bool = False
-    #: Static threshold above which pipelining engages (paper §4.1: 4 kB).
-    pipeline_threshold: int = 4096
     #: Pipeline packet size; None = half the MPB payload (two slots).
     pipeline_packet: Optional[int] = None
     #: Bytes at the top of the MPB payload reserved for gory users
@@ -88,7 +87,17 @@ class Rcce:
                 f"user_mpb_bytes={self.options.user_mpb_bytes} leaves no room "
                 f"for the communication buffer ({payload} B payload)"
             )
+        if payload - user < 2 * CACHE_LINE:
+            raise ValueError(
+                f"user_mpb_bytes={self.options.user_mpb_bytes} leaves a "
+                f"{payload - user} B communication buffer; the two-slot "
+                f"transports need at least {2 * CACHE_LINE} B"
+            )
         self.comm_buffer_bytes = payload - user
+        #: One slot of the two-slot transports (vDMA, remote put, iRCCE
+        #: pipelining): half the buffer, rounded down to a cache line.
+        half = self.comm_buffer_bytes // 2
+        self.slot_bytes = half - half % CACHE_LINE
         self.user_mpb_base = self.comm_buffer_bytes
         self.user_mpb_bytes = user
         self._alloc = MpbAllocator(user) if user else None

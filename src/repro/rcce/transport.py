@@ -23,7 +23,17 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .api import Rcce
 
-__all__ = ["Transport", "TransportSelector", "DefaultGetTransport", "OnChipSelector"]
+__all__ = [
+    "PIPELINE_THRESHOLD",
+    "Transport",
+    "TransportSelector",
+    "DefaultGetTransport",
+    "OnChipSelector",
+]
+
+#: Message size above which a pipelined session (``RcceOptions.pipelined``)
+#: switches on-chip sends to the iRCCE protocol (paper §4.1: 4 kB).
+PIPELINE_THRESHOLD = 4096
 
 
 class Transport(abc.ABC):
@@ -200,6 +210,6 @@ class OnChipSelector(TransportSelector):
                 "on-chip selector; use repro.vscc.VSCCSystem for a scheme-aware "
                 "selector"
             )
-        if self.options.pipelined and nbytes > self.options.pipeline_threshold:
+        if self.options.pipelined and nbytes > PIPELINE_THRESHOLD:
             return self._pipelined
         return self._default

@@ -63,8 +63,9 @@ __all__ = [
 
 #: Environment variable disabling delay fusion (``0``/``false``/``off``):
 #: fused delay chains are then replayed one kernel wake-up per element,
-#: reproducing the pre-fusion event stream bit for bit — the reference
-#: side of the paired fingerprint check in ``tools/perf_gate.py``.
+#: reproducing the pre-fusion event stream bit for bit. Set it to run a
+#: whole test suite against that unfused oracle;
+#: ``tools/fingerprint_gate.py`` pins ``fuse_delays`` per system instead.
 FUSE_ENV_VAR = "REPRO_FUSE"
 
 

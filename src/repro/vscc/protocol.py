@@ -23,8 +23,12 @@ from repro.host.mmio import REG_VDMA_ADDR, REG_VDMA_COUNT, REG_VDMA_CTRL
 from repro.host.vdma import VdmaCommand
 from repro.ircce.pipeline import PipelinedTransport
 from repro.rcce.flags import SLOT_VDMA_DONE, reached
-from repro.rcce.transport import DefaultGetTransport, Transport, TransportSelector
-from repro.scc.params import CACHE_LINE
+from repro.rcce.transport import (
+    PIPELINE_THRESHOLD,
+    DefaultGetTransport,
+    Transport,
+    TransportSelector,
+)
 
 from .policy import Route, SchemePolicy, StaticPolicy, _check_affinity
 from .schemes import CommScheme
@@ -124,6 +128,8 @@ class SequenceTracker:
 
 
 def _granule_sizes(total: int, granule: int) -> list[int]:
+    if granule <= 0:
+        raise ValueError(f"granule must be positive, got {granule} B")
     sizes = []
     left = total
     while left > 0:
@@ -205,8 +211,7 @@ class RemotePutTransport(Transport):
     # out of real configurations beyond two devices.
 
     def _slot_plan(self, comm: "Rcce", a: int, b: int, nbytes: int):
-        slot = comm.comm_buffer_bytes // 2
-        slot -= slot % CACHE_LINE
+        slot = comm.slot_bytes
         transfers = _granule_sizes(nbytes, slot) if nbytes else [0]
         grants = [comm.next_seq(a, b, "ready") for _ in transfers]
         final_ack = comm.next_seq(a, b, "ready")
@@ -287,10 +292,6 @@ class VdmaTransport(Transport):
         #: of cross-host copies (``None`` on a standalone transport).
         self.selector = selector
 
-    def _slot_bytes(self, comm: "Rcce") -> int:
-        slot = comm.comm_buffer_bytes // 2
-        return slot - slot % CACHE_LINE
-
     def _plan(self, comm: "Rcce", a: int, b: int, nbytes: int):
         """Transfer/granule/seq plan — computed identically on both ends.
 
@@ -298,7 +299,7 @@ class VdmaTransport(Transport):
         an empty message), computed once here so the receive loop does
         not re-derive it per transfer.
         """
-        slot = self._slot_bytes(comm)
+        slot = comm.slot_bytes
         transfers = _granule_sizes(nbytes, slot) if nbytes else [0]
         granule = self.host.params.granule
         gsizes = [_granule_sizes(size, granule) or [0] for size in transfers]
@@ -755,7 +756,7 @@ class VsccSelector(TransportSelector):
         probe: bool = False,
     ) -> Transport:
         if comm.layout.same_device(comm.rank, peer):
-            if self.options.pipelined and nbytes > self.options.pipeline_threshold:
+            if self.options.pipelined and nbytes > PIPELINE_THRESHOLD:
                 chosen = self._onchip_pipelined
             else:
                 chosen = self._onchip_default

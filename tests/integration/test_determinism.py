@@ -4,8 +4,8 @@ The kernel's ordering contract — (time, seq) dispatch with seq assigned in
 schedule order, including the zero-delay fast lane — guarantees that two
 runs of the same program produce the same event count, the same final
 simulated time and the same metrics, bit for bit. A wall-clock
-optimization that breaks this is a correctness bug: BENCH_wallclock.json
-fingerprints and every figure in the paper reproduction depend on it.
+optimization that breaks this is a correctness bug: the FINGERPRINTS.json
+gate and every figure in the paper reproduction depend on it.
 """
 
 import numpy as np

@@ -1,0 +1,95 @@
+"""The fingerprint gate: pinned values, per-field drift, determinism, fusion.
+
+Only the two fastest scenarios run here; the full gate is
+``python tools/fingerprint_gate.py``.
+"""
+
+import importlib.util
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+GATE_PATH = Path(__file__).resolve().parents[2] / "tools" / "fingerprint_gate.py"
+FAST = ["micro_flag_wait", "micro_chunk_send"]
+
+
+@pytest.fixture(scope="module")
+def gate():
+    saved = list(sys.path)
+    spec = importlib.util.spec_from_file_location("fingerprint_gate", GATE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+@pytest.fixture(autouse=True)
+def default_event_stream(monkeypatch):
+    """The pinned event counts are those of the default, fused stream."""
+    monkeypatch.setenv("REPRO_FUSE", "1")
+
+
+@pytest.fixture
+def golden(gate):
+    return json.loads(gate.FINGERPRINTS.read_text())
+
+
+def test_gate_passes_against_pinned_values(gate, golden):
+    fresh, failures = gate.run_scenarios(FAST, golden)
+    assert failures == []
+    assert fresh == {name: golden[name] for name in FAST}
+
+
+@pytest.mark.parametrize("name", FAST)
+def test_one_ulp_drift_fails_and_names_the_field(gate, golden, name):
+    golden[name]["sim_now_ns"] = math.nextafter(golden[name]["sim_now_ns"], math.inf)
+    _fresh, failures = gate.run_scenarios([name], golden)
+    assert failures
+    assert any(f"{name}.sim_now_ns:" in line for line in failures)
+    assert not any(f"{name}.events" in line for line in failures)
+
+
+def test_scenario_differing_on_second_run_fails_as_nondeterministic(gate):
+    runs = iter([{"ops": 1, "sim_now_ns": 2.0}, {"ops": 1, "sim_now_ns": 3.0}])
+    golden = {"flaky": {"ops": 1, "sim_now_ns": 2.0}}
+    _fresh, failures = gate.run_scenarios(
+        ["flaky"], golden, scenarios={"flaky": lambda: next(runs)}
+    )
+    assert "nondeterministic" in failures[0]
+    assert failures[1:] == ["    flaky.sim_now_ns: 2.0 -> 3.0"]
+
+
+def test_unpinned_scenario_fails(gate):
+    _fresh, failures = gate.run_scenarios(
+        ["new"], {}, scenarios={"new": lambda: {"ops": 1}}
+    )
+    assert failures == ["new: no pinned fingerprint (run --update)"]
+
+
+def test_fusion_comparison_ignores_only_events(gate):
+    unfused = {"events": 75815, "sim_now_ns": 7524379.125767603}
+    assert gate.fusion_drift(unfused, {**unfused, "events": 49089}) == []
+    moved = {**unfused, "sim_now_ns": math.nextafter(unfused["sim_now_ns"], 0.0)}
+    assert [d.split(":")[0] for d in gate.fusion_drift(unfused, moved)] == [
+        "sim_now_ns"
+    ]
+    assert gate.fusion_drift(unfused, {"events": 49089}) == [
+        "sim_now_ns: missing from fresh run (baseline 7524379.125767603)"
+    ]
+
+
+def test_cli_exits_one_naming_an_edited_field(
+    gate, golden, tmp_path, monkeypatch, capsys
+):
+    golden["micro_chunk_send"]["checksum"] += 1
+    pinned = tmp_path / "FINGERPRINTS.json"
+    pinned.write_text(json.dumps(golden))
+    monkeypatch.setattr(gate, "FINGERPRINTS", pinned)
+    assert gate.main(["--scenario", "micro_flag_wait"]) == 0
+    assert gate.main(["--scenario", "micro_chunk_send"]) == 1
+    assert "micro_chunk_send.checksum: 252625.0 -> 252624.0" in capsys.readouterr().out

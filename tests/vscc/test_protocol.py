@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.rcce.api import RcceOptions
+from repro.rcce.session import RcceSession
+from repro.scc.params import SCCParams
+from repro.vscc.protocol import _granule_sizes
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
@@ -37,6 +41,34 @@ def test_cross_device_integrity(scheme, size):
 def test_onchip_still_works(scheme):
     system = VSCCSystem(num_devices=2, scheme=scheme)
     exchange(system, 0, 13, 10000)
+
+
+@pytest.mark.parametrize("buffer_bytes", [32, 64])
+@pytest.mark.parametrize("transport", ["vdma", "hw-accel", "onchip-pipelined"])
+def test_two_slot_transports_need_two_cache_lines(transport, buffer_bytes):
+    """A buffer under two cache lines is refused, not split into 0 B slots."""
+    options = RcceOptions(
+        pipelined=transport == "onchip-pipelined",
+        user_mpb_bytes=SCCParams().mpb_payload_bytes - buffer_bytes,
+    )
+    if transport == "onchip-pipelined":
+        system, peer, size = RcceSession(options=options), 1, 8192
+    else:
+        system = VSCCSystem(
+            num_devices=2, scheme=CommScheme(transport), options=options
+        )
+        peer, size = 48, 1000
+    if buffer_bytes < 64:
+        with pytest.raises(ValueError, match="user_mpb_bytes"):
+            exchange(system, 0, peer, size)
+    else:
+        exchange(system, 0, peer, size)
+
+
+def test_granule_sizes_rejects_non_positive_granule():
+    assert _granule_sizes(100, 32) == [32, 32, 32, 4]
+    with pytest.raises(ValueError, match="granule"):
+        _granule_sizes(100, 0)
 
 
 def test_three_devices_vdma_chain():
