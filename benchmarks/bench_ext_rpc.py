@@ -16,8 +16,10 @@ What the curves show:
 * the **threshold/adaptive** policies pick per-request, journaled
   through ``policy.decisions{scheme=}``.
 
-The ``rpc_open_loop`` scenario at the bottom is registered in and
-gated by ``tools/fingerprint_gate.py --scenario rpc_open_loop``.
+The trace is :data:`repro.scenarios.RPC_TRACE` at its load and arrival
+process; its gated fingerprint is the ``rpc_open_loop`` scenario,
+checked by ``tools/fingerprint_gate.py --scenario rpc_open_loop`` and
+printed by running this file as a script.
 """
 
 import sys
@@ -27,14 +29,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import record  # noqa: E402
 
-from repro.apps.rpc import RpcParams, run_rpc  # noqa: E402
 from repro.bench import format_table  # noqa: E402
-from repro.bench.arrivals import (  # noqa: E402
-    BurstyArrivals,
-    ParetoSizes,
-    PoissonArrivals,
-    generate_calls,
-)
+from repro.scenarios import RPC_TRACE, rpc_open_loop, rpc_report  # noqa: E402
 from repro.vscc.policy import (  # noqa: E402
     AdaptivePolicy,
     StaticPolicy,
@@ -42,10 +38,6 @@ from repro.vscc.policy import (  # noqa: E402
 )
 from repro.vscc.schemes import CommScheme  # noqa: E402
 from repro.vscc.system import VSCCSystem  # noqa: E402
-
-RANKS = (0, 1, 2, 3)
-CALLS_PER_RANK = 40
-TRACE_SEED = 2015
 
 #: Scheme/policy configurations under test (>= 3 per the acceptance
 #: criterion; the static non-vDMA config is the no-coalescing baseline).
@@ -59,35 +51,26 @@ CONFIGS = (
 #: Offered-load sweep: arrival-gap multipliers from saturating to easy.
 LOAD_FACTORS = (0.5, 1.0, 3.0)
 
+#: Trace parameters per arrival process and offered-load factor.
 ARRIVALS = {
-    "poisson": lambda f: PoissonArrivals(mean_gap_ns=4000.0 * f),
-    "bursty": lambda f: BurstyArrivals(
-        on_gap_ns=300.0 * f, off_gap_ns=30_000.0 * f, burst_mean=8.0
-    ),
+    "poisson": lambda f: {
+        **RPC_TRACE, "arrivals": "poisson", "mean_gap_ns": 4000.0 * f,
+    },
+    "bursty": lambda f: {
+        **RPC_TRACE,
+        "on_gap_ns": RPC_TRACE["on_gap_ns"] * f,
+        "off_gap_ns": RPC_TRACE["off_gap_ns"] * f,
+    },
 }
 
 
-def build_trace(arrival: str, factor: float):
-    return generate_calls(
-        ranks=RANKS,
-        calls_per_rank=CALLS_PER_RANK,
-        arrivals=ARRIVALS[arrival](factor),
-        req_sizes=ParetoSizes(alpha=1.3, floor_bytes=24, cap_bytes=8192),
-        resp_sizes=ParetoSizes(alpha=1.2, floor_bytes=48, cap_bytes=16384),
-        seed=TRACE_SEED,
-        priority_every=10,
-    )
-
-
 def run_point(policy_factory, arrival: str, factor: float):
-    calls = build_trace(arrival, factor)
     system = VSCCSystem(num_devices=2, policy=policy_factory(), seed=7)
-    report = run_rpc(system, calls, RpcParams())
-    assert report.completed == report.offered
+    report = rpc_report(system, ARRIVALS[arrival](factor))
     d = report.dispatcher
-    offered_rps = len(calls) / (
-        max(c.issue_ns for c in calls) * 1e-9
-    )
+    # Every call completed, so the completions carry every issue time.
+    last_issue_ns = max(c.issue_ns for c in report.completions)
+    offered_rps = report.offered / (last_issue_ns * 1e-9)
     return {
         "offered_rps": offered_rps,
         "throughput_rps": report.throughput_rps,
@@ -172,44 +155,6 @@ def test_rpc_open_loop_curves(benchmark, once):
     bursty_coal = sum(p["coalesced"] for p in curves[("static-vdma", "bursty")])
     poisson_coal = sum(p["coalesced"] for p in curves[("static-vdma", "poisson")])
     assert bursty_coal > poisson_coal
-
-
-# -- the gated scenario --------------------------------------------------------
-
-
-def rpc_open_loop() -> dict:
-    """Fingerprint scenario pinned in ``FINGERPRINTS.json``.
-
-    Three policy configs over the bursty mid-load trace: the
-    fingerprint pins the simulated clocks, the outcome digest, and the
-    structural counters (descriptors/coalesced/cache hits) that any
-    change to coalescing, batching, caching or policy decisions moves.
-    """
-    out: dict = {}
-    sim_now_sum = 0.0
-    events_sum = 0.0
-    digests = set()
-    for label, factory in (
-        ("static_vdma", lambda: StaticPolicy(CommScheme.LOCAL_PUT_LOCAL_GET_VDMA)),
-        ("threshold", ThresholdPolicy),
-        ("adaptive", AdaptivePolicy),
-    ):
-        calls = build_trace("bursty", 1.0)
-        system = VSCCSystem(num_devices=2, policy=factory(), seed=7)
-        report = run_rpc(system, calls, RpcParams())
-        assert report.completed == report.offered
-        d = report.dispatcher
-        sim_now_sum += system.sim.now
-        events_sum += float(system.sim.events_processed)
-        digests.add(report.digest)
-        out[f"{label}_descriptors"] = float(d.descriptors)
-        out[f"{label}_coalesced"] = float(d.coalesced)
-        out[f"{label}_cache_hits"] = float(d.cache.hits)
-    assert len(digests) == 1, digests
-    out["sim_now_sum_ns"] = sim_now_sum
-    out["events_sum"] = events_sum
-    out["outcome_digest"] = digests.pop()
-    return out
 
 
 if __name__ == "__main__":

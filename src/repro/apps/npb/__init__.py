@@ -1,7 +1,7 @@
 """NPB BT ported to (simulated) RCCE, after Mattson et al. [10]."""
 
 from .adi import ADI_R, adi_reference, initial_condition
-from .bt import BTBenchmark, BTResult
+from .bt import BTBenchmark, BTResult, run_bt
 from .model import BT_CLASSES, BTClass, BTCostModel
 from .multipartition import MultiPartition, X, Y, Z, is_square
 
@@ -19,4 +19,5 @@ __all__ = [
     "adi_reference",
     "initial_condition",
     "is_square",
+    "run_bt",
 ]

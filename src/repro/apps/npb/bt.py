@@ -32,7 +32,7 @@ from repro.rcce.api import Rcce
 from .model import BT_CLASSES, BTClass, BTCostModel
 from .multipartition import MultiPartition, X, Y, Z
 
-__all__ = ["BTResult", "BTBenchmark"]
+__all__ = ["BTResult", "BTBenchmark", "run_bt"]
 
 
 @dataclass(frozen=True)
@@ -206,6 +206,19 @@ class BTBenchmark:
             gflops_per_s=total_gflops / seconds if seconds else 0.0,
             verified=verified,
         )
+
+
+def run_bt(system, clazz: str = "S", nranks: int = 16, niter: int = 1):
+    """BT in model mode on the first ``nranks`` ranks of ``system``.
+
+    Returns ``(bench, run)``: the :class:`BTBenchmark` (for its
+    :meth:`~BTBenchmark.result`) and the run's
+    :class:`repro.results.RunResult`.
+    """
+    if nranks > system.num_ranks:
+        raise ValueError(f"{nranks} ranks exceed the system size")
+    bench = BTBenchmark(clazz=clazz, nranks=nranks, niter=niter, mode="model")
+    return bench, system.run(bench.program, ranks=range(nranks))
 
 
 def comm_cost(bench: BTBenchmark) -> BTCostModel:

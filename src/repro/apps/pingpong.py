@@ -9,13 +9,13 @@ session object decides which transports move the bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional, Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
 from repro.rcce.api import Rcce
 
-__all__ = ["PingPongPoint", "run_pingpong", "DEFAULT_SIZES"]
+__all__ = ["PingPongPoint", "pingpong_program", "run_pingpong", "DEFAULT_SIZES"]
 
 #: Fig 6 sweeps message sizes from tens of bytes to a quarter megabyte.
 DEFAULT_SIZES: tuple[int, ...] = (
@@ -40,39 +40,50 @@ class PingPongPoint:
         return cls(size, iterations, oneway, size / oneway * 1000.0 if oneway else 0.0)
 
 
-def _pingpong_program(
-    peer: int,
-    sizes: Sequence[int],
-    iterations: int,
-    warmup: int,
-    results: dict[int, PingPongPoint],
-    verify: bool,
+def _round_trip(comm: Rcce, payload: np.ndarray, peer: int, verify: bool) -> Generator:
+    """Send ``payload`` to ``peer`` and receive the echo; ``verify`` checks it."""
+    yield from comm.send(payload, peer)
+    data = yield from comm.recv(len(payload), peer)
+    if verify and len(payload) and not (data == payload).all():
+        raise AssertionError(f"ping-pong payload corrupted at size {len(payload)}")
+
+
+def pingpong_program(
+    rank_a: int,
+    rank_b: int,
+    sizes: Sequence[int] = DEFAULT_SIZES,
+    iterations: int = 5,
+    warmup: int = 1,
+    verify: bool = True,
 ):
-    """Program factory; the lower rank initiates, the higher echoes."""
+    """The sweep as one program for ``run(program, ranks=[rank_a, rank_b])``.
+
+    The lower rank initiates and returns one :class:`PingPongPoint` per
+    size; the higher rank echoes every message back. With ``verify``
+    the initiator checks every echo, warm-up round trips included.
+    """
+    if rank_a == rank_b:
+        raise ValueError("ping-pong needs two distinct ranks")
+    low, high = sorted((rank_a, rank_b))
 
     def program(comm: Rcce) -> Generator:
-        initiator = comm.rank < peer
+        if comm.rank != low:
+            for size in sizes:
+                for _ in range(warmup + iterations):
+                    data = yield from comm.recv(size, low)
+                    yield from comm.send(data, low)
+            return None
+        points = []
         for size in sizes:
             payload = (np.arange(size, dtype=np.int64) % 251).astype(np.uint8)
-            if initiator:
-                for _ in range(warmup):
-                    yield from comm.send(payload, peer)
-                    yield from comm.recv(size, peer)
-                start = comm.env.sim.now
-                for _ in range(iterations):
-                    yield from comm.send(payload, peer)
-                    data = yield from comm.recv(size, peer)
-                elapsed = comm.env.sim.now - start
-                if verify and size and not (data == payload).all():
-                    raise AssertionError(
-                        f"ping-pong payload corrupted at size {size}"
-                    )
-                results[size] = PingPongPoint.from_elapsed(size, iterations, elapsed)
-            else:
-                for _ in range(warmup + iterations):
-                    data = yield from comm.recv(size, peer)
-                    yield from comm.send(data, peer)
-        return None
+            for _ in range(warmup):
+                yield from _round_trip(comm, payload, high, verify)
+            start = comm.env.sim.now
+            for _ in range(iterations):
+                yield from _round_trip(comm, payload, high, verify)
+            elapsed = comm.env.sim.now - start
+            points.append(PingPongPoint.from_elapsed(size, iterations, elapsed))
+        return points
 
     return program
 
@@ -92,16 +103,6 @@ def run_pingpong(
     a :class:`repro.rcce.session.RcceSession` or a
     :class:`repro.vscc.system.VSCCSystem`.
     """
-    if rank_a == rank_b:
-        raise ValueError("ping-pong needs two distinct ranks")
-    low, high = sorted((rank_a, rank_b))
-    results: dict[int, PingPongPoint] = {}
-    # Both sides bounce with their actual partner.
-    def factory(comm: Rcce) -> Generator:
-        partner = high if comm.rank == low else low
-        return _pingpong_program(
-            partner, sizes, iterations, warmup, results, verify
-        )(comm)
-
-    session.run(factory, ranks=[low, high])
-    return [results[size] for size in sizes]
+    program = pingpong_program(rank_a, rank_b, sizes, iterations, warmup, verify)
+    ranks = sorted((rank_a, rank_b))
+    return session.run(program, ranks=ranks)[ranks[0]]

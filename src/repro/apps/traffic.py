@@ -24,10 +24,11 @@ __all__ = ["TrafficStats", "traffic_matrix", "traffic_stats", "render_traffic"]
 class TrafficStats:
     """Summary of a traffic matrix."""
 
-    total_bytes: int
-    max_pair_bytes: int
+    #: Byte counts are ints for a measured matrix, floats once scaled.
+    total_bytes: float
+    max_pair_bytes: float
     max_pair: tuple[int, int]
-    inter_device_bytes: int
+    inter_device_bytes: float
     inter_device_fraction: float
     nonzero_pairs: int
 
@@ -48,15 +49,15 @@ def _device_of(layout: RankLayout) -> np.ndarray:
 def traffic_stats(matrix: np.ndarray, layout: RankLayout) -> TrafficStats:
     if matrix.shape != (layout.num_ranks, layout.num_ranks):
         raise ValueError("matrix shape does not match the layout")
-    total = int(matrix.sum())
+    total = matrix.sum().item()
     flat_max = int(matrix.argmax())
     max_pair = (flat_max // matrix.shape[1], flat_max % matrix.shape[1])
     devices = _device_of(layout)
     cross = devices[:, None] != devices[None, :]
-    inter = int(matrix[cross].sum())
+    inter = matrix[cross].sum().item()
     return TrafficStats(
         total_bytes=total,
-        max_pair_bytes=int(matrix.max()),
+        max_pair_bytes=matrix.max().item(),
         max_pair=max_pair,
         inter_device_bytes=inter,
         inter_device_fraction=inter / total if total else 0.0,

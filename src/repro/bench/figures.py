@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.apps.npb import BTBenchmark
+from repro.apps.npb import run_bt
 from repro.apps.pingpong import PingPongPoint, run_pingpong
 from repro.apps.traffic import TrafficStats, render_traffic, traffic_matrix, traffic_stats
 from repro.host.pcie import PCIeParams
@@ -169,11 +169,8 @@ def fig7_bt_scaling(
     points = []
     for scheme in schemes:
         for nranks in rank_counts:
-            bench = BTBenchmark(clazz=clazz, nranks=nranks, niter=niter, mode="model")
             system = VSCCSystem(num_devices=num_devices, scheme=scheme)
-            if nranks > system.num_ranks:
-                raise ValueError(f"{nranks} ranks exceed the system size")
-            system.run(bench.program, ranks=range(nranks))
+            bench, _run = run_bt(system, clazz, nranks, niter)
             result = bench.result()
             points.append(
                 BTScalingPoint(nranks, scheme, result.gflops_per_s,
@@ -195,12 +192,13 @@ def fig8_bt_traffic(
 ) -> tuple[np.ndarray, TrafficStats, str, TrafficStats]:
     """Traffic matrix of BT; returns (per-run matrix, stats, rendering,
     stats scaled to the paper's 200-step run)."""
-    bench = BTBenchmark(clazz=clazz, nranks=nranks, niter=niter, mode="model")
+    if niter < 1:
+        raise ValueError(f"niter must be >= 1, got {niter}")
     system = VSCCSystem(num_devices=num_devices, scheme=scheme)
-    system.run(bench.program, ranks=range(nranks))
+    run_bt(system, clazz, nranks, niter)
     matrix = traffic_matrix(system.layout)
     stats = traffic_stats(matrix, system.layout)
-    scaled = traffic_stats(matrix * (full_run_steps // max(niter, 1)), system.layout)
+    scaled = traffic_stats(matrix * full_run_steps / niter, system.layout)
     rendering = render_traffic(matrix, system.layout, width=64)
     return matrix, stats, rendering, scaled
 

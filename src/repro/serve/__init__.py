@@ -10,8 +10,9 @@ deterministic simulation errors (not).
 
 Layering, bottom-up:
 
-* :mod:`repro.serve.job` — specs, states, the workload registry, and
-  :func:`~repro.serve.job.execute_job` (the one execution path).
+* :mod:`repro.serve.job` — specs, states, and
+  :func:`~repro.serve.job.execute_job` (the one execution path); the
+  workloads a spec names live in :data:`repro.scenarios.WORKLOADS`.
 * :mod:`repro.serve.scheduler` — deterministic two-level fair queueing.
 * :mod:`repro.serve.core` — the clock-injected lifecycle state machine.
 * :mod:`repro.serve.pool` — process- and thread-backed worker pools.
@@ -51,8 +52,6 @@ from .job import (
     JobState,
     TERMINAL_STATES,
     execute_job,
-    workload,
-    workload_names,
 )
 from .pool import InlinePool, ProcessPool
 from .scheduler import FairShareScheduler
@@ -74,6 +73,4 @@ __all__ = [
     "SimService",
     "TERMINAL_STATES",
     "execute_job",
-    "workload",
-    "workload_names",
 ]

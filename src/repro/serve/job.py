@@ -1,14 +1,15 @@
-"""Job model of the vSCC service: specs, states, workloads, execution.
+"""Job model of the vSCC service: specs, states, execution.
 
 A *job* is one simulation run requested by a tenant: a
 :class:`repro.vscc.VSCCSystem` configuration (device count, scheme,
-delay-fusion flag, optional fault plan) plus a named
-*workload* with parameters. Specs are pure data — picklable across the
-worker-pool process boundary and JSON-round-trippable for clients — so
-the worker that executes a job rebuilds the whole system from scratch,
-which is also what makes job outcomes deterministic: the same spec
-always produces the bit-identical simulated fingerprint, no matter which
-worker ran it, in what order, or how many times it was retried.
+delay-fusion flag, optional fault plan) plus a named *workload*
+(:data:`repro.scenarios.WORKLOADS`) with parameters. Specs are pure
+data — picklable across the worker-pool process boundary and
+JSON-round-trippable for clients — so the worker that executes a job
+rebuilds the whole system from scratch, which is also what makes job
+outcomes deterministic: the same spec always produces the bit-identical
+simulated fingerprint, no matter which worker ran it, in what order, or
+how many times it was retried.
 
 :func:`execute_job` is the single execution path. It is synchronous and
 process-agnostic: the process pool calls it inside a worker, the inline
@@ -32,8 +33,6 @@ __all__ = [
     "JobState",
     "TERMINAL_STATES",
     "execute_job",
-    "workload",
-    "workload_names",
 ]
 
 #: Schema tag carried by every streamed job event
@@ -89,202 +88,6 @@ class JobError(Exception):
         return out
 
 
-# -- workload registry ---------------------------------------------------------
-
-#: Named workload functions ``fn(system, params) -> RunResult``.
-_WORKLOADS: dict[str, Callable] = {}
-
-
-def workload(name: str) -> Callable:
-    """Register a workload under ``name`` (decorator).
-
-    A workload receives the fully built system and the spec's ``params``
-    mapping, runs one or more programs on it, and returns the final
-    :class:`repro.results.RunResult`. Registration is process-global;
-    forked workers inherit everything registered before the pool
-    started.
-    """
-
-    def deco(fn: Callable) -> Callable:
-        _WORKLOADS[name] = fn
-        return fn
-
-    return deco
-
-
-def workload_names() -> list[str]:
-    return sorted(_WORKLOADS)
-
-
-@workload("spin")
-def _wl_spin(system, params):
-    """Pure-delay burner on rank 0: ``steps`` yields of ``step_ns`` each.
-
-    The cheapest possible job — no communication, scheduler-shaped load
-    for throughput benches and chaos tests (long enough wall time to be
-    killed mid-run when ``steps`` is large).
-    """
-    steps = int(params.get("steps", 64))
-    step_ns = float(params.get("step_ns", 1000.0))
-
-    def program(comm):
-        for _ in range(steps):
-            yield step_ns
-        return steps
-
-    return system.run(program, ranks=[0])
-
-
-@workload("pingpong")
-def _wl_pingpong(system, params):
-    """Two ranks bounce ``sizes`` payloads ``iterations`` times each."""
-    sizes = tuple(int(s) for s in params.get("sizes", (256, 4096)))
-    iterations = int(params.get("iterations", 1))
-    rank_a, rank_b = (int(r) for r in params.get("ranks", (0, 1)))
-    if rank_a == rank_b:
-        raise ValueError("pingpong needs two distinct ranks")
-    low, high = sorted((rank_a, rank_b))
-    verify = bool(params.get("verify", True))
-
-    def program(comm):
-        import numpy as np
-
-        initiator = comm.rank == low
-        peer = high if initiator else low
-        moved = 0
-        for size in sizes:
-            payload = (np.arange(size, dtype=np.int64) % 251).astype(np.uint8)
-            for _ in range(iterations):
-                if initiator:
-                    yield from comm.send(payload, peer)
-                    data = yield from comm.recv(size, peer)
-                else:
-                    data = yield from comm.recv(size, peer)
-                    yield from comm.send(data, peer)
-                if verify and size and not (data == payload).all():
-                    raise AssertionError(f"payload corrupted at size {size}")
-                moved += 2 * size
-        return moved
-
-    return system.run(program, ranks=[low, high])
-
-
-@workload("allreduce")
-def _wl_allreduce(system, params):
-    """Small allreduce + barrier over the first ``nranks`` ranks."""
-    import numpy as np
-
-    nranks = int(params.get("nranks", min(4, system.num_ranks)))
-    length = int(params.get("length", 16))
-    hierarchical = bool(params.get("hierarchical", False))
-
-    def program(comm):
-        yield from comm.barrier(group_size=nranks, hierarchical=hierarchical)
-        out = yield from comm.allreduce(
-            np.arange(float(length)),
-            np.add,
-            group_size=nranks,
-            hierarchical=hierarchical,
-        )
-        return float(np.asarray(out).sum())
-
-    return system.run(program, ranks=range(nranks))
-
-
-@workload("bt")
-def _wl_bt(system, params):
-    """NPB BT (model mode) — the heavyweight of the mixed-tenant bench."""
-    from repro.apps.npb import BTBenchmark
-
-    nranks = int(params.get("nranks", 16))
-    bench = BTBenchmark(
-        clazz=str(params.get("clazz", "S")),
-        nranks=nranks,
-        niter=int(params.get("niter", 1)),
-        mode="model",
-    )
-    return system.run(bench.program, ranks=range(nranks))
-
-
-@workload("rpc")
-def _wl_rpc(system, params):
-    """Open-loop RPC offload (:mod:`repro.apps.rpc`), JSON-able params.
-
-    ``arrivals`` picks the interarrival process ("poisson" with
-    ``mean_gap_ns``, or "bursty" with ``on_gap_ns``/``off_gap_ns``/
-    ``burst_mean``); request/response sizes are bounded-Pareto
-    (``req_alpha``/``req_cap`` and ``resp_alpha``/``resp_cap``). The
-    trace is a pure function of the spec, so a re-run of the same job
-    replays the identical call sequence.
-    """
-    from repro.apps.rpc import RpcParams, run_rpc
-    from repro.bench.arrivals import (
-        BurstyArrivals,
-        ParetoSizes,
-        PoissonArrivals,
-        generate_calls,
-    )
-
-    nranks = int(params.get("nranks", min(4, system.num_ranks)))
-    calls_per_rank = int(params.get("calls_per_rank", 32))
-    kind = str(params.get("arrivals", "poisson"))
-    if kind == "poisson":
-        arrivals = PoissonArrivals(float(params.get("mean_gap_ns", 4000.0)))
-    elif kind == "bursty":
-        arrivals = BurstyArrivals(
-            on_gap_ns=float(params.get("on_gap_ns", 400.0)),
-            off_gap_ns=float(params.get("off_gap_ns", 40_000.0)),
-            burst_mean=float(params.get("burst_mean", 8.0)),
-        )
-    else:
-        raise ValueError(f"unknown arrival process {kind!r}")
-    calls = generate_calls(
-        ranks=range(nranks),
-        calls_per_rank=calls_per_rank,
-        arrivals=arrivals,
-        req_sizes=ParetoSizes(
-            alpha=float(params.get("req_alpha", 1.3)),
-            cap_bytes=int(params.get("req_cap", 16384)),
-        ),
-        resp_sizes=ParetoSizes(
-            alpha=float(params.get("resp_alpha", 1.2)),
-            floor_bytes=48,
-            cap_bytes=int(params.get("resp_cap", 32768)),
-        ),
-        seed=int(params.get("trace_seed", 0)),
-        priority_every=int(params.get("priority_every", 0)),
-    )
-    rpc_params = RpcParams(
-        coalesce_bytes=int(params.get("coalesce_bytes", 128)),
-        coalesce_max=int(params.get("coalesce_max", 8)),
-        batch_bytes=int(params.get("batch_bytes", 1536)),
-        flush_deadline_ns=float(params.get("flush_deadline_ns", 20_000.0)),
-        cache=bool(params.get("cache", True)),
-    )
-    report = run_rpc(system, calls, rpc_params)
-    if report.completed != report.offered:
-        raise JobError(
-            f"rpc job lost responses: {report.completed}/{report.offered}"
-        )
-    return report.run
-
-
-@workload("deadlock")
-def _wl_deadlock(system, params):
-    """Two ranks each waiting on the other — the error-propagation probe.
-
-    Deterministically raises :class:`repro.sim.errors.DeadlockError`;
-    the test harness uses it to assert failed jobs surface clean errors
-    instead of hanging the service.
-    """
-
-    def program(comm):
-        peer = 1 - comm.rank
-        yield from comm.recv(16, peer)
-
-    return system.run(program, ranks=[0, 1])
-
-
 # -- the job spec --------------------------------------------------------------
 
 
@@ -292,7 +95,7 @@ def _wl_deadlock(system, params):
 class JobSpec:
     """Everything needed to reproduce one simulation job from scratch."""
 
-    #: Registered workload name (see :func:`workload_names`).
+    #: Workload name, a key of :data:`repro.scenarios.WORKLOADS`.
     workload: str = "pingpong"
     #: Workload parameters (JSON-able scalars/tuples only).
     params: Mapping[str, Any] = field(default_factory=dict)
@@ -323,10 +126,12 @@ class JobSpec:
     progress_every_events: Optional[int] = 25_000
 
     def validate(self) -> None:
-        if self.workload not in _WORKLOADS:
+        from repro.scenarios import WORKLOADS
+
+        if self.workload not in WORKLOADS:
             raise ValueError(
                 f"unknown workload {self.workload!r}; "
-                f"registered: {', '.join(workload_names())}"
+                f"registered: {', '.join(sorted(WORKLOADS))}"
             )
         if not self.tenant:
             raise ValueError("tenant must be a non-empty string")
@@ -420,6 +225,7 @@ def execute_job(
     original error type (``DeviceQuarantined``, ``DeadlockError``, …)
     and the degraded-device set preserved.
     """
+    from repro.scenarios import WORKLOADS
     from repro.sim.errors import ProcessFailed
     from repro.vscc.system import VSCCSystem
 
@@ -469,7 +275,7 @@ def execute_job(
         sim.run = chunked_run
 
     try:
-        run = _WORKLOADS[spec.workload](system, dict(spec.params))
+        run = WORKLOADS[spec.workload](system, dict(spec.params))
     except Exception as exc:  # noqa: BLE001 - re-raised with structure below
         cause = exc.__cause__ if isinstance(exc, ProcessFailed) else exc
         if isinstance(cause, JobAborted):

@@ -138,10 +138,10 @@ class ProcessPool:
     """Fixed set of forked worker processes, respawnable per slot.
 
     ``fork`` start method on purpose: workers inherit every imported
-    module and every registered workload, so assignment carries only the
-    (picklable) spec and startup is milliseconds, not a fresh
-    interpreter. Slot ids are stable across respawns; ``gen`` counts
-    incarnations so stale messages are attributable.
+    module, so assignment carries only the (picklable) spec and startup
+    is milliseconds, not a fresh interpreter; the workload registry is
+    imported on first use. Slot ids are stable across respawns; ``gen``
+    counts incarnations so stale messages are attributable.
     """
 
     def __init__(self, size: int, on_message: Callable[[dict], None]):

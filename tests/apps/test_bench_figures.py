@@ -1,6 +1,7 @@
 """Smoke tests for the figure-regeneration harness (small sizes)."""
 
 import numpy as np
+import pytest
 
 from repro.bench import (
     PAPER_BANDS,
@@ -67,6 +68,18 @@ def test_fig8_small():
     assert stats.total_bytes > 0
     assert "traffic matrix" in rendering
     assert scaled.max_pair_bytes == 200 * stats.max_pair_bytes
+
+
+def test_fig8_scales_to_the_full_run_by_true_division():
+    _matrix, stats, _rendering, scaled = fig8_bt_traffic(
+        nranks=4, clazz="S", niter=3, num_devices=2
+    )
+    assert scaled.max_pair_bytes == stats.max_pair_bytes * 200 / 3
+
+
+def test_fig8_rejects_nonpositive_niter():
+    with pytest.raises(ValueError, match="niter"):
+        fig8_bt_traffic(nranks=4, clazz="S", niter=0, num_devices=2)
 
 
 def test_fig2_trace_and_render():

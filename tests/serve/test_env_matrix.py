@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.scenarios import WORKLOADS
 from repro.serve import JobSpec, SimService
-from repro.serve.job import _WORKLOADS
 from repro.sim.engine import FUSE_ENV_VAR
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
@@ -45,7 +45,7 @@ def direct_fingerprint():
     system = VSCCSystem(
         num_devices=NUM_DEVICES, scheme=CommScheme(SCHEME), seed=SEED
     )
-    _WORKLOADS[WORKLOAD](system, dict(PARAMS))
+    WORKLOADS[WORKLOAD](system, dict(PARAMS))
     return system.sim.now, system.sim.events_processed
 
 

@@ -7,7 +7,8 @@ import threading
 import pytest
 
 from repro.faults import DeviceFaults, FaultPlan, LinkFaults
-from repro.serve import JobAborted, JobError, JobSpec, execute_job, workload_names
+from repro.scenarios import WORKLOADS
+from repro.serve import JobAborted, JobError, JobSpec, execute_job
 
 
 class TestJobSpec:
@@ -32,7 +33,7 @@ class TestJobSpec:
             JobSpec(**{field: value}).validate()
 
     def test_builtin_workloads_registered(self):
-        names = workload_names()
+        names = sorted(WORKLOADS)
         for expected in ("allreduce", "bt", "deadlock", "pingpong", "spin"):
             assert expected in names
 
@@ -122,6 +123,77 @@ class TestExecuteJob:
         with pytest.raises(JobError) as excinfo:
             execute_job(JobSpec(workload="pingpong", params={"ranks": (1, 1)}))
         assert excinfo.value.error_type == "ValueError"
+
+    def test_rpc_lost_responses_raise_structured_job_error(self, monkeypatch):
+        import repro.apps.rpc as rpc
+
+        real_run_rpc = rpc.run_rpc
+
+        def losing_run_rpc(*args, **kwargs):
+            report = real_run_rpc(*args, **kwargs)
+            del report.completions[1:]
+            return report
+
+        monkeypatch.setattr(rpc, "run_rpc", losing_run_rpc)
+        spec = JobSpec(
+            workload="rpc", params={"nranks": 2, "calls_per_rank": 4},
+            num_devices=2,
+        )
+        with pytest.raises(JobError) as excinfo:
+            execute_job(spec)
+        assert excinfo.value.error_type == "LostResponses"
+        assert excinfo.value.message == "rpc job lost responses: 1/8"
+
+    def test_pingpong_checks_every_echo(self, monkeypatch):
+        from repro.rcce.api import Rcce
+
+        real_send = Rcce.send
+        echoes = []
+
+        def corrupting_send(self, data, dest):
+            if self.rank == 1:
+                echoes.append(dest)
+                if len(echoes) == 2:  # the middle of three round trips
+                    data = data.copy()
+                    data[0] ^= 0xFF
+            return real_send(self, data, dest)
+
+        monkeypatch.setattr(Rcce, "send", corrupting_send)
+        spec = JobSpec(
+            workload="pingpong", params={"sizes": (256,), "iterations": 3}
+        )
+        with pytest.raises(JobError) as excinfo:
+            execute_job(spec)
+        assert "payload corrupted at size 256" in excinfo.value.message
+        assert len(echoes) == 2
+
+    def test_rpc_job_sets_only_the_dispatcher_knobs(self, monkeypatch):
+        import repro.apps.rpc as rpc
+
+        real_run_rpc = rpc.run_rpc
+        seen = []
+
+        def spying_run_rpc(system, calls, params):
+            seen.append(params)
+            return real_run_rpc(system, calls, params)
+
+        monkeypatch.setattr(rpc, "run_rpc", spying_run_rpc)
+        knobs = {
+            "coalesce_bytes": 64,
+            "coalesce_max": 4,
+            "batch_bytes": 1024,
+            "flush_deadline_ns": 10_000.0,
+            "cache": False,
+        }
+        spec = JobSpec(
+            workload="rpc",
+            params={"nranks": 2, "calls_per_rank": 4, "cache_capacity": 3, **knobs},
+            num_devices=2,
+        )
+        execute_job(spec)
+        (params,) = seen
+        assert {k: getattr(params, k) for k in knobs} == knobs
+        assert params.cache_capacity == rpc.RpcParams().cache_capacity
 
     def test_abort_between_chunks(self):
         abort = threading.Event()

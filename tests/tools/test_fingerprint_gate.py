@@ -93,3 +93,21 @@ def test_cli_exits_one_naming_an_edited_field(
     assert gate.main(["--scenario", "micro_flag_wait"]) == 0
     assert gate.main(["--scenario", "micro_chunk_send"]) == 1
     assert "micro_chunk_send.checksum: 252625.0 -> 252624.0" in capsys.readouterr().out
+
+
+def test_registry_names_equal_pinned_names(golden):
+    from repro.scenarios import SCENARIOS
+
+    assert sorted(SCENARIOS) == sorted(golden)
+
+
+def test_cli_exits_one_naming_an_orphaned_pin(
+    gate, golden, tmp_path, monkeypatch, capsys
+):
+    golden["renamed_away"] = {"ops": 1}
+    pinned = tmp_path / "FINGERPRINTS.json"
+    pinned.write_text(json.dumps(golden))
+    monkeypatch.setattr(gate, "FINGERPRINTS", pinned)
+    assert gate.main(["--scenario", "micro_flag_wait"]) == 1
+    out = capsys.readouterr().out
+    assert "renamed_away: pinned in FINGERPRINTS.json but no such scenario" in out
