@@ -206,7 +206,6 @@ class RpcDispatcher:
         self.host = system.hosts[self.params.home_host]
         self.selector = system.selector
         self.policy = system.policy
-        self.tracer = system.tracer
         self.layout = system.layout
         #: Anchor device of the home host (routes terminate at the host
         #: boundary; the anchor pins the policy's route key).
@@ -234,9 +233,6 @@ class RpcDispatcher:
         self.flushes_deadline = 0
         self.priority_submits = 0
         self._routes: dict[int, Route] = {}
-        from repro.obs.metrics import registry_for
-
-        self._obs = registry_for(self.sim)
         # Created on first delivery with obs enabled — instrument
         # creation registers the series eagerly, and an obs-off run's
         # snapshot must not grow empty rpc.latency_ns rows.
@@ -307,8 +303,9 @@ class RpcDispatcher:
             self.coalesced += len(calls)
         if calls[0].priority:
             self.priority_submits += 1
-        if self.tracer.wants("rpc"):
-            self.tracer.emit(
+        tracer = self.sim.tracer
+        if tracer.wants("rpc"):
+            tracer.emit(
                 self.sim.now, "rpc", src_device, "descriptor",
                 len(calls), sum(c.req_bytes for c in calls),
             )
@@ -360,8 +357,9 @@ class RpcDispatcher:
         else:
             self.flushes_deadline += 1
         dst_device = self.layout.placement(rank)[0]
-        if self.tracer.wants("rpc"):
-            self.tracer.emit(
+        tracer = self.sim.tracer
+        if tracer.wants("rpc"):
+            tracer.emit(
                 self.sim.now, "rpc", dst_device, "flush",
                 cause, len(items), nbytes,
             )
@@ -377,9 +375,9 @@ class RpcDispatcher:
                         issue_ns=c.issue_ns, done_ns=now,
                     )
                 )
-                if self._obs.enabled:
+                if self.sim.obs.enabled:
                     if self._latency_hist is None:
-                        self._latency_hist = self._obs.histogram("rpc.latency_ns")
+                        self._latency_hist = self.sim.obs.histogram("rpc.latency_ns")
                     self._latency_hist.observe(now - c.issue_ns)
                 if self.policy.wants_feedback:
                     scheme = self._inflight_schemes.pop(c.req_id, None)

@@ -70,7 +70,7 @@ class ProtocolTiming:
 def fig2_trace(size: int, pipelined: bool):
     """Protocol trace records for one message transfer (Fig 2's Gantt)."""
     session = RcceSession(options=RcceOptions(pipelined=pipelined))
-    session.device.tracer.enable("protocol")
+    session.sim.tracer.enable("protocol")
 
     def program(comm):
         payload = bytes(size)
@@ -80,7 +80,7 @@ def fig2_trace(size: int, pipelined: bool):
             yield from comm.recv(size, ONCHIP_PAIR[0])
 
     session.run(program, ranks=list(ONCHIP_PAIR))
-    return [r for r in session.device.tracer.records if r.category == "protocol"]
+    return list(session.sim.tracer.select("protocol"))
 
 
 def fig2_protocol_timeline(sizes: Sequence[int] = (8192, 16384, 65536)) -> list[ProtocolTiming]:

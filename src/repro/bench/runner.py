@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from repro.obs.chrometrace import pair_spans
+
 __all__ = [
     "Band",
     "PAPER_BANDS",
@@ -117,9 +119,10 @@ def render_timeline(records, width: int = 72) -> str:
     """ASCII Gantt of protocol trace records (Fig 2 style).
 
     ``records`` are :class:`repro.sim.trace.TraceRecord` of category
-    "protocol" with payload ``(rank, role, phase, index)``. Phases that
-    form spans (put_start/put_done, get_start/get_done) are drawn as
-    bars; point events (flag_set, ack_seen) as markers.
+    "protocol" with payload ``(rank, role, phase, index)``. Spans paired
+    by :func:`repro.obs.chrometrace.pair_spans` (put_start/put_done,
+    get_start/get_done) are drawn as bars; point events (flag_set,
+    ack_seen) as markers.
     """
     if not records:
         return "(no protocol records)"
@@ -130,26 +133,18 @@ def render_timeline(records, width: int = 72) -> str:
     def col(t: float) -> int:
         return min(width - 1, int((t - t0) / span * (width - 1)))
 
-    spans = {"put": ("put_start", "put_done", "P"), "get": ("get_start", "get_done", "G")}
-    lanes: dict[tuple, list] = {}
-    for r in records:
-        rank, role, phase, index = r.payload
-        lanes.setdefault((rank, role), []).append((phase, index, r.t))
+    bars = {"put": "P", "get": "G"}
+    markers = {"flag_set": "f", "ack_seen": "a"}
+    rows: dict[tuple, list[str]] = {}
+    for mark in pair_spans(sorted(records, key=lambda r: r.t)):
+        role, _, what = mark.name.partition(".")
+        row = rows.setdefault((mark.tid, role), [" "] * width)
+        if mark.ph == "X":
+            for i in range(col(mark.t0), col(mark.t1) + 1):
+                row[i] = bars[what]
+        elif mark.ph == "i" and what in markers:
+            row[col(mark.t0)] = markers[what]
     lines = [f"t = 0 .. {span / 1000:.1f} us   (P = put, G = get, f = flag, a = ack)"]
-    for (rank, role), events in sorted(lanes.items()):
-        row = [" "] * width
-        open_spans: dict = {}
-        for phase, index, t in sorted(events, key=lambda e: e[2]):
-            for _name, (start_ph, end_ph, char) in spans.items():
-                if phase == start_ph:
-                    open_spans[(start_ph, index)] = t
-                elif phase == end_ph and (start_ph, index) in open_spans:
-                    a, b = col(open_spans.pop((start_ph, index))), col(t)
-                    for i in range(a, b + 1):
-                        row[i] = char
-            if phase == "flag_set":
-                row[col(t)] = "f"
-            elif phase == "ack_seen":
-                row[col(t)] = "a"
+    for (rank, role), row in sorted(rows.items()):
         lines.append(f"rank {rank:>3} {role:<4} |{''.join(row)}|")
     return "\n".join(lines)

@@ -52,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.host.driver import Host
     from repro.sim.engine import Event
     from repro.sim.resources import Link
-    from repro.sim.trace import Tracer
 
 __all__ = ["FaultInjector", "LinkFaultState"]
 
@@ -70,7 +69,7 @@ class LinkFaultState:
     """
 
     __slots__ = (
-        "link", "spec", "plan", "device_id", "injector", "tracer", "rng",
+        "link", "spec", "plan", "device_id", "injector", "rng",
         "tx_seq", "rx", "hang_window", "dead_at_ns",
         "sent", "delivered", "retries", "dropped", "crc_rejects",
         "duplicates", "stalls", "resets", "severs", "lost",
@@ -85,14 +84,12 @@ class LinkFaultState:
         device_id: int = -1,
         injector: Optional["FaultInjector"] = None,
         device_spec: Optional[DeviceFaults] = None,
-        tracer: Optional["Tracer"] = None,
     ):
         self.link = link
         self.spec = spec
         self.plan = plan
         self.device_id = device_id
         self.injector = injector
-        self.tracer = tracer
         # Independent, order-insensitive substream per link: the root
         # seed is qualified by a stable hash of the link name (zlib.crc32,
         # not hash(), so replays agree across processes).
@@ -269,10 +266,10 @@ class LinkFaultState:
     # -- reporting -----------------------------------------------------------
 
     def _trace(self, event: str, *detail: object) -> None:
-        tracer = self.tracer
-        if tracer is not None and tracer.wants("faults"):
-            tracer.emit(
-                self.link.sim.now, "faults", self.device_id, event,
+        sim = self.link.sim
+        if sim.tracer.wants("faults"):
+            sim.tracer.emit(
+                sim.now, "faults", self.device_id, event,
                 self.link.name, *detail,
             )
 
@@ -303,10 +300,9 @@ class FaultInjector:
     mode together), and :attr:`degraded_devices` reports the outcome.
     """
 
-    def __init__(self, plan: FaultPlan, host: "Host", tracer: Optional["Tracer"] = None):
+    def __init__(self, plan: FaultPlan, host: "Host"):
         self.plan = plan
         self.host = host
-        self.tracer = tracer
         self.states: dict[str, LinkFaultState] = {}
         #: device id -> "reset" | "severed"
         self.quarantined: dict[int, str] = {}
@@ -329,7 +325,6 @@ class FaultInjector:
                         device_id=device_id,
                         injector=self,
                         device_spec=device_spec,
-                        tracer=tracer,
                     )
                     link.faults = state
                     self.states[link.name] = state
@@ -340,7 +335,7 @@ class FaultInjector:
                 if spec.is_null:
                     continue
                 state = LinkFaultState(
-                    ih.link, spec, plan, device_id=-1, tracer=tracer,
+                    ih.link, spec, plan, device_id=-1,
                 )
                 ih.link.faults = state
                 self.states[ih.link.name] = state
@@ -361,9 +356,10 @@ class FaultInjector:
                 state.severed = True
             else:
                 state.disabled = True
-        if self.tracer is not None and self.tracer.wants("faults"):
-            self.tracer.emit(
-                self.host.sim.now, "faults", device_id, "quarantine",
+        sim = self.host.sim
+        if sim.tracer.wants("faults"):
+            sim.tracer.emit(
+                sim.now, "faults", device_id, "quarantine",
                 "severed" if severed else "reset",
             )
 

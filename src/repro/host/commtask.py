@@ -56,6 +56,20 @@ LINE_PACKET_BYTES = 48
 COARSEN_LINES = 60
 
 
+class _Lane:
+    """Counters of one scheduler lane: requests, bytes, in-flight depth."""
+
+    __slots__ = ("name", "requests", "bytes", "depth", "gauge")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.requests = 0
+        self.bytes = 0
+        self.depth = 0
+        #: ``sched.queue_depth`` gauge in ``sim.obs`` (None until created).
+        self.gauge = None
+
+
 class HostRequestScheduler:
     """Unified request scheduler of one communication task.
 
@@ -76,8 +90,10 @@ class HostRequestScheduler:
       write-combining streams, direct small writes, transparent routing.
     * ``ctrl`` — MMIO register traffic programming the task itself.
 
-    Per-lane request/byte counters are always on; ``sched.queue_depth``
-    gauges track in-flight requests when :mod:`repro.obs` is enabled.
+    Every request pairs one :meth:`admit` with one :meth:`complete` on
+    its lane. Per-lane request/byte counters are always on;
+    ``sched.queue_depth`` gauges in ``sim.obs`` track in-flight requests
+    when that registry is enabled.
 
     **vDMA descriptor coalescing.** When the host runs a dynamic
     communication policy (``host.sched_coalesce``), a vDMA descriptor
@@ -89,68 +105,44 @@ class HostRequestScheduler:
     bit-identical to the pre-scheduler code.
     """
 
-    SYNC = "sync"
-    BULK = "bulk"
-    CTRL = "ctrl"
-    #: Request/response descriptors of the RPC dispatch path
-    #: (:mod:`repro.apps.rpc`). A fourth classification, not a
-    #: reprioritization: RPC descriptors are bulk-class data movement,
-    #: but dispatch wants its own depth/byte series — and priority RPCs
-    #: deliberately ride ``sync`` instead (they are the ``sync_bypass``
-    #: traffic of an RPC run).
-    RPC = "rpc"
-    LANES = (SYNC, BULK, CTRL, RPC)
+    #: Lane names; each is also a :class:`_Lane` attribute of the
+    #: scheduler (``sched.sync`` …). ``rpc`` carries the request/response
+    #: descriptors of the RPC dispatch path (:mod:`repro.apps.rpc`). It
+    #: is a fourth classification, not a reprioritization: RPC
+    #: descriptors are bulk-class data movement, but dispatch wants its
+    #: own depth/byte series — and priority RPCs deliberately ride
+    #: ``sync`` instead (they are the ``sync_bypass`` traffic of an RPC
+    #: run).
+    LANES = ("sync", "bulk", "ctrl", "rpc")
 
     __slots__ = (
-        "task", "host", "device_id",
-        "sync_requests", "sync_bytes", "sync_depth",
-        "bulk_requests", "bulk_bytes", "bulk_depth",
-        "ctrl_requests", "ctrl_bytes", "ctrl_depth",
-        "rpc_requests", "rpc_bytes", "rpc_depth",
-        "sync_bypass", "coalesced_vdma", "_vdma_inflight",
-        "_obs", "_sync_gauge", "_bulk_gauge", "_ctrl_gauge", "_rpc_gauge",
+        "task", "host", "device_id", "lanes", "sync", "bulk", "ctrl", "rpc",
+        "sync_bypass", "coalesced_vdma", "_vdma_inflight", "_obs",
     )
 
     def __init__(self, task: "CommunicationTask"):
         self.task = task
         self.host = task.host
         self.device_id = task.device_id
-        # Hot-path counters are plain attributes (admit/complete run once
-        # per host request — no dict hashing on that path).
-        self.sync_requests = 0
-        self.sync_bytes = 0
-        self.sync_depth = 0
-        self.bulk_requests = 0
-        self.bulk_bytes = 0
-        self.bulk_depth = 0
-        self.ctrl_requests = 0
-        self.ctrl_bytes = 0
-        self.ctrl_depth = 0
-        self.rpc_requests = 0
-        self.rpc_bytes = 0
-        self.rpc_depth = 0
+        self.lanes = tuple(_Lane(name) for name in self.LANES)
+        self.sync, self.bulk, self.ctrl, self.rpc = self.lanes
         #: Sync-lane admissions that overtook in-flight bulk work.
         self.sync_bypass = 0
         #: vDMA descriptors chained onto an in-flight same-route copy.
         self.coalesced_vdma = 0
         #: In-flight vDMA copies per destination device (the route key).
         self._vdma_inflight: dict[int, int] = {}
-        from repro.obs.metrics import registry_for
-
-        self._obs = registry_for(task.sim)
-        self._sync_gauge = self._obs.gauge(
-            "sched.queue_depth", device=self.device_id, lane=self.SYNC
-        )
-        self._bulk_gauge = self._obs.gauge(
-            "sched.queue_depth", device=self.device_id, lane=self.BULK
-        )
-        self._ctrl_gauge = self._obs.gauge(
-            "sched.queue_depth", device=self.device_id, lane=self.CTRL
-        )
+        self._obs = task.sim.obs
         # The rpc gauge is created on first admission — instrument
         # creation registers the series eagerly, and a non-RPC run's
         # snapshot must not grow a zero-valued rpc lane.
-        self._rpc_gauge = None
+        for lane in (self.sync, self.bulk, self.ctrl):
+            lane.gauge = self._gauge(lane)
+
+    def _gauge(self, lane: "_Lane"):
+        return self._obs.gauge(
+            "sched.queue_depth", device=self.device_id, lane=lane.name
+        )
 
     def sync_access(self, addr: MpbAddr, length: int) -> bool:
         """Whether this remote access is sync traffic (registered FLAG
@@ -159,61 +151,23 @@ class HostRequestScheduler:
 
     # -- lane admission (one admit/complete pair per host request) -------------
 
-    def admit_sync(self, nbytes: int) -> None:
-        self.sync_requests += 1
-        self.sync_bytes += nbytes
-        # rpc_depth is zero outside RPC runs, so legacy traffic counts
+    def admit(self, lane: "_Lane", nbytes: int) -> None:
+        lane.requests += 1
+        lane.bytes += nbytes
+        # The rpc lane is idle outside RPC runs, so legacy traffic counts
         # bypasses exactly as before the rpc lane existed.
-        if self.bulk_depth or self.rpc_depth:
+        if lane is self.sync and (self.bulk.depth or self.rpc.depth):
             self.sync_bypass += 1
-        self.sync_depth += 1
+        lane.depth += 1
         if self._obs.enabled:
-            self._sync_gauge.set(float(self.sync_depth))
+            if lane.gauge is None:
+                lane.gauge = self._gauge(lane)
+            lane.gauge.set(float(lane.depth))
 
-    def complete_sync(self) -> None:
-        self.sync_depth -= 1
-        if self._obs.enabled:
-            self._sync_gauge.set(float(self.sync_depth))
-
-    def admit_bulk(self, nbytes: int) -> None:
-        self.bulk_requests += 1
-        self.bulk_bytes += nbytes
-        self.bulk_depth += 1
-        if self._obs.enabled:
-            self._bulk_gauge.set(float(self.bulk_depth))
-
-    def complete_bulk(self) -> None:
-        self.bulk_depth -= 1
-        if self._obs.enabled:
-            self._bulk_gauge.set(float(self.bulk_depth))
-
-    def admit_ctrl(self, nbytes: int) -> None:
-        self.ctrl_requests += 1
-        self.ctrl_bytes += nbytes
-        self.ctrl_depth += 1
-        if self._obs.enabled:
-            self._ctrl_gauge.set(float(self.ctrl_depth))
-
-    def complete_ctrl(self) -> None:
-        self.ctrl_depth -= 1
-        if self._obs.enabled:
-            self._ctrl_gauge.set(float(self.ctrl_depth))
-
-    def admit_rpc(self, nbytes: int) -> None:
-        self.rpc_requests += 1
-        self.rpc_bytes += nbytes
-        self.rpc_depth += 1
-        if self._obs.enabled:
-            if self._rpc_gauge is None:
-                self._rpc_gauge = self._obs.gauge(
-                    "sched.queue_depth", device=self.device_id, lane=self.RPC
-                )
-            self._rpc_gauge.set(float(self.rpc_depth))
-
-    def complete_rpc(self) -> None:
-        self.rpc_depth -= 1
-        if self._obs.enabled and self._rpc_gauge is not None:
-            self._rpc_gauge.set(float(self.rpc_depth))
+    def complete(self, lane: "_Lane") -> None:
+        lane.depth -= 1
+        if self._obs.enabled and lane.gauge is not None:
+            lane.gauge.set(float(lane.depth))
 
     # -- vDMA route coalescing -----------------------------------------------------
 
@@ -224,7 +178,7 @@ class HostRequestScheduler:
         if self._vdma_inflight.get(dst_device, 0) <= 0:
             return False
         self.coalesced_vdma += 1
-        tracer = self.host.device_of(self.device_id).tracer
+        tracer = self.task.sim.tracer
         if tracer.wants("sched"):
             tracer.emit(
                 self.task.sim.now, "sched", self.device_id,
@@ -243,23 +197,17 @@ class HostRequestScheduler:
     def metrics_snapshot(self) -> dict[str, float]:
         d = self.device_id
         out: dict[str, float] = {}
-        for lane, requests, nbytes in (
-            (self.SYNC, self.sync_requests, self.sync_bytes),
-            (self.BULK, self.bulk_requests, self.bulk_bytes),
-            (self.CTRL, self.ctrl_requests, self.ctrl_bytes),
-        ):
-            out[f"sched.requests{{device={d},lane={lane}}}"] = float(requests)
-            out[f"sched.bytes{{device={d},lane={lane}}}"] = float(nbytes)
+        for lane in self.lanes:
+            # The rpc lane exists only on devices that ran RPC traffic,
+            # so every pre-RPC snapshot stays byte-stable.
+            if lane is self.rpc and not lane.requests:
+                continue
+            out[f"sched.requests{{device={d},lane={lane.name}}}"] = float(
+                lane.requests
+            )
+            out[f"sched.bytes{{device={d},lane={lane.name}}}"] = float(lane.bytes)
         out[f"sched.sync_bypass{{device={d}}}"] = float(self.sync_bypass)
         out[f"sched.coalesced{{device={d}}}"] = float(self.coalesced_vdma)
-        # The rpc lane exists only on devices that ran RPC traffic —
-        # emitted conditionally so every pre-RPC snapshot stays
-        # byte-stable (the softcache peer_drops precedent).
-        if self.rpc_requests:
-            out[f"sched.requests{{device={d},lane={self.RPC}}}"] = float(
-                self.rpc_requests
-            )
-            out[f"sched.bytes{{device={d},lane={self.RPC}}}"] = float(self.rpc_bytes)
         return out
 
 
@@ -392,8 +340,8 @@ class CommunicationTask:
         """
         self._check_route(addr.device)
         sched = self.sched
-        sync = sched.sync_access(addr, length)
-        sched.admit_sync(length) if sync else sched.admit_bulk(length)
+        lane = sched.sync if sched.sync_access(addr, length) else sched.bulk
+        sched.admit(lane, length)
         try:
             target = self.host.device_of(addr.device)
             lines = max(1, -(-length // 32))
@@ -413,7 +361,7 @@ class CommunicationTask:
             # round trip has observed the (stable) source buffer.
             return target.mpb.read(addr, length)
         finally:
-            sched.complete_sync() if sync else sched.complete_bulk()
+            sched.complete(lane)
 
     def transparent_write(
         self, env: "CoreEnv", addr: MpbAddr, data: np.ndarray
@@ -422,8 +370,8 @@ class CommunicationTask:
         self._check_route(addr.device)
         length = len(data)
         sched = self.sched
-        sync = sched.sync_access(addr, length)
-        sched.admit_sync(length) if sync else sched.admit_bulk(length)
+        lane = sched.sync if sched.sync_access(addr, length) else sched.bulk
+        sched.admit(lane, length)
         try:
             target = self.host.device_of(addr.device)
             lines = max(1, -(-length // 32))
@@ -439,7 +387,7 @@ class CommunicationTask:
             self._account_routed(addr.device, length + lines * REQUEST_BYTES)
             target.mpb.write(addr, data)
         finally:
-            sched.complete_sync() if sync else sched.complete_bulk()
+            sched.complete(lane)
 
     # -- fast-acknowledged streaming writes ------------------------------------------
 
@@ -460,7 +408,7 @@ class CommunicationTask:
         host = self.host
         cable = self.cable
         length = len(data)
-        self.sched.admit_bulk(length)
+        self.sched.admit(self.sched.bulk, length)
         lines = max(1, -(-length // 32))
         ack_ns = cable.params.fpga_ack_ns
         yield env.device.sif.mesh_to_sif_ns(env.core_id, length)
@@ -510,7 +458,7 @@ class CommunicationTask:
                 offset += nbytes
                 left -= batch
         finally:
-            self.sched.complete_bulk()
+            self.sched.complete(self.sched.bulk)
 
     def small_direct_write(
         self, env: "CoreEnv", addr: MpbAddr, data: np.ndarray
@@ -526,7 +474,7 @@ class CommunicationTask:
         host = self.host
         cable = self.cable
         length = len(data)
-        self.sched.admit_bulk(length)
+        self.sched.admit(self.sched.bulk, length)
         try:
             lines = max(1, -(-length // 32))
             # One snapshot copy (≤ threshold, so ≤128 B): delivery is fully
@@ -548,7 +496,7 @@ class CommunicationTask:
 
             cable.up.post(length + REQUEST_BYTES, on_arrival=forward)
         finally:
-            self.sched.complete_bulk()
+            self.sched.complete(self.sched.bulk)
 
     # -- RPC dispatch (repro.apps.rpc) ---------------------------------------------
 
@@ -580,10 +528,8 @@ class CommunicationTask:
         sched = self.sched
         nbytes = sum(c.req_bytes for c in calls) + REQUEST_BYTES * len(calls)
         priority = calls[0].priority
-        if priority:
-            sched.admit_sync(nbytes)
-        else:
-            sched.admit_rpc(nbytes)
+        lane = sched.sync if priority else sched.rpc
+        sched.admit(lane, nbytes)
         if pay_setup:
             yield (
                 env.device.sif.mesh_to_sif_ns(env.core_id, nbytes),
@@ -596,7 +542,7 @@ class CommunicationTask:
         home = dispatcher.host
 
         def deliver() -> None:
-            sched.complete_sync() if priority else sched.complete_rpc()
+            sched.complete(lane)
             dispatcher.receive(src_device, batch)
 
         if host is home:
@@ -692,7 +638,7 @@ class CommunicationTask:
             # transparent_write (the flag region classifies it).
             yield from self.transparent_write(env, addr, np.frombuffer(bytes([value]), np.uint8))
             return
-        self.sched.admit_sync(1)
+        self.sched.admit(self.sched.sync, 1)
         try:
             yield from self.fence_wcb(env.core_id)
             cable = self.cable
@@ -712,7 +658,7 @@ class CommunicationTask:
 
             cable.up.post(REQUEST_BYTES, on_arrival=forward)
         finally:
-            self.sched.complete_sync()
+            self.sched.complete(self.sched.sync)
 
     # -- MMIO -----------------------------------------------------------------------------
 
@@ -726,7 +672,7 @@ class CommunicationTask:
         """
         cable = self.cable
         transactions = 1 if fused else len(regs)
-        self.sched.admit_ctrl(32 * transactions)
+        self.sched.admit(self.sched.ctrl, 32 * transactions)
         try:
             yield (
                 env.device.sif.mesh_to_sif_ns(env.core_id, 32 * transactions),
@@ -745,11 +691,11 @@ class CommunicationTask:
                 extra_overhead_ns=self.host.params.service_ns,
             )
         finally:
-            self.sched.complete_ctrl()
+            self.sched.complete(self.sched.ctrl)
 
     def mmio_read(self, env: "CoreEnv", reg: int) -> Generator:
         cable = self.cable
-        self.sched.admit_ctrl(REQUEST_BYTES)
+        self.sched.admit(self.sched.ctrl, REQUEST_BYTES)
         try:
             yield env.device.sif.mesh_to_sif_ns(env.core_id, REQUEST_BYTES)
             yield from cable.up.transfer(REQUEST_BYTES)
@@ -758,7 +704,7 @@ class CommunicationTask:
             yield from cable.down.transfer(LINE_PACKET_BYTES)
             return value
         finally:
-            self.sched.complete_ctrl()
+            self.sched.complete(self.sched.ctrl)
 
     # -- MSG register wiring -----------------------------------------------------------------
 

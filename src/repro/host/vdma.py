@@ -71,10 +71,7 @@ class VDMAController:
         self.watchdog_fires = 0
         bank = host.task_of(device_id).mmio
         bank.on_write(REG_VDMA_CTRL, self._on_ctrl)
-        from repro.obs.metrics import registry_for
-
-        self._obs = registry_for(self.sim)
-        self._depth_gauge = self._obs.gauge("vdma.queue_depth", device=device_id)
+        self._depth_gauge = self.sim.obs.gauge("vdma.queue_depth", device=device_id)
 
     def metrics_snapshot(self) -> dict[str, float]:
         """Engine series of this device's vDMA controller."""
@@ -112,7 +109,7 @@ class VDMAController:
             )
         self.copies_started += 1
         self._depth_gauge.add(1.0)
-        tracer = self.host.device_of(self.device_id).tracer
+        tracer = self.sim.tracer
         if tracer.wants("vdma"):
             tracer.emit(
                 self.sim.now, "vdma", self.device_id, "programmed",
@@ -136,7 +133,7 @@ class VDMAController:
     ) -> Generator:
         host = self.host
         sim = self.sim
-        tracer = host.device_of(self.device_id).tracer
+        tracer = sim.tracer
         if tracer.wants("vdma"):
             tracer.emit(sim.now, "vdma", self.device_id, "copy_start", copy_id, count)
         src_cable = host.cable_of(src.device)

@@ -81,7 +81,7 @@ class PipelinedTransport(Transport):
             comm.comm_buffer_addr(me, 0),
             comm.comm_buffer_addr(me, packet),
         )
-        trace = env.device.tracer
+        trace = env.sim.tracer
         tracing = trace.wants("protocol")
         for k in range(npackets):
             if k >= 2:
@@ -114,7 +114,7 @@ class PipelinedTransport(Transport):
             comm.comm_buffer_addr(src, 0),
             comm.comm_buffer_addr(src, packet),
         )
-        trace = env.device.tracer
+        trace = env.sim.tracer
         tracing = trace.wants("protocol")
         out = np.empty(nbytes, np.uint8)
         for k in range(npackets):

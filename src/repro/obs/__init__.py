@@ -3,12 +3,14 @@
 Public surface::
 
     from repro.obs import (
-        MetricsRegistry, registry_for,          # typed instruments per simulator
+        MetricsRegistry,                          # typed instruments (sim.obs)
         format_key, label_keys, merge_snapshots,  # snapshot plumbing
         export_chrome_trace, write_chrome_trace,  # Perfetto trace.json
     )
 
-Two complementary views of one simulated run:
+Both belong to the simulator: ``sim.obs`` is its metrics registry and
+``sim.tracer`` its tracer, reached by every component through the
+``sim`` it holds. Two complementary views of one simulated run:
 
 * **metrics** — every instrumented component implements
   ``metrics_snapshot() -> dict[str, float]`` with series keys like
@@ -29,7 +31,6 @@ from .metrics import (
     label_keys,
     merge_snapshots,
     parse_key,
-    registry_for,
 )
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "label_keys",
     "merge_snapshots",
     "parse_key",
-    "registry_for",
     "to_trace_events",
     "write_chrome_trace",
 ]

@@ -17,27 +17,144 @@ Layout convention:
 
 Timestamps are simulated nanoseconds divided by 1000 (the format's
 ``ts`` unit is microseconds); sub-ns precision survives as fractions.
+
+:func:`pair_spans` is the one place records are decoded and start/end
+records paired into spans; the exporter and the ASCII timeline of
+:func:`repro.bench.runner.render_timeline` both consume it.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from repro.sim.trace import TraceRecord, Tracer
 
-__all__ = ["to_trace_events", "export_chrome_trace", "write_chrome_trace"]
+__all__ = [
+    "TraceMark",
+    "export_chrome_trace",
+    "pair_spans",
+    "to_trace_events",
+    "write_chrome_trace",
+]
 
 #: Synthetic process ids of the two trace lanes.
 PID_RANKS = 0
 PID_HOST = 1
 
-#: Protocol phases that open/close a span, mapped to the span name.
-_SPAN_STARTS = {"put_start": "put", "get_start": "get"}
-_SPAN_ENDS = {"put_done": "put", "get_done": "get"}
-#: Protocol point events.
-_INSTANTS = {"flag_set", "ack_seen"}
+#: Protocol phases that open ("B") or close ("E") a span of this name.
+_SPAN_PHASES = {
+    "put_start": ("B", "put"),
+    "put_done": ("E", "put"),
+    "get_start": ("B", "get"),
+    "get_done": ("E", "get"),
+}
+
+
+# -- per-category decoders -----------------------------------------------------
+#
+# Each maps a record to ``(ph, pid, tid, name, key, args)``: ``ph`` is
+# "B" (opens span ``key``), "E" (closes it) or "i" (instant).
+
+
+def _protocol(r: TraceRecord) -> tuple:
+    rank, role, phase, index = r.payload
+    ph, span = _SPAN_PHASES.get(phase, ("i", phase))
+    # flag_set / ack_seen / future point phases are instants.
+    return ph, PID_RANKS, int(rank), f"{role}.{span}", index, {"chunk": index}
+
+
+def _vdma(r: TraceRecord) -> tuple:
+    device, phase, *rest = r.payload
+    if phase == "copy_start":
+        copy_id, nbytes = rest
+        args = {"copy": copy_id, "bytes": nbytes}
+        return "B", PID_HOST, int(device), "vdma.copy", copy_id, args
+    if phase == "copy_done":
+        return "E", PID_HOST, int(device), "vdma.copy", rest[0], None
+    # programmed / granule commits / completion flag
+    return "i", PID_HOST, int(device), f"vdma.{phase}", None, {"detail": list(rest)}
+
+
+def _policy(r: TraceRecord) -> tuple:
+    # One instant per policy decision, on the sending rank's timeline:
+    # which scheme this message was dispatched onto.
+    src, dst, scheme, nbytes = r.payload
+    args = {"src": int(src), "dst": int(dst), "bytes": int(nbytes)}
+    return "i", PID_RANKS, int(src), f"policy.{scheme}", None, args
+
+
+def _coll(r: TraceRecord) -> tuple:
+    # Collective spans on the calling rank's timeline, pairing the
+    # start/done marks the Rcce collective wrapper emits.
+    rank, op, impl, phase, seq = r.payload
+    ph = "B" if phase == "start" else "E"
+    return ph, PID_RANKS, int(rank), f"coll.{op}.{impl}", seq, {"impl": impl, "call": seq}
+
+
+def _sched(r: TraceRecord) -> tuple:
+    # Host request-scheduler events, on the device's host thread.
+    device, phase, *rest = r.payload
+    return "i", PID_HOST, int(device), f"sched.{phase}", None, {"detail": list(rest)}
+
+
+def _other(r: TraceRecord) -> tuple:
+    # Unknown categories stay visible as host-lane instants.
+    return "i", PID_HOST, 0, r.category, None, {"payload": [repr(p) for p in r.payload]}
+
+
+_DECODERS = {
+    "protocol": _protocol,
+    "vdma": _vdma,
+    "policy": _policy,
+    "coll": _coll,
+    "sched": _sched,
+}
+
+
+class TraceMark(NamedTuple):
+    """One decoded, paired trace entry (times in simulated ns).
+
+    ``ph`` is "X" for a complete span (``t0``..``t1``), "i" for an
+    instant (``t0 == t1``), "u" for a span whose end never arrived (a
+    truncated run; ``t1 == t0``) and "E" for an end whose start was
+    never recorded (tracing enabled mid-span; ``args`` is None).
+    """
+
+    ph: str
+    category: str
+    pid: int
+    tid: int
+    name: str
+    t0: float
+    t1: float
+    args: Optional[dict]
+
+
+def pair_spans(records: Iterable[TraceRecord]) -> Iterator[TraceMark]:
+    """Decode records and pair every span's start with its end.
+
+    Marks come in record order: an instant or orphan end at its record,
+    a complete span at its end record, then the spans still open when
+    the records ran out, in the order they opened. Spans are keyed by
+    (pid, tid, name, key); a repeated start replaces the open one.
+    """
+    open_spans: dict[tuple, tuple[float, str, Optional[dict]]] = {}
+    for r in records:
+        ph, pid, tid, name, key, args = _DECODERS.get(r.category, _other)(r)
+        if ph == "B":
+            open_spans[(pid, tid, name, key)] = (r.t, r.category, args)
+        elif ph == "E":
+            start = open_spans.pop((pid, tid, name, key), None)
+            if start is None:
+                yield TraceMark("E", r.category, pid, tid, name, r.t, r.t, None)
+            else:
+                yield TraceMark("X", r.category, pid, tid, name, start[0], r.t, start[2])
+        else:
+            yield TraceMark("i", r.category, pid, tid, name, r.t, r.t, args)
+    for (pid, tid, name, _key), (t0, category, args) in open_spans.items():
+        yield TraceMark("u", category, pid, tid, name, t0, t0, args)
 
 
 def _us(t_ns: float) -> float:
@@ -58,185 +175,42 @@ def _metadata(pid: int, name: str) -> dict:
 def to_trace_events(records: Iterable[TraceRecord]) -> list[dict]:
     """Convert trace records to a list of Trace Event Format dicts.
 
-    Span phases are paired into complete (``ph="X"``) events keyed by
-    (lane, span-name, index); a start whose end never arrived (a
-    truncated run) degrades to an instant event rather than being
-    dropped.
+    Spans become complete (``ph="X"``) events; a start whose end never
+    arrived (a truncated run) degrades to an instant event rather than
+    being dropped.
     """
     events: list[dict] = []
-    open_spans: dict[tuple, tuple[float, dict]] = {}
     pids_seen: set[int] = set()
-
-    for r in records:
-        ts = _us(r.t)
-        if r.category == "protocol":
-            rank, role, phase, index = r.payload
-            pid, tid = PID_RANKS, int(rank)
-            pids_seen.add(pid)
-            if phase in _SPAN_STARTS:
-                name = f"{role}.{_SPAN_STARTS[phase]}"
-                open_spans[(pid, tid, name, index)] = (ts, {"chunk": index})
-            elif phase in _SPAN_ENDS:
-                name = f"{role}.{_SPAN_ENDS[phase]}"
-                start = open_spans.pop((pid, tid, name, index), None)
-                if start is not None:
-                    t0, args = start
-                    events.append(
-                        {
-                            "ph": "X",
-                            "ts": t0,
-                            "dur": ts - t0,
-                            "pid": pid,
-                            "tid": tid,
-                            "name": name,
-                            "cat": r.category,
-                            "args": args,
-                        }
-                    )
-            else:  # flag_set / ack_seen / future point phases
-                events.append(
-                    {
-                        "ph": "i",
-                        "ts": ts,
-                        "pid": pid,
-                        "tid": tid,
-                        "name": f"{role}.{phase}",
-                        "cat": r.category,
-                        "s": "t",
-                        "args": {"chunk": index},
-                    }
-                )
-        elif r.category == "vdma":
-            device, phase, *rest = r.payload
-            pid, tid = PID_HOST, int(device)
-            pids_seen.add(pid)
-            if phase == "copy_start":
-                copy_id, nbytes = rest
-                open_spans[(pid, tid, "vdma.copy", copy_id)] = (
-                    ts,
-                    {"copy": copy_id, "bytes": nbytes},
-                )
-            elif phase == "copy_done":
-                copy_id = rest[0]
-                start = open_spans.pop((pid, tid, "vdma.copy", copy_id), None)
-                if start is not None:
-                    t0, args = start
-                    events.append(
-                        {
-                            "ph": "X",
-                            "ts": t0,
-                            "dur": ts - t0,
-                            "pid": pid,
-                            "tid": tid,
-                            "name": "vdma.copy",
-                            "cat": r.category,
-                            "args": args,
-                        }
-                    )
-            else:  # programmed / granule commits / completion flag
-                events.append(
-                    {
-                        "ph": "i",
-                        "ts": ts,
-                        "pid": pid,
-                        "tid": tid,
-                        "name": f"vdma.{phase}",
-                        "cat": r.category,
-                        "s": "t",
-                        "args": {"detail": list(rest)},
-                    }
-                )
-        elif r.category == "policy":
-            # One instant per policy decision, on the sending rank's
-            # timeline: which scheme this message was dispatched onto.
-            src, dst, scheme, nbytes = r.payload
-            pid, tid = PID_RANKS, int(src)
-            pids_seen.add(pid)
+    for m in pair_spans(records):
+        pids_seen.add(m.pid)
+        if m.ph == "X":
+            t0 = _us(m.t0)
+            events.append(
+                {
+                    "ph": "X",
+                    "ts": t0,
+                    "dur": _us(m.t1) - t0,
+                    "pid": m.pid,
+                    "tid": m.tid,
+                    "name": m.name,
+                    "cat": m.category,
+                    "args": m.args,
+                }
+            )
+        elif m.ph != "E":
+            unfinished = m.ph == "u"
             events.append(
                 {
                     "ph": "i",
-                    "ts": ts,
-                    "pid": pid,
-                    "tid": tid,
-                    "name": f"policy.{scheme}",
-                    "cat": r.category,
+                    "ts": _us(m.t0),
+                    "pid": m.pid,
+                    "tid": m.tid,
+                    "name": f"{m.name} (unfinished)" if unfinished else m.name,
+                    "cat": "truncated" if unfinished else m.category,
                     "s": "t",
-                    "args": {"src": int(src), "dst": int(dst), "bytes": int(nbytes)},
+                    "args": m.args,
                 }
             )
-        elif r.category == "coll":
-            # Collective spans on the calling rank's timeline: one X
-            # event per (rank, call) pairing the start/done marks the
-            # Rcce collective wrapper emits.
-            rank, op, impl, phase, seq = r.payload
-            pid, tid = PID_RANKS, int(rank)
-            pids_seen.add(pid)
-            name = f"coll.{op}.{impl}"
-            if phase == "start":
-                open_spans[(pid, tid, name, seq)] = (ts, {"impl": impl, "call": seq})
-            else:
-                start = open_spans.pop((pid, tid, name, seq), None)
-                if start is not None:
-                    t0, args = start
-                    events.append(
-                        {
-                            "ph": "X",
-                            "ts": t0,
-                            "dur": ts - t0,
-                            "pid": pid,
-                            "tid": tid,
-                            "name": name,
-                            "cat": r.category,
-                            "args": args,
-                        }
-                    )
-        elif r.category == "sched":
-            # Host request-scheduler events, on the device's host thread.
-            device, phase, *rest = r.payload
-            pid, tid = PID_HOST, int(device)
-            pids_seen.add(pid)
-            events.append(
-                {
-                    "ph": "i",
-                    "ts": ts,
-                    "pid": pid,
-                    "tid": tid,
-                    "name": f"sched.{phase}",
-                    "cat": r.category,
-                    "s": "t",
-                    "args": {"detail": list(rest)},
-                }
-            )
-        else:
-            # Unknown categories stay visible as host-lane instants.
-            pids_seen.add(PID_HOST)
-            events.append(
-                {
-                    "ph": "i",
-                    "ts": ts,
-                    "pid": PID_HOST,
-                    "tid": 0,
-                    "name": r.category,
-                    "cat": r.category,
-                    "s": "t",
-                    "args": {"payload": [repr(p) for p in r.payload]},
-                }
-            )
-
-    # Truncated spans: keep them on the timeline as instants.
-    for (pid, tid, name, _index), (t0, args) in open_spans.items():
-        events.append(
-            {
-                "ph": "i",
-                "ts": t0,
-                "pid": pid,
-                "tid": tid,
-                "name": f"{name} (unfinished)",
-                "cat": "truncated",
-                "s": "t",
-                "args": args,
-            }
-        )
 
     meta = []
     if PID_RANKS in pids_seen:

@@ -15,11 +15,9 @@ instead of ad-hoc accessors:
   distributions that plain attribute counters cannot express
   (vDMA queue depth, memory-controller FIFO waits, …).
 
-Scoping is *process-wide but simulator-scoped*: :func:`registry_for`
-maps a :class:`~repro.sim.engine.Simulator` to its own registry through
-a process-wide weak table, so any component holding a ``sim`` reference
-reaches the same registry without plumbing — and two concurrently built
-systems never share series.
+Scoping: every :class:`~repro.sim.engine.Simulator` owns one registry
+at ``sim.obs``, so any component holding a ``sim`` reference reaches it
+without plumbing, and two concurrently built systems never share series.
 
 Cost discipline: instruments record only while ``registry.enabled`` is
 True (the default is **disabled**); hot call sites additionally guard
@@ -31,11 +29,7 @@ lazily.
 
 from __future__ import annotations
 
-import weakref
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.engine import Simulator
+from typing import Iterable, Mapping
 
 __all__ = [
     "Counter",
@@ -46,7 +40,6 @@ __all__ = [
     "label_keys",
     "merge_snapshots",
     "parse_key",
-    "registry_for",
 ]
 
 
@@ -264,22 +257,3 @@ class MetricsRegistry:
                 out[key] = inst.value
         return out
 
-
-#: Process-wide table of per-simulator registries. Weak keys: a registry
-#: dies with its simulator, so long-lived processes never leak series.
-_REGISTRIES: "weakref.WeakKeyDictionary[Simulator, MetricsRegistry]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def registry_for(sim: "Simulator", create: bool = True) -> Optional[MetricsRegistry]:
-    """The metrics registry of ``sim`` (created on first use).
-
-    Every component of one simulated system resolves to the same
-    registry; distinct simulators are fully isolated from each other.
-    """
-    reg = _REGISTRIES.get(sim)
-    if reg is None and create:
-        reg = MetricsRegistry()
-        _REGISTRIES[sim] = reg
-    return reg

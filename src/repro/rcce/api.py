@@ -107,7 +107,6 @@ class Rcce:
         self.sends = 0
         self.recvs = 0
         self._topology = None
-        self._obs = None  # lazily resolved metrics registry
         self._coll_seq = 0  # per-rank collective call counter (trace spans)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -261,12 +260,8 @@ class Rcce:
     def _run_collective(self, op_name: str, impl_name: str, gen) -> Generator:
         """Drive one collective, emitting ``coll.*`` metrics and "coll"
         trace spans when observability is on (free when it is off)."""
-        tracer = self.env.device.tracer
-        registry = self._obs
-        if registry is None:
-            from repro.obs.metrics import registry_for
-
-            registry = self._obs = registry_for(self.env.sim)
+        tracer = self.env.sim.tracer
+        registry = self.env.sim.obs
         traced = tracer.wants("coll")
         if not (traced or registry.enabled):
             result = yield from gen

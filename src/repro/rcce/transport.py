@@ -129,7 +129,7 @@ class DefaultGetTransport(Transport):
         env = comm.env
         fl = comm.flags
         me = comm.rank
-        trace = env.device.tracer
+        trace = env.sim.tracer
         tracing = trace.wants("protocol")
         buf = comm.comm_buffer_addr(me)
         # Flag addresses are loop-invariant per (me, dest) pair — resolve
@@ -160,7 +160,7 @@ class DefaultGetTransport(Transport):
         env = comm.env
         fl = comm.flags
         me = comm.rank
-        trace = env.device.tracer
+        trace = env.sim.tracer
         tracing = trace.wants("protocol")
         src_buf = comm.comm_buffer_addr(src)
         sent_flag = fl.sent(me, src)

@@ -90,35 +90,6 @@ class JobResult:
     def ok(self) -> bool:
         return self.state == "completed"
 
-    @classmethod
-    def from_run(
-        cls,
-        *,
-        job_id: str,
-        tenant: str,
-        run: RunResult,
-        sim_now_ns: float,
-        events: float,
-        attempts: int = 1,
-        queue_wait_s: float = 0.0,
-        run_s: float = 0.0,
-    ) -> "JobResult":
-        """Wrap a completed :class:`RunResult` (in-process convenience)."""
-        return cls(
-            job_id=job_id,
-            tenant=tenant,
-            state="completed",
-            attempts=attempts,
-            sim_now_ns=sim_now_ns,
-            events=float(events),
-            elapsed_ns=run.elapsed_ns,
-            core_cycles=run.core_cycles,
-            degraded_devices=tuple(run.degraded_devices),
-            metrics={k: float(v) for k, v in run.metrics.items()},
-            queue_wait_s=queue_wait_s,
-            run_s=run_s,
-        )
-
     def to_dict(self) -> dict:
         """JSON-ready mapping (the ``job_result`` schema payload)."""
         out: dict[str, Any] = {

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.obs.metrics import label_keys, merge_snapshots
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 
 from .core import CoreEnv
 from .memctrl import MemoryControllers
@@ -38,14 +37,10 @@ class SCCDevice:
         sim: Simulator,
         params: Optional[SCCParams] = None,
         device_id: int = 0,
-        tracer: Optional[Tracer] = None,
     ):
         self.sim = sim
         self.params = params or SCCParams()
         self.device_id = device_id
-        # `tracer or Tracer()` would discard a shared-but-empty tracer:
-        # Tracer defines __len__, so a fresh one is falsy.
-        self.tracer = tracer if tracer is not None else Tracer()
         self.mpb = MPBMemory(sim, self.params, device_id)
         self.router = XYRouter(self.params)
         self.tas = TestSetRegisters(sim, self.params, device_id)

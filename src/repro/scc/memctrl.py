@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.obs.metrics import registry_for
 from repro.sim.resources import Link
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -56,7 +55,7 @@ class MemoryControllers:
         self.fifo_wait_ns = 0.0
         #: core_id -> quadrant Link, resolved once (pure of the geometry).
         self._link_memo: dict[int, Link] = {}
-        self._obs = registry_for(device.sim)
+        self._obs = device.sim.obs
         self._wait_hist = self._obs.histogram(
             "memctrl.fifo_wait_ns", device=device.device_id
         )

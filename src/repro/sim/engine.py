@@ -50,7 +50,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Optional
 
+from repro.obs.metrics import MetricsRegistry
+
 from .errors import DeadlockError, InvalidYield, ProcessFailed, SimulationError
+from .trace import Tracer
 
 __all__ = [
     "Delay",
@@ -660,6 +663,11 @@ class Simulator:
         the legacy per-yield event stream. ``None`` reads the
         ``REPRO_FUSE`` environment variable (default on). Simulated
         times are bit-identical either way — only event counts differ.
+
+    Observability lives here too: :attr:`tracer` collects categorized
+    trace records and :attr:`obs` holds the typed metrics instruments.
+    Both are off until enabled, and every component reaches them
+    through the ``sim`` it already holds.
     """
 
     def __init__(
@@ -697,6 +705,11 @@ class Simulator:
         self._source_events: list[int] = [0]
         #: Timer name -> source id of ``daemon:<name>``.
         self._timer_sources: dict[str, int] = {}
+        #: Trace records of every component of this simulation.
+        self.tracer = Tracer()
+        #: Typed metrics instruments of this simulation (see
+        #: :mod:`repro.obs.metrics`); disabled by default.
+        self.obs = MetricsRegistry()
 
     @property
     def fuse_delays(self) -> bool:

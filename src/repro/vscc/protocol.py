@@ -413,7 +413,7 @@ class DirectSmallTransport(Transport):
 
     def send(self, comm: "Rcce", dest: int, data: np.ndarray) -> Generator:
         env, fl, me = comm.env, comm.flags, comm.rank
-        trace = env.device.tracer
+        trace = env.sim.tracer
         tracing = trace.wants("protocol")
         ready = fl.ready(me, dest)
         grant = comm.next_seq(me, dest, "ready")
@@ -438,7 +438,7 @@ class DirectSmallTransport(Transport):
 
     def recv(self, comm: "Rcce", src: int, nbytes: int) -> Generator:
         env, fl, me = comm.env, comm.flags, comm.rank
-        trace = env.device.tracer
+        trace = env.sim.tracer
         tracing = trace.wants("protocol")
         grant = comm.next_seq(src, me, "ready")
         seq = comm.next_seq(src, me, "sent")
@@ -552,7 +552,6 @@ class VsccSelector(TransportSelector):
         self.selections: dict[str, int] = {}
         #: Policy decisions per scheme (one count per message).
         self.decisions: dict[CommScheme, int] = {}
-        self._obs = None  # lazily resolved metrics registry
 
     @property
     def wants_feedback(self) -> bool:
@@ -632,7 +631,7 @@ class VsccSelector(TransportSelector):
             self.affinity_decisions[affinity] = (
                 self.affinity_decisions.get(affinity, 0) + 1
             )
-            tracer = comm.env.device.tracer
+            tracer = comm.env.sim.tracer
             if tracer.wants("policy"):
                 tracer.emit(
                     comm.env.sim.now, "policy", src, dst,
@@ -676,7 +675,7 @@ class VsccSelector(TransportSelector):
             )
             decisions.append((scheme, affinity))
             self.decisions[scheme] = self.decisions.get(scheme, 0) + 1
-            tracer = comm.env.device.tracer
+            tracer = comm.env.sim.tracer
             if tracer.wants("policy"):
                 tracer.emit(
                     comm.env.sim.now, "policy", src, dst, scheme.value, nbytes
@@ -698,7 +697,7 @@ class VsccSelector(TransportSelector):
         """
         scheme = self.policy.rpc_scheme(rank, nbytes, route)
         self.decisions[scheme] = self.decisions.get(scheme, 0) + 1
-        tracer = self.host.device_of(route.src_device).tracer
+        tracer = self.host.sim.tracer
         if tracer.wants("policy"):
             tracer.emit(
                 self.host.sim.now, "policy", rank, rank,
@@ -732,11 +731,7 @@ class VsccSelector(TransportSelector):
             return
         route = self._route(comm, comm.rank, peer)
         self.policy.observe(route, scheme, nbytes, elapsed_ns)
-        registry = self._obs
-        if registry is None:
-            from repro.obs.metrics import registry_for
-
-            registry = self._obs = registry_for(self.host.sim)
+        registry = self.host.sim.obs
         if registry.enabled and elapsed_ns > 0:
             registry.gauge(
                 "policy.route_mbps",

@@ -17,11 +17,12 @@ rank layout over the cores that booted — and runs RCCE programs on it::
     result.results[239]       # per-rank return values
     result.metrics["pcie.bytes{device=0,dir=up}"]
 
-Observability: ``system.obs`` is the simulator-scoped metrics registry
-(:mod:`repro.obs`); flip ``system.obs.enabled = True`` before running to
+Observability belongs to the simulator: ``system.obs`` is ``sim.obs``,
+the metrics registry (:mod:`repro.obs`), and ``system.tracer`` is
+``sim.tracer``. Flip ``system.obs.enabled = True`` before running to
 collect the typed instruments (histograms, gauges) on top of the
 always-on counters. ``run(trace_json=...)`` additionally records
-protocol/vDMA trace events and writes a Chrome-trace file.
+protocol/vDMA trace events and writes that run's Chrome-trace file.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ import numpy as np
 from repro.host.driver import Host, HostParams
 from repro.host.interhost import HostCluster, InterHostParams
 from repro.host.pcie import PCIeParams
-from repro.obs.metrics import MetricsRegistry, merge_snapshots, registry_for
+from repro.obs.chrometrace import write_chrome_trace
+from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.rcce.api import Rcce, RcceOptions
 from repro.rcce.config import RankLayout, SccConfigFile
 from repro.rcce.flags import FlagLayout
@@ -126,9 +128,13 @@ class VSCCSystem:
         # process, where mutating ``REPRO_FUSE`` would race); ``None``
         # defers to the environment exactly like a direct Simulator().
         self.sim = Simulator(fuse_delays=fuse_delays)
-        self.tracer = Tracer()
+        #: The simulator's tracer and metrics registry (disabled by
+        #: default so the hot path stays allocation-free; see
+        #: :mod:`repro.obs`).
+        self.tracer: Tracer = self.sim.tracer
+        self.obs: MetricsRegistry = self.sim.obs
         self.devices = [
-            SCCDevice(self.sim, self.params, device_id=i, tracer=self.tracer)
+            SCCDevice(self.sim, self.params, device_id=i)
             for i in range(num_devices)
         ]
         rng = np.random.default_rng(seed)
@@ -195,9 +201,6 @@ class VSCCSystem:
             vdma_fused_mmio=vdma_fused_mmio,
         )
         self._comms: dict[int, Rcce] = {}
-        #: The simulator-scoped metrics registry (disabled by default so
-        #: the hot path stays allocation-free; see :mod:`repro.obs`).
-        self.obs: MetricsRegistry = registry_for(self.sim)
         #: Fault-injection subsystem (:mod:`repro.faults`). Only a
         #: non-empty plan installs anything — an empty (or absent) plan
         #: leaves every link untouched, keeping the simulation
@@ -211,9 +214,7 @@ class VSCCSystem:
         if fault_plan is not None and not fault_plan.is_empty:
             from repro.faults.injector import FaultInjector
 
-            self.fault_injector = FaultInjector(
-                fault_plan, self.host, tracer=self.tracer
-            )
+            self.fault_injector = FaultInjector(fault_plan, self.host)
 
     # -- communicators ---------------------------------------------------------
 
@@ -265,7 +266,8 @@ class VSCCSystem:
         """Spawn ``program`` on ``ranks``, run to completion, report.
 
         ``trace_json`` enables protocol/vDMA tracing for the duration of
-        the run and writes a Chrome-trace (Perfetto-loadable) file there.
+        the run and writes the records this run emitted as a Chrome-trace
+        (Perfetto-loadable) file there.
         """
         extra_categories = []
         if trace_json is not None:
@@ -274,14 +276,15 @@ class VSCCSystem:
             ]
             self.tracer.enable(*extra_categories)
         start_ns = self.sim.now
+        first_record = len(self.tracer.records)
         try:
             procs = self.spawn_ranks(program, ranks)
             self.sim.run(until=until)
             trace_path = None
             if trace_json is not None:
-                from repro.obs.chrometrace import write_chrome_trace
-
-                trace_path = write_chrome_trace(trace_json, self.tracer)
+                trace_path = write_chrome_trace(
+                    trace_json, self.tracer.records[first_record:]
+                )
         finally:
             if extra_categories:
                 self.tracer.disable(*extra_categories)

@@ -14,17 +14,17 @@ VDMA = CommScheme.LOCAL_PUT_LOCAL_GET_VDMA
 def test_lane_counters_and_sync_bypass():
     system = VSCCSystem(num_devices=2)
     sched = system.host.task_of(0).sched
-    sched.admit_bulk(4096)
+    sched.admit(sched.bulk, 4096)
     # Sync arriving while bulk is in flight is the priority lane overtaking.
-    sched.admit_sync(1)
-    sched.complete_sync()
-    sched.complete_bulk()
-    sched.admit_sync(1)  # no bulk in flight: not a bypass
-    sched.complete_sync()
-    assert sched.bulk_requests == 1 and sched.bulk_bytes == 4096
-    assert sched.sync_requests == 2 and sched.sync_bytes == 2
+    sched.admit(sched.sync, 1)
+    sched.complete(sched.sync)
+    sched.complete(sched.bulk)
+    sched.admit(sched.sync, 1)  # no bulk in flight: not a bypass
+    sched.complete(sched.sync)
+    assert sched.bulk.requests == 1 and sched.bulk.bytes == 4096
+    assert sched.sync.requests == 2 and sched.sync.bytes == 2
     assert sched.sync_bypass == 1
-    assert sched.bulk_depth == 0 and sched.sync_depth == 0
+    assert sched.bulk.depth == 0 and sched.sync.depth == 0
     snap = sched.metrics_snapshot()
     assert snap["sched.requests{device=0,lane=bulk}"] == 1.0
     assert snap["sched.requests{device=0,lane=sync}"] == 2.0

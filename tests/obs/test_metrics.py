@@ -13,7 +13,6 @@ from repro.obs.metrics import (
     label_keys,
     merge_snapshots,
     parse_key,
-    registry_for,
 )
 from repro.sim.engine import Simulator
 
@@ -142,17 +141,13 @@ def test_reset_clears_series_keeps_flag():
 # -- simulator scoping --------------------------------------------------------
 
 
-def test_registry_per_simulator_isolation():
+def test_simulator_owns_an_isolated_registry():
     sim_a, sim_b = Simulator(), Simulator()
-    reg_a = registry_for(sim_a)
-    reg_b = registry_for(sim_b)
+    reg_a, reg_b = sim_a.obs, sim_b.obs
+    assert isinstance(reg_a, MetricsRegistry)
     assert reg_a is not reg_b
-    assert registry_for(sim_a) is reg_a  # stable per simulator
+    assert sim_a.obs is reg_a  # stable per simulator
+    assert not reg_a.enabled  # off until enabled
     reg_a.enable()
     reg_a.counter("only.in.a").inc()
     assert "only.in.a" not in reg_b
-    assert registry_for(sim_b, create=False) is reg_b
-
-
-def test_registry_create_false_returns_none_for_unknown_sim():
-    assert registry_for(Simulator(), create=False) is None

@@ -109,3 +109,27 @@ def test_run_writes_perfetto_loadable_trace(tmp_path):
     assert any(e["name"] == "vdma.copy" for e in events)
     # Tracing was enabled only for the duration of the run.
     assert not system.tracer.enabled
+
+
+def test_observability_belongs_to_the_simulator():
+    system = VSCCSystem(num_devices=2)
+    assert system.tracer is system.sim.tracer
+    assert system.obs is system.sim.obs
+
+
+def test_trace_json_holds_only_its_own_run(tmp_path):
+    system = VSCCSystem(num_devices=2, scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA)
+    first = system.run(_transfer, ranks=[0, 48], trace_json=tmp_path / "1.json")
+    first_text = first.trace_path.read_text()
+    start_us = system.sim.now / 1000.0
+    second = system.run(_transfer, ranks=[0, 48], trace_json=tmp_path / "2.json")
+    assert first.trace_path.read_text() == first_text
+    body = [
+        e for e in json.loads(second.trace_path.read_text())["traceEvents"]
+        if e["ph"] != "M"
+    ]
+    assert body, "the second run must produce trace events"
+    assert all(e["ts"] >= start_us for e in body)
+    assert len(body) == len(
+        [e for e in json.loads(first_text)["traceEvents"] if e["ph"] != "M"]
+    )
