@@ -53,11 +53,6 @@ class RcceOptions:
     #: Bytes at the top of the MPB payload reserved for gory users
     #: (``RCCE_malloc``); the rest is the send/recv communication buffer.
     user_mpb_bytes: int = 0
-    #: Session-level default for the two-level topology-aware collectives
-    #: (:mod:`repro.rcce.hierarchical`): on-chip binomial trees per
-    #: device, one leader per device crossing PCIe. Per-call
-    #: ``hierarchical=`` overrides this either way.
-    hierarchical_collectives: bool = False
 
 
 class Rcce:
@@ -242,15 +237,9 @@ class Rcce:
 
     # -- collectives -----------------------------------------------------------------------
 
-    def _coll_impl(self, hierarchical: Optional[bool]):
-        """(implementation module, impl label) for one collective call.
-
-        ``hierarchical=None`` falls back to the session-level default
-        (``RcceOptions.hierarchical_collectives``); an explicit bool
-        overrides it per call.
-        """
-        if hierarchical is None:
-            hierarchical = self.options.hierarchical_collectives
+    def _coll_impl(self, hierarchical: bool):
+        """(implementation module, impl label) for one collective call:
+        the tiered :mod:`repro.rcce.hierarchical` walk or the flat trees."""
         if hierarchical:
             from . import hierarchical as impl
 
@@ -286,7 +275,7 @@ class Rcce:
         self,
         group_size: Optional[int] = None,
         members: Optional[list] = None,
-        hierarchical: Optional[bool] = None,
+        hierarchical: bool = False,
     ) -> Generator:
         mod, impl = self._coll_impl(hierarchical)
         yield from self._run_collective(
@@ -300,7 +289,7 @@ class Rcce:
         root: int,
         group_size: Optional[int] = None,
         members: Optional[list] = None,
-        hierarchical: Optional[bool] = None,
+        hierarchical: bool = False,
     ) -> Generator:
         payload = None if data is None else self._as_bytes(data)
         mod, impl = self._coll_impl(hierarchical)
@@ -318,7 +307,7 @@ class Rcce:
         root: int = 0,
         group_size: Optional[int] = None,
         members: Optional[list] = None,
-        hierarchical: Optional[bool] = None,
+        hierarchical: bool = False,
     ) -> Generator:
         mod, impl = self._coll_impl(hierarchical)
         result = yield from self._run_collective(
@@ -334,7 +323,7 @@ class Rcce:
         op=np.add,
         group_size: Optional[int] = None,
         members: Optional[list] = None,
-        hierarchical: Optional[bool] = None,
+        hierarchical: bool = False,
     ) -> Generator:
         mod, impl = self._coll_impl(hierarchical)
         result = yield from self._run_collective(
@@ -350,7 +339,7 @@ class Rcce:
         root: int,
         group_size: Optional[int] = None,
         members: Optional[list] = None,
-        hierarchical: Optional[bool] = None,
+        hierarchical: bool = False,
     ) -> Generator:
         mod, impl = self._coll_impl(hierarchical)
         result = yield from self._run_collective(

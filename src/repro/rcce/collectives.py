@@ -40,27 +40,30 @@ def barrier(
     me, n, ranks = _resolve(comm, group_size, members)
     if n == 1:
         return
-    lsb = me & -me if me else n_pow2(n)
+    parent, children = _tree_edges(me, ranks)
     # Gather phase: collect children, then report to the parent.
-    k = 1
-    while k < lsb:
-        child = me + k
-        if child < n:
-            yield from comm.recv(1, ranks[child])
-        k <<= 1
-    if me:
-        parent = ranks[me - (me & -me)]
+    for child in children:
+        yield from comm.recv(1, child)
+    if parent is not None:
         yield from comm.send(_TOKEN, parent)
         yield from comm.recv(1, parent)
     # Release phase: wake children in reverse order.
-    ks = []
+    for child in reversed(children):
+        yield from comm.send(_TOKEN, child)
+
+
+def _tree_edges(me: int, ranks: list) -> tuple[Optional[int], list]:
+    """``(parent, children)`` of group index ``me`` in the binomial tree
+    over ``ranks`` rooted at index 0: the parent is ``None`` at the root,
+    the children are in ascending subtree order."""
+    lsb = me & -me if me else n_pow2(len(ranks))
+    children = []
     k = 1
-    while k < lsb:
-        if me + k < n:
-            ks.append(k)
+    while k < lsb and me + k < len(ranks):
+        children.append(ranks[me + k])
         k <<= 1
-    for k in reversed(ks):
-        yield from comm.send(_TOKEN, ranks[me + k])
+    parent = ranks[me - (me & -me)] if me else None
+    return parent, children
 
 
 def n_pow2(n: int) -> int:
@@ -107,13 +110,6 @@ def _resolve(comm: "Rcce", group_size: Optional[int], members) -> tuple[int, int
     if comm.rank >= n:
         raise ValueError(f"rank {comm.rank} outside the collective group of {n}")
     return comm.rank, n, list(range(n))
-
-
-def _group(comm: "Rcce", group_size: Optional[int]) -> int:
-    n = group_size or comm.num_ranks
-    if comm.rank >= n:
-        raise ValueError(f"rank {comm.rank} outside the collective group of {n}")
-    return n
 
 
 def reduction_dtype(values) -> np.dtype:
@@ -247,6 +243,8 @@ def gather(
     result collection, never on the critical path.
     """
     me, n, ranks = _resolve(comm, group_size, members)
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} out of range")
     payload = comm._as_bytes(value)
     if me == root:
         parts = [None] * n

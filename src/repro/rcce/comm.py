@@ -67,15 +67,14 @@ class Communicator:
     # -- collectives -------------------------------------------------------------
     #
     # Routed through the parent ``Rcce`` methods, so group collectives
-    # pick up the session's hierarchical default, the per-call
-    # ``hierarchical=`` override, and the ``coll.*`` instrumentation
-    # exactly like whole-session collectives.
+    # take the same per-call ``hierarchical=`` choice and the same
+    # ``coll.*`` instrumentation as whole-session collectives.
 
-    def barrier(self, hierarchical: Optional[bool] = None) -> Generator:
+    def barrier(self, hierarchical: bool = False) -> Generator:
         yield from self.comm.barrier(members=self.members, hierarchical=hierarchical)
 
     def bcast(
-        self, data, nbytes: int, root: int, hierarchical: Optional[bool] = None
+        self, data, nbytes: int, root: int, hierarchical: bool = False
     ) -> Generator:
         result = yield from self.comm.bcast(
             data, nbytes, root, members=self.members, hierarchical=hierarchical
@@ -87,7 +86,7 @@ class Communicator:
         values: np.ndarray,
         op=np.add,
         root: int = 0,
-        hierarchical: Optional[bool] = None,
+        hierarchical: bool = False,
     ) -> Generator:
         result = yield from self.comm.reduce(
             values, op, root, members=self.members, hierarchical=hierarchical
@@ -95,7 +94,7 @@ class Communicator:
         return result
 
     def allreduce(
-        self, values: np.ndarray, op=np.add, hierarchical: Optional[bool] = None
+        self, values: np.ndarray, op=np.add, hierarchical: bool = False
     ) -> Generator:
         result = yield from self.comm.allreduce(
             values, op, members=self.members, hierarchical=hierarchical
@@ -103,7 +102,7 @@ class Communicator:
         return result
 
     def gather(
-        self, value, root: int, hierarchical: Optional[bool] = None
+        self, value, root: int, hierarchical: bool = False
     ) -> Generator:
         result = yield from self.comm.gather(
             value, root, members=self.members, hierarchical=hierarchical

@@ -1,4 +1,4 @@
-"""Topology-aware hierarchical collectives: on-chip trees, leader hops off-chip.
+"""Topology-aware hierarchical collectives: one walk up and down the tiers.
 
 The paper's locality lesson (§3, Fig 6b) is brutal for flat collectives:
 a PCIe hop costs ~10⁴ core cycles — roughly 120× an on-chip mesh hop —
@@ -6,43 +6,42 @@ and every device funnels all of its z-traffic through one SIF. A flat
 binomial tree picks its edges by rank arithmetic alone, so a 240-rank
 ``allreduce`` scatters dozens of tree edges across the five physical
 links. The standard answer on non-coherent clustered hardware (BDDT-SCC,
-the DNP's two interconnect tiers) is a *two-level* collective:
+the DNP's two interconnect tiers) is to run each collective tier by
+tier, so only one leader per tier crosses the slower link above it.
 
-1. **intra-device phase** — an on-chip binomial tree per device, over
-   the MPBs, exactly as cheap as a single-device collective;
-2. **leader election** — one deterministic leader rank per device (the
-   group's first member on that device; for rooted operations the root
-   itself leads its device), derived from
-   :meth:`repro.vscc.topology.VsccTopology.device_groups` without any
-   communication;
-3. **inter-device phase** — a binomial tree *over the leaders only*, so
-   each collective crosses PCIe O(num_devices) times instead of
-   O(n log n / num_devices) scattered edges.
+:class:`GroupPlan` derives the tiers with no communication:
 
-On a multi-host fabric the same recursion adds a third level: the device
-leaders of each host elect a **host leader**, the leader phase splits
-into an intra-host tree (PCIe only) plus a host-leader tree, and only
-the host leaders' messages cross the inter-host tier — O(num_hosts)
-crossings of the slowest links instead of O(num_devices). Single-host
-plans skip the extra level entirely and execute the historic two-level
-code path bit for bit.
+* **device tier** — the group's members on one device, led by the
+  first of them (for rooted operations the root leads its own device);
+* **host tier** (multi-host fabrics only) — the device leaders on one
+  host, led by the first of them (or by the root);
+* **top group** — the device leaders on a single host, the host
+  leaders on a fabric.
 
-The leader phase sends through the ordinary per-message transport
-selection, so it composes with the :class:`repro.vscc.policy.SchemePolicy`
-layer: bulk reduce payloads ride the vDMA engine while one-byte barrier
-tokens drop below the direct-transfer threshold and ride the flag
-fast-path (§3.3).
+Each rank's :meth:`GroupPlan.tiers` is the chain of ``(subgroup,
+leader)`` tiers it takes part in, plus the top group if it leads every
+one of them. Every collective is the same walk over that chain: flat
+primitives (:mod:`repro.rcce.collectives`) up the chain, one flat call
+over the top group, then back down. On-chip tiers run binomial trees
+over the MPBs; PCIe is crossed O(num_devices) times instead of
+O(n log n / num_devices) scattered edges, and the inter-host tier
+O(num_hosts) times. A single host simply has a shorter chain.
+
+Off-chip messages go through the ordinary per-message transport
+selection, so the walk composes with the
+:class:`repro.vscc.policy.SchemePolicy` layer: bulk reduce payloads ride
+the vDMA engine while one-byte barrier tokens drop below the
+direct-transfer threshold and ride the flag fast-path (§3.3).
 
 All functions mirror :mod:`repro.rcce.collectives` — same signatures,
 same ``group_size``/``members`` semantics, same blocking-generator
 calling convention — and are surfaced as
-``Rcce.barrier(..., hierarchical=True)`` (and friends) plus the
-session-level ``RcceOptions(hierarchical_collectives=True)`` default.
+``Rcce.barrier(..., hierarchical=True)`` (and friends).
 
-Reduction order: the intra-device phase combines in the flat binomial
-order of each subgroup, then leaders combine in leader order — a
-*different* (documented, deterministic) floating-point order than the
-flat tree. Integer reductions are exact either way.
+Reduction order: each tier combines in the flat binomial order of its
+subgroup, bottom tier first — a *different* (documented, deterministic)
+floating-point order than the flat tree. Integer reductions are exact
+either way.
 """
 
 from __future__ import annotations
@@ -51,12 +50,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
 
-from .collectives import (
-    _TOKEN,
-    _resolve,
-    n_pow2,
-    reduction_dtype,
-)
+from .collectives import _TOKEN, _resolve, _tree_edges, reduction_dtype
 from . import collectives as _flat
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -83,12 +77,11 @@ class GroupPlan:
     ``members=`` permutations of non-leader ranks.
 
     On a multi-host fabric (``topology.num_hosts() > 1``) the plan adds a
-    third level: the device leaders of each host elect a *host leader*
+    host tier: the device leaders of each host elect a *host leader*
     (the host's first device leader; for rooted operations the root
-    leads its own host), and the leader phase decomposes into an
-    intra-host phase over PCIe plus a host-leader phase over the
-    inter-host tier. On a single host ``host_leaders`` is ``None`` and
-    every code path below is exactly the two-level one.
+    leads its own host). On a single host ``host_groups`` and
+    ``host_leaders`` are ``None`` and :meth:`tiers` gives a one-tier
+    chain; the collectives never look at the difference.
     """
 
     __slots__ = (
@@ -132,19 +125,40 @@ class GroupPlan:
         return self.ranks[self.me] == self.my_leader
 
     @property
-    def is_host_leader(self) -> bool:
-        return (
-            self.host_leaders is not None
-            and self.ranks[self.me] == self.my_host_leader
-        )
-
-    @property
     def num_devices(self) -> int:
         return len(self.groups)
 
-    @property
-    def num_hosts(self) -> int:
-        return 1 if self.host_groups is None else len(self.host_groups)
+    def tiers(self) -> tuple[list, Optional[list]]:
+        """``(chain, top)``: this rank's walk through the decomposition.
+
+        ``chain`` lists the ``(subgroup, leader)`` tiers the rank takes
+        part in, bottom up: its device subgroup, then — on a multi-host
+        fabric, and only if it leads its device — its host's device
+        leaders. ``top`` is the group above the chain (the device
+        leaders on one host, the host leaders on a fabric) when the rank
+        leads every tier of its chain, else ``None``.
+        """
+        me = self.ranks[self.me]
+        chain = [(self.sub, self.my_leader)]
+        top = self.leaders
+        if self.host_leaders is not None:
+            if me == self.my_leader:
+                chain.append((self.host_sub, self.my_host_leader))
+            top = self.host_leaders
+        return chain, (top if chain[-1][1] == me else None)
+
+    def under(self, rank: int, level: int) -> list:
+        """The group ranks ``rank`` speaks for as a member of a tier at
+        ``level`` (0 = device subgroup, 1 = the device leaders above it,
+        2 = the host leaders), in the order a tiered gather packs them."""
+        if level == 0:
+            return [rank]
+        if level == 1:
+            groups, leaders = self.groups, self.leaders
+        else:
+            groups, leaders = self.host_groups, self.host_leaders
+        sub = list(groups.values())[leaders.index(rank)]
+        return [r for member in sub for r in self.under(member, level - 1)]
 
 
 def _plan_shape(topo, ranks: list, root: Optional[int]) -> tuple:
@@ -179,128 +193,20 @@ def _plan_shape(topo, ranks: list, root: Optional[int]) -> tuple:
     return groups, leaders, host_groups, host_leaders
 
 
-# -- leader-phase helpers --------------------------------------------------
-#
-# Each helper runs the leader phase of one collective. With
-# ``plan.host_leaders is None`` (single host) it executes exactly the
-# historic flat call over ``plan.leaders``; otherwise it decomposes into
-# an intra-host phase (device leaders → host leader, PCIe only) and a
-# host-leader phase (inter-host tier), so bulk payloads cross the
-# inter-host links O(num_hosts) times instead of O(num_devices).
+def _token_edges(level: int, tier: list, leader: int, me: int) -> tuple:
+    """``(parent, children, wake order)`` of ``me`` in one barrier tier.
 
-
-def _leader_barrier(comm: "Rcce", plan: GroupPlan) -> Generator:
-    if plan.host_leaders is None:
-        yield from _flat.barrier(comm, members=plan.leaders)
-        return
-    me = plan.ranks[plan.me]
-    if me != plan.my_host_leader:
-        yield from comm.send(_TOKEN, plan.my_host_leader)
-        yield from comm.recv(1, plan.my_host_leader)
-        return
-    for peer in plan.host_sub:
-        if peer != me:
-            yield from comm.recv(1, peer)
-    if len(plan.host_leaders) > 1:
-        yield from _flat.barrier(comm, members=plan.host_leaders)
-    for peer in plan.host_sub:
-        if peer != me:
-            yield from comm.send(_TOKEN, peer)
-
-
-def _leader_bcast(
-    comm: "Rcce", plan: GroupPlan, payload, nbytes: int, root_rank: int
-) -> Generator:
-    if plan.host_leaders is None:
-        return (
-            yield from _flat.bcast(
-                comm,
-                payload,
-                nbytes,
-                root=plan.leaders.index(root_rank),
-                members=plan.leaders,
-            )
-        )
-    me = plan.ranks[plan.me]
-    # The root leads its host, so the host-leader tree is rooted at it.
-    if me in plan.host_leaders and len(plan.host_leaders) > 1:
-        payload = yield from _flat.bcast(
-            comm,
-            payload,
-            nbytes,
-            root=plan.host_leaders.index(root_rank),
-            members=plan.host_leaders,
-        )
-    if len(plan.host_sub) > 1:
-        payload = yield from _flat.bcast(
-            comm,
-            payload,
-            nbytes,
-            root=plan.host_sub.index(plan.my_host_leader),
-            members=plan.host_sub,
-        )
-    return payload
-
-
-def _leader_reduce(
-    comm: "Rcce", plan: GroupPlan, acc, op, root_rank: int
-) -> Generator:
-    if plan.host_leaders is None:
-        return (
-            yield from _flat.reduce(
-                comm,
-                acc,
-                op,
-                root=plan.leaders.index(root_rank),
-                members=plan.leaders,
-            )
-        )
-    me = plan.ranks[plan.me]
-    if len(plan.host_sub) > 1:
-        acc = yield from _flat.reduce(
-            comm,
-            acc,
-            op,
-            root=plan.host_sub.index(plan.my_host_leader),
-            members=plan.host_sub,
-        )
-    if me == plan.my_host_leader and len(plan.host_leaders) > 1:
-        acc = yield from _flat.reduce(
-            comm,
-            acc,
-            op,
-            root=plan.host_leaders.index(root_rank),
-            members=plan.host_leaders,
-        )
-    return acc
-
-
-def _leader_allreduce(comm: "Rcce", plan: GroupPlan, acc, op) -> Generator:
-    if plan.host_leaders is None:
-        return (yield from _flat.allreduce(comm, acc, op, members=plan.leaders))
-    dtype = reduction_dtype(acc)
-    nbytes = np.asarray(acc, dtype=dtype).nbytes
-    me = plan.ranks[plan.me]
-    if len(plan.host_sub) > 1:
-        acc = yield from _flat.reduce(
-            comm,
-            acc,
-            op,
-            root=plan.host_sub.index(plan.my_host_leader),
-            members=plan.host_sub,
-        )
-    if me == plan.my_host_leader and len(plan.host_leaders) > 1:
-        acc = yield from _flat.allreduce(comm, acc, op, members=plan.host_leaders)
-    if len(plan.host_sub) > 1:
-        raw = yield from _flat.bcast(
-            comm,
-            None if acc is None else comm._as_bytes(acc),
-            nbytes,
-            root=plan.host_sub.index(plan.my_host_leader),
-            members=plan.host_sub,
-        )
-        acc = np.asarray(raw, np.uint8).view(dtype).copy()
-    return acc
+    The on-chip tier is the binomial token tree, released in reverse;
+    each tier above it is a linear fan around its leader, released in
+    member order.
+    """
+    if level == 0:
+        parent, children = _tree_edges(tier.index(me), tier)
+        return parent, children, children[::-1]
+    if me != leader:
+        return leader, [], []
+    peers = [rank for rank in tier if rank != me]
+    return None, peers, peers
 
 
 def barrier(
@@ -308,43 +214,30 @@ def barrier(
     group_size: Optional[int] = None,
     members: Optional[list] = None,
 ) -> Generator:
-    """Two-level barrier: on-chip token trees, leader barrier off-chip.
+    """Tiered barrier: tokens climb the chain, the top group synchronizes,
+    releases come back down.
 
-    Non-leaders report up their device's binomial tree and block on the
-    release; leaders synchronize leader-to-leader (2·(num_devices−1)
-    PCIe crossings in total, each a one-byte token on the direct
-    fast-path) and then release their device.
+    Off chip only the leaders exchange tokens: 2·(num_devices−1) PCIe
+    crossings on one host, each a one-byte token on the direct
+    fast-path.
     """
     plan = GroupPlan(comm, group_size, members)
-    if plan.n == 1:
-        return
-    sub = plan.sub
-    pos = sub.index(plan.ranks[plan.me])
-    size = len(sub)
-    # Gather phase: collect my on-chip children, then report up.
-    lsb = pos & -pos if pos else n_pow2(size)
-    k = 1
-    while k < lsb:
-        if pos + k < size:
-            yield from comm.recv(1, sub[pos + k])
-        k <<= 1
-    if pos:
-        parent = sub[pos - (pos & -pos)]
-        yield from comm.send(_TOKEN, parent)
-        yield from comm.recv(1, parent)
-    elif plan.num_devices > 1:
-        # Device quiet; synchronize the leaders across PCIe (and, on a
-        # multi-host fabric, the host leaders across the inter-host tier).
-        yield from _leader_barrier(comm, plan)
-    # Release phase: wake on-chip children in reverse order.
-    ks = []
-    k = 1
-    while k < lsb:
-        if pos + k < size:
-            ks.append(k)
-        k <<= 1
-    for k in reversed(ks):
-        yield from comm.send(_TOKEN, sub[pos + k])
+    chain, top = plan.tiers()
+    me = plan.ranks[plan.me]
+    wake = []
+    for level, (tier, leader) in enumerate(chain):
+        parent, children, release = _token_edges(level, tier, leader, me)
+        for child in children:
+            yield from comm.recv(1, child)
+        if parent is not None:
+            yield from comm.send(_TOKEN, parent)
+            yield from comm.recv(1, parent)
+        wake.append(release)
+    if top is not None:
+        yield from _flat.barrier(comm, members=top)
+    for release in reversed(wake):
+        for child in release:
+            yield from comm.send(_TOKEN, child)
 
 
 def bcast(
@@ -355,34 +248,34 @@ def bcast(
     group_size: Optional[int] = None,
     members: Optional[list] = None,
 ) -> Generator:
-    """Two-level broadcast: leader tree off-chip, then on-chip fan-out.
+    """Tiered broadcast: the top group first, then down the chain.
 
-    The root leads its own device, so the payload crosses PCIe exactly
-    ``num_devices - 1`` times (one leader-tree edge per remote device)
-    before the on-chip trees distribute it.
+    The root leads every tier it belongs to, so the payload crosses
+    PCIe exactly ``num_devices - 1`` times before the on-chip trees
+    distribute it.
     """
     plan = GroupPlan(comm, group_size, members, root=root)
-    if plan.me == root:
-        if data is None or len(data) != nbytes:
-            raise ValueError("root must supply exactly nbytes of data")
-        payload = data
-    else:
-        payload = None
-    if plan.n == 1:
-        return payload
-    if plan.is_leader and plan.num_devices > 1:
-        payload = yield from _leader_bcast(
-            comm, plan, payload, nbytes, plan.ranks[root]
-        )
-    if len(plan.sub) > 1:
+    # The root's top-group call checks its data before anything moves.
+    payload = data if plan.me == root else None
+    chain, top = plan.tiers()
+    if top is not None:
         payload = yield from _flat.bcast(
-            comm,
-            payload,
-            nbytes,
-            root=plan.sub.index(plan.my_leader),
-            members=plan.sub,
+            comm, payload, nbytes, top.index(plan.ranks[root]), members=top
+        )
+    for tier, leader in reversed(chain):
+        payload = yield from _flat.bcast(
+            comm, payload, nbytes, tier.index(leader), members=tier
         )
     return payload
+
+
+def _reduce_up(comm: "Rcce", chain: list, acc, op) -> Generator:
+    """Fold ``acc`` up the chain; ``None`` once this rank hands it on."""
+    for tier, leader in chain:
+        acc = yield from _flat.reduce(
+            comm, acc, op, tier.index(leader), members=tier
+        )
+    return acc
 
 
 def reduce(
@@ -393,24 +286,21 @@ def reduce(
     group_size: Optional[int] = None,
     members: Optional[list] = None,
 ) -> Generator:
-    """Two-level reduction: on-chip trees first, leader tree second.
+    """Tiered reduction: up the chain, then a flat reduce over the top.
 
     Each device folds its contributions on chip; only the per-device
     partials — ``num_devices - 1`` messages — cross PCIe. Returns the
     reduced vector at ``root`` and ``None`` elsewhere, like the flat
-    version; the combination order (intra-device binomial, then leader
-    order) is deterministic but differs from the flat tree's.
+    version; the combination order (tier by tier) is deterministic but
+    differs from the flat tree's.
     """
     plan = GroupPlan(comm, group_size, members, root=root)
-    acc = yield from _flat.reduce(
-        comm,
-        values,
-        op,
-        root=plan.sub.index(plan.my_leader),
-        members=plan.sub,
-    )
-    if plan.is_leader and plan.num_devices > 1:
-        acc = yield from _leader_reduce(comm, plan, acc, op, plan.ranks[root])
+    chain, top = plan.tiers()
+    acc = yield from _reduce_up(comm, chain, values, op)
+    if top is not None:
+        acc = yield from _flat.reduce(
+            comm, acc, op, top.index(plan.ranks[root]), members=top
+        )
     return acc if plan.me == root else None
 
 
@@ -421,35 +311,31 @@ def allreduce(
     group_size: Optional[int] = None,
     members: Optional[list] = None,
 ) -> Generator:
-    """Two-level allreduce: reduce to leaders, leader allreduce, fan-out.
+    """Tiered allreduce: reduce up the chain, flat allreduce over the
+    top group, broadcast back down.
 
-    The bulk payload crosses PCIe ``2·(num_devices - 1)`` times (up the
-    leader tree, back down) — under a :class:`~repro.vscc.policy.
-    ThresholdPolicy` those are exactly the messages that ride vDMA when
-    they outgrow the communication buffer.
+    The bulk payload crosses PCIe ``2·(num_devices - 1)`` times on one
+    host (up the leader tree, back down) — under a
+    :class:`~repro.vscc.policy.ThresholdPolicy` those are exactly the
+    messages that ride vDMA when they outgrow the communication buffer.
     """
     plan = GroupPlan(comm, group_size, members, root=0)
     dtype = reduction_dtype(values)
-    acc = yield from _flat.reduce(
-        comm,
-        values,
-        op,
-        root=plan.sub.index(plan.my_leader),
-        members=plan.sub,
-    )
-    if plan.is_leader and plan.num_devices > 1:
-        acc = yield from _leader_allreduce(comm, plan, acc, op)
-    if len(plan.sub) > 1:
-        nbytes = np.asarray(values, dtype=dtype).nbytes
+    nbytes = np.asarray(values, dtype=dtype).nbytes
+    chain, top = plan.tiers()
+    acc = yield from _reduce_up(comm, chain, values, op)
+    if top is not None:
+        acc = yield from _flat.allreduce(comm, acc, op, members=top)
+    for tier, leader in reversed(chain):
         raw = yield from _flat.bcast(
             comm,
             None if acc is None else comm._as_bytes(acc),
             nbytes,
-            root=plan.sub.index(plan.my_leader),
-            members=plan.sub,
+            tier.index(leader),
+            members=tier,
         )
         acc = np.asarray(raw, np.uint8).view(dtype).copy()
-    return np.array(acc, dtype=dtype, copy=True)
+    return acc
 
 
 def gather(
@@ -459,90 +345,36 @@ def gather(
     group_size: Optional[int] = None,
     members: Optional[list] = None,
 ) -> Generator:
-    """Two-level gather of equal-size contributions to ``root``.
+    """Tiered gather of equal-size contributions to ``root``.
 
-    Each device gathers on chip to its leader, which forwards its
-    device's contributions as *one* concatenated message — so the link
-    carries ``num_devices - 1`` large messages instead of one per remote
-    rank. On a multi-host fabric the device blobs additionally funnel
-    through their host leader, so each *inter-host* link carries one
-    combined message per remote host. The root returns the parts in
-    group order, like the flat version.
+    Every leader collects its tier's blobs in member order and forwards
+    them as *one* concatenated message to the next tier — so each PCIe
+    link carries one message per remote device, and each inter-host
+    link one per remote host. The root returns the parts in group
+    order, like the flat version.
     """
     plan = GroupPlan(comm, group_size, members, root=root)
-    payload = comm._as_bytes(value)
-    part_bytes = len(payload)
-    parts = yield from _flat.gather(
-        comm,
-        value,
-        root=plan.sub.index(plan.my_leader),
-        members=plan.sub,
-    )
+    chain, top = plan.tiers()
     me = plan.ranks[plan.me]
-    if plan.me == root:
-        index_of = {rank: i for i, rank in enumerate(plan.ranks)}
-        out: list = [None] * plan.n
-        for i, rank in enumerate(plan.sub):
-            out[index_of[rank]] = parts[i]
-
-        def place(sub: list, blob) -> None:
-            blob = np.asarray(blob, np.uint8)
-            for i, rank in enumerate(sub):
-                out[index_of[rank]] = blob[i * part_bytes : (i + 1) * part_bytes]
-
-        if plan.host_leaders is None:
-            for device, sub in plan.groups.items():
-                leader = plan.leaders[list(plan.groups).index(device)]
-                if leader == me:
-                    continue
-                blob = yield from comm.recv(part_bytes * len(sub), leader)
-                place(sub, blob)
-        else:
-            topo = comm.topology
-            # My own host's device leaders report their device blob
-            # directly (the root leads its host).
-            for leader in plan.host_sub:
-                if leader == me:
-                    continue
-                dsub = plan.groups[topo.device_of(leader)]
-                blob = yield from comm.recv(part_bytes * len(dsub), leader)
-                place(dsub, blob)
-            # Each remote host leader forwards one combined blob, its
-            # host's device blobs concatenated in leader order.
-            for h_index, lsub in enumerate(plan.host_groups.values()):
-                hleader = plan.host_leaders[h_index]
-                if hleader == me:
-                    continue
-                subs = [plan.groups[topo.device_of(l)] for l in lsub]
-                total = part_bytes * sum(len(s) for s in subs)
-                blob = yield from comm.recv(total, hleader)
-                blob = np.asarray(blob, np.uint8)
-                off = 0
-                for s in subs:
-                    size = part_bytes * len(s)
-                    place(s, blob[off : off + size])
-                    off += size
-        return out
-    if plan.is_leader:
-        blob = np.concatenate([np.asarray(p, np.uint8) for p in parts])
-        if plan.is_host_leader:
-            # Host leader (≠ root): bundle my host's device blobs into
-            # one inter-host message toward the root.
-            topo = comm.topology
-            pieces = []
-            for leader in plan.host_sub:
-                if leader == me:
-                    pieces.append(blob)
-                else:
-                    dsub = plan.groups[topo.device_of(leader)]
-                    part = yield from comm.recv(part_bytes * len(dsub), leader)
-                    pieces.append(np.asarray(part, np.uint8))
-            yield from comm.send(np.concatenate(pieces), plan.ranks[root])
-        else:
-            target = (
-                plan.ranks[root]
-                if plan.host_leaders is None
-                else plan.my_host_leader
-            )
-            yield from comm.send(blob, target)
-    return None
+    blob = comm._as_bytes(value)
+    part_bytes = len(blob)
+    for level, (tier, leader) in enumerate([*chain, (top, plan.ranks[root])]):
+        if me != leader:
+            yield from comm.send(blob, leader)
+            return None
+        pieces = []
+        for rank in tier:
+            if rank == me:
+                pieces.append(blob)
+                continue
+            size = part_bytes * len(plan.under(rank, level))
+            piece = yield from comm.recv(size, rank)
+            pieces.append(np.asarray(piece, np.uint8))
+        blob = np.concatenate(pieces)
+    # The root: ``blob`` holds every part, top member by top member.
+    index_of = {rank: i for i, rank in enumerate(plan.ranks)}
+    out: list = [None] * plan.n
+    order = [r for rank in top for r in plan.under(rank, len(chain))]
+    for i, rank in enumerate(order):
+        out[index_of[rank]] = blob[i * part_bytes : (i + 1) * part_bytes]
+    return out

@@ -385,7 +385,6 @@ def fabric_multihost() -> dict:
     the fabric routing, the host-affinity policy or the third collective
     level fails the gate loudly.
     """
-    from repro.rcce.api import RcceOptions
     from repro.vscc.schemes import CommScheme
     from repro.vscc.system import VSCCSystem
 
@@ -393,11 +392,12 @@ def fabric_multihost() -> dict:
         num_hosts=2,
         devices_per_host=2,
         scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA,
-        options=RcceOptions(hierarchical_collectives=True),
     )
     nranks = system.num_ranks
     phases = {}
-    system.run(lambda comm: _collective_phases(comm, nranks, phases))
+    system.run(
+        lambda comm: _collective_phases(comm, nranks, phases, hierarchical=True)
+    )
     metrics = system.metrics
     interhost_bytes = sum(
         v for k, v in metrics.items() if k.startswith("interhost.bytes")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, LinkFaults
-from repro.rcce.api import RcceOptions
 from repro.vscc.policy import StaticPolicy
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
@@ -17,14 +16,15 @@ def test_two_host_allreduce_end_to_end():
     correct and really rides the inter-host tier."""
     system = VSCCSystem(
         num_hosts=2, devices_per_host=2, scheme=VDMA,
-        options=RcceOptions(hierarchical_collectives=True),
     )
     n = system.num_ranks
     assert n == 192
     got = {}
 
     def program(comm):
-        acc = yield from comm.allreduce(np.full(8, float(comm.rank)), np.add)
+        acc = yield from comm.allreduce(
+            np.full(8, float(comm.rank)), np.add, hierarchical=True
+        )
         if comm.rank in (0, 95, 96, 191):
             got[comm.rank] = acc.copy()
 

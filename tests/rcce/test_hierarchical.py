@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.rcce.api import RcceOptions
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
@@ -408,38 +407,21 @@ def test_coll_trace_spans(system, tmp_path):
     assert all(e["dur"] > 0 for e in spans)
 
 
-def test_session_level_default():
-    """RcceOptions(hierarchical_collectives=True) flips the default;
-    per-call hierarchical=False still overrides it."""
-    from repro.rcce import collectives, hierarchical
-    from repro.rcce.api import Rcce
-
-    system = VSCCSystem(
-        num_devices=2,
-        scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA,
-        options=RcceOptions(hierarchical_collectives=True),
-    )
-    comm = system.comm_for(0)
-    assert comm._coll_impl(None)[0] is hierarchical
-    assert comm._coll_impl(False)[0] is collectives
-    assert comm._coll_impl(True)[0] is hierarchical
-
-    got = {}
-
-    def program(c):
-        out = yield from c.allreduce(np.arange(3.0), np.add, members=[0, 48])
-        got[c.rank] = out
-
-    system.run(program, ranks=[0, 48])
-    assert (got[0] == got[48]).all()
-    assert (got[0] == np.arange(3.0) * 2).all()
-
-
 def test_root_validation(system):
+    """bcast and gather reject an out-of-range root on the calling rank,
+    flat or hierarchical, before any message moves."""
     from repro.sim.errors import ProcessFailed
 
-    def program(comm):
-        yield from comm.bcast(b"x", 1, 5, members=[0, 50], hierarchical=True)
+    for op in ("bcast", "gather"):
+        for hier in (False, True):
+            for root in (5, -1):
 
-    with pytest.raises(ProcessFailed, match="root 5 out of range"):
-        system.run(program, ranks=[0])
+                def program(comm):
+                    kw = dict(members=[0, 50], hierarchical=hier)
+                    if op == "bcast":
+                        yield from comm.bcast(b"x", 1, root, **kw)
+                    else:
+                        yield from comm.gather(b"x", root, **kw)
+
+                with pytest.raises(ProcessFailed, match=f"root {root} out of range"):
+                    system.run(program, ranks=[0])
