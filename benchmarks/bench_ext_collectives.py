@@ -22,7 +22,7 @@ one host leader per host — O(num_hosts) crossings of the slowest tier.
 from repro.bench import format_table
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
-from repro.vscc.topology import VsccTopology
+from repro.vscc.topology import FabricTopology
 
 from conftest import record
 
@@ -117,7 +117,7 @@ def _fabric_ablation_cost(num_hosts: int, num_devices: int = 4):
         if impl == "two":
             # Collapse the host tier in the collective *plan* only:
             # traffic still rides the real inter-host links.
-            system.topology = VsccTopology(system.layout, system.params)
+            system.topology = FabricTopology(system.layout, system.params)
         hier = impl != "flat"
         nranks = system.num_ranks
         times = {}

@@ -30,7 +30,7 @@ from .host import Host, HostParams, PCIeParams
 from .rcce import RankLayout, Rcce, RcceOptions, SccConfigFile
 from .scc import CACHE_LINE, MpbAddr, SCCDevice, SCCParams
 from .sim import Simulator
-from .vscc import CommScheme, RunResult, VSCCSystem, VsccTopology
+from .vscc import CommScheme, RunResult, VSCCSystem
 
 __version__ = "1.2.0"
 
@@ -50,6 +50,5 @@ __all__ = [
     "SccConfigFile",
     "Simulator",
     "VSCCSystem",
-    "VsccTopology",
     "__version__",
 ]

@@ -100,7 +100,7 @@ def cg_reference(
     """Serial CG with the distributed run's exact reduction order.
 
     ``groups`` replays a hierarchical run: the per-device partition of
-    the rank list (``VsccTopology.device_groups`` values, as rank
+    the rank list (``FabricTopology.device_groups`` values, as rank
     indices) the two-level allreduce folded over. Left ``None``, the
     flat binomial order is replayed.
 

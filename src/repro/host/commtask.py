@@ -277,6 +277,26 @@ class CommunicationTask:
 
             raise DeviceQuarantined(self.device_id, target_device)
 
+    def _post_through_host(self, target_device: int, nbytes: int, commit) -> None:
+        """Posted delivery of ``nbytes`` through the host to another device.
+
+        Up this device's cable, then :meth:`Host.route_down
+        <repro.host.driver.Host.route_down>` toward ``target_device``
+        with the host's service charged on the final cable hop;
+        ``commit`` runs when the bytes reach the target.
+        """
+        host = self.host
+
+        def forward() -> None:
+            host.route_down(
+                target_device,
+                nbytes,
+                on_arrival=commit,
+                extra_overhead_ns=host.params.service_ns,
+            )
+
+        self.cable.up.post(nbytes, on_arrival=forward)
+
     def _line_rtt_ns(self, target_device: int, read: bool) -> float:
         """End-to-end round trip for one transparently routed line.
 
@@ -445,16 +465,11 @@ class CommunicationTask:
                     )
                 else:
                     dst_dev = host.device_of(addr.device)
-
-                    def forward(c=chunk, o=offset) -> None:
-                        host.route_down(
-                            addr.device,
-                            len(c) + REQUEST_BYTES,
-                            on_arrival=lambda: dst_dev.mpb.write(addr + o, c),
-                            extra_overhead_ns=host.params.service_ns,
-                        )
-
-                    cable.up.post(nbytes + REQUEST_BYTES, on_arrival=forward)
+                    self._post_through_host(
+                        addr.device,
+                        nbytes + REQUEST_BYTES,
+                        lambda c=chunk, o=offset: dst_dev.mpb.write(addr + o, c),
+                    )
                 offset += nbytes
                 left -= batch
         finally:
@@ -485,16 +500,11 @@ class CommunicationTask:
                 lines * cable.params.fpga_ack_ns,
             )
             dst_dev = host.device_of(addr.device)
-
-            def forward() -> None:
-                host.route_down(
-                    addr.device,
-                    length + REQUEST_BYTES,
-                    on_arrival=lambda: dst_dev.mpb.write(addr, payload),
-                    extra_overhead_ns=host.params.service_ns,
-                )
-
-            cable.up.post(length + REQUEST_BYTES, on_arrival=forward)
+            self._post_through_host(
+                addr.device,
+                length + REQUEST_BYTES,
+                lambda: dst_dev.mpb.write(addr, payload),
+            )
         finally:
             self.sched.complete(self.sched.bulk)
 
@@ -545,25 +555,12 @@ class CommunicationTask:
             sched.complete(lane)
             dispatcher.receive(src_device, batch)
 
-        if host is home:
-            cable.up.post(
-                nbytes, on_arrival=deliver,
-                extra_overhead_ns=host.params.service_ns,
-            )
-        else:
-            link = host.cluster.link(host.host_id, home.host_id)
-            owner = home if dispatcher.policy.cross_host_affinity == "dst" else host
-
-            def hop() -> None:
-                link.link.post(
-                    nbytes, on_arrival=deliver,
-                    extra_overhead_ns=owner.params.service_ns,
-                )
-
-            cable.up.post(
-                nbytes, on_arrival=hop,
-                extra_overhead_ns=host.params.service_ns,
-            )
+        owner = dispatcher.policy.cross_host_affinity
+        cable.up.post(
+            nbytes,
+            on_arrival=lambda: host.forward(home, nbytes, deliver, owner),
+            extra_overhead_ns=host.params.service_ns,
+        )
 
     def issue_wcb_open(self, env: "CoreEnv", target: MpbAddr, nbytes: int) -> Generator:
         """Sender-side announce: reserve the stream, then write the MSG regs.
@@ -576,10 +573,16 @@ class CommunicationTask:
         """
         # Every announce starts a fresh stream object so bytes of the
         # previous chunk that are still in flight keep their identity.
+        # The stream flushes through the target device's own DMA engine;
+        # a target on another host is reached from this one over the
+        # inter-host tier.
+        host = self.host
+        dst_host = host.host_for(target.device)
         combiner = HostWriteCombiner(
             self.sim,
-            self.host.push_engine_for(target.device),
-            self.host.params.granule,
+            dst_host.dmas[target.device],
+            host.params.granule,
+            via=None if dst_host is host else host,
         )
         old = self._combiners.get(env.core_id)
         if old is not None:
@@ -647,16 +650,11 @@ class CommunicationTask:
                 cable.params.fpga_ack_ns,
             )
             dst_dev = host.device_of(addr.device)
-
-            def forward() -> None:
-                host.route_down(
-                    addr.device,
-                    REQUEST_BYTES,
-                    on_arrival=lambda: dst_dev.mpb.write_byte(addr, value),
-                    extra_overhead_ns=host.params.service_ns,
-                )
-
-            cable.up.post(REQUEST_BYTES, on_arrival=forward)
+            self._post_through_host(
+                addr.device,
+                REQUEST_BYTES,
+                lambda: dst_dev.mpb.write_byte(addr, value),
+            )
         finally:
             self.sched.complete(self.sched.sync)
 

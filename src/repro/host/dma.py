@@ -10,7 +10,8 @@ the higher layers (software cache, host WCB, vDMA) pipeline.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 import numpy as np
 
@@ -18,10 +19,31 @@ from repro.scc.mpb import MpbAddr
 
 from .pcie import PCIeCable
 
-__all__ = ["DMAEngine"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .driver import Host
+
+__all__ = ["DMAEngine", "granule_sizes"]
 
 #: Default DMA granule (bytes).
 DEFAULT_GRANULE = 1920
+
+
+def granule_sizes(total: int, granule: int) -> list[int]:
+    """Split ``total`` bytes into full granules plus a shorter tail.
+
+    The one splitter of the host layer: DMA pulls and pushes, vDMA
+    copies and the vSCC transports all cut their payloads with it.
+    ``total == 0`` yields no granule.
+    """
+    if granule <= 0:
+        raise ValueError(f"granule must be positive, got {granule} B")
+    if total < 0:
+        raise ValueError(f"negative transfer size {total} B")
+    full, tail = divmod(total, granule)
+    sizes = [granule] * full
+    if tail:
+        sizes.append(tail)
+    return sizes
 
 
 class DMAEngine:
@@ -43,16 +65,6 @@ class DMAEngine:
             f"dma.bytes{{device={dev},dir=pull}}": float(self.bytes_pulled),
             f"dma.bytes{{device={dev},dir=push}}": float(self.bytes_pushed),
         }
-
-    def _granules(self, nbytes: int, granule: Optional[int] = None) -> list[int]:
-        step = granule or self.granule
-        sizes = []
-        left = nbytes
-        while left > 0:
-            take = min(left, step)
-            sizes.append(take)
-            left -= take
-        return sizes
 
     # -- device → host ---------------------------------------------------------
 
@@ -76,7 +88,7 @@ class DMAEngine:
             raise ValueError(f"{addr} is not on device {device.device_id}")
         offset = 0
         pending = []
-        for size in self._granules(nbytes, granule):
+        for size in granule_sizes(nbytes, granule or self.granule):
             data = device.mpb.read(addr + offset, size)
             off = offset
 
@@ -102,20 +114,32 @@ class DMAEngine:
         data: np.ndarray,
         on_granule: Optional[Callable[[int, int], None]] = None,
         granule: Optional[int] = None,
+        via: Optional["Host"] = None,
     ) -> Generator:
         """Copy host ``data`` into device MPB, granule by granule.
 
         Each granule is committed to device memory at its arrival time
         (waking any flag watchers); ``on_granule(index, end_offset)``
         runs right after each commit. Returns after the final commit.
+
+        ``via`` is the host the data sits on. Without it the data is on
+        this cable's own host; with it every granule rides
+        :meth:`~repro.host.driver.Host.route_down` from that host, which
+        crosses the inter-host tier first when the host is another one.
+        Either way the bytes count as pushed by this engine.
         """
         device = self.cable.device
         if addr.device != device.device_id:
             raise ValueError(f"{addr} is not on device {device.device_id}")
+        post = (
+            self.cable.down.post if via is None
+            else partial(via.route_down, device.device_id)
+        )
         buf = np.asarray(data, dtype=np.uint8)
         offset = 0
         pending = []
-        for index, size in enumerate(self._granules(len(buf), granule)):
+        sizes = granule_sizes(len(buf), granule or self.granule)
+        for index, size in enumerate(sizes):
             chunk = buf[offset : offset + size].copy()
             off = offset
 
@@ -124,7 +148,7 @@ class DMAEngine:
                 if on_granule is not None:
                     on_granule(index, off + size)
 
-            ev = self.cable.down.post(
+            ev = post(
                 size,
                 on_arrival=_arrive,
                 extra_overhead_ns=self.cable.params.dma_setup_ns,

@@ -17,10 +17,13 @@ Scaling past one host, several ``Host`` instances join a
 :class:`~repro.host.interhost.HostCluster`; each keeps its own
 communication tasks, cables, DMA/vDMA engines and software cache, and
 the lookup helpers transparently resolve *foreign* devices through the
-cluster. :meth:`Host.route_down` is the one routing primitive the
-protocol layers use for the final host→device hop: local targets take
-the historic direct cable post (bit-identical), cross-host targets ride
-the inter-host link first.
+cluster. Two routing primitives carry every host-mediated transfer:
+
+* :meth:`Host.forward` is the one inter-host hop. It is the only code
+  that posts on an inter-host link, and toward its own host it is a
+  plain call.
+* :meth:`Host.route_down` is ``forward`` plus the destination device's
+  cable: the final host→device hop of every protocol path.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Optional, Sequence
 
 from repro.obs.metrics import merge_snapshots
 from repro.scc.chip import SCCDevice
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 
 from .commtask import CommunicationTask
 from .dma import DMAEngine
@@ -160,12 +163,6 @@ class Host:
             return cable
         return self.host_for(device_id).cables[device_id]
 
-    def dma_of(self, device_id: int) -> DMAEngine:
-        dma = self.dmas.get(device_id)
-        if dma is not None:
-            return dma
-        return self.host_for(device_id).dmas[device_id]
-
     def task_of(self, device_id: int) -> CommunicationTask:
         task = self.tasks.get(device_id)
         if task is not None:
@@ -174,6 +171,28 @@ class Host:
 
     # -- routing -----------------------------------------------------------------
 
+    def forward(
+        self, dst_host: "Host", nbytes: int, on_arrival, owner: str = "src"
+    ) -> None:
+        """Carry ``nbytes`` from this host to ``dst_host``: the one inter-host hop.
+
+        Toward this host itself ``on_arrival`` runs at once. Otherwise
+        the bytes ride the directed inter-host link and ``on_arrival``
+        runs at the far end. ``owner`` is the policy layer's
+        host-affinity axis: which host's communication task owns the
+        forward and pays its ``service_ns`` on the link ("src" = this
+        host, "dst" = ``dst_host``).
+        """
+        if dst_host is self:
+            on_arrival()
+            return
+        owner_host = dst_host if owner == "dst" else self
+        self.cluster.link(self.host_id, dst_host.host_id).link.post(
+            nbytes,
+            on_arrival=on_arrival,
+            extra_overhead_ns=owner_host.params.service_ns,
+        )
+
     def route_down(
         self,
         dst_device: int,
@@ -181,54 +200,37 @@ class Host:
         on_arrival=None,
         extra_overhead_ns: float = 0.0,
         owner: str = "src",
-    ):
+    ) -> Event:
         """Post the final host→device hop toward ``dst_device``.
 
-        The one cross-tier routing primitive: a local target takes the
-        direct cable post (exactly the historic path — single-host runs
-        stay bit-identical); a foreign target first rides the directed
-        inter-host link to its owning host, then that host's cable.
-        ``owner`` is the policy layer's host-affinity axis: which host's
-        communication task owns the inter-host forward and pays its
-        ``service_ns`` on the link ("src" = this host, "dst" = the
-        target's host). ``extra_overhead_ns`` is charged on the final
-        cable hop either way. Returns the arrival event of the hop
-        posted *now* (for a cross-host route: the inter-host leg; the
-        cable leg chains off its arrival).
+        :meth:`forward` to the device's host (``owner`` as there), then
+        its cable, charging ``extra_overhead_ns`` on the cable hop.
+        Returns an event that triggers right after ``on_arrival`` ran at
+        the device. A local target is one direct cable post, so its
+        event is the cable's own arrival.
         """
-        cable = self.cables.get(dst_device)
-        if cable is not None:
-            return cable.down.post(
-                nbytes, on_arrival=on_arrival, extra_overhead_ns=extra_overhead_ns
-            )
         dst_host = self.host_for(dst_device)
-        link = self.cluster.link(self.host_id, dst_host.host_id)
-        owner_host = dst_host if owner == "dst" else self
-
-        def _hop() -> None:
-            dst_host.cables[dst_device].down.post(
+        down = dst_host.cables[dst_device].down
+        if dst_host is self:
+            return down.post(
                 nbytes, on_arrival=on_arrival, extra_overhead_ns=extra_overhead_ns
             )
+        done = self.sim.event(name=f"{down.name}.routed")
 
-        return link.link.post(
+        def _arrive() -> None:
+            if on_arrival is not None:
+                on_arrival()
+            done.trigger()
+
+        self.forward(
+            dst_host,
             nbytes,
-            on_arrival=_hop,
-            extra_overhead_ns=owner_host.params.service_ns,
+            lambda: down.post(
+                nbytes, on_arrival=_arrive, extra_overhead_ns=extra_overhead_ns
+            ),
+            owner,
         )
-
-    def push_engine_for(self, device_id: int):
-        """The push engine reaching ``device_id`` from this host.
-
-        Local devices get the cable's :class:`~repro.host.dma.DMAEngine`;
-        foreign devices an :class:`~repro.host.interhost.InterHostPush`
-        with the same ``push()`` contract.
-        """
-        dma = self.dmas.get(device_id)
-        if dma is not None:
-            return dma
-        from .interhost import InterHostPush
-
-        return InterHostPush(self, device_id)
+        return done
 
     def require_extensions(self, feature: str) -> None:
         if not self.extensions_enabled:

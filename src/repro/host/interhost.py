@@ -14,27 +14,28 @@ A cross-host transfer composes three physical segments::
 
     src device --PCIe up--> src host --interhost--> dst host --PCIe down--> dst device
 
-The middle segment is owned by one of the two hosts' communication
-tasks (the policy layer's *host-affinity* axis decides which; the owner
-pays its ``service_ns`` forwarding cost on the inter-host link).
+The middle segment is :meth:`repro.host.driver.Host.forward`, the one
+code path that posts on an inter-host link. It is owned by one of the
+two hosts' communication tasks (the policy layer's *host-affinity* axis
+decides which; the owner pays its ``service_ns`` forwarding cost on the
+link). Every cross-host path is built from it: the final hop of a
+protocol write (``Host.route_down``), a write-combiner flush, a
+cached-get prefetch granule and an RPC descriptor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.obs.metrics import label_keys, merge_snapshots
-from repro.scc.mpb import MpbAddr
 from repro.sim.engine import Simulator
 from repro.sim.resources import Link
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .driver import Host
 
-__all__ = ["InterHostParams", "InterHostLink", "HostCluster", "InterHostPush"]
+__all__ = ["InterHostParams", "InterHostLink", "HostCluster"]
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,6 @@ class InterHostLink:
             overhead_ns=params.packet_overhead_ns,
         )
 
-    @property
-    def bytes_carried(self) -> int:
-        return self.link.bytes_carried
-
     def metrics_snapshot(self) -> dict[str, float]:
         """Series ``interhost.*{src=<a>,dst=<b>}`` (+ ``faults.*`` if armed)."""
         snap = {
@@ -104,10 +101,9 @@ class HostCluster:
     Owns one :class:`InterHostLink` per ordered host pair and the global
     device→host directory the per-host lookups fall back to for foreign
     devices. Installing the cluster sets ``host.cluster`` on every
-    member, which is what arms the cross-host branches in
-    :meth:`repro.host.driver.Host.route_down` and friends — a host with
-    ``cluster is None`` executes the historic single-host code paths
-    untouched.
+    member, which is what arms :meth:`repro.host.driver.Host.forward`
+    and the foreign-device lookups — a host with ``cluster is None``
+    only ever forwards to itself.
     """
 
     def __init__(
@@ -124,7 +120,6 @@ class HostCluster:
         self.sim = sim
         self.params = params or InterHostParams()
         self.hosts = list(hosts)
-        self._by_id = {h.host_id: h for h in hosts}
         self._device_host: dict[int, "Host"] = {}
         for host in hosts:
             for device_id in host.devices:
@@ -143,13 +138,6 @@ class HostCluster:
         }
         for host in hosts:
             host.cluster = self
-
-    @property
-    def num_hosts(self) -> int:
-        return len(self.hosts)
-
-    def host_by_id(self, host_id: int) -> "Host":
-        return self._by_id[host_id]
 
     def host_for(self, device_id: int) -> "Host":
         """The host a (possibly foreign) device hangs off."""
@@ -172,87 +160,3 @@ class HostCluster:
         return merge_snapshots(
             [link.metrics_snapshot() for link in self.links.values()]
         )
-
-
-class InterHostPush:
-    """A :class:`~repro.host.dma.DMAEngine`-compatible push engine that
-    crosses the inter-host tier.
-
-    ``push()`` mirrors ``DMAEngine.push`` granule for granule, but each
-    granule rides ``src host → interhost link → dst host → dst cable``:
-    the source host pays its ``service_ns`` forwarding cost on the
-    inter-host link and the destination host pays the PCIe DMA setup on
-    the final cable hop. The host write-combiner flushes through this
-    engine when its target device lives on another host.
-    """
-
-    def __init__(self, src_host: "Host", device_id: int):
-        if src_host.cluster is None:
-            raise RuntimeError("InterHostPush needs a host cluster")
-        self.host = src_host
-        self.sim = src_host.sim
-        self.device_id = device_id
-        self.dst_host = src_host.cluster.host_for(device_id)
-        self.ih = src_host.cluster.link(src_host.host_id, self.dst_host.host_id)
-        self.granule = src_host.params.granule
-        self.bytes_pushed = 0
-
-    def _granules(self, nbytes: int, granule: Optional[int] = None) -> list[int]:
-        step = granule or self.granule
-        sizes = []
-        left = nbytes
-        while left > 0:
-            take = min(left, step)
-            sizes.append(take)
-            left -= take
-        return sizes
-
-    def push(
-        self,
-        addr: MpbAddr,
-        data: np.ndarray,
-        on_granule: Optional[Callable[[int, int], None]] = None,
-        granule: Optional[int] = None,
-    ) -> Generator:
-        """Copy host ``data`` into the foreign device's MPB, granule-wise.
-
-        Same contract as ``DMAEngine.push``: each granule is committed to
-        device memory at its (final-hop) arrival time, ``on_granule``
-        runs right after each commit, and the coroutine returns after the
-        final commit.
-        """
-        if addr.device != self.device_id:
-            raise ValueError(f"{addr} is not on device {self.device_id}")
-        dst_cable = self.dst_host.cables[self.device_id]
-        device = self.dst_host.devices[self.device_id]
-        buf = np.asarray(data, dtype=np.uint8)
-        offset = 0
-        pending = []
-        for index, size in enumerate(self._granules(len(buf), granule)):
-            chunk = buf[offset : offset + size].copy()
-            off = offset
-            done = self.sim.event(name=f"{self.ih.link.name}.push")
-
-            def _commit(index=index, off=off, chunk=chunk, size=size, done=done):
-                device.mpb.write(addr + off, chunk)
-                if on_granule is not None:
-                    on_granule(index, off + size)
-                done.trigger()
-
-            def _hop(size=size, commit=_commit) -> None:
-                dst_cable.down.post(
-                    size,
-                    on_arrival=commit,
-                    extra_overhead_ns=dst_cable.params.dma_setup_ns,
-                )
-
-            self.ih.link.post(
-                size,
-                on_arrival=_hop,
-                extra_overhead_ns=self.host.params.service_ns,
-            )
-            pending.append(done)
-            self.bytes_pushed += size
-            offset += size
-        for ev in pending:
-            yield ev

@@ -147,46 +147,36 @@ class HostMpbCache:
         self._entries[(src.device, src.core)] = entry
         # A foreign source is pulled by *its* host's DMA engine and the
         # granules forwarded here over the inter-host tier.
-        src_host = self.host.host_for(src.device)
-        dma = src_host.dmas[src.device]
-        via = None
-        if src_host is not self.host:
-            via = self.host.cluster.link(src_host.host_id, self.host.host_id)
         self.sim.spawn(
-            self._ramped_pull(dma, src, nbytes, entry, via=via),
+            self._ramped_pull(self.host.host_for(src.device), src, nbytes, entry),
             name=f"daemon:prefetch.d{src.device}c{src.core}",
         )
         return entry
 
-    def _ramped_pull(self, dma, src: MpbAddr, nbytes: int, entry: CacheEntry,
-                     via=None):
+    def _ramped_pull(self, src_host: "Host", src: MpbAddr, nbytes: int,
+                     entry: CacheEntry):
         """Prefetch with a ramped warm-up: small granules first.
 
         The first descriptors are deliberately short so the receiver's
         push stream starts early ("after a warmup phase answer remote
         memory requests of the receiver in parallel", §3.2); steady
-        state uses the full DMA granule. With ``via`` set (an
-        :class:`~repro.host.interhost.InterHostLink` from the source's
-        host to this one) each pulled granule additionally rides the
-        inter-host tier before it lands in the entry, the source host
-        paying its forwarding service on the link.
+        state uses the full DMA granule. ``src_host`` (the host owning
+        the source device) pulls every granule with its DMA engine and
+        passes it to :meth:`~repro.host.driver.Host.forward` toward this
+        host: a plain call when it is this host, the inter-host tier
+        otherwise.
         """
         full = self.host.params.granule
-        if via is None:
-            def make_sink(base: int):
-                return lambda off, data: entry.sink(base + off, data)
-        else:
-            src_host_params = self.host.host_for(src.device).params
+        dma = src_host.dmas[src.device]
 
-            def make_sink(base: int):
-                def _sink(off: int, data) -> None:
-                    via.link.post(
-                        len(data),
-                        on_arrival=lambda: entry.sink(base + off, data),
-                        extra_overhead_ns=src_host_params.service_ns,
-                    )
+        def make_sink(base: int):
+            def _sink(off: int, data) -> None:
+                src_host.forward(
+                    self.host, len(data), lambda: entry.sink(base + off, data)
+                )
 
-                return _sink
+            return _sink
+
         segments: list[tuple[int, int, int]] = []  # (offset, length, granule)
         offset = 0
         for size in (full // 4, full // 2):

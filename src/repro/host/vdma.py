@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.scc.mpb import MpbAddr
 
+from .dma import granule_sizes
 from .mmio import REG_VDMA_ADDR, REG_VDMA_COUNT, REG_VDMA_CTRL
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -140,13 +141,7 @@ class VDMAController:
         dst_cable = host.cable_of(cmd.dst.device)
         dst_dev = host.device_of(cmd.dst.device)
         src_dev = host.device_of(src.device)
-        granule = cmd.granule or host.params.granule
-
-        sizes: list[int] = []
-        left = count
-        while left > 0:
-            sizes.append(min(left, granule))
-            left -= sizes[-1]
+        sizes = granule_sizes(count, cmd.granule or host.params.granule)
         if cmd.progress_flag is not None and len(cmd.progress_values) < len(sizes):
             raise ValueError(
                 f"vDMA command provides {len(cmd.progress_values)} progress "

@@ -18,11 +18,15 @@ flag travels the same FIFO up-link behind the data and its forward is
 posted on the same FIFO down-link behind the flushes, so a *fence* only
 has to force out a partial tail granule — with chunk sizes divisible by
 the flush granule it costs nothing.
+
+A stream toward a device on another host flushes through that device's
+own DMA engine, and each granule reaches its cable over the inter-host
+tier (``via``, see :meth:`repro.host.dma.DMAEngine.push`).
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
 
@@ -30,6 +34,9 @@ from repro.scc.mpb import MpbAddr
 from repro.sim.engine import Simulator
 
 from .dma import DMAEngine
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .driver import Host
 
 __all__ = ["HostWriteCombiner"]
 
@@ -42,28 +49,23 @@ class HostWriteCombiner:
         sim: Simulator,
         dma_to_target: DMAEngine,
         granule: int = 2048,
+        via: Optional["Host"] = None,
     ):
         if granule <= 0:
             raise ValueError(f"granule must be positive, got {granule}")
         self.sim = sim
         self.dma = dma_to_target
+        #: Host holding the combined bytes (``None``: the target's own).
+        self.via = via
         self.granule = granule
         self._base: Optional[MpbAddr] = None
         self._buf = np.zeros(0, np.uint8)
         self._filled = 0  # contiguous bytes absorbed at the host
         self._flushed = 0  # bytes already handed to DMA
         self.issued = 0  # bytes the sender has issued (may be in flight)
-        self.fenced = False
         self._progress = sim.signal(name="hostwcb.progress")
         self.bytes_combined = 0
         self.flushes = 0
-
-    def metrics_snapshot(self) -> dict[str, float]:
-        """One stream's series; the owning task sums streams per device."""
-        return {
-            "wcbuf.bytes_combined": float(self.bytes_combined),
-            "wcbuf.flushes": float(self.flushes),
-        }
 
     def open(self, target: MpbAddr, total_bytes: int) -> None:
         """Arm the stream (fires at MSG-register arrival on the host)."""
@@ -71,10 +73,6 @@ class HostWriteCombiner:
             raise RuntimeError("a write-combining stream is opened exactly once")
         self._base = target
         self._buf = np.zeros(total_bytes, np.uint8)
-
-    @property
-    def is_open(self) -> bool:
-        return self._base is not None
 
     def absorb(self, offset: int, data: np.ndarray) -> None:
         """Accept sender bytes at ``offset`` (relative to the stream base).
@@ -108,7 +106,7 @@ class HostWriteCombiner:
         self._flushed += size
         self.flushes += 1
         self.sim.spawn(
-            self.dma.push(addr, chunk, granule=size),
+            self.dma.push(addr, chunk, granule=size, via=self.via),
             name="daemon:hostwcb-push",
         )
 
@@ -119,7 +117,6 @@ class HostWriteCombiner:
         would otherwise linger must be awaited (absorbed) and forced out.
         """
         if self._base is None and self.issued == 0:
-            self.fenced = True
             return
         tail = self.issued % self.granule
         if tail:
@@ -127,4 +124,3 @@ class HostWriteCombiner:
                 yield self._progress  # tail bytes still in flight to the host
             if self._filled > self._flushed:
                 self._flush_granule(self._filled - self._flushed)
-        self.fenced = True

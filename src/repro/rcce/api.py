@@ -117,15 +117,15 @@ class Rcce:
     def topology(self):
         """Coordinate queries over this session's rank layout.
 
-        Lazily built (:class:`repro.vscc.topology.VsccTopology` imports
-        at first use to avoid a module cycle); single-device sessions
+        Lazily built (:class:`repro.vscc.topology.FabricTopology`
+        imports at first use to avoid a module cycle); single-device sessions
         get a topology whose z dimension is a single plane.
         """
         topo = self._topology
         if topo is None:
-            from repro.vscc.topology import VsccTopology
+            from repro.vscc.topology import FabricTopology
 
-            topo = self._topology = VsccTopology(self.layout, self.env.params)
+            topo = self._topology = FabricTopology(self.layout, self.env.params)
         return topo
 
     def comm_buffer_addr(self, rank: int, offset: int = 0) -> MpbAddr:

@@ -21,7 +21,7 @@ from repro.results import RunResult
 from repro.scc.chip import SCCDevice
 from repro.scc.params import SCCParams
 from repro.sim.engine import Process, Simulator
-from repro.vscc.topology import VsccTopology
+from repro.vscc.topology import FabricTopology
 
 from .api import Rcce, RcceOptions
 from .config import RankLayout, SccConfigFile
@@ -51,7 +51,7 @@ class RcceSession:
         self.config = SccConfigFile.from_devices([self.device])
         self.layout = RankLayout.from_config(self.config, core_order)
         self.flags = FlagLayout(self.layout, self.params)
-        self.topology = VsccTopology(self.layout, self.params)
+        self.topology = FabricTopology(self.layout, self.params)
         self._comms: dict[int, Rcce] = {}
 
     @property

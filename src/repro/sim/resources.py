@@ -103,11 +103,6 @@ class Link:
         self.busy_ns += serialization
         return self._free_at + self.latency_ns
 
-    def arrival_after(self, nbytes: int) -> float:
-        """Predict arrival time without occupying the link (for planning)."""
-        start = max(self.sim.now, self._free_at)
-        return start + self.overhead_ns + nbytes / self.bandwidth_bpns + self.latency_ns
-
     # -- blocking transfer ---------------------------------------------------
 
     def transfer(self, nbytes: int, extra_overhead_ns: float = 0.0) -> Generator:

@@ -2,7 +2,7 @@
 
 Public surface::
 
-    from repro.vscc import VSCCSystem, CommScheme, VsccTopology
+    from repro.vscc import VSCCSystem, CommScheme, FabricTopology
     from repro.vscc import StaticPolicy, ThresholdPolicy, AdaptivePolicy
 """
 
@@ -21,13 +21,13 @@ from .protocol import (
 )
 from .schemes import CommScheme
 from .system import RunResult, VSCCSystem
-from .topology import FabricTopology, VsccTopology
+from .topology import FabricTopology
 
 __all__ = [
     "AdaptivePolicy",
-    "FabricTopology",
     "CommScheme",
     "DirectSmallTransport",
+    "FabricTopology",
     "RemotePutTransport",
     "Route",
     "RunResult",
@@ -37,5 +37,4 @@ __all__ = [
     "VSCCSystem",
     "VdmaTransport",
     "VsccSelector",
-    "VsccTopology",
 ]

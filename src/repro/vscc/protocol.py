@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
 
+from repro.host.dma import granule_sizes
 from repro.host.mmio import REG_VDMA_ADDR, REG_VDMA_COUNT, REG_VDMA_CTRL
 from repro.host.vdma import VdmaCommand
 from repro.ircce.pipeline import PipelinedTransport
@@ -127,17 +128,6 @@ class SequenceTracker:
         )
 
 
-def _granule_sizes(total: int, granule: int) -> list[int]:
-    if granule <= 0:
-        raise ValueError(f"granule must be positive, got {granule} B")
-    sizes = []
-    left = total
-    while left > 0:
-        sizes.append(min(left, granule))
-        left -= sizes[-1]
-    return sizes
-
-
 class RemotePutTransport(Transport):
     """*Remote put* (Fig 4c), host write-combining or hardware-accelerated.
 
@@ -212,7 +202,7 @@ class RemotePutTransport(Transport):
 
     def _slot_plan(self, comm: "Rcce", a: int, b: int, nbytes: int):
         slot = comm.slot_bytes
-        transfers = _granule_sizes(nbytes, slot) if nbytes else [0]
+        transfers = granule_sizes(nbytes, slot) if nbytes else [0]
         grants = [comm.next_seq(a, b, "ready") for _ in transfers]
         final_ack = comm.next_seq(a, b, "ready")
         seqs = [comm.next_seq(a, b, "sent") for _ in transfers]
@@ -300,9 +290,9 @@ class VdmaTransport(Transport):
         not re-derive it per transfer.
         """
         slot = comm.slot_bytes
-        transfers = _granule_sizes(nbytes, slot) if nbytes else [0]
+        transfers = granule_sizes(nbytes, slot) if nbytes else [0]
         granule = self.host.params.granule
-        gsizes = [_granule_sizes(size, granule) or [0] for size in transfers]
+        gsizes = [granule_sizes(size, granule) or [0] for size in transfers]
         grants = [comm.next_seq(a, b, "ready") for _ in transfers]
         final_ack = comm.next_seq(a, b, "ready")
         progress = [

@@ -49,7 +49,7 @@ from repro.sim.trace import Tracer
 from .policy import SchemePolicy, StaticPolicy
 from .protocol import VsccSelector
 from .schemes import CommScheme
-from .topology import FabricTopology, VsccTopology
+from .topology import FabricTopology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults import FaultInjector, FaultPlan
@@ -185,13 +185,8 @@ class VSCCSystem:
         self.config = SccConfigFile.from_devices(self.devices)
         self.layout = RankLayout.from_config(self.config, core_order)
         self.flags = FlagLayout(self.layout, self.params)
-        if self.cluster is None:
-            self.topology: FabricTopology = VsccTopology(self.layout, self.params)
-        else:
-            self.topology = FabricTopology(
-                self.layout, self.params,
-                host_map=self.cluster.host_map(num_devices),
-            )
+        host_map = None if self.cluster is None else self.cluster.host_map(num_devices)
+        self.topology = FabricTopology(self.layout, self.params, host_map=host_map)
         self.selector = VsccSelector(
             self.host,
             policy,
@@ -237,7 +232,7 @@ class VSCCSystem:
             )
             # Hand the communicator the system topology so hierarchical
             # collectives see the host tier (the lazy default would build
-            # a single-host VsccTopology).
+            # a single-host FabricTopology).
             comm._topology = self.topology
             self._comms[rank] = comm
         return comm

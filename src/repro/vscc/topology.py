@@ -17,10 +17,9 @@ three latency tiers:
   an :class:`repro.host.interhost.InterHostLink`.
 
 :class:`FabricTopology` answers coordinate queries over a rank layout
-spanning ``num_hosts × devices_per_host`` devices;
-:class:`VsccTopology` is its single-host specialization (the paper's
-configuration — every device on host 0) and preserves the historic
-``device_groups``/``z_hops`` semantics bit for bit.
+spanning ``num_hosts × devices_per_host`` devices. Without a host map it
+describes the paper's configuration — every device on host 0 — with the
+historic ``device_groups``/``z_hops`` semantics bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from repro.rcce.config import RankLayout
 from repro.scc.params import SCCParams
 from repro.scc.sif import SIF_TILE_XY
 
-__all__ = ["FabricTopology", "VsccTopology"]
+__all__ = ["FabricTopology"]
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,8 @@ class FabricTopology:
 
     ``host_map`` assigns every global device id its owning host
     (``host_map[device_id] -> host_id``); ``None`` means the single-host
-    configuration (every device on host 0), which is exactly what
-    :class:`VsccTopology` pins down.
+    configuration (every device on host 0): ``coords`` always reports
+    host 0, ``host_groups`` is a single group and ``h_hops`` is 0.
     """
 
     layout: RankLayout
@@ -209,22 +208,3 @@ class FabricTopology:
             x, y = self.params.core_xy(core)
             hops += abs(x - sif_x) + abs(y - sif_y)
         return (hops, 1)
-
-
-@dataclass(frozen=True)
-class VsccTopology(FabricTopology):
-    """The single-host specialization: the paper's vSCC configuration.
-
-    Every device hangs off host 0 (``host_map`` is pinned to ``None``),
-    so ``coords`` always reports host 0, ``host_groups`` is a single
-    group and ``h_hops`` is 0 for every pair — the historic (x, y, z)
-    behaviour, bit for bit.
-    """
-
-    def __post_init__(self) -> None:
-        if self.host_map is not None:
-            raise ValueError(
-                "VsccTopology is the single-host specialization; build a "
-                "FabricTopology to place devices on multiple hosts"
-            )
-        super().__post_init__()

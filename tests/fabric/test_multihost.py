@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.apps.pingpong import run_pingpong
 from repro.faults import FaultPlan, LinkFaults
 from repro.vscc.policy import StaticPolicy
 from repro.vscc.schemes import CommScheme
@@ -57,8 +58,8 @@ def test_cross_host_send_recv():
 
 
 def test_cross_host_write_combiner_rides_interhost_push():
-    """REMOTE_PUT_WCB to a foreign device flushes through InterHostPush:
-    granules ride src host -> inter-host link -> dst cable."""
+    """REMOTE_PUT_WCB to a foreign device flushes through that device's
+    DMA engine: granules ride src host -> inter-host link -> dst cable."""
     system = VSCCSystem(
         num_hosts=2, devices_per_host=1, scheme=CommScheme.REMOTE_PUT_WCB,
     )
@@ -75,6 +76,42 @@ def test_cross_host_write_combiner_rides_interhost_push():
     assert (got["data"] == payload).all()
     # The payload (plus envelope) crossed the inter-host tier forward.
     assert system.metrics["interhost.bytes{dst=1,src=0}"] >= len(payload)
+
+
+def test_cross_host_remote_put_counts_push_bytes():
+    """A write-combiner flush to a device on another host is a DMA push
+    into that device like a same-host flush: both fabrics report the
+    same ``dma.bytes{dir=push}`` per device."""
+    sizes = (0, 40, 3000, 8192, 20000)
+
+    def push_bytes(**fabric):
+        system = VSCCSystem(scheme=CommScheme.REMOTE_PUT_WCB, **fabric)
+        run_pingpong(system, 0, system.num_ranks - 1, sizes=sizes,
+                     iterations=1, warmup=0)
+        return {
+            k: v for k, v in system.metrics.items()
+            if k.startswith("dma.bytes") and "dir=push" in k
+        }
+
+    same_host = push_bytes(num_devices=2)
+    cross_host = push_bytes(num_hosts=2, devices_per_host=1)
+    assert same_host == cross_host
+    assert len(cross_host) == 2 and all(v > 0 for v in cross_host.values())
+
+
+def test_route_down_event_follows_the_final_hop():
+    """On a local and on a cross-host route alike, the event route_down
+    returns triggers right after the device-side commit ran."""
+    system = VSCCSystem(num_hosts=2, devices_per_host=1, scheme=VDMA)
+    host = system.hosts[0]
+    seen = []
+    for device in (0, 1):
+        done = host.route_down(
+            device, 64, on_arrival=lambda d=device: seen.append(("commit", d))
+        )
+        done.on_trigger(lambda _v, d=device: seen.append(("done", d)))
+    system.sim.run()
+    assert seen == [("commit", 0), ("done", 0), ("commit", 1), ("done", 1)]
 
 
 def test_host_affinity_dst_is_journaled():

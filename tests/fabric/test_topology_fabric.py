@@ -4,7 +4,7 @@ import pytest
 
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
-from repro.vscc.topology import FabricTopology, VsccTopology
+from repro.vscc.topology import FabricTopology
 
 
 @pytest.fixture(scope="module")
@@ -95,13 +95,11 @@ def test_xy_hops_rejects_cross_device_with_tiered_message(system):
 
 
 def test_single_host_specialization_matches_fabric():
-    """VsccTopology == FabricTopology with no host map, bit for bit."""
+    """A single-host system's topology is FabricTopology with no host map."""
     single = VSCCSystem(num_devices=2, scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA)
     topo = single.topology
-    assert isinstance(topo, VsccTopology)
+    assert topo == FabricTopology(single.layout, single.params)
     assert topo.num_hosts() == 1
     assert topo.coords(48) == (0, 0, 1, 0)
     assert topo.h_hops(0, 48) == 0
     assert topo.host_groups([5, 60, 0]) == {0: [5, 60, 0]}
-    with pytest.raises(ValueError, match="single-host"):
-        VsccTopology(single.layout, single.params, host_map=(0, 1))

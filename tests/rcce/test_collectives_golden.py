@@ -88,7 +88,7 @@ def flat_reduce_ref(vals: list[np.ndarray], op, root: int) -> np.ndarray:
 
 def group_partition(system: VSCCSystem, members: list[int]) -> list[list[int]]:
     """Per-device partition as *group indices*, first-appearance order —
-    mirrors ``VsccTopology.device_groups`` over the member list."""
+    mirrors ``FabricTopology.device_groups`` over the member list."""
     groups: dict[int, list[int]] = {}
     for gi, rank in enumerate(members):
         groups.setdefault(system.topology.device_of(rank), []).append(gi)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.host.dma import granule_sizes
 from repro.rcce.api import RcceOptions
 from repro.rcce.session import RcceSession
 from repro.scc.params import SCCParams
-from repro.vscc.protocol import _granule_sizes
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
@@ -66,9 +66,9 @@ def test_two_slot_transports_need_two_cache_lines(transport, buffer_bytes):
 
 
 def test_granule_sizes_rejects_non_positive_granule():
-    assert _granule_sizes(100, 32) == [32, 32, 32, 4]
+    assert granule_sizes(100, 32) == [32, 32, 32, 4]
     with pytest.raises(ValueError, match="granule"):
-        _granule_sizes(100, 0)
+        granule_sizes(100, 0)
 
 
 def test_three_devices_vdma_chain():
