@@ -95,9 +95,8 @@ class HostFabric:
 
     # -- MMIO ----------------------------------------------------------------------
 
-    def mmio_write(
-        self, env: "CoreEnv", reg: int, value: object, fused: bool
-    ) -> Generator:
+    def mmio_write(self, env: "CoreEnv", reg: int, value: object) -> Generator:
+        """Write one register: always a single transaction."""
         self.host.require_extensions("memory-mapped registers")
         yield from self._task().mmio_write(env, [(reg, value)], fused=False)
 

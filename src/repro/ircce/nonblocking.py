@@ -151,8 +151,9 @@ def recv_any_source(
     array, exactly how iRCCE's ``iRCCE_ANY_SOURCE`` works. Returns
     ``(source, data)``.
 
-    Only flag-initiated transports can be matched this way (the sender
-    moves first): on-chip protocols and the transparent/cached
+    Only transports whose sender moves first
+    (:attr:`~repro.rcce.transport.Transport.sender_first`) can be
+    matched this way: on-chip protocols and the transparent/cached
     inter-device schemes qualify; rendezvous schemes (remote-put, vDMA,
     direct small messages) need the receiver to act first and raise.
     """
@@ -160,7 +161,7 @@ def recv_any_source(
         raise ValueError("recv_any_source needs candidate sources")
     for src in sources:
         transport = comm.selector.select(comm, src, nbytes, op="recv", probe=True)
-        if transport.name not in ("rcce-default", "ircce-pipelined"):
+        if not transport.sender_first:
             raise NotImplementedError(
                 f"wildcard receive cannot match rendezvous transport "
                 f"{transport.name!r} (source {src}): the receiver must "

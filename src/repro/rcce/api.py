@@ -395,4 +395,4 @@ class Rcce:
         relaxed consistency of the software cache whenever the buffer is
         rewritten without a new announcement.
         """
-        yield from self.env.device.fabric.mmio_write(self.env, REG_CACHE_INV, 1, fused=True)
+        yield from self.env.device.fabric.mmio_write(self.env, REG_CACHE_INV, 1)

@@ -39,8 +39,14 @@ PIPELINE_THRESHOLD = 4096
 class Transport(abc.ABC):
     """One protocol for moving a message between two specific ranks."""
 
-    #: short identifier used in traces and error messages
+    #: short identifier used in traces, metrics and error messages
     name = "abstract"
+
+    #: Whether the sender moves first: its ``sent``-flag write is the
+    #: message's first protocol event, so a wildcard receive can match
+    #: on it. Rendezvous protocols, where the receiver first grants its
+    #: buffer, set this ``False``.
+    sender_first = True
 
     @abc.abstractmethod
     def send(self, comm: "Rcce", dest: int, data: np.ndarray) -> Generator:
@@ -102,10 +108,10 @@ class DefaultGetTransport(Transport):
 
     The same code drives the transparent inter-device baseline and the
     host-cached scheme — the gory operations route through the fabric,
-    which is exactly how the paper layers it.
+    which is exactly how the paper layers it. Those instances carry
+    their scheme's name, so selection metrics tell them apart from
+    on-chip messages.
     """
-
-    name = "rcce-default"
 
     #: Host-cache consistency policies for cross-device sessions: the
     #: intermediate copy is non-coherent, so after rewriting its MPB the
@@ -117,13 +123,11 @@ class DefaultGetTransport(Transport):
     CACHE_INVALIDATE = "invalidate"
     CACHE_NONE = "none"
 
-    def __init__(self, announce_prefetch: bool = False, cache_control: str = None):
-        if cache_control is None:
-            cache_control = self.CACHE_ANNOUNCE if announce_prefetch else self.CACHE_NONE
+    def __init__(self, cache_control: str = CACHE_NONE, name: str = "rcce-default"):
         if cache_control not in (self.CACHE_ANNOUNCE, self.CACHE_INVALIDATE, self.CACHE_NONE):
             raise ValueError(f"unknown cache control {cache_control!r}")
         self.cache_control = cache_control
-        self.announce_prefetch = cache_control == self.CACHE_ANNOUNCE
+        self.name = name
 
     def send(self, comm: "Rcce", dest: int, data: np.ndarray) -> Generator:
         env = comm.env
@@ -196,6 +200,12 @@ class OnChipSelector(TransportSelector):
         self._default = DefaultGetTransport()
         self._pipelined = PipelinedTransport(packet_bytes=options.pipeline_packet)
 
+    def _onchip(self, nbytes: int) -> Transport:
+        """The on-chip protocol of an ``nbytes`` message."""
+        if self.options.pipelined and nbytes > PIPELINE_THRESHOLD:
+            return self._pipelined
+        return self._default
+
     def select(
         self,
         comm: "Rcce",
@@ -210,6 +220,4 @@ class OnChipSelector(TransportSelector):
                 "on-chip selector; use repro.vscc.VSCCSystem for a scheme-aware "
                 "selector"
             )
-        if self.options.pipelined and nbytes > PIPELINE_THRESHOLD:
-            return self._pipelined
-        return self._default
+        return self._onchip(nbytes)

@@ -485,13 +485,9 @@ class CoreEnv:
 
     # -- memory-mapped registers (host-provided functionality) -------------------------------------
 
-    def mmio_write(self, reg: int, value: int, fused: bool = False) -> Generator:
-        """Write a host MMIO register (vDMA programming, cache control).
-
-        ``fused=True`` marks a write the WCB may combine with neighbours
-        in the same 32 B block — used by the vDMA register layout.
-        """
-        yield from self._fabric().mmio_write(self, reg, value, fused)
+    def mmio_write(self, reg: int, value: int) -> Generator:
+        """Write a host MMIO register (vDMA programming, cache control)."""
+        yield from self._fabric().mmio_write(self, reg, value)
 
     def mmio_read(self, reg: int) -> Generator:
         value = yield from self._fabric().mmio_read(self, reg)

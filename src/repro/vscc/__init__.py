@@ -15,6 +15,7 @@ from .policy import (
 )
 from .protocol import (
     DirectSmallTransport,
+    HwAccelRemotePutTransport,
     RemotePutTransport,
     VdmaTransport,
     VsccSelector,
@@ -28,6 +29,7 @@ __all__ = [
     "CommScheme",
     "DirectSmallTransport",
     "FabricTopology",
+    "HwAccelRemotePutTransport",
     "RemotePutTransport",
     "Route",
     "RunResult",

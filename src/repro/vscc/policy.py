@@ -11,8 +11,8 @@ the best scheme at every message size.
 
 Three policies ship:
 
-* :class:`StaticPolicy` — exactly the historic ``scheme=`` behaviour
-  (one scheme for every message, bit-identical fingerprints);
+* :class:`StaticPolicy` — the ``scheme=`` behaviour: one scheme for
+  every message;
 * :class:`ThresholdPolicy` — generalizes §3.3 into a three-band rule:
   the direct path below the small-message threshold, the cached-get
   scheme in the mid-band where its per-chunk protocol wins, and the
@@ -25,15 +25,16 @@ Three policies ship:
 
 Both end points of a message must agree on the transport; the selector
 (:class:`repro.vscc.protocol.VsccSelector`) guarantees agreement by
-journaling each directed pair's decisions, so a policy is free to keep
-evolving state between messages.
+journaling each directed pair's decisions — for every policy, static
+ones included — so a policy is free to keep evolving state between
+messages.
 
 On a multi-host fabric every policy additionally answers the
-**host-affinity** question for cross-host routes: which host's
-communication task owns the inter-host forward of a copy ("src" — the
-sender's host pushes, or "dst" — the receiver's host pays the
-forwarding service). The affinity rides the same decision journal as
-the scheme, so both end points see one consistent answer per message.
+**host-affinity** question for cross-host routes through its
+``cross_host_affinity`` attribute: which host's communication task owns
+the inter-host forward of a copy ("src" — the sender's host pushes, or
+"dst" — the receiver's host pays the forwarding service). It is fixed
+per policy, so both end points see the same answer.
 """
 
 from __future__ import annotations
@@ -111,20 +112,10 @@ class SchemePolicy(abc.ABC):
     #: :class:`StaticPolicy` so historic fingerprints stay bit-identical.
     coalesce_vdma = False
 
-    #: Default host-affinity answer of :meth:`host_affinity` ("src" or
-    #: "dst"). Policies may set it per instance or override the method
-    #: for per-route decisions.
+    #: Which host's communication task owns the inter-host forward of a
+    #: cross-host copy: "src" or "dst". The one source of the answer for
+    #: vDMA copies and RPC requests alike.
     cross_host_affinity = "src"
-
-    def host_affinity(self, route: Route) -> str:
-        """Which host's communication task owns a cross-host copy.
-
-        Only consulted for routes with ``route.is_cross_host``; like
-        :meth:`choose` it may depend only on information both end
-        points share, because the selector journals the answer next to
-        the scheme decision.
-        """
-        return self.cross_host_affinity
 
     @property
     @abc.abstractmethod
@@ -169,12 +160,12 @@ class SchemePolicy(abc.ABC):
 
 
 class StaticPolicy(SchemePolicy):
-    """One scheme for every message — the historic ``scheme=`` behaviour.
+    """One scheme for every message.
 
     ``VSCCSystem(scheme=s)`` is sugar for ``VSCCSystem(policy=
-    StaticPolicy(s))``; the selector special-cases run-static policies
-    onto the original single-transport fast path, so fingerprints are
-    bit-identical to the pre-policy code.
+    StaticPolicy(s))``. The selector journals its decisions like any
+    other policy's; ``static_scheme`` additionally lets the system
+    accept a ``direct_threshold`` override.
     """
 
     name = "static"

@@ -5,13 +5,23 @@ receiver grants its communication buffer before any data lands in it —
 sync point **b1** of Fig 4d) because, unlike RCCE's default scheme, they
 write into the *receiver's* MPB, which is also the staging area of that
 rank's own on-chip sends. The data-ready notification is sync point
-**b2**. Counter-flag discipline follows :mod:`repro.rcce.flags`:
-independent "sent"/"ready" streams per directed pair, with bounded-lead
-``reached`` predicates wherever a producer may run ahead.
+**b2**. The rendezvous is written once per buffer layout:
+
+* :class:`StopAndWaitTransport` — the whole buffer, chunk by chunk
+  (direct small-message path, remote put through the host WC buffer);
+* :class:`TwoSlotTransport` — two double-buffered slots with per-granule
+  progress (vDMA, hardware-accelerated remote put).
+
+Subclasses supply only how data reaches the receiver. Counter-flag
+discipline follows :mod:`repro.rcce.flags`: independent "sent"/"ready"
+streams per directed pair, with bounded-lead ``reached`` predicates
+wherever a producer may run ahead. :class:`VsccSelector` picks one
+transport per message through a single journaled policy decision.
 """
 
 from __future__ import annotations
 
+import abc
 import struct
 import zlib
 from dataclasses import dataclass
@@ -22,16 +32,10 @@ import numpy as np
 from repro.host.dma import granule_sizes
 from repro.host.mmio import REG_VDMA_ADDR, REG_VDMA_COUNT, REG_VDMA_CTRL
 from repro.host.vdma import VdmaCommand
-from repro.ircce.pipeline import PipelinedTransport
 from repro.rcce.flags import SLOT_VDMA_DONE, reached
-from repro.rcce.transport import (
-    PIPELINE_THRESHOLD,
-    DefaultGetTransport,
-    Transport,
-    TransportSelector,
-)
+from repro.rcce.transport import DefaultGetTransport, OnChipSelector, Transport
 
-from .policy import Route, SchemePolicy, StaticPolicy, _check_affinity
+from .policy import Route, SchemePolicy
 from .schemes import CommScheme
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -39,12 +43,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.rcce.api import Rcce, RcceOptions
 
 __all__ = [
+    "DirectSmallTransport",
     "HostPacket",
+    "HwAccelRemotePutTransport",
     "ProtocolViolation",
     "RemotePutTransport",
     "SequenceTracker",
+    "StopAndWaitTransport",
+    "TwoSlotTransport",
     "VdmaTransport",
-    "DirectSmallTransport",
     "VsccSelector",
 ]
 
@@ -128,245 +135,145 @@ class SequenceTracker:
         )
 
 
-class RemotePutTransport(Transport):
-    """*Remote put* (Fig 4c), host write-combining or hardware-accelerated.
+class StopAndWaitTransport(Transport):
+    """Stop-and-wait rendezvous into the receiver's whole buffer.
 
-    Per chunk: the receiver grants its buffer (b1); the sender streams
-    the chunk into the receiver's MPB — absorbed by the host WC buffer
-    (``via_host_wcb=True``, the stable scheme) or FPGA-fast-acked and
-    routed straight through (the unstable upper bound); the sender's
-    ``sent`` flag is fenced behind the data (b2); the receiver drains its
-    *local* MPB and acknowledges.
+    Per chunk of the communication buffer's capacity: the receiver
+    grants its buffer (b1); the sender reads the chunk from private
+    memory and puts it into the receiver's MPB (:meth:`_put`, the one
+    step the subclasses differ in); the sender's ``sent`` flag follows
+    the data (b2); the receiver drains its *local* MPB and acknowledges,
+    which frees the buffer for the next chunk.
     """
 
-    def __init__(self, via_host_wcb: bool):
-        self.via_host_wcb = via_host_wcb
-        self.name = "remote-put-wcb" if via_host_wcb else "remote-put-hw-accel"
+    sender_first = False
+
+    @abc.abstractmethod
+    def _put(self, comm: "Rcce", addr, chunk: np.ndarray) -> Generator:
+        """Move one chunk into the receiver's buffer at ``addr``."""
 
     def send(self, comm: "Rcce", dest: int, data: np.ndarray) -> Generator:
-        if self.via_host_wcb:
-            yield from self._send_stop_and_wait(comm, dest, data)
-        else:
-            yield from self._send_slotted(comm, dest, data)
-
-    def recv(self, comm: "Rcce", src: int, nbytes: int) -> Generator:
-        if self.via_host_wcb:
-            out = yield from self._recv_stop_and_wait(comm, src, nbytes)
-        else:
-            out = yield from self._recv_slotted(comm, src, nbytes)
-        return out
-
-    # -- stable variant: host write-combining, full-buffer chunks -----------------
-
-    def _send_stop_and_wait(self, comm: "Rcce", dest: int, data) -> Generator:
         env, fl, me = comm.env, comm.flags, comm.rank
+        trace = env.sim.tracer
+        tracing = trace.wants("protocol")
         ready = fl.ready(me, dest)
-        for start, chunk in comm.iter_chunks(data):
+        sent = fl.sent(dest, me)
+        dst_addr = comm.comm_buffer_addr(dest)
+        for index, (start, chunk) in enumerate(comm.iter_chunks(data)):
             grant = comm.next_seq(me, dest, "ready")
             seq = comm.next_seq(me, dest, "sent")
             ack = comm.next_seq(me, dest, "ready")
             yield from env.wait_flag(ready, grant)  # b1: buffer granted
             if len(chunk):
-                dst_addr = comm.comm_buffer_addr(dest)
+                if tracing:
+                    trace.emit(env.sim.now, "protocol", me, "send", "put_start", index)
                 yield from env.private_read(len(chunk))
-                yield from comm.announce_wcb_open(dst_addr, len(chunk))
-                yield from env.mpb_write(dst_addr, chunk)
-            yield from env.set_flag(fl.sent(dest, me), seq)  # b2: data ready
+                yield from self._put(comm, dst_addr, chunk)
+                if tracing:
+                    trace.emit(env.sim.now, "protocol", me, "send", "put_done", index)
+            yield from env.set_flag(sent, seq)  # b2: data ready
+            if tracing:
+                trace.emit(env.sim.now, "protocol", me, "send", "flag_set", index)
             yield from env.wait_flag(ready, ack)
+            if tracing:
+                trace.emit(env.sim.now, "protocol", me, "send", "ack_seen", index)
 
-    def _recv_stop_and_wait(self, comm: "Rcce", src: int, nbytes: int) -> Generator:
+    def recv(self, comm: "Rcce", src: int, nbytes: int) -> Generator:
         env, fl, me = comm.env, comm.flags, comm.rank
+        trace = env.sim.tracer
+        tracing = trace.wants("protocol")
         sent = fl.sent(me, src)
         ready = fl.ready(src, me)
         my_buf = comm.comm_buffer_addr(me)
         out = np.empty(nbytes, np.uint8)
-        for start, size in comm.iter_chunk_sizes(nbytes):
+        for index, (start, size) in enumerate(comm.iter_chunk_sizes(nbytes)):
             grant = comm.next_seq(src, me, "ready")
             seq = comm.next_seq(src, me, "sent")
             ack = comm.next_seq(src, me, "ready")
             yield from env.set_flag(ready, grant)
             yield from env.wait_flag(sent, seq)
             if size:
+                if tracing:
+                    trace.emit(env.sim.now, "protocol", me, "recv", "get_start", index)
                 chunk = yield from env.get_chunk(my_buf, size)
                 out[start : start + size] = chunk
+                if tracing:
+                    trace.emit(env.sim.now, "protocol", me, "recv", "get_done", index)
             yield from env.set_flag(ready, ack)
         return out
 
-    # -- upper-bound variant: FPGA fast acks, two-slot streaming --------------------
-    #
-    # Models the previous prototype's remote-put protocol [13] at its
-    # best: with local write acknowledges the sender streams
-    # continuously, double-buffering the receiver's MPB halves. This is
-    # the dashed upper-bound curve of Fig 6b; stability limits keep it
-    # out of real configurations beyond two devices.
 
-    def _slot_plan(self, comm: "Rcce", a: int, b: int, nbytes: int):
-        slot = comm.slot_bytes
-        transfers = granule_sizes(nbytes, slot) if nbytes else [0]
-        grants = [comm.next_seq(a, b, "ready") for _ in transfers]
-        final_ack = comm.next_seq(a, b, "ready")
-        seqs = [comm.next_seq(a, b, "sent") for _ in transfers]
-        return slot, transfers, grants, final_ack, seqs
+class DirectSmallTransport(StopAndWaitTransport):
+    """Sub-threshold direct transfer (§3.3).
 
-    def _send_slotted(self, comm: "Rcce", dest: int, data) -> Generator:
-        env, fl, me = comm.env, comm.flags, comm.rank
-        slot, transfers, grants, final_ack, seqs = self._slot_plan(
-            comm, me, dest, len(data)
-        )
-        ready = fl.ready(me, dest)
-        sent = fl.sent(dest, me)
-        grant_preds = [reached(g) for g in grants]
-        offset = 0
-        for k, size in enumerate(transfers):
-            yield from env.wait_flag_pred(ready, grant_preds[k])
-            if size:
-                chunk = data[offset : offset + size]
-                yield from env.private_read(size)
-                yield from env.mpb_write(
-                    comm.comm_buffer_addr(dest, (k % 2) * slot), chunk
-                )
-            yield from env.set_flag(sent, seqs[k])
-            offset += size
-        yield from env.wait_flag(ready, final_ack)
-
-    def _recv_slotted(self, comm: "Rcce", src: int, nbytes: int) -> Generator:
-        env, fl, me = comm.env, comm.flags, comm.rank
-        slot, transfers, grants, final_ack, seqs = self._slot_plan(
-            comm, src, me, nbytes
-        )
-        sent = fl.sent(me, src)
-        ready = fl.ready(src, me)
-        seq_preds = [reached(s) for s in seqs]
-        slots = (
-            comm.comm_buffer_addr(me, 0),
-            comm.comm_buffer_addr(me, slot),
-        )
-        out = np.empty(nbytes, np.uint8)
-        yield from env.set_flag(ready, grants[0])
-        if len(transfers) > 1:
-            yield from env.set_flag(ready, grants[1])
-        offset = 0
-        for k, size in enumerate(transfers):
-            yield from env.wait_flag_pred(sent, seq_preds[k])
-            if size:
-                chunk = yield from env.get_chunk(slots[k % 2], size)
-                out[offset : offset + size] = chunk
-            if k + 2 < len(transfers):
-                yield from env.set_flag(ready, grants[k + 2])
-            offset += size
-        yield from env.set_flag(ready, final_ack)
-        return out
-
-
-class VdmaTransport(Transport):
-    """*Local put / local get* via the vDMA controller (Fig 4a).
-
-    Both end points touch only their own on-chip memory; the host's vDMA
-    engine moves the payload. The communication buffer is split into two
-    slots on both sides, double-buffering transfers so the 8 kB MPB
-    cliff disappears ("sender and receiver can progress communication in
-    parallel … the communication task can introduce a pipelining
-    effect", §4.1). Within a transfer the receiver drains granules as
-    the vDMA's piggybacked progress counter announces them.
+    The sender pushes the payload itself through the immediate-ack path,
+    skipping vDMA programming / WC-stream setup — "to recover low
+    latency for small messages". Still rendezvous-gated: the payload
+    lands in the receiver's communication buffer.
     """
 
-    name = "local-put-local-get-vdma"
+    name = "direct-small"
 
-    def __init__(self, host: "Host", fused_mmio: bool = True, selector=None):
-        self.host = host
-        #: Whether the three programming registers are written as one
-        #: WCB-fused transaction (§3.3) — the mmio-fusion ablation
-        #: disables this to measure the saving.
-        self.fused_mmio = fused_mmio
-        #: Owning :class:`VsccSelector`, consulted for the host-affinity
-        #: of cross-host copies (``None`` on a standalone transport).
-        self.selector = selector
+    def _put(self, comm: "Rcce", addr, chunk: np.ndarray) -> Generator:
+        yield from comm.env.device.fabric.direct_write(comm.env, addr, chunk)
+
+
+class RemotePutTransport(StopAndWaitTransport):
+    """*Remote put* through the host write-combining buffer (Fig 4c).
+
+    The sender opens a WC stream toward the receiver's MPB and stores
+    the chunk into it; the host buffer absorbs the stores and forwards
+    them.
+    """
+
+    name = "remote-put-wcb"
+
+    def _put(self, comm: "Rcce", addr, chunk: np.ndarray) -> Generator:
+        yield from comm.announce_wcb_open(addr, len(chunk))
+        yield from comm.env.mpb_write(addr, chunk)
+
+
+class TwoSlotTransport(Transport):
+    """Two-slot rendezvous: the receiver double-buffers its MPB halves.
+
+    The message moves in transfers of one slot (half the communication
+    buffer). The receiver grants both slots up front (b1) and re-grants
+    slot ``k % 2`` for transfer ``k + 2`` once it drained transfer ``k``;
+    within a transfer, one ``sent`` value per granule (b2) tells it how
+    far the data landed. The subclasses differ only in how the sender
+    moves a transfer into the receiver's slot.
+    """
+
+    sender_first = False
+
+    @abc.abstractmethod
+    def _granule(self, comm: "Rcce") -> int:
+        """Bytes of a transfer announced by one ``sent`` value."""
 
     def _plan(self, comm: "Rcce", a: int, b: int, nbytes: int):
         """Transfer/granule/seq plan — computed identically on both ends.
 
         ``gsizes[k]`` is transfer ``k``'s granule-size list (``[0]`` for
-        an empty message), computed once here so the receive loop does
-        not re-derive it per transfer.
+        an empty message) and ``progress[k]`` its ``sent`` values.
         """
         slot = comm.slot_bytes
         transfers = granule_sizes(nbytes, slot) if nbytes else [0]
-        granule = self.host.params.granule
+        granule = self._granule(comm)
         gsizes = [granule_sizes(size, granule) or [0] for size in transfers]
         grants = [comm.next_seq(a, b, "ready") for _ in transfers]
         final_ack = comm.next_seq(a, b, "ready")
-        progress = [
-            [comm.next_seq(a, b, "sent") for _ in gsizes[k]]
-            for k in range(len(transfers))
-        ]
-        return slot, granule, transfers, gsizes, grants, final_ack, progress
-
-    def send(self, comm: "Rcce", dest: int, data: np.ndarray) -> Generator:
-        env, fl, me = comm.env, comm.flags, comm.rank
-        slot, granule, transfers, gsizes, grants, final_ack, progress = self._plan(
-            comm, me, dest, len(data)
-        )
-        done_flag = fl.misc(me, SLOT_VDMA_DONE)
-        ready = fl.ready(me, dest)
-        sent = fl.sent(dest, me)
-        done_seqs = [comm.next_seq(me, me, "vdma_done") for _ in transfers]
-        done_preds = [reached(s) for s in done_seqs]
-        grant_preds = [reached(g) for g in grants]
-        slot_addrs = (env.local_addr(0), env.local_addr(slot))
-        # Host-affinity of a cross-host copy (None on a same-host route):
-        # which host's communication task owns the inter-host forward.
-        owner = None
-        if self.selector is not None:
-            owner = self.selector.host_affinity_for(comm, me, dest)
-        offset = 0
-        for k, size in enumerate(transfers):
-            if k >= 2:
-                # Our slot k%2 is reusable once transfer k-2 was pulled
-                # and committed (the completion flag covers both).
-                yield from env.wait_flag_pred(done_flag, done_preds[k - 2])
-            yield from env.wait_flag_pred(ready, grant_preds[k])  # b1
-            slot_off = (k % 2) * slot
-            if size:
-                chunk = data[offset : offset + size]
-                yield from env.put_chunk(slot_addrs[k % 2], chunk)
-            cmd = VdmaCommand(
-                dst=comm.comm_buffer_addr(dest, slot_off),
-                completion_flag=done_flag,
-                completion_value=done_seqs[k],
-                progress_flag=sent,
-                progress_values=tuple(progress[k]),
-                granule=granule,
-                owner=owner,
-            )
-            yield from env.device.fabric.mmio_write_block(
-                env,
-                [
-                    (REG_VDMA_ADDR, slot_off),
-                    (REG_VDMA_COUNT, max(size, 1) if size else 0),
-                    (REG_VDMA_CTRL, cmd),
-                ]
-                if size
-                else [(REG_VDMA_ADDR, slot_off), (REG_VDMA_COUNT, 0)],
-                fused=self.fused_mmio,
-            )
-            if not size:
-                # Zero-byte message: signal data-ready directly.
-                yield from env.set_flag(sent, progress[k][0])
-            offset += size
-        if transfers[-1]:
-            yield from env.wait_flag_pred(done_flag, done_preds[-1])
-        yield from env.wait_flag(ready, final_ack)
+        progress = [[comm.next_seq(a, b, "sent") for _ in sizes] for sizes in gsizes]
+        return slot, transfers, gsizes, grants, final_ack, progress
 
     def recv(self, comm: "Rcce", src: int, nbytes: int) -> Generator:
         env, fl, me = comm.env, comm.flags, comm.rank
-        slot, granule, transfers, gsizes, grants, final_ack, progress = self._plan(
+        slot, transfers, gsizes, grants, final_ack, progress = self._plan(
             comm, src, me, nbytes
         )
         sent = fl.sent(me, src)
         ready = fl.ready(src, me)
         progress_preds = [[reached(p) for p in plist] for plist in progress]
         out = np.empty(nbytes, np.uint8)
-        # Grant the first two slots up front (double buffering).
         yield from env.set_flag(ready, grants[0])
         if len(transfers) > 1:
             yield from env.set_flag(ready, grants[1])
@@ -390,76 +297,131 @@ class VdmaTransport(Transport):
         return out
 
 
-class DirectSmallTransport(Transport):
-    """Sub-threshold direct transfer (§3.3).
+class HwAccelRemotePutTransport(TwoSlotTransport):
+    """Hardware-accelerated *remote put* (the dashed curve of Fig 6b).
 
-    The sender pushes the payload itself through the immediate-ack path,
-    skipping vDMA programming / WC-stream setup — "to recover low
-    latency for small messages". Still rendezvous-gated: the payload
-    lands in the receiver's communication buffer.
+    Models the previous prototype's remote-put protocol [13] at its
+    best: with the on-board FPGA's fast write acknowledges the sender
+    streams each transfer straight into the receiver's slot, one
+    ``sent`` value per transfer. Stability limits keep it out of real
+    configurations beyond two devices.
     """
 
-    name = "direct-small"
+    name = "remote-put-hw-accel"
+
+    def _granule(self, comm: "Rcce") -> int:
+        return comm.slot_bytes
 
     def send(self, comm: "Rcce", dest: int, data: np.ndarray) -> Generator:
         env, fl, me = comm.env, comm.flags, comm.rank
-        trace = env.sim.tracer
-        tracing = trace.wants("protocol")
+        slot, transfers, _gsizes, grants, final_ack, progress = self._plan(
+            comm, me, dest, len(data)
+        )
         ready = fl.ready(me, dest)
-        grant = comm.next_seq(me, dest, "ready")
-        seq = comm.next_seq(me, dest, "sent")
-        ack = comm.next_seq(me, dest, "ready")
-        yield from env.wait_flag(ready, grant)
-        if len(data):
-            if tracing:
-                trace.emit(env.sim.now, "protocol", me, "send", "put_start", 0)
-            yield from env.private_read(len(data))
-            yield from env.device.fabric.direct_write(
-                env, comm.comm_buffer_addr(dest), data
-            )
-            if tracing:
-                trace.emit(env.sim.now, "protocol", me, "send", "put_done", 0)
-        yield from env.set_flag(fl.sent(dest, me), seq)
-        if tracing:
-            trace.emit(env.sim.now, "protocol", me, "send", "flag_set", 0)
-        yield from env.wait_flag(ready, ack)
-        if tracing:
-            trace.emit(env.sim.now, "protocol", me, "send", "ack_seen", 0)
+        sent = fl.sent(dest, me)
+        grant_preds = [reached(g) for g in grants]
+        offset = 0
+        for k, size in enumerate(transfers):
+            yield from env.wait_flag_pred(ready, grant_preds[k])  # b1
+            if size:
+                yield from env.private_read(size)
+                yield from env.mpb_write(
+                    comm.comm_buffer_addr(dest, (k % 2) * slot),
+                    data[offset : offset + size],
+                )
+            yield from env.set_flag(sent, progress[k][0])  # b2
+            offset += size
+        yield from env.wait_flag(ready, final_ack)
 
-    def recv(self, comm: "Rcce", src: int, nbytes: int) -> Generator:
+
+class VdmaTransport(TwoSlotTransport):
+    """*Local put / local get* via the vDMA controller (Fig 4a).
+
+    Both end points touch only their own on-chip memory; the host's vDMA
+    engine moves the payload. The communication buffer is split into two
+    slots on both sides, double-buffering transfers so the 8 kB MPB
+    cliff disappears ("sender and receiver can progress communication in
+    parallel … the communication task can introduce a pipelining
+    effect", §4.1). Within a transfer the receiver drains granules as
+    the vDMA's piggybacked progress counter announces them.
+    """
+
+    name = "local-put-local-get-vdma"
+
+    def __init__(self, host: "Host", fused_mmio: bool = True, selector=None):
+        self.host = host
+        #: Whether the three programming registers are written as one
+        #: WCB-fused transaction (§3.3) — the mmio-fusion ablation
+        #: disables this to measure the saving.
+        self.fused_mmio = fused_mmio
+        #: Owning :class:`VsccSelector`, consulted for the host-affinity
+        #: of cross-host copies (``None`` on a standalone transport).
+        self.selector = selector
+
+    def _granule(self, comm: "Rcce") -> int:
+        return self.host.params.granule
+
+    def send(self, comm: "Rcce", dest: int, data: np.ndarray) -> Generator:
         env, fl, me = comm.env, comm.flags, comm.rank
-        trace = env.sim.tracer
-        tracing = trace.wants("protocol")
-        grant = comm.next_seq(src, me, "ready")
-        seq = comm.next_seq(src, me, "sent")
-        ack = comm.next_seq(src, me, "ready")
-        yield from env.set_flag(fl.ready(src, me), grant)
-        yield from env.wait_flag(fl.sent(me, src), seq)
-        out = np.empty(nbytes, np.uint8)
-        if nbytes:
-            if tracing:
-                trace.emit(env.sim.now, "protocol", me, "recv", "get_start", 0)
-            chunk = yield from env.get_chunk(comm.comm_buffer_addr(me), nbytes)
-            out[:] = chunk
-            if tracing:
-                trace.emit(env.sim.now, "protocol", me, "recv", "get_done", 0)
-        yield from env.set_flag(fl.ready(src, me), ack)
-        return out
+        slot, transfers, _gsizes, grants, final_ack, progress = self._plan(
+            comm, me, dest, len(data)
+        )
+        granule = self.host.params.granule
+        done_flag = fl.misc(me, SLOT_VDMA_DONE)
+        ready = fl.ready(me, dest)
+        sent = fl.sent(dest, me)
+        done_seqs = [comm.next_seq(me, me, "vdma_done") for _ in transfers]
+        done_preds = [reached(s) for s in done_seqs]
+        grant_preds = [reached(g) for g in grants]
+        slot_addrs = (env.local_addr(0), env.local_addr(slot))
+        # Host-affinity of a cross-host copy (None on a same-host route):
+        # which host's communication task owns the inter-host forward.
+        owner = None
+        if self.selector is not None:
+            owner = self.selector.host_affinity_for(comm, me, dest)
+        offset = 0
+        for k, size in enumerate(transfers):
+            if k >= 2:
+                # Our slot k%2 is reusable once transfer k-2 was pulled
+                # and committed (the completion flag covers both).
+                yield from env.wait_flag_pred(done_flag, done_preds[k - 2])
+            yield from env.wait_flag_pred(ready, grant_preds[k])  # b1
+            slot_off = (k % 2) * slot
+            regs = [(REG_VDMA_ADDR, slot_off), (REG_VDMA_COUNT, size)]
+            if size:
+                yield from env.put_chunk(slot_addrs[k % 2], data[offset : offset + size])
+                regs.append((REG_VDMA_CTRL, VdmaCommand(
+                    dst=comm.comm_buffer_addr(dest, slot_off),
+                    completion_flag=done_flag,
+                    completion_value=done_seqs[k],
+                    progress_flag=sent,
+                    progress_values=tuple(progress[k]),
+                    granule=granule,
+                    owner=owner,
+                )))
+            yield from env.device.fabric.mmio_write_block(env, regs, fused=self.fused_mmio)
+            if not size:
+                # Zero-byte message: signal data-ready directly.
+                yield from env.set_flag(sent, progress[k][0])
+            offset += size
+        if transfers[-1]:
+            yield from env.wait_flag_pred(done_flag, done_preds[-1])
+        yield from env.wait_flag(ready, final_ack)
 
 
 #: Journal prefix length both sides must have consumed before pruning.
 _JOURNAL_PRUNE = 256
 
 
-class VsccSelector(TransportSelector):
+class VsccSelector(OnChipSelector):
     """Scheme-aware selector for multi-device sessions.
 
-    On-chip pairs use RCCE's default protocol (or iRCCE's pipelined one
-    above the 4 kB threshold when configured); cross-device pairs are
-    dispatched per message by the :class:`~repro.vscc.policy.SchemePolicy`
-    — every scheme a policy may return gets its transport built up front
-    and held concurrently — falling back to the direct path below the
-    chosen scheme's small-message threshold (§3.3).
+    On-chip pairs get :class:`~repro.rcce.transport.OnChipSelector`'s
+    choice; every cross-device message is dispatched by the
+    :class:`~repro.vscc.policy.SchemePolicy` — every scheme a policy may
+    return gets its transport built up front and held concurrently —
+    falling back to the direct path at or below the chosen scheme's
+    small-message threshold (§3.3).
 
     **Agreement journal.** Both end points of a message must pick the
     same transport, but a stateful policy may evolve between the
@@ -470,47 +432,35 @@ class VsccSelector(TransportSelector):
     it. Send and receive consume the journal through independent
     cursors, so whichever side runs first the pairing is by message
     index — exactly the per-pair FIFO order both sides already share.
-    A run-static policy (``StaticPolicy``) skips the journal entirely
-    and keeps the historic single-transport fast path, bit for bit.
+    A run-static policy takes the same path; its journal simply repeats
+    one scheme.
     """
 
     def __init__(
         self,
         host: "Host",
-        policy,
+        policy: SchemePolicy,
         options: "RcceOptions",
         direct_threshold: Optional[int] = None,
         announce_prefetch: bool = True,
         vdma_fused_mmio: bool = True,
     ):
-        if isinstance(policy, CommScheme):
-            policy = StaticPolicy(policy)
-        if not isinstance(policy, SchemePolicy):
-            raise TypeError(
-                f"policy must be a SchemePolicy or CommScheme, got {policy!r}"
-            )
+        super().__init__(options)
         self.host = host
         self.policy = policy
-        #: The run-static scheme, or ``None`` under a dynamic policy.
-        self.scheme = policy.static_scheme
-        self.options = options
         self.announce_prefetch = announce_prefetch
         self.vdma_fused_mmio = vdma_fused_mmio
-        if direct_threshold is not None and self.scheme is None:
+        if direct_threshold is not None and policy.static_scheme is None:
             raise ValueError(
                 "direct_threshold override needs a static scheme; dynamic "
                 "policies carry per-scheme thresholds"
             )
+        #: Largest message of each scheme that takes the direct path; -1
+        #: (no direct path) without the communication-task extensions.
         self._thresholds: dict[CommScheme, int] = {}
         for scheme in policy.schemes:
-            thr = (
-                scheme.direct_threshold
-                if direct_threshold is None
-                else direct_threshold
-            )
-            self._thresholds[scheme] = thr if host.extensions_enabled else 0
-        self._onchip_default = DefaultGetTransport()
-        self._onchip_pipelined = PipelinedTransport(packet_bytes=options.pipeline_packet)
+            thr = scheme.direct_threshold if direct_threshold is None else direct_threshold
+            self._thresholds[scheme] = thr if host.extensions_enabled else -1
         self._direct = DirectSmallTransport()
         #: Every transport the policy may dispatch onto, built up front
         #: and held concurrently (per-route, per-message dispatch).
@@ -520,22 +470,13 @@ class VsccSelector(TransportSelector):
         self._scheme_of = {
             id(transport): scheme for scheme, transport in self._transports.items()
         }
-        if self.scheme is not None:
-            self.direct_threshold = self._thresholds[self.scheme]
-            self._cross = self._transports[self.scheme]
-        else:
-            self.direct_threshold = max(self._thresholds.values(), default=0)
-            self._cross = None
-        #: Decision journal of dynamic policies: directed pair → the
-        #: (scheme, host-affinity) decisions of its messages, in order
-        #: (affinity is ``None`` for same-host routes).
-        self._journal: dict[tuple[int, int], list[tuple[CommScheme, Optional[str]]]] = {}
+        #: Decision journal: directed pair → the schemes of its messages,
+        #: in order.
+        self._journal: dict[tuple[int, int], list[CommScheme]] = {}
         #: Per-(pair, op) cursor into the journal.
         self._cursors: dict[tuple[int, int, str], int] = {}
         self._routes: dict[tuple[int, int], Route] = {}
-        #: Host-affinity per directed pair (cross-host routes only).
-        self._affinities: dict[tuple[int, int], str] = {}
-        #: Cross-host copies decided per owner ("src"/"dst").
+        #: Cross-host routes decided per owner ("src"/"dst").
         self.affinity_decisions: dict[str, int] = {}
         #: Messages routed per transport name (selection happens once per
         #: send/recv, so counting here is off the byte-moving hot path).
@@ -549,7 +490,7 @@ class VsccSelector(TransportSelector):
 
     def _build_cross(self, scheme: CommScheme) -> Transport:
         if scheme is CommScheme.TRANSPARENT:
-            return DefaultGetTransport(announce_prefetch=False)
+            return DefaultGetTransport(name=scheme.value)
         if scheme is CommScheme.LOCAL_PUT_REMOTE_GET:
             # Ablating the prefetch announcement still requires explicit
             # consistency control: the sender invalidates the stale host
@@ -559,11 +500,11 @@ class VsccSelector(TransportSelector):
                 if self.announce_prefetch
                 else DefaultGetTransport.CACHE_INVALIDATE
             )
-            return DefaultGetTransport(cache_control=control)
+            return DefaultGetTransport(cache_control=control, name=scheme.value)
         if scheme is CommScheme.REMOTE_PUT_WCB:
-            return RemotePutTransport(via_host_wcb=True)
+            return RemotePutTransport()
         if scheme is CommScheme.HW_ACCEL_REMOTE_PUT:
-            return RemotePutTransport(via_host_wcb=False)
+            return HwAccelRemotePutTransport()
         if scheme is CommScheme.LOCAL_PUT_LOCAL_GET_VDMA:
             return VdmaTransport(
                 self.host, fused_mmio=self.vdma_fused_mmio, selector=self
@@ -571,7 +512,7 @@ class VsccSelector(TransportSelector):
         raise ValueError(f"unknown scheme {scheme}")  # pragma: no cover
 
     def metrics_snapshot(self) -> dict[str, float]:
-        """Selection counts plus (dynamic policies) decision counts."""
+        """Selection, decision and host-affinity counts."""
         snapshot = {
             f"scheme.selected{{transport={name}}}": float(count)
             for name, count in sorted(self.selections.items())
@@ -585,6 +526,12 @@ class VsccSelector(TransportSelector):
     # -- policy decision journal --------------------------------------------------
 
     def _route(self, comm: "Rcce", src: int, dst: int) -> Route:
+        """The :class:`Route` of a directed pair, built at its first decision.
+
+        A cross-host route's host affinity (the policy's
+        ``cross_host_affinity``) is counted and traced when the route is
+        built: once per directed pair.
+        """
         key = (src, dst)
         route = self._routes.get(key)
         if route is None:
@@ -598,36 +545,27 @@ class VsccSelector(TransportSelector):
                 dst_host=self.host.host_for(dst_device).host_id,
             )
             self._routes[key] = route
+            if route.is_cross_host:
+                affinity = self.policy.cross_host_affinity
+                self.affinity_decisions[affinity] = (
+                    self.affinity_decisions.get(affinity, 0) + 1
+                )
+                tracer = comm.env.sim.tracer
+                if tracer.wants("policy"):
+                    tracer.emit(
+                        comm.env.sim.now, "policy", src, dst,
+                        f"host_affinity={affinity}", 0,
+                    )
         return route
 
     def host_affinity_for(
         self, comm: "Rcce", src: int, dst: int
     ) -> Optional[str]:
-        """Journal-consistent host-affinity of a directed rank pair.
-
-        ``None`` for same-host routes; otherwise the policy's "src"/"dst"
-        answer, decided once per directed pair (a :class:`Route` is the
-        policy's unit of affinity) and counted/traced like a scheme
-        decision.
-        """
-        route = self._route(comm, src, dst)
-        if not route.is_cross_host:
-            return None
-        pair = (src, dst)
-        affinity = self._affinities.get(pair)
-        if affinity is None:
-            affinity = _check_affinity(self.policy.host_affinity(route))
-            self._affinities[pair] = affinity
-            self.affinity_decisions[affinity] = (
-                self.affinity_decisions.get(affinity, 0) + 1
-            )
-            tracer = comm.env.sim.tracer
-            if tracer.wants("policy"):
-                tracer.emit(
-                    comm.env.sim.now, "policy", src, dst,
-                    f"host_affinity={affinity}", 0,
-                )
-        return affinity
+        """Which host owns a directed pair's copies: ``None`` on a
+        same-host route, else the policy's ``cross_host_affinity``."""
+        if self._route(comm, src, dst).is_cross_host:
+            return self.policy.cross_host_affinity
+        return None
 
     def _decide(
         self, comm: "Rcce", peer: int, nbytes: int, op: str, probe: bool
@@ -649,7 +587,7 @@ class VsccSelector(TransportSelector):
         cursor_key = (src, dst, op)
         index = self._cursors.get(cursor_key, 0)
         if index < len(decisions):
-            scheme, _affinity = decisions[index]
+            scheme = decisions[index]
         else:
             route = self._route(comm, src, dst)
             scheme = self.policy.choose(src, dst, nbytes, route)
@@ -658,12 +596,7 @@ class VsccSelector(TransportSelector):
                     f"policy {self.policy.name!r} chose {scheme} which is not "
                     f"in its declared scheme set {self.policy.schemes}"
                 )
-            affinity = (
-                self.host_affinity_for(comm, src, dst)
-                if route.is_cross_host
-                else None
-            )
-            decisions.append((scheme, affinity))
+            decisions.append(scheme)
             self.decisions[scheme] = self.decisions.get(scheme, 0) + 1
             tracer = comm.env.sim.tracer
             if tracer.wants("policy"):
@@ -741,19 +674,10 @@ class VsccSelector(TransportSelector):
         probe: bool = False,
     ) -> Transport:
         if comm.layout.same_device(comm.rank, peer):
-            if self.options.pipelined and nbytes > PIPELINE_THRESHOLD:
-                chosen = self._onchip_pipelined
-            else:
-                chosen = self._onchip_default
-        elif self._cross is not None:
-            # Run-static policy: the historic single-transport fast path.
-            if self.host.extensions_enabled and nbytes <= self.direct_threshold:
-                chosen = self._direct
-            else:
-                chosen = self._cross
+            chosen = self._onchip(nbytes)
         else:
             scheme = self._decide(comm, peer, nbytes, op, probe)
-            if self.host.extensions_enabled and nbytes <= self._thresholds[scheme]:
+            if nbytes <= self._thresholds[scheme]:
                 chosen = self._direct
             else:
                 chosen = self._transports[scheme]

@@ -159,10 +159,6 @@ class FabricTopology:
         _d2, core_b = self.layout.placement(rank_b)
         return self.params.hops(core_a, core_b)
 
-    def mesh_hops(self, rank_a: int, rank_b: int) -> int:
-        """Alias of :meth:`xy_hops` (the historic name)."""
-        return self.xy_hops(rank_a, rank_b)
-
     def z_hops(self, rank_a: int, rank_b: int) -> int:
         """Device-tier crossings: 1 for any cross-device pair, else 0.
 

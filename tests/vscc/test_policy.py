@@ -152,7 +152,7 @@ def test_threshold_run_uses_both_transports():
     metrics = result.metrics
     assert metrics[f"policy.decisions{{scheme={CACHED.value}}}"] >= 1.0
     assert metrics[f"policy.decisions{{scheme={VDMA.value}}}"] >= 1.0
-    assert metrics["scheme.selected{transport=rcce-default}"] >= 2.0
+    assert metrics["scheme.selected{transport=cached-get}"] >= 2.0
     assert metrics["scheme.selected{transport=local-put-local-get-vdma}"] >= 2.0
 
 

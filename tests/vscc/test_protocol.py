@@ -43,6 +43,20 @@ def test_onchip_still_works(scheme):
     exchange(system, 0, 13, 10000)
 
 
+@pytest.mark.parametrize(
+    "scheme",
+    [CommScheme.LOCAL_PUT_LOCAL_GET_VDMA, CommScheme.REMOTE_PUT_WCB],
+    ids=lambda s: s.value,
+)
+@pytest.mark.parametrize("threshold,size", [(8000, 7700), (20000, 9000), (20000, 20000)])
+def test_direct_path_chunks_past_the_buffer(scheme, threshold, size):
+    """A direct threshold above the 7680 B communication buffer still
+    delivers intact: the direct path chunks like its rendezvous twins."""
+    system = VSCCSystem(num_devices=2, scheme=scheme, direct_threshold=threshold)
+    exchange(system, 0, 48, size)
+    assert system.metrics["scheme.selected{transport=direct-small}"] == 4.0
+
+
 @pytest.mark.parametrize("buffer_bytes", [32, 64])
 @pytest.mark.parametrize("transport", ["vdma", "hw-accel", "onchip-pipelined"])
 def test_two_slot_transports_need_two_cache_lines(transport, buffer_bytes):

@@ -75,4 +75,4 @@ def test_selector_picks_by_locality_and_size():
 def test_transparent_has_no_direct_path():
     system = VSCCSystem(num_devices=2, scheme=CommScheme.TRANSPARENT)
     comm = system.comm_for(0)
-    assert system.selector.select(comm, 48, 8).name == "rcce-default"
+    assert system.selector.select(comm, 48, 8).name == "transparent"

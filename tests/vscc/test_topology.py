@@ -21,9 +21,9 @@ def test_device_coordinate(system):
 
 def test_mesh_hops_only_same_device(system):
     topo = system.topology
-    assert topo.mesh_hops(0, 47) == 8
+    assert topo.xy_hops(0, 47) == 8
     with pytest.raises(ValueError):
-        topo.mesh_hops(0, 48)
+        topo.xy_hops(0, 48)
 
 
 def test_path_hops_funnel_through_sif(system):

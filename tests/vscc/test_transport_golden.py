@@ -1,0 +1,180 @@
+"""Golden inter-device transports: every scheme's protocol pinned case by case.
+
+``data/transport_golden.json`` records, for every case below, the
+simulated time of one two-device run (exact float ns), the events it
+processed, a sha256 of every payload both ranks received, and every
+series of the final metrics snapshot except ``policy.*`` and
+``scheme.selected*`` (the selection bookkeeping, not the protocol).
+
+Each run is a ping-pong between rank 0 and the last rank of device 1 at
+the protocol edges — empty, one byte, around each direct threshold
+(32/64/128 B), around the half-buffer slot (3840 B) and the full
+communication buffer (7680 B), two and three chunks — three times per
+size, followed by 300 one-way messages of 1-40 B that wrap the
+254-value flag counters. The cases cover:
+
+* every static :class:`CommScheme` (hw-accel with ``allow_unstable``);
+* vDMA and remote-put WCB with the direct path switched off
+  (``direct_threshold=0``), and vDMA with it raised to the buffer size;
+* the threshold policy, the default adaptive policy with a short
+  re-probe cadence, and a three-candidate adaptive policy including WCB.
+
+Delay fusion is pinned on for the recorded run. Each case is replayed
+with fusion off; its simulated time, payloads and series must match
+too (the event counts differ by design). Regenerate (only for an
+intended change of simulated results) with::
+
+    PYTHONPATH=src python tests/vscc/test_transport_golden.py --update
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+import pytest
+
+from repro.vscc.policy import AdaptivePolicy, StaticPolicy, ThresholdPolicy
+from repro.vscc.schemes import CommScheme
+from repro.vscc.system import VSCCSystem
+
+GOLDEN = Path(__file__).parent / "data" / "transport_golden.json"
+
+VDMA = CommScheme.LOCAL_PUT_LOCAL_GET_VDMA
+WCB = CommScheme.REMOTE_PUT_WCB
+CACHED = CommScheme.LOCAL_PUT_REMOTE_GET
+
+#: Ping-pong sizes: the direct thresholds, the two-slot half buffer, the
+#: full communication buffer and multi-chunk messages, each +-1 byte.
+SIZES = (0, 1, 32, 33, 64, 65, 128, 129, 3840, 3841, 7680, 7681, 15361, 20000)
+ROUNDS = 3
+#: One-way stream after the ping-pong: enough messages to wrap the flag
+#: counters (1..254) of every protocol.
+STREAM = 300
+UNPINNED = ("policy.", "scheme.selected")
+#: Event-count series, which differ between fused and unfused runs.
+EVENT_COUNTS = ("kernel.", "sim.events")
+
+
+def case_specs() -> dict[str, Callable[[], dict]]:
+    """Case id -> a factory of fresh ``VSCCSystem`` keyword arguments.
+
+    Policies are built per run: an adaptive policy carries its EWMAs.
+    """
+    specs = {
+        f"static/{scheme.value}": lambda s=scheme: dict(
+            policy=StaticPolicy(s),
+            allow_unstable=s is CommScheme.HW_ACCEL_REMOTE_PUT,
+        )
+        for scheme in CommScheme
+    }
+    specs["vdma/direct-0"] = lambda: dict(scheme=VDMA, direct_threshold=0)
+    specs["remote-put-wcb/direct-0"] = lambda: dict(scheme=WCB, direct_threshold=0)
+    specs["vdma/direct-7680"] = lambda: dict(scheme=VDMA, direct_threshold=7680)
+    specs["threshold"] = lambda: dict(policy=ThresholdPolicy())
+    specs["adaptive"] = lambda: dict(policy=AdaptivePolicy(probe_every=4))
+    specs["adaptive-3"] = lambda: dict(
+        policy=AdaptivePolicy(candidates=(CACHED, VDMA, WCB), probe_every=3)
+    )
+    return specs
+
+
+def payload(size: int, salt: int) -> np.ndarray:
+    return ((np.arange(size) * 13 + size + salt) % 251).astype(np.uint8)
+
+
+def traffic(system: VSCCSystem) -> tuple[float, str]:
+    peer = system.num_ranks - 1
+
+    def program(comm):
+        got = []
+        for size in SIZES:
+            for rnd in range(ROUNDS):
+                if comm.rank == 0:
+                    yield from comm.send(payload(size, rnd), peer)
+                    got.append(bytes((yield from comm.recv(size, peer))))
+                else:
+                    data = yield from comm.recv(size, 0)
+                    got.append(bytes(data))
+                    yield from comm.send(data, 0)
+        for i in range(STREAM):
+            size = 1 + i % 40
+            if comm.rank == 0:
+                yield from comm.send(payload(size, i), peer)
+            else:
+                got.append(bytes((yield from comm.recv(size, 0))))
+        return b"".join(got)
+
+    result = system.run(program, ranks=[0, peer])
+    digest = hashlib.sha256(result.results[0] + result.results[peer])
+    return result.elapsed_ns, digest.hexdigest()
+
+
+def run_case(case: str, fuse: bool) -> dict:
+    system = VSCCSystem(num_devices=2, fuse_delays=fuse, **case_specs()[case]())
+    elapsed_ns, digest = traffic(system)
+    return {
+        "elapsed_ns": elapsed_ns,
+        "events": system.sim.events_processed,
+        "payload_sha256": digest,
+        "series": {
+            key: value
+            for key, value in system.metrics.items()
+            if not key.startswith(UNPINNED)
+        },
+    }
+
+
+def expected_payload_sha256() -> str:
+    """The digest every case must reach: each payload, delivered intact."""
+    echoed = [bytes(payload(s, r)) for s in SIZES for r in range(ROUNDS)]
+    stream = [bytes(payload(1 + i % 40, i)) for i in range(STREAM)]
+    return hashlib.sha256(b"".join(echoed + echoed + stream)).hexdigest()
+
+
+def without_event_counts(series: dict) -> dict:
+    return {k: v for k, v in series.items() if not k.startswith(EVENT_COUNTS)}
+
+
+def generate() -> dict:
+    return {case: run_case(case, fuse=True) for case in case_specs()}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_the_matrix(golden):
+    assert sorted(golden) == sorted(case_specs())
+
+
+def test_golden_payloads_arrive_intact(golden):
+    want = expected_payload_sha256()
+    assert {case: doc["payload_sha256"] for case, doc in golden.items()} == {
+        case: want for case in golden
+    }
+
+
+@pytest.mark.parametrize("case", sorted(case_specs()))
+def test_transport_matches_golden(golden, case):
+    want = golden[case]
+    assert run_case(case, fuse=True) == want
+    unfused = run_case(case, fuse=False)
+    assert unfused["elapsed_ns"] == want["elapsed_ns"]
+    assert unfused["payload_sha256"] == want["payload_sha256"]
+    assert without_event_counts(unfused["series"]) == without_event_counts(
+        want["series"]
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--update"]:
+        sys.exit("usage: test_transport_golden.py --update")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(generate(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
