@@ -20,7 +20,7 @@ one-sided layer is reachable through :attr:`gory`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterator, Optional, Union
+from typing import Generator, Optional, Union
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .config import RankLayout
 from .flags import SEQ_MOD, FlagLayout
 from .gory import Gory
 from .malloc import MpbAllocator
-from .transport import TransportSelector
+from .transport import OnChipSelector, TransportSelector
 
 __all__ = ["RcceOptions", "Rcce"]
 
@@ -48,7 +48,9 @@ class RcceOptions:
     #: Use the iRCCE pipelined protocol for on-chip messages larger than
     #: :data:`repro.rcce.transport.PIPELINE_THRESHOLD`.
     pipelined: bool = False
-    #: Pipeline packet size; None = half the MPB payload (two slots).
+    #: Pipeline packet size; None = half the communication buffer (two
+    #: slots). Every communicator checks, when it is built, that two
+    #: packets fit its buffer.
     pipeline_packet: Optional[int] = None
     #: Bytes at the top of the MPB payload reserved for gory users
     #: (``RCCE_malloc``); the rest is the send/recv communication buffer.
@@ -66,8 +68,6 @@ class Rcce:
         selector: Optional[TransportSelector] = None,
         flags: Optional[FlagLayout] = None,
     ):
-        from .transport import OnChipSelector  # avoid import cycle at module load
-
         self.env = env
         self.layout = layout
         self.options = options or RcceOptions()
@@ -93,6 +93,12 @@ class Rcce:
         #: pipelining): half the buffer, rounded down to a cache line.
         half = self.comm_buffer_bytes // 2
         self.slot_bytes = half - half % CACHE_LINE
+        packet = self.options.pipeline_packet
+        if self.options.pipelined and packet and 2 * packet > self.comm_buffer_bytes:
+            raise ValueError(
+                f"pipeline_packet={packet}: two packets do not fit the "
+                f"{self.comm_buffer_bytes} B communication buffer"
+            )
         self.user_mpb_base = self.comm_buffer_bytes
         self.user_mpb_bytes = user
         self._alloc = MpbAllocator(user) if user else None
@@ -141,7 +147,7 @@ class Rcce:
             raise ValueError(f"offset {offset} outside the communication buffer")
         return MpbAddr(device, core, offset)
 
-    # -- sequencing / chunking (shared by all transports) -----------------------------
+    # -- sequencing (shared by all transports) -----------------------------------------
 
     def next_seq(self, src: int, dst: int, channel: str = "sent") -> int:
         """Advance a per-directed-pair counter stream (1…254, cycling).
@@ -154,21 +160,6 @@ class Rcce:
         seq = self._seq.get(key, 0) % SEQ_MOD + 1  # FlagLayout.next_seq
         self._seq[key] = seq
         return seq
-
-    def iter_chunk_sizes(self, nbytes: int) -> Iterator[tuple[int, int]]:
-        """(start, size) chunks of the communication buffer capacity."""
-        if nbytes == 0:
-            yield (0, 0)
-            return
-        start = 0
-        while start < nbytes:
-            size = min(self.comm_buffer_bytes, nbytes - start)
-            yield (start, size)
-            start += size
-
-    def iter_chunks(self, data: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        for start, size in self.iter_chunk_sizes(len(data)):
-            yield start, data[start : start + size]
 
     # -- point-to-point -----------------------------------------------------------------
 

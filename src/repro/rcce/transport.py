@@ -3,12 +3,18 @@
 A :class:`Transport` implements one communication scheme for one
 (sender, receiver) pair; the :class:`TransportSelector` picks the right
 one per message from locality (same device?), message size and the
-configured scheme. RCCE's default blocking protocol — *local-put /
-remote-get*, Fig 2a of the paper — lives here; the pipelined iRCCE
-protocol is :mod:`repro.ircce.pipeline`; the inter-device schemes are
-:mod:`repro.vscc.protocol`.
+configured scheme.
 
-Chunk/packet sequencing uses one-byte counter flags cycling 1…254 (see
+:class:`RendezvousTransport` is the one send/recv loop pair of the
+paper's counter-flag handshake. It is parameterized by whose buffer
+holds the data (``sender_first``) and how many slots it has, and its
+subclasses supply only the put step: RCCE's default *local-put /
+remote-get* protocol (Fig 2a, also the transparent and cached-get
+inter-device schemes), iRCCE's pipelined protocol (Fig 2b, re-exported
+as :mod:`repro.ircce.pipeline`) and the stop-and-wait rendezvous of the
+direct and remote-put schemes in :mod:`repro.vscc.protocol`.
+
+Transfer sequencing uses one-byte counter flags cycling 1…254 (see
 :mod:`repro.rcce.flags`); sender and receiver advance their per-directed-
 pair counters in lockstep, so no flag resets are needed.
 """
@@ -16,9 +22,13 @@ pair counters in lockstep, so no flag resets are needed.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
+
+from repro.scc.params import CACHE_LINE
+
+from .flags import SEQ_MOD, reached
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .api import Rcce
@@ -29,11 +39,18 @@ __all__ = [
     "TransportSelector",
     "DefaultGetTransport",
     "OnChipSelector",
+    "PipelinedTransport",
+    "RendezvousTransport",
 ]
 
 #: Message size above which a pipelined session (``RcceOptions.pipelined``)
 #: switches on-chip sends to the iRCCE protocol (paper §4.1: 4 kB).
 PIPELINE_THRESHOLD = 4096
+
+#: ``reached(value, 2)`` per counter value (index 0 unused): the
+#: two-slot waits accept one value of lead, and no transfer allocates
+#: its predicate.
+_ONE_AHEAD = (None,) + tuple(reached(value, 2) for value in range(1, SEQ_MOD + 1))
 
 
 class Transport(abc.ABC):
@@ -95,7 +112,119 @@ class TransportSelector(abc.ABC):
         """Feedback hook: one completed send's transport and duration."""
 
 
-class DefaultGetTransport(Transport):
+class RendezvousTransport(Transport):
+    """The counter-flag handshake behind every point-to-point protocol.
+
+    A message moves in transfers of one slot each. The buffer belongs to
+    the sender when :attr:`sender_first` is set (RCCE's local put /
+    remote get) and to the receiver otherwise, in which case the
+    receiver grants it before every transfer (b1 of Fig 4d). Per
+    transfer ``k`` the sender puts the bytes into slot ``k % slots``
+    (:meth:`_put`, the step subclasses replace) and raises ``sent``
+    (b2); the receiver drains the slot and acknowledges on ``ready``.
+    The sender reuses a slot once the transfer that last held it was
+    acknowledged: an exact flag match for one slot, a ``reached``
+    predicate for two, where it may run one transfer ahead. Each side
+    is a plain generator, so a suspended one is its message's cursor.
+    """
+
+    #: Transfers the buffer holds at once: 1 (stop-and-wait) or 2
+    #: (double-buffered, iRCCE's pipelining).
+    slots = 1
+
+    def _transfer_bytes(self, comm: "Rcce") -> int:
+        """Bytes of one transfer (one slot)."""
+        return comm.comm_buffer_bytes
+
+    def _put(self, comm: "Rcce", addr, chunk: np.ndarray) -> Generator:
+        """The generator moving one transfer from private memory into the
+        slot at ``addr``; by default RCCE's local put into the sender's
+        own MPB. Returned rather than delegated to, so it adds no
+        generator layer per transfer."""
+        return comm.env.put_chunk(addr, chunk)
+
+    def _slots(self, comm: "Rcce", owner: int) -> tuple[int, tuple]:
+        """Transfer size and the slot addresses in ``owner``'s buffer."""
+        step = self._transfer_bytes(comm)
+        first = comm.comm_buffer_addr(owner)
+        if self.slots == 1:
+            return step, (first,)
+        return step, (first, comm.comm_buffer_addr(owner, step))
+
+    def send(self, comm: "Rcce", dest: int, data: np.ndarray) -> Generator:
+        env, me = comm.env, comm.rank
+        trace = env.sim.tracer
+        tracing = trace.wants("protocol")
+        slots = self.slots
+        # Stop-and-wait timelines (Fig 2a) also mark flag writes and acks.
+        marks = tracing and slots == 1
+        granted = not self.sender_first
+        sent = comm.flags.sent(dest, me)
+        ready = comm.flags.ready(me, dest)
+        step, addrs = self._slots(comm, dest if granted else me)
+        nbytes = len(data)
+        acks = [0] * slots  # per slot: the ack of the last transfer it held
+        for k, start in enumerate(range(0, nbytes or 1, step)):
+            slot = k % slots
+            if k >= slots:
+                # The slot is free once transfer k - slots was acknowledged.
+                if slots == 1:
+                    yield from env.wait_flag(ready, acks[slot])
+                    if marks:
+                        trace.emit(env.sim.now, "protocol", me, "send", "ack_seen", k - 1)
+                else:
+                    yield from env.wait_flag_pred(ready, _ONE_AHEAD[acks[slot]])
+            if granted:
+                yield from env.wait_flag(ready, comm.next_seq(me, dest, "ready"))  # b1
+            seq = comm.next_seq(me, dest, "sent")
+            acks[slot] = comm.next_seq(me, dest, "ready")
+            if start < nbytes:
+                if tracing:
+                    trace.emit(env.sim.now, "protocol", me, "send", "put_start", k)
+                yield from self._put(comm, addrs[slot], data[start : start + step])
+                if tracing:
+                    trace.emit(env.sim.now, "protocol", me, "send", "put_done", k)
+            yield from env.set_flag(sent, seq)  # b2: data ready
+            if marks:
+                trace.emit(env.sim.now, "protocol", me, "send", "flag_set", k)
+        # Drain the tail: the final ack means the receiver has everything.
+        yield from env.wait_flag(ready, acks[slot])
+        if marks:
+            trace.emit(env.sim.now, "protocol", me, "send", "ack_seen", k)
+
+    def recv(self, comm: "Rcce", src: int, nbytes: int) -> Generator:
+        env, me = comm.env, comm.rank
+        trace = env.sim.tracer
+        tracing = trace.wants("protocol")
+        slots = self.slots
+        granted = not self.sender_first
+        sent = comm.flags.sent(me, src)
+        ready = comm.flags.ready(src, me)
+        step, addrs = self._slots(comm, me if granted else src)
+        out = np.empty(nbytes, np.uint8)
+        for k, start in enumerate(range(0, nbytes or 1, step)):
+            if granted:
+                yield from env.set_flag(ready, comm.next_seq(src, me, "ready"))  # b1
+            seq = comm.next_seq(src, me, "sent")
+            ack = comm.next_seq(src, me, "ready")
+            if slots == 1:
+                yield from env.wait_flag(sent, seq)
+            else:
+                # The sender may already have raised the next value.
+                yield from env.wait_flag_pred(sent, _ONE_AHEAD[seq])
+            size = min(step, nbytes - start)
+            if size > 0:
+                if tracing:
+                    trace.emit(env.sim.now, "protocol", me, "recv", "get_start", k)
+                chunk = yield from env.get_chunk(addrs[k % slots], size)
+                out[start : start + size] = chunk
+                if tracing:
+                    trace.emit(env.sim.now, "protocol", me, "recv", "get_done", k)
+            yield from env.set_flag(ready, ack)
+        return out
+
+
+class DefaultGetTransport(RendezvousTransport):
     """RCCE's default blocking protocol: local-put / remote-get (Fig 2a).
 
     Per chunk (the MPB payload size): the sender copies the chunk from
@@ -129,60 +258,49 @@ class DefaultGetTransport(Transport):
         self.cache_control = cache_control
         self.name = name
 
-    def send(self, comm: "Rcce", dest: int, data: np.ndarray) -> Generator:
-        env = comm.env
-        fl = comm.flags
-        me = comm.rank
-        trace = env.sim.tracer
-        tracing = trace.wants("protocol")
-        buf = comm.comm_buffer_addr(me)
-        # Flag addresses are loop-invariant per (me, dest) pair — resolve
-        # them once instead of per chunk.
-        sent_flag = fl.sent(dest, me)
-        ready_flag = fl.ready(me, dest)
-        for index, (start, chunk) in enumerate(comm.iter_chunks(data)):
-            seq = comm.next_seq(me, dest, "sent")
-            ack = comm.next_seq(me, dest, "ready")
-            if len(chunk):
-                if tracing:
-                    trace.emit(env.sim.now, "protocol", me, "send", "put_start", index)
-                yield from env.put_chunk(buf, chunk)
-                if tracing:
-                    trace.emit(env.sim.now, "protocol", me, "send", "put_done", index)
-                if self.cache_control == self.CACHE_ANNOUNCE:
-                    yield from comm.announce_prefetch(len(chunk))
-                elif self.cache_control == self.CACHE_INVALIDATE:
-                    yield from comm.cache_invalidate()
-            yield from env.set_flag(sent_flag, seq)
-            if tracing:
-                trace.emit(env.sim.now, "protocol", me, "send", "flag_set", index)
-            yield from env.wait_flag(ready_flag, ack)
-            if tracing:
-                trace.emit(env.sim.now, "protocol", me, "send", "ack_seen", index)
+    def _put(self, comm: "Rcce", addr, chunk: np.ndarray) -> Generator:
+        put = comm.env.put_chunk(addr, chunk)
+        if self.cache_control == self.CACHE_NONE:
+            return put
+        return self._put_consistent(comm, put, len(chunk))
 
-    def recv(self, comm: "Rcce", src: int, nbytes: int) -> Generator:
-        env = comm.env
-        fl = comm.flags
-        me = comm.rank
-        trace = env.sim.tracer
-        tracing = trace.wants("protocol")
-        src_buf = comm.comm_buffer_addr(src)
-        sent_flag = fl.sent(me, src)
-        ready_flag = fl.ready(src, me)
-        out = np.empty(nbytes, np.uint8)
-        for index, (start, size) in enumerate(comm.iter_chunk_sizes(nbytes)):
-            seq = comm.next_seq(src, me, "sent")
-            ack = comm.next_seq(src, me, "ready")
-            yield from env.wait_flag(sent_flag, seq)
-            if size:
-                if tracing:
-                    trace.emit(env.sim.now, "protocol", me, "recv", "get_start", index)
-                chunk = yield from env.get_chunk(src_buf, size)
-                out[start : start + size] = chunk
-                if tracing:
-                    trace.emit(env.sim.now, "protocol", me, "recv", "get_done", index)
-            yield from env.set_flag(ready_flag, ack)
-        return out
+    def _put_consistent(self, comm: "Rcce", put: Generator, nbytes: int) -> Generator:
+        """The local put, then the host cache's consistency step."""
+        yield from put
+        if self.cache_control == self.CACHE_ANNOUNCE:
+            yield from comm.announce_prefetch(nbytes)
+        else:
+            yield from comm.cache_invalidate()
+
+
+class PipelinedTransport(RendezvousTransport):
+    """iRCCE's pipelined blocking protocol (Fig 2b).
+
+    The sender's buffer is split into two packet-sized slots: the sender
+    fills slot ``k % 2`` while the receiver drains slot ``(k - 1) % 2``,
+    so put and get interleave. "The pipelined protocol of iRCCE
+    introduces additional overhead by using a finer synchronization
+    granularity, but provides the advantage of interleaving put and get
+    operations" (§2.2): throughput approaches the slower of the two copy
+    phases instead of their sum. The packet is half the buffer unless
+    ``RcceOptions.pipeline_packet`` sets it; the communicator checks at
+    construction that two packets fit.
+    """
+
+    name = "ircce-pipelined"
+    slots = 2
+
+    def __init__(self, packet_bytes: Optional[int] = None):
+        if packet_bytes is not None:
+            if packet_bytes <= 0 or packet_bytes % CACHE_LINE:
+                raise ValueError(
+                    f"packet size must be a positive multiple of {CACHE_LINE}, "
+                    f"got {packet_bytes}"
+                )
+        self.packet_bytes = packet_bytes
+
+    def _transfer_bytes(self, comm: "Rcce") -> int:
+        return self.packet_bytes or comm.slot_bytes
 
 
 class OnChipSelector(TransportSelector):
@@ -194,8 +312,6 @@ class OnChipSelector(TransportSelector):
     """
 
     def __init__(self, options) -> None:
-        from repro.ircce.pipeline import PipelinedTransport  # local import: cycle
-
         self.options = options
         self._default = DefaultGetTransport()
         self._pipelined = PipelinedTransport(packet_bytes=options.pipeline_packet)

@@ -5,12 +5,16 @@ receiver grants its communication buffer before any data lands in it —
 sync point **b1** of Fig 4d) because, unlike RCCE's default scheme, they
 write into the *receiver's* MPB, which is also the staging area of that
 rank's own on-chip sends. The data-ready notification is sync point
-**b2**. The rendezvous is written once per buffer layout:
+**b2**. The rendezvous comes in two buffer layouts:
 
 * :class:`StopAndWaitTransport` — the whole buffer, chunk by chunk
-  (direct small-message path, remote put through the host WC buffer);
-* :class:`TwoSlotTransport` — two double-buffered slots with per-granule
-  progress (vDMA, hardware-accelerated remote put).
+  (direct small-message path, remote put through the host WC buffer).
+  It is :class:`repro.rcce.transport.RendezvousTransport`, the loop
+  RCCE's default and iRCCE's pipelined protocols run too, with the
+  receiver owning one slot;
+* :class:`TwoSlotTransport` — two double-buffered slots, re-granted as
+  they drain, with per-granule progress (vDMA, hardware-accelerated
+  remote put).
 
 Subclasses supply only how data reaches the receiver. Counter-flag
 discipline follows :mod:`repro.rcce.flags`: independent "sent"/"ready"
@@ -33,7 +37,12 @@ from repro.host.dma import granule_sizes
 from repro.host.mmio import REG_VDMA_ADDR, REG_VDMA_COUNT, REG_VDMA_CTRL
 from repro.host.vdma import VdmaCommand
 from repro.rcce.flags import SLOT_VDMA_DONE, reached
-from repro.rcce.transport import DefaultGetTransport, OnChipSelector, Transport
+from repro.rcce.transport import (
+    DefaultGetTransport,
+    OnChipSelector,
+    RendezvousTransport,
+    Transport,
+)
 
 from .policy import Route, SchemePolicy
 from .schemes import CommScheme
@@ -135,72 +144,19 @@ class SequenceTracker:
         )
 
 
-class StopAndWaitTransport(Transport):
+class StopAndWaitTransport(RendezvousTransport):
     """Stop-and-wait rendezvous into the receiver's whole buffer.
 
-    Per chunk of the communication buffer's capacity: the receiver
-    grants its buffer (b1); the sender reads the chunk from private
-    memory and puts it into the receiver's MPB (:meth:`_put`, the one
-    step the subclasses differ in); the sender's ``sent`` flag follows
-    the data (b2); the receiver drains its *local* MPB and acknowledges,
-    which frees the buffer for the next chunk.
+    :class:`~repro.rcce.transport.RendezvousTransport` with one slot
+    owned by the receiver: per chunk of the buffer's capacity the
+    receiver grants its buffer (b1); the sender reads the chunk from
+    private memory and puts it into the receiver's MPB (:meth:`_put`,
+    the one step the subclasses differ in); the sender's ``sent`` flag
+    follows the data (b2); the receiver drains its *local* MPB and
+    acknowledges, which frees the buffer for the next chunk.
     """
 
     sender_first = False
-
-    @abc.abstractmethod
-    def _put(self, comm: "Rcce", addr, chunk: np.ndarray) -> Generator:
-        """Move one chunk into the receiver's buffer at ``addr``."""
-
-    def send(self, comm: "Rcce", dest: int, data: np.ndarray) -> Generator:
-        env, fl, me = comm.env, comm.flags, comm.rank
-        trace = env.sim.tracer
-        tracing = trace.wants("protocol")
-        ready = fl.ready(me, dest)
-        sent = fl.sent(dest, me)
-        dst_addr = comm.comm_buffer_addr(dest)
-        for index, (start, chunk) in enumerate(comm.iter_chunks(data)):
-            grant = comm.next_seq(me, dest, "ready")
-            seq = comm.next_seq(me, dest, "sent")
-            ack = comm.next_seq(me, dest, "ready")
-            yield from env.wait_flag(ready, grant)  # b1: buffer granted
-            if len(chunk):
-                if tracing:
-                    trace.emit(env.sim.now, "protocol", me, "send", "put_start", index)
-                yield from env.private_read(len(chunk))
-                yield from self._put(comm, dst_addr, chunk)
-                if tracing:
-                    trace.emit(env.sim.now, "protocol", me, "send", "put_done", index)
-            yield from env.set_flag(sent, seq)  # b2: data ready
-            if tracing:
-                trace.emit(env.sim.now, "protocol", me, "send", "flag_set", index)
-            yield from env.wait_flag(ready, ack)
-            if tracing:
-                trace.emit(env.sim.now, "protocol", me, "send", "ack_seen", index)
-
-    def recv(self, comm: "Rcce", src: int, nbytes: int) -> Generator:
-        env, fl, me = comm.env, comm.flags, comm.rank
-        trace = env.sim.tracer
-        tracing = trace.wants("protocol")
-        sent = fl.sent(me, src)
-        ready = fl.ready(src, me)
-        my_buf = comm.comm_buffer_addr(me)
-        out = np.empty(nbytes, np.uint8)
-        for index, (start, size) in enumerate(comm.iter_chunk_sizes(nbytes)):
-            grant = comm.next_seq(src, me, "ready")
-            seq = comm.next_seq(src, me, "sent")
-            ack = comm.next_seq(src, me, "ready")
-            yield from env.set_flag(ready, grant)
-            yield from env.wait_flag(sent, seq)
-            if size:
-                if tracing:
-                    trace.emit(env.sim.now, "protocol", me, "recv", "get_start", index)
-                chunk = yield from env.get_chunk(my_buf, size)
-                out[start : start + size] = chunk
-                if tracing:
-                    trace.emit(env.sim.now, "protocol", me, "recv", "get_done", index)
-            yield from env.set_flag(ready, ack)
-        return out
 
 
 class DirectSmallTransport(StopAndWaitTransport):
@@ -215,6 +171,7 @@ class DirectSmallTransport(StopAndWaitTransport):
     name = "direct-small"
 
     def _put(self, comm: "Rcce", addr, chunk: np.ndarray) -> Generator:
+        yield from comm.env.private_read(len(chunk))
         yield from comm.env.device.fabric.direct_write(comm.env, addr, chunk)
 
 
@@ -229,6 +186,7 @@ class RemotePutTransport(StopAndWaitTransport):
     name = "remote-put-wcb"
 
     def _put(self, comm: "Rcce", addr, chunk: np.ndarray) -> Generator:
+        yield from comm.env.private_read(len(chunk))
         yield from comm.announce_wcb_open(addr, len(chunk))
         yield from comm.env.mpb_write(addr, chunk)
 

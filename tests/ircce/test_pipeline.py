@@ -63,6 +63,28 @@ def test_oversized_packet_rejected_at_use():
         session.run(program, ranks=[0, 1])
 
 
+def test_oversized_packet_rejected_before_any_message():
+    """Two 4096 B packets overflow the 7680 B buffer: the session fails
+    when its communicators are built, not at the first message large
+    enough to be pipelined."""
+    session = make_session(packet=4096)
+    done = []
+
+    def program(comm):
+        if comm.rank == 0:
+            yield from comm.send(b"\x01" * 100, 1)
+            yield from comm.send(b"\x01" * 8192, 1)
+        else:
+            yield from comm.recv(100, 0)
+            done.append(100)
+            yield from comm.recv(8192, 0)
+
+    with pytest.raises(ValueError, match="two packets"):
+        session.run(program, ranks=[0, 1])
+    assert done == []
+    assert session.sim.now == 0
+
+
 def test_alternating_directions_keep_counters_in_sync():
     session = make_session()
     size = 30000

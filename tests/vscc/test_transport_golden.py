@@ -1,28 +1,33 @@
-"""Golden inter-device transports: every scheme's protocol pinned case by case.
+"""Golden transports: every scheme's protocol pinned case by case.
 
 ``data/transport_golden.json`` records, for every case below, the
-simulated time of one two-device run (exact float ns), the events it
+simulated time of one run (exact float ns), the events it
 processed, a sha256 of every payload both ranks received, and every
 series of the final metrics snapshot except ``policy.*`` and
 ``scheme.selected*`` (the selection bookkeeping, not the protocol).
 
-Each run is a ping-pong between rank 0 and the last rank of device 1 at
-the protocol edges — empty, one byte, around each direct threshold
-(32/64/128 B), around the half-buffer slot (3840 B) and the full
-communication buffer (7680 B), two and three chunks — three times per
-size, followed by 300 one-way messages of 1-40 B that wrap the
-254-value flag counters. The cases cover:
+Each run is a ping-pong between rank 0 and the last rank (of device 1
+across devices, of the only device on-chip) at the protocol edges —
+empty, one byte, around each direct threshold (32/64/128 B), around the
+half-buffer slot (3840 B) and the full communication buffer (7680 B),
+two and three chunks — three times per size, followed by 300 one-way
+messages of 1-40 B that wrap the 254-value flag counters. The cases cover:
 
 * every static :class:`CommScheme` (hw-accel with ``allow_unstable``);
 * vDMA and remote-put WCB with the direct path switched off
   (``direct_threshold=0``), and vDMA with it raised to the buffer size;
 * the threshold policy, the default adaptive policy with a short
-  re-probe cadence, and a three-candidate adaptive policy including WCB.
+  re-probe cadence, and a three-candidate adaptive policy including WCB;
+* on-chip pairs (one device, rank 0 and rank 47): RCCE's default
+  protocol, and iRCCE's pipelined protocol at the default packet and at
+  1024 B and 3840 B packets. These runs add three overlapped
+  ``isend``/``irecv`` each way and one ``recv_any_source``, and also pin
+  a sha256 of their ``protocol`` trace records (the Fig 2 timelines).
 
 Delay fusion is pinned on for the recorded run. Each case is replayed
-with fusion off; its simulated time, payloads and series must match
-too (the event counts differ by design). Regenerate (only for an
-intended change of simulated results) with::
+with fusion off; its simulated time, payloads, series and protocol
+trace must match too (the event counts differ by design). Regenerate
+(only for an intended change of simulated results) with::
 
     PYTHONPATH=src python tests/vscc/test_transport_golden.py --update
 """
@@ -38,6 +43,8 @@ from typing import Callable
 import numpy as np
 import pytest
 
+from repro.ircce import irecv, isend, recv_any_source, wait_all
+from repro.rcce.api import RcceOptions
 from repro.vscc.policy import AdaptivePolicy, StaticPolicy, ThresholdPolicy
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
@@ -55,6 +62,23 @@ ROUNDS = 3
 #: One-way stream after the ping-pong: enough messages to wrap the flag
 #: counters (1..254) of every protocol.
 STREAM = 300
+#: On-chip case options: RCCE default, iRCCE pipelined at the default
+#: packet (half the buffer) and at two explicit packet sizes.
+ONCHIP = {
+    "onchip/rcce-default": RcceOptions(),
+    "onchip/ircce-pipelined": RcceOptions(pipelined=True),
+    "onchip/ircce-pipelined/packet-1024": RcceOptions(
+        pipelined=True, pipeline_packet=1024
+    ),
+    "onchip/ircce-pipelined/packet-3840": RcceOptions(
+        pipelined=True, pipeline_packet=3840
+    ),
+}
+#: Sizes of the on-chip cases' overlapped exchange: below, just above
+#: and well above the pipelining threshold.
+OVERLAP = (64, 4097, 20000)
+#: Size of the on-chip cases' wildcard receive.
+ANY_SOURCE = 20000
 UNPINNED = ("policy.", "scheme.selected")
 #: Event-count series, which differ between fused and unfused runs.
 EVENT_COUNTS = ("kernel.", "sim.events")
@@ -80,6 +104,8 @@ def case_specs() -> dict[str, Callable[[], dict]]:
     specs["adaptive-3"] = lambda: dict(
         policy=AdaptivePolicy(candidates=(CACHED, VDMA, WCB), probe_every=3)
     )
+    for case, options in ONCHIP.items():
+        specs[case] = lambda o=options: dict(num_devices=1, options=o)
     return specs
 
 
@@ -87,7 +113,7 @@ def payload(size: int, salt: int) -> np.ndarray:
     return ((np.arange(size) * 13 + size + salt) % 251).astype(np.uint8)
 
 
-def traffic(system: VSCCSystem) -> tuple[float, str]:
+def traffic(system: VSCCSystem, onchip: bool) -> tuple[float, str]:
     peer = system.num_ranks - 1
 
     def program(comm):
@@ -107,6 +133,18 @@ def traffic(system: VSCCSystem) -> tuple[float, str]:
                 yield from comm.send(payload(size, i), peer)
             else:
                 got.append(bytes((yield from comm.recv(size, 0))))
+        if onchip:
+            other = peer if comm.rank == 0 else 0
+            salt = 0 if comm.rank == 0 else 1
+            sends = [isend(comm, payload(size, salt), other) for size in OVERLAP]
+            recvs = [irecv(comm, size, other) for size in OVERLAP]
+            got.extend(bytes(data) for data in (yield from wait_all(recvs)))
+            yield from wait_all(sends)
+            if comm.rank == 0:
+                _source, data = yield from recv_any_source(comm, ANY_SOURCE, [peer])
+                got.append(bytes(data))
+            else:
+                yield from comm.send(payload(ANY_SOURCE, 2), 0)
         return b"".join(got)
 
     result = system.run(program, ranks=[0, peer])
@@ -115,9 +153,13 @@ def traffic(system: VSCCSystem) -> tuple[float, str]:
 
 
 def run_case(case: str, fuse: bool) -> dict:
-    system = VSCCSystem(num_devices=2, fuse_delays=fuse, **case_specs()[case]())
-    elapsed_ns, digest = traffic(system)
-    return {
+    onchip = case in ONCHIP
+    kwargs = {"num_devices": 2, **case_specs()[case]()}
+    system = VSCCSystem(fuse_delays=fuse, **kwargs)
+    if onchip:
+        system.tracer.enable("protocol")
+    elapsed_ns, digest = traffic(system, onchip)
+    doc = {
         "elapsed_ns": elapsed_ns,
         "events": system.sim.events_processed,
         "payload_sha256": digest,
@@ -127,13 +169,22 @@ def run_case(case: str, fuse: bool) -> dict:
             if not key.startswith(UNPINNED)
         },
     }
+    if onchip:
+        records = [(r.t, r.payload) for r in system.tracer.select("protocol")]
+        doc["protocol_sha256"] = hashlib.sha256(repr(records).encode()).hexdigest()
+    return doc
 
 
-def expected_payload_sha256() -> str:
-    """The digest every case must reach: each payload, delivered intact."""
+def expected_payload_sha256(case: str) -> str:
+    """The digest a case must reach: each payload, delivered intact."""
     echoed = [bytes(payload(s, r)) for s in SIZES for r in range(ROUNDS)]
     stream = [bytes(payload(1 + i % 40, i)) for i in range(STREAM)]
-    return hashlib.sha256(b"".join(echoed + echoed + stream)).hexdigest()
+    first, last = echoed, echoed + stream
+    if case in ONCHIP:
+        first = first + [bytes(payload(s, 1)) for s in OVERLAP]
+        first.append(bytes(payload(ANY_SOURCE, 2)))
+        last = last + [bytes(payload(s, 0)) for s in OVERLAP]
+    return hashlib.sha256(b"".join(first + last)).hexdigest()
 
 
 def without_event_counts(series: dict) -> dict:
@@ -154,9 +205,8 @@ def test_golden_covers_the_matrix(golden):
 
 
 def test_golden_payloads_arrive_intact(golden):
-    want = expected_payload_sha256()
     assert {case: doc["payload_sha256"] for case, doc in golden.items()} == {
-        case: want for case in golden
+        case: expected_payload_sha256(case) for case in golden
     }
 
 
@@ -167,6 +217,7 @@ def test_transport_matches_golden(golden, case):
     unfused = run_case(case, fuse=False)
     assert unfused["elapsed_ns"] == want["elapsed_ns"]
     assert unfused["payload_sha256"] == want["payload_sha256"]
+    assert unfused.get("protocol_sha256") == want.get("protocol_sha256")
     assert without_event_counts(unfused["series"]) == without_event_counts(
         want["series"]
     )
