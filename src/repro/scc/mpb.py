@@ -78,8 +78,6 @@ class MPBMemory:
         # unless someone actually watched a payload byte.
         self._payload_end = params.mpb_payload_bytes
         self._payload_watched = False
-        self.write_count = 0
-        self.read_count = 0
 
     # -- addressing -----------------------------------------------------------
 
@@ -113,7 +111,6 @@ class MPBMemory:
 
     def read(self, addr: MpbAddr, length: int) -> np.ndarray:
         base = self.check_span(addr, length)
-        self.read_count += 1
         return self._store[base : base + length].copy()
 
     def write(self, addr: MpbAddr, data: Bytes) -> None:
@@ -125,7 +122,6 @@ class MPBMemory:
         n = len(buf)
         base = self.check_span(addr, n)
         self._store[base : base + n] = src
-        self.write_count += 1
         if self._payload_watched or addr.offset + n > self._payload_end:
             self._pulse_span(base, base + n)
 
@@ -163,7 +159,6 @@ class MPBMemory:
         # and span scans, touch exactly one store cell and one watch slot.
         flat_addr = self.flat(addr)
         self._store[flat_addr] = value & 0xFF
-        self.write_count += 1
         signal = self._watches.get(flat_addr)
         if signal is not None and signal.has_waiters:
             signal.pulse()

@@ -4,8 +4,10 @@
   workloads a :class:`repro.serve.JobSpec` names, run on the system the
   job built with the spec's JSON-able ``params``.
 * :data:`SCENARIOS` — ``name -> fn() -> dict``: the deterministic
-  scenarios ``tools/fingerprint_gate.py`` pins in ``FINGERPRINTS.json``.
-  Each returns a *fingerprint* of its simulated results. Adding one is
+  scenarios ``tools/fingerprint_gate.py`` pins in ``FINGERPRINTS.json``
+  and replays with delay fusion on and off. Each returns a
+  *fingerprint* of its simulated results and builds everything it runs
+  inside the call, so the two replays share no state. Adding one is
   one entry here plus ``python tools/fingerprint_gate.py --update``.
 
 Each workload is defined once: NPB BT by
@@ -248,21 +250,13 @@ def fig6b_interdevice() -> dict:
     return {"oneway_sum_ns": total}
 
 
-def fig7_bt(fuse_delays: bool | None = None) -> dict:
-    """NPB BT (class S, 64 ranks, vDMA scheme) on the five-device system.
-
-    ``fuse_delays`` pins delay fusion on or off for the paired fusion
-    check; ``None`` keeps the simulator's default.
-    """
+def fig7_bt() -> dict:
+    """NPB BT (class S, 64 ranks, vDMA scheme) on the five-device system."""
     from repro.apps.npb import run_bt
     from repro.vscc.schemes import CommScheme
     from repro.vscc.system import VSCCSystem
 
-    system = VSCCSystem(
-        num_devices=5,
-        scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA,
-        fuse_delays=fuse_delays,
-    )
+    system = VSCCSystem(num_devices=5, scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA)
     run_bt(system, "S", 64, 1)
     return {
         "sim_now_ns": system.sim.now,
@@ -452,122 +446,7 @@ def faults_pingpong(kind: str) -> dict:
     }
 
 
-# -- kernel-primitive micro-benchmarks -----------------------------------------
-#
-# Each exercises one hot primitive of the simulator in isolation at a
-# fixed operation count (``ops``); ``benchmarks/bench_kernel_micro.py``
-# prints their host cost per operation.
-
-
-def _churn(prog, nprocs: int, nyields: int) -> dict:
-    """Spawn ``nprocs`` processes running ``prog(nyields)``; run them out."""
-    from repro.sim.engine import Simulator
-
-    sim = Simulator()
-    for _ in range(nprocs):
-        sim.spawn(prog(nyields))
-    sim.run()
-    return {
-        "ops": nprocs * nyields,
-        "sim_now_ns": sim.now,
-        "events": sim.events_processed,
-    }
-
-
-def spawn_delay_churn(nprocs: int = 200, nyields: int = 200) -> dict:
-    """Processes that each yield ``nyields`` Delay objects.
-
-    Measures the classic per-event cost: Delay construction, heap push /
-    pop, generator resume.
-    """
-    from repro.sim.engine import Delay
-
-    def prog(n):
-        for _ in range(n):
-            yield Delay(1.0)
-
-    return _churn(prog, nprocs, nyields)
-
-
-def yield_float_churn(nprocs: int = 200, nyields: int = 200) -> dict:
-    """Same churn as :func:`spawn_delay_churn`, but yielding bare floats.
-
-    Measures the allocation-free delay fast path.
-    """
-
-    def prog(n):
-        for _ in range(n):
-            yield 1.0
-
-    return _churn(prog, nprocs, nyields)
-
-
-def zero_delay_churn(nprocs: int = 100, nyields: int = 500) -> dict:
-    """All-zero-delay event storm at t=0 (the FIFO fast-lane regime)."""
-    from repro.sim.engine import Delay
-
-    def prog(n):
-        for _ in range(n):
-            yield Delay(0.0)
-
-    return _churn(prog, nprocs, nyields)
-
-
-def watchpoint_pulse(nwatches: int = 512, nwrites: int = 20000) -> dict:
-    """MPB writes against a store with many registered watchpoints.
-
-    Alternates a 32 B payload write (touches no watched byte) with a
-    one-byte flag write on a watched byte — the flag-heavy traffic mix
-    where per-write watch handling dominates.
-    """
-    from repro.scc.mpb import MpbAddr, MPBMemory
-    from repro.scc.params import SCCParams
-    from repro.sim.engine import Simulator
-
-    sim = Simulator()
-    params = SCCParams()
-    mem = MPBMemory(sim, params, device_id=0)
-    sf = mem.sf_base()
-    # Register watches across the SF region of several cores.
-    per_core = min(nwatches // 8 or 1, params.sf_bytes)
-    registered = 0
-    for core in range(8):
-        for b in range(per_core):
-            if registered >= nwatches:
-                break
-            mem.watch(MpbAddr(0, core, sf + b))
-            registered += 1
-    payload = bytes(32)
-    payload_addr = MpbAddr(0, 0, 0)
-    flag_addr = MpbAddr(0, 0, sf)
-    for i in range(nwrites):
-        mem.write(payload_addr, payload)
-        mem.write_byte(flag_addr, i & 0xFF)
-    return {
-        "ops": 2 * nwrites,
-        "watches": registered,
-        "writes": float(mem.write_count),
-    }
-
-
-def router_account(ncalls: int = 200000) -> dict:
-    """XY-router traffic accounting over a fixed pair schedule."""
-    from repro.scc.mesh import XYRouter
-    from repro.scc.params import SCCParams
-
-    params = SCCParams()
-    router = XYRouter(params)
-    n = params.num_tiles
-    pairs = [(i % n, (i * 7 + 3) % n) for i in range(64)]
-    for i in range(ncalls):
-        src, dst = pairs[i & 63]
-        router.account(src, dst, 96)
-    return {
-        "ops": ncalls,
-        "link_busy_ns": router.link_busy_ns,
-        "link_bytes": float(sum(router.link_bytes.values())),
-        "links_used": float(len(router.link_bytes)),
-    }
+# -- RCCE flag and chunked-send paths ------------------------------------------
 
 
 def flag_wait_churn(nrounds: int = 400) -> dict:
@@ -843,11 +722,6 @@ SCENARIOS: dict[str, Callable[[], dict]] = {
     "fabric_multihost": fabric_multihost,
     "faults_lossy_pingpong": partial(faults_pingpong, "lossy"),
     "faults_dead_device": partial(faults_pingpong, "dead"),
-    "micro_spawn_delay": spawn_delay_churn,
-    "micro_yield_float": yield_float_churn,
-    "micro_zero_delay": zero_delay_churn,
-    "micro_watchpoint_pulse": watchpoint_pulse,
-    "micro_router_account": router_account,
     "micro_flag_wait": flag_wait_churn,
     "micro_chunk_send": chunk_send_churn,
     "serve_mixed_tenants": serve_mixed_tenants,

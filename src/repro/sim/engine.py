@@ -67,8 +67,8 @@ __all__ = [
 #: Environment variable disabling delay fusion (``0``/``false``/``off``):
 #: fused delay chains are then replayed one kernel wake-up per element,
 #: reproducing the pre-fusion event stream bit for bit. Set it to run a
-#: whole test suite against that unfused oracle;
-#: ``tools/fingerprint_gate.py`` pins ``fuse_delays`` per system instead.
+#: whole test suite against that unfused oracle; the pin runner
+#: (``tools/pins.py``) sets it around each fused and unfused replay.
 FUSE_ENV_VAR = "REPRO_FUSE"
 
 

@@ -25,20 +25,19 @@ that owns an inter-host hop shows in the timing:
 * an RPC dispatcher homed on host 1 under the static, threshold and
   adaptive policies.
 
-Delay fusion is pinned on for the recorded run. Each case is replayed a
-second time with fusion off; its simulated time and series must match
-too (the event count differs by design). Regenerate (only for an
-intended change of simulated results) with::
+The pin runner (``tools/pins.py``) records each case with delay fusion
+on and replays it with fusion off; the unfused run must match on every
+field but the event count. Regenerate (only for an intended change of
+simulated results) with::
 
-    PYTHONPATH=src python tests/fabric/test_host_path_golden.py --update
+    PYTHONPATH=src python -m tests.fabric.test_host_path_golden --update
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +49,7 @@ from repro.faults import FaultPlan, LinkFaults
 from repro.vscc.policy import AdaptivePolicy, StaticPolicy, ThresholdPolicy
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
+from tools import pins
 
 GOLDEN = Path(__file__).parent / "data" / "host_path_golden.json"
 
@@ -98,7 +98,7 @@ def fault_plan() -> FaultPlan:
 
 
 def case_specs() -> dict[str, tuple[str, dict]]:
-    """Case id -> (kind, VSCCSystem keyword arguments)."""
+    """Case id -> (kind, VSCCSystem keyword arguments), built anew per run."""
     specs: dict[str, tuple[str, dict]] = {}
     for fabric, shape in FABRICS.items():
         for scheme in CommScheme:
@@ -165,9 +165,9 @@ def rpc(system: VSCCSystem) -> tuple[float, str]:
     return report.run.elapsed_ns, report.digest
 
 
-def run_case(case: str, fuse: bool) -> dict:
+def run_case(case: str) -> dict:
     kind, kwargs = case_specs()[case]
-    system = VSCCSystem(fuse_delays=fuse, **kwargs)
+    system = VSCCSystem(**kwargs)
     if system.cluster is not None:
         host1 = system.hosts[1]
         host1.params = replace(host1.params, service_ns=HOST1_SERVICE_NS)
@@ -186,32 +186,32 @@ def run_case(case: str, fuse: bool) -> dict:
     }
 
 
-def generate() -> dict:
-    return {case: run_case(case, fuse=True) for case in case_specs()}
+CASES = {case: partial(run_case, case) for case in case_specs()}
 
 
-@pytest.fixture(scope="module")
-def golden() -> dict:
-    return json.loads(GOLDEN.read_text())
+def test_golden_covers_the_matrix():
+    pins.check(GOLDEN, CASES)
 
 
-def test_golden_covers_the_matrix(golden):
-    assert sorted(golden) == sorted(case_specs())
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_host_path_matches_golden(case):
+    pins.check(GOLDEN, CASES, case)
 
 
-@pytest.mark.parametrize("case", sorted(case_specs()))
-def test_host_path_matches_golden(golden, case):
-    want = golden[case]
-    assert run_case(case, fuse=True) == want
-    unfused = run_case(case, fuse=False)
-    assert unfused["elapsed_ns"] == want["elapsed_ns"]
-    assert unfused["payload_sha256"] == want["payload_sha256"]
-    assert unfused["series"] == want["series"]
+def test_drift_is_named_per_field_under_its_layer():
+    case = "2x1/vdma/src"
+    fresh = pins.load(GOLDEN)[case]
+    pcie = min(key for key in fresh["series"] if key.startswith("pcie."))
+    elapsed, sent = fresh["elapsed_ns"], fresh["series"][pcie]
+    pinned = {**fresh, "elapsed_ns": elapsed + 0.5}
+    pinned["series"] = {**fresh["series"], pcie: sent + 1.0}
+    assert pins.run({case: CASES[case]}, {case: pinned})[1] == [
+        "pcie: fingerprint drifted (pinned -> fresh):",
+        f"    {case}.series.{pcie}: {sent + 1.0!r} -> {sent!r}",
+        "run: fingerprint drifted (pinned -> fresh):",
+        f"    {case}.elapsed_ns: {elapsed + 0.5!r} -> {elapsed!r}",
+    ]
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--update"]:
-        sys.exit("usage: test_host_path_golden.py --update")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(generate(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    raise SystemExit(pins.main(GOLDEN, CASES))

@@ -19,24 +19,25 @@ members) through every collective, rooted ones at the first, middle
 and last group index. Any change to the message order on any tier moves
 a clock, an event count or a digest.
 
-Delay fusion is pinned on, so the event counts hold under
-``REPRO_FUSE=0`` as well. Regenerate (only for an intended change of
+The pin runner (``tools/pins.py``) records each case with delay fusion
+on and replays it with fusion off; the unfused run must match on every
+field but the event counts. Regenerate (only for an intended change of
 simulated results) with::
 
-    PYTHONPATH=src python tests/rcce/test_hier_tiers_golden.py --update
+    PYTHONPATH=src python -m tests.rcce.test_hier_tiers_golden --update
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.vscc.system import VSCCSystem
+from tools import pins
 
 GOLDEN = Path(__file__).parent / "data" / "hier_tiers_golden.json"
 
@@ -62,7 +63,7 @@ def group_members(system: VSCCSystem, group: str) -> list[int]:
     return [int(r) for r in perm[:size]]
 
 
-def cases(n: int) -> list[tuple[str, int | None]]:
+def ops_and_roots(n: int) -> list[tuple[str, int | None]]:
     roots = sorted({0, n // 2, n - 1})
     return [
         (op, root)
@@ -107,10 +108,10 @@ def program_for(op: str, root, members: list[int]):
 
 def run_fabric(fabric: str, group: str) -> dict[str, dict]:
     """Every case of one (fabric, group), in order, on one system."""
-    system = VSCCSystem(fuse_delays=True, **FABRICS[fabric])
+    system = VSCCSystem(**FABRICS[fabric])
     members = group_members(system, group)
     out = {}
-    for op, root in cases(len(members)):
+    for op, root in ops_and_roots(len(members)):
         events = system.sim.events_processed
         result = system.run(program_for(op, root, members), ranks=members)
         digest = hashlib.sha256()
@@ -126,28 +127,22 @@ def run_fabric(fabric: str, group: str) -> dict[str, dict]:
     return out
 
 
-def generate() -> dict:
-    return {
-        f"{fabric}/{group}": run_fabric(fabric, group)
-        for fabric in FABRICS
-        for group in GROUPS
-    }
+CASES = {
+    f"{fabric}/{group}": partial(run_fabric, fabric, group)
+    for fabric in FABRICS
+    for group in GROUPS
+}
 
 
-@pytest.fixture(scope="module")
-def golden() -> dict:
-    return json.loads(GOLDEN.read_text())
+def test_golden_covers_the_matrix():
+    pins.check(GOLDEN, CASES)
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
 @pytest.mark.parametrize("fabric", sorted(FABRICS))
-def test_tier_walk_matches_golden(golden, fabric, group):
-    assert run_fabric(fabric, group) == golden[f"{fabric}/{group}"]
+def test_tier_walk_matches_golden(fabric, group):
+    pins.check(GOLDEN, CASES, f"{fabric}/{group}")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--update"]:
-        sys.exit("usage: test_hier_tiers_golden.py --update")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(generate(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    raise SystemExit(pins.main(GOLDEN, CASES))

@@ -37,7 +37,19 @@ def test_account_charges_every_link(router):
     assert n == 100
 
 
+def test_link_busy_ns_is_flits_times_flit_cost_per_hop(router):
+    """64 pairs (i, 7i + 3) of 96 B: three 5 ns flits on each of 255 hops."""
+    n = SCCParams().num_tiles
+    pairs = [(i % n, (i * 7 + 3) % n) for i in range(64)] + [(5, 5)]
+    for src, dst in pairs:
+        router.account(src, dst, 96)
+    assert sum(router.hops(src, dst) for src, dst in pairs) == 255
+    assert router.link_busy_ns == 3 * 5.0 * 255
+    assert (sum(router.link_bytes.values()), len(router.link_bytes)) == (96 * 255, 64)
+
+
 def test_reset(router):
     router.account(0, 5, 10)
     router.reset()
     assert not router.link_bytes
+    assert router.link_busy_ns == 0.0

@@ -72,6 +72,24 @@ def test_watchpoint_ignores_other_addresses(mem):
     assert seen == []
 
 
+def test_many_watchpoints_pulse_only_the_touched_byte(mem):
+    """512 watched flag bytes: a payload write pulses none, a flag write one."""
+    seen = []
+
+    def watcher(addr):
+        yield mem.watch(addr)
+        seen.append(addr)
+
+    sf = mem.sf_base()
+    addrs = [MpbAddr(0, core, sf + b) for core in range(8) for b in range(64)]
+    for addr in addrs:
+        mem.sim.spawn(watcher(addr), name="daemon:watch")
+    mem.sim.call_at(1.0, lambda: mem.write(MpbAddr(0, 0, 0), bytes(32)))
+    mem.sim.call_at(2.0, lambda: mem.write_byte(addrs[70], 1))
+    mem.sim.run()
+    assert seen == [addrs[70]]
+
+
 def test_numpy_and_bytes_payloads(mem):
     payload = np.arange(32, dtype=np.uint8)
     mem.write(MpbAddr(0, 1, 0), payload)

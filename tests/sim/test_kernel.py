@@ -7,7 +7,7 @@ switch between the fused event stream and the unfused oracle.
 
 import pytest
 
-from repro.sim import Event, Simulator
+from repro.sim import Delay, Event, Simulator
 from repro.sim.engine import FUSE_ENV_VAR
 from repro.sim.errors import DeadlockError
 
@@ -216,3 +216,17 @@ def test_env_var_selects_backend_for_systems(monkeypatch):
     monkeypatch.setenv(FUSE_ENV_VAR, "1")
     assert VSCCSystem(num_devices=2).sim.fuse_delays is True
     assert VSCCSystem(num_devices=2, fuse_delays=False).sim.fuse_delays is False
+
+
+@pytest.mark.parametrize(
+    "step, nprocs, nyields, end_ns",
+    [(Delay(1.0), 200, 200, 200.0), (1.0, 200, 200, 200.0), (Delay(0), 100, 500, 0.0)],
+    ids=["Delay", "float", "zero-delay-storm"],
+)
+def test_one_event_per_spawn_plus_one_per_yield(step, nprocs, nyields, end_ns):
+    """A bare float costs what a ``Delay`` does; zero delays never advance time."""
+    sim = Simulator()
+    for _ in range(nprocs):
+        sim.spawn(step for _ in range(nyields))
+    sim.run()
+    assert (sim.now, sim.events_processed) == (end_ns, nprocs + nprocs * nyields)

@@ -28,19 +28,13 @@ def gate():
     return module
 
 
-@pytest.fixture(autouse=True)
-def default_event_stream(monkeypatch):
-    """The pinned event counts are those of the default, fused stream."""
-    monkeypatch.setenv("REPRO_FUSE", "1")
-
-
 @pytest.fixture
 def golden(gate):
     return json.loads(gate.FINGERPRINTS.read_text())
 
 
 def test_gate_passes_against_pinned_values(gate, golden):
-    fresh, failures = gate.run_scenarios(FAST, golden)
+    fresh, failures = gate.pins.run(gate.SCENARIOS, golden, FAST)
     assert failures == []
     assert fresh == {name: golden[name] for name in FAST}
 
@@ -48,7 +42,7 @@ def test_gate_passes_against_pinned_values(gate, golden):
 @pytest.mark.parametrize("name", FAST)
 def test_one_ulp_drift_fails_and_names_the_field(gate, golden, name):
     golden[name]["sim_now_ns"] = math.nextafter(golden[name]["sim_now_ns"], math.inf)
-    _fresh, failures = gate.run_scenarios([name], golden)
+    _fresh, failures = gate.pins.run(gate.SCENARIOS, golden, [name])
     assert failures
     assert any(f"{name}.sim_now_ns:" in line for line in failures)
     assert not any(f"{name}.events" in line for line in failures)
@@ -57,28 +51,27 @@ def test_one_ulp_drift_fails_and_names_the_field(gate, golden, name):
 def test_scenario_differing_on_second_run_fails_as_nondeterministic(gate):
     runs = iter([{"ops": 1, "sim_now_ns": 2.0}, {"ops": 1, "sim_now_ns": 3.0}])
     golden = {"flaky": {"ops": 1, "sim_now_ns": 2.0}}
-    _fresh, failures = gate.run_scenarios(
-        ["flaky"], golden, scenarios={"flaky": lambda: next(runs)}
-    )
+    _fresh, failures = gate.pins.run({"flaky": lambda: next(runs)}, golden)
     assert "nondeterministic" in failures[0]
     assert failures[1:] == ["    flaky.sim_now_ns: 2.0 -> 3.0"]
 
 
 def test_unpinned_scenario_fails(gate):
-    _fresh, failures = gate.run_scenarios(
-        ["new"], {}, scenarios={"new": lambda: {"ops": 1}}
-    )
+    _fresh, failures = gate.pins.run({"new": lambda: {"ops": 1}}, {})
     assert failures == ["new: no pinned fingerprint (run --update)"]
 
 
 def test_fusion_comparison_ignores_only_events(gate):
+    def fusion_drift(unfused, fused):
+        return gate.pins.drift(unfused, fused, invariant_only=True)
+
     unfused = {"events": 75815, "sim_now_ns": 7524379.125767603}
-    assert gate.fusion_drift(unfused, {**unfused, "events": 49089}) == []
+    assert fusion_drift(unfused, {**unfused, "events": 49089}) == []
     moved = {**unfused, "sim_now_ns": math.nextafter(unfused["sim_now_ns"], 0.0)}
-    assert [d.split(":")[0] for d in gate.fusion_drift(unfused, moved)] == [
+    assert [d.split(":")[0] for d in fusion_drift(unfused, moved)] == [
         "sim_now_ns"
     ]
-    assert gate.fusion_drift(unfused, {"events": 49089}) == [
+    assert fusion_drift(unfused, {"events": 49089}) == [
         "sim_now_ns: missing from fresh run (baseline 7524379.125767603)"
     ]
 

@@ -1,0 +1,76 @@
+"""The pin runner: fused and unfused replay, coverage, layer report, re-pin."""
+
+import json
+import os
+
+import pytest
+
+from repro.sim.engine import FUSE_ENV_VAR, Simulator
+from tools import pins
+
+
+def delay_chain() -> dict:
+    """A start-up event, then a delay chain: one wake-up fused, three unfused."""
+    sim = Simulator()
+    sim.spawn(chain for chain in [(1.0, 2.0, 3.0)])
+    sim.run()
+    return {"t": sim.now, "events": sim.events_processed, **sim.metrics_snapshot()}
+
+
+def test_fusion_invariant_field_moved_by_fusion_fails_and_is_named():
+    case = {"flag": lambda: {"fused": Simulator().fuse_delays, "events": 1}}
+    _fresh, failures = pins.run(case, {"flag": {"fused": True, "events": 1}})
+    assert failures[0].startswith("run: unfused replay differs")
+    assert failures[1:] == ["    flag.fused: True -> False"]
+
+
+def test_case_differing_only_in_event_counts_passes(capsys):
+    pinned, failures = pins.run({"chain": delay_chain}, None)
+    assert failures == [] and pins.run({"chain": delay_chain}, pinned) == (pinned, [])
+    assert "chain ok (events 4 unfused -> 2 fused)" in capsys.readouterr().out
+
+
+def test_golden_style_pin_set_fails_on_orphaned_pin_and_unpinned_case(tmp_path):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({"kept": {"x": 1}, "gone": {"x": 2}}))
+    cases = {"kept": lambda: {"x": 1}, "new": lambda: {"x": 3}}
+    with pytest.raises(AssertionError) as coverage:
+        pins.check(path, cases)
+    assert str(coverage.value).splitlines() == [
+        "new: no pinned fingerprint (run --update)",
+        "gone: pinned in golden.json but no such scenario",
+    ]
+    pins.check(path, cases, "kept")
+    with pytest.raises(AssertionError, match="new: no pinned fingerprint"):
+        pins.check(path, cases, "new")
+
+
+@pytest.mark.parametrize("before", [None, "off"])
+def test_fusion_switch_is_restored_after_a_case_raises(monkeypatch, before):
+    monkeypatch.delenv(FUSE_ENV_VAR, raising=False)
+    if before is not None:
+        monkeypatch.setenv(FUSE_ENV_VAR, before)
+    with pytest.raises(ZeroDivisionError):
+        pins.run({"broken": lambda: {"x": 1 / 0}}, None)
+    assert os.environ.get(FUSE_ENV_VAR) == before
+
+
+def test_update_rewrites_the_file_and_prints_old_to_new_by_layer(tmp_path, capsys):
+    path = tmp_path / "golden.json"
+    old = {"elapsed_ns": 1.0, "gone": 2, "series": {"pcie.bytes{dir=up}": 5.0}}
+    path.write_text(json.dumps({"case": old}))
+    new = {"elapsed_ns": 1.5, "series": {"pcie.bytes{dir=up}": 6.0, "vdma.n": 1.0}}
+    assert pins.main(path, {"case": lambda: new}, ["--update"]) == 0
+    repinned = json.dumps({"case": new}, indent=1, sort_keys=True) + "\n"
+    assert path.read_text() == repinned
+    assert "\n".join([
+        "pcie: re-pinned (old -> new):",
+        "    case.series.pcie.bytes{dir=up}: 5.0 -> 6.0",
+        "run: re-pinned (old -> new):",
+        "    case.elapsed_ns: 1.0 -> 1.5",
+        "    case.gone: missing from fresh run (baseline 2)",
+        "vdma: re-pinned (old -> new):",
+        "    case.series.vdma.n: new field not in baseline (fresh 1.0)",
+    ]) in capsys.readouterr().out
+    assert pins.main(path, {"case": lambda: new}, ["--update"]) == 0
+    assert "no pinned value changed" in capsys.readouterr().out

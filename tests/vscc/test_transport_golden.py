@@ -24,19 +24,18 @@ messages of 1-40 B that wrap the 254-value flag counters. The cases cover:
   ``isend``/``irecv`` each way and one ``recv_any_source``, and also pin
   a sha256 of their ``protocol`` trace records (the Fig 2 timelines).
 
-Delay fusion is pinned on for the recorded run. Each case is replayed
-with fusion off; its simulated time, payloads, series and protocol
-trace must match too (the event counts differ by design). Regenerate
+The pin runner (``tools/pins.py``) records each case with delay fusion
+on and replays it with fusion off; the unfused run must match on every
+field but the event counts (``kernel.*``, ``sim.events``). Regenerate
 (only for an intended change of simulated results) with::
 
-    PYTHONPATH=src python tests/vscc/test_transport_golden.py --update
+    PYTHONPATH=src python -m tests.vscc.test_transport_golden --update
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -48,6 +47,7 @@ from repro.rcce.api import RcceOptions
 from repro.vscc.policy import AdaptivePolicy, StaticPolicy, ThresholdPolicy
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
+from tools import pins
 
 GOLDEN = Path(__file__).parent / "data" / "transport_golden.json"
 
@@ -80,8 +80,6 @@ OVERLAP = (64, 4097, 20000)
 #: Size of the on-chip cases' wildcard receive.
 ANY_SOURCE = 20000
 UNPINNED = ("policy.", "scheme.selected")
-#: Event-count series, which differ between fused and unfused runs.
-EVENT_COUNTS = ("kernel.", "sim.events")
 
 
 def case_specs() -> dict[str, Callable[[], dict]]:
@@ -152,10 +150,10 @@ def traffic(system: VSCCSystem, onchip: bool) -> tuple[float, str]:
     return result.elapsed_ns, digest.hexdigest()
 
 
-def run_case(case: str, fuse: bool) -> dict:
+def run_case(case: str) -> dict:
     onchip = case in ONCHIP
     kwargs = {"num_devices": 2, **case_specs()[case]()}
-    system = VSCCSystem(fuse_delays=fuse, **kwargs)
+    system = VSCCSystem(**kwargs)
     if onchip:
         system.tracer.enable("protocol")
     elapsed_ns, digest = traffic(system, onchip)
@@ -187,45 +185,24 @@ def expected_payload_sha256(case: str) -> str:
     return hashlib.sha256(b"".join(first + last)).hexdigest()
 
 
-def without_event_counts(series: dict) -> dict:
-    return {k: v for k, v in series.items() if not k.startswith(EVENT_COUNTS)}
+CASES = {case: partial(run_case, case) for case in case_specs()}
 
 
-def generate() -> dict:
-    return {case: run_case(case, fuse=True) for case in case_specs()}
+def test_golden_covers_the_matrix():
+    pins.check(GOLDEN, CASES)
 
 
-@pytest.fixture(scope="module")
-def golden() -> dict:
-    return json.loads(GOLDEN.read_text())
-
-
-def test_golden_covers_the_matrix(golden):
-    assert sorted(golden) == sorted(case_specs())
-
-
-def test_golden_payloads_arrive_intact(golden):
+def test_golden_payloads_arrive_intact():
+    golden = pins.load(GOLDEN)
     assert {case: doc["payload_sha256"] for case, doc in golden.items()} == {
         case: expected_payload_sha256(case) for case in golden
     }
 
 
-@pytest.mark.parametrize("case", sorted(case_specs()))
-def test_transport_matches_golden(golden, case):
-    want = golden[case]
-    assert run_case(case, fuse=True) == want
-    unfused = run_case(case, fuse=False)
-    assert unfused["elapsed_ns"] == want["elapsed_ns"]
-    assert unfused["payload_sha256"] == want["payload_sha256"]
-    assert unfused.get("protocol_sha256") == want.get("protocol_sha256")
-    assert without_event_counts(unfused["series"]) == without_event_counts(
-        want["series"]
-    )
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_transport_matches_golden(case):
+    pins.check(GOLDEN, CASES, case)
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--update"]:
-        sys.exit("usage: test_transport_golden.py --update")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(generate(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    raise SystemExit(pins.main(GOLDEN, CASES))
