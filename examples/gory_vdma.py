@@ -64,7 +64,7 @@ def vdma_demo(system: VSCCSystem) -> None:
             completion_flag=done_flag,
             completion_value=7,
         )
-        yield from env.device.fabric.mmio_write_block(
+        yield from env.device.fabric.mmio_write(
             env,
             [(REG_VDMA_ADDR, 0), (REG_VDMA_COUNT, len(payload)), (REG_VDMA_CTRL, command)],
             fused=True,

@@ -457,7 +457,7 @@ def _client_program(dispatcher: RpcDispatcher, calls: Sequence[RpcCall]):
             key=lambda c: (c.issue_ns, c.req_id),
         )
         env = comm.env
-        task = env.device.fabric._task()
+        task = env.device.fabric
         route = dispatcher.route_for(env.device.device_id)
         sim = env.sim
         issued = 0

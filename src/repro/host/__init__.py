@@ -3,16 +3,18 @@
 Public surface::
 
     from repro.host import Host, HostParams, PCIeParams
+
+Each device's :class:`CommunicationTask` is also its interconnect fabric
+(``SCCDevice.fabric``): every off-die access of a core enters the host
+through one of the task's entry points.
 """
 
 from .commtask import CommunicationTask
 from .dma import DMAEngine
 from .driver import Host, HostParams, MAX_DEVICES
-from .fabric import HostFabric
 from .mmio import (
     MmioBank,
     REG_CACHE_INV,
-    REG_CACHE_UPDATE,
     REG_MSG_ADDR,
     REG_MSG_COUNT,
     REG_MSG_CTRL,
@@ -31,7 +33,6 @@ __all__ = [
     "CommunicationTask",
     "DMAEngine",
     "Host",
-    "HostFabric",
     "HostMpbCache",
     "HostParams",
     "HostWriteCombiner",
@@ -40,7 +41,6 @@ __all__ = [
     "PCIeCable",
     "PCIeParams",
     "REG_CACHE_INV",
-    "REG_CACHE_UPDATE",
     "REG_MSG_ADDR",
     "REG_MSG_COUNT",
     "REG_MSG_CTRL",

@@ -5,25 +5,35 @@ extension of a background process, also called daemon, of the device
 driver … Because the host is connected to multiple devices, our
 communication task consists of multiple threads on kernel level" (§3.2).
 
-One :class:`CommunicationTask` instance per device owns that device's
-MMIO register bank, host write-combining streams and (shared) software
-cache hooks, and implements the per-request behaviours:
+One :class:`CommunicationTask` per device is that device's interconnect
+fabric (``SCCDevice.fabric``): every access a
+:class:`repro.scc.core.CoreEnv` makes off the die enters through one of
+its entry points. Registration lets the task "classify incoming requests
+and handle them in a different way" (§3.1), so each entry point
+classifies its request once, against the region registry (flag / buffer
+/ unregistered) and the host's feature configuration, and dispatches:
 
-* **transparent routing** — the previous prototype's mode [13]: every
-  off-die read or write is an end-to-end round trip through the host,
-  one 32 B line at a time (this is the slow baseline of Fig 6b);
-* **flag fast path** — writes to registered flag regions are
-  acknowledged immediately and forwarded posted; flag reads bypass all
-  host buffers;
-* **registered buffer writes** — absorbed by a host write-combining
-  stream (remote-put scheme, Fig 4c);
-* **MMIO** — register writes reach the bank after the PCIe up-hop plus
-  host service, firing the wired handlers (vDMA, cache control, …).
+==========================  =========================================
+access                      path
+==========================  =========================================
+buffer read, extensions     software cache + push stream (Fig 4b)
+other read                  per-line routed round trips [13]
+write, fast-ack cable       FPGA-acked streaming (hw upper bound)
+buffer write, extensions    host write-combining stream (Fig 4c)
+other write                 per-line routed round trips
+flag write                  immediate-ack fast path (or routed)
+direct write                FPGA-acked posted burst (§3.3)
+MMIO                        register bank of this device's task
+==========================  =========================================
+
+Flag reads are "other reads": they bypass every host buffer. Per-request
+checks (the quarantine fail-fast of a severed route) run once, at the
+entry point, before any path is taken.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Optional, Union
 
 import numpy as np
 
@@ -45,6 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .driver import Host
 
 __all__ = ["CommunicationTask", "HostRequestScheduler"]
+
+Bytes = Union[bytes, bytearray, np.ndarray]
 
 #: Size of a routed request header packet on the wire (bytes).
 REQUEST_BYTES = 16
@@ -74,9 +86,9 @@ class HostRequestScheduler:
     """Unified request scheduler of one communication task.
 
     §3.1/§3.2: registration lets the task "classify incoming requests
-    and handle them in a different way". The scheduler is where that
-    classification becomes explicit — every request entering the task is
-    admitted onto one of three lanes:
+    and handle them in a different way". The task's entry points
+    classify; the scheduler is where that classification becomes a
+    lane — every request entering the task is admitted onto one of:
 
     * ``sync`` — accesses to registered FLAG regions (and the dedicated
       flag fast path). Synchronization traffic rides *ahead* of bulk:
@@ -144,11 +156,6 @@ class HostRequestScheduler:
             "sched.queue_depth", device=self.device_id, lane=lane.name
         )
 
-    def sync_access(self, addr: MpbAddr, length: int) -> bool:
-        """Whether this remote access is sync traffic (registered FLAG
-        region, §3.1) — else it rides the bulk lane."""
-        return self.host.regions.classify(addr, length) is RegionKind.FLAG
-
     # -- lane admission (one admit/complete pair per host request) -------------
 
     def admit(self, lane: "_Lane", nbytes: int) -> None:
@@ -212,7 +219,7 @@ class HostRequestScheduler:
 
 
 class CommunicationTask:
-    """Host-side thread state for one attached device."""
+    """Host-side thread of one attached device, and that device's fabric."""
 
     def __init__(self, host: "Host", device_id: int):
         self.host = host
@@ -231,9 +238,9 @@ class CommunicationTask:
         #: announce (live streams are summed on top at snapshot time).
         self._wcb_retired_bytes = 0
         self._wcb_retired_flushes = 0
-        #: Routed line round-trip time per (target_device, read) — the
+        #: Routed line round-trip time per target device — the
         #: cable/host parameters are immutable, so compute once.
-        self._rtt_cache: dict[tuple[int, bool], float] = {}
+        self._rtt_cache: dict[int, float] = {}
         #: Unified request scheduler (classification lanes + coalescing).
         self.sched = HostRequestScheduler(self)
         self._wire_msg_handlers()
@@ -256,237 +263,89 @@ class CommunicationTask:
         out.update(self.sched.metrics_snapshot())
         return out
 
-    # -- helpers ---------------------------------------------------------------
+    # -- entry points (one per off-die request) ------------------------------------
 
-    @property
-    def cable(self):
-        return self.host.cable_of(self.device_id)
-
-    def _check_route(self, target_device: int) -> None:
-        """Fail fast when quarantine has severed the path to the target.
-
-        In-flight packets on a severed cable are silently lost (their
-        waiters never resume); *new* requests raise ``DeviceQuarantined``
-        so callers can degrade gracefully instead of hanging.
-        """
-        injector = self.host.fault_injector
-        if injector is not None and injector.route_severed(
-            self.device_id, target_device
-        ):
-            from repro.faults.errors import DeviceQuarantined
-
-            raise DeviceQuarantined(self.device_id, target_device)
-
-    def _post_through_host(self, target_device: int, nbytes: int, commit) -> None:
-        """Posted delivery of ``nbytes`` through the host to another device.
-
-        Up this device's cable, then :meth:`Host.route_down
-        <repro.host.driver.Host.route_down>` toward ``target_device``
-        with the host's service charged on the final cable hop;
-        ``commit`` runs when the bytes reach the target.
-        """
+    def remote_read(self, env: "CoreEnv", addr: MpbAddr, length: int) -> Generator:
+        """Off-die read of ``length`` bytes; returns an ndarray."""
+        self._check_route(addr.device)
         host = self.host
+        kind = host.regions.classify(addr, length)
+        if host.extensions_enabled and kind is RegionKind.BUFFER:
+            data = yield from host.cache.serve(env, addr, length)
+            return data
+        # Flag reads bypass all host buffers (forwarded without caching,
+        # §3.1); unregistered spans and transparent mode are routed.
+        data = yield from self._routed(env, addr, kind, length)
+        return data
 
-        def forward() -> None:
-            host.route_down(
-                target_device,
-                nbytes,
-                on_arrival=commit,
-                extra_overhead_ns=host.params.service_ns,
-            )
-
-        self.cable.up.post(nbytes, on_arrival=forward)
-
-    def _line_rtt_ns(self, target_device: int, read: bool) -> float:
-        """End-to-end round trip for one transparently routed line.
-
-        A cross-host target adds the inter-host tier in both directions
-        (request out, line packet back) plus the destination host's
-        forwarding service on each traversal.
-        """
-        cached = self._rtt_cache.get((target_device, read))
-        if cached is not None:
-            return cached
+    def remote_write(self, env: "CoreEnv", addr: MpbAddr, data: Bytes) -> Generator:
+        """Off-die write of ``data``."""
+        self._check_route(addr.device)
+        payload = as_u8(data)
+        if self.cable.fast_write_ack:
+            yield from self._streamed(env, addr, payload, via_host_wcb=False)
+            return
         host = self.host
-        src_cable = self.cable
-        dst_cable = host.cable_of(target_device)
-        p_src, p_dst = src_cable.params, dst_cable.params
-        wire = (
-            2 * p_src.latency_ns
-            + 2 * p_dst.latency_ns
-            + 2 * p_src.packet_overhead_ns
-            + 2 * p_dst.packet_overhead_ns
-            + (REQUEST_BYTES + LINE_PACKET_BYTES) / p_src.bandwidth_bpns
-            + (REQUEST_BYTES + LINE_PACKET_BYTES) / p_dst.bandwidth_bpns
-        )
-        service = 2 * host.params.service_ns + p_dst.fpga_service_ns
-        if not host.is_local(target_device):
-            p_ih = host.cluster.params
-            wire += (
-                2 * p_ih.latency_ns
-                + 2 * p_ih.packet_overhead_ns
-                + 2 * (REQUEST_BYTES + LINE_PACKET_BYTES) / p_ih.bandwidth_bpns
-            )
-            service += 2 * host.params.service_ns
-        rtt = wire + service
-        self._rtt_cache[(target_device, read)] = rtt
-        return rtt
+        kind = host.regions.classify(addr, len(payload))
+        if host.extensions_enabled and kind is RegionKind.BUFFER:
+            yield from self._streamed(env, addr, payload, via_host_wcb=True)
+            return
+        yield from self._routed(env, addr, kind, len(payload), payload)
 
-    def _account_routed(self, target_device: int, nbytes: int) -> None:
-        """Byte accounting for analytically charged routed transfers."""
-        src_cable = self.cable
-        dst_cable = self.host.cable_of(target_device)
-        src_cable.up.bytes_carried += nbytes
-        src_cable.down.bytes_carried += nbytes
-        dst_cable.up.bytes_carried += nbytes
-        dst_cable.down.bytes_carried += nbytes
-        host = self.host
-        if not host.is_local(target_device):
-            dst_host = host.host_for(target_device)
-            cluster = host.cluster
-            cluster.link(host.host_id, dst_host.host_id).link.bytes_carried += nbytes
-            cluster.link(dst_host.host_id, host.host_id).link.bytes_carried += nbytes
+    def remote_flag_write(self, env: "CoreEnv", addr: MpbAddr, value: int) -> Generator:
+        """Cross-device flag write.
 
-    # -- transparent routing (previous-prototype baseline) -------------------------
-
-    def transparent_read(
-        self, env: "CoreEnv", addr: MpbAddr, length: int
-    ) -> Generator:
-        """Blocking per-line routed read (the receiver stalls each line).
-
-        Lines are charged in groups of :data:`COARSEN_LINES` — a blocking
-        in-order core serializes them, so grouped charging is exact for a
-        single reader while keeping event counts tractable.
+        With the vSCC extensions (or the FPGA fast-ack cable) the write
+        "can be directly acknowledged immediately" (§3.1): the sender
+        stalls only for the FPGA ack while delivery proceeds posted. A
+        pending host write-combining stream of the same core is fenced
+        first so the flag never overtakes its payload. Otherwise the
+        write is routed transparently (full round-trip stall).
         """
         self._check_route(addr.device)
-        sched = self.sched
-        lane = sched.sync if sched.sync_access(addr, length) else sched.bulk
-        sched.admit(lane, length)
-        try:
-            target = self.host.device_of(addr.device)
-            lines = max(1, -(-length // 32))
-            rtt = self._line_rtt_ns(addr.device, read=True)
-            # The request hop and every line batch are pure delays with
-            # no intervening side effects — one fused chain per read.
-            chain = [env.device.sif.mesh_to_sif_ns(env.core_id, REQUEST_BYTES)]
-            left = lines
-            while left > 0:
-                batch = min(COARSEN_LINES, left)
-                chain.append(batch * rtt)
-                left -= batch
-            yield tuple(chain)
-            self.routed_reads += lines
-            self._account_routed(addr.device, length + lines * REQUEST_BYTES)
-            # Data is sampled at completion time — by then every line-level
-            # round trip has observed the (stable) source buffer.
-            return target.mpb.read(addr, length)
-        finally:
-            sched.complete(lane)
-
-    def transparent_write(
-        self, env: "CoreEnv", addr: MpbAddr, data: np.ndarray
-    ) -> Generator:
-        """Blocking per-line routed write (end-to-end acknowledge)."""
-        self._check_route(addr.device)
-        length = len(data)
-        sched = self.sched
-        lane = sched.sync if sched.sync_access(addr, length) else sched.bulk
-        sched.admit(lane, length)
-        try:
-            target = self.host.device_of(addr.device)
-            lines = max(1, -(-length // 32))
-            rtt = self._line_rtt_ns(addr.device, read=False)
-            chain = [env.device.sif.mesh_to_sif_ns(env.core_id, length)]
-            left = lines
-            while left > 0:
-                batch = min(COARSEN_LINES, left)
-                chain.append(batch * rtt)
-                left -= batch
-            yield tuple(chain)
-            self.routed_writes += lines
-            self._account_routed(addr.device, length + lines * REQUEST_BYTES)
-            target.mpb.write(addr, data)
-        finally:
-            sched.complete(lane)
-
-    # -- fast-acknowledged streaming writes ------------------------------------------
-
-    def streamed_write(
-        self, env: "CoreEnv", addr: MpbAddr, data: np.ndarray, via_host_wcb: bool
-    ) -> Generator:
-        """Write stream with immediate acknowledgement at the source side.
-
-        ``via_host_wcb=False`` is the *hardware-accelerated* variant: the
-        on-board FPGA acks each WCB burst and packets are simply routed
-        to the target (the unstable upper bound of Fig 6b).
-        ``via_host_wcb=True`` is the stable remote-put scheme: the bytes
-        land in a host write-combining stream previously opened through
-        the MSG registers; delivery order versus a subsequent flag write
-        is enforced by :meth:`fence`.
-        """
-        self._check_route(addr.device)
+        self.flag_forwards += 1
         host = self.host
         cable = self.cable
-        length = len(data)
-        self.sched.admit(self.sched.bulk, length)
-        lines = max(1, -(-length // 32))
-        ack_ns = cable.params.fpga_ack_ns
-        yield env.device.sif.mesh_to_sif_ns(env.core_id, length)
-        # Zero-copy: chunks below are views; the issuing core stalls on
-        # FPGA acks (and the flag path fences) until delivery, so the
-        # source bytes are stable for the lifetime of every view.
-        payload = as_u8(data)
-
+        if not (host.extensions_enabled or cable.fast_write_ack):
+            # Routed transparently, on the lane its region classifies.
+            data = np.frombuffer(bytes([value]), np.uint8)
+            yield from self._routed(env, addr, host.regions.classify(addr, 1), 1, data)
+            return
+        sched = self.sched
+        sched.admit(sched.sync, 1)
         try:
-            combiner = None
-            if via_host_wcb:
-                combiner = self._combiners.get(env.core_id)
-                if combiner is None or not self._wcb_expected.get(env.core_id):
-                    raise RuntimeError(
-                        f"core {env.core_id} streamed a registered write without an "
-                        "open host write-combining stream (missing MSG announce)"
-                    )
-                base = combiner.issued
-                combiner.issued += length
-
-            offset = 0
-            left = lines
-            while left > 0:
-                batch = min(COARSEN_LINES, left)
-                nbytes = min(batch * 32, length - offset)
-                # The issuing core stalls one FPGA ack per 32 B burst.
-                yield batch * ack_ns
-                chunk = payload[offset : offset + nbytes]
-                if combiner is not None:
-                    off = base + offset
-                    cable.up.post(
-                        nbytes + REQUEST_BYTES,
-                        on_arrival=(lambda c=chunk, o=off: combiner.absorb(o, c)),
-                    )
-                else:
-                    dst_dev = host.device_of(addr.device)
-                    self._post_through_host(
-                        addr.device,
-                        nbytes + REQUEST_BYTES,
-                        lambda c=chunk, o=offset: dst_dev.mpb.write(addr + o, c),
-                    )
-                offset += nbytes
-                left -= batch
+            # Gate the fence on the *issue-side* expectation, not on
+            # is_open: right after the announce is issued the open has
+            # not yet arrived at the host, but a flag racing past the
+            # in-flight data would break ordering exactly then.
+            combiner = self._combiners.get(env.core_id)
+            if combiner is not None and self._wcb_expected.get(env.core_id):
+                yield from combiner.fence()
+            self._wcb_expected[env.core_id] = False
+            yield (
+                env.device.sif.mesh_to_sif_ns(env.core_id, REQUEST_BYTES),
+                cable.params.fpga_ack_ns,
+            )
+            dst_dev = host.device_of(addr.device)
+            self._post_through_host(
+                addr.device,
+                REQUEST_BYTES,
+                lambda: dst_dev.mpb.write_byte(addr, value),
+            )
         finally:
-            self.sched.complete(self.sched.bulk)
+            sched.complete(sched.sync)
 
-    def small_direct_write(
-        self, env: "CoreEnv", addr: MpbAddr, data: np.ndarray
-    ) -> Generator:
-        """Sub-threshold direct transfer (§3.3).
+    def direct_write(self, env: "CoreEnv", addr: MpbAddr, data: Bytes) -> Generator:
+        """Sub-threshold direct transfer (§3.3; requires extensions).
 
         Below the per-scheme threshold (32–128 B) a core skips the vDMA /
         write-combining machinery and pushes the payload itself: one
         FPGA-acked burst per line, delivered posted through the host like
         a flag write. Low latency, no setup cost.
         """
-        self._check_route(addr.device)
         host = self.host
+        host.require_extensions("direct small-message transfers")
+        self._check_route(addr.device)
         cable = self.cable
         length = len(data)
         self.sched.admit(self.sched.bulk, length)
@@ -508,7 +367,90 @@ class CommunicationTask:
         finally:
             self.sched.complete(self.sched.bulk)
 
-    # -- RPC dispatch (repro.apps.rpc) ---------------------------------------------
+    def wcb_open(self, env: "CoreEnv", target: MpbAddr, nbytes: int) -> Generator:
+        """Announce a remote-put stream: reserve it, then write the MSG regs.
+
+        The issue-time bookkeeping (reset of the stream's ``issued``
+        counter) must happen synchronously with the sender's program
+        order; the host-side open fires when the fused MMIO write
+        arrives — before any of the data, since both share the FIFO
+        up-link.
+        """
+        host = self.host
+        host.require_extensions("host write-combining streams")
+        # Every announce starts a fresh stream object so bytes of the
+        # previous chunk that are still in flight keep their identity.
+        # The stream flushes through the target device's own DMA engine;
+        # a target on another host is reached from this one over the
+        # inter-host tier.
+        dst_host = host.host_for(target.device)
+        combiner = HostWriteCombiner(
+            self.sim,
+            dst_host.dmas[target.device],
+            host.params.granule,
+            via=None if dst_host is host else host,
+        )
+        old = self._combiners.get(env.core_id)
+        if old is not None:
+            self._wcb_retired_bytes += old.bytes_combined
+            self._wcb_retired_flushes += old.flushes
+        self._combiners[env.core_id] = combiner
+        self._wcb_expected[env.core_id] = True
+        yield from self.mmio_write(
+            env,
+            [
+                (REG_MSG_ADDR, 0),
+                (REG_MSG_COUNT, nbytes),
+                (REG_MSG_CTRL, ("wcb_open", target)),
+            ],
+            fused=True,
+        )
+
+    def mmio_write(
+        self, env: "CoreEnv", regs: list[tuple[int, object]], fused: bool
+    ) -> Generator:
+        """One or more register writes from a core of this device.
+
+        ``fused=True`` models registers sharing a 32 B WCB line (the vDMA
+        block layout): one transaction regardless of register count.
+        """
+        self.host.require_extensions("memory-mapped registers")
+        cable = self.cable
+        transactions = 1 if fused else len(regs)
+        self.sched.admit(self.sched.ctrl, 32 * transactions)
+        try:
+            yield (
+                env.device.sif.mesh_to_sif_ns(env.core_id, 32 * transactions),
+                transactions * cable.params.fpga_ack_ns,
+            )
+
+            def deliver() -> None:
+                for reg, value in regs:
+                    self.mmio.write(env.core_id, reg, value)
+
+            # Host service is charged as serialization *before* arrival so a
+            # register write can never be overtaken by data posted after it.
+            cable.up.post(
+                32 * transactions,
+                on_arrival=deliver,
+                extra_overhead_ns=self.host.params.service_ns,
+            )
+        finally:
+            self.sched.complete(self.sched.ctrl)
+
+    def mmio_read(self, env: "CoreEnv", reg: int) -> Generator:
+        self.host.require_extensions("memory-mapped registers")
+        cable = self.cable
+        self.sched.admit(self.sched.ctrl, REQUEST_BYTES)
+        try:
+            yield env.device.sif.mesh_to_sif_ns(env.core_id, REQUEST_BYTES)
+            yield from cable.up.transfer(REQUEST_BYTES)
+            yield self.host.params.service_ns
+            value = self.mmio.read(reg)
+            yield from cable.down.transfer(LINE_PACKET_BYTES)
+            return value
+        finally:
+            self.sched.complete(self.sched.ctrl)
 
     def rpc_submit(self, env: "CoreEnv", calls, dispatcher, pay_setup: bool = False):
         """Post one RPC descriptor (one or more coalesced requests) up.
@@ -562,147 +504,208 @@ class CommunicationTask:
             extra_overhead_ns=host.params.service_ns,
         )
 
-    def issue_wcb_open(self, env: "CoreEnv", target: MpbAddr, nbytes: int) -> Generator:
-        """Sender-side announce: reserve the stream, then write the MSG regs.
+    # -- helpers ---------------------------------------------------------------
 
-        The issue-time bookkeeping (reset of the stream's ``issued``
-        counter) must happen synchronously with the sender's program
-        order; the host-side :meth:`open_wcb_stream` fires when the MMIO
-        write arrives — before any of the data, since both share the
-        FIFO up-link.
+    @property
+    def cable(self):
+        return self.host.cable_of(self.device_id)
+
+    def _check_route(self, target_device: int) -> None:
+        """Fail fast when quarantine has severed the path to the target.
+
+        In-flight packets on a severed cable are silently lost (their
+        waiters never resume); *new* requests raise ``DeviceQuarantined``
+        so callers can degrade gracefully instead of hanging.
         """
-        # Every announce starts a fresh stream object so bytes of the
-        # previous chunk that are still in flight keep their identity.
-        # The stream flushes through the target device's own DMA engine;
-        # a target on another host is reached from this one over the
-        # inter-host tier.
+        injector = self.host.fault_injector
+        if injector is not None and injector.route_severed(
+            self.device_id, target_device
+        ):
+            from repro.faults.errors import DeviceQuarantined
+
+            raise DeviceQuarantined(self.device_id, target_device)
+
+    def _post_through_host(self, target_device: int, nbytes: int, commit) -> None:
+        """Posted delivery of ``nbytes`` through the host to another device.
+
+        Up this device's cable, then :meth:`Host.route_down
+        <repro.host.driver.Host.route_down>` toward ``target_device``
+        with the host's service charged on the final cable hop;
+        ``commit`` runs when the bytes reach the target.
+        """
         host = self.host
-        dst_host = host.host_for(target.device)
-        combiner = HostWriteCombiner(
-            self.sim,
-            dst_host.dmas[target.device],
-            host.params.granule,
-            via=None if dst_host is host else host,
-        )
-        old = self._combiners.get(env.core_id)
-        if old is not None:
-            self._wcb_retired_bytes += old.bytes_combined
-            self._wcb_retired_flushes += old.flushes
-        self._combiners[env.core_id] = combiner
-        self._wcb_expected[env.core_id] = True
-        yield from self.mmio_write(
-            env,
-            [
-                (REG_MSG_ADDR, 0),
-                (REG_MSG_COUNT, nbytes),
-                (REG_MSG_CTRL, ("wcb_open", target)),
-            ],
-            fused=True,
-        )
 
-    def open_wcb_stream(self, core_id: int, target: MpbAddr, nbytes: int) -> None:
-        """MSG-register handler for the remote-put scheme (Fig 4c)."""
-        combiner = self._combiners.get(core_id)
-        if combiner is None:
-            raise RuntimeError(
-                f"wcb_open arrived for core {core_id} without an issued stream"
+        def forward() -> None:
+            host.route_down(
+                target_device,
+                nbytes,
+                on_arrival=commit,
+                extra_overhead_ns=host.params.service_ns,
             )
-        combiner.open(target, nbytes)
 
-    def fence_wcb(self, core_id: int) -> Generator:
-        # Gate on the *issue-side* expectation, not on is_open: right
-        # after the announce is issued the open has not yet arrived at
-        # the host, but a flag racing past the in-flight data would
-        # break ordering exactly then.
-        combiner = self._combiners.get(core_id)
-        if combiner is not None and self._wcb_expected.get(core_id):
-            yield from combiner.fence()
-        self._wcb_expected[core_id] = False
+        self.cable.up.post(nbytes, on_arrival=forward)
 
-    # -- flags --------------------------------------------------------------------------
+    def _line_rtt_ns(self, target_device: int) -> float:
+        """End-to-end round trip for one transparently routed line.
 
-    def flag_write(
-        self, env: "CoreEnv", addr: MpbAddr, value: int, fast_ack: bool
-    ) -> Generator:
-        """Cross-device flag write.
-
-        With the vSCC extensions (``fast_ack=True``) the write "can be
-        directly acknowledged immediately" (§3.1): the sender stalls only
-        for the FPGA ack while delivery proceeds posted. A pending host
-        write-combining stream of the same core is fenced first so the
-        flag never overtakes its payload. Without extensions the write is
-        routed transparently (full round-trip stall).
+        A cross-host target adds the inter-host tier in both directions
+        (request out, line packet back) plus the destination host's
+        forwarding service on each traversal.
         """
-        self._check_route(addr.device)
-        self.flag_forwards += 1
+        cached = self._rtt_cache.get(target_device)
+        if cached is not None:
+            return cached
         host = self.host
-        if not fast_ack:
-            # Routed transparently; the sync-lane admission happens in
-            # transparent_write (the flag region classifies it).
-            yield from self.transparent_write(env, addr, np.frombuffer(bytes([value]), np.uint8))
-            return
-        self.sched.admit(self.sched.sync, 1)
-        try:
-            yield from self.fence_wcb(env.core_id)
-            cable = self.cable
-            yield (
-                env.device.sif.mesh_to_sif_ns(env.core_id, REQUEST_BYTES),
-                cable.params.fpga_ack_ns,
+        src_cable = self.cable
+        dst_cable = host.cable_of(target_device)
+        p_src, p_dst = src_cable.params, dst_cable.params
+        wire = (
+            2 * p_src.latency_ns
+            + 2 * p_dst.latency_ns
+            + 2 * p_src.packet_overhead_ns
+            + 2 * p_dst.packet_overhead_ns
+            + (REQUEST_BYTES + LINE_PACKET_BYTES) / p_src.bandwidth_bpns
+            + (REQUEST_BYTES + LINE_PACKET_BYTES) / p_dst.bandwidth_bpns
+        )
+        service = 2 * host.params.service_ns + p_dst.fpga_service_ns
+        if not host.is_local(target_device):
+            p_ih = host.cluster.params
+            wire += (
+                2 * p_ih.latency_ns
+                + 2 * p_ih.packet_overhead_ns
+                + 2 * (REQUEST_BYTES + LINE_PACKET_BYTES) / p_ih.bandwidth_bpns
             )
-            dst_dev = host.device_of(addr.device)
-            self._post_through_host(
-                addr.device,
-                REQUEST_BYTES,
-                lambda: dst_dev.mpb.write_byte(addr, value),
-            )
-        finally:
-            self.sched.complete(self.sched.sync)
+            service += 2 * host.params.service_ns
+        rtt = wire + service
+        self._rtt_cache[target_device] = rtt
+        return rtt
 
-    # -- MMIO -----------------------------------------------------------------------------
+    def _account_routed(self, target_device: int, nbytes: int) -> None:
+        """Byte accounting for analytically charged routed transfers."""
+        src_cable = self.cable
+        dst_cable = self.host.cable_of(target_device)
+        src_cable.up.bytes_carried += nbytes
+        src_cable.down.bytes_carried += nbytes
+        dst_cable.up.bytes_carried += nbytes
+        dst_cable.down.bytes_carried += nbytes
+        host = self.host
+        if not host.is_local(target_device):
+            dst_host = host.host_for(target_device)
+            cluster = host.cluster
+            cluster.link(host.host_id, dst_host.host_id).link.bytes_carried += nbytes
+            cluster.link(dst_host.host_id, host.host_id).link.bytes_carried += nbytes
 
-    def mmio_write(
-        self, env: "CoreEnv", regs: list[tuple[int, object]], fused: bool
+    # -- paths -----------------------------------------------------------------
+
+    def _routed(
+        self,
+        env: "CoreEnv",
+        addr: MpbAddr,
+        kind: RegionKind,
+        length: int,
+        data: Optional[np.ndarray] = None,
     ) -> Generator:
-        """One or more register writes from a core of this device.
+        """Blocking per-line routed read (``data is None``) or write.
 
-        ``fused=True`` models registers sharing a 32 B WCB line (the vDMA
-        block layout): one transaction regardless of register count.
+        The previous prototype's transparent mode [13]: every line is an
+        end-to-end round trip through the host (the read stalls on each
+        line, the write on each end-to-end acknowledge). ``kind`` is the
+        request's region class: flag traffic rides the sync lane.
+
+        Lines are charged in groups of :data:`COARSEN_LINES` — a blocking
+        in-order core serializes them, so grouped charging is exact for a
+        single issuer while keeping event counts tractable.
         """
-        cable = self.cable
-        transactions = 1 if fused else len(regs)
-        self.sched.admit(self.sched.ctrl, 32 * transactions)
+        sched = self.sched
+        lane = sched.sync if kind is RegionKind.FLAG else sched.bulk
+        sched.admit(lane, length)
         try:
-            yield (
-                env.device.sif.mesh_to_sif_ns(env.core_id, 32 * transactions),
-                transactions * cable.params.fpga_ack_ns,
-            )
-
-            def deliver() -> None:
-                for reg, value in regs:
-                    self.mmio.write(env.core_id, reg, value)
-
-            # Host service is charged as serialization *before* arrival so a
-            # register write can never be overtaken by data posted after it.
-            cable.up.post(
-                32 * transactions,
-                on_arrival=deliver,
-                extra_overhead_ns=self.host.params.service_ns,
-            )
+            target = self.host.device_of(addr.device)
+            lines = max(1, -(-length // 32))
+            rtt = self._line_rtt_ns(addr.device)
+            # The request hop and every line batch are pure delays with
+            # no intervening side effects — one fused chain per request.
+            hop = REQUEST_BYTES if data is None else length
+            chain = [env.device.sif.mesh_to_sif_ns(env.core_id, hop)]
+            left = lines
+            while left > 0:
+                batch = min(COARSEN_LINES, left)
+                chain.append(batch * rtt)
+                left -= batch
+            yield tuple(chain)
+            if data is None:
+                self.routed_reads += lines
+            else:
+                self.routed_writes += lines
+            self._account_routed(addr.device, length + lines * REQUEST_BYTES)
+            if data is None:
+                # Data is sampled at completion time — by then every
+                # line-level round trip has observed the (stable) source.
+                return target.mpb.read(addr, length)
+            target.mpb.write(addr, data)
         finally:
-            self.sched.complete(self.sched.ctrl)
+            sched.complete(lane)
 
-    def mmio_read(self, env: "CoreEnv", reg: int) -> Generator:
+    def _streamed(
+        self, env: "CoreEnv", addr: MpbAddr, payload: np.ndarray, via_host_wcb: bool
+    ) -> Generator:
+        """Write stream with immediate acknowledgement at the source side.
+
+        ``via_host_wcb=False`` is the *hardware-accelerated* variant: the
+        on-board FPGA acks each WCB burst and packets are simply routed
+        to the target (the unstable upper bound of Fig 6b).
+        ``via_host_wcb=True`` is the stable remote-put scheme: the bytes
+        land in a host write-combining stream previously opened through
+        the MSG registers; delivery order versus a subsequent flag write
+        is enforced by the fence in :meth:`remote_flag_write`.
+        """
+        host = self.host
         cable = self.cable
-        self.sched.admit(self.sched.ctrl, REQUEST_BYTES)
+        length = len(payload)
+        self.sched.admit(self.sched.bulk, length)
+        lines = max(1, -(-length // 32))
+        ack_ns = cable.params.fpga_ack_ns
+        yield env.device.sif.mesh_to_sif_ns(env.core_id, length)
+        # Zero-copy: chunks below are views; the issuing core stalls on
+        # FPGA acks (and the flag path fences) until delivery, so the
+        # source bytes are stable for the lifetime of every view.
         try:
-            yield env.device.sif.mesh_to_sif_ns(env.core_id, REQUEST_BYTES)
-            yield from cable.up.transfer(REQUEST_BYTES)
-            yield self.host.params.service_ns
-            value = self.mmio.read(reg)
-            yield from cable.down.transfer(LINE_PACKET_BYTES)
-            return value
+            combiner = None
+            if via_host_wcb:
+                combiner = self._combiners.get(env.core_id)
+                if combiner is None or not self._wcb_expected.get(env.core_id):
+                    raise RuntimeError(
+                        f"core {env.core_id} streamed a registered write without an "
+                        "open host write-combining stream (missing MSG announce)"
+                    )
+                base = combiner.issued
+                combiner.issued += length
+
+            offset = 0
+            left = lines
+            while left > 0:
+                batch = min(COARSEN_LINES, left)
+                nbytes = min(batch * 32, length - offset)
+                # The issuing core stalls one FPGA ack per 32 B burst.
+                yield batch * ack_ns
+                chunk = payload[offset : offset + nbytes]
+                if combiner is not None:
+                    off = base + offset
+                    cable.up.post(
+                        nbytes + REQUEST_BYTES,
+                        on_arrival=(lambda c=chunk, o=off: combiner.absorb(o, c)),
+                    )
+                else:
+                    dst_dev = host.device_of(addr.device)
+                    self._post_through_host(
+                        addr.device,
+                        nbytes + REQUEST_BYTES,
+                        lambda c=chunk, o=offset: dst_dev.mpb.write(addr + o, c),
+                    )
+                offset += nbytes
+                left -= batch
         finally:
-            self.sched.complete(self.sched.ctrl)
+            self.sched.complete(self.sched.bulk)
 
     # -- MSG register wiring -----------------------------------------------------------------
 
@@ -711,8 +714,8 @@ class CommunicationTask:
 
         The control value selects what the announcement means:
         ``("prefetch",)`` — prefetch my MPB span into the software cache;
-        ``("wcb_open", dst_addr)`` — open a write-combining stream toward
-        ``dst_addr`` for the remote-put scheme.
+        ``("wcb_open", dst_addr)`` — open the write-combining stream
+        :meth:`wcb_open` issued toward ``dst_addr`` (remote put, Fig 4c).
         """
 
         def on_ctrl(core_id: int, ctrl: object) -> None:
@@ -725,7 +728,12 @@ class CommunicationTask:
                 src = MpbAddr(self.device_id, core_id, offset)
                 self.host.cache.announce(src, count)
             elif kind == "wcb_open":
-                self.open_wcb_stream(core_id, ctrl[1], count)
+                combiner = self._combiners.get(core_id)
+                if combiner is None:
+                    raise RuntimeError(
+                        f"wcb_open arrived for core {core_id} without an issued stream"
+                    )
+                combiner.open(ctrl[1], count)
             else:
                 raise ValueError(f"unknown MSG control {ctrl!r}")
 

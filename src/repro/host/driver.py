@@ -3,9 +3,9 @@
 Models the paper's two-socket Xeon server with one single-port and one
 four-port PCIe expansion card — up to five SCC devices on one host (§4).
 :class:`Host` owns, per device: a :class:`~repro.host.pcie.PCIeCable`, a
-:class:`~repro.host.commtask.CommunicationTask` and a
-:class:`~repro.host.vdma.VDMAController`; and shared across devices: the
-region registry and the software MPB cache.
+:class:`~repro.host.commtask.CommunicationTask` (installed as the
+device's ``fabric``) and a :class:`~repro.host.vdma.VDMAController`; and
+shared across devices: the region registry and the software MPB cache.
 
 ``extensions_enabled`` switches between the previous transparent-routing
 prototype [13] (False) and the vSCC functionality this paper adds
@@ -37,7 +37,6 @@ from repro.sim.engine import Event, Simulator
 
 from .commtask import CommunicationTask
 from .dma import DMAEngine
-from .fabric import HostFabric
 from .pcie import PCIeCable, PCIeParams
 from .regions import Region, RegionKind, RegionRegistry
 from .softcache import HostMpbCache
@@ -131,7 +130,7 @@ class Host:
         self.fault_injector = None
         self.vdma = {d.device_id: VDMAController(self, d.device_id) for d in devices}
         for d in devices:
-            d.fabric = HostFabric(self, d.device_id)
+            d.fabric = self.tasks[d.device_id]
             d.sif.cable = self.cables[d.device_id]
 
     # -- lookup ------------------------------------------------------------------
@@ -164,10 +163,8 @@ class Host:
         return self.host_for(device_id).cables[device_id]
 
     def task_of(self, device_id: int) -> CommunicationTask:
-        task = self.tasks.get(device_id)
-        if task is not None:
-            return task
-        return self.host_for(device_id).tasks[device_id]
+        """The communication task of a device on this host."""
+        return self.tasks[device_id]
 
     # -- routing -----------------------------------------------------------------
 

@@ -3,8 +3,8 @@
 The paper extends the SCC's instruction set *in system software*: a new
 set of memory-mapped registers, served by the communication task, lets a
 core control host-side functionality — program the vDMA controller,
-announce a message's location for prefetching, and invalidate or update
-the host's software cache (paper §3.2/§3.3, Fig 5).
+announce a message's location for prefetching, and invalidate the host's
+software cache (paper §3.2/§3.3, Fig 5).
 
 The three vDMA registers (address, count, control) are allocated
 contiguously within one 32 B-aligned block so the core's write-combining
@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Callable
 
 __all__ = [
-    "MmioRegister",
     "MmioBank",
     "REG_VDMA_ADDR",
     "REG_VDMA_COUNT",
@@ -28,37 +27,24 @@ __all__ = [
     "REG_MSG_COUNT",
     "REG_MSG_CTRL",
     "REG_CACHE_INV",
-    "REG_CACHE_UPDATE",
-    "REG_REGION_BASE",
-    "VDMA_BLOCK",
-    "MSG_BLOCK",
 ]
 
-
-class MmioRegister:
-    """Symbolic register addresses (byte offsets in the MMIO window)."""
-
+# Register addresses are byte offsets in the MMIO window.
 
 # vDMA controller: one 32 B-aligned block → WCB-fusable programming.
 REG_VDMA_ADDR = 0x000
 REG_VDMA_COUNT = 0x008
 REG_VDMA_CTRL = 0x010
-VDMA_BLOCK = (REG_VDMA_ADDR, REG_VDMA_CTRL + 8)
 
 # Message announcement for the software cache's prefetcher
 # (sender tells the task location/size/target of a pending message).
 REG_MSG_ADDR = 0x020
 REG_MSG_COUNT = 0x028
 REG_MSG_CTRL = 0x030
-MSG_BLOCK = (REG_MSG_ADDR, REG_MSG_CTRL + 8)
 
 # Software-cache consistency control (paper §3.1: the sender explicitly
 # invalidates the outdated part of the host copy).
 REG_CACHE_INV = 0x040
-REG_CACHE_UPDATE = 0x048
-
-# Region registration (start/length pairs are encoded in the value).
-REG_REGION_BASE = 0x060
 
 
 class MmioBank:
@@ -73,8 +59,6 @@ class MmioBank:
         self.device_id = device_id
         self._write_handlers: dict[int, Callable[[int, int], None]] = {}
         self._values: dict[int, int] = {}
-        self.writes = 0
-        self.reads = 0
 
     def on_write(self, reg: int, handler: Callable[[int, int], None]) -> None:
         if reg in self._write_handlers:
@@ -82,14 +66,12 @@ class MmioBank:
         self._write_handlers[reg] = handler
 
     def write(self, core_id: int, reg: int, value: int) -> None:
-        self.writes += 1
         self._values[reg] = value
         handler = self._write_handlers.get(reg)
         if handler is not None:
             handler(core_id, value)
 
     def read(self, reg: int) -> int:
-        self.reads += 1
         return self._values.get(reg, 0)
 
     @staticmethod

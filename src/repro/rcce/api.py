@@ -364,7 +364,7 @@ class Rcce:
         Three MSG registers in one 32 B block — the WCB fuses the writes
         into a single transaction, like the vDMA programming sequence.
         """
-        yield from self.env.device.fabric.mmio_write_block(
+        yield from self.env.device.fabric.mmio_write(
             self.env,
             [
                 (REG_MSG_ADDR, 0),
@@ -386,4 +386,4 @@ class Rcce:
         relaxed consistency of the software cache whenever the buffer is
         rewritten without a new announcement.
         """
-        yield from self.env.device.fabric.mmio_write(self.env, REG_CACHE_INV, 1)
+        yield from self.env.mmio_write(REG_CACHE_INV, 1)

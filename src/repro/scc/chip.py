@@ -48,7 +48,8 @@ class SCCDevice:
         self.power = PowerManager(self)
         self.memctrl = MemoryControllers(self)
         self.cores = [CoreEnv(self, i) for i in range(self.params.num_cores)]
-        #: Interconnect fabric for off-die accesses; installed by the host.
+        #: Interconnect fabric for off-die accesses: the host installs this
+        #: device's communication task (``repro.host.commtask``) here.
         self.fabric = None
         self._available: Optional[list[int]] = None
 

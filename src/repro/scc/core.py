@@ -487,7 +487,7 @@ class CoreEnv:
 
     def mmio_write(self, reg: int, value: int) -> Generator:
         """Write a host MMIO register (vDMA programming, cache control)."""
-        yield from self._fabric().mmio_write(self, reg, value)
+        yield from self._fabric().mmio_write(self, [(reg, value)], fused=False)
 
     def mmio_read(self, reg: int) -> Generator:
         value = yield from self._fabric().mmio_read(self, reg)

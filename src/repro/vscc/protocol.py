@@ -357,7 +357,7 @@ class VdmaTransport(TwoSlotTransport):
                     granule=granule,
                     owner=owner,
                 )))
-            yield from env.device.fabric.mmio_write_block(env, regs, fused=self.fused_mmio)
+            yield from env.device.fabric.mmio_write(env, regs, fused=self.fused_mmio)
             if not size:
                 # Zero-byte message: signal data-ready directly.
                 yield from env.set_flag(sent, progress[k][0])

@@ -152,15 +152,23 @@ def test_severed_cable_deadlocks_inflight_and_fails_fast_afterwards():
     assert system.fault_injector.degraded_devices == (1,)
     assert system.fault_injector.quarantined[1] == "severed"
 
-    # New requests targeting the severed route fail fast instead.
+    # New requests targeting the severed route fail fast instead, for
+    # every access kind a core can issue (the buffer read used to take
+    # the software cache unchecked and hang).
     from repro.scc.mpb import MpbAddr
 
-    task = system.host.task_of(0)
-    comm = system.comm_for(0)
+    env = system.comm_for(0).env
     device_id, core = system.layout.placement(48)
-    gen = task.transparent_read(comm.env, MpbAddr(device_id, core, 0), 32)
-    with pytest.raises(DeviceQuarantined):
-        next(gen)
+    buffer = MpbAddr(device_id, core, 0)
+    flag = MpbAddr(device_id, core, system.params.mpb_payload_bytes)
+    for gen in (
+        env.mpb_read(buffer, 32),
+        env.read_flag(flag),
+        env.mpb_write(buffer, b"y" * 32),
+        env.set_flag(flag, 1),
+    ):
+        with pytest.raises(DeviceQuarantined):
+            next(gen)
 
 
 def test_empty_plan_is_bit_identical_to_no_plan():

@@ -120,7 +120,7 @@ def test_mmio_fused_cheaper_than_unfused():
     def timed(fused):
         env = devices[0].core(0)
         t0 = sim.now
-        yield from env.device.fabric.mmio_write_block(
+        yield from env.device.fabric.mmio_write(
             env, [(0x100, 1), (0x108, 2), (0x110, 3)], fused=fused
         )
         return sim.now - t0

@@ -104,3 +104,102 @@ def test_wcb_open_requires_extensions():
     sim.spawn(prog())
     with pytest.raises(Exception, match="extensions"):
         sim.run()
+
+
+#: A registered payload buffer on the peer device.
+BUFFER = MpbAddr(1, 3, 0)
+
+
+def _flag(params):
+    return MpbAddr(1, 3, params.mpb_payload_bytes + 5)
+
+
+def _straddle(params):
+    """A span crossing the payload/SF boundary: registered in neither."""
+    return MpbAddr(1, 3, params.mpb_payload_bytes - 16)
+
+
+def _wcb_open(env):
+    yield from env.device.fabric.wcb_open(env, BUFFER, 64)
+
+
+#: One row per dispatch-table entry:
+#: (extensions, fast_ack, setup, access, series the access moves).
+DISPATCH_ROWS = [
+    pytest.param(
+        True, False, None, lambda env, p: env.mpb_read(BUFFER, 64),
+        {"softcache.demand_fills"}, id="buffer-read-cached",
+    ),
+    pytest.param(
+        True, False, None, lambda env, p: env.read_flag(_flag(p)),
+        {"routed_reads", "sync"}, id="flag-read-routed",
+    ),
+    pytest.param(
+        True, False, None, lambda env, p: env.mpb_read(_straddle(p), 32),
+        {"routed_reads", "bulk"}, id="unregistered-read-routed",
+    ),
+    pytest.param(
+        False, False, None, lambda env, p: env.mpb_read(BUFFER, 64),
+        {"routed_reads", "bulk"}, id="transparent-read-routed",
+    ),
+    pytest.param(
+        False, True, None, lambda env, p: env.mpb_write(BUFFER, bytes(64)),
+        {"bulk"}, id="fast-ack-write-streamed",
+    ),
+    pytest.param(
+        True, False, _wcb_open, lambda env, p: env.mpb_write(BUFFER, bytes(64)),
+        {"wcbuf.bytes_combined", "bulk"}, id="buffer-write-wcb",
+    ),
+    pytest.param(
+        True, False, None, lambda env, p: env.mpb_write(_straddle(p), bytes(32)),
+        {"routed_writes", "bulk"}, id="unregistered-write-routed",
+    ),
+    pytest.param(
+        False, False, None, lambda env, p: env.mpb_write(BUFFER, bytes(64)),
+        {"routed_writes", "bulk"}, id="transparent-write-routed",
+    ),
+    pytest.param(
+        True, False, None, lambda env, p: env.set_flag(_flag(p), 1),
+        {"flag_forwards", "sync"}, id="flag-write-fast-ack",
+    ),
+    pytest.param(
+        False, False, None, lambda env, p: env.set_flag(_flag(p), 1),
+        {"flag_forwards", "routed_writes", "sync"}, id="flag-write-routed",
+    ),
+    pytest.param(
+        True, False, None, lambda env, p: env.mmio_write(0x200, 1),
+        {"ctrl"}, id="mmio",
+    ),
+]
+
+#: Short row names of the series every access is checked against.
+WATCHED = {
+    "routed_reads": "commtask.routed_reads{device=0}",
+    "routed_writes": "commtask.routed_writes{device=0}",
+    "flag_forwards": "commtask.flag_forwards{device=0}",
+    "wcbuf.bytes_combined": "wcbuf.bytes_combined{device=0}",
+    "softcache.demand_fills": "softcache.demand_fills",
+    "sync": "sched.requests{device=0,lane=sync}",
+    "bulk": "sched.requests{device=0,lane=bulk}",
+    "ctrl": "sched.requests{device=0,lane=ctrl}",
+}
+
+
+@pytest.mark.parametrize("extensions,fast_ack,setup,access,moved", DISPATCH_ROWS)
+def test_dispatch_table_row(extensions, fast_ack, setup, access, moved):
+    """Each access kind takes exactly its row's path: it moves that
+    path's series in ``host.metrics_snapshot()`` and no other watched one."""
+    sim, devices, host = make_rig(extensions=extensions, fast_ack=fast_ack)
+    env = devices[0].core(0)
+    before = {}
+
+    def prog():
+        if setup is not None:
+            yield from setup(env)
+        before.update(host.metrics_snapshot())
+        yield from access(env, env.device.params)
+
+    sim.spawn(prog())
+    sim.run()
+    after = host.metrics_snapshot()
+    assert {name for name, key in WATCHED.items() if after[key] != before[key]} == moved

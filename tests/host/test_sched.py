@@ -34,11 +34,21 @@ def test_lane_counters_and_sync_bypass():
 
 
 def test_sync_access_uses_region_registry():
+    """The task classifies each routed request once, against the region
+    registry: a flag read rides the sync lane, an unregistered span bulk."""
     system = VSCCSystem(num_devices=2)
     sched = system.host.task_of(0).sched
     payload = system.params.mpb_payload_bytes
-    assert sched.sync_access(MpbAddr(0, 0, payload), 1)       # SF span: FLAG
-    assert not sched.sync_access(MpbAddr(0, 0, 0), 32)        # payload: BUFFER
+    env = system.devices[0].core(0)
+
+    def reads():
+        yield from env.read_flag(MpbAddr(1, 0, payload))          # SF span: FLAG
+        yield from env.mpb_read(MpbAddr(1, 0, payload - 16), 32)  # straddle: unregistered
+
+    system.sim.spawn(reads())
+    system.sim.run()
+    assert (sched.sync.requests, sched.sync.bytes) == (1, 1)
+    assert (sched.bulk.requests, sched.bulk.bytes) == (1, 32)
 
 
 def _cross_transfer(size, pairs=((0, 48),)):

@@ -36,7 +36,7 @@ def test_vdma_copies_between_devices(rig):
         env = devices[0].core(0)
         yield from env.mpb_write(env.local_addr(0), payload)
         cmd = VdmaCommand(dst=MpbAddr(1, 4, 0), completion_flag=done_flag, completion_value=9)
-        yield from env.device.fabric.mmio_write_block(
+        yield from env.device.fabric.mmio_write(
             env,
             [(REG_VDMA_ADDR, 0), (REG_VDMA_COUNT, len(payload)), (REG_VDMA_CTRL, cmd)],
             fused=True,
@@ -72,7 +72,7 @@ def test_progress_flags_follow_granules(rig):
             progress_values=(11, 12),
             granule=1920,
         )
-        yield from env.device.fabric.mmio_write_block(
+        yield from env.device.fabric.mmio_write(
             env,
             [(REG_VDMA_ADDR, 0), (REG_VDMA_COUNT, len(payload)), (REG_VDMA_CTRL, cmd)],
             fused=True,
