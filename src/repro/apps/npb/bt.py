@@ -48,10 +48,6 @@ class BTResult:
     gflops_per_s: float
     verified: bool
 
-    @property
-    def mflops_per_rank(self) -> float:
-        return self.gflops_per_s * 1000.0 / self.nranks
-
 
 class BTBenchmark:
     """One configured BT run; spawn with ``session.run(bench.program)``."""
@@ -219,7 +215,3 @@ def run_bt(system, clazz: str = "S", nranks: int = 16, niter: int = 1):
         raise ValueError(f"{nranks} ranks exceed the system size")
     bench = BTBenchmark(clazz=clazz, nranks=nranks, niter=niter, mode="model")
     return bench, system.run(bench.program, ranks=range(nranks))
-
-
-def comm_cost(bench: BTBenchmark) -> BTCostModel:
-    return bench.cost

@@ -138,13 +138,6 @@ class MultiPartition:
         return (self.slab_size(x), self.slab_size(y), self.slab_size(z))
 
     @lru_cache(maxsize=None)
-    def cross_section(self, rank: int, dim: int, slab: int) -> tuple[int, int]:
-        """Shape of the cell face perpendicular to ``dim`` at ``slab``."""
-        c = self.cell_in_slab(rank, dim, slab)
-        shape = self.cell_shape(rank, c)
-        return tuple(s for axis, s in enumerate(shape) if axis != dim)  # type: ignore[return-value]
-
-    @lru_cache(maxsize=None)
     def points_in_cell(self, rank: int, c: int) -> int:
         sx, sy, sz = self.cell_shape(rank, c)
         return sx * sy * sz

@@ -363,9 +363,6 @@ class FaultInjector:
                 "severed" if severed else "reset",
             )
 
-    def is_quarantined(self, device_id: int) -> bool:
-        return device_id in self.quarantined
-
     def route_severed(self, src_device: int, dst_device: int) -> bool:
         """True when either endpoint's cable is severed (route is down)."""
         return (

@@ -49,9 +49,6 @@ class Communicator:
     def size(self) -> int:
         return len(self.members)
 
-    def global_rank(self, group_rank: int) -> int:
-        return self.members[group_rank]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Communicator rank={self.rank}/{self.size}>"
 

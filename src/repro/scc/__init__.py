@@ -12,16 +12,11 @@ from .memctrl import MemoryControllers
 from .mesh import XYRouter
 from .mpb import MpbAddr, MPBMemory
 from .params import CACHE_LINE, SCCParams
-from .power import GLOBAL_CLOCK_MHZ, PowerManager, VOLTAGE_LEVELS
 from .sif import SIF_TILE_XY, SystemInterface
-from .testset import TestSetRegisters
 from .wcb import WcbFlush, WriteCombineBuffer
 
 __all__ = [
     "CACHE_LINE",
-    "GLOBAL_CLOCK_MHZ",
-    "PowerManager",
-    "VOLTAGE_LEVELS",
     "CoreEnv",
     "L1MpbtCache",
     "MPBMemory",
@@ -31,7 +26,6 @@ __all__ = [
     "SCCParams",
     "SIF_TILE_XY",
     "SystemInterface",
-    "TestSetRegisters",
     "WcbFlush",
     "WriteCombineBuffer",
     "XYRouter",

@@ -1,4 +1,4 @@
-"""One SCC device: 24 tiles, 48 cores, MPB, mesh, T&S registers, SIF.
+"""One SCC device: 24 tiles, 48 cores, MPB, mesh, SIF.
 
 The device also models the boot behaviour the paper describes in §4: the
 SCC is a research system, and with multiple devices attached "the
@@ -22,9 +22,7 @@ from .memctrl import MemoryControllers
 from .mesh import XYRouter
 from .mpb import MPBMemory, MpbAddr
 from .params import SCCParams
-from .power import PowerManager
 from .sif import SystemInterface
-from .testset import TestSetRegisters
 
 __all__ = ["SCCDevice"]
 
@@ -43,9 +41,7 @@ class SCCDevice:
         self.device_id = device_id
         self.mpb = MPBMemory(sim, self.params, device_id)
         self.router = XYRouter(self.params)
-        self.tas = TestSetRegisters(sim, self.params, device_id)
         self.sif = SystemInterface(self)
-        self.power = PowerManager(self)
         self.memctrl = MemoryControllers(self)
         self.cores = [CoreEnv(self, i) for i in range(self.params.num_cores)]
         #: Interconnect fabric for off-die accesses: the host installs this

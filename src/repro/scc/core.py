@@ -56,11 +56,8 @@ class CoreEnv:
         self.l1 = L1MpbtCache()
         self.wcb = WriteCombineBuffer()
         # Derived per-access costs, hoisted out of the coroutines: the
-        # params are frozen, so these never change (clock_scale, which
-        # does change under power management, is read per access from
-        # the power manager's per-tile list).
+        # params are frozen, so these never change.
         p = device.params
-        self._scales = device.power.scales
         costs = p.hop_costs
         self._remote_read_ns = costs.remote_read_ns
         self._remote_write_ns = costs.remote_write_ns
@@ -117,19 +114,6 @@ class CoreEnv:
             and addr.core // self._cores_per_tile == self.tile
         )
 
-    @property
-    def clock_scale(self) -> float:
-        """Core-cycle cost multiplier from the tile's frequency divider.
-
-        1.0 at the calibrated baseline (533 MHz); a down-clocked tile
-        computes, copies and polls proportionally slower. Mesh and
-        memory domains are independent clocks and unaffected — their
-        share of the per-line costs is folded into the core-cycle model
-        (DESIGN.md §6), so scaling the whole per-line cost is the
-        documented approximation.
-        """
-        return self._scales[self.tile]
-
     def _fabric(self):
         fabric = self.device.fabric
         if fabric is None:
@@ -143,7 +127,7 @@ class CoreEnv:
 
     def compute(self, ns: float = 0.0, cycles: float = 0.0) -> Generator:
         """Charge pure compute time (``cycles`` are core cycles)."""
-        total = (ns + self._core_clock.cycles(cycles)) * self._scales[self.tile]
+        total = ns + self._core_clock.cycles(cycles)
         self.stats["compute_ns"] += total
         if total > 0:
             yield total
@@ -168,7 +152,7 @@ class CoreEnv:
         bites when several cores of one quadrant stream at once)."""
         lines = -(-nbytes // CACHE_LINE)
         self.stats["private_bytes"] += nbytes
-        core_side = lines * line_ns * self._scales[self.tile]
+        core_side = lines * line_ns
         mc_wait = self.device.memctrl.occupancy_wait_ns(self.core_id, nbytes)
         yield max(core_side, mc_wait)
 
@@ -177,7 +161,7 @@ class CoreEnv:
     def cl1invmb(self) -> Generator:
         """Invalidate all MPBT lines in L1 (single instruction)."""
         self.l1.cl1invmb()
-        yield self._cl1invmb_ns * self._scales[self.tile]
+        yield self._cl1invmb_ns
 
     def mpb_read(self, addr: MpbAddr, length: int, assume_cold: bool = False) -> Generator:
         """Read ``length`` bytes of on-chip memory; returns an ndarray.
@@ -194,7 +178,6 @@ class CoreEnv:
         local = self._is_local(addr)
         hops = 0 if local else self._hops_table[addr.core]
         cost = self._read_cost_ns(addr, length, local, hops, assume_cold)
-        cost *= self._scales[self.tile]
         if not local:
             self.device.router.account(
                 self.tile, addr.core // self._cores_per_tile, length
@@ -238,14 +221,14 @@ class CoreEnv:
         lines = max(1, -(-length // CACHE_LINE))
         self.stats["mpb_bytes_written"] += length
         if self._is_local(addr):
-            yield lines * self._local_write_ns * self._scales[self.tile]
+            yield lines * self._local_write_ns
             mem.write(addr, data)
         else:
             hops = self._hops_table[addr.core]
             self.device.router.account(
                 self.tile, addr.core // self._cores_per_tile, length
             )
-            yield lines * self._remote_write_ns[hops] * self._scales[self.tile]
+            yield lines * self._remote_write_ns[hops]
             payload = bytes(data)
             arrival = self.sim.now + self._remote_write_arrival_ns[hops]
             self.sim.call_at(arrival, lambda: mem.write(addr, payload))
@@ -269,16 +252,15 @@ class CoreEnv:
             return
         mem = self.device.mpb
         mem.check_span(addr, length)
-        scale = self._scales[self.tile]
         stats = self.stats
         stats["private_bytes"] += length
         stats["mpb_bytes_written"] += length
         r_lines = -(-length // CACHE_LINE)
         d1 = max(
-            r_lines * self._dram_read_line_ns * scale,
+            r_lines * self._dram_read_line_ns,
             self.device.memctrl.occupancy_wait_ns(self.core_id, length),
         )
-        d2 = max(1, r_lines) * self._local_write_ns * scale
+        d2 = max(1, r_lines) * self._local_write_ns
         yield (d1, d2)
         mem.write(addr, data)
 
@@ -300,9 +282,8 @@ class CoreEnv:
             return data
         mem = self.device.mpb
         mem.check_span(addr, length)
-        scale = self._scales[self.tile]
         self.l1.cl1invmb()
-        d1 = self._cl1invmb_ns * scale
+        d1 = self._cl1invmb_ns
         lines = max(1, -(-length // CACHE_LINE))
         if self._is_local(addr):
             miss_ns = self._local_read_ns
@@ -311,12 +292,12 @@ class CoreEnv:
             self.device.router.account(
                 self.tile, addr.core // self._cores_per_tile, length
             )
-        d2 = (lines * miss_ns) * scale
+        d2 = lines * miss_ns
         stats = self.stats
         stats["mpb_bytes_read"] += length
         stats["private_bytes"] += length
         d3 = max(
-            (-(-length // CACHE_LINE)) * self._dram_write_line_ns * scale,
+            (-(-length // CACHE_LINE)) * self._dram_write_line_ns,
             self.device.memctrl.occupancy_wait_ns(
                 self.core_id, length, at=(self.sim.now + d1) + d2
             ),
@@ -335,14 +316,14 @@ class CoreEnv:
             return
         mem = self.device.mpb
         if self._is_local(addr):
-            yield self._local_write_ns * self._scales[self.tile]
+            yield self._local_write_ns
             mem.write_byte(addr, value)
         else:
             hops = self._hops_table[addr.core]
             self.device.router.account(
                 self.tile, addr.core // self._cores_per_tile, 1
             )
-            yield self._remote_write_ns[hops] * self._scales[self.tile]
+            yield self._remote_write_ns[hops]
             arrival = self.sim.now + self._remote_write_arrival_ns[hops]
             self.sim.call_at(arrival, lambda: mem.write_byte(addr, value))
 
@@ -352,12 +333,9 @@ class CoreEnv:
             data = yield from self._fabric().remote_read(self, addr, 1)
             return int(data[0])
         if self._is_local(addr):
-            yield self._local_read_ns * self._scales[self.tile]
+            yield self._local_read_ns
         else:
-            yield (
-                self._remote_read_ns[self._hops_table[addr.core]]
-                * self._scales[self.tile]
-            )
+            yield self._remote_read_ns[self._hops_table[addr.core]]
         return self.device.mpb.read_byte(addr)
 
     def wait_flag(
@@ -398,7 +376,7 @@ class CoreEnv:
                 f"local flags (core {self.core_id}, flag at {addr})"
             )
         mem = self.device.mpb
-        poll_ns = self._poll_base_ns * self._scales[self.tile]
+        poll_ns = self._poll_base_ns
         deadline = None if timeout_ns is None else self.sim.now + timeout_ns
         stats = self.stats
         watch = None
@@ -441,11 +419,10 @@ class CoreEnv:
                 raise SimulationError(
                     f"wait_any_flag on non-local flag {addr} (core {self.core_id})"
                 )
-        poll_ns = self._poll_base_ns * self._scales[self.tile]
         deadline = None if timeout_ns is None else self.sim.now + timeout_ns
         while True:
             self.stats["flag_polls"] += 1
-            yield poll_ns * len(specs)
+            yield self._poll_base_ns * len(specs)
             for index, (addr, pred) in enumerate(specs):
                 if pred(mem.read_byte(addr)):
                     return index
@@ -464,24 +441,6 @@ class CoreEnv:
             for addr, _pred in specs:
                 mem.watch(addr).once(wake)
             yield gate
-
-    # -- test-and-set ------------------------------------------------------------------------------
-
-    def tas_acquire(self, target_core: int, spin: bool = True) -> Generator:
-        """Acquire the T&S register of ``target_core`` on this device."""
-        tas = self.device.tas
-        while True:
-            yield tas.access_ns(self.core_id, target_core)
-            if tas.try_acquire(target_core):
-                return
-            if not spin:
-                return False
-            yield tas.released_signal(target_core)
-
-    def tas_release(self, target_core: int) -> Generator:
-        tas = self.device.tas
-        yield tas.access_ns(self.core_id, target_core)
-        tas.release(target_core)
 
     # -- memory-mapped registers (host-provided functionality) -------------------------------------
 

@@ -95,9 +95,6 @@ class XYRouter:
             self._link_bytes_cache = cache
         return cache
 
-    def hottest_links(self, n: int = 5) -> list[tuple[tuple, int]]:
-        return self.link_bytes.most_common(n)
-
     def metrics_snapshot(self) -> dict[str, float]:
         """Mesh-wide series; the owning device adds its ``device=`` label."""
         link_bytes = self.link_bytes

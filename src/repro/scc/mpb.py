@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.sim.engine import Signal, Simulator
 
-from .params import CACHE_LINE, SCCParams
+from .params import SCCParams
 
 __all__ = ["MpbAddr", "MPBMemory", "as_u8"]
 
@@ -181,7 +181,3 @@ class MPBMemory:
     def sf_base(self) -> int:
         """Offset of the SF region inside each core's LMB half."""
         return self.params.mpb_payload_bytes
-
-    def line_count(self, length: int) -> int:
-        """Number of 32 B cache lines a transfer of ``length`` bytes touches."""
-        return max(1, -(-length // CACHE_LINE)) if length else 0

@@ -3,8 +3,10 @@
 Every model constant of the chip lives here, in the unit the hardware
 documentation uses (core cycles, mesh cycles), converted to nanoseconds
 through :class:`repro.sim.Clock`. The paper runs the chip at
-(core/mesh/memory) = (533/800/800) MHz (§4, footnote 4); those are the
-defaults.
+(core/mesh/memory) = (533/800/800) MHz (§4, footnote 4). The core and
+mesh clocks are fields here and nowhere else: a chip runs at one fixed
+clock per domain for its whole life. The memory clock has no field,
+because every DRAM cost is stated in core cycles.
 
 Calibration anchors (see DESIGN.md §5):
 
@@ -41,7 +43,6 @@ class SCCParams:
     # -- clocks (paper §4 footnote: 533/800/800 MHz) --------------------------
     core_freq_mhz: float = 533.0
     mesh_freq_mhz: float = 800.0
-    mem_freq_mhz: float = 800.0
 
     # -- geometry --------------------------------------------------------------
     tiles_x: int = 6
@@ -85,10 +86,6 @@ class SCCParams:
     #: Single-cycle CL1INVMB instruction plus pipeline effects.
     cl1invmb_cycles: float = 8.0
 
-    # -- test-and-set registers --------------------------------------------------
-    tas_local_cycles: float = 20.0
-    tas_remote_base_cycles: float = 50.0
-
     def __post_init__(self) -> None:
         if self.sf_bytes >= self.lmb_bytes_per_core:
             raise ValueError("SF region must leave room for the MPB payload")
@@ -131,10 +128,6 @@ class SCCParams:
     @functools.cached_property
     def mesh_clock(self) -> Clock:
         return Clock(self.mesh_freq_mhz)
-
-    @functools.cached_property
-    def mem_clock(self) -> Clock:
-        return Clock(self.mem_freq_mhz)
 
     @functools.cached_property
     def hop_costs(self) -> "HopCosts":

@@ -10,7 +10,7 @@ from .engine import Delay, Event, Process, Simulator, wait_all
 from .engine import Signal
 from .errors import DeadlockError, InvalidYield, ProcessFailed, SimulationError
 from .queue import SimQueue
-from .resources import Link, Mutex
+from .resources import Link
 from .trace import TraceRecord, Tracer
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "Event",
     "InvalidYield",
     "Link",
-    "Mutex",
     "Process",
     "ProcessFailed",
     "Signal",

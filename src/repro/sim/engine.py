@@ -199,14 +199,6 @@ class Signal:
         self._waiters.append(proc)
         return True
 
-    def discard_waiter(self, proc: "Process") -> None:
-        self._waiters = [
-            w
-            for w in self._waiters
-            if w is not proc
-            and not (w.__class__ is _ChainWaiter and w.proc is proc)
-        ]
-
 
 # Type-keyed yield dispatch: one dict lookup on type(command) replaces
 # the isinstance chain of the previous kernel. Subclasses of the command

@@ -49,11 +49,6 @@ class SimQueue:
         item = yield gate
         return item
 
-    def get_nowait(self) -> Any:
-        if not self._items:
-            raise IndexError(f"queue {self.name!r} is empty")
-        return self._items.popleft()
-
     def drain(self) -> list[Any]:
         """Remove and return everything currently queued (no waiting)."""
         items = list(self._items)

@@ -1,4 +1,4 @@
-"""Shared-resource models: FIFO links and mutexes.
+"""Shared-resource model: the FIFO link.
 
 :class:`Link` is the workhorse of the whole timing model. Every physical
 transport in vSCC — a mesh path between two tiles, the SIF-to-PCIe pipe,
@@ -21,7 +21,7 @@ from typing import Any, Callable, Generator, Optional
 
 from .engine import Event, Simulator
 
-__all__ = ["Link", "Mutex"]
+__all__ = ["Link"]
 
 
 class Link:
@@ -151,62 +151,3 @@ class Link:
             "link.transfers": float(self.transfers),
             "link.busy_ns": self.busy_ns,
         }
-
-    def reset_stats(self) -> None:
-        self.bytes_carried = 0
-        self.transfers = 0
-        self.busy_ns = 0.0
-
-
-class Mutex:
-    """A fair (FIFO) simulated mutex.
-
-    Used for resources that admit one user at a time with no intrinsic
-    duration — e.g. a device's single SIF register interface.
-    """
-
-    def __init__(self, sim: Simulator, name: str = "mutex"):
-        self.sim = sim
-        self.name = name
-        self._locked = False
-        self._waiters: list[Event] = []
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
-    def acquire(self) -> Generator:
-        if not self._locked:
-            self._locked = True
-            return
-            yield  # pragma: no cover - makes this a generator
-        gate = self.sim.event(name=f"{self.name}.grant")
-        self._waiters.append(gate)
-        yield gate
-
-    def release(self) -> None:
-        if not self._locked:
-            raise RuntimeError(f"mutex {self.name!r} released while unlocked")
-        if self._waiters:
-            gate = self._waiters.pop(0)
-            gate.trigger()  # ownership passes directly to the next waiter
-        else:
-            self._locked = False
-
-    def holding(self) -> "_MutexContext":
-        return _MutexContext(self)
-
-
-class _MutexContext:
-    """``yield from mutex.holding().run(body)`` convenience wrapper."""
-
-    def __init__(self, mutex: Mutex):
-        self.mutex = mutex
-
-    def run(self, body: Generator) -> Generator:
-        yield from self.mutex.acquire()
-        try:
-            result = yield from body
-        finally:
-            self.mutex.release()
-        return result

@@ -140,18 +140,20 @@ class VSCCSystem:
         rng = np.random.default_rng(seed)
         for device in self.devices:
             device.boot(failure_prob=failure_prob, rng=rng)
-        # Contiguous device slices per host: device d lives on host
-        # d // devices_per_host (the last host absorbs any remainder).
+        # Contiguous device slices per host, ``per_host`` devices each;
+        # a slice start is capped so every later host keeps at least one
+        # device, which leaves the short slices at the end.
         per_host = devices_per_host or -(-num_devices // num_hosts)
+        starts = [
+            min(h * per_host, num_devices - (num_hosts - h))
+            for h in range(num_hosts + 1)
+        ]
         self.hosts: list[Host] = []
         for host_id in range(num_hosts):
-            slice_devices = self.devices[
-                host_id * per_host : (host_id + 1) * per_host
-            ] if host_id < num_hosts - 1 else self.devices[host_id * per_host :]
             self.hosts.append(
                 Host(
                     self.sim,
-                    slice_devices,
+                    self.devices[starts[host_id] : starts[host_id + 1]],
                     pcie_params=pcie_params,
                     host_params=host_params,
                     extensions_enabled=any(

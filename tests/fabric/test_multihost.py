@@ -39,6 +39,46 @@ def test_two_host_allreduce_end_to_end():
     assert interhost > 0
 
 
+
+HOST_SPLITS = [
+    (1, 1, [[0]]),
+    (5, 1, [[0, 1, 2, 3, 4]]),
+    (2, 2, [[0], [1]]),
+    (3, 2, [[0, 1], [2]]),
+    (4, 2, [[0, 1], [2, 3]]),
+    (5, 2, [[0, 1, 2], [3, 4]]),
+    (5, 3, [[0, 1], [2, 3], [4]]),
+    (5, 5, [[0], [1], [2], [3], [4]]),
+    # A ceiling split would leave the last host empty here.
+    (4, 3, [[0, 1], [2], [3]]),
+    (5, 4, [[0, 1], [2], [3], [4]]),
+]
+
+
+@pytest.mark.parametrize(
+    "num_devices, num_hosts, split",
+    HOST_SPLITS,
+    ids=[f"{d}dev-{h}host" for d, h, _ in HOST_SPLITS],
+)
+def test_hosts_split_devices_into_contiguous_nonempty_slices(
+    num_devices, num_hosts, split
+):
+    system = VSCCSystem(num_devices=num_devices, num_hosts=num_hosts)
+    slices = [sorted(host.devices) for host in system.hosts]
+    assert slices == split
+    assert all(slices)
+    assert [d for s in slices for d in s] == list(range(num_devices))
+
+
+def test_uneven_split_carries_a_ping_pong_to_the_last_host():
+    system = VSCCSystem(num_devices=4, num_hosts=3, scheme=VDMA)
+    last = system.num_ranks - 1
+    run_pingpong(system, 0, last, sizes=[1024], iterations=2)
+    interhost = sum(
+        v for k, v in system.metrics.items() if k.startswith("interhost.bytes")
+    )
+    assert interhost > 0
+
 def test_cross_host_send_recv():
     system = VSCCSystem(num_hosts=2, devices_per_host=1, scheme=VDMA)
     payload = (np.arange(2000) % 249).astype(np.uint8)

@@ -1,9 +1,9 @@
-"""Unit tests for Link and Mutex."""
+"""Unit tests for Link."""
 
 import pytest
 
-from repro.sim.engine import Delay, Simulator
-from repro.sim.resources import Link, Mutex
+from repro.sim.engine import Simulator
+from repro.sim.resources import Link
 
 
 def make_link(sim, latency=100.0, bandwidth=1.0, overhead=10.0):
@@ -84,28 +84,3 @@ def test_link_validation():
     with pytest.raises(ValueError):
         link.post(-5)
 
-
-def test_mutex_mutual_exclusion_fifo():
-    sim = Simulator()
-    mutex = Mutex(sim)
-    order = []
-
-    def prog(name, hold):
-        yield from mutex.acquire()
-        order.append((name, "in", sim.now))
-        yield Delay(hold)
-        mutex.release()
-
-    sim.spawn(prog("a", 10))
-    sim.spawn(prog("b", 5))
-    sim.spawn(prog("c", 1))
-    sim.run()
-    assert [n for n, _s, _t in order] == ["a", "b", "c"]
-    assert [t for _n, _s, t in order] == [0.0, 10.0, 15.0]
-
-
-def test_mutex_release_unlocked_raises():
-    sim = Simulator()
-    mutex = Mutex(sim)
-    with pytest.raises(RuntimeError):
-        mutex.release()
