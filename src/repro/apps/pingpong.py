@@ -64,6 +64,10 @@ def pingpong_program(
     """
     if rank_a == rank_b:
         raise ValueError("ping-pong needs two distinct ranks")
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     low, high = sorted((rank_a, rank_b))
 
     def program(comm: Rcce) -> Generator:

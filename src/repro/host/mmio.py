@@ -11,7 +11,9 @@ contiguously within one 32 B-aligned block so the core's write-combining
 buffer fuses the three programming stores into a single transaction —
 "continuous allocation of memory mapped register with an alignment of
 32 B reduces this overhead" (§3.3). The register map below preserves that
-layout; the ``bench_abl_mmio_fusion`` ablation measures its effect.
+layout; :meth:`repro.host.commtask.CommunicationTask.mmio_write` charges
+the fused store as one transaction (``fused=True``), and the
+``bench_abl_mmio_fusion`` ablation measures its effect.
 """
 
 from __future__ import annotations
@@ -73,8 +75,3 @@ class MmioBank:
 
     def read(self, reg: int) -> int:
         return self._values.get(reg, 0)
-
-    @staticmethod
-    def same_wcb_line(reg_a: int, reg_b: int) -> bool:
-        """Whether two registers share one 32 B write-combining line."""
-        return reg_a // 32 == reg_b // 32

@@ -101,14 +101,6 @@ class PCIeCable:
             overhead_ns=params.packet_overhead_ns,
         )
 
-    @property
-    def bytes_up(self) -> int:
-        return self.up.bytes_carried
-
-    @property
-    def bytes_down(self) -> int:
-        return self.down.bytes_carried
-
     def metrics_snapshot(self) -> dict[str, float]:
         """Per-direction cable series: ``pcie.*{device=<id>,dir=up|down}``.
 

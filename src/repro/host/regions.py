@@ -76,8 +76,5 @@ class RegionRegistry:
                 return region.kind
         return RegionKind.UNREGISTERED
 
-    def regions_of(self, device: int, core: int) -> list[Region]:
-        return list(self._by_core.get((device, core), []))
-
     def clear(self) -> None:
         self._by_core.clear()

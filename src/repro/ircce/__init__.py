@@ -3,7 +3,13 @@
 Public surface::
 
     from repro.ircce import PipelinedTransport, isend, irecv, CommRequest
+
+iRCCE's pipelined blocking protocol (paper Fig 2b) is
+:class:`repro.rcce.transport.PipelinedTransport`, the shared rendezvous
+loop over two slots; it is exported here under iRCCE's name.
 """
+
+from repro.rcce.transport import PipelinedTransport
 
 from .nonblocking import (
     CommRequest,
@@ -13,7 +19,6 @@ from .nonblocking import (
     wait_all,
     wait_any,
 )
-from .pipeline import PipelinedTransport
 
 __all__ = [
     "CommRequest",

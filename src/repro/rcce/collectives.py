@@ -78,8 +78,7 @@ def _resolve(comm: "Rcce", group_size: Optional[int], members) -> tuple[int, int
     """(my index, group size, member list) for a collective call.
 
     ``members`` (an ordered list of global ranks) generalizes the
-    ``group_size`` prefix-group shorthand — it is what communicator
-    splitting (:mod:`repro.rcce.comm`) passes down.
+    ``group_size`` prefix-group shorthand to any rank group.
     """
     if members is not None:
         members = [int(m) for m in members]

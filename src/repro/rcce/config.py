@@ -123,8 +123,5 @@ class RankLayout:
     def same_device(self, rank_a: int, rank_b: int) -> bool:
         return self.placement(rank_a)[0] == self.placement(rank_b)[0]
 
-    def ranks_on_device(self, device: int) -> list[int]:
-        return [r for r, (d, _c) in enumerate(self._placements) if d == device]
-
     def record_traffic(self, src: int, dst: int, nbytes: int) -> None:
         self.traffic[(src, dst)] += nbytes

@@ -11,7 +11,7 @@ holds the data (``sender_first``) and how many slots it has, and its
 subclasses supply only the put step: RCCE's default *local-put /
 remote-get* protocol (Fig 2a, also the transparent and cached-get
 inter-device schemes), iRCCE's pipelined protocol (Fig 2b, re-exported
-as :mod:`repro.ircce.pipeline`) and the stop-and-wait rendezvous of the
+by :mod:`repro.ircce`) and the stop-and-wait rendezvous of the
 direct and remote-put schemes in :mod:`repro.vscc.protocol`.
 
 Transfer sequencing uses one-byte counter flags cycling 1…254 (see

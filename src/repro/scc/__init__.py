@@ -13,7 +13,6 @@ from .mesh import XYRouter
 from .mpb import MpbAddr, MPBMemory
 from .params import CACHE_LINE, SCCParams
 from .sif import SIF_TILE_XY, SystemInterface
-from .wcb import WcbFlush, WriteCombineBuffer
 
 __all__ = [
     "CACHE_LINE",
@@ -26,7 +25,5 @@ __all__ = [
     "SCCParams",
     "SIF_TILE_XY",
     "SystemInterface",
-    "WcbFlush",
-    "WriteCombineBuffer",
     "XYRouter",
 ]

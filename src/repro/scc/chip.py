@@ -111,7 +111,3 @@ class SCCDevice:
 
     def addr(self, core_id: int, offset: int) -> MpbAddr:
         return MpbAddr(self.device_id, core_id, offset)
-
-    def core_xyz(self, core_id: int) -> tuple[int, int, int]:
-        x, y = self.params.core_xy(core_id)
-        return (x, y, self.device_id)

@@ -26,7 +26,6 @@ from repro.sim.errors import SimulationError
 from .cache import L1MpbtCache
 from .mpb import MpbAddr
 from .params import CACHE_LINE
-from .wcb import WriteCombineBuffer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .chip import SCCDevice
@@ -54,7 +53,6 @@ class CoreEnv:
         self.params = device.params
         self.tile = device.params.tile_of_core(core_id)
         self.l1 = L1MpbtCache()
-        self.wcb = WriteCombineBuffer()
         # Derived per-access costs, hoisted out of the coroutines: the
         # params are frozen, so these never change.
         p = device.params
@@ -308,8 +306,7 @@ class CoreEnv:
     # -- synchronization flags ----------------------------------------------------------------
 
     def set_flag(self, addr: MpbAddr, value: int) -> Generator:
-        """Write a one-byte flag (WCB is flushed first, as RCCE does)."""
-        self.wcb.flush()
+        """Write a one-byte flag."""
         self.stats["flag_sets"] += 1
         if addr.device != self.device.device_id:
             yield from self._fabric().remote_flag_write(self, addr, value)

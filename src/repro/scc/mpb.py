@@ -175,9 +175,3 @@ class MPBMemory:
             if addr.offset < self._payload_end:
                 self._payload_watched = True
         return signal
-
-    # -- region helpers ------------------------------------------------------------
-
-    def sf_base(self) -> int:
-        """Offset of the SF region inside each core's LMB half."""
-        return self.params.mpb_payload_bytes

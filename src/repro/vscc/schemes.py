@@ -48,10 +48,6 @@ class CommScheme(Enum):
         return self is CommScheme.HW_ACCEL_REMOTE_PUT
 
     @property
-    def stable_beyond_two_devices(self) -> bool:
-        return not self.uses_fast_write_ack
-
-    @property
     def direct_threshold(self) -> int:
         """Direct-transfer threshold, bytes (§3.3): below it a core
         pushes the payload itself and skips the scheme's setup costs.

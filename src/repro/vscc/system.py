@@ -317,11 +317,3 @@ class VSCCSystem:
             parts.append(self.fault_injector.metrics_snapshot())
         parts.append(self.obs.snapshot())
         return merge_snapshots(parts)
-
-    def traffic_matrix(self) -> np.ndarray:
-        """bytes sent per (src, dst) rank pair so far."""
-        n = self.num_ranks
-        matrix = np.zeros((n, n), np.int64)
-        for (src, dst), nbytes in self.layout.traffic.items():
-            matrix[src, dst] = nbytes
-        return matrix

@@ -19,7 +19,7 @@ three latency tiers:
 :class:`FabricTopology` answers coordinate queries over a rank layout
 spanning ``num_hosts × devices_per_host`` devices. Without a host map it
 describes the paper's configuration — every device on host 0 — with the
-historic ``device_groups``/``z_hops`` semantics bit for bit.
+historic ``device_groups`` semantics bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Optional, Sequence
 
 from repro.rcce.config import RankLayout
 from repro.scc.params import SCCParams
-from repro.scc.sif import SIF_TILE_XY
 
 __all__ = ["FabricTopology"]
 
@@ -41,7 +40,7 @@ class FabricTopology:
     ``host_map`` assigns every global device id its owning host
     (``host_map[device_id] -> host_id``); ``None`` means the single-host
     configuration (every device on host 0): ``coords`` always reports
-    host 0, ``host_groups`` is a single group and ``h_hops`` is 0.
+    host 0, ``host_groups`` is a single group and no pair is cross-host.
     """
 
     layout: RankLayout
@@ -143,64 +142,3 @@ class FabricTopology:
 
     def is_cross_host(self, rank_a: int, rank_b: int) -> bool:
         return not self.same_host(rank_a, rank_b)
-
-    # -- hop accounting ------------------------------------------------------
-
-    def xy_hops(self, rank_a: int, rank_b: int) -> int:
-        """On-die mesh hops in the (x, y) plane (same-device ranks only)."""
-        if not self.same_device(rank_a, rank_b):
-            raise ValueError(
-                f"ranks {rank_a} and {rank_b} are on different devices; in "
-                "the three-level (x, y, device, host) fabric the device and "
-                "host tiers have no xy mesh hop count — use tier_hops() for "
-                "the full per-tier decomposition"
-            )
-        _d1, core_a = self.layout.placement(rank_a)
-        _d2, core_b = self.layout.placement(rank_b)
-        return self.params.hops(core_a, core_b)
-
-    def z_hops(self, rank_a: int, rank_b: int) -> int:
-        """Device-tier crossings: 1 for any cross-device pair, else 0.
-
-        This is the historic z semantics (the device number is the z
-        coordinate; a cross-device path steps through the host funnel
-        exactly once regardless of the device ids). Cross-*host* pairs
-        still count ``z_hops == 1`` — the additional inter-host tier is
-        accounted separately by :meth:`h_hops`/:meth:`tier_hops`.
-        """
-        return 0 if self.same_device(rank_a, rank_b) else 1
-
-    def h_hops(self, rank_a: int, rank_b: int) -> int:
-        """Inter-host tier crossings: 1 for a cross-host pair, else 0."""
-        return 0 if self.same_host(rank_a, rank_b) else 1
-
-    def tier_hops(self, rank_a: int, rank_b: int) -> tuple[int, int, int]:
-        """Per-tier decomposition ``(xy, z, h)`` of one rank pair's path.
-
-        ``xy`` is the on-die component (mesh distance on one die, or the
-        sum of both end points' distances to their SIF funnel tile for an
-        off-die pair); ``z`` the device-tier crossing count; ``h`` the
-        inter-host tier crossing count.
-        """
-        xy, z = self.path_hops(rank_a, rank_b)
-        return (xy, z, self.h_hops(rank_a, rank_b))
-
-    def path_hops(self, rank_a: int, rank_b: int) -> tuple[int, int]:
-        """(on-die hops, z hops): the z component counts device crossings.
-
-        For cross-device pairs the on-die component is the distance of
-        each end point to its SIF tile — the funnel every inter-device
-        packet traverses. Cross-host pairs additionally traverse the
-        inter-host tier; see :meth:`tier_hops` for the (xy, z, h)
-        decomposition.
-        """
-        if self.same_device(rank_a, rank_b):
-            return (self.xy_hops(rank_a, rank_b), 0)
-        sif_x = min(SIF_TILE_XY[0], self.params.tiles_x - 1)
-        sif_y = min(SIF_TILE_XY[1], self.params.tiles_y - 1)
-        hops = 0
-        for rank in (rank_a, rank_b):
-            _dev, core = self.layout.placement(rank)
-            x, y = self.params.core_xy(core)
-            hops += abs(x - sif_x) + abs(y - sif_y)
-        return (hops, 1)

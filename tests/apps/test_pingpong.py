@@ -50,6 +50,16 @@ def test_same_rank_rejected(session):
         run_pingpong(session, 3, 3, sizes=[64])
 
 
+def test_zero_iterations_rejected(session):
+    with pytest.raises(ValueError, match="iterations"):
+        run_pingpong(session, 0, 1, sizes=[64], iterations=0)
+
+
+def test_negative_warmup_rejected(session):
+    with pytest.raises(ValueError, match="warmup"):
+        run_pingpong(session, 0, 1, sizes=[64], warmup=-1)
+
+
 def test_rank_order_does_not_matter(vdma_system):
     points = run_pingpong(vdma_system, 48, 0, sizes=[1024], iterations=2)
     assert points[0].throughput_mbps > 0

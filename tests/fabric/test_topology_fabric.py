@@ -1,4 +1,4 @@
-"""FabricTopology: three-level coordinates, groups and hop accounting."""
+"""FabricTopology: three-level coordinates, groups and pair predicates."""
 
 import pytest
 
@@ -68,30 +68,13 @@ def test_group_decompositions_are_permutation_stable(system):
            {k: set(v) for k, v in by_host_perm.items()}
 
 
-def test_cross_host_hop_accounting(system):
+def test_cross_host_pair_predicates(system):
     topo = system.topology
-    same_die = (0, 47)          # both on device 0
     cross_dev = (0, 48)         # devices 0 -> 1, same host
     cross_host = (0, 96)        # device 0 (host 0) -> device 2 (host 1)
-    # z keeps its historic meaning: 1 for ANY cross-device pair, even a
-    # cross-host one — the extra tier is h's job.
-    assert topo.z_hops(*same_die) == 0
-    assert topo.z_hops(*cross_dev) == 1
-    assert topo.z_hops(*cross_host) == 1
-    assert topo.h_hops(*same_die) == 0
-    assert topo.h_hops(*cross_dev) == 0
-    assert topo.h_hops(*cross_host) == 1
-    xy, z, h = topo.tier_hops(*cross_host)
-    assert (z, h) == (1, 1)
-    assert xy == topo.path_hops(*cross_host)[0]
     assert topo.is_cross_host(*cross_host)
     assert not topo.is_cross_host(*cross_dev)
     assert topo.same_host(*cross_dev)
-
-
-def test_xy_hops_rejects_cross_device_with_tiered_message(system):
-    with pytest.raises(ValueError, match="tier_hops"):
-        system.topology.xy_hops(0, 48)
 
 
 def test_single_host_specialization_matches_fabric():
@@ -101,5 +84,4 @@ def test_single_host_specialization_matches_fabric():
     assert topo == FabricTopology(single.layout, single.params)
     assert topo.num_hosts() == 1
     assert topo.coords(48) == (0, 0, 1, 0)
-    assert topo.h_hops(0, 48) == 0
     assert topo.host_groups([5, 60, 0]) == {0: [5, 60, 0]}

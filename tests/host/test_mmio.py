@@ -8,12 +8,13 @@ from repro.host.mmio import (
     REG_VDMA_COUNT,
     REG_VDMA_CTRL,
 )
+from repro.scc.params import CACHE_LINE
 
 
 def test_vdma_registers_share_one_wcb_line():
     """§3.3: contiguous 32 B-aligned allocation enables WCB fusion."""
-    assert MmioBank.same_wcb_line(REG_VDMA_ADDR, REG_VDMA_COUNT)
-    assert MmioBank.same_wcb_line(REG_VDMA_ADDR, REG_VDMA_CTRL)
+    regs = (REG_VDMA_ADDR, REG_VDMA_COUNT, REG_VDMA_CTRL)
+    assert {reg // CACHE_LINE for reg in regs} == {REG_VDMA_ADDR // CACHE_LINE}
 
 
 def test_write_fires_handler():

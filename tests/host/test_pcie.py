@@ -22,7 +22,9 @@ def test_cable_carries_both_directions():
     cable.up.post(100)
     cable.down.post(50)
     sim.run()
-    assert cable.bytes_up == 100 and cable.bytes_down == 50
+    snap = cable.metrics_snapshot()
+    assert snap["pcie.bytes{device=0,dir=up}"] == 100
+    assert snap["pcie.bytes{device=0,dir=down}"] == 50
 
 
 def test_params_validation():

@@ -38,6 +38,6 @@ def test_validation():
 def test_regions_of_and_clear():
     reg = RegionRegistry()
     reg.register(Region(1, 2, 0, 64, RegionKind.BUFFER))
-    assert len(reg.regions_of(1, 2)) == 1
+    assert reg.classify(MpbAddr(1, 2, 0), 64) is RegionKind.BUFFER
     reg.clear()
-    assert reg.regions_of(1, 2) == []
+    assert reg.classify(MpbAddr(1, 2, 0), 64) is RegionKind.UNREGISTERED

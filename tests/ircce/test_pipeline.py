@@ -42,7 +42,7 @@ def test_small_messages_not_pipelined():
 
 
 def test_packet_size_validation():
-    from repro.ircce.pipeline import PipelinedTransport
+    from repro.ircce import PipelinedTransport
 
     with pytest.raises(ValueError):
         PipelinedTransport(packet_bytes=100)  # not line-multiple

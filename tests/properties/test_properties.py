@@ -11,7 +11,6 @@ from repro.rcce.flags import FlagLayout, SEQ_MOD, reached
 from repro.rcce.malloc import MpbAllocator, OutOfMpbError
 from repro.scc.mesh import XYRouter
 from repro.scc.params import SCCParams
-from repro.scc.wcb import WriteCombineBuffer
 from repro.sim.clock import Clock
 from repro.sim.engine import Delay, Simulator
 from repro.sim.resources import Link
@@ -173,26 +172,6 @@ def test_xy_path_properties(src, dst):
             assert ax == dst_x
         if seen_y_move:
             assert ax == bx == dst_x
-
-
-# -- write-combining buffer -----------------------------------------------------------
-
-
-@given(st.lists(st.tuples(st.integers(0, 255), st.integers(1, 64)), min_size=1, max_size=40))
-@settings(max_examples=60, deadline=None)
-def test_wcb_conserves_bytes(stores):
-    wcb = WriteCombineBuffer()
-    flushed_bytes = 0
-    stored_bytes = 0
-    for addr, size in stores:
-        for flush in wcb.store(("mpb", 0), addr, size):
-            flushed_bytes += flush.nbytes
-        stored_bytes += size
-    tail = wcb.flush()
-    if tail is not None:
-        flushed_bytes += tail.nbytes
-    assert flushed_bytes == stored_bytes
-    assert wcb.open_tag is None
 
 
 # -- link FIFO ---------------------------------------------------------------------------

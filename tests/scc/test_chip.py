@@ -52,5 +52,5 @@ def test_failure_prob_validation():
 
 def test_core_xyz():
     dev = SCCDevice(Simulator(), device_id=3)
-    assert dev.core_xyz(0) == (0, 0, 3)
-    assert dev.core_xyz(47) == (5, 3, 3)
+    assert (*dev.params.core_xy(0), dev.device_id) == (0, 0, 3)
+    assert (*dev.params.core_xy(47), dev.device_id) == (5, 3, 3)

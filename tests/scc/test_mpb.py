@@ -80,7 +80,7 @@ def test_many_watchpoints_pulse_only_the_touched_byte(mem):
         yield mem.watch(addr)
         seen.append(addr)
 
-    sf = mem.sf_base()
+    sf = mem.params.mpb_payload_bytes
     addrs = [MpbAddr(0, core, sf + b) for core in range(8) for b in range(64)]
     for addr in addrs:
         mem.sim.spawn(watcher(addr), name="daemon:watch")

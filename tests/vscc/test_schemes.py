@@ -22,10 +22,10 @@ def test_extension_requirements():
 
 def test_stability():
     """§2.3: fast write acks are unstable beyond two devices."""
-    assert not CommScheme.HW_ACCEL_REMOTE_PUT.stable_beyond_two_devices
+    assert CommScheme.HW_ACCEL_REMOTE_PUT.uses_fast_write_ack
     for scheme in CommScheme:
         if scheme is not CommScheme.HW_ACCEL_REMOTE_PUT:
-            assert scheme.stable_beyond_two_devices
+            assert not scheme.uses_fast_write_ack
 
 
 def test_hw_accel_refused_on_five_devices():

@@ -1,5 +1,6 @@
 """Unit tests for the VSCCSystem façade."""
 
+from repro.apps.traffic import traffic_matrix
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
@@ -53,6 +54,6 @@ def test_launch_subset_and_results():
 
 def test_traffic_matrix_shape():
     system = VSCCSystem(num_devices=2)
-    matrix = system.traffic_matrix()
+    matrix = traffic_matrix(system.layout)
     assert matrix.shape == (96, 96)
     assert matrix.sum() == 0
