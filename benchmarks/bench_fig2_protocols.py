@@ -1,45 +1,34 @@
 """Fig 2 — timely behavior of the basic blocking communication protocols.
 
-The figure's claim, as numbers: for messages above the pipelining
-threshold, the iRCCE pipelined protocol completes a blocking transfer
-earlier than RCCE's default protocol, because put and get interleave.
+Prints the figure's Gantt charts (one 16 kB transfer under RCCE's
+default protocol and under iRCCE's pipelined one) and the completion
+times around the 4 kB pipelining threshold. The claim they show, that
+the pipelined protocol finishes first, is ``fig2_pipelined_beats_blocking``
+in ``repro.scenarios.CLAIMS``, over the pinned ``fig2_protocols`` scenario.
+
+Usage::
+
+    PYTHONPATH=src python benchmarks/bench_fig2_protocols.py
 """
 
-from repro.bench import fig2_protocol_timeline, fig2_trace, format_table, render_timeline
+from repro.bench import (
+    fig2_protocol_timeline,
+    fig2_trace,
+    format_table,
+    render_timeline,
+)
 
-from conftest import record
-
-
-def test_fig2_protocol_timing(benchmark, once):
-    def run():
-        timings = fig2_protocol_timeline((8192, 16384, 65536))
-        traces = {p: fig2_trace(16384, p) for p in (False, True)}
-        return timings, traces
-
-    timings, traces = once(run)
-    print()
-    print("Fig 2a — default blocking protocol (16 kB):")
-    print(render_timeline(traces[False]))
-    print()
-    print("Fig 2b — pipelined protocol (16 kB):")
-    print(render_timeline(traces[True]))
-    print()
+if __name__ == "__main__":
+    for label, pipelined in (("2a — default blocking", False), ("2b — pipelined", True)):
+        print(f"Fig {label} protocol (16 kB):")
+        print(render_timeline(fig2_trace(16384, pipelined)))
+        print()
     print(
         format_table(
             ["size B", "blocking us", "pipelined us", "speedup"],
             [
                 (t.size, t.blocking_ns / 1000, t.pipelined_ns / 1000, t.speedup)
-                for t in timings
+                for t in fig2_protocol_timeline((8192, 16384, 65536))
             ],
         )
     )
-    record(
-        benchmark,
-        speedups={t.size: round(t.speedup, 3) for t in timings},
-    )
-    # The pipelined protocol must finish earlier for every size above
-    # the 4 kB threshold (Fig 2b completes before Fig 2a).
-    for t in timings:
-        assert t.pipelined_ns < t.blocking_ns, (
-            f"pipelined protocol slower at {t.size} B"
-        )

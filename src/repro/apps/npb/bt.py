@@ -60,6 +60,8 @@ class BTBenchmark:
         mode: str = "model",
         cost_model: Optional[BTCostModel] = None,
     ):
+        if niter is not None and niter < 1:
+            raise ValueError(f"niter must be >= 1, got {niter}")
         self.clazz = BT_CLASSES[clazz] if isinstance(clazz, str) else clazz
         self.niter = niter if niter is not None else self.clazz.niter
         self.mode = mode

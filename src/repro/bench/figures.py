@@ -1,9 +1,11 @@
 """Data generators for every table and figure of the paper's evaluation.
 
 Each ``figN_*`` function builds the systems, runs the workload and
-returns the series the paper plots; the ``benchmarks/`` suite prints
-them and records them in the benchmark JSON, and EXPERIMENTS.md archives
-the comparison against the paper's values.
+returns the series the paper plots. The scenarios of
+:mod:`repro.scenarios` pin the numbers the paper's claims read from
+them (``FINGERPRINTS.json``, checked by ``CLAIMS``), the examples print
+them, and EXPERIMENTS.md archives the comparison against the paper's
+values.
 """
 
 from __future__ import annotations
@@ -192,8 +194,6 @@ def fig8_bt_traffic(
 ) -> tuple[np.ndarray, TrafficStats, str, TrafficStats]:
     """Traffic matrix of BT; returns (per-run matrix, stats, rendering,
     stats scaled to the paper's 200-step run)."""
-    if niter < 1:
-        raise ValueError(f"niter must be >= 1, got {niter}")
     system = VSCCSystem(num_devices=num_devices, scheme=scheme)
     run_bt(system, clazz, nranks, niter)
     matrix = traffic_matrix(system.layout)

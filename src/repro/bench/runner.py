@@ -1,6 +1,6 @@
 """Benchmark-harness utilities: sweeps, tables, and target bands.
 
-The ``benchmarks/`` suite regenerates every figure of the paper's
+The figure sweeps of :mod:`repro.bench.figures` regenerate the paper's
 evaluation; this module holds the shared machinery — pretty tables that
 print the same rows/series the paper plots, and the calibration bands
 the reproduction is expected to stay within (EXPERIMENTS.md records the

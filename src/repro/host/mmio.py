@@ -13,7 +13,7 @@ buffer fuses the three programming stores into a single transaction —
 32 B reduces this overhead" (§3.3). The register map below preserves that
 layout; :meth:`repro.host.commtask.CommunicationTask.mmio_write` charges
 the fused store as one transaction (``fused=True``), and the
-``bench_abl_mmio_fusion`` ablation measures its effect.
+``abl_mmio_fusion`` scenario of :mod:`repro.scenarios` measures its effect.
 """
 
 from __future__ import annotations

@@ -71,6 +71,12 @@ def test_unknown_mode_rejected():
         BTBenchmark(clazz="S", nranks=4, mode="magic")
 
 
+@pytest.mark.parametrize("niter", [0, -1])
+def test_nonpositive_niter_rejected(niter):
+    with pytest.raises(ValueError, match="niter must be >= 1"):
+        BTBenchmark(clazz="S", nranks=4, niter=niter)
+
+
 def test_message_counts_match_the_dataflow():
     """Per timestep each rank sends 6 face exchanges plus 2(p-1)
     boundary messages per sweep dimension."""

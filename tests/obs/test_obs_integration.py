@@ -46,7 +46,7 @@ def test_run_returns_runresult_with_core_metrics():
 
 
 def test_softcache_hits_match_prefetch_ablation():
-    """Mirrors benchmarks/bench_abl_prefetch.py at the metrics level."""
+    """Mirrors the ``abl_prefetch`` scenario of ``repro.scenarios`` at the metrics level."""
     _, announced = _run(CommScheme.LOCAL_PUT_REMOTE_GET, announce_prefetch=True)
     _, ablated = _run(CommScheme.LOCAL_PUT_REMOTE_GET, announce_prefetch=False)
     # Announced prefetches: every receiver read hits, nothing demand-fills.

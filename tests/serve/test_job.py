@@ -124,6 +124,13 @@ class TestExecuteJob:
             execute_job(JobSpec(workload="pingpong", params={"ranks": (1, 1)}))
         assert excinfo.value.error_type == "ValueError"
 
+    def test_bt_job_rejects_zero_niter(self):
+        spec = JobSpec(workload="bt", params={"niter": 0, "nranks": 4})
+        with pytest.raises(JobError) as excinfo:
+            execute_job(spec)
+        assert excinfo.value.error_type == "ValueError"
+        assert "niter must be >= 1" in excinfo.value.message
+
     def test_rpc_lost_responses_raise_structured_job_error(self, monkeypatch):
         import repro.apps.rpc as rpc
 
