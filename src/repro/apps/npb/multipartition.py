@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 __all__ = ["MultiPartition", "is_square"]
 
@@ -65,21 +65,75 @@ class MultiPartition:
         if self.n < self.p:
             raise ValueError(f"grid {self.n} smaller than {self.p} slabs")
 
-    @property
+    @cached_property
     def p(self) -> int:
         """Cells per dimension = √nranks."""
         return math.isqrt(self.nranks)
 
-    # -- node geometry -----------------------------------------------------------
+    # -- per-instance tables -------------------------------------------------------
     # Every query below is a pure function of the frozen geometry, and
-    # the BT model calls them once per sweep step per rank — they are
-    # all memoized (the instance is hashable, the results immutable or
-    # never mutated by callers).
+    # the BT model calls them once per sweep step per rank, so each reads
+    # a table built once per instance. ``cached_property`` stores into the
+    # instance ``__dict__``, which a frozen dataclass permits; a lookup
+    # hashes nothing and no table outlives its instance. Callers never
+    # mutate the returned lists.
 
-    @lru_cache(maxsize=None)
+    @cached_property
+    def _coords(self) -> list[tuple[int, int]]:
+        p = self.p
+        return [(rank % p, rank // p) for rank in range(self.nranks)]
+
+    @cached_property
+    def _cells(self) -> list[list[tuple[int, int, int]]]:
+        p = self.p
+        return [
+            [((i + c) % p, (j + c) % p, c) for c in range(p)] for i, j in self._coords
+        ]
+
+    @cached_property
+    def _cell_in_slab(self) -> list[tuple[list[int], ...]]:
+        """Per rank and dimension: the cell index lying in each slab."""
+        p = self.p
+        return [
+            (
+                [(slab - i) % p for slab in range(p)],
+                [(slab - j) % p for slab in range(p)],
+                list(range(p)),
+            )
+            for i, j in self._coords
+        ]
+
+    @cached_property
+    def _partners(self) -> list[dict[tuple[int, bool], int]]:
+        return [
+            {
+                (dim, sign > 0): self.rank_at(i + di, j + dj)
+                for (dim, sign), (di, dj) in _PARTNER_STEP.items()
+            }
+            for i, j in self._coords
+        ]
+
+    @cached_property
+    def _sizes(self) -> tuple[int, ...]:
+        base, extra = divmod(self.n, self.p)
+        return tuple(base + (1 if k < extra else 0) for k in range(self.p))
+
+    @cached_property
+    def _cell_shapes(self) -> list[list[tuple[int, int, int]]]:
+        sizes = self._sizes
+        return [
+            [(sizes[x], sizes[y], sizes[z]) for x, y, z in cells] for cells in self._cells
+        ]
+
+    @cached_property
+    def _cell_points(self) -> list[list[int]]:
+        return [[sx * sy * sz for sx, sy, sz in shapes] for shapes in self._cell_shapes]
+
+    # -- node geometry -----------------------------------------------------------
+
     def node_coords(self, rank: int) -> tuple[int, int]:
         self._check_rank(rank)
-        return rank % self.p, rank // self.p
+        return self._coords[rank]
 
     def rank_at(self, i: int, j: int) -> int:
         p = self.p
@@ -91,53 +145,35 @@ class MultiPartition:
 
     # -- cell geometry --------------------------------------------------------------
 
-    @lru_cache(maxsize=None)
     def cells(self, rank: int) -> list[tuple[int, int, int]]:
         """(x, y, z) slab coordinates of the rank's p cells."""
-        i, j = self.node_coords(rank)
-        p = self.p
-        return [((i + c) % p, (j + c) % p, c) for c in range(p)]
+        self._check_rank(rank)
+        return self._cells[rank]
 
-    @lru_cache(maxsize=None)
     def cell_in_slab(self, rank: int, dim: int, slab: int) -> int:
         """Index c of the rank's cell lying in ``slab`` of dimension ``dim``."""
-        i, j = self.node_coords(rank)
-        p = self.p
-        if dim == X:
-            return (slab - i) % p
-        if dim == Y:
-            return (slab - j) % p
-        if dim == Z:
-            return slab % p
-        raise ValueError(f"dimension {dim} out of range")
+        self._check_rank(rank)
+        if not 0 <= dim <= Z:
+            raise ValueError(f"dimension {dim} out of range")
+        return self._cell_in_slab[rank][dim][slab % self.p]
 
-    @lru_cache(maxsize=None)
     def partner(self, rank: int, dim: int, positive: bool) -> int:
         """The fixed neighbor owning the adjacent cells in a direction."""
-        di, dj = _PARTNER_STEP[(dim, +1 if positive else -1)]
-        i, j = self.node_coords(rank)
-        return self.rank_at(i + di, j + dj)
+        self._check_rank(rank)
+        return self._partners[rank][dim, positive]
 
     # -- slab sizes --------------------------------------------------------------------
 
-    @lru_cache(maxsize=None)
-    def _sizes(self) -> tuple[int, ...]:
-        base, extra = divmod(self.n, self.p)
-        return tuple(base + (1 if k < extra else 0) for k in range(self.p))
-
-    @lru_cache(maxsize=None)
     def slab_size(self, slab: int) -> int:
-        return self._sizes()[slab]
+        return self._sizes[slab]
 
     def slab_start(self, slab: int) -> int:
-        return sum(self._sizes()[:slab])
+        return sum(self._sizes[:slab])
 
-    @lru_cache(maxsize=None)
     def cell_shape(self, rank: int, c: int) -> tuple[int, int, int]:
-        x, y, z = self.cells(rank)[c]
-        return (self.slab_size(x), self.slab_size(y), self.slab_size(z))
+        self._check_rank(rank)
+        return self._cell_shapes[rank][c]
 
-    @lru_cache(maxsize=None)
     def points_in_cell(self, rank: int, c: int) -> int:
-        sx, sy, sz = self.cell_shape(rank, c)
-        return sx * sy * sz
+        self._check_rank(rank)
+        return self._cell_points[rank][c]

@@ -438,8 +438,10 @@ def install_rpc(
 # -- the open-loop client --------------------------------------------------------
 
 
-def _client_program(dispatcher: RpcDispatcher, calls: Sequence[RpcCall]):
+def _client_program(dispatcher: RpcDispatcher, by_rank: dict[int, list[RpcCall]]):
     """Open-loop issuing loop of one rank, then wait for its responses.
+
+    ``by_rank`` maps each client rank to its calls in issue order.
 
     Requests go out at their arrival instants; the loop blocks only on
     submission cost, never on responses. Whenever submission overruns
@@ -452,10 +454,7 @@ def _client_program(dispatcher: RpcDispatcher, calls: Sequence[RpcCall]):
     params = dispatcher.params
 
     def factory(comm):
-        mine = sorted(
-            (c for c in calls if c.rank == comm.rank),
-            key=lambda c: (c.issue_ns, c.req_id),
-        )
+        mine = by_rank[comm.rank]
         env = comm.env
         task = env.device.fabric
         route = dispatcher.route_for(env.device.device_id)
@@ -554,16 +553,21 @@ def run_rpc(
     """
     if dispatcher is None:
         dispatcher = install_rpc(system, params)
-    ranks = sorted({c.rank for c in calls})
+    by_rank: dict[int, list[RpcCall]] = {}
+    for call in calls:
+        by_rank.setdefault(call.rank, []).append(call)
+    ranks = sorted(by_rank)
     if not ranks:
         raise ValueError("run_rpc needs at least one call")
     for rank in ranks:
         if not 0 <= rank < system.num_ranks:
             raise ValueError(f"rank {rank} outside 0..{system.num_ranks - 1}")
-        dispatcher.expect(rank, sum(1 for c in calls if c.rank == rank))
+        mine = by_rank[rank]
+        mine.sort(key=lambda c: (c.issue_ns, c.req_id))
+        dispatcher.expect(rank, len(mine))
     first = len(dispatcher.completions)
     start_ns = system.sim.now
-    run = system.run(_client_program(dispatcher, calls), ranks=ranks)
+    run = system.run(_client_program(dispatcher, by_rank), ranks=ranks)
     completions = dispatcher.completions[first:]
     duration = system.sim.now - start_ns
     return RpcReport(

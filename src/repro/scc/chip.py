@@ -43,7 +43,9 @@ class SCCDevice:
         self.router = XYRouter(self.params)
         self.sif = SystemInterface(self)
         self.memctrl = MemoryControllers(self)
-        self.cores = [CoreEnv(self, i) for i in range(self.params.num_cores)]
+        # Core contexts are built by core() on first use: a run pays only
+        # for the cores it touches.
+        self._cores: list[Optional[CoreEnv]] = [None] * self.params.num_cores
         #: Interconnect fabric for off-die accesses: the host installs this
         #: device's communication task (``repro.host.commtask``) here.
         self.fabric = None
@@ -94,7 +96,10 @@ class SCCDevice:
 
     def core(self, core_id: int) -> CoreEnv:
         self.params._check_core(core_id)
-        return self.cores[core_id]
+        env = self._cores[core_id]
+        if env is None:
+            env = self._cores[core_id] = CoreEnv(self, core_id)
+        return env
 
     # -- observability ------------------------------------------------------------
 

@@ -5,9 +5,11 @@ buffer* (LMB); per core we model an 8 kB half, split into the
 *message-passing buffer* (MPB, the payload area) and the *synchronization
 flag* (SF) region at the top.
 
-The memory holds **real bytes** (a numpy array): every protocol in the
-reproduction moves actual payload through it, so consistency bugs corrupt
-data and fail tests rather than merely skewing timings.
+The memory holds **real bytes** (one numpy array per LMB half): every
+protocol in the reproduction moves actual payload through it, so
+consistency bugs corrupt data and fail tests rather than merely skewing
+timings. A half is allocated at the first write to its core; until then
+it reads as zeros, so a run pays memory only for the cores it touches.
 
 Byte-level *watchpoints* notify waiting processes on writes — this is how
 flag polling is simulated efficiently (the poller parks on the watch
@@ -17,7 +19,7 @@ signal instead of spinning through the event queue).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -61,7 +63,11 @@ class MpbAddr:
 
 
 class MPBMemory:
-    """All LMB halves of one device as one flat, watchable byte store."""
+    """All LMB halves of one device as one watchable byte store.
+
+    Each core's 8 kB half is allocated at its first ``write`` or
+    ``write_byte``; reads of a half never written return zeros.
+    """
 
     def __init__(self, sim: Simulator, params: SCCParams, device_id: int):
         self.sim = sim
@@ -70,7 +76,8 @@ class MPBMemory:
         # Geometry as plain ints: flat()/check_span() run on every access.
         self._num_cores = params.num_cores
         self._lmb = params.lmb_bytes_per_core
-        self._store = np.zeros(self._num_cores * self._lmb, np.uint8)
+        # One LMB half per core, ``None`` until that core is first written.
+        self._halves: list[Optional[np.ndarray]] = [None] * self._num_cores
         # Watch signals keyed by flat byte address (flags are single bytes).
         self._watches: dict[int, Signal] = {}
         # Watchpoints live on flag bytes (the SF region at the top of each
@@ -109,9 +116,18 @@ class MPBMemory:
 
     # -- data access (timeless; timing is charged by the caller) ----------------
 
+    def _allocate(self, core: int) -> np.ndarray:
+        """Allocate the core's (zeroed) LMB half at its first write."""
+        half = self._halves[core] = np.zeros(self._lmb, np.uint8)
+        return half
+
     def read(self, addr: MpbAddr, length: int) -> np.ndarray:
-        base = self.check_span(addr, length)
-        return self._store[base : base + length].copy()
+        self.check_span(addr, length)
+        half = self._halves[addr.core]
+        if half is None:
+            return np.zeros(length, np.uint8)
+        offset = addr.offset
+        return half[offset : offset + length].copy()
 
     def write(self, addr: MpbAddr, data: Bytes) -> None:
         if isinstance(data, np.ndarray):
@@ -121,8 +137,12 @@ class MPBMemory:
             buf = src = np.frombuffer(data, np.uint8)
         n = len(buf)
         base = self.check_span(addr, n)
-        self._store[base : base + n] = src
-        if self._payload_watched or addr.offset + n > self._payload_end:
+        half = self._halves[addr.core]
+        if half is None:
+            half = self._allocate(addr.core)
+        offset = addr.offset
+        half[offset : offset + n] = src
+        if self._payload_watched or offset + n > self._payload_end:
             self._pulse_span(base, base + n)
 
     def _pulse_span(self, base: int, end: int) -> None:
@@ -152,13 +172,18 @@ class MPBMemory:
                 signal.pulse()
 
     def read_byte(self, addr: MpbAddr) -> int:
-        return int(self._store[self.flat(addr)])
+        self.flat(addr)
+        half = self._halves[addr.core]
+        return 0 if half is None else int(half[addr.offset])
 
     def write_byte(self, addr: MpbAddr, value: int) -> None:
         # Single-byte writes are the flag hot path: skip array wrapping
         # and span scans, touch exactly one store cell and one watch slot.
         flat_addr = self.flat(addr)
-        self._store[flat_addr] = value & 0xFF
+        half = self._halves[addr.core]
+        if half is None:
+            half = self._allocate(addr.core)
+        half[addr.offset] = value & 0xFF
         signal = self._watches.get(flat_addr)
         if signal is not None and signal.has_waiters:
             signal.pulse()

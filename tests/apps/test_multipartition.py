@@ -71,3 +71,51 @@ def test_slab_sizes_sum_to_grid():
 def test_grid_too_small_rejected():
     with pytest.raises(ValueError):
         MultiPartition(16, 3)
+
+
+@pytest.mark.parametrize("rank", [-1, 16])
+def test_bad_rank_raises_on_every_call(part, rank):
+    """The per-instance tables never let a bad rank through (nor wrap a
+    negative one), however often it is asked."""
+    calls = [
+        lambda: part.node_coords(rank),
+        lambda: part.cells(rank),
+        lambda: part.cell_in_slab(rank, X, 0),
+        lambda: part.partner(rank, Y, True),
+        lambda: part.cell_shape(rank, 0),
+        lambda: part.points_in_cell(rank, 0),
+    ]
+    for _ in range(2):
+        for call in calls:
+            with pytest.raises(ValueError, match="out of range"):
+                call()
+
+
+def test_geometry_tables_match_direct_formulas():
+    """Every table entry equals the closed-form geometry of the module doc."""
+    part = MultiPartition(9, 20)
+    p = part.p
+    steps = {
+        (X, True): (1, 0),
+        (X, False): (-1, 0),
+        (Y, True): (0, 1),
+        (Y, False): (0, -1),
+        (Z, True): (-1, -1),
+        (Z, False): (1, 1),
+    }
+    for rank in range(part.nranks):
+        i, j = rank % p, rank // p
+        assert part.node_coords(rank) == (i, j)
+        assert part.cells(rank) == [((i + c) % p, (j + c) % p, c) for c in range(p)]
+        for (dim, positive), (di, dj) in steps.items():
+            assert part.partner(rank, dim, positive) == ((j + dj) % p) * p + (i + di) % p
+        for slab in range(p):
+            assert part.cell_in_slab(rank, X, slab) == (slab - i) % p
+            assert part.cell_in_slab(rank, Y, slab) == (slab - j) % p
+            assert part.cell_in_slab(rank, Z, slab) == slab
+        for c, (x, y, z) in enumerate(part.cells(rank)):
+            shape = (part.slab_size(x), part.slab_size(y), part.slab_size(z))
+            assert part.cell_shape(rank, c) == shape
+            assert part.points_in_cell(rank, c) == shape[0] * shape[1] * shape[2]
+    with pytest.raises(ValueError, match="dimension"):
+        part.cell_in_slab(0, 3, 0)

@@ -54,3 +54,20 @@ def test_core_xyz():
     dev = SCCDevice(Simulator(), device_id=3)
     assert (*dev.params.core_xy(0), dev.device_id) == (0, 0, 3)
     assert (*dev.params.core_xy(47), dev.device_id) == (5, 3, 3)
+
+
+def test_core_contexts_built_on_first_use():
+    dev = SCCDevice(Simulator())
+    assert all(env is None for env in dev._cores)
+    env = dev.core(17)
+    assert env.core_id == 17 and env.device is dev
+    assert dev.core(17) is env
+    assert [c for c, e in enumerate(dev._cores) if e is not None] == [17]
+
+
+@pytest.mark.parametrize("core_id", [-1, 48])
+def test_core_rejects_invalid_id(core_id):
+    dev = SCCDevice(Simulator())
+    with pytest.raises(ValueError, match="out of range"):
+        dev.core(core_id)
+    assert all(env is None for env in dev._cores)

@@ -102,3 +102,78 @@ def test_read_returns_copy(mem):
     snapshot = mem.read(addr, 8)
     mem.write(addr, b"\x02" * 8)
     assert snapshot.sum() == 8
+
+
+# -- LMB halves allocated on first write ------------------------------------------
+
+
+def _allocated(mem):
+    return [core for core, half in enumerate(mem._halves) if half is not None]
+
+
+def test_unwritten_bytes_read_as_zero_without_allocating(mem):
+    assert _allocated(mem) == []
+    data = mem.read(MpbAddr(0, 9, 100), 64)
+    assert data.dtype == np.uint8 and data.shape == (64,) and not data.any()
+    assert mem.read_byte(MpbAddr(0, 9, 8191)) == 0
+    assert _allocated(mem) == []
+
+
+def test_zero_read_of_untouched_half_is_a_fresh_array(mem):
+    first = mem.read(MpbAddr(0, 9, 0), 8)
+    first[:] = 7
+    assert not mem.read(MpbAddr(0, 9, 0), 8).any()
+
+
+def test_first_write_allocates_only_that_core(mem):
+    mem.write(MpbAddr(0, 5, 10), b"\x11\x22")
+    mem.write_byte(MpbAddr(0, 40, 7700), 0x33)
+    assert _allocated(mem) == [5, 40]
+    # Bytes of a written half that were never stored still read as zero.
+    assert bytes(mem.read(MpbAddr(0, 5, 8), 6)) == b"\x00\x00\x11\x22\x00\x00"
+    assert mem.read_byte(MpbAddr(0, 40, 7699)) == 0
+    assert mem.read_byte(MpbAddr(0, 40, 7700)) == 0x33
+
+
+@pytest.mark.parametrize(
+    "addr, length",
+    [
+        (MpbAddr(0, 48, 0), 1),  # no such core
+        (MpbAddr(0, -1, 0), 1),  # negative core must not wrap to core 47
+        (MpbAddr(0, 3, 8192), 1),  # offset past the LMB half
+        (MpbAddr(0, 3, -1), 1),  # negative offset
+        (MpbAddr(0, 3, 8000), 400),  # span crosses the LMB boundary
+        (MpbAddr(1, 3, 0), 1),  # another device's memory
+    ],
+)
+def test_untouched_core_still_validates(mem, addr, length):
+    # A boundary-crossing span is only a fault of the multi-byte accessors.
+    crosses_boundary = addr.offset + length > 8192
+    with pytest.raises(ValueError):
+        mem.read(addr, length)
+    with pytest.raises(ValueError):
+        mem.write(addr, bytes(length))
+    if not crosses_boundary:
+        with pytest.raises(ValueError):
+            mem.read_byte(addr)
+        with pytest.raises(ValueError):
+            mem.write_byte(addr, 1)
+        with pytest.raises(ValueError):
+            mem.watch(addr)
+    assert _allocated(mem) == []
+
+
+def test_watch_on_untouched_core_pulses_on_first_write(mem):
+    sim = mem.sim
+    seen = []
+    flag = MpbAddr(0, 30, mem.params.mpb_payload_bytes + 3)
+
+    def watcher():
+        yield mem.watch(flag)
+        seen.append(sim.now)
+
+    sim.spawn(watcher())
+    assert _allocated(mem) == []
+    sim.call_at(2.0, lambda: mem.write_byte(flag, 1))
+    sim.run()
+    assert seen == [2.0]

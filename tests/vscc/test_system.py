@@ -57,3 +57,42 @@ def test_traffic_matrix_shape():
     matrix = traffic_matrix(system.layout)
     assert matrix.shape == (96, 96)
     assert matrix.sum() == 0
+
+
+def _allocated(system):
+    """(device, core) pairs holding an LMB half / a core context."""
+    halves, cores = set(), set()
+    for d in system.devices:
+        halves |= {(d.device_id, c) for c, h in enumerate(d.mpb._halves) if h is not None}
+        cores |= {(d.device_id, c) for c, e in enumerate(d._cores) if e is not None}
+    return halves, cores
+
+
+def test_fresh_system_holds_no_per_core_state():
+    system = VSCCSystem(num_devices=5)
+    assert _allocated(system) == (set(), set())
+
+
+def test_pingpong_allocates_only_the_cores_it_wrote(monkeypatch):
+    from repro.apps.pingpong import run_pingpong
+    from repro.scc.mpb import MPBMemory
+
+    written = set()
+    write, write_byte = MPBMemory.write, MPBMemory.write_byte
+
+    def recording_write(self, addr, data):
+        written.add((addr.device, addr.core))
+        write(self, addr, data)
+
+    def recording_write_byte(self, addr, value):
+        written.add((addr.device, addr.core))
+        write_byte(self, addr, value)
+
+    monkeypatch.setattr(MPBMemory, "write", recording_write)
+    monkeypatch.setattr(MPBMemory, "write_byte", recording_write_byte)
+    system = VSCCSystem(num_devices=2)
+    run_pingpong(system, 0, 48, sizes=[61, 16384], iterations=2)
+    halves, cores = _allocated(system)
+    assert written == {(0, 0), (1, 0)}
+    assert halves == written
+    assert cores == {(0, 0), (1, 0)}
