@@ -43,10 +43,11 @@ import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from repro.bench.arrivals import RpcCall
 from repro.host.commtask import REQUEST_BYTES
+from repro.obs.metrics import percentile
 from repro.results import RunResult
 from repro.scc.params import CACHE_LINE
 from repro.vscc.policy import Route
@@ -109,9 +110,11 @@ class RpcParams:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True)
-class RpcCompletion:
-    """One delivered response, recorded at arrival on the client device."""
+class RpcCompletion(NamedTuple):
+    """One delivered response, recorded at arrival on the client device.
+
+    A NamedTuple like :class:`RpcCall`: one is built per response.
+    """
 
     req_id: int
     rank: int
@@ -512,15 +515,10 @@ class RpcReport:
         return self.completed / (self.duration_ns * 1e-9)
 
     def latency_percentile(self, p: float) -> float:
+        """Exact latency percentile (ns), ``p`` in [0, 100]; 0.0 when
+        nothing completed."""
         lats = sorted(c.latency_ns for c in self.completions)
-        if not lats:
-            return 0.0
-        pos = p / 100.0 * (len(lats) - 1)
-        lo = int(pos)
-        frac = pos - lo
-        if lo + 1 >= len(lats):
-            return lats[-1]
-        return lats[lo] * (1.0 - frac) + lats[lo + 1] * frac
+        return percentile(lats or (0.0,), p)
 
 
 def outcome_digest(completions: Iterable[RpcCompletion]) -> str:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,14 +44,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RpcCall:
+class RpcCall(NamedTuple):
     """One request/response exchange of an open-loop RPC trace.
 
     ``req_id`` is globally unique and stable (rank-prefixed, no sorting
     involved); ``issue_ns`` is the absolute arrival instant the client
     must honour. ``priority`` marks sync-class requests that ride the
     host scheduler's sync lane and act as coalescing barriers.
+
+    A NamedTuple rather than a frozen dataclass: a pass builds one per
+    call and rebuilds them per rate point, and the dataclass's
+    ``object.__setattr__`` per field costs about three times as much.
     """
 
     req_id: int

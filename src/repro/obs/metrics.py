@@ -29,7 +29,7 @@ lazily.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "Counter",
@@ -40,6 +40,7 @@ __all__ = [
     "label_keys",
     "merge_snapshots",
     "parse_key",
+    "percentile",
 ]
 
 
@@ -49,6 +50,24 @@ def format_key(name: str, labels: Mapping[str, object] | None = None) -> str:
         return name
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
     return f"{name}{{{inner}}}"
+
+
+def percentile(ordered: Sequence[float], p: float) -> float:
+    """Exact ``p``-th percentile of ascending, non-empty ``ordered``.
+
+    Linear interpolation between the two closest ranks; ``p`` must lie
+    in [0, 100] (``ValueError`` otherwise).
+    """
+    if not 0.0 <= p <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {p}")
+    if not ordered:
+        raise ValueError("percentile of an empty sample")
+    pos = p / 100.0 * (len(ordered) - 1)
+    lo = int(pos)
+    if lo + 1 >= len(ordered):
+        return ordered[-1]
+    frac = pos - lo
+    return ordered[lo] * (1.0 - frac) + ordered[lo + 1] * frac
 
 
 def parse_key(key: str) -> tuple[str, dict[str, str]]:
@@ -156,19 +175,9 @@ class Histogram(_Instrument):
 
     def percentile(self, p: float) -> float:
         """Exact percentile by linear interpolation; ``p`` in [0, 100]."""
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
         if not self.samples:
             raise ValueError(f"histogram {self.key!r} has no samples")
-        ordered = sorted(self.samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        pos = p / 100.0 * (len(ordered) - 1)
-        lo = int(pos)
-        frac = pos - lo
-        if lo + 1 >= len(ordered):
-            return ordered[-1]
-        return ordered[lo] * (1.0 - frac) + ordered[lo + 1] * frac
+        return percentile(sorted(self.samples), p)
 
     def percentiles(self, ps: Iterable[float]) -> dict[str, float]:
         """Several exact percentiles at once, keyed ``"p50"``/``"p99"``/…

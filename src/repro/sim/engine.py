@@ -129,16 +129,17 @@ class Event:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self._triggered = True
         self._value = value
-        waiters, self._waiters = self._waiters, []
+        # Neither list can grow from here on: _add_waiter and on_trigger
+        # see _triggered first. So iterate them in place, then drop them.
         sim = self.sim
-        for proc in waiters:
+        for proc in self._waiters:
             if proc.__class__ is _ChainWaiter:
                 proc.wake(sim, value)
             else:
                 sim._schedule(0.0, proc, value)
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
+        for cb in self._callbacks:
             cb(value)
+        self._waiters = self._callbacks = None
 
     def on_trigger(self, callback: Callable[[Any], None]) -> None:
         """Run ``callback(value)`` when triggered (immediately if already)."""

@@ -21,6 +21,7 @@ class SimQueue:
     def __init__(self, sim: Simulator, name: str = "queue"):
         self.sim = sim
         self.name = name
+        self._gate_name = f"{name}.get"
         self._items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
         self.put_count = 0
@@ -44,7 +45,7 @@ class SimQueue:
         """Coroutine: return the next item, waiting if necessary."""
         if self._items:
             return self._items.popleft()
-        gate = self.sim.event(name=f"{self.name}.get")
+        gate = self.sim.event(name=self._gate_name)
         self._getters.append(gate)
         item = yield gate
         return item

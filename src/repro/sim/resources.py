@@ -54,12 +54,6 @@ class Link:
         self.overhead_ns = overhead_ns
         self._arrive_name = f"{name}.arrive"
         self._free_at = 0.0
-        # Serialization-time memo: overhead + extra + nbytes/bandwidth is
-        # a pure function of (nbytes, extra) for a link's fixed rate, and
-        # hot paths move a handful of distinct sizes (chunk, line, header)
-        # millions of times. Keyed floats reproduce the uncached
-        # expression bitwise — it is the same expression, evaluated once.
-        self._serialization_memo: dict[tuple[int, float], float] = {}
         self.bytes_carried = 0
         self.transfers = 0
         #: Cumulative serialization time (overhead + bytes/bandwidth) the
@@ -90,13 +84,9 @@ class Link:
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         start = max(self.sim.now if at is None else at, self._free_at)
-        key = (nbytes, extra_overhead_ns)
-        serialization = self._serialization_memo.get(key)
-        if serialization is None:
-            serialization = (
-                self.overhead_ns + extra_overhead_ns + nbytes / self.bandwidth_bpns
-            )
-            self._serialization_memo[key] = serialization
+        serialization = (
+            self.overhead_ns + extra_overhead_ns + nbytes / self.bandwidth_bpns
+        )
         self._free_at = start + serialization
         self.bytes_carried += nbytes
         self.transfers += 1

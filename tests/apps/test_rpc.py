@@ -7,10 +7,15 @@ serialization-cache hit/miss/eviction accounting, and the checked-in
 outcome digest of the fixed 200-request golden trace.
 """
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.apps.rpc import (
+    RpcCompletion,
     RpcParams,
+    RpcReport,
     SerializationCache,
     install_rpc,
     outcome_digest,
@@ -289,6 +294,95 @@ def test_sizes_respect_bounds():
     assert sizes.max() <= 4096
     # Heavy tail: the max dwarfs the median.
     assert sizes.max() > 8 * float(np.median(sizes))
+
+
+# -- records ---------------------------------------------------------------------
+
+
+def sample_call(**overrides):
+    fields = dict(req_id=7, rank=1, issue_ns=250.0, req_bytes=64,
+                  resp_bytes=128, method="m3")
+    fields.update(overrides)
+    return RpcCall(**fields)
+
+
+def sample_completion(**overrides):
+    fields = dict(req_id=7, rank=1, req_bytes=64, resp_bytes=128,
+                  method="m3", issue_ns=250.0, done_ns=1000.5)
+    fields.update(overrides)
+    return RpcCompletion(**fields)
+
+
+@pytest.mark.parametrize("record", [sample_call(), sample_completion()])
+def test_records_are_immutable(record):
+    with pytest.raises(AttributeError):
+        record.req_bytes = 1
+    with pytest.raises(AttributeError):
+        record.method = "m0"
+
+
+@pytest.mark.parametrize("make", [sample_call, sample_completion])
+def test_records_with_equal_fields_are_equal_and_hash_equal(make):
+    a, b = make(), make()
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert make(req_id=8) != a
+
+
+def test_record_defaults_and_latency():
+    assert sample_call().priority is False
+    assert sample_call(priority=True).priority is True
+    done = sample_completion()
+    assert done.latency_ns == 1000.5 - 250.0
+
+
+def test_record_field_order_and_repr():
+    assert RpcCall._fields == (
+        "req_id", "rank", "issue_ns", "req_bytes", "resp_bytes", "method", "priority",
+    )
+    assert RpcCompletion._fields == (
+        "req_id", "rank", "req_bytes", "resp_bytes", "method", "issue_ns", "done_ns",
+    )
+    assert repr(sample_call()) == (
+        "RpcCall(req_id=7, rank=1, issue_ns=250.0, req_bytes=64, "
+        "resp_bytes=128, method='m3', priority=False)"
+    )
+    assert not dataclasses.is_dataclass(sample_call())
+    assert not dataclasses.is_dataclass(sample_completion())
+
+
+@pytest.mark.parametrize("record", [sample_call(priority=True), sample_completion()])
+def test_records_survive_a_pickle_round_trip(record):
+    clone = pickle.loads(pickle.dumps(record))
+    assert clone == record
+    assert type(clone) is type(record)
+
+
+def report_with_latencies(latencies):
+    completions = [
+        sample_completion(req_id=i, issue_ns=0.0, done_ns=float(lat))
+        for i, lat in enumerate(latencies)
+    ]
+    return RpcReport(run=None, completions=completions, offered=len(completions),
+                     duration_ns=1.0, digest="", dispatcher=None)
+
+
+def test_latency_percentile_interpolates_and_rejects_out_of_range():
+    report = report_with_latencies(range(100, 0, -10))  # 10 .. 100 ns
+    assert report.latency_percentile(0) == 10.0
+    assert report.latency_percentile(50) == 55.0
+    assert report.latency_percentile(100) == 100.0
+    for p in (-50, -0.001, 100.001, 150):
+        with pytest.raises(ValueError):
+            report.latency_percentile(p)
+
+
+def test_latency_percentile_of_an_empty_report():
+    report = report_with_latencies([])
+    assert report.latency_percentile(50) == 0.0
+    with pytest.raises(ValueError):
+        report.latency_percentile(150)
 
 
 # -- golden trace ---------------------------------------------------------------

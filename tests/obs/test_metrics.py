@@ -13,6 +13,7 @@ from repro.obs.metrics import (
     label_keys,
     merge_snapshots,
     parse_key,
+    percentile,
 )
 from repro.sim.engine import Simulator
 
@@ -110,6 +111,22 @@ def test_histogram_edge_cases():
     assert hist.percentile(0) == hist.percentile(100) == 7.0
     with pytest.raises(ValueError):
         hist.percentile(101)
+
+
+def test_percentile_is_the_histograms_interpolation():
+    samples = [float(v) for v in range(10, 101, 10)]
+    reg = MetricsRegistry(enabled=True)
+    hist = reg.histogram("h")
+    for v in reversed(samples):
+        hist.observe(v)
+    for p in (0, 12.5, 50, 90, 99, 100):
+        assert percentile(samples, p) == hist.percentile(p)
+    assert percentile(samples, 50) == 55.0
+    for p in (-50, 150):
+        with pytest.raises(ValueError):
+            percentile(samples, p)
+    with pytest.raises(ValueError):
+        percentile([], 50)
 
 
 def test_snapshot_expands_histograms():

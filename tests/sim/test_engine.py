@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.engine import Delay, Event, Process, Signal, Simulator
-from repro.sim.errors import DeadlockError, InvalidYield, ProcessFailed
+from repro.sim.errors import DeadlockError, InvalidYield, ProcessFailed, SimulationError
 
 
 def test_delay_advances_time():
@@ -273,3 +276,105 @@ def test_timer_callback_may_cancel_its_own_handle():
     handle = sim.after(3.0, fire)
     sim.run()
     assert outcome == [False]
+
+
+# -- trigger semantics: the waiter and callback lists are spent once -----------
+
+
+def test_waiter_parking_after_the_trigger_resumes_at_once():
+    sim = Simulator()
+    evt = sim.event()
+    seen = []
+
+    def trigger():
+        yield 5.0
+        evt.trigger("v")
+
+    def late(delay, chain):
+        yield delay
+        before = sim.now
+        value = yield ((evt, 2.0) if chain else evt)
+        seen.append((before, sim.now, value))
+
+    sim.spawn(trigger())
+    sim.spawn(late(8.0, chain=False))
+    sim.spawn(late(9.0, chain=True))
+    sim.run()
+    assert seen == [(8.0, 8.0, "v"), (9.0, 11.0, None)]
+
+
+def test_waiter_parking_from_a_trigger_callback_resumes_with_the_value():
+    sim = Simulator()
+    evt = sim.event()
+    seen = []
+
+    def late():
+        value = yield evt
+        seen.append((sim.now, value))
+
+    evt.on_trigger(lambda _v: sim.spawn(late()))
+    sim.call_at(3.0, lambda: evt.trigger(42))
+    sim.run()
+    assert seen == [(3.0, 42)]
+
+
+def test_on_trigger_after_the_trigger_runs_at_once():
+    sim = Simulator()
+    evt = sim.event()
+    evt.trigger(7)
+    seen = []
+    evt.on_trigger(seen.append)
+    assert seen == [7]
+
+
+def test_on_trigger_from_inside_a_callback_runs_at_once():
+    sim = Simulator()
+    evt = sim.event()
+    order = []
+
+    def first(value):
+        order.append(("first", value))
+        evt.on_trigger(lambda v: order.append(("nested", v)))
+        order.append(("first-done", value))
+
+    evt.on_trigger(first)
+    evt.on_trigger(lambda v: order.append(("second", v)))
+    evt.trigger("x")
+    assert order == [
+        ("first", "x"), ("nested", "x"), ("first-done", "x"), ("second", "x"),
+    ]
+
+
+def test_second_trigger_raises_also_from_a_callback():
+    sim = Simulator()
+    evt = sim.event("e")
+    refused = []
+
+    def retrigger(_value):
+        with pytest.raises(SimulationError):
+            evt.trigger("again")
+        refused.append(True)
+
+    evt.on_trigger(retrigger)
+    evt.trigger("once")
+    assert refused == [True]
+    assert evt.value == "once"
+    with pytest.raises(SimulationError):
+        evt.trigger("again")
+
+
+def test_triggered_event_keeps_no_reference_to_its_callbacks():
+    class Callback:
+        def __call__(self, value):
+            pass
+
+    sim = Simulator()
+    evt = sim.event()
+    cb = Callback()
+    ref = weakref.ref(cb)
+    evt.on_trigger(cb)
+    del cb
+    gc.collect()
+    assert ref() is not None
+    evt.trigger()
+    assert ref() is None

@@ -1,6 +1,7 @@
 """Unit tests for Link."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.resources import Link
@@ -84,3 +85,42 @@ def test_link_validation():
     with pytest.raises(ValueError):
         link.post(-5)
 
+
+def test_unawaited_post_still_runs_its_arrival_callback():
+    sim = Simulator()
+    link = make_link(sim)
+    arrivals = []
+    link.post(50, on_arrival=lambda: arrivals.append(sim.now))
+    sim.run()
+    assert arrivals == [10.0 + 50.0 + 100.0]
+
+
+_sizes = st.integers(min_value=0, max_value=1 << 20)
+_overheads = st.sampled_from([0.0, 0.5, 3.0, 250.0, 1e-3])
+_gaps = st.floats(min_value=0.0, max_value=5e4, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    latency=st.floats(min_value=0.0, max_value=1e4),
+    bandwidth=st.floats(min_value=0.01, max_value=64.0),
+    overhead=st.floats(min_value=0.0, max_value=500.0),
+    ops=st.lists(st.tuples(_sizes, _overheads, st.none() | _gaps), min_size=1, max_size=40),
+)
+@settings(max_examples=80, deadline=None)
+def test_occupy_equals_the_closed_form_bitwise(latency, bandwidth, overhead, ops):
+    """Arrival times and ``busy_ns`` are exactly ``overhead + extra +
+    nbytes / bandwidth`` per transfer, queued FIFO from ``max(at, free)``."""
+    sim = Simulator()
+    link = Link(sim, "l", latency_ns=latency, bandwidth_bpns=bandwidth, overhead_ns=overhead)
+    free_at = 0.0
+    busy = 0.0
+    for nbytes, extra, gap in ops:
+        at = None if gap is None else sim.now + gap
+        start = max(sim.now if at is None else at, free_at)
+        serialization = overhead + extra + nbytes / bandwidth
+        free_at = start + serialization
+        busy += serialization
+        assert link._occupy(nbytes, extra, at=at) == free_at + latency
+        assert link.busy_ns == busy
+    assert link.transfers == len(ops)
+    assert link.bytes_carried == sum(nbytes for nbytes, _e, _g in ops)
