@@ -86,7 +86,9 @@ def _chained(comm: "Rcce", key, peer: int, body) -> Process:
 
 def isend(comm: "Rcce", data: Bytes, dest: int) -> CommRequest:
     """Start a non-blocking send; complete it with ``request.wait()``."""
-    payload = comm._as_bytes(data).copy()  # caller may reuse its buffer
+    # ``_as_bytes`` already copies (``tobytes``/``bytes``), so the caller
+    # may reuse its buffer at once.
+    payload = comm._as_bytes(data)
 
     def body() -> Generator:
         yield from comm._send_now(payload, dest)

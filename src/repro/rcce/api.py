@@ -109,6 +109,8 @@ class Rcce:
         self.recvs = 0
         self._topology = None
         self._coll_seq = 0  # per-rank collective call counter (trace spans)
+        #: This rank's hierarchical plans, per (collective group, root).
+        self._plans: dict = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Rcce rank={self.rank}/{self.num_ranks}>"
@@ -165,6 +167,8 @@ class Rcce:
 
     @staticmethod
     def _as_bytes(data: Bytes) -> np.ndarray:
+        """``data``'s bytes as a read-only uint8 array that shares no
+        memory with a mutable ``data`` (``tobytes``/``bytes`` copy it)."""
         if isinstance(data, np.ndarray):
             return np.frombuffer(data.tobytes(), np.uint8)
         return np.frombuffer(bytes(data), np.uint8)
@@ -176,6 +180,11 @@ class Rcce:
         proc = chains.get(key)
         return proc if proc is not None and not proc.finished else None
 
+    # send/recv and the collectives return the generator that does the
+    # work instead of wrapping it, so a program resumes the transport
+    # with no per-call frame in between; a wrapper is built only where
+    # something must happen around the transfer.
+
     def send(self, data: Bytes, dest: int) -> Generator:
         """Blocking send (returns when the receiver completed its recv).
 
@@ -184,8 +193,12 @@ class Rcce:
         request-queue semantics).
         """
         pending = self._pending_chain("send")
-        if pending is not None:
-            yield pending
+        if pending is None:
+            return self._send_now(self._as_bytes(data), dest)
+        return self._send_after(pending, data, dest)
+
+    def _send_after(self, pending, data: Bytes, dest: int) -> Generator:
+        yield pending
         yield from self._send_now(self._as_bytes(data), dest)
 
     def _send_now(self, payload: np.ndarray, dest: int) -> Generator:
@@ -195,13 +208,15 @@ class Rcce:
         self.sends += 1
         transport = self.selector.select(self, dest, len(payload), op="send")
         if self.selector.wants_feedback:
-            started = self.env.sim.now
-            yield from transport.send(self, dest, payload)
-            self.selector.observe_send(
-                self, dest, len(payload), transport, self.env.sim.now - started
-            )
-        else:
-            yield from transport.send(self, dest, payload)
+            return self._send_observed(transport, payload, dest)
+        return transport.send(self, dest, payload)
+
+    def _send_observed(self, transport, payload: np.ndarray, dest: int) -> Generator:
+        started = self.env.sim.now
+        yield from transport.send(self, dest, payload)
+        self.selector.observe_send(
+            self, dest, len(payload), transport, self.env.sim.now - started
+        )
 
     def recv(self, nbytes: int, src: int) -> Generator:
         """Blocking receive of exactly ``nbytes``; returns a uint8 array.
@@ -211,8 +226,12 @@ class Rcce:
         independent — they drain the senders' buffers).
         """
         pending = self._pending_chain(("recv", src))
-        if pending is not None:
-            yield pending
+        if pending is None:
+            return self._recv_now(nbytes, src)
+        return self._recv_after(pending, nbytes, src)
+
+    def _recv_after(self, pending, nbytes: int, src: int) -> Generator:
+        yield pending
         data = yield from self._recv_now(nbytes, src)
         return data
 
@@ -223,8 +242,7 @@ class Rcce:
             raise ValueError(f"negative receive size {nbytes}")
         self.recvs += 1
         transport = self.selector.select(self, src, nbytes, op="recv")
-        data = yield from transport.recv(self, src, nbytes)
-        return data
+        return transport.recv(self, src, nbytes)
 
     # -- collectives -----------------------------------------------------------------------
 
@@ -239,17 +257,23 @@ class Rcce:
 
     def _run_collective(self, op_name: str, impl_name: str, gen) -> Generator:
         """Drive one collective, emitting ``coll.*`` metrics and "coll"
-        trace spans when observability is on (free when it is off)."""
+        trace spans when observability is on.
+
+        With both off, the collective's own generator is returned: the
+        caller resumes it with no wrapper frame in between.
+        """
+        sim = self.env.sim
+        if not (sim.obs.enabled or sim.tracer.wants("coll")):
+            return gen
+        return self._observed(op_name, impl_name, gen)
+
+    def _observed(self, op_name: str, impl_name: str, gen) -> Generator:
         tracer = self.env.sim.tracer
         registry = self.env.sim.obs
-        traced = tracer.wants("coll")
-        if not (traced or registry.enabled):
-            result = yield from gen
-            return result
         seq = self._coll_seq
         self._coll_seq += 1
         started = self.env.sim.now
-        if traced:
+        if tracer.wants("coll"):
             tracer.emit(started, "coll", self.rank, op_name, impl_name, "start", seq)
         result = yield from gen
         now = self.env.sim.now
@@ -269,7 +293,7 @@ class Rcce:
         hierarchical: bool = False,
     ) -> Generator:
         mod, impl = self._coll_impl(hierarchical)
-        yield from self._run_collective(
+        return self._run_collective(
             "barrier", impl, mod.barrier(self, group_size, members=members)
         )
 
@@ -284,12 +308,11 @@ class Rcce:
     ) -> Generator:
         payload = None if data is None else self._as_bytes(data)
         mod, impl = self._coll_impl(hierarchical)
-        result = yield from self._run_collective(
+        return self._run_collective(
             "bcast",
             impl,
             mod.bcast(self, payload, nbytes, root, group_size, members=members),
         )
-        return result
 
     def reduce(
         self,
@@ -301,12 +324,11 @@ class Rcce:
         hierarchical: bool = False,
     ) -> Generator:
         mod, impl = self._coll_impl(hierarchical)
-        result = yield from self._run_collective(
+        return self._run_collective(
             "reduce",
             impl,
             mod.reduce(self, values, op, root, group_size, members=members),
         )
-        return result
 
     def allreduce(
         self,
@@ -317,12 +339,11 @@ class Rcce:
         hierarchical: bool = False,
     ) -> Generator:
         mod, impl = self._coll_impl(hierarchical)
-        result = yield from self._run_collective(
+        return self._run_collective(
             "allreduce",
             impl,
             mod.allreduce(self, values, op, group_size, members=members),
         )
-        return result
 
     def gather(
         self,
@@ -333,12 +354,11 @@ class Rcce:
         hierarchical: bool = False,
     ) -> Generator:
         mod, impl = self._coll_impl(hierarchical)
-        result = yield from self._run_collective(
+        return self._run_collective(
             "gather",
             impl,
             mod.gather(self, value, root, group_size, members=members),
         )
-        return result
 
     # -- gory-layer allocator ----------------------------------------------------------------
 

@@ -82,6 +82,8 @@ class RankLayout:
         if len(set(self._placements)) != len(self._placements):
             raise ValueError("duplicate (device, core) placement")
         self._rank_of = {pc: r for r, pc in enumerate(self._placements)}
+        # rank -> device, for the per-message same-device test.
+        self._devices = [device for device, _core in self._placements]
         #: bytes sent between rank pairs, filled by the communicator.
         self.traffic: Counter[tuple[int, int]] = Counter()
 
@@ -121,7 +123,11 @@ class RankLayout:
             raise ValueError(f"no rank placed on device {device} core {core}") from None
 
     def same_device(self, rank_a: int, rank_b: int) -> bool:
-        return self.placement(rank_a)[0] == self.placement(rank_b)[0]
+        devices = self._devices
+        n = len(devices)
+        if 0 <= rank_a < n and 0 <= rank_b < n:
+            return devices[rank_a] == devices[rank_b]
+        return self.placement(rank_a)[0] == self.placement(rank_b)[0]  # raises
 
     def record_traffic(self, src: int, dst: int, nbytes: int) -> None:
         self.traffic[(src, dst)] += nbytes

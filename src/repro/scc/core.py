@@ -182,7 +182,7 @@ class CoreEnv:
             )
         self.stats["mpb_bytes_read"] += length
         yield cost
-        return mem.read(addr, length)
+        return mem.read_unchecked(addr, length)
 
     def _read_cost_ns(
         self, addr: MpbAddr, length: int, local: bool, hops: int, assume_cold: bool
@@ -215,12 +215,12 @@ class CoreEnv:
             return
         mem = self.device.mpb
         length = len(data)
-        mem.check_span(addr, length)
+        base = mem.check_span(addr, length)
         lines = max(1, -(-length // CACHE_LINE))
         self.stats["mpb_bytes_written"] += length
         if self._is_local(addr):
             yield lines * self._local_write_ns
-            mem.write(addr, data)
+            mem.write_unchecked(addr, base, data)
         else:
             hops = self._hops_table[addr.core]
             self.device.router.account(
@@ -249,7 +249,7 @@ class CoreEnv:
             yield from self.mpb_write(addr, data)
             return
         mem = self.device.mpb
-        mem.check_span(addr, length)
+        base = mem.check_span(addr, length)
         stats = self.stats
         stats["private_bytes"] += length
         stats["mpb_bytes_written"] += length
@@ -260,7 +260,7 @@ class CoreEnv:
         )
         d2 = max(1, r_lines) * self._local_write_ns
         yield (d1, d2)
-        mem.write(addr, data)
+        mem.write_unchecked(addr, base, data)
 
     def get_chunk(self, addr: MpbAddr, length: int) -> Generator:
         """Fused receiver-side chunk move: CL1INVMB + MPB read + DRAM write.
@@ -301,7 +301,7 @@ class CoreEnv:
             ),
         )
         yield (d1, d2, d3)
-        return mem.read(addr, length)
+        return mem.read_unchecked(addr, length)
 
     # -- synchronization flags ----------------------------------------------------------------
 

@@ -5,11 +5,12 @@ buffer* (LMB); per core we model an 8 kB half, split into the
 *message-passing buffer* (MPB, the payload area) and the *synchronization
 flag* (SF) region at the top.
 
-The memory holds **real bytes** (one numpy array per LMB half): every
-protocol in the reproduction moves actual payload through it, so
-consistency bugs corrupt data and fail tests rather than merely skewing
-timings. A half is allocated at the first write to its core; until then
-it reads as zeros, so a run pays memory only for the cores it touches.
+The memory holds **real bytes** (one ``bytearray`` per LMB half, with a
+numpy view over it): every protocol in the reproduction moves actual
+payload through it, so consistency bugs corrupt data and fail tests
+rather than merely skewing timings. A half is allocated at the first
+write to its core; until then it reads as zeros, so a run pays memory
+only for the cores it touches.
 
 Byte-level *watchpoints* notify waiting processes on writes — this is how
 flag polling is simulated efficiently (the poller parks on the watch
@@ -66,7 +67,10 @@ class MPBMemory:
     """All LMB halves of one device as one watchable byte store.
 
     Each core's 8 kB half is allocated at its first ``write`` or
-    ``write_byte``; reads of a half never written return zeros.
+    ``write_byte``; reads of a half never written return zeros. Spans
+    go through the half's numpy view, single bytes through its
+    ``bytearray`` (a numpy scalar read costs about six times a
+    ``bytearray`` index).
     """
 
     def __init__(self, sim: Simulator, params: SCCParams, device_id: int):
@@ -76,7 +80,9 @@ class MPBMemory:
         # Geometry as plain ints: flat()/check_span() run on every access.
         self._num_cores = params.num_cores
         self._lmb = params.lmb_bytes_per_core
-        # One LMB half per core, ``None`` until that core is first written.
+        # One LMB half per core, ``None`` until that core is first written:
+        # the backing bytes and a numpy view over them.
+        self._bytes: list[Optional[bytearray]] = [None] * self._num_cores
         self._halves: list[Optional[np.ndarray]] = [None] * self._num_cores
         # Watch signals keyed by flat byte address (flags are single bytes).
         self._watches: dict[int, Signal] = {}
@@ -89,18 +95,22 @@ class MPBMemory:
     # -- addressing -----------------------------------------------------------
 
     def flat(self, addr: MpbAddr) -> int:
+        core = addr.core
+        offset = addr.offset
+        if (
+            addr.device == self.device_id
+            and 0 <= core < self._num_cores
+            and 0 <= offset < self._lmb
+        ):
+            return core * self._lmb + offset
         if addr.device != self.device_id:
             raise ValueError(
                 f"address {addr} targets device {addr.device}, "
                 f"this memory belongs to device {self.device_id}"
             )
-        core = addr.core
         if not 0 <= core < self._num_cores:
             self.params._check_core(core)
-        offset = addr.offset
-        if not 0 <= offset < self._lmb:
-            raise ValueError(f"offset {offset} outside the 8 kB LMB half")
-        return core * self._lmb + offset
+        raise ValueError(f"offset {offset} outside the 8 kB LMB half")
 
     def check_span(self, addr: MpbAddr, length: int) -> int:
         """Validate that [addr, addr+length) stays inside one core's LMB."""
@@ -118,11 +128,17 @@ class MPBMemory:
 
     def _allocate(self, core: int) -> np.ndarray:
         """Allocate the core's (zeroed) LMB half at its first write."""
-        half = self._halves[core] = np.zeros(self._lmb, np.uint8)
+        raw = self._bytes[core] = bytearray(self._lmb)
+        half = self._halves[core] = np.frombuffer(raw, np.uint8)
         return half
 
     def read(self, addr: MpbAddr, length: int) -> np.ndarray:
         self.check_span(addr, length)
+        return self.read_unchecked(addr, length)
+
+    def read_unchecked(self, addr: MpbAddr, length: int) -> np.ndarray:
+        """:meth:`read` of a span the caller already passed through
+        :meth:`check_span`."""
         half = self._halves[addr.core]
         if half is None:
             return np.zeros(length, np.uint8)
@@ -130,13 +146,16 @@ class MPBMemory:
         return half[offset : offset + length].copy()
 
     def write(self, addr: MpbAddr, data: Bytes) -> None:
-        if isinstance(data, np.ndarray):
-            buf = data
-            src = buf if buf.dtype == np.uint8 else buf.astype(np.uint8, copy=False)
-        else:
-            buf = src = np.frombuffer(data, np.uint8)
-        n = len(buf)
-        base = self.check_span(addr, n)
+        src = as_u8(data)
+        self._store(addr, self.check_span(addr, len(src)), src)
+
+    def write_unchecked(self, addr: MpbAddr, base: int, data: Bytes) -> None:
+        """:meth:`write` of a span the caller already passed through
+        :meth:`check_span`, which returned ``base``."""
+        self._store(addr, base, as_u8(data))
+
+    def _store(self, addr: MpbAddr, base: int, src: np.ndarray) -> None:
+        n = len(src)
         half = self._halves[addr.core]
         if half is None:
             half = self._allocate(addr.core)
@@ -172,19 +191,34 @@ class MPBMemory:
                 signal.pulse()
 
     def read_byte(self, addr: MpbAddr) -> int:
-        self.flat(addr)
-        half = self._halves[addr.core]
-        return 0 if half is None else int(half[addr.offset])
+        core = addr.core
+        offset = addr.offset
+        if (
+            addr.device != self.device_id
+            or not 0 <= core < self._num_cores
+            or not 0 <= offset < self._lmb
+        ):
+            self.flat(addr)  # raises the matching addressing error
+        raw = self._bytes[core]
+        return 0 if raw is None else raw[offset]
 
     def write_byte(self, addr: MpbAddr, value: int) -> None:
         # Single-byte writes are the flag hot path: skip array wrapping
         # and span scans, touch exactly one store cell and one watch slot.
-        flat_addr = self.flat(addr)
-        half = self._halves[addr.core]
-        if half is None:
-            half = self._allocate(addr.core)
-        half[addr.offset] = value & 0xFF
-        signal = self._watches.get(flat_addr)
+        core = addr.core
+        offset = addr.offset
+        if (
+            addr.device != self.device_id
+            or not 0 <= core < self._num_cores
+            or not 0 <= offset < self._lmb
+        ):
+            self.flat(addr)  # raises the matching addressing error
+        raw = self._bytes[core]
+        if raw is None:
+            self._allocate(core)
+            raw = self._bytes[core]
+        raw[offset] = value & 0xFF
+        signal = self._watches.get(core * self._lmb + offset)
         if signal is not None and signal.has_waiters:
             signal.pulse()
 

@@ -698,6 +698,9 @@ class Simulator:
         self._source_events: list[int] = [0]
         #: Timer name -> source id of ``daemon:<name>``.
         self._timer_sources: dict[str, int] = {}
+        #: Source id of ``call_at``, interned at the first timed callback
+        #: so the attribution table keeps its first-use order.
+        self._call_at_source: Optional[int] = None
         #: Trace records of every component of this simulation.
         self.tracer = Tracer()
         #: Typed metrics instruments of this simulation (see
@@ -825,7 +828,7 @@ class Simulator:
         It fires at ``now + max(0, when - now)``, attributed to the
         ``call_at`` event source.
         """
-        self._arm(_Callback(self, fn, max(0.0, when - self.now), self._source_of("call_at")))
+        self._arm(_Callback(self, fn, max(0.0, when - self.now), self._call_at_id()))
 
     def trigger_at(
         self,
@@ -842,10 +845,17 @@ class Simulator:
         (:meth:`repro.sim.resources.Link.post`) arrive this way.
         """
         event = _TimedEvent(
-            self, name, max(0.0, when - self.now), before, value, self._source_of("call_at")
+            self, name, max(0.0, when - self.now), before, value, self._call_at_id()
         )
         self._arm(event)
         return event
+
+    def _call_at_id(self) -> int:
+        """The ``call_at`` event-source id (interned once per simulator)."""
+        source = self._call_at_source
+        if source is None:
+            source = self._call_at_source = self._source_of("call_at")
+        return source
 
     def after(
         self, delay_ns: float, fn: Callable[[], None], name: str = "timer"

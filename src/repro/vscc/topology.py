@@ -55,6 +55,13 @@ class FabricTopology:
     plan_shapes: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    #: Memo of every validated collective group, keyed by the group
+    #: argument (the prefix size, or ``tuple(members)``) and filled by
+    #: :func:`repro.rcce.collectives._group`; valid only for this
+    #: layout's rank count, hence kept here too.
+    groups: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
     _num_devices: int = field(init=False, compare=False, repr=False)
     _num_hosts: int = field(init=False, compare=False, repr=False)
 

@@ -43,6 +43,26 @@ def test_sender_buffer_reusable_after_isend(session):
     assert (np.asarray(got["data"]) == 7).all()
 
 
+def test_isend_payload_is_a_read_only_copy_of_a_bytearray(session):
+    """A bytearray rewritten while its isend is queued behind another
+    still delivers the bytes it held at the call."""
+    got = {}
+
+    def program(comm):
+        if comm.rank == 0:
+            buf = bytearray(b"\x05" * 64)
+            first = isend(comm, bytes(4000), 1)
+            second = isend(comm, buf, 1)
+            buf[:] = b"\x06" * 64
+            yield from wait_all([first, second])
+        elif comm.rank == 1:
+            yield from comm.recv(4000, 0)
+            got["data"] = yield from comm.recv(64, 0)
+
+    session.run(program, ranks=[0, 1])
+    assert bytes(got["data"]) == b"\x05" * 64
+
+
 def test_outstanding_isends_serialize_and_deliver_in_order(session):
     got = {}
 

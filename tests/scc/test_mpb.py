@@ -177,3 +177,73 @@ def test_watch_on_untouched_core_pulses_on_first_write(mem):
     sim.call_at(2.0, lambda: mem.write_byte(flag, 1))
     sim.run()
     assert seen == [2.0]
+
+
+# -- single bytes through the half's bytearray ------------------------------------
+
+
+def test_write_byte_keeps_the_low_eight_bits(mem):
+    addr = MpbAddr(0, 7, 7800)
+    mem.write_byte(addr, 300)
+    assert mem.read_byte(addr) == 44
+    mem.write_byte(addr, -1)
+    assert mem.read_byte(addr) == 255
+    assert type(mem.read_byte(addr)) is int
+
+
+def test_read_byte_of_untouched_core_allocates_nothing(mem):
+    mem.write_byte(MpbAddr(0, 2, 0), 9)
+    for offset in (0, 100, 7700, 8191):
+        assert mem.read_byte(MpbAddr(0, 11, offset)) == 0
+    assert _allocated(mem) == [2]
+    assert [core for core, raw in enumerate(mem._bytes) if raw is not None] == [2]
+
+
+def test_span_reads_and_byte_writes_share_one_store(mem):
+    addr = MpbAddr(0, 4, 7700)
+    mem.write_byte(addr, 0xA5)
+    mem.write_byte(addr + 2, 0x5A)
+    assert bytes(mem.read(addr, 3)) == b"\xa5\x00\x5a"
+    mem.write(addr + 1, b"\x11")
+    assert [mem.read_byte(addr + i) for i in range(3)] == [0xA5, 0x11, 0x5A]
+
+
+def test_watched_flag_on_touched_core_pulses_on_byte_write(mem):
+    sim = mem.sim
+    flag = MpbAddr(0, 6, mem.params.mpb_payload_bytes + 9)
+    mem.write_byte(flag, 1)
+    seen = []
+
+    def watcher():
+        yield mem.watch(flag)
+        seen.append((sim.now, mem.read_byte(flag)))
+
+    sim.spawn(watcher())
+    sim.call_at(3.0, lambda: mem.write_byte(flag + 1, 7))  # a neighbour: no pulse
+    sim.call_at(4.0, lambda: mem.write_byte(flag, 2))
+    sim.run()
+    assert seen == [(4.0, 2)]
+
+
+@pytest.mark.parametrize("touched", [False, True])
+@pytest.mark.parametrize(
+    "addr",
+    [
+        MpbAddr(1, 3, 0),  # another device's memory
+        MpbAddr(0, 48, 0),  # no such core
+        MpbAddr(0, -1, 0),  # negative core must not wrap to core 47
+        MpbAddr(0, 3, 8192),  # offset past the LMB half
+        MpbAddr(0, 3, -1),  # negative offset must not wrap to 8191
+    ],
+)
+def test_byte_accessors_validate_on_any_core(mem, addr, touched):
+    if touched:
+        for core in (3, 47):
+            mem.write(MpbAddr(0, core, 0), b"\x01")
+    before = _allocated(mem)
+    with pytest.raises(ValueError):
+        mem.read_byte(addr)
+    with pytest.raises(ValueError):
+        mem.write_byte(addr, 1)
+    assert _allocated(mem) == before
+    assert mem.read_byte(MpbAddr(0, 47, 8191)) == 0
