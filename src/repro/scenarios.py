@@ -343,11 +343,17 @@ def policy_threshold_mixed() -> dict:
     }
 
 
-def _collective_phases(comm, phases: dict, prefix: str = "", **group):
-    """Warm-up barrier, then a timed barrier and a timed 64-double allreduce.
+def _collective_phases(comm, phases: dict, prefix: str = "", doubles: int = 64, **group):
+    """Warm-up barrier, a timed barrier, an untimed barrier, then a timed
+    allreduce of ``doubles`` doubles (64 in every pinned scenario).
 
-    ``group`` (``group_size``/``members``, ``hierarchical``) goes to both
-    collectives. Rank 0 records both durations (simulated ns) in ``phases``.
+    ``group`` (``group_size``/``members``, ``hierarchical``) goes to every
+    collective. Rank 0 records both durations (simulated ns) in ``phases``.
+    The untimed barrier isolates the timed ones: without it, the ranks the
+    timed barrier releases first would start the allreduce while rank 0
+    still releases the rest, and that traffic would make ``barrier_ns``
+    depend on the allreduce payload. The allreduce clock starts when rank
+    0 leaves the untimed barrier.
     """
     import numpy as np
 
@@ -355,11 +361,13 @@ def _collective_phases(comm, phases: dict, prefix: str = "", **group):
     t0 = comm.env.sim.now
     yield from comm.barrier(**group)
     t1 = comm.env.sim.now
-    yield from comm.allreduce(np.arange(64.0), np.add, **group)
+    yield from comm.barrier(**group)
     t2 = comm.env.sim.now
+    yield from comm.allreduce(np.arange(float(doubles)), np.add, **group)
+    t3 = comm.env.sim.now
     if comm.rank == 0:
         phases[f"{prefix}barrier_ns"] = t1 - t0
-        phases[f"{prefix}allreduce_ns"] = t2 - t1
+        phases[f"{prefix}allreduce_ns"] = t3 - t2
 
 
 def _interhost_bytes(system) -> float:
