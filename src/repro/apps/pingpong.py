@@ -103,9 +103,9 @@ def run_pingpong(
 ) -> list[PingPongPoint]:
     """Run the sweep between two ranks of a session.
 
-    ``session`` is any object with ``run(program, ranks=...)`` —
-    a :class:`repro.rcce.session.RcceSession` or a
-    :class:`repro.vscc.system.VSCCSystem`.
+    ``session`` is a :class:`repro.rcce.session.RcceSession`: a plain
+    one for the on-chip curves, a :class:`repro.vscc.system.VSCCSystem`
+    for the inter-device ones.
     """
     program = pingpong_program(rank_a, rank_b, sizes, iterations, warmup, verify)
     ranks = sorted((rank_a, rank_b))

@@ -1,11 +1,12 @@
-"""The run-result surface shared by every session façade.
+"""The run-result surface of the RCCE session.
 
-:class:`RunResult` is what ``VSCCSystem.run()`` and ``RcceSession.run()``
-return — the ``run() -> RunResult`` API that replaced the historic
-``launch() -> dict`` surface. It lives in its own dependency-free module
-so both the multi-device system layer (:mod:`repro.vscc.system`) and the
-single-device session layer (:mod:`repro.rcce.session`) can return the
-same type without a layering cycle.
+:class:`RunResult` is what ``RcceSession.run()`` returns — and so
+``VSCCSystem.run()``, the same session with a host tier — the
+``run() -> RunResult`` API that replaced the historic ``launch() ->
+dict`` surface. :class:`JobResult` is what a served job resolves to. The
+module is dependency-free, so the session (:mod:`repro.rcce.session`)
+and the service (:mod:`repro.serve`) share the types without a layering
+cycle.
 """
 
 from __future__ import annotations

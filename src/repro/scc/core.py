@@ -24,7 +24,7 @@ import numpy as np
 from repro.sim.errors import SimulationError
 
 from .cache import L1MpbtCache
-from .mpb import MpbAddr
+from .mpb import MpbAddr, as_u8
 from .params import CACHE_LINE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -227,7 +227,9 @@ class CoreEnv:
                 self.tile, addr.core // self._cores_per_tile, length
             )
             yield lines * self._remote_write_ns[hops]
-            payload = bytes(data)
+            # Snapshot the same one-byte-per-element values the local
+            # path stores: the caller may reuse ``data`` before arrival.
+            payload = as_u8(data).copy()
             arrival = self.sim.now + self._remote_write_arrival_ns[hops]
             self.sim.call_at(arrival, lambda: mem.write(addr, payload))
 

@@ -795,26 +795,20 @@ def flag_wait_churn(nrounds: int = 400) -> dict:
     ping = fl.sent(1, 0)  # in rank 1's SF, written by rank 0
     pong = fl.sent(0, 1)  # in rank 0's SF, written by rank 1
 
-    def rank0(comm):
+    def program(comm):
         env = comm.env
         seq = 0
         for _ in range(nrounds):
             seq = FlagLayout.next_seq(seq)
-            yield from env.set_flag(ping, seq)
-            yield from env.wait_flag(pong, seq)
+            if comm.rank == 0:
+                yield from env.set_flag(ping, seq)
+                yield from env.wait_flag(pong, seq)
+            else:
+                yield from env.wait_flag(ping, seq)
+                yield from env.set_flag(pong, seq)
 
-    def rank1(comm):
-        env = comm.env
-        seq = 0
-        for _ in range(nrounds):
-            seq = FlagLayout.next_seq(seq)
-            yield from env.wait_flag(ping, seq)
-            yield from env.set_flag(pong, seq)
-
+    session.run(program, ranks=[0, 1])
     sim = session.sim
-    sim.spawn(rank0(session.comm_for(0)), name="rank0")
-    sim.spawn(rank1(session.comm_for(1)), name="rank1")
-    sim.run()
     return {
         "ops": 2 * nrounds,
         "sim_now_ns": sim.now,
@@ -838,19 +832,16 @@ def chunk_send_churn(nmsgs: int = 48, nbytes: int = 4096) -> dict:
     payload = (np.arange(nbytes, dtype=np.int64) % 251).astype(np.uint8)
     checksums: list[int] = []
 
-    def sender(comm):
+    def program(comm):
         for _ in range(nmsgs):
-            yield from comm.send(payload, dest=1)
+            if comm.rank == 0:
+                yield from comm.send(payload, dest=1)
+            else:
+                data = yield from comm.recv(nbytes, src=0)
+                checksums.append(int(data[::97].sum()))
 
-    def receiver(comm):
-        for _ in range(nmsgs):
-            data = yield from comm.recv(nbytes, src=0)
-            checksums.append(int(data[::97].sum()))
-
+    session.run(program, ranks=[0, 1])
     sim = session.sim
-    sim.spawn(sender(session.comm_for(0)), name="rank0")
-    sim.spawn(receiver(session.comm_for(1)), name="rank1")
-    sim.run()
     return {
         "ops": nmsgs,
         "bytes": float(nmsgs * nbytes),

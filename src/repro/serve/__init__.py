@@ -16,20 +16,21 @@ Layering, bottom-up:
 * :mod:`repro.serve.scheduler` — deterministic two-level fair queueing.
 * :mod:`repro.serve.core` — the clock-injected lifecycle state machine.
 * :mod:`repro.serve.pool` — process- and thread-backed worker pools.
-* :mod:`repro.serve.service` / :mod:`repro.serve.client` — the asyncio
-  shell and the tenant-facing API.
+* :mod:`repro.serve.service` — the asyncio shell: tenants submit specs
+  and await handles.
 
 Quickstart::
 
     import asyncio
-    from repro.serve import JobSpec, ServeClient, SimService
+    from repro.serve import JobSpec, SimService
 
     async def main():
         async with SimService(workers=2) as service:
-            client = ServeClient(service, tenant="alice")
-            result = await client.run("pingpong",
-                                      params={"sizes": (256, 4096)},
-                                      num_devices=2, scheme="vdma")
+            handle = await service.submit(JobSpec(
+                workload="pingpong", params={"sizes": (256, 4096)},
+                tenant="alice", num_devices=2, scheme="vdma",
+            ))
+            result = await handle.result()
             print(result.state, result.sim_now_ns)
 
     asyncio.run(main())
@@ -37,12 +38,12 @@ Quickstart::
 Determinism contract: each job rebuilds its whole system from the spec
 inside a worker, so the *simulated* outcome (``sim_now_ns``, ``events``)
 is a pure function of the spec — identical across workers, schedulers,
-retries and pool backends. Only wall-clock fields (queue wait, run
-time) vary between runs; the throughput bench fingerprints exactly the
-pure part.
+retries and pool backends. ``REPRO_FUSE`` in the service's environment
+picks the event stream (``events``) of every job; ``sim_now_ns`` is the
+same under both. Only wall-clock fields (queue wait, run time) vary
+between runs; the throughput bench fingerprints exactly the pure part.
 """
 
-from .client import ServeClient
 from .core import JobRecord, ServeCore
 from .job import (
     JOB_EVENT_SCHEMA,
@@ -68,7 +69,6 @@ __all__ = [
     "JobSpec",
     "JobState",
     "ProcessPool",
-    "ServeClient",
     "ServeCore",
     "SimService",
     "TERMINAL_STATES",

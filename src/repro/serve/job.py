@@ -107,8 +107,6 @@ class JobSpec:
     #: ``CommScheme`` member name or value (``"LOCAL_PUT_LOCAL_GET_VDMA"``
     #: / ``"vdma"``); ``None`` keeps the system default.
     scheme: Optional[str] = None
-    #: Delay-fusion override; ``None`` defers to ``REPRO_FUSE``.
-    fuse: Optional[bool] = None
     seed: Optional[int] = None
     #: Optional chaos plan installed into the job's own system.
     fault_plan: Optional[object] = None
@@ -238,7 +236,6 @@ def execute_job(
         scheme=spec.resolved_scheme(),
         seed=spec.seed,
         fault_plan=spec.fault_plan,
-        fuse_delays=spec.fuse,
     )
     sim = system.sim
 

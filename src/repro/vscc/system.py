@@ -17,34 +17,28 @@ rank layout over the cores that booted — and runs RCCE programs on it::
     result.results[239]       # per-rank return values
     result.metrics["pcie.bytes{device=0,dir=up}"]
 
-Observability belongs to the simulator: ``system.obs`` is ``sim.obs``,
-the metrics registry (:mod:`repro.obs`), and ``system.tracer`` is
-``sim.tracer``. Flip ``system.obs.enabled = True`` before running to
-collect the typed instruments (histograms, gauges) on top of the
-always-on counters. ``run(trace_json=...)`` additionally records
-protocol/vDMA trace events and writes that run's Chrome-trace file.
+The system is an :class:`repro.rcce.session.RcceSession` — the same
+simulator, devices, rank layout, communicators and ``run`` — with the
+host tier on top. Observability belongs to the simulator: ``system.obs``
+is ``sim.obs``, the metrics registry (:mod:`repro.obs`), and
+``system.tracer`` is ``sim.tracer``. Flip ``system.obs.enabled = True``
+before running to collect the typed instruments (histograms, gauges) on
+top of the always-on counters. ``run(trace_json=...)`` additionally
+records protocol/vDMA trace events and writes that run's Chrome-trace
+file.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence, Union
-from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.host.driver import Host, HostParams
 from repro.host.interhost import HostCluster, InterHostParams
 from repro.host.pcie import PCIeParams
-from repro.obs.chrometrace import write_chrome_trace
-from repro.obs.metrics import MetricsRegistry, merge_snapshots
-from repro.rcce.api import Rcce, RcceOptions
-from repro.rcce.config import RankLayout, SccConfigFile
-from repro.rcce.flags import FlagLayout
+from repro.rcce.api import RcceOptions
+from repro.rcce.session import RcceSession
 from repro.results import RunResult
-from repro.scc.chip import SCCDevice
 from repro.scc.params import SCCParams
-from repro.sim.engine import Process, Simulator
-from repro.sim.trace import Tracer
 
 from .policy import SchemePolicy, StaticPolicy
 from .protocol import VsccSelector
@@ -52,15 +46,12 @@ from .schemes import CommScheme
 from .topology import FabricTopology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults import FaultInjector, FaultPlan
+    from repro.faults import FaultPlan
 
 __all__ = ["RunResult", "VSCCSystem"]
 
-#: Trace categories recorded when ``run(trace_json=...)`` is used.
-TRACE_CATEGORIES = ("protocol", "vdma", "faults", "policy", "sched", "coll", "rpc")
 
-
-class VSCCSystem:
+class VSCCSystem(RcceSession):
     """A grid of cluster-on-a-chip processors behind one or more hosts.
 
     The default is the paper's configuration: every device on a single
@@ -90,7 +81,6 @@ class VSCCSystem:
         vdma_fused_mmio: bool = True,
         fault_plan: Optional["FaultPlan"] = None,
         policy: Optional[SchemePolicy] = None,
-        fuse_delays: Optional[bool] = None,
         num_hosts: int = 1,
         devices_per_host: Optional[int] = None,
         interhost_params: Optional[InterHostParams] = None,
@@ -121,25 +111,8 @@ class VSCCSystem:
         #: The run-static scheme, or ``None`` under a dynamic policy.
         self.scheme = policy.static_scheme
         self.policy = policy
-        self.params = params or SCCParams()
-        self.options = options or RcceOptions()
-        # ``fuse_delays`` pins the delay-fusion fast path per system (the
-        # service layer runs many systems with per-job specs in one
-        # process, where mutating ``REPRO_FUSE`` would race); ``None``
-        # defers to the environment exactly like a direct Simulator().
-        self.sim = Simulator(fuse_delays=fuse_delays)
-        #: The simulator's tracer and metrics registry (disabled by
-        #: default so the hot path stays allocation-free; see
-        #: :mod:`repro.obs`).
-        self.tracer: Tracer = self.sim.tracer
-        self.obs: MetricsRegistry = self.sim.obs
-        self.devices = [
-            SCCDevice(self.sim, self.params, device_id=i)
-            for i in range(num_devices)
-        ]
-        rng = np.random.default_rng(seed)
-        for device in self.devices:
-            device.boot(failure_prob=failure_prob, rng=rng)
+        self._num_devices = num_devices
+        super().__init__(params, options, failure_prob, seed, core_order)
         # Contiguous device slices per host, ``per_host`` devices each;
         # a slice start is capped so every later host keeps at least one
         # device, which leaves the short slices at the end.
@@ -173,6 +146,9 @@ class VSCCSystem:
         self.cluster: Optional[HostCluster] = None
         if num_hosts > 1:
             self.cluster = HostCluster(self.sim, self.hosts, interhost_params)
+            self.topology = FabricTopology(
+                self.layout, self.params, host_map=self.cluster.host_map(num_devices)
+            )
         # Dynamic policies opt the host scheduler into vDMA descriptor
         # coalescing; static runs keep the historic timing bit-identical.
         for host in self.hosts:
@@ -184,11 +160,6 @@ class VSCCSystem:
             for device in self.devices:
                 for core in device.available_cores:
                     host.register_rank_regions(device.device_id, core)
-        self.config = SccConfigFile.from_devices(self.devices)
-        self.layout = RankLayout.from_config(self.config, core_order)
-        self.flags = FlagLayout(self.layout, self.params)
-        host_map = None if self.cluster is None else self.cluster.host_map(num_devices)
-        self.topology = FabricTopology(self.layout, self.params, host_map=host_map)
         self.selector = VsccSelector(
             self.host,
             policy,
@@ -197,117 +168,25 @@ class VSCCSystem:
             announce_prefetch=announce_prefetch,
             vdma_fused_mmio=vdma_fused_mmio,
         )
-        self._comms: dict[int, Rcce] = {}
-        #: Fault-injection subsystem (:mod:`repro.faults`). Only a
-        #: non-empty plan installs anything — an empty (or absent) plan
-        #: leaves every link untouched, keeping the simulation
-        #: bit-identical to the fault-free kernel.
+        #: Only a non-empty fault plan installs an injector — an empty
+        #: (or absent) plan leaves every link untouched, keeping the
+        #: simulation bit-identical to the fault-free kernel.
         self.fault_plan = fault_plan
         #: RPC dispatchers installed on this system
         #: (:func:`repro.apps.rpc.install_rpc`); their ``rpc.*`` series
         #: join :meth:`metrics`. Empty on every non-RPC run.
         self.rpc_dispatchers: list = []
-        self.fault_injector: Optional["FaultInjector"] = None
         if fault_plan is not None and not fault_plan.is_empty:
             from repro.faults.injector import FaultInjector
 
             self.fault_injector = FaultInjector(fault_plan, self.host)
 
-    # -- communicators ---------------------------------------------------------
-
-    @property
-    def num_ranks(self) -> int:
-        return self.layout.num_ranks
-
-    def comm_for(self, rank: int) -> Rcce:
-        """The (cached) RCCE communicator of one rank."""
-        comm = self._comms.get(rank)
-        if comm is None:
-            device_id, core = self.layout.placement(rank)
-            env = self.devices[device_id].core(core)
-            comm = Rcce(
-                env,
-                self.layout,
-                options=self.options,
-                selector=self.selector,
-                flags=self.flags,
-            )
-            # Hand the communicator the system topology so hierarchical
-            # collectives see the host tier (the lazy default would build
-            # a single-host FabricTopology).
-            comm._topology = self.topology
-            self._comms[rank] = comm
-        return comm
-
-    # -- program execution -----------------------------------------------------------
-
-    def spawn_ranks(
-        self,
-        program: Callable[[Rcce], Generator],
-        ranks: Optional[Sequence[int]] = None,
-    ) -> dict[int, Process]:
-        """Spawn ``program(comm)`` on the given ranks (default: all)."""
-        ranks = list(range(self.num_ranks)) if ranks is None else list(ranks)
-        return {
-            rank: self.sim.spawn(program(self.comm_for(rank)), name=f"rank{rank}")
-            for rank in ranks
-        }
-
-    def run(
-        self,
-        program: Callable[[Rcce], Generator],
-        ranks: Optional[Sequence[int]] = None,
-        until: Optional[float] = None,
-        trace_json: Optional[Union[str, Path]] = None,
-    ) -> RunResult:
-        """Spawn ``program`` on ``ranks``, run to completion, report.
-
-        ``trace_json`` enables protocol/vDMA tracing for the duration of
-        the run and writes the records this run emitted as a Chrome-trace
-        (Perfetto-loadable) file there.
-        """
-        extra_categories = []
-        if trace_json is not None:
-            extra_categories = [
-                c for c in TRACE_CATEGORIES if not self.tracer.wants(c)
-            ]
-            self.tracer.enable(*extra_categories)
-        start_ns = self.sim.now
-        first_record = len(self.tracer.records)
-        try:
-            procs = self.spawn_ranks(program, ranks)
-            self.sim.run(until=until)
-            trace_path = None
-            if trace_json is not None:
-                trace_path = write_chrome_trace(
-                    trace_json, self.tracer.records[first_record:]
-                )
-        finally:
-            if extra_categories:
-                self.tracer.disable(*extra_categories)
-        elapsed_ns = self.sim.now - start_ns
-        injector = self.fault_injector
-        return RunResult(
-            results={rank: proc.result for rank, proc in procs.items()},
-            elapsed_ns=elapsed_ns,
-            core_cycles=self.params.core_clock.to_cycles(elapsed_ns),
-            metrics=self.metrics,
-            trace_path=trace_path,
-            degraded_devices=() if injector is None else injector.degraded_devices,
-        )
-
     # -- stats ----------------------------------------------------------------------------
 
-    @property
-    def metrics(self) -> dict[str, float]:
-        """One aggregated snapshot of every instrumented component.
-
-        Series use the ``name{label=value,...}`` key format; device-side
-        series carry a ``device=`` label. Includes the typed-instrument
-        registry (``system.obs``) when it was enabled.
-        """
-        parts = [self.sim.metrics_snapshot()]
-        parts.extend(device.metrics_snapshot() for device in self.devices)
+    def _metric_parts(self) -> list[dict[str, float]]:
+        """The session's parts, then the host tier's, then the
+        typed-instrument registry (``system.obs``) when it was enabled."""
+        parts = super()._metric_parts()
         parts.extend(host.metrics_snapshot() for host in self.hosts)
         if self.cluster is not None:
             parts.append(self.cluster.metrics_snapshot())
@@ -316,4 +195,4 @@ class VSCCSystem:
         if self.fault_injector is not None:
             parts.append(self.fault_injector.metrics_snapshot())
         parts.append(self.obs.snapshot())
-        return merge_snapshots(parts)
+        return parts

@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps.pingpong import run_pingpong
 from repro.faults import FaultPlan, LinkFaults
+from repro.sim.engine import FUSE_ENV_VAR
 from repro.vscc.policy import StaticPolicy
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
@@ -218,9 +219,9 @@ def test_interhost_link_faults_retransmit():
     assert "faults.retries{dst=0,src=1}" not in m
 
 
-def _fingerprint(**system_kwargs):
+def _fingerprint():
     """(sim time, allreduce result) of one fixed 2-device program."""
-    system = VSCCSystem(num_devices=2, scheme=VDMA, **system_kwargs)
+    system = VSCCSystem(num_devices=2, scheme=VDMA)
     n = system.num_ranks
     out = {}
 
@@ -236,9 +237,11 @@ def _fingerprint(**system_kwargs):
     return system.sim.now, system.sim.events_processed, out["acc"]
 
 
-def test_single_host_bit_identity_fused_vs_unfused():
-    t_fused, _ev_f, acc_fused = _fingerprint(fuse_delays=True)
-    t_plain, _ev_p, acc_plain = _fingerprint(fuse_delays=False)
+def test_single_host_bit_identity_fused_vs_unfused(monkeypatch):
+    monkeypatch.setenv(FUSE_ENV_VAR, "1")
+    t_fused, _ev_f, acc_fused = _fingerprint()
+    monkeypatch.setenv(FUSE_ENV_VAR, "0")
+    t_plain, _ev_p, acc_plain = _fingerprint()
     # Fusion collapses event counts but must not move simulated time.
     assert t_fused == t_plain
     assert (acc_fused == acc_plain).all()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.bench import fig6a_onchip
+from repro.sim.engine import FUSE_ENV_VAR
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
@@ -60,7 +61,7 @@ def test_vdma_program_replays_identically(kernel):
     assert first["metrics"] == second["metrics"]
 
 
-def _run_faulty_program(fuse_delays=None):
+def _run_faulty_program():
     """The vDMA program under a seeded chaos plan (drops + corruption)."""
     from repro.faults import FaultPlan, LinkFaults
 
@@ -74,7 +75,6 @@ def _run_faulty_program(fuse_delays=None):
         num_devices=2,
         scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA,
         fault_plan=plan,
-        fuse_delays=fuse_delays,
     )
     payload = (np.arange(6000) % 251).astype(np.uint8)
     got = {}
@@ -115,15 +115,17 @@ def test_faulty_program_replays_identically(kernel):
     assert first["degraded"] == second["degraded"]
 
 
-def test_faulty_program_matches_serial_bit_for_bit():
+def test_faulty_program_matches_serial_bit_for_bit(monkeypatch):
     """Retry/backoff timing under faults is independent of delay fusion.
 
-    The unfused serial event stream (``fuse_delays=False``, the oracle
-    behind ``REPRO_FUSE=0``) reaches the same clock, degraded set and
-    model metrics as the fused run; only event counts may differ.
+    The unfused serial event stream (``REPRO_FUSE=0``, the oracle)
+    reaches the same clock, degraded set and model metrics as the fused
+    run; only event counts may differ.
     """
-    fused = _run_faulty_program(fuse_delays=True)
-    serial = _run_faulty_program(fuse_delays=False)
+    monkeypatch.setenv(FUSE_ENV_VAR, "1")
+    fused = _run_faulty_program()
+    monkeypatch.setenv(FUSE_ENV_VAR, "0")
+    serial = _run_faulty_program()
     assert fused["now"] == serial["now"]
     assert fused["degraded"] == serial["degraded"]
     assert fused["events"] < serial["events"]

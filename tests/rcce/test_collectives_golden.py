@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sim.engine import FUSE_ENV_VAR
 from repro.vscc.policy import AdaptivePolicy, StaticPolicy, ThresholdPolicy
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
@@ -438,20 +439,17 @@ def test_single_device_hier_degenerates_to_flat(op_name, session):
 # -- fused vs unfused fingerprint contract -------------------------------------
 
 
-def test_collective_fingerprints_identical_across_kernels():
+def test_collective_fingerprints_identical_across_kernels(monkeypatch):
     """One collective mix, fused and unfused event loops, one clock.
 
     Delay fusion (the default) and the unfused serial oracle
-    (``fuse_delays=False``, what ``REPRO_FUSE=0`` selects) must agree
-    on the simulated clock and every payload byte; fusion may only
-    collapse events.
+    (``REPRO_FUSE=0``) must agree on the simulated clock and every
+    payload byte; fusion may only collapse events.
     """
 
-    def fingerprint(fuse_delays):
-        system = VSCCSystem(
-            num_devices=2, policy=POLICIES["threshold"](),
-            fuse_delays=fuse_delays,
-        )
+    def fingerprint(fuse):
+        monkeypatch.setenv(FUSE_ENV_VAR, fuse)
+        system = VSCCSystem(num_devices=2, policy=POLICIES["threshold"]())
         vals = {}
 
         def program(comm):
@@ -466,8 +464,8 @@ def test_collective_fingerprints_identical_across_kernels():
         system.run(program, ranks=MEMBERS)
         return system.sim.now, system.sim.events_processed, vals
 
-    now_f, events_f, vals_f = fingerprint(True)
-    now_u, events_u, vals_u = fingerprint(False)
+    now_f, events_f, vals_f = fingerprint("1")
+    now_u, events_u, vals_u = fingerprint("0")
     assert now_f == now_u
     assert events_f < events_u
     for rank in MEMBERS:

@@ -89,6 +89,25 @@ def test_remote_write_commits_after_delay(dev):
     assert snapshots["at_issue"] == 0  # not yet arrived at issue time
 
 
+def test_mpb_write_stores_one_byte_per_element_on_any_target(dev):
+    """A non-uint8 array lands as the same bytes locally and remotely."""
+    env = dev.core(0)
+    data = np.array([1, 2, 3, 4], np.int32)
+    own, remote = env.local_addr(0), MpbAddr(0, 20, 0)
+
+    def prog():
+        yield from env.mpb_write(own, data)
+        yield from env.mpb_write(remote, data)
+        yield 10_000.0  # let the posted remote write arrive
+        yield from env.cl1invmb()
+        mine = yield from env.mpb_read(own, 8)
+        theirs = yield from env.mpb_read(remote, 8)
+        return bytes(mine), bytes(theirs)
+
+    expected = bytes([1, 2, 3, 4, 0, 0, 0, 0])
+    assert run(dev.sim, prog()) == (expected, expected)
+
+
 def test_flag_set_and_wait(dev):
     flag = MpbAddr(0, 10, dev.params.mpb_payload_bytes)
     done = {}

@@ -1,16 +1,13 @@
 """Environment-matrix regression: service path vs direct ``run()``.
 
-For every ``REPRO_FUSE`` mode the repo supports, a job whose spec
-leaves ``fuse`` unset must defer to the environment exactly like a
-hand-built system — and produce the
+For every ``REPRO_FUSE`` mode the repo supports, a job runs under the
+environment's mode exactly like a hand-built system — and produces the
 bit-identical ``sim_now_ns`` through the whole service stack
 (scheduler, pool, retries-not-taken and all) as a direct
 ``VSCCSystem.run()`` in the same environment.
 
-This is the guardrail for the service's determinism contract *and* for
-the env-deferral plumbing (``VSCCSystem(fuse_delays=None)``): a
-regression in either shows up as a fingerprint
-mismatch on some matrix cell.
+This is the guardrail for the service's determinism contract: a
+regression shows up as a fingerprint mismatch on some fuse mode.
 """
 
 from __future__ import annotations
@@ -26,12 +23,6 @@ from repro.vscc.system import VSCCSystem
 from .conftest import run_async
 
 FUSE_MODES = ("0", "1")
-
-#: The one event-loop kernel. A one-value axis, kept so the matrix cells
-#: keep their test ids.
-KERNELS = ("serial",)
-
-MATRIX = [(kernel, fuse) for kernel in KERNELS for fuse in FUSE_MODES]
 
 WORKLOAD = "pingpong"
 PARAMS = {"sizes": (256, 4096), "iterations": 1}
@@ -69,8 +60,8 @@ def service_fingerprint():
     return run_async(scenario())
 
 
-@pytest.mark.parametrize("kernel,fuse", MATRIX)
-def test_service_matches_direct_run(monkeypatch, kernel, fuse):
+@pytest.mark.parametrize("fuse", FUSE_MODES)
+def test_service_matches_direct_run(monkeypatch, fuse):
     monkeypatch.setenv(FUSE_ENV_VAR, fuse)
     direct_now, direct_events = direct_fingerprint()
     served_now, served_events = service_fingerprint()
@@ -90,31 +81,3 @@ def test_matrix_cells_agree_on_simulated_time(monkeypatch):
         now, _ = service_fingerprint()
         times.add(now)
     assert len(times) == 1
-
-
-def test_spec_overrides_beat_environment(monkeypatch):
-    """A spec pinning fuse wins over a conflicting environment."""
-    monkeypatch.setenv(FUSE_ENV_VAR, "1")
-
-    async def scenario():
-        async with SimService(workers=1, pool="inline") as service:
-            pinned = await service.submit(
-                JobSpec(
-                    workload=WORKLOAD,
-                    params=PARAMS,
-                    tenant="pin",
-                    num_devices=NUM_DEVICES,
-                    scheme=SCHEME,
-                    seed=SEED,
-                    fuse=False,
-                )
-            )
-            result = await pinned.result(timeout=60)
-            assert result.ok
-            return result.sim_now_ns
-
-    pinned_now = run_async(scenario())
-    # same simulated time as the fused run — the override changes the
-    # event stream, never the physics
-    direct_now, _ = direct_fingerprint()
-    assert pinned_now == direct_now

@@ -53,7 +53,6 @@ class TestJobSpec:
             priority=3,
             num_devices=2,
             scheme="vdma",
-            fuse=False,
             seed=7,
             timeout_s=1.5,
             max_attempts=3,

@@ -1,16 +1,16 @@
 """Asyncio service end-to-end on the inline (thread) pool.
 
 Covers the full submit → stream → result path, cancellation of queued
-and running jobs, error propagation, the client layer, and service
-metrics — everything except real process death, which lives in
-``test_chaos.py``.
+and running jobs, error propagation, a tenant's submit-and-gather path,
+and service metrics — everything except real process death, which lives
+in ``test_chaos.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.serve import JobSpec, ServeClient, SimService
+from repro.serve import JobSpec, SimService
 
 from .conftest import run_async
 
@@ -109,7 +109,7 @@ class TestEndToEnd:
                         )
                         for i in range(3)
                     ]
-                    results = await ServeClient.gather(handles, timeout=60)
+                    results = [await h.result(timeout=60) for h in handles]
                     outcomes.append(
                         [(r.state, r.sim_now_ns, r.events) for r in results]
                     )
@@ -178,37 +178,25 @@ class TestTimeout:
 
 
 class TestClient:
+    """What a tenant's client does with the service: submit specs
+    stamped with its tenant and await their handles."""
+
     def test_client_stamps_tenant(self):
         async def scenario():
             async with SimService(workers=1, pool="inline") as service:
-                client = ServeClient(service, tenant="alice")
-                result = await client.run(
-                    "spin", params=SMALL_SPIN, timeout=30,
-                    progress_every_events=1000,
-                )
+                handle = await service.submit(spin_spec(tenant="alice"))
+                result = await handle.result(timeout=30)
                 assert result.ok and result.tenant == "alice"
-
-        run_async(scenario())
-
-    def test_client_rejects_foreign_tenant(self):
-        async def scenario():
-            async with SimService(workers=1, pool="inline") as service:
-                client = ServeClient(service, tenant="alice")
-                with pytest.raises(ValueError):
-                    await client.submit("spin", tenant="bob")
-                with pytest.raises(ValueError):
-                    await client.submit_many([spin_spec(tenant="bob")])
 
         run_async(scenario())
 
     def test_submit_many_and_gather(self):
         async def scenario():
             async with SimService(workers=2, pool="inline") as service:
-                client = ServeClient(service, tenant="c")
-                handles = await client.submit_many(
-                    [spin_spec(tenant="c") for _ in range(5)]
-                )
-                results = await client.gather(handles, timeout=60)
+                handles = [
+                    await service.submit(spin_spec(tenant="c")) for _ in range(5)
+                ]
+                results = [await h.result(timeout=60) for h in handles]
                 assert [r.ok for r in results] == [True] * 5
 
         run_async(scenario())

@@ -203,19 +203,23 @@ def test_spec_case_and_whitespace_insensitive(monkeypatch):
 
 
 def test_env_var_selects_backend_for_systems(monkeypatch):
-    """``REPRO_FUSE`` picks the event stream of systems and sessions
-    built without an explicit choice; an explicit one wins."""
+    """``REPRO_FUSE`` is the one switch that picks the event stream of
+    systems, sessions and served jobs; none takes a per-instance override."""
     from repro.rcce.session import RcceSession
+    from repro.serve import JobSpec
     from repro.vscc.system import VSCCSystem
 
     monkeypatch.setenv(FUSE_ENV_VAR, "0")
     assert VSCCSystem(num_devices=2).sim.fuse_delays is False
     assert RcceSession().sim.fuse_delays is False
-    assert VSCCSystem(num_devices=2, fuse_delays=True).sim.fuse_delays is True
 
     monkeypatch.setenv(FUSE_ENV_VAR, "1")
     assert VSCCSystem(num_devices=2).sim.fuse_delays is True
-    assert VSCCSystem(num_devices=2, fuse_delays=False).sim.fuse_delays is False
+    assert RcceSession().sim.fuse_delays is True
+    with pytest.raises(TypeError):
+        VSCCSystem(num_devices=2, fuse_delays=False)
+    with pytest.raises(TypeError):
+        JobSpec(workload="spin", fuse=False)
 
 
 @pytest.mark.parametrize(
