@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Generator, Union
 
 import numpy as np
 
+from repro.rcce.flags import FlagLayout, reached
 from repro.sim.engine import Process
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -169,19 +170,13 @@ def recv_any_source(
                 f"{transport.name!r} (source {src}): the receiver must "
                 "grant its buffer before the sender can move"
             )
-    fl = comm.flags
     env = comm.env
-
-    def expected(src: int):
-        # peek: next value of the (src -> me) "sent" stream without
-        # consuming it; the transport will consume it during recv.
-        key = (src, comm.rank, "sent")
-        from repro.rcce.flags import FlagLayout, reached
-
-        nxt = FlagLayout.next_seq(comm._seq.get(key, 0))
-        return reached(nxt)
-
-    specs = [(fl.sent(comm.rank, src), expected(src)) for src in sources]
+    specs = []
+    for src in sources:
+        # Peek at the next value of the (src -> me) "sent" stream without
+        # consuming it; the transport consumes it during recv.
+        chan = comm.channel(src)
+        specs.append((chan.in_sent, reached(FlagLayout.next_seq(chan.in_seq["sent"]))))
     index = yield from env.wait_any_flag(specs)
     source = sources[index]
     data = yield from comm.recv(nbytes, source)

@@ -36,7 +36,7 @@ from .gory import Gory
 from .malloc import MpbAllocator
 from .transport import OnChipSelector, TransportSelector
 
-__all__ = ["RcceOptions", "Rcce"]
+__all__ = ["Channel", "RcceOptions", "Rcce"]
 
 Bytes = Union[bytes, bytearray, np.ndarray]
 
@@ -55,6 +55,36 @@ class RcceOptions:
     #: Bytes at the top of the MPB payload reserved for gory users
     #: (``RCCE_malloc``); the rest is the send/recv communication buffer.
     user_mpb_bytes: int = 0
+
+
+class Channel:
+    """What one rank keeps for one peer: the pair's half of the handshake.
+
+    The four flag addresses of the pair, the counter streams each way
+    (stream name such as ``"sent"`` or ``"ready"`` → last value, 0 before
+    the first) and, per transport and direction, the transfer size and
+    slot addresses. None of it changes for the life of the session, so
+    a transfer reads it here instead of resolving it again. Built by
+    :meth:`Rcce.channel` at the first message in either direction.
+    """
+
+    __slots__ = (
+        "out_sent", "out_ready", "in_sent", "in_ready",
+        "out_seq", "in_seq", "send_slots", "recv_slots",
+    )
+
+    def __init__(self, flags: FlagLayout, me: int, peer: int):
+        #: me -> peer: raised in the peer's SF, acknowledged in mine.
+        self.out_sent = flags.sent(peer, me)
+        self.out_ready = flags.ready(me, peer)
+        #: peer -> me: raised in my SF, acknowledged in the peer's.
+        self.in_sent = flags.sent(me, peer)
+        self.in_ready = flags.ready(peer, me)
+        self.out_seq: dict[str, int] = {"sent": 0, "ready": 0}
+        self.in_seq: dict[str, int] = {"sent": 0, "ready": 0}
+        #: transport -> (transfer bytes, slot addresses), per direction.
+        self.send_slots: dict = {}
+        self.recv_slots: dict = {}
 
 
 class Rcce:
@@ -104,7 +134,8 @@ class Rcce:
         self._alloc = MpbAllocator(user) if user else None
         self._buffer_addrs: dict[int, MpbAddr] = {}  # rank -> offset-0 address
         self.gory = Gory(self)
-        self._seq: dict[tuple[int, int], int] = {}
+        #: peer rank -> Channel, built at the pair's first message.
+        self._channels: dict[int, Channel] = {}
         self.sends = 0
         self.recvs = 0
         self._topology = None
@@ -149,18 +180,31 @@ class Rcce:
             raise ValueError(f"offset {offset} outside the communication buffer")
         return MpbAddr(device, core, offset)
 
-    # -- sequencing (shared by all transports) -----------------------------------------
+    # -- per-peer channels and sequencing (shared by all transports) --------------------
+
+    def channel(self, peer: int) -> Channel:
+        """This rank's :class:`Channel` to ``peer``, built on first use."""
+        chan = self._channels.get(peer)
+        if chan is None:
+            chan = self._channels[peer] = Channel(self.flags, self.rank, peer)
+        return chan
 
     def next_seq(self, src: int, dst: int, channel: str = "sent") -> int:
         """Advance a per-directed-pair counter stream (1…254, cycling).
 
         Each *channel* ("sent", "ready", …) is an independent stream so
         a flag byte's values are always produced by exactly one protocol
-        role; both end points advance the streams in lockstep.
+        role; both end points advance the streams in lockstep. One end
+        of the pair must be this rank.
         """
-        key = (src, dst, channel)
-        seq = self._seq.get(key, 0) % SEQ_MOD + 1  # FlagLayout.next_seq
-        self._seq[key] = seq
+        me = self.rank
+        if src == me:
+            seqs = self.channel(dst).out_seq
+        elif dst == me:
+            seqs = self.channel(src).in_seq
+        else:
+            raise ValueError(f"rank {me} is neither end of the pair {src} -> {dst}")
+        seq = seqs[channel] = seqs.get(channel, 0) % SEQ_MOD + 1  # FlagLayout.next_seq
         return seq
 
     # -- point-to-point -----------------------------------------------------------------

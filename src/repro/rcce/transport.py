@@ -16,7 +16,9 @@ direct and remote-put schemes in :mod:`repro.vscc.protocol`.
 
 Transfer sequencing uses one-byte counter flags cycling 1…254 (see
 :mod:`repro.rcce.flags`); sender and receiver advance their per-directed-
-pair counters in lockstep, so no flag resets are needed.
+pair counters in lockstep, so no flag resets are needed. Each side keeps
+its flags, counters and slot addresses for a peer in one
+:class:`~repro.rcce.api.Channel`, resolved at the pair's first message.
 """
 
 from __future__ import annotations
@@ -159,9 +161,12 @@ class RendezvousTransport(Transport):
         # Stop-and-wait timelines (Fig 2a) also mark flag writes and acks.
         marks = tracing and slots == 1
         granted = not self.sender_first
-        sent = comm.flags.sent(dest, me)
-        ready = comm.flags.ready(me, dest)
-        step, addrs = self._slots(comm, dest if granted else me)
+        chan = comm.channel(dest)
+        sent, ready, seqs = chan.out_sent, chan.out_ready, chan.out_seq
+        layout = chan.send_slots.get(self)
+        if layout is None:
+            layout = chan.send_slots[self] = self._slots(comm, dest if granted else me)
+        step, addrs = layout
         nbytes = len(data)
         acks = [0] * slots  # per slot: the ack of the last transfer it held
         for k, start in enumerate(range(0, nbytes or 1, step)):
@@ -175,9 +180,10 @@ class RendezvousTransport(Transport):
                 else:
                     yield from env.wait_flag_pred(ready, _ONE_AHEAD[acks[slot]])
             if granted:
-                yield from env.wait_flag(ready, comm.next_seq(me, dest, "ready"))  # b1
-            seq = comm.next_seq(me, dest, "sent")
-            acks[slot] = comm.next_seq(me, dest, "ready")
+                grant = seqs["ready"] = seqs["ready"] % SEQ_MOD + 1
+                yield from env.wait_flag(ready, grant)  # b1
+            seq = seqs["sent"] = seqs["sent"] % SEQ_MOD + 1
+            acks[slot] = seqs["ready"] = seqs["ready"] % SEQ_MOD + 1
             if start < nbytes:
                 if tracing:
                     trace.emit(env.sim.now, "protocol", me, "send", "put_start", k)
@@ -198,15 +204,19 @@ class RendezvousTransport(Transport):
         tracing = trace.wants("protocol")
         slots = self.slots
         granted = not self.sender_first
-        sent = comm.flags.sent(me, src)
-        ready = comm.flags.ready(src, me)
-        step, addrs = self._slots(comm, me if granted else src)
+        chan = comm.channel(src)
+        sent, ready, seqs = chan.in_sent, chan.in_ready, chan.in_seq
+        layout = chan.recv_slots.get(self)
+        if layout is None:
+            layout = chan.recv_slots[self] = self._slots(comm, me if granted else src)
+        step, addrs = layout
         out = np.empty(nbytes, np.uint8)
         for k, start in enumerate(range(0, nbytes or 1, step)):
             if granted:
-                yield from env.set_flag(ready, comm.next_seq(src, me, "ready"))  # b1
-            seq = comm.next_seq(src, me, "sent")
-            ack = comm.next_seq(src, me, "ready")
+                grant = seqs["ready"] = seqs["ready"] % SEQ_MOD + 1
+                yield from env.set_flag(ready, grant)  # b1
+            seq = seqs["sent"] = seqs["sent"] % SEQ_MOD + 1
+            ack = seqs["ready"] = seqs["ready"] % SEQ_MOD + 1
             if slots == 1:
                 yield from env.wait_flag(sent, seq)
             else:

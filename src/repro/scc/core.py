@@ -61,7 +61,12 @@ class CoreEnv:
         self._remote_write_ns = costs.remote_write_ns
         self._remote_write_arrival_ns = costs.remote_write_arrival_ns
         self._core_clock = p.core_clock
+        # Every access first tests ``addr.device != self._device_id``
+        # (off-die: the fabric's path); an on-die address is local when
+        # ``addr.core // self._cores_per_tile == self.tile``.
+        self._device_id = device.device_id
         self._cores_per_tile = p.cores_per_tile
+        self._lmb = p.lmb_bytes_per_core
         self._tiles_x = p.tiles_x
         self._tile_x = self.tile % self._tiles_x
         self._tile_y = self.tile // self._tiles_x
@@ -105,12 +110,6 @@ class CoreEnv:
     def local_addr(self, offset: int) -> MpbAddr:
         """Address ``offset`` within this core's own LMB half."""
         return MpbAddr(self.device.device_id, self.core_id, offset)
-
-    def _is_local(self, addr: MpbAddr) -> bool:
-        return (
-            addr.device == self.device.device_id
-            and addr.core // self._cores_per_tile == self.tile
-        )
 
     def _fabric(self):
         fabric = self.device.fabric
@@ -167,13 +166,13 @@ class CoreEnv:
         Off-die addresses are delegated to the attached fabric (the
         host-routed path of vSCC).
         """
-        if addr.device != self.device.device_id:
+        if addr.device != self._device_id:
             data = yield from self._fabric().remote_read(self, addr, length)
             self.stats["mpb_bytes_read"] += length
             return data
         mem = self.device.mpb
         mem.check_span(addr, length)
-        local = self._is_local(addr)
+        local = addr.core // self._cores_per_tile == self.tile
         hops = 0 if local else self._hops_table[addr.core]
         cost = self._read_cost_ns(addr, length, local, hops, assume_cold)
         if not local:
@@ -209,7 +208,7 @@ class CoreEnv:
 
     def mpb_write(self, addr: MpbAddr, data: Bytes) -> Generator:
         """Write ``data`` to on-chip memory (through the WCB)."""
-        if addr.device != self.device.device_id:
+        if addr.device != self._device_id:
             yield from self._fabric().remote_write(self, addr, data)
             self.stats["mpb_bytes_written"] += len(data)
             return
@@ -218,7 +217,7 @@ class CoreEnv:
         base = mem.check_span(addr, length)
         lines = max(1, -(-length // CACHE_LINE))
         self.stats["mpb_bytes_written"] += length
-        if self._is_local(addr):
+        if addr.core // self._cores_per_tile == self.tile:
             yield lines * self._local_write_ns
             mem.write_unchecked(addr, base, data)
         else:
@@ -246,7 +245,10 @@ class CoreEnv:
         other target falls back to the sequential pair.
         """
         length = len(data)
-        if addr.device != self.device.device_id or not self._is_local(addr):
+        if (
+            addr.device != self._device_id
+            or addr.core // self._cores_per_tile != self.tile
+        ):
             yield from self.private_read(length)
             yield from self.mpb_write(addr, data)
             return
@@ -275,7 +277,7 @@ class CoreEnv:
         sender to overwrite) has not yet been sent. Off-die sources fall
         back to the sequential triple.
         """
-        if addr.device != self.device.device_id:
+        if addr.device != self._device_id:
             yield from self.cl1invmb()
             data = yield from self.mpb_read(addr, length, assume_cold=True)
             yield from self.private_write(length)
@@ -285,7 +287,7 @@ class CoreEnv:
         self.l1.cl1invmb()
         d1 = self._cl1invmb_ns
         lines = max(1, -(-length // CACHE_LINE))
-        if self._is_local(addr):
+        if addr.core // self._cores_per_tile == self.tile:
             miss_ns = self._local_read_ns
         else:
             miss_ns = self._remote_read_ns[self._hops_table[addr.core]]
@@ -310,11 +312,11 @@ class CoreEnv:
     def set_flag(self, addr: MpbAddr, value: int) -> Generator:
         """Write a one-byte flag."""
         self.stats["flag_sets"] += 1
-        if addr.device != self.device.device_id:
+        if addr.device != self._device_id:
             yield from self._fabric().remote_flag_write(self, addr, value)
             return
         mem = self.device.mpb
-        if self._is_local(addr):
+        if addr.core // self._cores_per_tile == self.tile:
             yield self._local_write_ns
             mem.write_byte(addr, value)
         else:
@@ -328,10 +330,10 @@ class CoreEnv:
 
     def read_flag(self, addr: MpbAddr) -> Generator:
         """Read a one-byte flag; RCCE only ever reads *local* flags."""
-        if addr.device != self.device.device_id:
+        if addr.device != self._device_id:
             data = yield from self._fabric().remote_read(self, addr, 1)
             return int(data[0])
-        if self._is_local(addr):
+        if addr.core // self._cores_per_tile == self.tile:
             yield self._local_read_ns
         else:
             yield self._remote_read_ns[self._hops_table[addr.core]]
@@ -369,7 +371,10 @@ class CoreEnv:
         between polls the process parks on the memory watchpoint, so a
         long wait is one simulator event, not thousands.
         """
-        if addr.device != self.device.device_id or not self._is_local(addr):
+        if (
+            addr.device != self._device_id
+            or addr.core // self._cores_per_tile != self.tile
+        ):
             raise SimulationError(
                 "wait_flag on a non-local flag — RCCE's protocol only polls "
                 f"local flags (core {self.core_id}, flag at {addr})"
@@ -397,7 +402,12 @@ class CoreEnv:
                     f"{self.core_id} waiting at {addr}"
                 )
             if watch is None:
-                watch = mem.watch(addr)
+                # read_byte validated the address, so its flat index is
+                # safe to compute; only the flag's first waiter builds
+                # its watch signal.
+                watch = mem._watches.get(addr.core * self._lmb + addr.offset)
+                if watch is None:
+                    watch = mem.watch(addr)
 
     def wait_any_flag(
         self,
@@ -414,7 +424,10 @@ class CoreEnv:
         """
         mem = self.device.mpb
         for addr, _pred in specs:
-            if addr.device != self.device.device_id or not self._is_local(addr):
+            if (
+                addr.device != self._device_id
+                or addr.core // self._cores_per_tile != self.tile
+            ):
                 raise SimulationError(
                     f"wait_any_flag on non-local flag {addr} (core {self.core_id})"
                 )
@@ -437,9 +450,14 @@ class CoreEnv:
                     fired[0] = True
                     gate.trigger()
 
-            for addr, _pred in specs:
-                mem.watch(addr).once(wake)
+            watches = [mem.watch(addr) for addr, _pred in specs]
+            for watch in watches:
+                watch.once(wake)
             yield gate
+            # Only the watch that fired has dropped ``wake``: withdraw it
+            # from the others, or their every later write pulses for it.
+            for watch in watches:
+                watch.drop_once(wake)
 
     # -- memory-mapped registers (host-provided functionality) -------------------------------------
 

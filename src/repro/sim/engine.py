@@ -192,6 +192,11 @@ class Signal:
         """Run ``callback`` at the next pulse only (multi-signal waits)."""
         self._once.append(callback)
 
+    def drop_once(self, callback: Callable[[], None]) -> None:
+        """Withdraw a :meth:`once` callback the signal has not run yet."""
+        if callback in self._once:
+            self._once.remove(callback)
+
     @property
     def has_waiters(self) -> bool:
         return bool(self._waiters) or bool(self._once)

@@ -224,12 +224,12 @@ class TwoSlotTransport(Transport):
         return slot, transfers, gsizes, grants, final_ack, progress
 
     def recv(self, comm: "Rcce", src: int, nbytes: int) -> Generator:
-        env, fl, me = comm.env, comm.flags, comm.rank
+        env, me = comm.env, comm.rank
         slot, transfers, gsizes, grants, final_ack, progress = self._plan(
             comm, src, me, nbytes
         )
-        sent = fl.sent(me, src)
-        ready = fl.ready(src, me)
+        chan = comm.channel(src)
+        sent, ready = chan.in_sent, chan.in_ready
         progress_preds = [[reached(p) for p in plist] for plist in progress]
         out = np.empty(nbytes, np.uint8)
         yield from env.set_flag(ready, grants[0])
@@ -271,12 +271,12 @@ class HwAccelRemotePutTransport(TwoSlotTransport):
         return comm.slot_bytes
 
     def send(self, comm: "Rcce", dest: int, data: np.ndarray) -> Generator:
-        env, fl, me = comm.env, comm.flags, comm.rank
+        env, me = comm.env, comm.rank
         slot, transfers, _gsizes, grants, final_ack, progress = self._plan(
             comm, me, dest, len(data)
         )
-        ready = fl.ready(me, dest)
-        sent = fl.sent(dest, me)
+        chan = comm.channel(dest)
+        sent, ready = chan.out_sent, chan.out_ready
         grant_preds = [reached(g) for g in grants]
         offset = 0
         for k, size in enumerate(transfers):
@@ -320,14 +320,14 @@ class VdmaTransport(TwoSlotTransport):
         return self.host.params.granule
 
     def send(self, comm: "Rcce", dest: int, data: np.ndarray) -> Generator:
-        env, fl, me = comm.env, comm.flags, comm.rank
+        env, me = comm.env, comm.rank
         slot, transfers, _gsizes, grants, final_ack, progress = self._plan(
             comm, me, dest, len(data)
         )
         granule = self.host.params.granule
-        done_flag = fl.misc(me, SLOT_VDMA_DONE)
-        ready = fl.ready(me, dest)
-        sent = fl.sent(dest, me)
+        done_flag = comm.flags.misc(me, SLOT_VDMA_DONE)
+        chan = comm.channel(dest)
+        sent, ready = chan.out_sent, chan.out_ready
         done_seqs = [comm.next_seq(me, me, "vdma_done") for _ in transfers]
         done_preds = [reached(s) for s in done_seqs]
         grant_preds = [reached(g) for g in grants]

@@ -9,17 +9,11 @@ gate and every figure in the paper reproduction depend on it.
 """
 
 import numpy as np
-import pytest
 
 from repro.bench import fig6a_onchip
 from repro.sim.engine import FUSE_ENV_VAR
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
-
-#: The one event-loop kernel. A one-value axis, kept so the replay tests
-#: keep their test ids.
-KERNELS = ["serial"]
-
 
 def _strip_event_counts(metrics):
     """Drop the series that delay fusion legitimately changes."""
@@ -52,8 +46,7 @@ def _run_vdma_program():
     }
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_vdma_program_replays_identically(kernel):
+def test_vdma_program_replays_identically():
     first = _run_vdma_program()
     second = _run_vdma_program()
     assert first["now"] == second["now"]
@@ -99,8 +92,7 @@ def _run_faulty_program():
     }
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_faulty_program_replays_identically(kernel):
+def test_faulty_program_replays_identically():
     """Same seed + same FaultPlan → bit-identical RunResult metrics.
 
     The fault sequence (which packets drop, when retries fire, the

@@ -206,3 +206,29 @@ def test_recv_any_source_works_on_cached_scheme():
 
     system.run(program, ranks=[0, 49])
     assert got["src"] == 49 and got["ok"]
+
+
+def test_recv_any_source_leaves_no_callback_on_its_watches(session):
+    """A wildcard wait withdraws its wake-up from every watched flag, not
+    just from the one whose write ended it: a stale callback would keep
+    ``has_waiters`` set and make every later write of that flag pulse."""
+    from repro.ircce.nonblocking import recv_any_source
+
+    got = []
+
+    def program(comm):
+        if comm.rank == 0:
+            for _ in range(9):
+                src, data = yield from recv_any_source(comm, 100, [1, 2, 3])
+                got.append((src, bytes(data) == bytes([src]) * 100))
+        else:
+            for _ in range(3):
+                yield from comm.env.compute(cycles=comm.rank * 50000)
+                yield from comm.send(bytes([comm.rank]) * 100, 0)
+
+    session.run(program, ranks=[0, 1, 2, 3])
+    assert sorted(got) == [(src, True) for src in (1, 2, 3) for _ in range(3)]
+    mpb = session.device.mpb
+    for src in (1, 2, 3):
+        watch = mpb.watch(session.flags.sent(0, src))
+        assert watch._once == [] and not watch.has_waiters, src

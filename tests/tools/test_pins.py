@@ -2,6 +2,7 @@
 
 import json
 import os
+from functools import partial
 
 import pytest
 
@@ -15,6 +16,11 @@ def delay_chain() -> dict:
     sim.spawn(chain for chain in [(1.0, 2.0, 3.0)])
     sim.run()
     return {"t": sim.now, "events": sim.events_processed, **sim.metrics_snapshot()}
+
+
+def fusion_setting() -> dict:
+    """The fusion switch as the replaying process sees it."""
+    return {"fuse": os.environ.get(FUSE_ENV_VAR)}
 
 
 def test_fusion_invariant_field_moved_by_fusion_fails_and_is_named():
@@ -60,7 +66,7 @@ def test_update_rewrites_the_file_and_prints_old_to_new_by_layer(tmp_path, capsy
     old = {"elapsed_ns": 1.0, "gone": 2, "series": {"pcie.bytes{dir=up}": 5.0}}
     path.write_text(json.dumps({"case": old}))
     new = {"elapsed_ns": 1.5, "series": {"pcie.bytes{dir=up}": 6.0, "vdma.n": 1.0}}
-    assert pins.main(path, {"case": lambda: new}, ["--update"]) == 0
+    assert pins.main(path, {"case": partial(dict, new)}, ["--update"]) == 0
     repinned = json.dumps({"case": new}, indent=1, sort_keys=True) + "\n"
     assert path.read_text() == repinned
     assert "\n".join([
@@ -72,5 +78,22 @@ def test_update_rewrites_the_file_and_prints_old_to_new_by_layer(tmp_path, capsy
         "vdma: re-pinned (old -> new):",
         "    case.series.vdma.n: new field not in baseline (fresh 1.0)",
     ]) in capsys.readouterr().out
-    assert pins.main(path, {"case": lambda: new}, ["--update"]) == 0
+    assert pins.main(path, {"case": partial(dict, new)}, ["--update"]) == 0
     assert "no pinned value changed" in capsys.readouterr().out
+
+
+def test_command_line_workers_each_set_their_own_fusion_mode(tmp_path, capsys):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({"mode": {"fuse": "1"}}))
+    assert pins.main(path, {"mode": fusion_setting}, []) == 1
+    out = capsys.readouterr().out
+    assert "mode DRIFT" in out
+    assert "unfused replay differs" in out and "mode.fuse: '1' -> '0'" in out
+    assert "fingerprint drifted" not in out
+
+
+def test_command_line_raises_what_a_case_raises(tmp_path):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({"broken": {"x": 1}}))
+    with pytest.raises(ZeroDivisionError):
+        pins.main(path, {"broken": partial(divmod, 1, 0)}, [])

@@ -7,14 +7,17 @@ must equal the fused run on every field but :data:`FUSION_VARIANT`.
 A pin with no case fails, and so does a case with no pin. Drift reads
 ``case.field: pinned -> fresh`` under one heading per layer: a series'
 metric prefix (``pcie``, ``kernel``, ...), else ``run``. :func:`main`
-is the command line (``--update`` re-pins and prints old -> new);
-:func:`check` is the pytest entry.
+is the command line (``--update`` re-pins and prints old -> new); it
+replays the fused and the unfused runs side by side in two spawned
+worker processes, one per mode. :func:`check` is the pytest entry; it
+replays in-process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 from pathlib import Path
 from typing import Callable, Mapping
@@ -86,17 +89,72 @@ def _replay(case: Callable[[], dict], fuse: bool) -> dict:
             os.environ[FUSE_ENV_VAR] = saved
 
 
+def _replays(cases: Cases, names: list[str]):
+    """``(name, fused, unfused)`` per case, in order, in this process."""
+    for name in names:
+        yield name, _replay(cases[name], fuse=True), _replay(cases[name], fuse=False)
+
+
+def _replay_all(conn, cases: Cases, names: list[str], fuse: bool) -> None:
+    """Worker body: replay every case in one fusion mode and send
+    ``(True, result)`` per case, or ``(False, exception)`` and stop."""
+    os.environ[FUSE_ENV_VAR] = "1" if fuse else "0"
+    try:
+        for name in names:
+            conn.send((True, cases[name]()))
+    except Exception as exc:  # re-raised by the parent
+        conn.send((False, exc))
+    finally:
+        conn.close()
+
+
+def _worker_replays(cases: Cases, names: list[str]):
+    """:func:`_replays` with the fused runs in one worker process and the
+    unfused runs in another. The workers are spawned, so each case must
+    pickle (a module-level function or a ``partial`` of one)."""
+    context = multiprocessing.get_context("spawn")
+    subset = {name: cases[name] for name in names}
+    workers = []
+    try:
+        for fuse in (True, False):
+            reader, writer = context.Pipe(duplex=False)
+            proc = context.Process(target=_replay_all, args=(writer, subset, names, fuse))
+            proc.start()
+            writer.close()
+            workers.append((proc, reader))
+        for name in names:
+            results = []
+            for _proc, reader in workers:
+                ok, value = reader.recv()
+                if not ok:
+                    raise value
+                results.append(value)
+            yield name, *results
+    finally:
+        for proc, reader in workers:
+            reader.close()
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+
+
 def run(cases: Cases, pinned: dict | None, names: list[str] | None = None,
         source: str = "the pin file") -> tuple[dict, list[str]]:
     """Replay ``names`` (default: all); returns (fused results, failures).
 
     ``pinned=None`` (``--update``) skips the comparison with the pins.
     """
+    return _compare(_replays, cases, pinned, names, source)
+
+
+def _compare(replays, cases: Cases, pinned: dict | None, names: list[str] | None,
+             source: str) -> tuple[dict, list[str]]:
+    """:func:`run`, replaying through ``replays`` (:func:`_replays` or
+    :func:`_worker_replays`)."""
     names = sorted(cases) if names is None else names
     fresh, pin_drift, fusion_drift = {}, [], []
-    for name in names:
-        fused = fresh[name] = _replay(cases[name], fuse=True)
-        unfused = _replay(cases[name], fuse=False)
+    for name, fused, unfused in replays(cases, names):
+        fresh[name] = fused
         moved = _diff({name: fused}, {name: unfused}, invariant_only=True)
         drifted = []
         if pinned is not None and name in pinned:
@@ -151,7 +209,8 @@ def main(path: Path, cases: Cases, argv: list[str] | None = None,
         parser.error(f"--update reruns every case; drop --{select}")
 
     old = load(path) if path.exists() else {}
-    fresh, failures = run(cases, None if args.update else old, names, path.name)
+    fresh, failures = _compare(_worker_replays, cases, None if args.update else old,
+                               names, path.name)
     if failures:
         print(f"\n{path.name} FAILED:\n" + "\n".join(f"  {f}" for f in failures))
         return 1
