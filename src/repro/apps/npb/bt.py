@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-import numpy as np
-
 from repro.ircce.nonblocking import isend
 from repro.rcce.api import Rcce
 
@@ -70,6 +68,8 @@ class BTBenchmark:
         if mode not in ("model", "adi"):
             raise ValueError(f"unknown BT mode {mode!r}")
         self._elapsed: dict[int, float] = {}
+        #: size -> the one immutable zero payload every rank sends
+        self._payloads: dict[int, bytes] = {}
 
     # -- program ----------------------------------------------------------------
 
@@ -124,7 +124,7 @@ class BTBenchmark:
                 if partner == rank:
                     continue  # p == 1 in that direction
                 nbytes = self._face_bytes(rank, dim)
-                requests.append(isend(comm, np.zeros(nbytes, np.uint8), partner))
+                requests.append(isend(comm, self._payload(nbytes), partner))
         for dim in (X, Y, Z):
             for positive in (True, False):
                 partner = part.partner(rank, dim, not positive)
@@ -134,6 +134,16 @@ class BTBenchmark:
                 yield from comm.recv(nbytes, partner)
         for request in requests:
             yield from request.wait()
+
+    def _payload(self, nbytes: int) -> bytes:
+        """The model's ``nbytes`` message: one shared immutable ``bytes``
+        per size, built on first use. The model never reads payload
+        contents, and a send shares immutable payloads instead of
+        copying them."""
+        payload = self._payloads.get(nbytes)
+        if payload is None:
+            payload = self._payloads[nbytes] = bytes(nbytes)
+        return payload
 
     def _face_bytes(self, sender_rank: int, dim: int) -> int:
         """Total copy_faces bytes a rank sends to one partner: one face
@@ -168,9 +178,7 @@ class BTBenchmark:
                 yield from comm.recv(cost.forward_bytes(cross), pred)
             yield from env.compute_flops(per_point * points * 0.75, cost.flops_per_cycle)
             if slab < p - 1 and succ != rank:
-                pending.append(
-                    isend(comm, np.zeros(cost.forward_bytes(cross), np.uint8), succ)
-                )
+                pending.append(isend(comm, self._payload(cost.forward_bytes(cross)), succ))
         # Back substitution: slabs p-1 … 0.
         for slab in reversed(range(p)):
             c = part.cell_in_slab(rank, dim, slab)
@@ -180,9 +188,7 @@ class BTBenchmark:
                 yield from comm.recv(cost.back_bytes(cross), succ)
             yield from env.compute_flops(per_point * points * 0.25, cost.flops_per_cycle)
             if slab > 0 and pred != rank:
-                pending.append(
-                    isend(comm, np.zeros(cost.back_bytes(cross), np.uint8), pred)
-                )
+                pending.append(isend(comm, self._payload(cost.back_bytes(cross)), pred))
         for request in pending:
             yield from request.wait()
 

@@ -87,8 +87,8 @@ def _chained(comm: "Rcce", key, peer: int, body) -> Process:
 
 def isend(comm: "Rcce", data: Bytes, dest: int) -> CommRequest:
     """Start a non-blocking send; complete it with ``request.wait()``."""
-    # ``_as_bytes`` already copies (``tobytes``/``bytes``), so the caller
-    # may reuse its buffer at once.
+    # ``_as_bytes`` copies every payload that can still change and shares
+    # only immutable ones, so the caller may reuse its buffer at once.
     payload = comm._as_bytes(data)
 
     def body() -> Generator:

@@ -62,15 +62,17 @@ class Channel:
 
     The four flag addresses of the pair, the counter streams each way
     (stream name such as ``"sent"`` or ``"ready"`` → last value, 0 before
-    the first) and, per transport and direction, the transfer size and
-    slot addresses. None of it changes for the life of the session, so
-    a transfer reads it here instead of resolving it again. Built by
-    :meth:`Rcce.channel` at the first message in either direction.
+    the first) and, per transport, the transfer size and slot addresses
+    in the peer's buffer. None of it changes for the life of the
+    session, so a transfer reads it here instead of resolving it again.
+    Built by :meth:`Rcce.channel` at the first message in either
+    direction. Layouts in this rank's own buffer are the same for every
+    peer and live once per rank, in :attr:`Rcce.own_slots`.
     """
 
     __slots__ = (
         "out_sent", "out_ready", "in_sent", "in_ready",
-        "out_seq", "in_seq", "send_slots", "recv_slots",
+        "out_seq", "in_seq", "peer_slots",
     )
 
     def __init__(self, flags: FlagLayout, me: int, peer: int):
@@ -82,9 +84,8 @@ class Channel:
         self.in_ready = flags.ready(peer, me)
         self.out_seq: dict[str, int] = {"sent": 0, "ready": 0}
         self.in_seq: dict[str, int] = {"sent": 0, "ready": 0}
-        #: transport -> (transfer bytes, slot addresses), per direction.
-        self.send_slots: dict = {}
-        self.recv_slots: dict = {}
+        #: transport -> (transfer bytes, slot addresses in the peer's buffer).
+        self.peer_slots: dict = {}
 
 
 class Rcce:
@@ -136,6 +137,9 @@ class Rcce:
         self.gory = Gory(self)
         #: peer rank -> Channel, built at the pair's first message.
         self._channels: dict[int, Channel] = {}
+        #: transport -> (transfer bytes, slot addresses in this rank's
+        #: buffer): the sender-first send side, the receiver-first recv side.
+        self.own_slots: dict = {}
         self.sends = 0
         self.recvs = 0
         self._topology = None
@@ -211,9 +215,22 @@ class Rcce:
 
     @staticmethod
     def _as_bytes(data: Bytes) -> np.ndarray:
-        """``data``'s bytes as a read-only uint8 array that shares no
-        memory with a mutable ``data`` (``tobytes``/``bytes`` copy it)."""
+        """``data``'s bytes as a read-only uint8 array, copied only if
+        ``data`` can still change.
+
+        Immutable inputs are shared: a ``bytes`` object is wrapped as is,
+        and a read-only one-dimensional uint8 array whose memory a
+        ``bytes`` object owns (an earlier result of this method, or a
+        view of one) is returned as is. Every other input is copied
+        (``tobytes``/``bytes``), so the caller may reuse it at once.
+        """
         if isinstance(data, np.ndarray):
+            if data.dtype == np.uint8 and data.ndim == 1 and not data.flags.writeable:
+                owner = data.base
+                while isinstance(owner, np.ndarray):
+                    owner = owner.base
+                if isinstance(owner, bytes):
+                    return data
             return np.frombuffer(data.tobytes(), np.uint8)
         return np.frombuffer(bytes(data), np.uint8)
 

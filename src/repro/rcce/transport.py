@@ -17,8 +17,10 @@ direct and remote-put schemes in :mod:`repro.vscc.protocol`.
 Transfer sequencing uses one-byte counter flags cycling 1…254 (see
 :mod:`repro.rcce.flags`); sender and receiver advance their per-directed-
 pair counters in lockstep, so no flag resets are needed. Each side keeps
-its flags, counters and slot addresses for a peer in one
-:class:`~repro.rcce.api.Channel`, resolved at the pair's first message.
+its flags, counters and the slot addresses in the peer's buffer in one
+:class:`~repro.rcce.api.Channel`, resolved at the pair's first message;
+the slot addresses in its own buffer, the same for every peer, it keeps
+once (``Rcce.own_slots``).
 """
 
 from __future__ import annotations
@@ -163,9 +165,10 @@ class RendezvousTransport(Transport):
         granted = not self.sender_first
         chan = comm.channel(dest)
         sent, ready, seqs = chan.out_sent, chan.out_ready, chan.out_seq
-        layout = chan.send_slots.get(self)
+        cache = chan.peer_slots if granted else comm.own_slots
+        layout = cache.get(self)
         if layout is None:
-            layout = chan.send_slots[self] = self._slots(comm, dest if granted else me)
+            layout = cache[self] = self._slots(comm, dest if granted else me)
         step, addrs = layout
         nbytes = len(data)
         acks = [0] * slots  # per slot: the ack of the last transfer it held
@@ -206,9 +209,10 @@ class RendezvousTransport(Transport):
         granted = not self.sender_first
         chan = comm.channel(src)
         sent, ready, seqs = chan.in_sent, chan.in_ready, chan.in_seq
-        layout = chan.recv_slots.get(self)
+        cache = comm.own_slots if granted else chan.peer_slots
+        layout = cache.get(self)
         if layout is None:
-            layout = chan.recv_slots[self] = self._slots(comm, me if granted else src)
+            layout = cache[self] = self._slots(comm, me if granted else src)
         step, addrs = layout
         out = np.empty(nbytes, np.uint8)
         for k, start in enumerate(range(0, nbytes or 1, step)):

@@ -1,8 +1,11 @@
 """Unit tests for the BT performance model."""
 
+import tracemalloc
+
 import pytest
 
 from repro.apps.npb import BTBenchmark, BT_CLASSES, BTCostModel
+from repro.apps.npb.multipartition import X, Y, Z
 from repro.apps.traffic import traffic_matrix
 from repro.rcce.session import RcceSession
 from repro.vscc.schemes import CommScheme
@@ -127,3 +130,27 @@ def test_run_builds_no_clock(monkeypatch):
     system.run(bench.program, ranks=range(64))
     assert bench.result().nranks == 64
     assert built == []
+
+
+def test_model_step_holds_less_than_its_faces():
+    """One class A step on 16 ranks allocates less at its peak than the
+    step's ghost exchange sends: the faces in flight are shared immutable
+    payloads, not fresh copies (two per isend used to peak at 5.0 MB)."""
+    bench = BTBenchmark(clazz="A", nranks=16, niter=1, mode="model")
+    part = bench.part
+    faces = sum(
+        2 * bench._face_bytes(rank, dim)
+        for rank in range(part.nranks)
+        for dim in (X, Y, Z)
+        if part.partner(rank, dim, True) != rank
+    )
+    assert faces == 3_932_160  # 3.75 MB
+    session = RcceSession()
+    tracemalloc.start()
+    try:
+        session.run(bench.program, ranks=range(16))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bench.result().nranks == 16
+    assert peak < faces

@@ -61,7 +61,31 @@ def test_slots_are_kept_per_transport():
             assert np.array_equal(got[rank][k], _payload(1 - rank, k, nbytes))
     # Measured before the channel existed; the clock must not move.
     assert session.sim.now == 926926.829268294
-    assert len(session.comm_for(0).channel(1).send_slots) == 2
+    # Both protocols are sender-first: rank 0's send layouts are in its
+    # own buffer, kept once per rank; its receive layouts are rank 1's.
+    sender = session.comm_for(0)
+    assert len(sender.own_slots) == len(sender.channel(1).peer_slots) == 2
+
+
+def test_own_buffer_layouts_are_kept_once_per_rank(session):
+    """Rank 0 sends to three peers over the sender-first default
+    protocol: its slots in its own buffer are resolved once for all of
+    them, and no channel keeps a copy."""
+
+    def program(comm):
+        if comm.rank == 0:
+            for peer in (1, 2, 3):
+                yield from comm.send(_payload(0, peer, 64), peer)
+        else:
+            yield from comm.recv(64, 0)
+
+    session.run(program, ranks=[0, 1, 2, 3])
+    sender = session.comm_for(0)
+    assert len(sender.own_slots) == 1
+    assert all(not sender.channel(peer).peer_slots for peer in (1, 2, 3))
+    receiver = session.comm_for(1)
+    assert not receiver.own_slots
+    assert len(receiver.channel(0).peer_slots) == 1
 
 
 def test_recv_any_source_after_recv_and_irecv_from_the_same_source(session):

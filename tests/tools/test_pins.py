@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from functools import partial
 
 import pytest
@@ -80,6 +81,16 @@ def test_update_rewrites_the_file_and_prints_old_to_new_by_layer(tmp_path, capsy
     ]) in capsys.readouterr().out
     assert pins.main(path, {"case": partial(dict, new)}, ["--update"]) == 0
     assert "no pinned value changed" in capsys.readouterr().out
+
+
+def test_command_line_prints_each_workers_peak_rss(tmp_path, capsys):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({"case": {"x": 1}}))
+    assert pins.main(path, {"case": partial(dict, x=1)}, []) == 0
+    peaks = re.findall(r"^(\w+) worker: peak RSS (\d+\.\d) MB$",
+                       capsys.readouterr().out, re.M)
+    assert [mode for mode, _mb in peaks] == ["fused", "unfused"]
+    assert all(float(mb) > 0 for _mode, mb in peaks)
 
 
 def test_command_line_workers_each_set_their_own_fusion_mode(tmp_path, capsys):

@@ -9,8 +9,8 @@ A pin with no case fails, and so does a case with no pin. Drift reads
 metric prefix (``pcie``, ``kernel``, ...), else ``run``. :func:`main`
 is the command line (``--update`` re-pins and prints old -> new); it
 replays the fused and the unfused runs side by side in two spawned
-worker processes, one per mode. :func:`check` is the pytest entry; it
-replays in-process.
+worker processes, one per mode, and prints each worker's peak RSS.
+:func:`check` is the pytest entry; it replays in-process.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import argparse
 import json
 import multiprocessing
 import os
+import resource
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -97,21 +99,25 @@ def _replays(cases: Cases, names: list[str]):
 
 def _replay_all(conn, cases: Cases, names: list[str], fuse: bool) -> None:
     """Worker body: replay every case in one fusion mode and send
-    ``(True, result)`` per case, or ``(False, exception)`` and stop."""
+    ``(True, result)`` per case, then ``(True, peak RSS in kB)``; or
+    ``(False, exception)`` and stop."""
     os.environ[FUSE_ENV_VAR] = "1" if fuse else "0"
     try:
         for name in names:
             conn.send((True, cases[name]()))
+        conn.send((True, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
     except Exception as exc:  # re-raised by the parent
         conn.send((False, exc))
     finally:
         conn.close()
 
 
-def _worker_replays(cases: Cases, names: list[str]):
+def _worker_replays(cases: Cases, names: list[str], peak_rss_kb: dict):
     """:func:`_replays` with the fused runs in one worker process and the
     unfused runs in another. The workers are spawned, so each case must
-    pickle (a module-level function or a ``partial`` of one)."""
+    pickle (a module-level function or a ``partial`` of one). Once every
+    case replayed, ``peak_rss_kb`` maps each worker's mode to its peak
+    RSS."""
     context = multiprocessing.get_context("spawn")
     subset = {name: cases[name] for name in names}
     workers = []
@@ -130,6 +136,8 @@ def _worker_replays(cases: Cases, names: list[str]):
                     raise value
                 results.append(value)
             yield name, *results
+        for mode, (_proc, reader) in zip(("fused", "unfused"), workers):
+            _ok, peak_rss_kb[mode] = reader.recv()
     finally:
         for proc, reader in workers:
             reader.close()
@@ -209,8 +217,11 @@ def main(path: Path, cases: Cases, argv: list[str] | None = None,
         parser.error(f"--update reruns every case; drop --{select}")
 
     old = load(path) if path.exists() else {}
-    fresh, failures = _compare(_worker_replays, cases, None if args.update else old,
-                               names, path.name)
+    peak_rss_kb: dict[str, int] = {}
+    fresh, failures = _compare(partial(_worker_replays, peak_rss_kb=peak_rss_kb), cases,
+                               None if args.update else old, names, path.name)
+    for mode, kb in peak_rss_kb.items():
+        print(f"{mode} worker: peak RSS {kb / 1024:.1f} MB")
     if failures:
         print(f"\n{path.name} FAILED:\n" + "\n".join(f"  {f}" for f in failures))
         return 1
