@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
@@ -50,6 +50,7 @@ from repro.host.commtask import REQUEST_BYTES
 from repro.obs.metrics import percentile
 from repro.results import RunResult
 from repro.scc.params import CACHE_LINE
+from repro.sim.engine import _LIVE
 from repro.vscc.policy import Route
 from repro.vscc.schemes import CommScheme
 
@@ -66,6 +67,10 @@ __all__ = [
     "outcome_digest",
     "run_rpc",
 ]
+
+#: Each scheme's value string, read once: the decision journal appends one
+#: per call and skips the Python-level ``Enum.value`` descriptor.
+_SCHEME_VALUES: dict[CommScheme, str] = {scheme: scheme.value for scheme in CommScheme}
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ class RpcParams:
     serialize_ns_per_byte: float = 0.25
     #: Marshalling cost on a cache hit (template reuse).
     cache_hit_ns: float = 150.0
-    #: Host the dispatcher daemon lives on (index into ``system.hosts``).
+    #: Host the dispatcher lives on (index into ``system.hosts``).
     home_host: int = 0
 
     def __post_init__(self) -> None:
@@ -175,29 +180,96 @@ class SerializationCache:
 
 
 class _RankBatch:
-    """Per-rank response accumulator with capacity/deadline flushing."""
+    """Per-rank response accumulator with capacity/deadline flushing.
 
-    __slots__ = ("items", "nbytes", "timer")
+    The deadline callback and its timer name are built once per rank,
+    not once per batch.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("items", "nbytes", "timer", "on_deadline", "timer_name")
+
+    def __init__(self, dispatcher: "RpcDispatcher", rank: int) -> None:
         self.items: list[tuple[RpcCall, float]] = []
         self.nbytes = 0
         self.timer = None
+        self.on_deadline = lambda: dispatcher._flush(rank, "deadline")
+        self.timer_name = f"rpc-flush{rank}"
+
+
+class _Server:
+    """The dispatcher's serialization pipeline as one kernel record.
+
+    Like the kernel's callback and timer records (DESIGN.md §7) it is its
+    own queue entry (``done``, ``_source``, ``_step``), so a wake costs
+    one queue slot and no generator resume. Descriptors wait in a FIFO;
+    each wake pushes the response of the call just serialized, takes up
+    the next call (same descriptor, else the next pending one, else goes
+    idle) and queues its own next wake that call's marshalling cost
+    later. Every wake goes through :meth:`Simulator.schedule`, fused and
+    unfused alike, so the record keeps the event stream of the server
+    process it replaced (DESIGN.md §15).
+    """
+
+    __slots__ = ("dispatcher", "sim", "pending", "calls", "index", "idle", "_source")
+
+    #: The kernel's ``done`` of a pending record: the server never ends.
+    done = _LIVE
+
+    def __init__(self, dispatcher: "RpcDispatcher") -> None:
+        self.dispatcher = dispatcher
+        self.sim = sim = dispatcher.sim
+        self.pending: deque[tuple[RpcCall, ...]] = deque()
+        #: The descriptor being served and the index of the call after
+        #: the one serializing now.
+        self.calls: tuple[RpcCall, ...] = ()
+        self.index = 0
+        self.idle = False
+        self._source = sim._source_of("daemon:rpc-server")
+        # The first wake finds nothing to serve and goes idle. It takes
+        # the slot, and the event, of the replaced process's start.
+        sim.schedule(0.0, self, None)
+
+    def receive(self, calls: tuple[RpcCall, ...]) -> None:
+        self.pending.append(calls)
+        if self.idle:
+            self.idle = False
+            self.sim.schedule(0.0, self, None)
+
+    def _step(self, payload) -> None:
+        dispatcher = self.dispatcher
+        calls = self.calls
+        index = self.index
+        if index:
+            dispatcher._push_response(calls[index - 1])
+        if index == len(calls):
+            if not self.pending:
+                self.calls = ()
+                self.index = 0
+                self.idle = True
+                return
+            calls = self.calls = self.pending.popleft()
+            index = 0
+        call = calls[index]
+        self.index = index + 1
+        params = dispatcher.params
+        if params.cache and dispatcher.cache.lookup(call.method):
+            delay = params.cache_hit_ns
+        else:
+            delay = params.serialize_floor_ns + params.serialize_ns_per_byte * call.resp_bytes
+        self.sim.schedule(delay, self, None)
 
 
 class RpcDispatcher:
     """Host-side RPC engine: one serialization pipeline per system.
 
     Requests arrive as descriptors (one or more coalesced calls) on the
-    home host; a single daemon drains the descriptor queue in arrival
+    home host; a single server (:class:`_Server`) drains them in arrival
     order — one pipeline, so per-rank issue order is preserved end to
     end — charges marshalling (cache-aware) per response, and hands
     completions to the per-rank response batchers.
     """
 
     def __init__(self, system: "VSCCSystem", params: Optional[RpcParams] = None):
-        from repro.sim.queue import SimQueue
-
         self.params = params or RpcParams()
         if not 0 <= self.params.home_host < len(system.hosts):
             raise ValueError(
@@ -214,14 +286,13 @@ class RpcDispatcher:
         #: boundary; the anchor pins the policy's route key).
         self.home_device = min(self.host.devices)
         self.cache = SerializationCache(self.params.cache_capacity)
-        self._queue = SimQueue(self.sim, name="rpc.dispatch")
         self._batches: dict[int, _RankBatch] = {}
         #: Per-rank expected/delivered completion counts + done events.
         self._expected: dict[int, int] = {}
         self._delivered: dict[int, int] = {}
         self._done_events: dict[int, object] = {}
-        #: Every delivered completion, in arrival order (always on — the
-        #: report, the digest and the golden tests read this).
+        #: Completions delivered since the last :func:`run_rpc` took its
+        #: own, in arrival order; ``run_rpc`` hands them to its report.
         self.completions: list[RpcCompletion] = []
         #: Journal of per-RPC scheme decisions: (req_id, scheme value).
         self.decision_journal: list[tuple[int, str]] = []
@@ -240,7 +311,7 @@ class RpcDispatcher:
         # creation registers the series eagerly, and an obs-off run's
         # snapshot must not grow empty rpc.latency_ns rows.
         self._latency_hist = None
-        self._server = self.sim.spawn(self._serve_loop(), name="daemon:rpc-server")
+        self._server = _Server(self)
 
     # -- client-side hooks ------------------------------------------------------
 
@@ -269,7 +340,7 @@ class RpcDispatcher:
         to :attr:`decision_journal` for test inspection.
         """
         scheme = self.selector.decide_rpc(call.rank, call.req_bytes, route)
-        self.decision_journal.append((call.req_id, scheme.value))
+        self.decision_journal.append((call.req_id, _SCHEME_VALUES[scheme]))
         if self.policy.wants_feedback:
             self._inflight_schemes[call.req_id] = scheme
         return scheme
@@ -312,38 +383,22 @@ class RpcDispatcher:
                 self.sim.now, "rpc", src_device, "descriptor",
                 len(calls), sum(c.req_bytes for c in calls),
             )
-        self._queue.put((src_device, tuple(calls)))
-
-    def _serve_loop(self):
-        """The dispatcher daemon: one serialization pipeline, FIFO."""
-        params = self.params
-        while True:
-            src_device, calls = yield from self._queue.get()
-            for call in calls:
-                if params.cache and self.cache.lookup(call.method):
-                    yield params.cache_hit_ns
-                else:
-                    yield (
-                        params.serialize_floor_ns
-                        + params.serialize_ns_per_byte * call.resp_bytes
-                    )
-                self._push_response(call)
+        self._server.receive(tuple(calls))
 
     def _push_response(self, call: RpcCall) -> None:
         params = self.params
-        batch = self._batches.get(call.rank)
+        rank = call.rank
+        batch = self._batches.get(rank)
         if batch is None:
-            batch = self._batches[call.rank] = _RankBatch()
+            batch = self._batches[rank] = _RankBatch(self, rank)
         batch.items.append((call, self.sim.now))
         batch.nbytes += call.resp_bytes + REQUEST_BYTES
         self.responses += 1
         if batch.nbytes >= params.batch_bytes:
-            self._flush(call.rank, "full")
+            self._flush(rank, "full")
         elif batch.timer is None:
             batch.timer = self.sim.after(
-                params.flush_deadline_ns,
-                lambda rank=call.rank: self._flush(rank, "deadline"),
-                name=f"rpc-flush{call.rank}",
+                params.flush_deadline_ns, batch.on_deadline, name=batch.timer_name
             )
 
     def _flush(self, rank: int, cause: str) -> None:
@@ -566,7 +621,10 @@ def run_rpc(
     first = len(dispatcher.completions)
     start_ns = system.sim.now
     run = system.run(_client_program(dispatcher, by_rank), ranks=ranks)
+    # The report owns its run's completions: a dropped system lingers as
+    # cyclic garbage until a full collection, and must not keep them.
     completions = dispatcher.completions[first:]
+    del dispatcher.completions[first:]
     duration = system.sim.now - start_ns
     return RpcReport(
         run=run,

@@ -182,7 +182,7 @@ class ParetoSizes:
 
 # -- trace generation ----------------------------------------------------------
 
-#: Rank prefix stride of ``req_id`` (per-rank call index fits well below).
+#: Rank prefix stride of ``req_id``: a rank's call indices stay below it.
 _ID_STRIDE = 1_000_000
 
 
@@ -207,6 +207,11 @@ def generate_calls(
     """
     if calls_per_rank < 1:
         raise ValueError(f"calls_per_rank must be >= 1, got {calls_per_rank}")
+    if calls_per_rank > _ID_STRIDE:
+        # Past the stride one rank's req_ids run into the next rank's.
+        raise ValueError(
+            f"calls_per_rank must be <= {_ID_STRIDE}, got {calls_per_rank}"
+        )
     if n_methods < 1:
         raise ValueError(f"n_methods must be >= 1, got {n_methods}")
     if len(set(ranks)) != len(ranks):

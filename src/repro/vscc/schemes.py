@@ -34,6 +34,12 @@ class CommScheme(Enum):
     LOCAL_PUT_LOCAL_GET_VDMA = "vdma"
     HW_ACCEL_REMOTE_PUT = "hw-accel"
 
+    # Members are singletons (a pickle round trip returns the same
+    # object), so identity is their equality and their hash. Enum's own
+    # ``__hash__`` hashes the name in a Python-level call, paid by every
+    # dict lookup keyed by a scheme on the message path.
+    __hash__ = object.__hash__
+
     @property
     def needs_extensions(self) -> bool:
         """Whether the scheme requires the communication-task extensions."""

@@ -3,8 +3,9 @@
 Covers the acceptance checklist of the RPC dispatcher: coalescing
 boundaries (exactly at the byte threshold, one under, one over, and the
 ``coalesce_max`` cap), flush-deadline expiry versus capacity flushes,
-serialization-cache hit/miss/eviction accounting, and the checked-in
-outcome digest of the fixed 200-request golden trace.
+serialization-cache hit/miss/eviction accounting, the checked-in
+outcome digest of the fixed 200-request golden trace, and the server:
+its event stream, FIFO order and cost per call, fused and unfused.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from repro.apps.rpc import (
     run_rpc,
 )
 from repro.bench.arrivals import (
+    _ID_STRIDE,
     BurstyArrivals,
     FixedSizes,
     ParetoSizes,
@@ -32,6 +34,9 @@ from repro.bench.arrivals import (
     generate_calls,
     golden_trace,
 )
+from repro.host.commtask import REQUEST_BYTES
+from repro.sim.engine import FUSE_ENV_VAR
+from repro.sim.errors import DeadlockError
 from repro.vscc.policy import ThresholdPolicy
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
@@ -42,6 +47,12 @@ from repro.vscc.system import VSCCSystem
 #: asserts that; here we pin the absolute value).
 GOLDEN_TRACE_DIGEST = "595100258429f95a"
 GOLDEN_OUTCOME_DIGEST = "e4303b5417aebb79"
+
+
+@pytest.fixture(params=["1", "0"], ids=["fused", "unfused"])
+def fuse(request, monkeypatch):
+    monkeypatch.setenv(FUSE_ENV_VAR, request.param)
+    return request.param == "1"
 
 
 def vdma_system(**kwargs):
@@ -257,6 +268,15 @@ def test_cache_invalidate_epoch():
 # -- arrivals generator ---------------------------------------------------------
 
 
+def test_generate_calls_rejects_ids_past_the_rank_stride():
+    # One call more than the stride would give rank 0's last call the id
+    # of rank 1's first.
+    with pytest.raises(ValueError, match="calls_per_rank"):
+        generate_calls(
+            (0, 1), _ID_STRIDE + 1, PoissonArrivals(), FixedSizes(), FixedSizes()
+        )
+
+
 def test_generate_calls_is_seed_deterministic():
     kwargs = dict(
         ranks=(0, 1),
@@ -441,3 +461,121 @@ def test_install_rpc_joins_system_metrics():
     report = run_rpc(system, burst(64, 2), dispatcher=dispatcher)
     assert report.completed == 2
     assert system.metrics["rpc.requests"] == 2.0
+
+
+def test_run_rpc_hands_its_completions_to_the_report():
+    system = vdma_system()
+    dispatcher = install_rpc(system, RpcParams())
+    first = run_rpc(system, burst(64, 3, rank=0), dispatcher=dispatcher)
+    assert dispatcher.completions == []
+    second = run_rpc(system, burst(64, 2, rank=1), dispatcher=dispatcher)
+    assert dispatcher.completions == []
+    assert sorted(c.req_id for c in first.completions) == [0, 1, 2]
+    assert sorted(c.req_id for c in second.completions) == [1_000_000, 1_000_001]
+
+
+# -- the server ----------------------------------------------------------------
+
+#: Measured on the daemon-process server this one replaced: a fixed run
+#: (``golden_trace`` on ranks 0 and 48) keeps its event stream, its
+#: per-source event count and its final clock, and spawns one process
+#: fewer.
+SERVER_PINS = {
+    "events_fused": 532.0,
+    "events_unfused": 746.0,
+    "server_events": 195.0,
+    "now_ns": 424480.95421566186,
+    "spawned_with_daemon": 155.0,
+}
+
+
+def test_server_keeps_the_event_stream(fuse):
+    system = VSCCSystem(num_devices=2, policy=ThresholdPolicy(), seed=7)
+    spawned = system.sim.metrics_snapshot()["sim.processes_spawned"]
+    dispatcher = install_rpc(system, RpcParams())
+    # Building the dispatcher spawns no process.
+    assert system.sim.metrics_snapshot()["sim.processes_spawned"] == spawned
+    report = run_rpc(system, golden_trace(ranks=(0, 48)), dispatcher=dispatcher)
+    assert report.completed == 100
+    snap = system.sim.metrics_snapshot()
+    events = SERVER_PINS["events_fused" if fuse else "events_unfused"]
+    assert snap["sim.events"] == events
+    assert snap["kernel.events{source=daemon:rpc-server}"] == SERVER_PINS["server_events"]
+    assert system.sim.now == SERVER_PINS["now_ns"]
+    assert snap["sim.processes_spawned"] == SERVER_PINS["spawned_with_daemon"] - 1
+    assert snap["sim.processes_live"] == 0.0
+
+
+def serve_order(system):
+    """``(instant, resp_bytes)`` of every response pushed, in push order.
+
+    Needs ``batch_bytes`` below one response, so that each push flushes
+    alone and its trace record names the response by its size.
+    """
+    return [
+        (r.t, r.payload[4] - REQUEST_BYTES)
+        for r in system.sim.tracer.select("rpc")
+        if r.payload[1] == "flush"
+    ]
+
+
+def deliver_at(system, dispatcher, descriptors):
+    """Hand ``dispatcher`` each ``(instant, calls)`` descriptor directly."""
+    for when, calls in descriptors:
+        system.sim.call_at(when, lambda calls=calls: dispatcher.receive(0, calls))
+
+
+def assert_served_back_to_back(order, params):
+    """Each push lands one full marshalling cost after the previous one."""
+    t = 0.0
+    for instant, size in order:
+        t = t + (params.serialize_floor_ns + params.serialize_ns_per_byte * size)
+        assert instant == t
+
+
+def call_of(req_id, resp_bytes, method=None):
+    return RpcCall(req_id, 0, 0.0, 64, resp_bytes, method or f"m{req_id}")
+
+
+def test_descriptors_arriving_mid_call_are_served_fifo_after_it(fuse):
+    system = vdma_system()
+    system.sim.tracer.enable("rpc")
+    params = RpcParams(cache=False, batch_bytes=1)
+    dispatcher = install_rpc(system, params)
+    # The first call serializes from 0 to 1600 ns. Two descriptors land
+    # together at 100 ns and one more at 900 ns, all while it runs.
+    deliver_at(system, dispatcher, [
+        (0.0, [call_of(0, 4000)]),
+        (100.0, [call_of(1, 100), call_of(2, 200)]),
+        (100.0, [call_of(3, 300)]),
+        (900.0, [call_of(4, 400)]),
+    ])
+    system.sim.run()
+    order = serve_order(system)
+    assert [size for _, size in order] == [4000, 100, 200, 300, 400]
+    assert_served_back_to_back(order, params)
+
+
+def test_cache_off_charges_the_full_cost_for_every_call(fuse):
+    system = vdma_system()
+    system.sim.tracer.enable("rpc")
+    params = RpcParams(cache=False, batch_bytes=1)
+    dispatcher = install_rpc(system, params)
+    # One method throughout: with the cache on, every repeat would hit.
+    calls = [call_of(i, 64 * (i + 1), method="m0") for i in range(4)]
+    deliver_at(system, dispatcher, [(0.0, calls[:2]), (10.0, calls[2:])])
+    system.sim.run()
+    order = serve_order(system)
+    assert [size for _, size in order] == [64, 128, 192, 256]
+    assert_served_back_to_back(order, params)
+    assert dispatcher.cache.hits == dispatcher.cache.misses == 0
+
+
+def test_client_whose_responses_never_come_is_named_in_the_deadlock(fuse):
+    system = vdma_system()
+    dispatcher = install_rpc(system, RpcParams())
+    dispatcher.expect(0, 1)  # one response more than rank 0 will issue
+    calls = burst(64, 2, rank=0) + burst(64, 2, rank=1)
+    with pytest.raises(DeadlockError) as info:
+        run_rpc(system, calls, dispatcher=dispatcher)
+    assert info.value.waiting == ["rank0"]

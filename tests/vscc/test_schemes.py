@@ -1,5 +1,7 @@
 """Unit tests for scheme metadata and selector wiring."""
 
+import pickle
+
 import pytest
 
 import repro.sim
@@ -18,6 +20,20 @@ def test_extension_requirements():
     assert CommScheme.LOCAL_PUT_LOCAL_GET_VDMA.needs_extensions
     assert CommScheme.REMOTE_PUT_WCB.needs_extensions
     assert CommScheme.LOCAL_PUT_REMOTE_GET.needs_extensions
+
+
+def test_schemes_hash_and_compare_by_identity():
+    for scheme in CommScheme:
+        assert hash(scheme) == object.__hash__(scheme)
+        assert scheme == scheme
+        assert all(scheme != other for other in CommScheme if other is not scheme)
+    restored = pickle.loads(pickle.dumps(list(CommScheme)))
+    assert all(a is b for a, b in zip(restored, CommScheme))
+    counts = {scheme: i for i, scheme in enumerate(CommScheme)}
+    assert [counts[scheme] for scheme in restored] == list(range(len(CommScheme)))
+    assert set(restored) == set(CommScheme)
+    assert len(set(restored) | set(CommScheme)) == len(CommScheme)
+    assert CommScheme("vdma") is CommScheme.LOCAL_PUT_LOCAL_GET_VDMA
 
 
 def test_stability():
