@@ -1,6 +1,5 @@
-"""Applications: ping-pong, NPB BT, CG, heat stencil, traffic, RPC offload."""
+"""Applications: ping-pong, NPB BT, traffic, RPC offload."""
 
-from .cg import CGConfig, cg_reference, run_cg
 from .pingpong import DEFAULT_SIZES, PingPongPoint, run_pingpong
 from .rpc import (
     RpcCompletion,
@@ -11,17 +10,10 @@ from .rpc import (
     install_rpc,
     run_rpc,
 )
-from .stencil import StencilConfig, jacobi_reference, run_stencil
 from .traffic import TrafficStats, render_traffic, traffic_matrix, traffic_stats
 
 __all__ = [
-    "CGConfig",
     "DEFAULT_SIZES",
-    "StencilConfig",
-    "cg_reference",
-    "jacobi_reference",
-    "run_cg",
-    "run_stencil",
     "PingPongPoint",
     "RpcCompletion",
     "RpcDispatcher",

@@ -11,6 +11,8 @@ back-substitution pipelined back up. The parallel run is bit-identical
 to the serial reference (:func:`adi_reference`) because every recurrence
 is evaluated in the same element order; any protocol bug that corrupts
 or reorders bytes breaks the equality.
+
+Unpinned: kept as DESIGN.md §2's byte-level proof of the whole stack.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ evaluation; this module holds the shared machinery — pretty tables that
 print the same rows/series the paper plots, and the calibration bands
 the reproduction is expected to stay within (EXPERIMENTS.md records the
 measured values against them).
+
+Unpinned: kept for the examples' tables and the schema-checked metrics JSON.
 """
 
 from __future__ import annotations

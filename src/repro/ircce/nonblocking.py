@@ -15,6 +15,8 @@ send queue makes progress one request at a time for the same reason).
 receives from different sources progress concurrently while per-pair
 ordering is preserved. Blocking operations issued while requests are
 pending queue behind them (see :meth:`repro.rcce.api.Rcce.send`).
+
+Unpinned wait_all/wait_any/test/recv_any_source: iRCCE API (ROADMAP 18).
 """
 
 from __future__ import annotations

@@ -21,6 +21,8 @@ Timestamps are simulated nanoseconds divided by 1000 (the format's
 :func:`pair_spans` is the one place records are decoded and start/end
 records paired into spans; the exporter and the ASCII timeline of
 :func:`repro.bench.runner.render_timeline` both consume it.
+
+Unpinned: kept for ``run(trace_json=...)`` and CI's smoke trace check.
 """
 
 from __future__ import annotations

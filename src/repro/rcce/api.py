@@ -134,7 +134,6 @@ class Rcce:
         self.user_mpb_bytes = user
         self._alloc = MpbAllocator(user) if user else None
         self._buffer_addrs: dict[int, MpbAddr] = {}  # rank -> offset-0 address
-        self.gory = Gory(self)
         #: peer rank -> Channel, built at the pair's first message.
         self._channels: dict[int, Channel] = {}
         #: transport -> (transfer bytes, slot addresses in this rank's
@@ -149,6 +148,11 @@ class Rcce:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Rcce rank={self.rank}/{self.num_ranks}>"
+
+    @property
+    def gory(self) -> Gory:
+        """This rank's one-sided layer: a stateless view, built per access."""
+        return Gory(self)
 
     # -- identity -----------------------------------------------------------------
 

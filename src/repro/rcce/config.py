@@ -8,6 +8,8 @@ boot, so the (extended) startup script regenerates a configuration file
 listing the cores that actually came up, and RCCE builds its rank
 mapping from that file. :class:`SccConfigFile` models that file,
 round-trippable through its text format.
+
+Unpinned to_text/from_text: kept as the §4 workaround's file format.
 """
 
 from __future__ import annotations

@@ -3,11 +3,14 @@
 "The reference implementation of RCCE has been implemented as a layered
 approach. This includes a basic one-sided interface, called gory, which
 can be seen as a hardware abstraction layer" (§2.2). Applications with
-hard predictability requirements use it directly; the non-gory
-send/recv protocol is built on it.
+hard predictability requirements use it directly. Here the non-gory
+send/recv transports do not go through it: they call the core's
+:class:`~repro.scc.core.CoreEnv` operations directly.
 
 The interface is (rank, offset)-addressed: thanks to the symmetric MPB
 allocator, an offset denotes the same location in every rank's MPB.
+
+Unpinned: kept as RCCE API surface, a pin candidate (ROADMAP 18).
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ the same allocation sequence, so an allocation denotes the same offset
 in *every* core's MPB — which is what makes one-sided ``put``/``get`` by
 (rank, offset) possible. The allocator is first-fit over 32 B-aligned
 blocks, mirroring RCCE's cache-line granularity.
+
+Unpinned: kept as gory's ``RCCE_malloc``, a pin candidate (ROADMAP 18).
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from repro.sim.engine import Simulator
 from .core import CoreEnv
 from .memctrl import MemoryControllers
 from .mesh import XYRouter
-from .mpb import MPBMemory, MpbAddr
+from .mpb import MPBMemory
 from .params import SCCParams
 from .sif import SystemInterface
 
@@ -41,8 +41,8 @@ class SCCDevice:
         self.device_id = device_id
         self.mpb = MPBMemory(sim, self.params, device_id)
         self.router = XYRouter(self.params)
-        self.sif = SystemInterface(self)
-        self.memctrl = MemoryControllers(self)
+        self.sif = SystemInterface(self.params, self.router)
+        self.memctrl = MemoryControllers(sim, self.params, device_id)
         # Core contexts are built by core() on first use: a run pays only
         # for the cores it touches.
         self._cores: list[Optional[CoreEnv]] = [None] * self.params.num_cores
@@ -111,8 +111,3 @@ class SCCDevice:
         if self._available is not None:
             snap["cores.available"] = float(len(self._available))
         return label_keys(snap, device=self.device_id)
-
-    # -- addressing helpers -------------------------------------------------------
-
-    def addr(self, core_id: int, offset: int) -> MpbAddr:
-        return MpbAddr(self.device_id, core_id, offset)

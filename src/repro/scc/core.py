@@ -13,6 +13,8 @@ Simplification (see DESIGN.md §6): the L1 MPBT model affects *timing*
 only — reads always observe current memory contents. The CL1INVMB
 discipline is still exercised (RCCE issues it before every read sequence)
 and its cost is charged.
+
+Unpinned read_flag/wait_any_flag/mmio_read: core API (ROADMAP 18).
 """
 
 from __future__ import annotations
@@ -67,9 +69,6 @@ class CoreEnv:
         self._device_id = device.device_id
         self._cores_per_tile = p.cores_per_tile
         self._lmb = p.lmb_bytes_per_core
-        self._tiles_x = p.tiles_x
-        self._tile_x = self.tile % self._tiles_x
-        self._tile_y = self.tile // self._tiles_x
         self._local_read_hit_ns = p.local_read_ns(l1_hit=True)
         self._local_read_ns = p.local_read_ns()
         self._local_write_ns = p.local_write_ns()
@@ -80,13 +79,9 @@ class CoreEnv:
         # XY hop distance to every core of this device, precomputed: the
         # geometry is frozen, and remote MPB reads/flag ops resolve hops
         # on every access.
+        hops = device.router.hops
         cpt = self._cores_per_tile
-        tx = self._tiles_x
-        self._hops_table = [
-            abs((c // cpt) % tx - self._tile_x)
-            + abs((c // cpt) // tx - self._tile_y)
-            for c in range(p.num_tiles * cpt)
-        ]
+        self._hops_table = [hops(self.tile, c // cpt) for c in range(p.num_cores)]
         self.stats: dict[str, float] = {
             "mpb_bytes_read": 0,
             "mpb_bytes_written": 0,

@@ -22,7 +22,9 @@ from typing import TYPE_CHECKING
 from repro.sim.resources import Link
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .chip import SCCDevice
+    from repro.sim.engine import Simulator
+
+    from .params import SCCParams
 
 __all__ = ["MemoryControllers"]
 
@@ -33,17 +35,17 @@ CORES_WORTH_OF_BANDWIDTH = 4.0
 class MemoryControllers:
     """Four quadrant controllers of one device, modeled as FIFO pipes."""
 
-    def __init__(self, device: "SCCDevice"):
-        self.device = device
-        params = device.params
+    def __init__(self, sim: "Simulator", params: "SCCParams", device_id: int):
+        self.sim = sim
+        self.params = params
         # One core's peak streaming rate: a 32 B line per (faster of the
         # two) DRAM line costs.
         line_ns = min(params.dram_read_line_ns(), params.dram_write_line_ns())
         bandwidth = CORES_WORTH_OF_BANDWIDTH * 32.0 / line_ns
         self.links = [
             Link(
-                device.sim,
-                f"mc{device.device_id}.{i}",
+                sim,
+                f"mc{device_id}.{i}",
                 latency_ns=0.0,
                 bandwidth_bpns=bandwidth,
                 overhead_ns=0.0,
@@ -55,14 +57,12 @@ class MemoryControllers:
         self.fifo_wait_ns = 0.0
         #: core_id -> quadrant Link, resolved once (pure of the geometry).
         self._link_memo: dict[int, Link] = {}
-        self._obs = device.sim.obs
-        self._wait_hist = self._obs.histogram(
-            "memctrl.fifo_wait_ns", device=device.device_id
-        )
+        self._obs = sim.obs
+        self._wait_hist = self._obs.histogram("memctrl.fifo_wait_ns", device=device_id)
 
     def controller_of(self, core_id: int) -> int:
         """Quadrant assignment: west/east × south/north."""
-        params = self.device.params
+        params = self.params
         x, y = params.core_xy(core_id)
         west = x < (params.tiles_x + 1) // 2
         south = y < (params.tiles_y + 1) // 2
@@ -85,7 +85,7 @@ class MemoryControllers:
             link = self.links[self.controller_of(core_id)]
             self._link_memo[core_id] = link
         if at is None:
-            at = self.device.sim.now
+            at = self.sim.now
         arrival = link._occupy(nbytes, at=at)
         wait = max(0.0, arrival - at)
         self.fifo_wait_ns += wait

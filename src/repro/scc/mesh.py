@@ -10,11 +10,12 @@ the routing invariants and that benches can inspect for hot links.
 
 ``account()`` is on the per-transfer hot path of every on-die access, so
 it only bumps a per-``(src, dst)`` counter and the scalar busy time —
-hop counts come from coordinate arithmetic, not from materializing the
-path. The per-*link* byte map the tests and metrics read is derived
-lazily (:attr:`XYRouter.link_bytes`): each accumulated pair is expanded
-along its XY path on first read and the result cached until the next
-``account()``. The derived values are identical to charging every link
+hop counts come from a per-pair table built once from
+:meth:`XYRouter.hops`, the model's one XY distance formula, not from
+materializing the path. The per-*link* byte map the tests and metrics
+read is derived lazily (:attr:`XYRouter.link_bytes`): each accumulated
+pair is expanded along its XY path on first read and the result cached
+until the next ``account()``. The derived values are identical to charging every link
 eagerly, because XY routing is deterministic per pair.
 """
 
@@ -37,6 +38,9 @@ class XYRouter:
         self._num_tiles = params.num_tiles
         #: bytes per (src_tile, dst_tile) pair, keyed src * num_tiles + dst.
         self._pair_bytes: dict[int, int] = {}
+        #: hop count per (src_tile, dst_tile) pair, keyed like ``_pair_bytes``.
+        n = self._num_tiles
+        self._pair_hops = [self.hops(key // n, key % n) for key in range(n * n)]
         #: cumulative serialization time across all directed links, ns
         #: (flit bundles × per-flit link cost, summed over hops).
         self.link_busy_ns = 0.0
@@ -62,6 +66,7 @@ class XYRouter:
         return hops
 
     def hops(self, src_tile: int, dst_tile: int) -> int:
+        """XY hop distance between two tiles: the one formula of the model."""
         tx = self._tiles_x
         return abs(src_tile % tx - dst_tile % tx) + abs(
             src_tile // tx - dst_tile // tx
@@ -69,12 +74,9 @@ class XYRouter:
 
     def account(self, src_tile: int, dst_tile: int, nbytes: int) -> None:
         """Charge ``nbytes`` to every directed link along the XY path."""
-        tx = self._tiles_x
-        nhops = abs(src_tile % tx - dst_tile % tx) + abs(
-            src_tile // tx - dst_tile // tx
-        )
+        key = src_tile * self._num_tiles + dst_tile
+        nhops = self._pair_hops[key]
         if nhops:
-            key = src_tile * self._num_tiles + dst_tile
             pairs = self._pair_bytes
             pairs[key] = pairs.get(key, 0) + nbytes
             self._link_bytes_cache = None

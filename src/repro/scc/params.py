@@ -153,12 +153,6 @@ class SCCParams:
     def core_xy(self, core_id: int) -> tuple[int, int]:
         return self.tile_xy(self.tile_of_core(core_id))
 
-    def hops(self, core_a: int, core_b: int) -> int:
-        """XY-routing hop count between the tiles of two cores."""
-        ax, ay = self.core_xy(core_a)
-        bx, by = self.core_xy(core_b)
-        return abs(ax - bx) + abs(ay - by)
-
     def _check_core(self, core_id: int) -> None:
         if not 0 <= core_id < self.num_cores:
             raise ValueError(f"core id {core_id} out of range 0..{self.num_cores - 1}")

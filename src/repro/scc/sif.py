@@ -15,7 +15,8 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.host.pcie import PCIeCable
 
-    from .chip import SCCDevice
+    from .mesh import XYRouter
+    from .params import SCCParams
 
 __all__ = ["SystemInterface", "SIF_TILE_XY"]
 
@@ -26,9 +27,9 @@ SIF_TILE_XY = (3, 0)
 class SystemInterface:
     """Mesh ↔ PCIe bridge of one device."""
 
-    def __init__(self, device: "SCCDevice"):
-        self.device = device
-        params = device.params
+    def __init__(self, params: "SCCParams", router: "XYRouter"):
+        self.params = params
+        self.router = router
         x = min(SIF_TILE_XY[0], params.tiles_x - 1)
         y = min(SIF_TILE_XY[1], params.tiles_y - 1)
         self.tile = params.tile_at(x, y)
@@ -47,16 +48,14 @@ class SystemInterface:
 
     def hops_from_core(self, core_id: int) -> int:
         """Mesh hops from a core's tile to the SIF tile."""
-        return self.device.router.hops(
-            self.device.params.tile_of_core(core_id), self.tile
-        )
+        return self.router.hops(self.params.tile_of_core(core_id), self.tile)
 
     def mesh_to_sif_ns(self, core_id: int, nbytes: int) -> float:
         """Analytic mesh traversal cost core-tile → SIF for ``nbytes``."""
         memo = self._core_memo[core_id]
         cost = memo.get(nbytes)
         if cost is None:
-            cost = memo[nbytes] = self.device.params.mesh_path_ns(
+            cost = memo[nbytes] = self.params.mesh_path_ns(
                 self._core_hops[core_id], nbytes
             )
         return cost

@@ -31,6 +31,8 @@ job's own system): ``serve.jobs{state=}`` counters, per-tenant
 ``serve.queue_depth{tenant=}`` gauges, a ``serve.running`` gauge, and
 ``serve.queue_wait_ms`` / ``serve.run_ms`` / per-tenant
 ``serve.job_latency_ms{tenant=}`` histograms (p50/p95/p99 in snapshots).
+
+Unpinned failure/cancel paths: kept for the chaos suites (ROADMAP 21).
 """
 
 from __future__ import annotations

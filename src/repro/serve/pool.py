@@ -43,6 +43,8 @@ callback must be thread-safe; the asyncio service bridges with
 ``infra`` in a failed ``attempt_done`` distinguishes retryable
 infrastructure trouble (abort) from deterministic simulation errors;
 ``worker_exit`` is always infrastructure.
+
+Unpinned: the benchmark builds ``SimService(pool="process")`` (ROADMAP 21).
 """
 
 from __future__ import annotations

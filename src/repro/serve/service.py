@@ -14,6 +14,8 @@ deterministic, fake-clock-testable); this module only moves messages
 and performs the directives — pool kills, respawns — the core hands
 back. If you are looking for scheduling or retry policy, it is not
 here.
+
+Unpinned cancel/chaos/event paths: kept for the chaos suites (ROADMAP 21).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ Public surface::
 """
 
 from .clock import Clock
-from .engine import Delay, Event, Process, Simulator, wait_all
+from .engine import Delay, Event, Process, Simulator
 from .engine import Signal
 from .errors import DeadlockError, InvalidYield, ProcessFailed, SimulationError
 from .queue import SimQueue
@@ -28,5 +28,4 @@ __all__ = [
     "Simulator",
     "TraceRecord",
     "Tracer",
-    "wait_all",
 ]

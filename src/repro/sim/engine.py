@@ -40,6 +40,8 @@ Time is a float in **nanoseconds**; frequency-domain helpers live in
 There is no global locking — dispatch is single-threaded and
 deterministic (ties are broken by spawn/schedule order), which is what
 keeps every simulated fingerprint bit-identical run to run.
+
+Unpinned run_until/failures: kept for the kernel's stop and no-fail-fast tests.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import heapq
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -136,7 +138,7 @@ class Event:
             if proc.__class__ is _ChainWaiter:
                 proc.wake(sim, value)
             else:
-                sim._schedule(0.0, proc, value)
+                sim.schedule(0.0, proc, value)
         for cb in self._callbacks:
             cb(value)
         self._waiters = self._callbacks = None
@@ -183,7 +185,7 @@ class Signal:
             if proc.__class__ is _ChainWaiter:
                 proc.wake(sim, value)
             else:
-                sim._schedule(0.0, proc, value)
+                sim.schedule(0.0, proc, value)
         callbacks, self._once = self._once, []
         for cb in callbacks:
             cb()
@@ -293,7 +295,7 @@ class Process:
                 chain = payload.chain
                 index = payload.index
                 nxt = index + 1
-                sim._schedule(
+                sim.schedule(
                     chain[index],
                     self,
                     _Chain(chain, nxt) if nxt < len(chain) else None,
@@ -326,17 +328,17 @@ class Process:
                 raise InvalidYield(
                     f"process {self.name!r} yielded a negative delay {command!r}"
                 )
-            sim._schedule(command, self, None)
+            sim.schedule(command, self, None)
         elif kind == _KIND_DELAY:
-            sim._schedule(command.ns, self, None)
+            sim.schedule(command.ns, self, None)
         elif kind == _KIND_EVENT or kind == _KIND_SIGNAL:
             self._waiting_on = command
             if not command._add_waiter(self):
-                sim._schedule(0.0, self, command._value)
+                sim.schedule(0.0, self, command._value)
         elif kind == _KIND_PROCESS:
             self._waiting_on = command
             if not command.done._add_waiter(self):
-                sim._schedule(0.0, self, command.done._value)
+                sim.schedule(0.0, self, command.done._value)
         elif kind == _KIND_CHAIN:
             if not command:
                 raise InvalidYield(
@@ -363,7 +365,7 @@ class Process:
                     # the plain ``yield head`` resume would be.
                     stored = waitable._value
                     if stored.__class__ is _Throw:
-                        sim._schedule(0.0, self, stored)
+                        sim.schedule(0.0, self, stored)
                     elif sim._fuse:
                         t = sim.now
                         for d in command[1:]:
@@ -371,7 +373,7 @@ class Process:
                         sim.fused_yields += len(command) - 1
                         sim.schedule_at(t, self, None)
                     else:
-                        sim._schedule(
+                        sim.schedule(
                             0.0,
                             self,
                             _Chain(command, 1) if len(command) > 1 else None,
@@ -399,7 +401,7 @@ class Process:
                             f"process {self.name!r} yielded a negative delay "
                             f"{d!r} inside a chain"
                         )
-                sim._schedule(
+                sim.schedule(
                     command[0],
                     self,
                     _Chain(command, 1) if len(command) > 1 else None,
@@ -454,7 +456,7 @@ class _ChainWaiter:
         if value.__class__ is _Throw:
             # A failed awaited process: deliver the exception at the
             # trigger instant instead of sleeping the tail.
-            sim._schedule(0.0, self.proc, value)
+            sim.schedule(0.0, self.proc, value)
             return
         if sim._fuse:
             t = sim.now
@@ -463,7 +465,7 @@ class _ChainWaiter:
             sim.fused_yields += len(chain) - 1
             sim.schedule_at(t, self.proc, None)
         else:
-            sim._schedule(
+            sim.schedule(
                 0.0,
                 self.proc,
                 _Chain(chain, 1) if len(chain) > 1 else None,
@@ -515,7 +517,7 @@ class _Callback:
 
     def _step(self, payload: Any) -> None:
         if payload is _ARM:
-            self.sim._schedule(self.delay, self, None)
+            self.sim.schedule(self.delay, self, None)
         else:
             self.fn()
 
@@ -552,7 +554,7 @@ class _TimedEvent(Event):
 
     def _step(self, payload: Any) -> None:
         if payload is _ARM:
-            self.sim._schedule(self.delay, self, None)
+            self.sim.schedule(self.delay, self, None)
             return
         if self._before is not None:
             self._before()
@@ -613,7 +615,7 @@ class TimerHandle:
     def _step(self, payload: Any) -> None:
         sim = self.sim
         if payload is _ARM:
-            sim._schedule(self.delay, self, None)
+            sim.schedule(self.delay, self, None)
             return
         self.fired = True
         try:
@@ -680,9 +682,6 @@ class Simulator:
         #: times, hence always sorted by (time, seq).
         self._fast: deque[tuple[float, int, Any, Any]] = deque()
         self._seq = 0
-        #: Hot-path alias: Event.trigger / Signal.pulse / Process._step
-        #: call ``sim._schedule``, one bound-method call.
-        self._schedule = self.schedule
         self._fuse = _fuse_default() if fuse_delays is None else bool(fuse_delays)
         self._live_processes: set[Process] = set()
         #: Armed :class:`TimerHandle` records; with the live processes
@@ -738,7 +737,7 @@ class Simulator:
         proc = Process(self, gen, name or f"proc-{self._spawned}")
         proc._source = self._source_of(proc.name)
         self._live_processes.add(proc)
-        self._schedule(0.0, proc, None)
+        self.schedule(0.0, proc, None)
         return proc
 
     def _source_of(self, name: str) -> int:
@@ -823,9 +822,9 @@ class Simulator:
         """
         self._spawned += 1
         if self._fuse:
-            self._schedule(record.delay, record, None)
+            self.schedule(record.delay, record, None)
         else:
-            self._schedule(0.0, record, _ARM)
+            self.schedule(0.0, record, _ARM)
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         """Run a plain callback at absolute simulated time ``when``.
@@ -980,10 +979,3 @@ def _is_daemon(proc: Process) -> bool:
     """Daemon processes (host comm-task threads) never count for deadlock."""
     return getattr(proc.gen, "_sim_daemon", False) or proc.name.startswith("daemon:")
 
-
-def wait_all(procs: Iterable[Process]) -> Generator:
-    """Helper coroutine: wait for every process; return list of results."""
-    results = []
-    for proc in procs:
-        results.append((yield proc))
-    return results

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.apps.npb import BTBenchmark
-from repro.apps.stencil import StencilConfig, jacobi_reference, run_stencil
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
@@ -65,13 +64,6 @@ def test_collectives_spanning_devices():
     system.run(program)
     expected = n * (n - 1) / 2
     assert all(v == pytest.approx(expected) for v in got.values())
-
-
-def test_stencil_on_full_vscc():
-    system = VSCCSystem(num_devices=2, scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA)
-    config = StencilConfig(nx=96, ny=16, iterations=3, nranks=96)
-    grid = run_stencil(system, config)
-    assert np.array_equal(grid, jacobi_reference(config))
 
 
 def test_bt_on_faulty_system():

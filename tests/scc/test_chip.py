@@ -1,5 +1,8 @@
 """Unit tests for SCCDevice boot and addressing."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -71,3 +74,18 @@ def test_core_rejects_invalid_id(core_id):
     with pytest.raises(ValueError, match="out of range"):
         dev.core(core_id)
     assert all(env is None for env in dev._cores)
+
+
+def test_booted_device_frees_by_refcount():
+    """The SIF and memory controllers hold no reference back to their
+    device, so a dropped device needs no cyclic collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        dev = SCCDevice(Simulator(), device_id=1)
+        dev.boot()
+        ref = weakref.ref(dev)
+        del dev
+        assert ref() is None
+    finally:
+        gc.enable()

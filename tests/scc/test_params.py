@@ -7,6 +7,7 @@ import struct
 import pytest
 
 from repro.scc.chip import SCCDevice
+from repro.scc.mesh import XYRouter
 from repro.scc.params import CACHE_LINE, SCCParams
 from repro.sim.engine import Simulator
 
@@ -46,10 +47,15 @@ def test_cores_share_tiles(params):
 
 
 def test_hops_metric(params):
-    assert params.hops(0, 1) == 0          # same tile
-    assert params.hops(0, 10) == 5         # (0,0) -> (5,0)
-    assert params.hops(0, 47) == 8         # (0,0) -> (5,3)
-    assert params.hops(10, 0) == params.hops(0, 10)
+    router = XYRouter(params)
+
+    def hops(core_a, core_b):
+        return router.hops(params.tile_of_core(core_a), params.tile_of_core(core_b))
+
+    assert hops(0, 1) == 0          # same tile
+    assert hops(0, 10) == 5         # (0,0) -> (5,0)
+    assert hops(0, 47) == 8         # (0,0) -> (5,3)
+    assert hops(10, 0) == hops(0, 10)
 
 
 def test_remote_read_costs_about_100_cycles(params):

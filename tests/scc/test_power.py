@@ -47,7 +47,7 @@ def test_remote_read_scales_only_its_core_cycle_part():
     cycles; the per-hop router cost stays in 800 MHz mesh cycles."""
     base, slow = SCCParams(), SCCParams(core_freq_mhz=400.0)
     device = _device(400.0)
-    hops = slow.hops(0, 47)
+    hops = device.router.hops(slow.tile_of_core(0), slow.tile_of_core(47))
     elapsed = _elapsed(device, device.core(0).mpb_read(MpbAddr(0, 47, 0), 32))
     core_part = slow.core_clock.cycles(slow.mpb_remote_read_base_cycles)
     mesh_part = slow.mesh_clock.cycles(2 * slow.mesh_hop_mesh_cycles * hops)

@@ -378,3 +378,22 @@ def test_triggered_event_keeps_no_reference_to_its_callbacks():
     assert ref() is not None
     evt.trigger()
     assert ref() is None
+
+
+def test_simulator_that_ran_a_process_frees_by_refcount():
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulator()
+
+        def prog():
+            yield Delay(1.0)
+            yield (2.0, 3.0)
+
+        sim.spawn(prog())
+        sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()

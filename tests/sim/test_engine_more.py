@@ -1,8 +1,8 @@
-"""Additional kernel coverage: run_until, wait_all, max_events."""
+"""Additional kernel coverage: run_until, max_events."""
 
 import pytest
 
-from repro.sim.engine import Delay, Simulator, wait_all
+from repro.sim.engine import Delay, Simulator
 from repro.sim.errors import DeadlockError, SimulationError
 
 
@@ -49,19 +49,6 @@ def test_run_until_deadlock_detected():
     sim.spawn(stuck())
     with pytest.raises(DeadlockError):
         sim.run_until(evt)
-
-
-def test_wait_all_helper():
-    sim = Simulator()
-
-    def worker(n):
-        yield Delay(n * 10.0)
-        return n * n
-
-    procs = [sim.spawn(worker(n)) for n in (3, 1, 2)]
-    gatherer = sim.spawn(wait_all(procs))
-    sim.run()
-    assert gatherer.result == [9, 1, 4]
 
 
 def test_max_events_stops_early():
