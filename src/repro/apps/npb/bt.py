@@ -56,14 +56,13 @@ class BTBenchmark:
         nranks: int = 16,
         niter: Optional[int] = None,
         mode: str = "model",
-        cost_model: Optional[BTCostModel] = None,
     ):
         if niter is not None and niter < 1:
             raise ValueError(f"niter must be >= 1, got {niter}")
         self.clazz = BT_CLASSES[clazz] if isinstance(clazz, str) else clazz
         self.niter = niter if niter is not None else self.clazz.niter
         self.mode = mode
-        self.cost = cost_model or BTCostModel()
+        self.cost = BTCostModel()
         self.part = MultiPartition(nranks, self.clazz.n)
         if mode not in ("model", "adi"):
             raise ValueError(f"unknown BT mode {mode!r}")

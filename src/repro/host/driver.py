@@ -131,7 +131,6 @@ class Host:
         self.vdma = {d.device_id: VDMAController(self, d.device_id) for d in devices}
         for d in devices:
             d.fabric = self.tasks[d.device_id]
-            d.sif.cable = self.cables[d.device_id]
 
     # -- lookup ------------------------------------------------------------------
     #

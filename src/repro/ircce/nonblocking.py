@@ -71,9 +71,7 @@ class CommRequest:
 
 def _chained(comm: "Rcce", key, peer: int, body) -> Process:
     """Run ``body`` after every earlier same-queue request finished."""
-    chains = getattr(comm, "_nb_chains", None)
-    if chains is None:
-        chains = comm._nb_chains = {}
+    chains = comm._nb_chains
     prev = chains.get(key)
 
     def run() -> Generator:

@@ -11,7 +11,7 @@ from .config import RankLayout, SccConfigFile
 from .flags import FlagLayout, MAX_RANKS, SEQ_MOD
 from .gory import Gory
 from .malloc import MpbAllocator, OutOfMpbError
-from .transport import DefaultGetTransport, OnChipSelector, Transport, TransportSelector
+from .transport import DefaultGetTransport, OnChipSelector, Transport
 
 __all__ = [
     "DefaultGetTransport",
@@ -27,7 +27,6 @@ __all__ = [
     "SEQ_MOD",
     "SccConfigFile",
     "Transport",
-    "TransportSelector",
     "collectives",
     "hierarchical",
 ]

@@ -3,7 +3,7 @@
 A :class:`Rcce` instance is one rank's view of the session — bound to a
 core's :class:`~repro.scc.core.CoreEnv`, a shared
 :class:`~repro.rcce.config.RankLayout` and a
-:class:`~repro.rcce.transport.TransportSelector`. Application programs
+:class:`~repro.rcce.transport.OnChipSelector`. Application programs
 are generators that receive their ``Rcce`` and ``yield from`` its
 operations::
 
@@ -34,7 +34,7 @@ from .config import RankLayout
 from .flags import SEQ_MOD, FlagLayout
 from .gory import Gory
 from .malloc import MpbAllocator
-from .transport import OnChipSelector, TransportSelector
+from .transport import OnChipSelector
 
 __all__ = ["Channel", "RcceOptions", "Rcce"]
 
@@ -96,7 +96,7 @@ class Rcce:
         env: CoreEnv,
         layout: RankLayout,
         options: Optional[RcceOptions] = None,
-        selector: Optional[TransportSelector] = None,
+        selector: Optional[OnChipSelector] = None,
         flags: Optional[FlagLayout] = None,
     ):
         self.env = env
@@ -139,8 +139,9 @@ class Rcce:
         #: transport -> (transfer bytes, slot addresses in this rank's
         #: buffer): the sender-first send side, the receiver-first recv side.
         self.own_slots: dict = {}
-        self.sends = 0
-        self.recvs = 0
+        #: iRCCE request chains: queue key ("send" or ("recv", src)) ->
+        #: the queue's last request process.
+        self._nb_chains: dict = {}
         self._topology = None
         self._coll_seq = 0  # per-rank collective call counter (trace spans)
         #: This rank's hierarchical plans, per (collective group, root).
@@ -238,11 +239,8 @@ class Rcce:
             return np.frombuffer(data.tobytes(), np.uint8)
         return np.frombuffer(bytes(data), np.uint8)
 
-    def _pending_chain(self, key: str):
-        chains = getattr(self, "_nb_chains", None)
-        if chains is None:
-            return None
-        proc = chains.get(key)
+    def _pending_chain(self, key):
+        proc = self._nb_chains.get(key)
         return proc if proc is not None and not proc.finished else None
 
     # send/recv and the collectives return the generator that does the
@@ -270,7 +268,6 @@ class Rcce:
         if dest == self.rank:
             raise ValueError("a rank cannot send to itself")
         self.layout.record_traffic(self.rank, dest, len(payload))
-        self.sends += 1
         transport = self.selector.select(self, dest, len(payload), op="send")
         if self.selector.wants_feedback:
             return self._send_observed(transport, payload, dest)
@@ -305,7 +302,6 @@ class Rcce:
             raise ValueError("a rank cannot receive from itself")
         if nbytes < 0:
             raise ValueError(f"negative receive size {nbytes}")
-        self.recvs += 1
         transport = self.selector.select(self, src, nbytes, op="recv")
         return transport.recv(self, src, nbytes)
 

@@ -82,14 +82,6 @@ class CoreEnv:
         hops = device.router.hops
         cpt = self._cores_per_tile
         self._hops_table = [hops(self.tile, c // cpt) for c in range(p.num_cores)]
-        self.stats: dict[str, float] = {
-            "mpb_bytes_read": 0,
-            "mpb_bytes_written": 0,
-            "private_bytes": 0,
-            "flag_sets": 0,
-            "flag_polls": 0,
-            "compute_ns": 0.0,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CoreEnv dev={self.device.device_id} core={self.core_id}>"
@@ -120,7 +112,6 @@ class CoreEnv:
     def compute(self, ns: float = 0.0, cycles: float = 0.0) -> Generator:
         """Charge pure compute time (``cycles`` are core cycles)."""
         total = ns + self._core_clock.cycles(cycles)
-        self.stats["compute_ns"] += total
         if total > 0:
             yield total
 
@@ -143,7 +134,6 @@ class CoreEnv:
         quadrant memory controller's FIFO occupancy (contention only
         bites when several cores of one quadrant stream at once)."""
         lines = -(-nbytes // CACHE_LINE)
-        self.stats["private_bytes"] += nbytes
         core_side = lines * line_ns
         mc_wait = self.device.memctrl.occupancy_wait_ns(self.core_id, nbytes)
         yield max(core_side, mc_wait)
@@ -162,9 +152,7 @@ class CoreEnv:
         host-routed path of vSCC).
         """
         if addr.device != self._device_id:
-            data = yield from self._fabric().remote_read(self, addr, length)
-            self.stats["mpb_bytes_read"] += length
-            return data
+            return (yield from self._fabric().remote_read(self, addr, length))
         mem = self.device.mpb
         mem.check_span(addr, length)
         local = addr.core // self._cores_per_tile == self.tile
@@ -174,7 +162,6 @@ class CoreEnv:
             self.device.router.account(
                 self.tile, addr.core // self._cores_per_tile, length
             )
-        self.stats["mpb_bytes_read"] += length
         yield cost
         return mem.read_unchecked(addr, length)
 
@@ -205,13 +192,11 @@ class CoreEnv:
         """Write ``data`` to on-chip memory (through the WCB)."""
         if addr.device != self._device_id:
             yield from self._fabric().remote_write(self, addr, data)
-            self.stats["mpb_bytes_written"] += len(data)
             return
         mem = self.device.mpb
         length = len(data)
         base = mem.check_span(addr, length)
         lines = max(1, -(-length // CACHE_LINE))
-        self.stats["mpb_bytes_written"] += length
         if addr.core // self._cores_per_tile == self.tile:
             yield lines * self._local_write_ns
             mem.write_unchecked(addr, base, data)
@@ -249,9 +234,6 @@ class CoreEnv:
             return
         mem = self.device.mpb
         base = mem.check_span(addr, length)
-        stats = self.stats
-        stats["private_bytes"] += length
-        stats["mpb_bytes_written"] += length
         r_lines = -(-length // CACHE_LINE)
         d1 = max(
             r_lines * self._dram_read_line_ns,
@@ -290,9 +272,6 @@ class CoreEnv:
                 self.tile, addr.core // self._cores_per_tile, length
             )
         d2 = lines * miss_ns
-        stats = self.stats
-        stats["mpb_bytes_read"] += length
-        stats["private_bytes"] += length
         d3 = max(
             (-(-length // CACHE_LINE)) * self._dram_write_line_ns,
             self.device.memctrl.occupancy_wait_ns(
@@ -306,7 +285,6 @@ class CoreEnv:
 
     def set_flag(self, addr: MpbAddr, value: int) -> Generator:
         """Write a one-byte flag."""
-        self.stats["flag_sets"] += 1
         if addr.device != self._device_id:
             yield from self._fabric().remote_flag_write(self, addr, value)
             return
@@ -377,10 +355,8 @@ class CoreEnv:
         mem = self.device.mpb
         poll_ns = self._poll_base_ns
         deadline = None if timeout_ns is None else self.sim.now + timeout_ns
-        stats = self.stats
         watch = None
         while True:
-            stats["flag_polls"] += 1
             if watch is None:
                 yield poll_ns
             else:
@@ -428,7 +404,6 @@ class CoreEnv:
                 )
         deadline = None if timeout_ns is None else self.sim.now + timeout_ns
         while True:
-            self.stats["flag_polls"] += 1
             yield self._poll_base_ns * len(specs)
             for index, (addr, pred) in enumerate(specs):
                 if pred(mem.read_byte(addr)):

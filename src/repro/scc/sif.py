@@ -10,11 +10,9 @@ to the SIF tile on top of the PCIe path.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.host.pcie import PCIeCable
-
     from .mesh import XYRouter
     from .params import SCCParams
 
@@ -33,18 +31,12 @@ class SystemInterface:
         x = min(SIF_TILE_XY[0], params.tiles_x - 1)
         y = min(SIF_TILE_XY[1], params.tiles_y - 1)
         self.tile = params.tile_at(x, y)
-        #: Set when the host attaches this device to a PCIe cable.
-        self.cable: Optional["PCIeCable"] = None
         # mesh_to_sif_ns is pure in (hops, nbytes): each core's hop count
         # to the SIF tile is resolved here, and costs are memoized per hop
         # count in the parameter set's tables.
         self._core_hops = [self.hops_from_core(c) for c in range(params.num_cores)]
         memo = params.hop_costs.mesh_path_memo
         self._core_memo = [memo[h] for h in self._core_hops]
-
-    @property
-    def connected(self) -> bool:
-        return self.cable is not None
 
     def hops_from_core(self, core_id: int) -> int:
         """Mesh hops from a core's tile to the SIF tile."""

@@ -306,15 +306,12 @@ class VdmaTransport(TwoSlotTransport):
 
     name = "local-put-local-get-vdma"
 
-    def __init__(self, host: "Host", fused_mmio: bool = True, selector=None):
+    def __init__(self, host: "Host", fused_mmio: bool = True):
         self.host = host
         #: Whether the three programming registers are written as one
         #: WCB-fused transaction (§3.3) — the mmio-fusion ablation
         #: disables this to measure the saving.
         self.fused_mmio = fused_mmio
-        #: Owning :class:`VsccSelector`, consulted for the host-affinity
-        #: of cross-host copies (``None`` on a standalone transport).
-        self.selector = selector
 
     def _granule(self, comm: "Rcce") -> int:
         return self.host.params.granule
@@ -334,9 +331,9 @@ class VdmaTransport(TwoSlotTransport):
         slot_addrs = (env.local_addr(0), env.local_addr(slot))
         # Host-affinity of a cross-host copy (None on a same-host route):
         # which host's communication task owns the inter-host forward.
-        owner = None
-        if self.selector is not None:
-            owner = self.selector.host_affinity_for(comm, me, dest)
+        # Only a VsccSelector builds this transport, so the rank's own
+        # selector is the one that picked it.
+        owner = comm.selector.host_affinity_for(comm, me, dest)
         offset = 0
         for k, size in enumerate(transfers):
             if k >= 2:
@@ -464,9 +461,7 @@ class VsccSelector(OnChipSelector):
         if scheme is CommScheme.HW_ACCEL_REMOTE_PUT:
             return HwAccelRemotePutTransport()
         if scheme is CommScheme.LOCAL_PUT_LOCAL_GET_VDMA:
-            return VdmaTransport(
-                self.host, fused_mmio=self.vdma_fused_mmio, selector=self
-            )
+            return VdmaTransport(self.host, fused_mmio=self.vdma_fused_mmio)
         raise ValueError(f"unknown scheme {scheme}")  # pragma: no cover
 
     def metrics_snapshot(self) -> dict[str, float]:
@@ -573,8 +568,7 @@ class VsccSelector(OnChipSelector):
         RPC dispatch is strictly client→host, so there is no two-sided
         replay to keep consistent — no journal cursor, just the policy
         answer counted into ``policy.decisions{scheme=}`` and traced
-        like any other decision. The dispatcher additionally records
-        ``(req_id, scheme)`` in its own :attr:`decision_journal`.
+        like any other decision.
         """
         scheme = self.policy.rpc_scheme(rank, nbytes, route)
         self.decisions[scheme] = self.decisions.get(scheme, 0) + 1

@@ -39,8 +39,7 @@ def test_fabric_installed_on_attach():
     devices = make_devices(sim, 2)
     host = Host(sim, devices)
     for dev in devices:
-        assert dev.fabric is not None
-        assert dev.sif.connected
+        assert dev.fabric is host.tasks[dev.device_id]
 
 
 def test_pcie_byte_accounting():

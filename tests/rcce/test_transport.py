@@ -6,6 +6,7 @@ import pytest
 from repro.rcce.api import RcceOptions
 from repro.rcce.session import RcceSession
 from repro.rcce.transport import DefaultGetTransport, OnChipSelector
+from repro.scc.mpb import MpbAddr
 
 
 def test_selector_picks_default_below_threshold():
@@ -49,8 +50,12 @@ def test_sender_stages_in_own_buffer(session):
             yield from comm.recv(64, 0)
 
     session.run(program, ranks=[0, 1])
-    env0 = session.device.core(0)
-    env1 = session.device.core(1)
-    assert env0.stats["mpb_bytes_written"] >= 64  # chunk + flags
-    # receiver never wrote payload bytes to MPB, only flags
-    assert env1.stats["mpb_bytes_written"] < 64
+    dev = session.device
+    half = dev.params.lmb_bytes_per_core
+
+    def lmb(core):
+        return bytes(dev.mpb.read(MpbAddr(0, core, 0), half))
+
+    assert b"\xab" * 64 in lmb(0)
+    # receiver's MPB holds only flags, never payload bytes
+    assert b"\xab" not in lmb(1)

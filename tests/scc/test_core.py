@@ -171,17 +171,3 @@ def test_offdie_access_without_fabric_raises(dev):
     dev.sim.spawn(prog())
     with pytest.raises(Exception):
         dev.sim.run()
-
-
-def test_stats_accumulate(dev):
-    env = dev.core(0)
-
-    def prog():
-        yield from env.private_read(1024)
-        yield from env.mpb_write(env.local_addr(0), b"\x01" * 64)
-        yield from env.set_flag(env.local_addr(7700), 1)
-
-    run(dev.sim, prog())
-    assert env.stats["private_bytes"] == 1024
-    assert env.stats["mpb_bytes_written"] == 64
-    assert env.stats["flag_sets"] == 1

@@ -20,7 +20,7 @@ def test_hops_to_sif():
 
 def test_unconnected_by_default():
     dev = SCCDevice(Simulator())
-    assert not dev.sif.connected
+    assert dev.fabric is None
 
 
 def test_mesh_cost_scales_with_size():

@@ -57,13 +57,3 @@ def test_fifo_order_among_waiters():
     sim.spawn(putter())
     sim.run()
     assert results == [("first", 1), ("second", 2)]
-
-
-def test_drain_and_len():
-    sim = Simulator()
-    q = SimQueue(sim)
-    for i in range(3):
-        q.put(i)
-    assert len(q) == 3
-    assert q.drain() == [0, 1, 2]
-    assert q.empty

@@ -1,5 +1,10 @@
 """Unit tests for the VSCCSystem façade."""
 
+import gc
+import weakref
+
+import numpy as np
+
 from repro.apps.traffic import traffic_matrix
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
@@ -96,3 +101,29 @@ def test_pingpong_allocates_only_the_cores_it_wrote(monkeypatch):
     assert written == {(0, 0), (1, 0)}
     assert halves == written
     assert cores == {(0, 0), (1, 0)}
+
+
+def test_dropped_vdma_system_frees_its_selector_by_refcount():
+    """The vDMA transport asks the rank's own selector for host affinity
+    instead of holding it, so a dropped system's selector needs no
+    cyclic collection (the devices and host still do)."""
+    gc.collect()
+    gc.disable()
+    try:
+        system = VSCCSystem(
+            num_devices=2, scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA
+        )
+
+        def program(comm):
+            if comm.rank == 0:
+                yield from comm.send(np.zeros(16384, np.uint8), 48)
+            else:
+                yield from comm.recv(16384, 0)
+
+        system.run(program, ranks=[0, 48])
+        assert system.metrics["policy.decisions{scheme=vdma}"] == 1.0
+        ref = weakref.ref(system.selector)
+        del system
+        assert ref() is None
+    finally:
+        gc.enable()
