@@ -1001,7 +1001,8 @@ def rpc_open_loop() -> dict:
 
     The fingerprint pins the simulated clocks, the outcome digest, and
     the structural counters (descriptors/coalesced/cache hits) that any
-    change to coalescing, batching, caching or policy decisions moves.
+    change to coalescing, batching, caching or policy decisions moves,
+    and per config the calls offered and the policy decisions made.
     """
     from repro.vscc.policy import AdaptivePolicy, StaticPolicy, ThresholdPolicy
     from repro.vscc.schemes import CommScheme
@@ -1025,6 +1026,8 @@ def rpc_open_loop() -> dict:
         out[f"{label}_descriptors"] = float(d.descriptors)
         out[f"{label}_coalesced"] = float(d.coalesced)
         out[f"{label}_cache_hits"] = float(d.cache.hits)
+        out[f"{label}_calls"] = float(report.offered)
+        out[f"{label}_decisions"] = float(sum(system.selector.decisions.values()))
     assert len(digests) == 1, digests
     out["sim_now_sum_ns"] = sim_now_sum
     out["events_sum"] = events_sum
@@ -1044,8 +1047,9 @@ def ext_rpc_curves() -> dict:
     """:data:`RPC_TRACE`'s latency curves: each policy config and arrival
     process over :data:`_RPC_LOADS`.
 
-    Pins p50 latency (µs) and coalesced requests per load point, and
-    per arrival process the distinct outcome digests.
+    Pins p50 latency (µs) and coalesced requests per load point, per
+    arrival process the distinct outcome digests, and over all points
+    the calls offered and the policy decisions made.
     """
     from repro.vscc.policy import AdaptivePolicy, StaticPolicy, ThresholdPolicy
     from repro.vscc.schemes import CommScheme
@@ -1068,6 +1072,7 @@ def ext_rpc_curves() -> dict:
         },
     }
     curves, digests = {}, {arrival: set() for arrival in _RPC_ARRIVALS}
+    calls = decisions = 0.0
     for label, policy in policies.items():
         for arrival in _RPC_ARRIVALS:
             curve = curves[f"{label}/{arrival}"] = {"p50_us": [], "coalesced": []}
@@ -1077,9 +1082,13 @@ def ext_rpc_curves() -> dict:
                 curve["p50_us"].append(report.latency_percentile(50) / 1000.0)
                 curve["coalesced"].append(float(report.dispatcher.coalesced))
                 digests[arrival].add(report.digest)
+                calls += report.offered
+                decisions += sum(system.selector.decisions.values())
     return {
         "curves": curves,
         "digests": {arrival: sorted(d) for arrival, d in digests.items()},
+        "calls": calls,
+        "decisions": decisions,
     }
 
 
@@ -1351,6 +1360,16 @@ CLAIMS: dict[str, Claim] = {
     "rpc_cachedget_never_coalesces": Claim(
         "ext_rpc_curves", ("curves.static-cachedget/bursty.coalesced",),
         lambda c: c[0] == 0),
+    # Each RPC call is decided exactly once (DESIGN.md §15): a call the
+    # coalescing loop probed and rejected keeps that decision.
+    "rpc_open_loop_one_decision_per_call": Claim(
+        "rpc_open_loop",
+        tuple(f"{label}_{field}" for label in ("static_vdma", "threshold", "adaptive")
+              for field in ("calls", "decisions")),
+        lambda *pairs: all(
+            c == d > 0 for c, d in zip(pairs[::2], pairs[1::2]))),
+    "rpc_curves_one_decision_per_call": Claim(
+        "ext_rpc_curves", ("calls", "decisions"), lambda c, d: c == d > 0),
     "rpc_bursty_coalesces_more": Claim(
         "ext_rpc_curves",
         ("curves.static-vdma/bursty.coalesced", "curves.static-vdma/poisson.coalesced"),
