@@ -128,7 +128,7 @@ class LinkFaultState:
         if self.disabled:
             # Post-reset clean link: identical to the fault-free path.
             arrival = link._occupy(nbytes, extra_overhead_ns)
-            return link._deliver_at(arrival, on_arrival, payload)
+            return sim.trigger_at(arrival, payload, on_arrival, link._arrive_name)
         self.sent += 1
         if self.severed:
             self.lost += 1

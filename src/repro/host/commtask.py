@@ -225,6 +225,8 @@ class CommunicationTask:
         self.host = host
         self.sim = host.sim
         self.device_id = device_id
+        #: This device's PCIe cable (fixed for the host's lifetime).
+        self.cable = host.cables[device_id]
         self.mmio = MmioBank(device_id)
         #: Write-combining streams keyed by source core id.
         self._combiners: dict[int, HostWriteCombiner] = {}
@@ -505,10 +507,6 @@ class CommunicationTask:
         )
 
     # -- helpers ---------------------------------------------------------------
-
-    @property
-    def cable(self):
-        return self.host.cable_of(self.device_id)
 
     def _check_route(self, target_device: int) -> None:
         """Fail fast when quarantine has severed the path to the target.

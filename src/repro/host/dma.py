@@ -11,18 +11,21 @@ the higher layers (software cache, host WCB, vDMA) pipeline.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from repro.scc.mpb import MpbAddr
+from repro.sim.engine import Record
 
 from .pcie import PCIeCable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.engine import Simulator
+
     from .driver import Host
 
-__all__ = ["DMAEngine", "granule_sizes"]
+__all__ = ["DMAEngine", "Transfer", "granule_sizes"]
 
 #: Default DMA granule (bytes).
 DEFAULT_GRANULE = 1920
@@ -74,37 +77,36 @@ class DMAEngine:
         nbytes: int,
         sink: Callable[[int, np.ndarray], None],
         granule: Optional[int] = None,
-    ) -> Generator:
+    ) -> "Transfer":
         """Copy ``nbytes`` from device MPB to host, granule by granule.
 
         ``sink(offset, data)`` runs at each granule's host-arrival time;
-        the coroutine returns once the final granule has arrived. Device
-        memory is sampled when the granule's transfer starts (the device
-        side must not overwrite in-flight data — the RCCE flag protocol
-        guarantees that).
+        the returned record triggers once the final granule has arrived.
+        Device memory is sampled when the granule's transfer starts, in
+        the record's start slot (the device side must not overwrite
+        in-flight data — the RCCE flag protocol guarantees that).
         """
         device = self.cable.device
         if addr.device != device.device_id:
             raise ValueError(f"{addr} is not on device {device.device_id}")
-        offset = 0
-        pending = []
-        for size in granule_sizes(nbytes, granule or self.granule):
-            data = device.mpb.read(addr + offset, size)
-            off = offset
+        sizes = granule_sizes(nbytes, granule or self.granule)
 
-            def _arrive(off=off, data=data) -> None:
-                sink(off, data)
+        def post() -> list:
+            offset = 0
+            pending = []
+            for size in sizes:
+                data = device.mpb.read(addr + offset, size)
+                pending.append(self.cable.up.post(
+                    size,
+                    on_arrival=partial(sink, offset, data),
+                    extra_overhead_ns=self.cable.params.dma_setup_ns,
+                ))
+                self.bytes_pulled += size
+                offset += size
+            return pending
 
-            ev = self.cable.up.post(
-                size,
-                on_arrival=_arrive,
-                extra_overhead_ns=self.cable.params.dma_setup_ns,
-            )
-            pending.append(ev)
-            self.bytes_pulled += size
-            offset += size
-        for ev in pending:
-            yield ev
+        # The engine's pulls are the software cache's prefetch segments.
+        return Transfer(self.sim, "daemon:prefetch-seg", post)
 
     # -- host → device -----------------------------------------------------------
 
@@ -115,12 +117,13 @@ class DMAEngine:
         on_granule: Optional[Callable[[int, int], None]] = None,
         granule: Optional[int] = None,
         via: Optional["Host"] = None,
-    ) -> Generator:
+    ) -> "Transfer":
         """Copy host ``data`` into device MPB, granule by granule.
 
         Each granule is committed to device memory at its arrival time
         (waking any flag watchers); ``on_granule(index, end_offset)``
-        runs right after each commit. Returns after the final commit.
+        runs right after each commit. The returned record triggers after
+        the final commit.
 
         ``via`` is the host the data sits on. Without it the data is on
         this cable's own host; with it every granule rides
@@ -131,30 +134,56 @@ class DMAEngine:
         device = self.cable.device
         if addr.device != device.device_id:
             raise ValueError(f"{addr} is not on device {device.device_id}")
-        post = (
-            self.cable.down.post if via is None
-            else partial(via.route_down, device.device_id)
-        )
-        buf = np.asarray(data, dtype=np.uint8)
-        offset = 0
-        pending = []
-        sizes = granule_sizes(len(buf), granule or self.granule)
-        for index, size in enumerate(sizes):
-            chunk = buf[offset : offset + size].copy()
-            off = offset
 
-            def _arrive(index=index, off=off, chunk=chunk, size=size) -> None:
-                device.mpb.write(addr + off, chunk)
-                if on_granule is not None:
-                    on_granule(index, off + size)
-
-            ev = post(
-                size,
-                on_arrival=_arrive,
-                extra_overhead_ns=self.cable.params.dma_setup_ns,
+        def post() -> list:
+            send = (
+                self.cable.down.post if via is None
+                else partial(via.route_down, device.device_id)
             )
-            pending.append(ev)
-            self.bytes_pushed += size
-            offset += size
-        for ev in pending:
-            yield ev
+            buf = np.asarray(data, dtype=np.uint8)
+            offset = 0
+            pending = []
+            for index, size in enumerate(granule_sizes(len(buf), granule or self.granule)):
+                chunk = buf[offset : offset + size].copy()
+                off = offset
+
+                def _arrive(index=index, off=off, chunk=chunk, size=size) -> None:
+                    device.mpb.write(addr + off, chunk)
+                    if on_granule is not None:
+                        on_granule(index, off + size)
+
+                pending.append(send(
+                    size,
+                    on_arrival=_arrive,
+                    extra_overhead_ns=self.cable.params.dma_setup_ns,
+                ))
+                self.bytes_pushed += size
+                offset += size
+            return pending
+
+        # The engine's pushes are the host WCB's flushes.
+        return Transfer(self.sim, "daemon:hostwcb-push", post)
+
+
+class Transfer(Record):
+    """DMA pulls and pushes and the cache's ramped prefetch: ``post()``
+    runs in the start slot and returns what to wait for, in order."""
+
+    __slots__ = ("_post", "_pending")
+
+    def __init__(self, sim: "Simulator", name: str, post: Callable[[], list]):
+        self._post = post
+        Record.__init__(self, sim, name, self._start)
+
+    def _start(self, _) -> None:
+        self._pending = iter(self._post())
+        self._next = self._drain
+        self._drain(None)
+
+    def _drain(self, _) -> None:
+        # Record._wait inlined: ``_next`` stays ``_drain`` to the end.
+        waitable = next(self._pending, None)
+        if waitable is None:
+            self._finish()
+        elif not waitable._add_waiter(self):
+            self.sim.schedule(0.0, self, waitable._value)

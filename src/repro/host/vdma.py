@@ -19,9 +19,11 @@ task can introduce a pipelining effect", §4.1 — this is what removes the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Optional
 
 from repro.scc.mpb import MpbAddr
+from repro.sim.engine import Record
 
 from .dma import granule_sizes
 from .mmio import REG_VDMA_ADDR, REG_VDMA_COUNT, REG_VDMA_CTRL
@@ -70,6 +72,8 @@ class VDMAController:
         #: Copies that outlived the fault plan's watchdog without
         #: completing (armed only while a fault injector is installed).
         self.watchdog_fires = 0
+        self._name = f"daemon:vdma.d{device_id}"
+        self._watchdog_name = f"vdma.watchdog.d{device_id}"
         bank = host.task_of(device_id).mmio
         bank.on_write(REG_VDMA_CTRL, self._on_ctrl)
         self._depth_gauge = self.sim.obs.gauge("vdma.queue_depth", device=device_id)
@@ -108,6 +112,12 @@ class VDMAController:
             raise ValueError(
                 "vDMA moves data between devices; same-device copies use the mesh"
             )
+        sizes = granule_sizes(count, cmd.granule or self.host.params.granule)
+        if cmd.progress_flag is not None and len(cmd.progress_values) < len(sizes):
+            raise ValueError(
+                f"vDMA command provides {len(cmd.progress_values)} progress "
+                f"values for {len(sizes)} granules"
+            )
         self.copies_started += 1
         self._depth_gauge.add(1.0)
         tracer = self.sim.tracer
@@ -123,108 +133,121 @@ class VDMAController:
         sched = self.host.task_of(self.device_id).sched
         chained = sched.vdma_admit(cmd.dst.device, self.copies_started)
         sched.vdma_begin(cmd.dst.device)
-        self.sim.spawn(
-            self._copy(src, count, cmd, self.copies_started, chained),
-            name=f"daemon:vdma.d{self.device_id}",
-        )
+        _Copy(self, src, sizes, cmd, self.copies_started, chained)
 
-    def _copy(
-        self, src: MpbAddr, count: int, cmd: VdmaCommand, copy_id: int,
-        chained: bool = False,
-    ) -> Generator:
-        host = self.host
-        sim = self.sim
-        tracer = sim.tracer
-        if tracer.wants("vdma"):
-            tracer.emit(sim.now, "vdma", self.device_id, "copy_start", copy_id, count)
-        src_cable = host.cable_of(src.device)
-        dst_cable = host.cable_of(cmd.dst.device)
-        dst_dev = host.device_of(cmd.dst.device)
-        src_dev = host.device_of(src.device)
-        sizes = granule_sizes(count, cmd.granule or host.params.granule)
-        if cmd.progress_flag is not None and len(cmd.progress_values) < len(sizes):
-            raise ValueError(
-                f"vDMA command provides {len(cmd.progress_values)} progress "
-                f"values for {len(sizes)} granules"
-            )
-        remaining = [len(sizes)]
-        all_committed = sim.event(name="vdma.done")
 
+class _Copy(Record):
+    """One vDMA copy as a kernel record, woken four times: at its start,
+    after the host-side setup delay (not for a descriptor chained onto
+    an in-flight copy), when the last granule commits, and once the
+    completion flag is posted."""
+
+    __slots__ = ("ctrl", "src", "sizes", "cmd", "copy_id", "chained", "_remaining", "_watchdog")
+
+    def __init__(
+        self, ctrl: VDMAController, src: MpbAddr, sizes: list[int],
+        cmd: VdmaCommand, copy_id: int, chained: bool,
+    ):
+        self.ctrl = ctrl
+        self.src = src
+        self.sizes = sizes
+        self.cmd = cmd
+        self.copy_id = copy_id
+        self.chained = chained
+        self._remaining = len(sizes)
+        self._watchdog = None
+        Record.__init__(self, ctrl.sim, ctrl._name, self._begin)
+
+    def _trace(self, category: str, what: str, *args) -> None:
+        tracer = self.sim.tracer
+        if tracer.wants(category):
+            tracer.emit(self.sim.now, category, self.ctrl.device_id, what, self.copy_id, *args)
+
+    def _begin(self, _) -> None:
+        ctrl = self.ctrl
+        self._trace("vdma", "copy_start", sum(self.sizes))
         # Under a fault plan each copy is covered by a watchdog: a stuck
         # copy (e.g. a granule black-holed by a severed cable) is flagged
         # in the metrics/trace instead of disappearing silently.
-        injector = host.fault_injector
-        watchdog = None
+        injector = ctrl.host.fault_injector
         if injector is not None:
-
-            def _watchdog_fired() -> None:
-                self.watchdog_fires += 1
-                if tracer.wants("faults"):
-                    tracer.emit(
-                        sim.now, "faults", self.device_id,
-                        "vdma_watchdog", copy_id, count,
-                    )
-
-            watchdog = sim.after(
-                injector.plan.vdma_watchdog_ns,
-                _watchdog_fired,
-                name=f"vdma.watchdog.d{self.device_id}",
+            self._watchdog = self.sim.after(
+                injector.plan.vdma_watchdog_ns, self._watchdog_fired,
+                name=ctrl._watchdog_name,
             )
-
-        def commit(index: int, off: int, chunk) -> None:
-            dst_dev.mpb.write(cmd.dst + off, chunk)
-            if cmd.progress_flag is not None:
-                dst_dev.mpb.write_byte(cmd.progress_flag, cmd.progress_values[index])
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                all_committed.trigger()
-
         # Host-side engine startup (descriptor build, thread hand-off) —
         # skipped for a descriptor chained onto an in-flight route copy.
-        if not chained:
-            yield host.params.vdma_setup_ns
+        if self.chained:
+            self._post(None)
+        else:
+            self._sleep(ctrl.host.params.vdma_setup_ns, self._post)
 
+    def _watchdog_fired(self) -> None:
+        self.ctrl.watchdog_fires += 1
+        self._trace("faults", "vdma_watchdog", sum(self.sizes))
+
+    def _post(self, _) -> None:
+        host = self.ctrl.host
+        src = self.src
+        cable = host.cable_of(src.device)
+        mpb = host.device_of(src.device).mpb
         offset = 0
-        for index, size in enumerate(sizes):
+        for index, size in enumerate(self.sizes):
             # The protocol guarantees the source MPB stays stable until
             # the completion flag, so sampling at start is sound.
-            chunk = src_dev.mpb.read(src + offset, size)
-
-            def forward(index=index, off=offset, chunk=chunk, size=size) -> None:
-                # At host arrival: forward down the target cable (via the
-                # inter-host tier for a foreign destination), paying host
-                # service + descriptor setup as serialization.
-                host.route_down(
-                    cmd.dst.device,
-                    size,
-                    on_arrival=lambda: commit(index, off, chunk),
-                    extra_overhead_ns=host.params.service_ns
-                    + dst_cable.params.dma_setup_ns,
-                    owner=cmd.owner or "src",
-                )
-
-            src_cable.up.post(
+            cable.up.post(
                 size,
-                on_arrival=forward,
-                extra_overhead_ns=src_cable.params.dma_setup_ns,
+                on_arrival=partial(self._forward, index, offset, mpb.read(src + offset, size)),
+                extra_overhead_ns=cable.params.dma_setup_ns,
             )
             offset += size
-        self.bytes_copied += count
+        self.ctrl.bytes_copied += offset
+        self._next = self._complete  # the last commit wakes the copy
 
-        yield all_committed
+    def _forward(self, index: int, offset: int, chunk) -> None:
+        # At host arrival: forward down the target cable (via the
+        # inter-host tier for a foreign destination), paying host
+        # service + descriptor setup as serialization.
+        host = self.ctrl.host
+        cmd = self.cmd
+        host.route_down(
+            cmd.dst.device,
+            len(chunk),
+            on_arrival=partial(self._commit, index, offset, chunk),
+            extra_overhead_ns=host.params.service_ns
+            + host.cable_of(cmd.dst.device).params.dma_setup_ns,
+            owner=cmd.owner or "src",
+        )
+
+    def _commit(self, index: int, offset: int, chunk) -> None:
+        cmd = self.cmd
+        mpb = self.ctrl.host.device_of(cmd.dst.device).mpb
+        mpb.write(cmd.dst + offset, chunk)
+        if cmd.progress_flag is not None:
+            mpb.write_byte(cmd.progress_flag, cmd.progress_values[index])
+        self._remaining -= 1
+        if not self._remaining:
+            self.sim.schedule(0.0, self, None)
+
+    def _complete(self, _) -> None:
         # Completion: tell the (spinning) source core its MPB is free.
-        done = src_cable.down.post(
+        host = self.ctrl.host
+        mpb = host.device_of(self.src.device).mpb
+        cmd = self.cmd
+        posted = host.cable_of(self.src.device).down.post(
             4,
-            on_arrival=lambda: src_dev.mpb.write_byte(
-                cmd.completion_flag, cmd.completion_value
-            ),
+            on_arrival=lambda: mpb.write_byte(cmd.completion_flag, cmd.completion_value),
             extra_overhead_ns=host.params.service_ns,
         )
-        yield done
-        if watchdog is not None:
-            watchdog.cancel()
-        self.copies_completed += 1
-        host.task_of(self.device_id).sched.vdma_end(cmd.dst.device)
-        self._depth_gauge.add(-1.0)
-        if tracer.wants("vdma"):
-            tracer.emit(sim.now, "vdma", self.device_id, "copy_done", copy_id)
+        self._wait(posted, self._end)
+
+    def _end(self, _) -> None:
+        ctrl = self.ctrl
+        if self._watchdog is not None:
+            self._watchdog.cancel()
+            self._watchdog = None  # the timer's callback holds this record
+        ctrl.copies_completed += 1
+        ctrl.host.task_of(ctrl.device_id).sched.vdma_end(self.cmd.dst.device)
+        ctrl._depth_gauge.add(-1.0)
+        self._trace("vdma", "copy_done")
+        self._finish()

@@ -53,7 +53,6 @@ class HostWriteCombiner:
     ):
         if granule <= 0:
             raise ValueError(f"granule must be positive, got {granule}")
-        self.sim = sim
         self.dma = dma_to_target
         #: Host holding the combined bytes (``None``: the target's own).
         self.via = via
@@ -105,10 +104,7 @@ class HostWriteCombiner:
         addr = self._base + start
         self._flushed += size
         self.flushes += 1
-        self.sim.spawn(
-            self.dma.push(addr, chunk, granule=size, via=self.via),
-            name="daemon:hostwcb-push",
-        )
+        self.dma.push(addr, chunk, granule=size, via=self.via)
 
     def fence(self) -> Generator:
         """Ensure a partial tail granule gets flushed.

@@ -2,14 +2,13 @@
 
 Public surface::
 
-    from repro.sim import Simulator, Delay, Event, Link, SimQueue, Clock
+    from repro.sim import Simulator, Delay, Event, Link, Clock
 """
 
 from .clock import Clock
 from .engine import Delay, Event, Process, Simulator
 from .engine import Signal
 from .errors import DeadlockError, InvalidYield, ProcessFailed, SimulationError
-from .queue import SimQueue
 from .resources import Link
 from .trace import TraceRecord, Tracer
 
@@ -23,7 +22,6 @@ __all__ = [
     "Process",
     "ProcessFailed",
     "Signal",
-    "SimQueue",
     "SimulationError",
     "Simulator",
     "TraceRecord",

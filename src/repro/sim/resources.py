@@ -123,15 +123,6 @@ class Link:
         if self.faults is not None:
             return self.faults.post(nbytes, on_arrival, payload, extra_overhead_ns)
         arrival = self._occupy(nbytes, extra_overhead_ns)
-        return self._deliver_at(arrival, on_arrival, payload)
-
-    def _deliver_at(
-        self,
-        arrival: float,
-        on_arrival: Optional[Callable[[], None]],
-        payload: Any,
-    ) -> Event:
-        """Schedule the arrival-side commit + completion event."""
         return self.sim.trigger_at(arrival, payload, on_arrival, self._arrive_name)
 
     def metrics_snapshot(self) -> dict[str, float]:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.apps.pingpong import PingPongPoint, run_pingpong
 from repro.rcce.session import RcceSession
+from repro.scc.mpb import MpbAddr
+from repro.sim.errors import ProcessFailed
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
@@ -28,21 +30,25 @@ def test_throughput_grows_with_size(session):
 
 
 def test_corruption_is_detected(vdma_system, monkeypatch):
-    """The verify path catches injected payload corruption."""
-    from repro.host import vdma as vdma_module
+    """The verify path catches a payload corrupted on its way through vDMA."""
+    from repro.host.vdma import VDMAController
 
-    original = vdma_module.VDMAController._copy
+    original = VDMAController.start
+    flipped = []
 
-    def corrupting(self, src, count, cmd):
-        # flip a byte in the source device's MPB mid-flight
-        dev = self.host.device_of(src.device)
-        data = dev.mpb.read(src, 1)
-        dev.mpb.write(src, bytes([(int(data[0]) + 1) % 256]))
-        yield from original(self, src, count, cmd)
+    def corrupting(self, core_id, src_offset, count, cmd):
+        # Flip the first source byte just before the copy is programmed.
+        mpb = self.host.device_of(self.device_id).mpb
+        src = MpbAddr(self.device_id, core_id, src_offset)
+        mpb.write_byte(src, (mpb.read_byte(src) + 1) % 256)
+        flipped.append(src)
+        original(self, core_id, src_offset, count, cmd)
 
-    monkeypatch.setattr(vdma_module.VDMAController, "_copy", corrupting)
-    with pytest.raises(Exception, match="corrupt"):
+    monkeypatch.setattr(VDMAController, "start", corrupting)
+    with pytest.raises(ProcessFailed, match="payload corrupted") as failed:
         run_pingpong(vdma_system, 0, 48, sizes=[4096], iterations=1)
+    assert isinstance(failed.value.__cause__, AssertionError)
+    assert flipped
 
 
 def test_same_rank_rejected(session):

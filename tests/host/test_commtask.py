@@ -7,6 +7,7 @@ from repro.host.driver import Host
 from repro.scc.chip import SCCDevice
 from repro.scc.mpb import MpbAddr
 from repro.sim.engine import Simulator
+from repro.sim.errors import ProcessFailed
 
 
 def make_rig(extensions=True, fast_ack=False, n=2):
@@ -110,8 +111,9 @@ def test_mmio_requires_extensions():
         yield from devices[0].core(0).mmio_write(0x40, 1)
 
     sim.spawn(prog())
-    with pytest.raises(Exception, match="extensions"):
+    with pytest.raises(ProcessFailed, match="extensions") as failed:
         sim.run()
+    assert isinstance(failed.value.__cause__, RuntimeError)
 
 
 def test_mmio_fused_cheaper_than_unfused():

@@ -1,4 +1,8 @@
-"""Unit tests for the host DMA engine."""
+"""Unit tests for the host DMA engine.
+
+``pull`` and ``push`` return the transfer's kernel record; a process
+waits for the transfer by yielding it.
+"""
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ def test_pull_delivers_granules_in_order(rig):
     chunks = []
 
     def prog():
-        yield from dma.pull(MpbAddr(0, 3, 0), 5000, lambda off, d: chunks.append((off, d)))
+        yield dma.pull(MpbAddr(0, 3, 0), 5000, lambda off, d: chunks.append((off, d)))
 
     sim.spawn(prog())
     sim.run()
@@ -41,7 +45,7 @@ def test_push_commits_progressively(rig):
     progress = []
 
     def prog():
-        yield from dma.push(
+        yield dma.push(
             MpbAddr(0, 7, 0), payload, on_granule=lambda i, end: progress.append(end)
         )
 
@@ -56,7 +60,7 @@ def test_granule_override(rig):
     sizes = []
 
     def prog():
-        yield from dma.pull(MpbAddr(0, 0, 0), 1024, lambda off, d: sizes.append(len(d)), granule=256)
+        yield dma.pull(MpbAddr(0, 0, 0), 1024, lambda off, d: sizes.append(len(d)), granule=256)
 
     sim.spawn(prog())
     sim.run()
@@ -64,9 +68,13 @@ def test_granule_override(rig):
 
 
 def test_wrong_device_rejected(rig):
+    """A device mismatch raises when the transfer is requested."""
     sim, dev, dma = rig
-    with pytest.raises(ValueError):
-        list(dma.pull(MpbAddr(1, 0, 0), 32, lambda o, d: None))
+    with pytest.raises(ValueError, match="not on device 0"):
+        dma.pull(MpbAddr(1, 0, 0), 32, lambda o, d: None)
+    with pytest.raises(ValueError, match="not on device 0"):
+        dma.push(MpbAddr(1, 0, 0), np.zeros(32, np.uint8))
+    assert sim.metrics_snapshot()["sim.processes_spawned"] == 0.0
 
 
 def test_throughput_includes_descriptor_setup(rig):
@@ -75,7 +83,7 @@ def test_throughput_includes_descriptor_setup(rig):
 
     def prog():
         t0 = sim.now
-        yield from dma.pull(MpbAddr(0, 0, 0), 1920, lambda o, d: None)
+        yield dma.pull(MpbAddr(0, 0, 0), 1920, lambda o, d: None)
         return sim.now - t0
 
     proc = sim.spawn(prog())
@@ -87,3 +95,26 @@ def test_throughput_includes_descriptor_setup(rig):
         + params.latency_ns
     )
     assert proc.result == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
+def test_pull_samples_memory_in_its_start_slot(fuse):
+    """A same-instant write made after ``pull`` is called, but before the
+    pull's start slot, is in the pulled data."""
+    sim = Simulator(fuse_delays=fuse)
+    dev = SCCDevice(sim)
+    dev.boot()
+    dma = DMAEngine(PCIeCable(sim, PCIeParams(), dev), granule=1920)
+    addr = MpbAddr(0, 3, 0)
+    dev.mpb.write(addr, np.full(64, 1, np.uint8))
+    pulled = []
+
+    def prog():
+        transfer = dma.pull(addr, 64, lambda off, d: pulled.append(bytes(d)))
+        dev.mpb.write(addr, np.full(64, 7, np.uint8))
+        yield transfer
+
+    sim.spawn(prog())
+    sim.run()
+    assert pulled == [bytes([7]) * 64]
+    assert dma.bytes_pulled == 64

@@ -7,6 +7,7 @@ from repro.host.driver import Host
 from repro.scc.chip import SCCDevice
 from repro.scc.mpb import MpbAddr
 from repro.sim.engine import Simulator
+from repro.sim.errors import ProcessFailed
 
 
 def make_rig(extensions=True, fast_ack=False):
@@ -102,8 +103,9 @@ def test_wcb_open_requires_extensions():
         yield from env.device.fabric.wcb_open(env, MpbAddr(1, 0, 0), 64)
 
     sim.spawn(prog())
-    with pytest.raises(Exception, match="extensions"):
+    with pytest.raises(ProcessFailed, match="extensions") as failed:
         sim.run()
+    assert isinstance(failed.value.__cause__, RuntimeError)
 
 
 #: A registered payload buffer on the peer device.

@@ -113,9 +113,11 @@ def test_missing_progress_values_rejected(rig):
         progress_values=(1,),  # 2 granules need 2 values
         granule=64,
     )
-    host.vdma[0].start(0, 0, 128, cmd)
-    with pytest.raises(Exception):
-        sim.run()
+    with pytest.raises(ValueError, match="1 progress values for 2 granules"):
+        host.vdma[0].start(0, 0, 128, cmd)
+    # Rejected where it was programmed: no copy started, none in flight.
+    assert host.vdma[0].copies_started == 0
+    assert sim.metrics_snapshot()["sim.processes_spawned"] == 0.0
 
 
 def test_ctrl_register_type_checked(rig):

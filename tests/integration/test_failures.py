@@ -80,5 +80,6 @@ def test_vdma_programming_without_extensions_fails():
     def program(comm):
         yield from comm.env.mmio_write(0x0, 0)
 
-    with pytest.raises(Exception, match="extensions"):
+    with pytest.raises(ProcessFailed, match="extensions") as failed:
         system.run(program, ranks=[0])
+    assert isinstance(failed.value.__cause__, RuntimeError)

@@ -1,5 +1,6 @@
 """One-record wake-ups: ``call_at`` callbacks, posted-transfer arrivals
-(``Simulator.trigger_at``) and ``after`` timers.
+(``Simulator.trigger_at``) and ``after`` timers; and :class:`Record`, the
+base of the host engines' multi-step records.
 
 Each is a single object that is both the queue entry and what the
 caller holds. The event stream they produce — event counts, per-source
@@ -11,8 +12,8 @@ import pytest
 
 from repro.scc.chip import SCCDevice
 from repro.scc.mpb import MpbAddr
-from repro.sim.engine import Simulator
-from repro.sim.errors import ProcessFailed
+from repro.sim.engine import Record, Simulator
+from repro.sim.errors import DeadlockError, ProcessFailed
 from repro.sim.resources import Link
 
 
@@ -192,3 +193,123 @@ def test_trigger_at_runs_before_then_triggers_with_the_value(fuse):
     late = sim.trigger_at(1.0, value=3)
     sim.run()
     assert late.value == 3 and sim.now == 12.5
+
+
+class _Steps(Record):
+    """Sleep 5 ns, wait for ``event``, then finish with its value or fail."""
+
+    __slots__ = ("event", "fail", "log")
+
+    def __init__(self, sim, event, fail=False, name="daemon:steps.e0"):
+        self.event = event
+        self.fail = fail
+        self.log = []
+        Record.__init__(self, sim, name, self._start)
+
+    def _start(self, _):
+        self.log.append((0, self.sim.now))
+        self._sleep(5.0, self._park)
+
+    def _park(self, _):
+        self.log.append((1, self.sim.now))
+        self._wait(self.event, self._end)
+
+    def _end(self, value):
+        self.log.append((2, self.sim.now))
+        if self.fail:
+            raise RuntimeError("engine bug")
+        self._finish(value)
+
+
+@pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
+def test_record_takes_a_spawns_start_slot_and_source(fuse):
+    sim = Simulator(fuse_delays=fuse)
+    event = sim.event()
+    order = []
+
+    def first():
+        order.append("first")
+        yield 0.0
+
+    sim.spawn(first(), "first")
+    record = _Steps(sim, event)
+    # Its body runs in its start slot, after the process spawned before it.
+    assert record.log == []
+    sim.call_at(20.0, lambda: event.trigger("value"))
+    seen = []
+
+    def waiter():
+        seen.append((yield record))
+
+    sim.spawn(waiter(), "waiter")
+    sim.run(until=10.0)
+    assert order == ["first"]
+    assert record.log == [(0, 0.0), (1, 5.0)]
+    snap = sim.metrics_snapshot()
+    assert snap["sim.processes_live"] == 2.0  # the record and its waiter
+    sim.run()
+    assert record.log[-1] == (2, 20.0)
+    assert seen == ["value"] and record.value == "value"
+    snap = sim.metrics_snapshot()
+    assert snap["sim.processes_spawned"] == 4.0  # two processes, a record, call_at
+    assert snap["sim.processes_live"] == 0.0
+    assert snap["kernel.events{source=daemon:steps}"] == 3.0
+    # Interned at construction, as spawn interns: the table keeps that order.
+    assert [k for k in snap if k.startswith("kernel.events")] == [
+        "kernel.events{source=first}",
+        "kernel.events{source=daemon:steps}",
+        "kernel.events{source=call_at}",
+        "kernel.events{source=waiter}",
+    ]
+
+
+@pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
+def test_record_failure_fails_fast_under_its_daemon_name(fuse):
+    sim = Simulator(fuse_delays=fuse)
+    event = sim.event()
+    record = _Steps(sim, event, fail=True)
+    sim.call_at(8.0, event.trigger)
+    with pytest.raises(ProcessFailed, match="daemon:steps.e0") as failed:
+        sim.run()
+    assert isinstance(failed.value.__cause__, RuntimeError)
+    assert isinstance(record.failure, RuntimeError)
+    assert sim.now == 8.0
+    assert sim.failures == [record]
+    assert sim.metrics_snapshot()["sim.processes_live"] == 0.0
+
+
+@pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
+def test_record_failure_is_collected_without_fail_fast(fuse):
+    sim = Simulator(fail_fast=False, fuse_delays=fuse)
+    event = sim.event()
+    record = _Steps(sim, event, fail=True)
+    sim.call_at(8.0, event.trigger)
+
+    def waiter():
+        yield record
+
+    proc = sim.spawn(waiter(), "waiter")
+    sim.run()
+    assert sim.failures == [record, proc]
+    assert record.name == "daemon:steps.e0"
+    assert isinstance(record.failure, RuntimeError)
+    # Its waiter sees the failure, as a waiter on a failed process does.
+    assert isinstance(proc.failure, ProcessFailed)
+    assert proc.failure.process_name == "daemon:steps.e0"
+    assert sim.metrics_snapshot()["sim.processes_live"] == 0.0
+
+
+def test_parked_record_counts_as_live_but_never_deadlocks():
+    sim = Simulator()
+    record = _Steps(sim, sim.event("never"))
+    event = sim.event("also-never")
+
+    def stuck():
+        yield event
+
+    sim.spawn(stuck(), "stuck")
+    with pytest.raises(DeadlockError) as deadlock:
+        sim.run()
+    assert deadlock.value.waiting == ["stuck"]
+    assert record.log == [(0, 0.0), (1, 5.0)]
+    assert sim.metrics_snapshot()["sim.processes_live"] == 2.0
