@@ -11,8 +11,9 @@ round trip per cache line.
 
 Consistency is *relaxed and explicit*: the host copy is non-coherent; a
 sender that rewrites its MPB must invalidate the stale host copy (the
-``REG_CACHE_INV`` register) or announce the new message, which bumps the
-entry's epoch.
+``REG_CACHE_INV`` register) or announce the new message. An announce
+marks the old entry invalidated, pulses it so a reader parked on it
+wakes, and a new fill replaces it.
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ __all__ = ["CacheEntry", "HostMpbCache"]
 class CacheEntry:
     """Host copy of one (in-flight) message in a source core's MPB."""
 
-    def __init__(self, sim: Simulator, base: MpbAddr, length: int, epoch: int):
+    def __init__(self, sim: Simulator, base: MpbAddr, length: int):
         self.base = base
         self.length = length
-        self.epoch = epoch
         self.buf = np.zeros(length, np.uint8)
         self.valid_upto = 0  # contiguous prefix of ``buf`` that is valid
         self.progress = sim.signal(name=f"cache.{base.device}.{base.core}")
@@ -73,7 +73,6 @@ class HostMpbCache:
         self.host = host
         self.sim = host.sim
         self._entries: dict[tuple[int, int], CacheEntry] = {}
-        self._epoch = 0
         self.announces = 0
         self.demand_fills = 0
         self.invalidations = 0
@@ -108,12 +107,13 @@ class HostMpbCache:
     def announce(self, src: MpbAddr, nbytes: int) -> CacheEntry:
         """Sender-announced message: start prefetching it immediately.
 
-        On a multi-host fabric the new epoch also drops any copy of the
-        same source span a *peer host's* cache may hold (e.g. from an
-        earlier demand fill on a cross-host receiver) — the drop is
-        host-local directory metadata, not simulated traffic, and it
-        lands strictly before the sender's flag can (the flag still has
-        to cross the wire).
+        The source core's old entry is marked invalidated and pulsed, and
+        a new fill replaces it. On a multi-host fabric the announce also
+        drops any copy of the same source span a *peer host's* cache may
+        hold (e.g. from an earlier demand fill on a cross-host receiver)
+        — the drop is host-local directory metadata, not simulated
+        traffic, and it lands strictly before the sender's flag can (the
+        flag still has to cross the wire).
         """
         self.announces += 1
         self._drop_peers(src.device, src.core)
@@ -134,12 +134,11 @@ class HostMpbCache:
                 cache.peer_drops += 1
 
     def _start_fill(self, src: MpbAddr, nbytes: int) -> CacheEntry:
-        self._epoch += 1
         old = self._entries.get((src.device, src.core))
         if old is not None:
             old.invalidated = True
             old.progress.pulse()
-        entry = CacheEntry(self.sim, src, nbytes, self._epoch)
+        entry = CacheEntry(self.sim, src, nbytes)
         self._entries[(src.device, src.core)] = entry
         # A foreign source is pulled by *its* host's DMA engine and the
         # granules forwarded here over the inter-host tier.

@@ -355,15 +355,15 @@ class CoreEnv:
         mem = self.device.mpb
         poll_ns = self._poll_base_ns
         deadline = None if timeout_ns is None else self.sim.now + timeout_ns
-        watch = None
+        park = None
         while True:
-            if watch is None:
+            if park is None:
                 yield poll_ns
             else:
                 # Park on the watchpoint, then charge the re-poll as one
                 # fused chain: woken poll_ns after the write lands, the
                 # same instant the unfused watch-wake + poll pair reaches.
-                yield (watch, poll_ns)
+                yield park
             byte = mem.read_byte(addr)
             if (byte == value) if predicate is None else predicate(byte):
                 return
@@ -372,13 +372,14 @@ class CoreEnv:
                     f"flag wait timed out: dev {self.device.device_id} core "
                     f"{self.core_id} waiting at {addr}"
                 )
-            if watch is None:
+            if park is None:
                 # read_byte validated the address, so its flat index is
                 # safe to compute; only the flag's first waiter builds
                 # its watch signal.
                 watch = mem._watches.get(addr.core * self._lmb + addr.offset)
                 if watch is None:
                     watch = mem.watch(addr)
+                park = (watch, poll_ns)
 
     def wait_any_flag(
         self,

@@ -219,7 +219,7 @@ class MPBMemory:
             raw = self._bytes[core]
         raw[offset] = value & 0xFF
         signal = self._watches.get(core * self._lmb + offset)
-        if signal is not None and signal.has_waiters:
+        if signal is not None and (signal._waiters or signal._once):
             signal.pulse()
 
     # -- watchpoints -------------------------------------------------------------

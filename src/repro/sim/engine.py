@@ -7,7 +7,8 @@ state machines, each transfer one :class:`Record` that is its own queue
 entry. A process yields:
 
 * a bare ``float``/``int`` — resume the process that many simulated
-  nanoseconds later (the allocation-free hot path).
+  nanoseconds later. A negative or NaN delay, bare or inside a chain,
+  raises :class:`InvalidYield`.
 * a ``tuple`` of such numbers — a *fused delay chain*: sleep each element
   in order with **no observable side effects in between** (the yielding
   code guarantees this; see DESIGN.md §12). By default the engine folds
@@ -35,9 +36,19 @@ Time is a float in **nanoseconds**; frequency-domain helpers live in
 :class:`Simulator` (DESIGN.md §7 and §11):
 
 * a binary heap of delayed wake-ups merge-popped with a FIFO *fast
-  lane* of zero-delay wake-ups, preserving global ``(time, seq)`` order;
-* yield dispatch is type-keyed (one dict lookup on ``type(command)``)
-  instead of an isinstance chain.
+  lane* of zero-delay wake-ups, preserving global ``(time, seq)`` order.
+
+The dispatch loop resumes a process woken without a payload itself and
+queues the three yields that make up nearly every resume without a
+call: a positive bare ``float`` (onto the heap), a fused chain with a
+``float`` head (summed in sequential order, onto the fast lane or the
+heap), and the two-element flag park ``(Signal, d)`` (a waiter on the
+signal). Everything else takes one cold path, the process's
+``_step``/``_dispatch``: every other yield, a generator that returns
+or raises, every wake-up with a payload (an event value, an unfused
+chain's next element, a delivered failure) and every record. The cold
+dispatch is type-keyed (one dict lookup on ``type(command)``) with an
+isinstance fallback that caches subclasses.
 
 There is no global locking — dispatch is single-threaded and
 deterministic (ties are broken by spawn/schedule order), which is what
@@ -97,8 +108,8 @@ class Delay:
     ns: float
 
     def __post_init__(self) -> None:
-        if self.ns < 0:
-            raise ValueError(f"negative delay: {self.ns}")
+        if not self.ns >= 0:
+            raise ValueError(f"{'negative' if self.ns < 0 else 'NaN'} delay: {self.ns}")
 
 
 class Event:
@@ -182,16 +193,22 @@ class Signal:
         self._once: list[Callable[[], None]] = []
 
     def pulse(self, value: Any = None) -> None:
-        waiters, self._waiters = self._waiters, []
-        sim = self.sim
-        for proc in waiters:
-            if proc.__class__ is _ChainWaiter:
-                proc.wake(sim, value)
-            else:
-                sim.schedule(0.0, proc, value)
-        callbacks, self._once = self._once, []
-        for cb in callbacks:
-            cb()
+        # A pulse nobody waits for allocates nothing, and each list is
+        # swapped only when it holds something.
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            sim = self.sim
+            for proc in waiters:
+                if proc.__class__ is _ChainWaiter:
+                    proc.wake(sim, value)
+                else:
+                    sim.schedule(0.0, proc, value)
+        callbacks = self._once
+        if callbacks:
+            self._once = []
+            for cb in callbacks:
+                cb()
 
     def once(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` at the next pulse only (multi-signal waits)."""
@@ -222,6 +239,12 @@ _KIND_PROCESS = 4
 _KIND_CHAIN = 5
 
 _YIELD_KINDS: dict[type, int] = {tuple: _KIND_CHAIN}
+
+
+def _bad_delay(proc: "Process", d: Any, where: str = "") -> InvalidYield:
+    """The error for a yielded delay that is negative or NaN."""
+    what = "negative" if d < 0 else "NaN"
+    return InvalidYield(f"process {proc.name!r} yielded a {what} delay {d!r}{where}")
 
 
 def _resolve_yield_kind(command: Any) -> int:
@@ -283,8 +306,11 @@ class Process:
         return self.done.value
 
     def _step(self, payload: Any) -> None:
-        """Advance the generator by one yield."""
-        sim = self.sim
+        """Advance the generator by one yield: the cold path.
+
+        The dispatch loop resumes a process woken without a payload
+        itself; it comes here for every other wake-up.
+        """
         self._waiting_on = None
         try:
             cls = payload.__class__
@@ -298,7 +324,7 @@ class Process:
                 chain = payload.chain
                 index = payload.index
                 nxt = index + 1
-                sim.schedule(
+                self.sim.schedule(
                     chain[index],
                     self,
                     _Chain(chain, nxt) if nxt < len(chain) else None,
@@ -308,29 +334,37 @@ class Process:
                 command = self.gen.throw(payload.exc)
             else:
                 command = self.gen.send(payload)
-        except StopIteration as stop:
-            self.done.trigger(stop.value)
-            sim._live_processes.discard(self)
-            return
         except BaseException as exc:  # noqa: BLE001 - must capture sim faults
-            self._failure = exc
-            sim._live_processes.discard(self)
-            sim._failures.append(self)
-            # Wake waiters with the failure so it propagates.
-            self.done.trigger(_Throw(ProcessFailed(self.name, exc)))
-            if sim.fail_fast:
-                raise ProcessFailed(self.name, exc) from exc
+            self._exit(exc)
             return
+        self._dispatch(command)
 
+    def _exit(self, exc: BaseException) -> None:
+        """End the process on what its generator raised: a return
+        (``StopIteration``) completes ``done``; anything else fails it."""
+        sim = self.sim
+        if isinstance(exc, StopIteration):
+            self.done.trigger(exc.value)
+            sim._live_processes.discard(self)
+            return
+        self._failure = exc
+        sim._live_processes.discard(self)
+        sim._failures.append(self)
+        # Wake waiters with the failure so it propagates.
+        self.done.trigger(_Throw(ProcessFailed(self.name, exc)))
+        if sim.fail_fast:
+            raise ProcessFailed(self.name, exc) from exc
+
+    def _dispatch(self, command: Any) -> None:
+        """Queue what the generator yielded; raise InvalidYield if it
+        is no command."""
+        sim = self.sim
         kind = _YIELD_KINDS.get(command.__class__)
         if kind is None:
             kind = _resolve_yield_kind(command)
         if kind == _KIND_NUMBER:
-            # Bare-number delay: the allocation-free fast path.
-            if command < 0:
-                raise InvalidYield(
-                    f"process {self.name!r} yielded a negative delay {command!r}"
-                )
+            if not command >= 0:
+                raise _bad_delay(self, command)
             sim.schedule(command, self, None)
         elif kind == _KIND_DELAY:
             sim.schedule(command.ns, self, None)
@@ -356,11 +390,8 @@ class Process:
                 # tail from the trigger instant (the head's value is
                 # discarded — the final resume delivers None).
                 for d in command[1:]:
-                    if d < 0:
-                        raise InvalidYield(
-                            f"process {self.name!r} yielded a negative delay "
-                            f"{d!r} inside a chain"
-                        )
+                    if not d >= 0:
+                        raise _bad_delay(self, d, " inside a chain")
                 waitable = head.done if hkind == _KIND_PROCESS else head
                 self._waiting_on = waitable
                 waiter = _ChainWaiter(self, command)
@@ -376,21 +407,15 @@ class Process:
                 # the unfused one.
                 t = sim.now
                 for d in command:
-                    if d < 0:
-                        raise InvalidYield(
-                            f"process {self.name!r} yielded a negative delay "
-                            f"{d!r} inside a chain"
-                        )
+                    if not d >= 0:
+                        raise _bad_delay(self, d, " inside a chain")
                     t = t + d
                 sim.fused_yields += len(command) - 1
                 sim.schedule_at(t, self, None)
             else:
                 for d in command:
-                    if d < 0:
-                        raise InvalidYield(
-                            f"process {self.name!r} yielded a negative delay "
-                            f"{d!r} inside a chain"
-                        )
+                    if not d >= 0:
+                        raise _bad_delay(self, d, " inside a chain")
                 sim.schedule(
                     command[0],
                     self,
@@ -442,24 +467,31 @@ class _ChainWaiter:
         self.chain = chain
 
     def wake(self, sim: "Simulator", value: Any = None) -> None:
-        chain = self.chain
+        proc = self.proc
         if value.__class__ is _Throw:
             # A failed awaited process: deliver the exception at the
             # trigger instant instead of sleeping the tail.
-            sim.schedule(0.0, self.proc, value)
+            sim.schedule(0.0, proc, value)
             return
+        chain = self.chain
         if sim._fuse:
-            t = sim.now
-            for d in chain[1:]:
-                t = t + d
+            # Queued as schedule_at would, without its call; the flag
+            # park (watch, poll_ns) adds its one tail element unsliced.
+            now = sim.now
+            if len(chain) == 2:
+                t = now + chain[1]
+            else:
+                t = now
+                for d in chain[1:]:
+                    t = t + d
             sim.fused_yields += len(chain) - 1
-            sim.schedule_at(t, self.proc, None)
+            sim._seq = seq = sim._seq + 1
+            if t == now:
+                sim._fast.append((t, seq, proc, None))
+            else:
+                heapq.heappush(sim._queue, (t, seq, proc, None))
         else:
-            sim.schedule(
-                0.0,
-                self.proc,
-                _Chain(chain, 1) if len(chain) > 1 else None,
-            )
+            sim.schedule(0.0, proc, _Chain(chain, 1) if len(chain) > 1 else None)
 
 
 class _DoneStub:
@@ -882,8 +914,10 @@ class Simulator:
         """Run a plain callback at absolute simulated time ``when``.
 
         It fires at ``now + max(0, when - now)``, attributed to the
-        ``call_at`` event source.
+        ``call_at`` event source. A NaN ``when`` raises ValueError.
         """
+        if when != when:
+            raise ValueError(f"call_at time is NaN: {when}")
         self._arm(_Callback(self, fn, max(0.0, when - self.now), self._call_at_id()))
 
     def trigger_at(
@@ -898,8 +932,11 @@ class Simulator:
         At ``now + max(0, when - now)`` it runs ``before()`` (if given)
         and then triggers with ``value`` — the timing and event stream of
         a :meth:`call_at` callback doing both. Posted transfers
-        (:meth:`repro.sim.resources.Link.post`) arrive this way.
+        (:meth:`repro.sim.resources.Link.post`) arrive this way. A NaN
+        ``when`` raises ValueError.
         """
+        if when != when:
+            raise ValueError(f"trigger_at time is NaN: {when}")
         source = self._call_at_source
         if source is None:
             source = self._call_at_id()
@@ -925,8 +962,9 @@ class Simulator:
         vDMA copies). Its events are attributed to ``daemon:<name>``, and
         an armed timer never counts as a deadlocked process.
         """
-        if delay_ns < 0:
-            raise ValueError(f"negative timer delay: {delay_ns}")
+        if not delay_ns >= 0:
+            what = "negative" if delay_ns < 0 else "NaN"
+            raise ValueError(f"{what} timer delay: {delay_ns}")
         source = self._timer_sources.get(name)
         if source is None:
             source = self._timer_sources[name] = self._source_of("daemon:" + name)
@@ -948,11 +986,18 @@ class Simulator:
         Dispatches until a boundary is hit: ``stop[0]`` set by a
         callback, the next event lying past ``until``, ``max_events``
         dispatched, or both queues drained.
+
+        A process woken without a payload is resumed here and its three
+        hot yields are queued here (see the module docstring); anything
+        else goes to the process's cold path. ``_seq`` is read afresh
+        after each resume, because the resumed code schedules too.
         """
         queue = self._queue
         fast = self._fast
         pop = heapq.heappop
+        push = heapq.heappush
         sources = self._source_events
+        fuse = self._fuse
         events = 0
         while True:
             if stop is not None and stop[0]:
@@ -978,8 +1023,47 @@ class Simulator:
             proc = entry[2]
             if proc.done._triggered:
                 continue  # stale wake-up for an already-finished process
-            self.now = entry[0]
-            proc._step(entry[3])
+            now = self.now = entry[0]
+            payload = entry[3]
+            if payload is None and proc.__class__ is Process:
+                proc._waiting_on = None
+                try:
+                    command = proc.gen.send(None)
+                except BaseException as exc:  # noqa: BLE001 - must capture sim faults
+                    proc._exit(exc)
+                else:
+                    cls = command.__class__
+                    if cls is float and command > 0.0:
+                        self._seq = seq = self._seq + 1
+                        push(queue, (now + command, seq, proc, None))
+                    elif cls is tuple and command:
+                        head = command[0]
+                        if head.__class__ is float and fuse:
+                            # Summed in sequential order, as Process._dispatch.
+                            t = now
+                            for d in command:
+                                if not d >= 0:
+                                    proc._dispatch(command)  # raises InvalidYield
+                                t = t + d
+                            self.fused_yields += len(command) - 1
+                            self._seq = seq = self._seq + 1
+                            if t == now:
+                                fast.append((t, seq, proc, None))
+                            else:
+                                push(queue, (t, seq, proc, None))
+                        elif (
+                            head.__class__ is Signal
+                            and len(command) == 2
+                            and command[1] >= 0
+                        ):
+                            proc._waiting_on = head
+                            head._waiters.append(_ChainWaiter(proc, command))
+                        else:
+                            proc._dispatch(command)
+                    else:
+                        proc._dispatch(command)
+            else:
+                proc._step(payload)
             self.events_processed += 1
             sources[proc._source] += 1
             if max_events is not None:

@@ -179,3 +179,75 @@ def test_run_until_time_limit_still_enforced():
     sim.spawn(ticker(), name="daemon:tick")
     with pytest.raises(SimulationError):
         sim.run_until(evt, limit=100.0)
+
+
+# -- NaN delays ------------------------------------------------------------------
+#
+# ``nan < 0`` is False, so a NaN slipped past every negative-delay check
+# and woke its process at ``sim.now = nan``, ahead of wake-ups that were
+# due earlier. Each entry point now rejects it.
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        (NAN, "process 'p' yielded a NaN delay nan"),
+        ((1.0, NAN), "process 'p' yielded a NaN delay nan inside a chain"),
+        ((NAN, 1.0), "process 'p' yielded a NaN delay nan inside a chain"),
+    ],
+    ids=["bare", "chain-tail", "chain-head"],
+)
+def test_nan_yield_is_invalid(command, message, fuse):
+    sim = Simulator(fuse_delays=fuse)
+    woken = []
+
+    def other():
+        yield 5.0
+        woken.append(sim.now)
+
+    def prog():
+        yield command
+
+    sim.spawn(other(), "other")
+    sim.spawn(prog(), "p")
+    with pytest.raises(InvalidYield) as info:
+        sim.run()
+    assert str(info.value) == message
+    assert sim.now == 0.0 and woken == []
+
+
+@pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
+def test_nan_tail_of_a_waitable_headed_chain_is_invalid(fuse):
+    sim = Simulator(fuse_delays=fuse)
+    sig = sim.signal()
+
+    def prog():
+        yield (sig, NAN)
+
+    sim.spawn(prog(), "p")
+    with pytest.raises(InvalidYield, match="NaN delay nan inside a chain"):
+        sim.run()
+
+
+def test_nan_delay_object_is_rejected():
+    with pytest.raises(ValueError, match="NaN delay"):
+        Delay(NAN)
+
+
+def test_nan_timer_delay_is_rejected():
+    sim = Simulator()
+    with pytest.raises(ValueError, match="NaN timer delay"):
+        sim.after(NAN, lambda: None)
+
+
+def test_nan_absolute_time_is_rejected():
+    sim = Simulator()
+    with pytest.raises(ValueError, match="call_at time is NaN"):
+        sim.call_at(NAN, lambda: None)
+    with pytest.raises(ValueError, match="trigger_at time is NaN"):
+        sim.trigger_at(NAN)
+    sim.run()
+    assert sim.now == 0.0 and sim.events_processed == 0
