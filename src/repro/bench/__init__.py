@@ -2,7 +2,6 @@
 
 from .arrivals import (
     BurstyArrivals,
-    FixedSizes,
     ParetoSizes,
     PoissonArrivals,
     RpcCall,
@@ -35,7 +34,6 @@ from .runner import (
 __all__ = [
     "Band",
     "BurstyArrivals",
-    "FixedSizes",
     "ParetoSizes",
     "PoissonArrivals",
     "RpcCall",

@@ -33,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "BurstyArrivals",
-    "FixedSizes",
     "ParetoSizes",
     "PoissonArrivals",
     "RpcCall",
@@ -117,20 +116,6 @@ class BurstyArrivals:
 
 
 # -- size distributions --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FixedSizes:
-    """Every draw is the same size (unit tests, microbenches)."""
-
-    nbytes: int = 64
-
-    def __post_init__(self) -> None:
-        if self.nbytes < 1:
-            raise ValueError(f"nbytes must be >= 1, got {self.nbytes}")
-
-    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n, self.nbytes, dtype=np.int64)
 
 
 @dataclass(frozen=True)

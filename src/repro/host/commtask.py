@@ -440,20 +440,6 @@ class CommunicationTask:
         finally:
             self.sched.complete(self.sched.ctrl)
 
-    def mmio_read(self, env: "CoreEnv", reg: int) -> Generator:
-        self.host.require_extensions("memory-mapped registers")
-        cable = self.cable
-        self.sched.admit(self.sched.ctrl, REQUEST_BYTES)
-        try:
-            yield env.device.sif.mesh_to_sif_ns(env.core_id, REQUEST_BYTES)
-            yield from cable.up.transfer(REQUEST_BYTES)
-            yield self.host.params.service_ns
-            value = self.mmio.read(reg)
-            yield from cable.down.transfer(LINE_PACKET_BYTES)
-            return value
-        finally:
-            self.sched.complete(self.sched.ctrl)
-
     def rpc_submit(self, env: "CoreEnv", calls, dispatcher, pay_setup: bool = False):
         """Post one RPC descriptor (one or more coalesced requests) up.
 

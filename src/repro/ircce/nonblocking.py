@@ -15,8 +15,6 @@ send queue makes progress one request at a time for the same reason).
 receives from different sources progress concurrently while per-pair
 ordering is preserved. Blocking operations issued while requests are
 pending queue behind them (see :meth:`repro.rcce.api.Rcce.send`).
-
-Unpinned wait_all/wait_any/test/recv_any_source: iRCCE API (ROADMAP 18).
 """
 
 from __future__ import annotations
@@ -128,12 +126,10 @@ def wait_any(comm: "Rcce", requests: list[CommRequest]) -> Generator:
         if request.test():
             return index
     gate = comm.env.sim.event(name="ircce.wait_any")
-    fired = [False]
 
     def arm(index: int):
         def wake(_value) -> None:
-            if not fired[0]:
-                fired[0] = True
+            if not gate.triggered:
                 gate.trigger(index)
 
         return wake

@@ -31,7 +31,7 @@ from repro.scc.params import CACHE_LINE
 
 from . import collectives
 from .config import RankLayout
-from .flags import SEQ_MOD, FlagLayout
+from .flags import FlagLayout
 from .gory import Gory
 from .malloc import MpbAllocator
 from .transport import OnChipSelector
@@ -61,9 +61,9 @@ class Channel:
     """What one rank keeps for one peer: the pair's half of the handshake.
 
     The four flag addresses of the pair, the counter streams each way
-    (stream name such as ``"sent"`` or ``"ready"`` → last value, 0 before
-    the first) and, per transport, the transfer size and slot addresses
-    in the peer's buffer. None of it changes for the life of the
+    (``"sent"`` and ``"ready"`` → last value, 0 before the first) and,
+    per transport, the transfer size and slot addresses in the peer's
+    buffer. None of it changes for the life of the
     session, so a transfer reads it here instead of resolving it again.
     Built by :meth:`Rcce.channel` at the first message in either
     direction. Layouts in this rank's own buffer are the same for every
@@ -136,6 +136,9 @@ class Rcce:
         self._buffer_addrs: dict[int, MpbAddr] = {}  # rank -> offset-0 address
         #: peer rank -> Channel, built at the pair's first message.
         self._channels: dict[int, Channel] = {}
+        #: Last value of this rank's vDMA completion stream (its
+        #: ``SLOT_VDMA_DONE`` flag, raised by the host's copies).
+        self.vdma_done_seq = 0
         #: transport -> (transfer bytes, slot addresses in this rank's
         #: buffer): the sender-first send side, the receiver-first recv side.
         self.own_slots: dict = {}
@@ -189,7 +192,7 @@ class Rcce:
             raise ValueError(f"offset {offset} outside the communication buffer")
         return MpbAddr(device, core, offset)
 
-    # -- per-peer channels and sequencing (shared by all transports) --------------------
+    # -- per-peer channels (shared by all transports) ------------------------------------
 
     def channel(self, peer: int) -> Channel:
         """This rank's :class:`Channel` to ``peer``, built on first use."""
@@ -197,24 +200,6 @@ class Rcce:
         if chan is None:
             chan = self._channels[peer] = Channel(self.flags, self.rank, peer)
         return chan
-
-    def next_seq(self, src: int, dst: int, channel: str = "sent") -> int:
-        """Advance a per-directed-pair counter stream (1…254, cycling).
-
-        Each *channel* ("sent", "ready", …) is an independent stream so
-        a flag byte's values are always produced by exactly one protocol
-        role; both end points advance the streams in lockstep. One end
-        of the pair must be this rank.
-        """
-        me = self.rank
-        if src == me:
-            seqs = self.channel(dst).out_seq
-        elif dst == me:
-            seqs = self.channel(src).in_seq
-        else:
-            raise ValueError(f"rank {me} is neither end of the pair {src} -> {dst}")
-        seq = seqs[channel] = seqs.get(channel, 0) % SEQ_MOD + 1  # FlagLayout.next_seq
-        return seq
 
     # -- point-to-point -----------------------------------------------------------------
 

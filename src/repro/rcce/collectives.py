@@ -9,8 +9,6 @@ parent/child ordering with no cyclic waits.
 All coroutines take the calling rank's :class:`~repro.rcce.api.Rcce` as
 first argument; every rank of the session must call the same collective
 in the same order.
-
-Unpinned :func:`gather`: RCCE API, a pin candidate (ROADMAP 18).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ bytes (within SF)        use
 ======================  ==============================================
 0 … 247                  ``sent[peer]``  — peer → me data-ready counter
 248 … 495                ``ready[peer]`` — me → peer buffer-free counter
-496 … 511                misc slots (vDMA completion, barrier, spare)
+496 … 511                misc slots (vDMA completion, app, spare)
 ======================  ==============================================
 
 Flags are one-byte sequence counters cycling 1…254 (0 means "never
@@ -35,11 +35,9 @@ _SENT_BASE = 0
 _READY_BASE = 248
 _MISC_BASE = 496
 
-#: Misc slot indices.
+#: Misc slot indices: the vDMA completion flag, and one for applications.
 SLOT_VDMA_DONE = 0
-SLOT_BARRIER = 1
 SLOT_APP0 = 2
-SLOT_APP1 = 3
 
 
 class FlagLayout:

@@ -9,8 +9,6 @@ send/recv transports do not go through it: they call the core's
 
 The interface is (rank, offset)-addressed: thanks to the symmetric MPB
 allocator, an offset denotes the same location in every rank's MPB.
-
-Unpinned: kept as RCCE API surface, a pin candidate (ROADMAP 18).
 """
 
 from __future__ import annotations

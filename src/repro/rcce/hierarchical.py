@@ -42,8 +42,6 @@ Reduction order: each tier combines in the flat binomial order of its
 subgroup, bottom tier first — a *different* (documented, deterministic)
 floating-point order than the flat tree. Integer reductions are exact
 either way.
-
-Unpinned bcast/reduce/gather: RCCE API, pin candidates (ROADMAP 18).
 """
 
 from __future__ import annotations

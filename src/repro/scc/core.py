@@ -13,8 +13,6 @@ Simplification (see DESIGN.md §6): the L1 MPBT model affects *timing*
 only — reads always observe current memory contents. The CL1INVMB
 discipline is still exercised (RCCE issues it before every read sequence)
 and its cost is charged.
-
-Unpinned read_flag/wait_any_flag/mmio_read: core API (ROADMAP 18).
 """
 
 from __future__ import annotations
@@ -87,12 +85,6 @@ class CoreEnv:
         return f"<CoreEnv dev={self.device.device_id} core={self.core_id}>"
 
     # -- identity ---------------------------------------------------------------
-
-    @property
-    def xyz(self) -> tuple[int, int, int]:
-        """vSCC coordinate (tile x, tile y, device) of this core (paper §3)."""
-        x, y = self.params.core_xy(self.core_id)
-        return (x, y, self.device.device_id)
 
     def local_addr(self, offset: int) -> MpbAddr:
         """Address ``offset`` within this core's own LMB half."""
@@ -414,11 +406,9 @@ class CoreEnv:
                     f"wait_any_flag timed out on core {self.core_id}"
                 )
             gate = self.sim.event(name="wait_any_flag")
-            fired = [False]
 
             def wake() -> None:
-                if not fired[0]:
-                    fired[0] = True
+                if not gate.triggered:
                     gate.trigger()
 
             watches = [mem.watch(addr) for addr, _pred in specs]
@@ -435,7 +425,3 @@ class CoreEnv:
     def mmio_write(self, reg: int, value: int) -> Generator:
         """Write a host MMIO register (vDMA programming, cache control)."""
         yield from self._fabric().mmio_write(self, [(reg, value)], fused=False)
-
-    def mmio_read(self, reg: int) -> Generator:
-        value = yield from self._fabric().mmio_read(self, reg)
-        return value

@@ -28,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import math
 import random
 import time
 from dataclasses import replace
@@ -238,7 +239,7 @@ def fig6a_pingpong() -> dict:
     from repro.bench import fig6a_onchip
 
     series = fig6a_onchip((256, 1024, 4096, 8192, 16384, 32768), iterations=4)
-    total = sum(p.oneway_ns for pts in series.values() for p in pts)
+    total = math.fsum(p.oneway_ns for pts in series.values() for p in pts)
     return {"oneway_sum_ns": total}
 
 
@@ -257,7 +258,7 @@ def fig6b_interdevice() -> dict:
         ),
         num_devices=2,
     )
-    total = sum(p.oneway_ns for pts in series.values() for p in pts)
+    total = math.fsum(p.oneway_ns for pts in series.values() for p in pts)
     return {"oneway_sum_ns": total}
 
 
@@ -476,7 +477,7 @@ def faults_pingpong(kind: str) -> dict:
     totals = system.fault_injector.totals()
     return {
         "sim_now_ns": system.sim.now,
-        "oneway_sum_ns": sum(p.oneway_ns for p in points),
+        "oneway_sum_ns": math.fsum(p.oneway_ns for p in points),
         **{f"faults_{c}": totals[f"faults.{c}"] for c in counters},
         "degraded": list(system.fault_injector.degraded_devices),
     }
@@ -851,6 +852,118 @@ def chunk_send_churn(nmsgs: int = 48, nbytes: int = 4096) -> dict:
     }
 
 
+# -- the RCCE / iRCCE API surface ----------------------------------------------
+
+
+def rcce_api() -> dict:
+    """The RCCE and iRCCE calls no other pin makes, on two devices.
+
+    Ranks 0 and 1 share a tile of device 0; rank 48 is on device 1. Gory
+    puts, gets and flags on-chip and across devices; ``RCCE_malloc``
+    blocks freed and allocated again at the same offsets; flat
+    ``gather`` by ``group_size`` and by ``members``; iRCCE requests
+    probed with ``test`` and ``wait_any``; a blocking send and receive
+    queued behind pending requests; a wildcard receive across devices
+    (the threshold policy puts these 256-512 B messages on cached-get,
+    whose sender moves first). Every payload is checked where it lands.
+    Pins the clock, the events, a payload digest, and the cross-device
+    messages beside the selector's journaled decisions (DESIGN.md §9).
+    """
+    import numpy as np
+
+    from repro.ircce import irecv, isend, recv_any_source, wait_any
+    from repro.rcce.api import RcceOptions
+    from repro.scc.mpb import MpbAddr
+    from repro.vscc.policy import ThresholdPolicy
+    from repro.vscc.system import VSCCSystem
+
+    system = VSCCSystem(
+        num_devices=2, policy=ThresholdPolicy(), options=RcceOptions(user_mpb_bytes=1024)
+    )
+    far = 48
+    # Two in the members gather, four from rank 0 and two from rank 1.
+    xdev_messages = 2 + 4 + 2
+    got: dict[str, bytes] = {}
+
+    def payload(salt: int, nbytes: int = 256) -> np.ndarray:
+        return ((np.arange(nbytes) * 7 + salt) % 251).astype(np.uint8)
+
+    def check(label: str, data, salt: int, nbytes: int = 256) -> None:
+        assert bytes(data) == payload(salt, nbytes).tobytes(), f"{label} corrupted"
+        got[label] = bytes(data)
+
+    def program(comm):
+        me, gory = comm.rank, comm.gory
+        flag, buf = gory.flag_alloc(), comm.malloc(256)
+        if me == 0:
+            yield from gory.put(payload(0), 0, buf)
+            yield from gory.put(payload(1), 1, buf)
+            yield from gory.flag_write(1, flag, 1)
+            # Across devices the put rides a host write-combining stream,
+            # which the writer announces first (§3.1).
+            yield from comm.announce_wcb_open(MpbAddr(1, 0, comm.user_mpb_base + buf), 256)
+            yield from gory.put(payload(2), far, buf)
+            yield from gory.flag_write(far, flag, 1)
+            yield from gory.wait_until(flag, 2)
+            near = yield from gory.flag_read(1, flag)
+            remote = yield from gory.flag_read(far, flag)
+            assert near == remote == 1, f"peer flags read {near}, {remote}"
+        else:
+            yield from gory.wait_until(flag, 1)
+            check(f"{me}/put", (yield from gory.get(me, buf, 256)), 1 if me == 1 else 2)
+        if me == far:
+            check("48/get", (yield from gory.get(0, buf, 256)), 0)
+            yield from gory.flag_write(0, flag, 2)
+        gory.flag_free(flag)
+        comm.mfree(buf)
+        assert (gory.flag_alloc(), comm.malloc(256)) == (flag, buf), "a freed block moved"
+
+        if me != far:
+            parts = yield from comm.gather(payload(10 + me), root=0, group_size=2)
+            for rank, part in enumerate(parts or ()):
+                check(f"gather/{rank}", part, 10 + rank)
+        parts = yield from comm.gather(payload(20 + me), root=2, members=[0, 1, far])
+        for rank, part in zip((0, 1, far), parts or ()):
+            check(f"members/{rank}", part, 20 + rank)
+
+        if me == 0:
+            first, later = isend(comm, payload(30, 512), far), isend(comm, payload(31), far)
+            assert not first.test()
+            yield from comm.send(payload(32), far)  # queued behind both
+            assert first.test() and later.test()
+        elif me == 1:
+            yield from comm.env.compute(ns=200_000.0)
+            yield from comm.send(payload(33), far)
+        else:
+            first, other = irecv(comm, 512, 0), irecv(comm, 256, 1)
+            assert not (first.test() or other.test())
+            assert (yield from wait_any(comm, [other, first])) == 1, "the delayed send won"
+            check("isend", first.result, 30, 512)
+            later = irecv(comm, 256, 0)
+            check("queued", (yield from comm.recv(256, 0)), 32)  # behind ``later``
+            check("isend/later", later.result, 31)
+            check("delayed", (yield from other.wait()), 33)
+            source, data = yield from recv_any_source(comm, 256, [0, 1])
+            check(f"any/{source}", data, 40 + source)
+            rest = 1 - source
+            check(f"any/{rest}", (yield from comm.recv(256, rest)), 40 + rest)
+        if me != far:
+            yield from comm.send(payload(40 + me), far)
+
+    system.run(program, ranks=[0, 1, far])
+    assert len(got) == 14, sorted(got)
+    digest = hashlib.sha256()
+    for label in sorted(got):
+        digest.update(label.encode() + got[label])
+    return {
+        "sim_now_ns": system.sim.now,
+        "events": system.sim.events_processed,
+        "payload_digest": digest.hexdigest()[:16],
+        "xdev_messages": float(xdev_messages),
+        "xdev_decisions": float(sum(system.selector.decisions.values())),
+    }
+
+
 # -- the mixed-tenant service fleet --------------------------------------------
 
 #: Tenants of the mixed fleet; ``acme`` carries double fair-share weight
@@ -937,6 +1050,8 @@ def outcome_fingerprint(results) -> dict:
 
     Only simulated results enter: wall latencies, queue waits and
     attempt counts are scheduling artifacts and must not fail a gate.
+    Float sums use :func:`math.fsum`, correctly rounded on every Python
+    (the builtin ``sum`` compensates only from CPython 3.12 on).
     """
     rows = sorted(
         (r.job_id, r.state, r.sim_now_ns or 0.0, r.events or 0.0)
@@ -948,7 +1063,7 @@ def outcome_fingerprint(results) -> dict:
     return {
         "jobs": float(len(rows)),
         "completed": float(sum(1 for r in results if r.state == "completed")),
-        "sim_now_sum_ns": sum(row[2] for row in rows),
+        "sim_now_sum_ns": math.fsum(row[2] for row in rows),
         "events_sum": sum(row[3] for row in rows),
         "outcome_digest": digest,
     }
@@ -1105,6 +1220,7 @@ SCENARIOS: dict[str, Callable[[], dict]] = {
     "faults_dead_device": partial(faults_pingpong, "dead"),
     "micro_flag_wait": flag_wait_churn,
     "micro_chunk_send": chunk_send_churn,
+    "rcce_api": rcce_api,
     "serve_mixed_tenants": serve_mixed_tenants,
     "rpc_open_loop": rpc_open_loop,
     "fig2_protocols": fig2_protocols,
@@ -1370,6 +1486,10 @@ CLAIMS: dict[str, Claim] = {
             c == d > 0 for c, d in zip(pairs[::2], pairs[1::2]))),
     "rpc_curves_one_decision_per_call": Claim(
         "ext_rpc_curves", ("calls", "decisions"), lambda c, d: c == d > 0),
+    # Each cross-device message is decided once by the selector's journal
+    # (DESIGN.md §9), a wildcard receive's probe included.
+    "rcce_api_one_decision_per_message": Claim(
+        "rcce_api", ("xdev_messages", "xdev_decisions"), lambda m, d: m == d > 0),
     "rpc_bursty_coalesces_more": Claim(
         "ext_rpc_curves",
         ("curves.static-vdma/bursty.coalesced", "curves.static-vdma/poisson.coalesced"),

@@ -36,7 +36,7 @@ import numpy as np
 from repro.host.dma import granule_sizes
 from repro.host.mmio import REG_VDMA_ADDR, REG_VDMA_COUNT, REG_VDMA_CTRL
 from repro.host.vdma import VdmaCommand
-from repro.rcce.flags import SLOT_VDMA_DONE, reached
+from repro.rcce.flags import SEQ_MOD, SLOT_VDMA_DONE, reached
 from repro.rcce.transport import (
     DefaultGetTransport,
     OnChipSelector,
@@ -191,6 +191,16 @@ class RemotePutTransport(StopAndWaitTransport):
         yield from comm.env.mpb_write(addr, chunk)
 
 
+#: ``reached(value)`` per counter value (index 0 unused), so no
+#: two-slot transfer allocates its predicates.
+_REACHED = (None,) + tuple(reached(value) for value in range(1, SEQ_MOD + 1))
+
+
+def _after(last: int, count: int) -> list[int]:
+    """The ``count`` counter values after ``last`` (1…254, cycling)."""
+    return [(last + i) % SEQ_MOD + 1 for i in range(count)]
+
+
 class TwoSlotTransport(Transport):
     """Two-slot rendezvous: the receiver double-buffers its MPB halves.
 
@@ -208,29 +218,32 @@ class TwoSlotTransport(Transport):
     def _granule(self, comm: "Rcce") -> int:
         """Bytes of a transfer announced by one ``sent`` value."""
 
-    def _plan(self, comm: "Rcce", a: int, b: int, nbytes: int):
+    def _plan(self, comm: "Rcce", seqs: dict, nbytes: int):
         """Transfer/granule/seq plan — computed identically on both ends.
 
-        ``gsizes[k]`` is transfer ``k``'s granule-size list (``[0]`` for
-        an empty message) and ``progress[k]`` its ``sent`` values.
+        It advances ``seqs`` (the channel's ``out_seq`` on the sender,
+        ``in_seq`` on the receiver) past the whole message. ``gsizes[k]``
+        is transfer ``k``'s granule-size list (``[0]`` for an empty
+        message) and ``progress[k]`` its ``sent`` values.
         """
         slot = comm.slot_bytes
         transfers = granule_sizes(nbytes, slot) if nbytes else [0]
         granule = self._granule(comm)
         gsizes = [granule_sizes(size, granule) or [0] for size in transfers]
-        grants = [comm.next_seq(a, b, "ready") for _ in transfers]
-        final_ack = comm.next_seq(a, b, "ready")
-        progress = [[comm.next_seq(a, b, "sent") for _ in sizes] for sizes in gsizes]
+        grants = _after(seqs["ready"], len(transfers) + 1)
+        final_ack = seqs["ready"] = grants.pop()
+        sent = iter(_after(seqs["sent"], sum(map(len, gsizes))))
+        progress = [[next(sent) for _ in sizes] for sizes in gsizes]
+        seqs["sent"] = progress[-1][-1]
         return slot, transfers, gsizes, grants, final_ack, progress
 
     def recv(self, comm: "Rcce", src: int, nbytes: int) -> Generator:
-        env, me = comm.env, comm.rank
-        slot, transfers, gsizes, grants, final_ack, progress = self._plan(
-            comm, src, me, nbytes
-        )
+        env = comm.env
         chan = comm.channel(src)
         sent, ready = chan.in_sent, chan.in_ready
-        progress_preds = [[reached(p) for p in plist] for plist in progress]
+        slot, transfers, gsizes, grants, final_ack, progress = self._plan(
+            comm, chan.in_seq, nbytes
+        )
         out = np.empty(nbytes, np.uint8)
         yield from env.set_flag(ready, grants[0])
         if len(transfers) > 1:
@@ -239,9 +252,8 @@ class TwoSlotTransport(Transport):
         for k, size in enumerate(transfers):
             slot_off = (k % 2) * slot
             drained = 0
-            preds = progress_preds[k]
-            for g, gsize in enumerate(gsizes[k]):
-                yield from env.wait_flag_pred(sent, preds[g])
+            for gsize, seq in zip(gsizes[k], progress[k]):
+                yield from env.wait_flag_pred(sent, _REACHED[seq])
                 if gsize:
                     chunk = yield from env.get_chunk(
                         env.local_addr(slot_off + drained), gsize
@@ -271,16 +283,15 @@ class HwAccelRemotePutTransport(TwoSlotTransport):
         return comm.slot_bytes
 
     def send(self, comm: "Rcce", dest: int, data: np.ndarray) -> Generator:
-        env, me = comm.env, comm.rank
-        slot, transfers, _gsizes, grants, final_ack, progress = self._plan(
-            comm, me, dest, len(data)
-        )
+        env = comm.env
         chan = comm.channel(dest)
         sent, ready = chan.out_sent, chan.out_ready
-        grant_preds = [reached(g) for g in grants]
+        slot, transfers, _gsizes, grants, final_ack, progress = self._plan(
+            comm, chan.out_seq, len(data)
+        )
         offset = 0
         for k, size in enumerate(transfers):
-            yield from env.wait_flag_pred(ready, grant_preds[k])  # b1
+            yield from env.wait_flag_pred(ready, _REACHED[grants[k]])  # b1
             if size:
                 yield from env.private_read(size)
                 yield from env.mpb_write(
@@ -318,16 +329,15 @@ class VdmaTransport(TwoSlotTransport):
 
     def send(self, comm: "Rcce", dest: int, data: np.ndarray) -> Generator:
         env, me = comm.env, comm.rank
+        chan = comm.channel(dest)
+        sent, ready = chan.out_sent, chan.out_ready
         slot, transfers, _gsizes, grants, final_ack, progress = self._plan(
-            comm, me, dest, len(data)
+            comm, chan.out_seq, len(data)
         )
         granule = self.host.params.granule
         done_flag = comm.flags.misc(me, SLOT_VDMA_DONE)
-        chan = comm.channel(dest)
-        sent, ready = chan.out_sent, chan.out_ready
-        done_seqs = [comm.next_seq(me, me, "vdma_done") for _ in transfers]
-        done_preds = [reached(s) for s in done_seqs]
-        grant_preds = [reached(g) for g in grants]
+        done_seqs = _after(comm.vdma_done_seq, len(transfers))
+        comm.vdma_done_seq = done_seqs[-1]
         slot_addrs = (env.local_addr(0), env.local_addr(slot))
         # Host-affinity of a cross-host copy (None on a same-host route):
         # which host's communication task owns the inter-host forward.
@@ -339,8 +349,8 @@ class VdmaTransport(TwoSlotTransport):
             if k >= 2:
                 # Our slot k%2 is reusable once transfer k-2 was pulled
                 # and committed (the completion flag covers both).
-                yield from env.wait_flag_pred(done_flag, done_preds[k - 2])
-            yield from env.wait_flag_pred(ready, grant_preds[k])  # b1
+                yield from env.wait_flag_pred(done_flag, _REACHED[done_seqs[k - 2]])
+            yield from env.wait_flag_pred(ready, _REACHED[grants[k]])  # b1
             slot_off = (k % 2) * slot
             regs = [(REG_VDMA_ADDR, slot_off), (REG_VDMA_COUNT, size)]
             if size:
@@ -360,7 +370,7 @@ class VdmaTransport(TwoSlotTransport):
                 yield from env.set_flag(sent, progress[k][0])
             offset += size
         if transfers[-1]:
-            yield from env.wait_flag_pred(done_flag, done_preds[-1])
+            yield from env.wait_flag_pred(done_flag, _REACHED[done_seqs[-1]])
         yield from env.wait_flag(ready, final_ack)
 
 

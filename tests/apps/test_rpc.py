@@ -27,7 +27,6 @@ from repro.apps.rpc import (
 from repro.bench.arrivals import (
     _ID_STRIDE,
     BurstyArrivals,
-    FixedSizes,
     ParetoSizes,
     PoissonArrivals,
     RpcCall,
@@ -326,7 +325,7 @@ def test_generate_calls_rejects_ids_past_the_rank_stride():
     # of rank 1's first.
     with pytest.raises(ValueError, match="calls_per_rank"):
         generate_calls(
-            (0, 1), _ID_STRIDE + 1, PoissonArrivals(), FixedSizes(), FixedSizes()
+            (0, 1), _ID_STRIDE + 1, PoissonArrivals(), UniformSizes(), UniformSizes()
         )
 
 
@@ -350,10 +349,10 @@ def test_generate_calls_is_seed_deterministic():
 def test_per_rank_substreams_are_independent():
     # Dropping a rank must not perturb the other ranks' draws.
     both = generate_calls(
-        (0, 1), 10, PoissonArrivals(), FixedSizes(), FixedSizes(), seed=3
+        (0, 1), 10, PoissonArrivals(), UniformSizes(), UniformSizes(), seed=3
     )
     only0 = generate_calls(
-        (0,), 10, PoissonArrivals(), FixedSizes(), FixedSizes(), seed=3
+        (0,), 10, PoissonArrivals(), UniformSizes(), UniformSizes(), seed=3
     )
     assert [c for c in both if c.rank == 0] == only0
 

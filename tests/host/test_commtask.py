@@ -132,17 +132,3 @@ def test_mmio_fused_cheaper_than_unfused():
     unfused = sim.spawn(timed(False))
     sim.run()
     assert fused.result < unfused.result
-
-
-def test_mmio_read_roundtrip():
-    sim, devices, host = make_rig(extensions=True)
-
-    def prog():
-        env = devices[0].core(0)
-        yield from env.mmio_write(0x200, 55)
-        value = yield from env.mmio_read(0x200)
-        return value
-
-    proc = sim.spawn(prog())
-    sim.run()
-    assert proc.result == 55

@@ -125,18 +125,75 @@ def test_malloc_requires_user_area(session):
         comm.malloc(32)
 
 
+def test_mfree_then_malloc_returns_the_same_offset_on_every_rank():
+    session = RcceSession(options=RcceOptions(user_mpb_bytes=1024))
+    offsets = {}
+
+    def program(comm):
+        first = comm.malloc(64)
+        comm.malloc(128)
+        comm.mfree(first)
+        offsets[comm.rank] = (first, comm.malloc(64))
+        return
+        yield
+
+    session.run(program, ranks=[0, 5, 47])
+    assert len(set(offsets.values())) == 1
+    [(first, again)] = set(offsets.values())
+    assert again == first
+
+
+def test_double_mfree_raises():
+    comm = RcceSession(options=RcceOptions(user_mpb_bytes=1024)).comm_for(0)
+    offset = comm.malloc(32)
+    comm.mfree(offset)
+    with pytest.raises(ValueError, match="not allocated"):
+        comm.mfree(offset)
+
+
+def test_mfree_requires_user_area(session):
+    with pytest.raises(RuntimeError, match="no user MPB area"):
+        session.comm_for(0).mfree(0)
+
+
 def test_seq_channels_are_independent(session):
-    comm = session.comm_for(0)
-    assert comm.next_seq(0, 1, "sent") == 1
-    assert comm.next_seq(0, 1, "sent") == 2
-    assert comm.next_seq(0, 1, "ready") == 1
-    assert comm.next_seq(1, 0, "sent") == 1
+    """Each direction of a pair advances its own sent/ready streams."""
+
+    def program(comm):
+        if comm.rank == 0:
+            yield from comm.send(b"ab", 1)
+            yield from comm.send(b"cd", 1)
+            yield from comm.recv(2, 1)
+        else:
+            yield from comm.recv(2, 0)
+            yield from comm.recv(2, 0)
+            yield from comm.send(b"ef", 0)
+
+    session.run(program, ranks=[0, 1])
+    sender, receiver = session.comm_for(0).channel(1), session.comm_for(1).channel(0)
+    assert sender.out_seq == receiver.in_seq == {"sent": 2, "ready": 2}
+    assert sender.in_seq == receiver.out_seq == {"sent": 1, "ready": 1}
 
 
 def test_seq_counters_wrap_after_254(session):
-    comm = session.comm_for(0)
-    seqs = [comm.next_seq(0, 1, "sent") for _ in range(256)]
-    assert seqs[:2] == [1, 2] and seqs[253:] == [254, 1, 2]
+    """Streams at 253 take 254, then wrap to 1 and 2, skipping 0."""
+    for rank, peer in ((0, 1), (1, 0)):
+        chan = session.comm_for(rank).channel(peer)
+        chan.out_seq.update(sent=253, ready=253)
+        chan.in_seq.update(sent=253, ready=253)
+    got = []
+
+    def program(comm):
+        for k in range(3):
+            if comm.rank == 0:
+                yield from comm.send(bytes([k]) * 8, 1)
+            else:
+                got.append(bytes((yield from comm.recv(8, 0))))
+
+    session.run(program, ranks=[0, 1])
+    assert got == [bytes([k]) * 8 for k in range(3)]
+    assert session.comm_for(0).channel(1).out_seq == {"sent": 2, "ready": 2}
+    assert session.comm_for(1).channel(0).in_seq == {"sent": 2, "ready": 2}
 
 
 def test_comm_buffer_addresses(session):

@@ -2,7 +2,6 @@
 for one peer (:class:`repro.rcce.api.Channel`)."""
 
 import numpy as np
-import pytest
 
 from repro.ircce.nonblocking import irecv, recv_any_source
 from repro.rcce.api import RcceOptions
@@ -116,7 +115,26 @@ def test_recv_any_source_after_recv_and_irecv_from_the_same_source(session):
     assert np.array_equal(got["two"], _payload(2, 0, 64))
 
 
-def test_next_seq_needs_the_caller_at_one_end(session):
-    comm = session.comm_for(0)
-    with pytest.raises(ValueError, match="neither end"):
-        comm.next_seq(2, 3, "sent")
+def test_vdma_completion_stream_is_one_counter_per_rank():
+    """Each vDMA transfer a rank sends takes the next value of the rank's
+    own completion stream, whichever peer it goes to."""
+    from repro.vscc.schemes import CommScheme
+    from repro.vscc.system import VSCCSystem
+
+    system = VSCCSystem(num_devices=2, scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA)
+    sender = system.comm_for(0)
+    sizes = {48: 3 * sender.slot_bytes, 49: 1024}  # three transfers, then one
+    got = {}
+
+    def program(comm):
+        if comm.rank == 0:
+            for dest, nbytes in sizes.items():
+                yield from comm.send(_payload(0, dest, nbytes), dest)
+        else:
+            got[comm.rank] = yield from comm.recv(sizes[comm.rank], 0)
+
+    system.run(program, ranks=[0, 48, 49])
+    for dest, nbytes in sizes.items():
+        assert np.array_equal(got[dest], _payload(0, dest, nbytes))
+    assert sender.vdma_done_seq == 4
+    assert 0 not in sender._channels  # no channel from a rank to itself

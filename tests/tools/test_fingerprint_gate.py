@@ -1,6 +1,6 @@
 """The fingerprint gate: pinned values, per-field drift, determinism, fusion.
 
-Only the two fastest scenarios run here; the full gate is
+Only three fast scenarios run here; the full gate is
 ``python tools/fingerprint_gate.py``.
 """
 
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 GATE_PATH = Path(__file__).resolve().parents[2] / "tools" / "fingerprint_gate.py"
-FAST = ["micro_flag_wait", "micro_chunk_send"]
+FAST = ["micro_flag_wait", "micro_chunk_send", "rcce_api"]
 
 
 @pytest.fixture(scope="module")
