@@ -11,24 +11,25 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_fig2_protocols.py
 """
 
-from repro.bench import (
-    fig2_protocol_timeline,
-    fig2_trace,
-    format_table,
-    render_timeline,
-)
+from repro.bench import fig2_protocol_timeline, format_table, render_timeline
 
 if __name__ == "__main__":
-    for label, pipelined in (("2a — default blocking", False), ("2b — pipelined", True)):
-        print(f"Fig {label} protocol (16 kB):")
-        print(render_timeline(fig2_trace(16384, pipelined)))
+    timings = fig2_protocol_timeline((8192, 16384, 65536))
+    gantt = next(t for t in timings if t.size == 16384)
+    for label, records in (
+        ("2a — default blocking", gantt.blocking_records),
+        ("2b — pipelined", gantt.pipelined_records),
+    ):
+        print(f"Fig {label} protocol (16 kB, the ping-pong's first message):")
+        print(render_timeline(records))
         print()
     print(
         format_table(
             ["size B", "blocking us", "pipelined us", "speedup"],
             [
-                (t.size, t.blocking_ns / 1000, t.pipelined_ns / 1000, t.speedup)
-                for t in fig2_protocol_timeline((8192, 16384, 65536))
+                (t.size, t.blocking_ns / 1000, t.pipelined_ns / 1000,
+                 t.blocking_ns / t.pipelined_ns)
+                for t in timings
             ],
         )
     )

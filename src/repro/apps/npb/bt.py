@@ -17,6 +17,9 @@ exchange with all six fixed partners), ``rhs``, then pipelined
 slabs, back-substitution up), then ``add``. Sweep boundary messages use
 iRCCE non-blocking sends — the stage-boundary sends of a multipartition
 sweep form rings, which deadlock under purely synchronous sends.
+
+Unpinned: ``BTBenchmark.result`` — reached only by the class C pins
+(``fig7_bt_class_c``) and the examples.
 """
 
 from __future__ import annotations

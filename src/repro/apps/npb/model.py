@@ -15,6 +15,9 @@ Anchors:
   of peak (``flops_per_cycle`` default 0.15 ≈ 80 MFLOP/s).
 * Fig 8: maximum pair traffic ≈ 186 MB for class C, 64 ranks, 200
   steps — the byte formulas below land within ~15 % of that.
+
+Unpinned: ``step_flops``/``total_flops`` — reached only through
+``BTBenchmark.result`` (class C pins, examples).
 """
 
 from __future__ import annotations

@@ -21,6 +21,9 @@ direction  partner (i', j')
 +z             (i-1, j-1)
 -z             (i+1, j+1)
 =========  ==================
+
+Unpinned: ``cells``/``slab_start``/``slab_size``/``node_coords`` — the
+ADI proof, ``examples/bt_npb.py`` and the geometry tests.
 """
 
 from __future__ import annotations

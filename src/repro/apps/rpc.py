@@ -150,9 +150,6 @@ class SerializationCache:
         self.misses = 0
         self.evictions = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def lookup(self, key: str) -> bool:
         """Hit test; a hit refreshes LRU order, a miss inserts the key."""
         if key in self._entries:
@@ -550,13 +547,6 @@ class RpcReport:
     @property
     def completed(self) -> int:
         return len(self.completions)
-
-    @property
-    def throughput_rps(self) -> float:
-        """Completed requests per simulated second."""
-        if self.duration_ns <= 0:
-            return 0.0
-        return self.completed / (self.duration_ns * 1e-9)
 
     def latency_percentile(self, p: float) -> float:
         """Exact latency percentile (ns), ``p`` in [0, 100]; 0.0 when

@@ -72,12 +72,11 @@ def render_traffic(
     matrix: np.ndarray,
     layout: RankLayout,
     width: int = 64,
-    mark_devices: bool = True,
 ) -> str:
     """ASCII rendering of the traffic matrix (x = sender, y = receiver).
 
-    Darker characters mean more traffic; with ``mark_devices``, device
-    boundaries are drawn as ruled lines — the "grey boxes" of Fig 8.
+    Darker characters mean more traffic; device boundaries are drawn as
+    ruled lines — the "grey boxes" of Fig 8.
     """
     n = matrix.shape[0]
     step = max(1, -(-n // width))
@@ -110,9 +109,9 @@ def render_traffic(
             else:
                 idx = int((len(_SHADES) - 1) * value / peak)
                 ch = _SHADES[max(1, idx)]
-            sep = "|" if mark_devices and bx in bcells else " "
+            sep = "|" if bx in bcells else " "
             row.append(sep + ch)
-        rule = "+" if mark_devices and by in bcells else "|"
+        rule = "+" if by in bcells else "|"
         lines.append(f"{by * step:3d} {rule}" + "".join(row) + "|")
     lines.append(header)
     return "\n".join(lines)

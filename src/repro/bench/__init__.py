@@ -12,7 +12,6 @@ from .arrivals import (
 )
 from .figures import (
     ONCHIP_PAIR,
-    fig2_trace,
     SCHEME_LABELS,
     fig2_protocol_timeline,
     fig6a_onchip,
@@ -46,7 +45,6 @@ __all__ = [
     "RUN_METRICS_SCHEMA",
     "SCHEME_LABELS",
     "fig2_protocol_timeline",
-    "fig2_trace",
     "fig6a_onchip",
     "fig6b_interdevice",
     "fig7_bt_scaling",

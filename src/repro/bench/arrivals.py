@@ -20,6 +20,9 @@ bounded-Pareto heavy-tail size distribution cover the canonical
 datacenter traffic shapes; :func:`generate_calls` turns them into a
 concrete list of :class:`RpcCall` records, and :func:`golden_trace` is
 the fixed 200-request trace the acceptance suite digests.
+
+Unpinned: ``UniformSizes``, ``golden_trace``, ``calls_digest`` — the RPC
+and chaos suites' fixed traces and digests.
 """
 
 from __future__ import annotations

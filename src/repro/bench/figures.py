@@ -6,6 +6,9 @@ returns the series the paper plots. The scenarios of
 them (``FINGERPRINTS.json``, checked by ``CLAIMS``), the examples print
 them, and EXPERIMENTS.md archives the comparison against the paper's
 values.
+
+Unpinned: ``fig7_bt_scaling`` — reached only by the class C pin
+``fig7_bt_class_c``.
 """
 
 from __future__ import annotations
@@ -52,52 +55,63 @@ SCHEME_LABELS = {
 #: Cross-device measurement pair: first core of device 0 and of device 1.
 XDEV_PAIR = (0, 48)
 
+#: Time steps of the paper's BT runs (Fig 7, Fig 8).
+FULL_RUN_STEPS = 200
+
 
 # -- Fig 2: blocking vs pipelined protocol timing --------------------------------
 
 
 @dataclass(frozen=True)
 class ProtocolTiming:
-    """Completion time of one message under both blocking protocols."""
+    """One message size under both blocking protocols: the one-way
+    completion time, and the protocol trace records of the first
+    message (Fig 2's Gantt, drawn by
+    :func:`repro.bench.runner.render_timeline`)."""
 
     size: int
     blocking_ns: float
     pipelined_ns: float
-
-    @property
-    def speedup(self) -> float:
-        return self.blocking_ns / self.pipelined_ns
+    blocking_records: tuple
+    pipelined_records: tuple
 
 
-def fig2_trace(size: int, pipelined: bool):
-    """Protocol trace records for one message transfer (Fig 2's Gantt)."""
-    session = RcceSession(options=RcceOptions(pipelined=pipelined))
-    session.sim.tracer.enable("protocol")
-
-    def program(comm):
-        payload = bytes(size)
-        if comm.rank == ONCHIP_PAIR[0]:
-            yield from comm.send(payload, ONCHIP_PAIR[1])
-        elif comm.rank == ONCHIP_PAIR[1]:
-            yield from comm.recv(size, ONCHIP_PAIR[0])
-
-    session.run(program, ranks=list(ONCHIP_PAIR))
-    return list(session.sim.tracer.select("protocol"))
+def _first_message(records) -> tuple:
+    """The ping-pong's first message, ``ONCHIP_PAIR[0]`` to
+    ``ONCHIP_PAIR[1]``: each end's records up to the first transfer of
+    its next message."""
+    starts = {(ONCHIP_PAIR[0], "send"): 0, (ONCHIP_PAIR[1], "recv"): 0}
+    out = []
+    for record in records:
+        rank, role, phase, index = record.payload
+        end = (rank, role)
+        if end in starts:
+            if index == 0 and phase.endswith("_start"):
+                starts[end] += 1
+            if starts[end] == 1:
+                out.append(record)
+    return tuple(out)
 
 
 def fig2_protocol_timeline(sizes: Sequence[int] = (8192, 16384, 65536)) -> list[ProtocolTiming]:
     """Fig 2's statement as numbers: the pipelined protocol completes
-    a (large) blocking transfer earlier than the default protocol."""
+    a (large) blocking transfer earlier than the default protocol. One
+    traced ping-pong per size and protocol gives both the time and the
+    records."""
     out = []
     for size in sizes:
-        times = {}
+        times, records = {}, {}
         for pipelined in (False, True):
             session = RcceSession(options=RcceOptions(pipelined=pipelined))
+            session.tracer.enable("protocol")
             [point] = run_pingpong(
                 session, *ONCHIP_PAIR, sizes=[size], iterations=4, warmup=1
             )
             times[pipelined] = point.oneway_ns
-        out.append(ProtocolTiming(size, times[False], times[True]))
+            records[pipelined] = _first_message(session.tracer.select("protocol"))
+        out.append(
+            ProtocolTiming(size, times[False], times[True], records[False], records[True])
+        )
     return out
 
 
@@ -190,15 +204,14 @@ def fig8_bt_traffic(
     niter: int = 1,
     num_devices: int = 2,
     scheme: CommScheme = CommScheme.LOCAL_PUT_LOCAL_GET_VDMA,
-    full_run_steps: int = 200,
 ) -> tuple[np.ndarray, TrafficStats, str, TrafficStats]:
     """Traffic matrix of BT; returns (per-run matrix, stats, rendering,
-    stats scaled to the paper's 200-step run)."""
+    stats scaled to the paper's :data:`FULL_RUN_STEPS`-step run)."""
     system = VSCCSystem(num_devices=num_devices, scheme=scheme)
     run_bt(system, clazz, nranks, niter)
     matrix = traffic_matrix(system.layout)
     stats = traffic_stats(matrix, system.layout)
-    scaled = traffic_stats(matrix * full_run_steps / niter, system.layout)
+    scaled = traffic_stats(matrix * FULL_RUN_STEPS / niter, system.layout)
     rendering = render_traffic(matrix, system.layout, width=64)
     return matrix, stats, rendering, scaled
 

@@ -1,4 +1,8 @@
-"""Errors surfaced by the fault-injection / resilience layer."""
+"""Errors surfaced by the fault-injection / resilience layer.
+
+Unpinned: ``DeviceQuarantined`` — raised on a severed route, which the
+chaos suites drive.
+"""
 
 from __future__ import annotations
 

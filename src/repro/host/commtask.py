@@ -284,15 +284,27 @@ class CommunicationTask:
         """Off-die write of ``data``."""
         self._check_route(addr.device)
         payload = as_u8(data)
+        length = len(payload)
         if self.cable.fast_write_ack:
             yield from self._streamed(env, addr, payload, via_host_wcb=False)
             return
-        host = self.host
-        kind = host.regions.classify(addr, len(payload))
-        if host.extensions_enabled and kind is RegionKind.BUFFER:
+        if self.streams_via_host_wcb(addr, length):
             yield from self._streamed(env, addr, payload, via_host_wcb=True)
             return
-        yield from self._routed(env, addr, kind, len(payload), payload)
+        kind = self.host.regions.classify(addr, length)
+        yield from self._routed(env, addr, kind, length, payload)
+
+    def streams_via_host_wcb(self, addr: MpbAddr, length: int) -> bool:
+        """Whether :meth:`remote_write` of ``length`` bytes at ``addr``
+        rides a host write-combining stream, which the writer must open
+        first (:meth:`wcb_open`): the vSCC extensions are on, the cable
+        has no FPGA write-ack and the span is a registered buffer."""
+        host = self.host
+        return (
+            not self.cable.fast_write_ack
+            and host.extensions_enabled
+            and host.regions.classify(addr, length) is RegionKind.BUFFER
+        )
 
     def remote_flag_write(self, env: "CoreEnv", addr: MpbAddr, value: int) -> Generator:
         """Cross-device flag write.
@@ -376,10 +388,16 @@ class CommunicationTask:
         counter) must happen synchronously with the sender's program
         order; the host-side open fires when the fused MMIO write
         arrives — before any of the data, since both share the FIFO
-        up-link.
+        up-link — and opens the stream the announce names. A previous
+        stream of the core that no flag write fenced yet (two announces
+        in a row, as back-to-back gory puts make) is fenced first, so
+        its tail still reaches the target.
         """
         host = self.host
         host.require_extensions("host write-combining streams")
+        old = self._combiners.get(env.core_id)
+        if old is not None and self._wcb_expected.get(env.core_id):
+            yield from old.fence()
         # Every announce starts a fresh stream object so bytes of the
         # previous chunk that are still in flight keep their identity.
         # The stream flushes through the target device's own DMA engine;
@@ -392,7 +410,6 @@ class CommunicationTask:
             host.params.granule,
             via=None if dst_host is host else host,
         )
-        old = self._combiners.get(env.core_id)
         if old is not None:
             self._wcb_retired_bytes += old.bytes_combined
             self._wcb_retired_flushes += old.flushes
@@ -403,7 +420,7 @@ class CommunicationTask:
             [
                 (REG_MSG_ADDR, 0),
                 (REG_MSG_COUNT, nbytes),
-                (REG_MSG_CTRL, ("wcb_open", target)),
+                (REG_MSG_CTRL, ("wcb_open", target, combiner)),
             ],
             fused=True,
         )
@@ -698,8 +715,9 @@ class CommunicationTask:
 
         The control value selects what the announcement means:
         ``("prefetch",)`` — prefetch my MPB span into the software cache;
-        ``("wcb_open", dst_addr)`` — open the write-combining stream
-        :meth:`wcb_open` issued toward ``dst_addr`` (remote put, Fig 4c).
+        ``("wcb_open", dst_addr, stream)`` — open the write-combining
+        stream :meth:`wcb_open` issued toward ``dst_addr`` (remote put,
+        Fig 4c).
         """
 
         def on_ctrl(core_id: int, ctrl: object) -> None:
@@ -712,12 +730,8 @@ class CommunicationTask:
                 src = MpbAddr(self.device_id, core_id, offset)
                 self.host.cache.announce(src, count)
             elif kind == "wcb_open":
-                combiner = self._combiners.get(core_id)
-                if combiner is None:
-                    raise RuntimeError(
-                        f"wcb_open arrived for core {core_id} without an issued stream"
-                    )
-                combiner.open(ctrl[1], count)
+                _kind, target, combiner = ctrl
+                combiner.open(target, count)
             else:
                 raise ValueError(f"unknown MSG control {ctrl!r}")
 

@@ -75,6 +75,3 @@ class RegionRegistry:
             if region.contains(addr, length):
                 return region.kind
         return RegionKind.UNREGISTERED
-
-    def clear(self) -> None:
-        self._by_core.clear()

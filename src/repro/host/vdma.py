@@ -14,6 +14,9 @@ reaches the host, with a per-granule progress flag piggybacked onto the
 data commit so the receiver can drain in parallel ("the communication
 task can introduce a pipelining effect", §4.1 — this is what removes the
 8 kB cliff for the local-access scheme).
+
+Unpinned: ``_Copy._watchdog_fired`` — a stalled copy, which the fault
+suites drive.
 """
 
 from __future__ import annotations

@@ -44,10 +44,8 @@ Bytes = Union[bytes, bytearray, np.ndarray]
 class CommRequest:
     """Handle for an in-flight non-blocking operation."""
 
-    def __init__(self, proc: Process, kind: str, peer: int):
+    def __init__(self, proc: Process):
         self._proc = proc
-        self.kind = kind
-        self.peer = peer
 
     def test(self) -> bool:
         """Non-blocking completion probe (``iRCCE_test``)."""
@@ -61,10 +59,6 @@ class CommRequest:
     @property
     def result(self):
         return self._proc.result
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "done" if self.test() else "pending"
-        return f"<CommRequest {self.kind} peer={self.peer} {state}>"
 
 
 def _chained(comm: "Rcce", key, peer: int, body) -> Process:
@@ -92,7 +86,7 @@ def isend(comm: "Rcce", data: Bytes, dest: int) -> CommRequest:
     def body() -> Generator:
         yield from comm._send_now(payload, dest)
 
-    return CommRequest(_chained(comm, "send", dest, body), "isend", dest)
+    return CommRequest(_chained(comm, "send", dest, body))
 
 
 def irecv(comm: "Rcce", nbytes: int, src: int) -> CommRequest:
@@ -102,7 +96,7 @@ def irecv(comm: "Rcce", nbytes: int, src: int) -> CommRequest:
         data = yield from comm._recv_now(nbytes, src)
         return data
 
-    return CommRequest(_chained(comm, ("recv", src), src, body), "irecv", src)
+    return CommRequest(_chained(comm, ("recv", src), src, body))
 
 
 def wait_all(requests: list[CommRequest]) -> Generator:

@@ -203,24 +203,6 @@ class MetricsRegistry:
         self.enabled = enabled
         self._series: dict[str, _Instrument] = {}
 
-    # -- lifecycle -----------------------------------------------------------
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        """Drop every series (the enabled flag is kept)."""
-        self._series.clear()
-
-    def __len__(self) -> int:
-        return len(self._series)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._series
-
     # -- instrument construction ------------------------------------------------
 
     def _get(self, cls, name: str, labels: Mapping[str, object]) -> _Instrument:

@@ -15,6 +15,9 @@ operations::
 
 The non-gory interface is blocking send/recv plus collectives; the gory
 one-sided layer is reachable through :attr:`gory`.
+
+Unpinned: ``Rcce._observed`` — collectives with metrics or ``coll``
+tracing on, which the observability tests turn on.
 """
 
 from __future__ import annotations
@@ -149,9 +152,6 @@ class Rcce:
         self._coll_seq = 0  # per-rank collective call counter (trace spans)
         #: This rank's hierarchical plans, per (collective group, root).
         self._plans: dict = {}
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Rcce rank={self.rank}/{self.num_ranks}>"
 
     @property
     def gory(self) -> Gory:

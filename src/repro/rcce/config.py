@@ -6,16 +6,15 @@ a linear way, which is continued to a second device starting with id 48"
 (paper §3). §4 adds the operational wrinkle: cores silently fail at
 boot, so the (extended) startup script regenerates a configuration file
 listing the cores that actually came up, and RCCE builds its rank
-mapping from that file. :class:`SccConfigFile` models that file,
-round-trippable through its text format.
-
-Unpinned to_text/from_text: kept as the §4 workaround's file format.
+mapping from that file. :class:`SccConfigFile` is that file's content,
+built from the booted devices; the mapping is built in-process, so
+no text form of it is written or parsed.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.scc.chip import SCCDevice
@@ -41,41 +40,9 @@ class SccConfigFile:
         """What the extended startup script produces after booting (§4)."""
         return cls(tuple(tuple(d.available_cores) for d in devices))
 
-    def to_text(self) -> str:
-        lines = [f"# vSCC core configuration ({len(self.cores_per_device)} devices)"]
-        for dev, cores in enumerate(self.cores_per_device):
-            lines.append(f"device {dev}: " + " ".join(str(c) for c in cores))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SccConfigFile":
-        per_device: list[tuple[int, ...]] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not line.startswith("device "):
-                raise ValueError(f"unparsable configuration line: {line!r}")
-            _, rest = line.split("device ", 1)
-            index_str, cores_str = rest.split(":", 1)
-            if int(index_str) != len(per_device):
-                raise ValueError(f"device lines out of order at {line!r}")
-            per_device.append(tuple(int(c) for c in cores_str.split()))
-        return cls(tuple(per_device))
-
-    @property
-    def total_cores(self) -> int:
-        return sum(len(c) for c in self.cores_per_device)
-
 
 class RankLayout:
-    """Immutable mapping rank → (device, core), plus traffic accounting.
-
-    ``order`` controls intra-device core order: ``"ascending"`` (the
-    common convention) or ``"descending"`` (the SCC quirk the paper
-    mentions — cores "sorted in a descending order according to their
-    id"). The choice does not change any protocol, only placement.
-    """
+    """Immutable mapping rank → (device, core), plus traffic accounting."""
 
     def __init__(self, placements: Sequence[tuple[int, int]]):
         if not placements:
@@ -90,22 +57,11 @@ class RankLayout:
         self.traffic: Counter[tuple[int, int]] = Counter()
 
     @classmethod
-    def from_config(
-        cls, config: SccConfigFile, order: str = "ascending"
-    ) -> "RankLayout":
-        if order not in ("ascending", "descending"):
-            raise ValueError(f"unknown core order {order!r}")
-        placements = []
-        for dev, cores in enumerate(config.cores_per_device):
-            ordered = sorted(cores, reverse=(order == "descending"))
-            placements.extend((dev, c) for c in ordered)
-        return cls(placements)
-
-    @classmethod
-    def from_devices(
-        cls, devices: Sequence[SCCDevice], order: str = "ascending"
-    ) -> "RankLayout":
-        return cls.from_config(SccConfigFile.from_devices(devices), order)
+    def from_config(cls, config: SccConfigFile) -> "RankLayout":
+        """Linear ranks over the listed cores, ascending by id per device (§3)."""
+        return cls(
+            [(dev, c) for dev, cores in enumerate(config.cores_per_device) for c in sorted(cores)]
+        )
 
     # -- queries --------------------------------------------------------------
 

@@ -46,10 +46,23 @@ class Gory:
     # -- data movement ----------------------------------------------------------
 
     def put(self, data: Bytes, dest_rank: int, offset: int) -> Generator:
-        """Write ``data`` into ``dest_rank``'s MPB at a malloc'd offset."""
+        """Write ``data`` into ``dest_rank``'s MPB at a malloc'd offset.
+
+        A write to another device that the host combines is announced
+        first, as the remote-put transport announces each chunk (§3.1):
+        a stream lands contiguously from its announced address, so every
+        put opens its own.
+        """
+        comm = self.comm
+        env = comm.env
         payload = np.frombuffer(bytes(data), np.uint8)
         addr = self._user_addr(dest_rank, offset, len(payload))
-        yield from self.comm.env.mpb_write(addr, payload)
+        device = env.device
+        if addr.device != device.device_id and device.fabric.streams_via_host_wcb(
+            addr, len(payload)
+        ):
+            yield from comm.announce_wcb_open(addr, len(payload))
+        yield from env.mpb_write(addr, payload)
 
     def get(self, src_rank: int, offset: int, nbytes: int) -> Generator:
         """Read ``nbytes`` from ``src_rank``'s MPB (invalidates L1 first)."""

@@ -145,14 +145,6 @@ class GroupPlan:
             for level, (tier, leader) in enumerate(chain)
         ]
 
-    @property
-    def is_leader(self) -> bool:
-        return self.ranks[self.me] == self.my_leader
-
-    @property
-    def num_devices(self) -> int:
-        return len(self.groups)
-
     def tiers(self) -> tuple[list, Optional[list]]:
         """``(chain, top)``: this rank's walk through the decomposition.
 

@@ -5,6 +5,8 @@ the same allocation sequence, so an allocation denotes the same offset
 in *every* core's MPB — which is what makes one-sided ``put``/``get`` by
 (rank, offset) possible. The allocator is first-fit over 32 B-aligned
 blocks, mirroring RCCE's cache-line granularity.
+
+Unpinned: ``bytes_free`` — the out-of-MPB error message.
 """
 
 from __future__ import annotations
@@ -72,7 +74,3 @@ class MpbAllocator:
     @property
     def bytes_free(self) -> int:
         return sum(size for _s, size in self._free)
-
-    @property
-    def bytes_allocated(self) -> int:
-        return sum(self._allocated.values())

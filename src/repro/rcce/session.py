@@ -69,7 +69,6 @@ class RcceSession:
         options: Optional[RcceOptions] = None,
         failure_prob: float = 0.0,
         seed: Optional[int] = None,
-        core_order: str = "ascending",
     ):
         self.sim = Simulator()
         #: The simulator's tracer and metrics registry (disabled by
@@ -89,7 +88,7 @@ class RcceSession:
         #: The first (on a plain session: only) device.
         self.device = self.devices[0]
         self.config = SccConfigFile.from_devices(self.devices)
-        self.layout = RankLayout.from_config(self.config, core_order)
+        self.layout = RankLayout.from_config(self.config)
         self.flags = FlagLayout(self.layout, self.params)
         self.topology = FabricTopology(self.layout, self.params)
         self._comms: dict[int, Rcce] = {}

@@ -21,6 +21,9 @@ its flags, counters and the slot addresses in the peer's buffer in one
 :class:`~repro.rcce.api.Channel`, resolved at the pair's first message;
 the slot addresses in its own buffer, the same for every peer, it keeps
 once (``Rcce.own_slots``).
+
+Unpinned: ``Transport.send``/``recv`` — the abstract interface; every
+transport overrides both.
 """
 
 from __future__ import annotations

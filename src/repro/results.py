@@ -7,6 +7,9 @@ dict`` surface. :class:`JobResult` is what a served job resolves to. The
 module is dependency-free, so the session (:mod:`repro.rcce.session`)
 and the service (:mod:`repro.serve`) share the types without a layering
 cycle.
+
+Unpinned: ``JobResult.ok``/``from_dict`` — the service's job-stream
+readers (ROADMAP 21).
 """
 
 from __future__ import annotations

@@ -43,15 +43,9 @@ class L1MpbtCache:
             self._lines.popitem(last=False)
         return False
 
-    def contains(self, tag: tuple) -> bool:
-        return tag in self._lines
-
     def cl1invmb(self) -> int:
         """Invalidate every MPBT line; return how many were dropped."""
         dropped = len(self._lines)
         self._lines.clear()
         self.invalidations += 1
         return dropped
-
-    def __len__(self) -> int:
-        return len(self._lines)

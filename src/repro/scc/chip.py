@@ -51,10 +51,6 @@ class SCCDevice:
         self.fabric = None
         self._available: Optional[list[int]] = None
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        n = len(self.available_cores) if self._available is not None else "unbooted"
-        return f"<SCCDevice {self.device_id} cores={n}>"
-
     # -- boot / availability ---------------------------------------------------
 
     def boot(
@@ -83,10 +79,6 @@ class SCCDevice:
             failed.discard(min(failed))
         self._available = [i for i in range(self.params.num_cores) if i not in failed]
         return list(self._available)
-
-    @property
-    def booted(self) -> bool:
-        return self._available is not None
 
     @property
     def available_cores(self) -> list[int]:

@@ -81,9 +81,6 @@ class CoreEnv:
         cpt = self._cores_per_tile
         self._hops_table = [hops(self.tile, c // cpt) for c in range(p.num_cores)]
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<CoreEnv dev={self.device.device_id} core={self.core_id}>"
-
     # -- identity ---------------------------------------------------------------
 
     def local_addr(self, offset: int) -> MpbAddr:

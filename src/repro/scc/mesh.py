@@ -105,8 +105,3 @@ class XYRouter:
             "mesh.link_busy_ns": self.link_busy_ns,
             "mesh.links_used": float(len(link_bytes)),
         }
-
-    def reset(self) -> None:
-        self._pair_bytes.clear()
-        self._link_bytes_cache = Counter()
-        self.link_busy_ns = 0.0

@@ -17,6 +17,9 @@ Calibration anchors (see DESIGN.md §5):
 * the LMB is 8 kB per core and holds both the message-passing buffer and
   the synchronization-flag region, so a message of exactly 8 kB no longer
   fits in one chunk (paper §4.1, footnote 5).
+
+Unpinned: ``SCCParams.__getstate__`` — pickling for the service's
+process pool.
 """
 
 from __future__ import annotations

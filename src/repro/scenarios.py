@@ -21,6 +21,10 @@ Each workload is defined once: NPB BT by
 :mod:`repro.bench.figures`), ping-pong by :mod:`repro.apps.pingpong`,
 open-loop RPC by :func:`rpc_report`. Heavy imports stay inside each
 function, so importing the registry is cheap.
+
+Unpinned: the class C pins (CI's matrix step skips them),
+``claim_failures`` with its band helpers (``tests/tools/test_claims.py``)
+and the ``bt``/``rpc``/``deadlock`` service workloads (the serve suites).
 """
 
 from __future__ import annotations
@@ -497,6 +501,8 @@ def fig2_protocols() -> dict:
     return {
         "blocking_ns": {str(t.size): t.blocking_ns for t in timings},
         "pipelined_ns": {str(t.size): t.pipelined_ns for t in timings},
+        "blocking_records": {str(t.size): len(t.blocking_records) for t in timings},
+        "pipelined_records": {str(t.size): len(t.pipelined_records) for t in timings},
     }
 
 
@@ -873,7 +879,6 @@ def rcce_api() -> dict:
 
     from repro.ircce import irecv, isend, recv_any_source, wait_any
     from repro.rcce.api import RcceOptions
-    from repro.scc.mpb import MpbAddr
     from repro.vscc.policy import ThresholdPolicy
     from repro.vscc.system import VSCCSystem
 
@@ -900,8 +905,7 @@ def rcce_api() -> dict:
             yield from gory.put(payload(1), 1, buf)
             yield from gory.flag_write(1, flag, 1)
             # Across devices the put rides a host write-combining stream,
-            # which the writer announces first (§3.1).
-            yield from comm.announce_wcb_open(MpbAddr(1, 0, comm.user_mpb_base + buf), 256)
+            # which gory announces itself (§3.1).
             yield from gory.put(payload(2), far, buf)
             yield from gory.flag_write(far, flag, 1)
             yield from gory.wait_until(flag, 2)

@@ -243,17 +243,14 @@ def execute_job(
         chunk = int(spec.progress_every_events)
         inner_run = sim.run
 
-        def chunked_run(until=None, max_events=None, detect_deadlock=True):
+        def chunked_run(until=None, max_events=None):
             remaining = max_events
             while True:
                 if abort is not None and abort.is_set():
                     raise JobAborted(f"attempt aborted at {sim.now} sim ns")
                 budget = chunk if remaining is None else min(chunk, remaining)
                 before = sim.events_processed
-                now = inner_run(
-                    until=until, max_events=budget,
-                    detect_deadlock=detect_deadlock,
-                )
+                now = inner_run(until=until, max_events=budget)
                 stepped = sim.events_processed - before
                 if remaining is not None:
                     remaining -= stepped

@@ -2,12 +2,11 @@
 
 Public surface::
 
-    from repro.sim import Simulator, Delay, Event, Link, Clock
+    from repro.sim import Simulator, Event, Link, Clock
 """
 
 from .clock import Clock
-from .engine import Delay, Event, Process, Simulator
-from .engine import Signal
+from .engine import Event, Process, Signal, Simulator
 from .errors import DeadlockError, InvalidYield, ProcessFailed, SimulationError
 from .resources import Link
 from .trace import TraceRecord, Tracer
@@ -15,7 +14,6 @@ from .trace import TraceRecord, Tracer
 __all__ = [
     "Clock",
     "DeadlockError",
-    "Delay",
     "Event",
     "InvalidYield",
     "Link",

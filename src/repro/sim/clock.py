@@ -36,11 +36,6 @@ class Clock:
         # a field, so eq/hash/repr still key on freq_mhz alone.
         object.__setattr__(self, "_period_ns", 1000.0 / self.freq_mhz)
 
-    @property
-    def period_ns(self) -> float:
-        """Duration of one cycle in nanoseconds."""
-        return self._period_ns
-
     def cycles(self, n: float) -> float:
         """Convert ``n`` cycles of this domain to nanoseconds."""
         return n * self._period_ns

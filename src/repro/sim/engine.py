@@ -24,7 +24,6 @@ entry. A process yields:
   trigger instant — the flag-wait idiom ``yield (watch, poll_ns)``. The
   head's value is discarded (the resume delivers ``None``), so only
   value-free waits qualify.
-* ``Delay(ns)``        — the same, as an explicit command object.
 * an :class:`Event`    — resume when the event is triggered; ``yield`` returns
   the event's value.
 * a :class:`Process`   — resume when that process terminates; ``yield``
@@ -54,7 +53,11 @@ There is no global locking — dispatch is single-threaded and
 deterministic (ties are broken by spawn/schedule order), which is what
 keeps every simulated fingerprint bit-identical run to run.
 
-Unpinned run_until/failures: kept for the kernel's stop and no-fail-fast tests.
+Unpinned: the failure paths (``fail_fast=False``, ``Simulator.failures``,
+``Process.failure``, ``_bad_delay``, ``TimerHandle.name``), the timer
+states ``TimerHandle.active``/``cancelled``, ``fuse_delays`` and
+``schedule_at`` (a chain not headed by a float) — the kernel tests
+drive them. ``_DoneStub.__init__`` runs at import, before any pin.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ from __future__ import annotations
 import heapq
 import os
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -71,7 +73,6 @@ from .errors import DeadlockError, InvalidYield, ProcessFailed, SimulationError
 from .trace import Tracer
 
 __all__ = [
-    "Delay",
     "Event",
     "FUSE_ENV_VAR",
     "Process",
@@ -94,22 +95,6 @@ def _fuse_default() -> bool:
         "false",
         "off",
     )
-
-
-@dataclass(frozen=True)
-class Delay:
-    """Yield command: advance this process by ``ns`` nanoseconds.
-
-    Hot paths can yield the bare number instead — the kernel treats a
-    ``float``/``int`` yield exactly like ``Delay(value)`` without
-    constructing this object.
-    """
-
-    ns: float
-
-    def __post_init__(self) -> None:
-        if not self.ns >= 0:
-            raise ValueError(f"{'negative' if self.ns < 0 else 'NaN'} delay: {self.ns}")
 
 
 class Event:
@@ -171,10 +156,6 @@ class Event:
         self._waiters.append(proc)
         return True
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "set" if self._triggered else "pending"
-        return f"<Event {self.name} {state}>"
-
 
 class Signal:
     """A broadcast, *non-sticky* wake-up channel.
@@ -232,11 +213,10 @@ class Signal:
 # the isinstance chain of the previous kernel. Subclasses of the command
 # types resolve through the isinstance fallback once, then hit the dict.
 _KIND_NUMBER = 0
-_KIND_DELAY = 1
-_KIND_EVENT = 2
-_KIND_SIGNAL = 3
-_KIND_PROCESS = 4
-_KIND_CHAIN = 5
+_KIND_EVENT = 1
+_KIND_SIGNAL = 2
+_KIND_PROCESS = 3
+_KIND_CHAIN = 4
 
 _YIELD_KINDS: dict[type, int] = {tuple: _KIND_CHAIN}
 
@@ -249,9 +229,7 @@ def _bad_delay(proc: "Process", d: Any, where: str = "") -> InvalidYield:
 
 def _resolve_yield_kind(command: Any) -> int:
     """Slow path: classify (and cache) a yield command's type."""
-    if isinstance(command, Delay):
-        kind = _KIND_DELAY
-    elif isinstance(command, (float, int)):
+    if isinstance(command, (float, int)):
         kind = _KIND_NUMBER
     elif isinstance(command, Event):
         kind = _KIND_EVENT
@@ -276,7 +254,7 @@ class Process:
     """
 
     __slots__ = (
-        "sim", "name", "gen", "done", "_failure", "_waiting_on", "_source",
+        "sim", "name", "gen", "done", "_failure", "_source",
     )
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str):
@@ -285,7 +263,6 @@ class Process:
         self.gen = gen
         self.done = Event(sim, name=f"{name}.done")
         self._failure: Optional[BaseException] = None
-        self._waiting_on: Any = None
         #: Event-source index (kernel.events{source=...} attribution),
         #: assigned at spawn from the normalized process name.
         self._source = 0
@@ -311,7 +288,6 @@ class Process:
         The dispatch loop resumes a process woken without a payload
         itself; it comes here for every other wake-up.
         """
-        self._waiting_on = None
         try:
             cls = payload.__class__
             if cls is _Chain:
@@ -366,14 +342,10 @@ class Process:
             if not command >= 0:
                 raise _bad_delay(self, command)
             sim.schedule(command, self, None)
-        elif kind == _KIND_DELAY:
-            sim.schedule(command.ns, self, None)
         elif kind == _KIND_EVENT or kind == _KIND_SIGNAL:
-            self._waiting_on = command
             if not command._add_waiter(self):
                 sim.schedule(0.0, self, command._value)
         elif kind == _KIND_PROCESS:
-            self._waiting_on = command
             if not command.done._add_waiter(self):
                 sim.schedule(0.0, self, command.done._value)
         elif kind == _KIND_CHAIN:
@@ -393,7 +365,6 @@ class Process:
                     if not d >= 0:
                         raise _bad_delay(self, d, " inside a chain")
                 waitable = head.done if hkind == _KIND_PROCESS else head
-                self._waiting_on = waitable
                 waiter = _ChainWaiter(self, command)
                 if not waitable._add_waiter(waiter):
                     # Already triggered: the wake is immediate, exactly as
@@ -425,10 +396,6 @@ class Process:
             raise InvalidYield(
                 f"process {self.name!r} yielded unsupported object {command!r}"
             )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "done" if self.finished else f"waiting on {self._waiting_on!r}"
-        return f"<Process {self.name} {state}>"
 
 
 class _Throw:
@@ -715,10 +682,9 @@ class Record(Event):
 
 
 # Loop-exit reasons of :meth:`Simulator._loop`.
-_STOPPED = 0
-_DRAINED = 1
-_PAST_UNTIL = 2
-_MAX_EVENTS = 3
+_DRAINED = 0
+_PAST_UNTIL = 1
+_MAX_EVENTS = 2
 
 
 class Simulator:
@@ -975,17 +941,11 @@ class Simulator:
 
     # -- main loop -----------------------------------------------------------
 
-    def _loop(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-        stop: Optional[list],
-    ) -> int:
+    def _loop(self, until: Optional[float], max_events: Optional[int]) -> int:
         """Merge-pop the fast lane and the heap in global (time, seq) order.
 
-        Dispatches until a boundary is hit: ``stop[0]`` set by a
-        callback, the next event lying past ``until``, ``max_events``
-        dispatched, or both queues drained.
+        Dispatches until a boundary is hit: the next event lying past
+        ``until``, ``max_events`` dispatched, or both queues drained.
 
         A process woken without a payload is resumed here and its three
         hot yields are queued here (see the module docstring); anything
@@ -1000,8 +960,6 @@ class Simulator:
         fuse = self._fuse
         events = 0
         while True:
-            if stop is not None and stop[0]:
-                return _STOPPED
             if fast:
                 if queue and queue[0] < fast[0]:
                     entry = queue[0]
@@ -1026,7 +984,6 @@ class Simulator:
             now = self.now = entry[0]
             payload = entry[3]
             if payload is None and proc.__class__ is Process:
-                proc._waiting_on = None
                 try:
                     command = proc.gen.send(None)
                 except BaseException as exc:  # noqa: BLE001 - must capture sim faults
@@ -1056,7 +1013,6 @@ class Simulator:
                             and len(command) == 2
                             and command[1] >= 0
                         ):
-                            proc._waiting_on = head
                             head._waiters.append(_ChainWaiter(proc, command))
                         else:
                             proc._dispatch(command)
@@ -1072,47 +1028,17 @@ class Simulator:
                     return _MAX_EVENTS
 
     def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        detect_deadlock: bool = True,
+        self, until: Optional[float] = None, max_events: Optional[int] = None
     ) -> float:
         """Process events until the queue drains, ``until`` or ``max_events``.
 
         Returns the simulated time at which the run stopped. Raises
-        :class:`DeadlockError` if the queue drains while live processes
-        remain blocked (unless ``detect_deadlock`` is False — useful for
-        systems with daemon processes parked on external queues).
+        :class:`DeadlockError` if the queue drains while spawned
+        processes remain blocked (armed timers and records never count).
         """
-        reason = self._loop(until, max_events, None)
+        reason = self._loop(until, max_events)
         if reason == _PAST_UNTIL:
             self.now = until
-            return self.now
-        if reason == _DRAINED:
-            blocked = [p.name for p in self._live_processes if not _is_daemon(p)]
-            if detect_deadlock and blocked:
-                raise DeadlockError(blocked)
+        elif reason == _DRAINED and self._live_processes:
+            raise DeadlockError([p.name for p in self._live_processes])
         return self.now
-
-    def run_until(self, event: Event, limit: Optional[float] = None) -> Any:
-        """Run until ``event`` triggers; return its value.
-
-        ``limit`` bounds simulated time as a safety net against livelock.
-        """
-        stop = [False]
-        event.on_trigger(lambda _v: stop.__setitem__(0, True))
-        reason = self._loop(limit, None, stop)
-        if reason == _DRAINED:
-            blocked = [p.name for p in self._live_processes if not _is_daemon(p)]
-            raise DeadlockError(blocked)
-        if reason == _PAST_UNTIL:
-            raise SimulationError(
-                f"run_until: time limit {limit} ns exceeded at t={self.now}"
-            )
-        return event.value
-
-
-def _is_daemon(proc: Process) -> bool:
-    """Daemon processes (host comm-task threads) never count for deadlock."""
-    return getattr(proc.gen, "_sim_daemon", False) or proc.name.startswith("daemon:")
-

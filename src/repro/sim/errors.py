@@ -1,4 +1,8 @@
-"""Exceptions raised by the discrete-event simulation kernel."""
+"""Exceptions raised by the discrete-event simulation kernel.
+
+Unpinned: ``DeadlockError``/``ProcessFailed`` — the failure paths the
+kernel tests drive.
+"""
 
 from __future__ import annotations
 

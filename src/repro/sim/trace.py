@@ -4,6 +4,9 @@ Benchmarks use traces to reconstruct protocol timelines (Fig 2) and the
 traffic matrix (Fig 8). Tracing is off by default; a disabled category
 costs each guarded call site a method call (:meth:`Tracer.wants`) and a
 set membership test.
+
+Unpinned: ``Tracer.disable`` — ``run(trace_json=...)`` turns its
+categories back off.
 """
 
 from __future__ import annotations
@@ -52,9 +55,3 @@ class Tracer:
 
     def select(self, category: str) -> Iterator[TraceRecord]:
         return (r for r in self.records if r.category == category)
-
-    def clear(self) -> None:
-        self.records.clear()
-
-    def __len__(self) -> int:
-        return len(self.records)

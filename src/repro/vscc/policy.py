@@ -35,6 +35,9 @@ On a multi-host fabric every policy additionally answers the
 the inter-host forward of a copy ("src" — the sender's host pushes, or
 "dst" — the receiver's host pays the forwarding service). It is fixed
 per policy, so both end points see the same answer.
+
+Unpinned: ``SchemePolicy.schemes``/``choose``/``observe`` — the abstract
+interface every policy overrides.
 """
 
 from __future__ import annotations
@@ -176,9 +179,6 @@ class StaticPolicy(SchemePolicy):
         self.scheme = scheme
         self.cross_host_affinity = _check_affinity(cross_host_affinity)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"StaticPolicy({self.scheme})"
-
     @property
     def schemes(self) -> tuple[CommScheme, ...]:
         return (self.scheme,)
@@ -230,12 +230,6 @@ class ThresholdPolicy(SchemePolicy):
             )
         self.direct_bytes = direct_bytes
         self.vdma_cutover = vdma_cutover
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ThresholdPolicy(direct_bytes={self.direct_bytes}, "
-            f"vdma_cutover={self.vdma_cutover})"
-        )
 
     @property
     def schemes(self) -> tuple[CommScheme, ...]:
@@ -309,10 +303,6 @@ class AdaptivePolicy(SchemePolicy):
         #: decision count per key (drives the re-probe cadence)
         self._decisions: dict[tuple[int, int, int], int] = {}
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        names = ",".join(s.value for s in self.candidates)
-        return f"AdaptivePolicy([{names}], alpha={self.alpha})"
-
     wants_feedback = True
     coalesce_vdma = True
 
@@ -358,9 +348,3 @@ class AdaptivePolicy(SchemePolicy):
             if prev is None
             else prev + self.alpha * (throughput - prev)
         )
-
-    def ewma(
-        self, route: Route, scheme: CommScheme, nbytes: int
-    ) -> Optional[float]:
-        """Current throughput EWMA (bytes/ns) for one key, if sampled."""
-        return self._ewma.get(self._key(route, nbytes), {}).get(scheme)

@@ -21,11 +21,13 @@ discipline follows :mod:`repro.rcce.flags`: independent "sent"/"ready"
 streams per directed pair, with bounded-lead ``reached`` predicates
 wherever a producer may run ahead. :class:`VsccSelector` picks one
 transport per message through a single journaled policy decision.
+
+Unpinned: ``HostPacket.encode``/``decode`` — the fault injector's
+corrupted-packet check (chaos suites).
 """
 
 from __future__ import annotations
 
-import abc
 import struct
 import zlib
 from dataclasses import dataclass
@@ -209,14 +211,11 @@ class TwoSlotTransport(Transport):
     slot ``k % 2`` for transfer ``k + 2`` once it drained transfer ``k``;
     within a transfer, one ``sent`` value per granule (b2) tells it how
     far the data landed. The subclasses differ only in how the sender
-    moves a transfer into the receiver's slot.
+    moves a transfer into the receiver's slot, and in ``_granule(comm)``,
+    the bytes of a transfer one ``sent`` value announces.
     """
 
     sender_first = False
-
-    @abc.abstractmethod
-    def _granule(self, comm: "Rcce") -> int:
-        """Bytes of a transfer announced by one ``sent`` value."""
 
     def _plan(self, comm: "Rcce", seqs: dict, nbytes: int):
         """Transfer/granule/seq plan — computed identically on both ends.

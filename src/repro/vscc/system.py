@@ -74,7 +74,6 @@ class VSCCSystem(RcceSession):
         options: Optional[RcceOptions] = None,
         failure_prob: float = 0.0,
         seed: Optional[int] = None,
-        core_order: str = "ascending",
         allow_unstable: bool = False,
         direct_threshold: Optional[int] = None,
         announce_prefetch: bool = True,
@@ -112,7 +111,7 @@ class VSCCSystem(RcceSession):
         self.scheme = policy.static_scheme
         self.policy = policy
         self._num_devices = num_devices
-        super().__init__(params, options, failure_prob, seed, core_order)
+        super().__init__(params, options, failure_prob, seed)
         # Contiguous device slices per host, ``per_host`` devices each;
         # a slice start is capped so every later host keeps at least one
         # device, which leaves the short slices at the end.

@@ -20,6 +20,8 @@ three latency tiers:
 spanning ``num_hosts × devices_per_host`` devices. Without a host map it
 describes the paper's configuration — every device on host 0 — with the
 historic ``device_groups`` semantics bit for bit.
+
+Unpinned: ``coords`` — ``examples/quickstart.py`` prints it.
 """
 
 from __future__ import annotations
@@ -62,15 +64,13 @@ class FabricTopology:
     groups: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
-    _num_devices: int = field(init=False, compare=False, repr=False)
     _num_hosts: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # The layout is immutable, so both counts are fixed for life.
+        # The layout is immutable, so the count is fixed for life.
         devices = {
             self.layout.placement(r)[0] for r in range(self.layout.num_ranks)
         }
-        object.__setattr__(self, "_num_devices", len(devices))
         object.__setattr__(
             self, "_num_hosts", len({self.host_of(d) for d in devices})
         )
@@ -96,9 +96,6 @@ class FabricTopology:
     def host_of_rank(self, rank: int) -> int:
         """The host coordinate of a rank."""
         return self.host_of(self.device_of(rank))
-
-    def num_devices(self) -> int:
-        return self._num_devices
 
     def num_hosts(self) -> int:
         """Hosts spanned by the layout (1 on a single-host fabric)."""

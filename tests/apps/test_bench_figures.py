@@ -5,7 +5,7 @@ import pytest
 
 from repro.bench import (
     PAPER_BANDS,
-    fig2_trace,
+    fig2_protocol_timeline,
     fig6a_onchip,
     fig6b_interdevice,
     fig7_bt_scaling,
@@ -82,8 +82,8 @@ def test_fig8_rejects_nonpositive_niter():
         fig8_bt_traffic(nranks=4, clazz="S", niter=0, num_devices=2)
 
 
-def test_fig2_trace_and_render():
-    records = fig2_trace(8192, pipelined=True)
-    art = render_timeline(records)
+def test_fig2_timeline_records_and_render():
+    [timing] = fig2_protocol_timeline((8192,))
+    art = render_timeline(timing.pipelined_records)
     assert "P" in art and "G" in art
     assert render_timeline([]) == "(no protocol records)"

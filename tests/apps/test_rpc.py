@@ -313,7 +313,6 @@ def test_cache_lookup_hits_misses_and_evicts():
     assert cache.lookup("b") is False
     assert cache.lookup("c") is False  # evicts "a", the least recent
     assert cache.lookup("a") is False  # evicts "b"
-    assert len(cache) == 2
     assert (cache.hits, cache.misses, cache.evictions) == (1, 4, 2)
 
 
@@ -496,9 +495,9 @@ def test_run_rpc_validates_ranks():
 
 def test_report_throughput_and_metrics_surface():
     system = vdma_system()
-    system.obs.enable()
+    system.obs.enabled = True
     report = run_rpc(system, golden_trace(ranks=(0, 1)))
-    assert report.throughput_rps > 0
+    assert report.completed == 100 and report.duration_ns > 0
     metrics = system.metrics
     assert metrics["rpc.requests"] == 100.0
     assert metrics["rpc.responses"] == 100.0

@@ -35,9 +35,9 @@ def test_validation():
         Region(0, 0, -1, 10, RegionKind.FLAG)
 
 
-def test_regions_of_and_clear():
+def test_regions_are_kept_per_device_and_core():
     reg = RegionRegistry()
     reg.register(Region(1, 2, 0, 64, RegionKind.BUFFER))
     assert reg.classify(MpbAddr(1, 2, 0), 64) is RegionKind.BUFFER
-    reg.clear()
-    assert reg.classify(MpbAddr(1, 2, 0), 64) is RegionKind.UNREGISTERED
+    assert reg.classify(MpbAddr(0, 2, 0), 64) is RegionKind.UNREGISTERED
+    assert reg.classify(MpbAddr(1, 3, 0), 64) is RegionKind.UNREGISTERED

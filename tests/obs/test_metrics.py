@@ -64,7 +64,7 @@ def test_counter_and_gauge_respect_enabled_flag():
     counter.inc()
     gauge.set(5.0)
     assert counter.value == 0.0 and gauge.value == 0.0  # disabled by default
-    reg.enable()
+    reg.enabled = True
     counter.inc(2.0)
     gauge.set(5.0)
     gauge.add(-1.0)
@@ -77,8 +77,7 @@ def test_same_series_returns_same_instrument():
     a = reg.counter("x.bytes", device=0, dir="up")
     b = reg.counter("x.bytes", dir="up", device=0)  # label order irrelevant
     assert a is b
-    assert len(reg) == 1
-    assert "x.bytes{device=0,dir=up}" in reg
+    assert list(reg.snapshot()) == ["x.bytes{device=0,dir=up}"]
 
 
 def test_series_type_conflict_raises():
@@ -147,14 +146,6 @@ def test_snapshot_expands_histograms():
     assert "empty.p50" not in snap
 
 
-def test_reset_clears_series_keeps_flag():
-    reg = MetricsRegistry(enabled=True)
-    reg.counter("a").inc()
-    reg.reset()
-    assert len(reg) == 0
-    assert reg.enabled
-
-
 # -- simulator scoping --------------------------------------------------------
 
 
@@ -165,6 +156,7 @@ def test_simulator_owns_an_isolated_registry():
     assert reg_a is not reg_b
     assert sim_a.obs is reg_a  # stable per simulator
     assert not reg_a.enabled  # off until enabled
-    reg_a.enable()
+    reg_a.enabled = True
     reg_a.counter("only.in.a").inc()
-    assert "only.in.a" not in reg_b
+    assert reg_a.snapshot() == {"only.in.a": 1.0}
+    assert reg_b.snapshot() == {}

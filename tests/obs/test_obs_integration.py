@@ -79,7 +79,7 @@ def test_mesh_busy_time_accounted_for_onchip_traffic():
 
 def test_registry_instruments_populate_when_enabled():
     system = VSCCSystem(num_devices=2, scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA)
-    system.obs.enable()
+    system.obs.enabled = True
     result = system.run(_transfer, ranks=[0, 48])
     # The memory-controller FIFO wait histogram only records while the
     # registry is enabled; the vDMA depth gauge must have drained to 0.

@@ -12,7 +12,7 @@ from repro.rcce.malloc import MpbAllocator, OutOfMpbError
 from repro.scc.mesh import XYRouter
 from repro.scc.params import SCCParams
 from repro.sim.clock import Clock
-from repro.sim.engine import Delay, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.resources import Link
 
 
@@ -57,7 +57,6 @@ def test_allocator_never_overlaps_and_conserves(ops):
                 alloc.free(handles[arg])
                 del live[handles[arg]]
     used = sum(e - s for s, e in live.values())
-    assert alloc.bytes_allocated == used
     assert alloc.bytes_free == alloc.capacity - used
 
 
@@ -281,21 +280,3 @@ def test_adi_always_bitwise_matches_reference(nranks, n, steps):
             sx, sy, sz = part.slab_start(x), part.slab_start(y), part.slab_start(z)
             full[sx : sx + arr.shape[0], sy : sy + arr.shape[1], sz : sz + arr.shape[2]] = arr
     assert np.array_equal(full, adi_reference(initial_condition(n), steps))
-
-
-# -- config file text round trip ------------------------------------------------------
-
-
-@given(
-    st.lists(
-        st.lists(st.integers(0, 47), min_size=1, max_size=48, unique=True),
-        min_size=1,
-        max_size=5,
-    )
-)
-@settings(max_examples=40, deadline=None)
-def test_config_file_text_roundtrip(cores_per_device):
-    from repro.rcce.config import SccConfigFile
-
-    config = SccConfigFile(tuple(tuple(c) for c in cores_per_device))
-    assert SccConfigFile.from_text(config.to_text()) == config

@@ -23,7 +23,7 @@ def test_barrier_synchronizes(session, nranks):
         after[comm.rank] = comm.env.sim.now
 
     session.run(program, ranks=range(nranks))
-    latest_arrival = (nranks - 1) * 10000 * session.params.core_clock.period_ns
+    latest_arrival = (nranks - 1) * 10000 * session.params.core_clock.cycles(1)
     assert all(t >= latest_arrival for t in after.values())
 
 
@@ -292,7 +292,7 @@ def test_observed_collectives_still_report(observe, hierarchical):
     system = VSCCSystem(num_devices=2)
     members = [0, 1, 48]
     if observe == "metrics":
-        system.obs.enable()
+        system.obs.enabled = True
     else:
         system.tracer.enable("coll")
     ops = ("barrier", "bcast", "reduce", "allreduce", "gather")

@@ -17,14 +17,8 @@ def test_config_from_booted_devices():
     devices[0].boot()
     devices[1].boot(failed_cores=[7, 30])
     config = SccConfigFile.from_devices(devices)
-    assert config.total_cores == 48 + 46
+    assert list(map(len, config.cores_per_device)) == [48, 46]
     assert 7 not in config.cores_per_device[1]
-
-
-def test_config_text_roundtrip():
-    config = make_config(range(48), [0, 2, 40])
-    text = config.to_text()
-    assert SccConfigFile.from_text(text) == config
 
 
 def test_config_rejects_duplicates():
@@ -40,12 +34,6 @@ def test_linear_rank_mapping_across_devices():
     assert layout.placement(47) == (0, 47)
     assert layout.placement(48) == (1, 0)
     assert layout.rank_of(1, 5) == 53
-
-
-def test_descending_core_order():
-    """The SCC quirk: cores sorted descending by id (§3)."""
-    layout = RankLayout.from_config(make_config(range(4)), order="descending")
-    assert [layout.placement(r)[1] for r in range(4)] == [3, 2, 1, 0]
 
 
 def test_failed_cores_skipped_in_ranks():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.rcce.api import RcceOptions
 from repro.rcce.session import RcceSession
+from repro.vscc.schemes import CommScheme
 
 
 @pytest.fixture
@@ -62,3 +63,31 @@ def test_flag_free_allows_reuse(gory_session):
         yield
 
     gory_session.run(program, ranks=[0])
+
+
+@pytest.mark.parametrize("scheme", list(CommScheme), ids=lambda s: s.value)
+def test_cross_device_puts_land_without_an_explicit_announce(scheme):
+    """Two puts in a row to another device, each at its own offset: under
+    the vSCC extensions gory opens the host write-combining stream itself,
+    one per put."""
+    from repro.vscc.system import VSCCSystem
+
+    system = VSCCSystem(
+        num_devices=2, scheme=scheme, options=RcceOptions(user_mpb_bytes=1024)
+    )
+    first, second = bytes(range(200)), bytes(range(55, 255))
+    got = {}
+
+    def program(comm):
+        flag, buf = comm.gory.flag_alloc(), comm.malloc(512)
+        if comm.rank == 0:
+            yield from comm.gory.put(first, 48, buf)
+            yield from comm.gory.put(second, 48, buf + 256)
+            yield from comm.gory.flag_write(48, flag, 1)
+        else:
+            yield from comm.gory.wait_until(flag, 1)
+            got["first"] = bytes((yield from comm.gory.get(48, buf, 200)))
+            got["second"] = bytes((yield from comm.gory.get(48, buf + 256, 200)))
+
+    system.run(program, ranks=[0, 48])
+    assert got == {"first": first, "second": second}

@@ -38,7 +38,7 @@ def test_plan_splits_by_device_in_first_appearance_order(system):
         assert plan.groups[2] == [100, 143]
         assert plan.groups[0] == [2, 7]
         assert plan.groups[1] == [50, 60]
-        assert plan.num_devices == 3
+        assert len(plan.groups) == 3
 
 
 def test_plan_leaders_are_first_members(system):
@@ -46,8 +46,7 @@ def test_plan_leaders_are_first_members(system):
     plans = plan_for(system, members)
     for plan in plans.values():
         assert plan.leaders == [100, 2, 50]
-    assert plans[100].is_leader and plans[2].is_leader and plans[50].is_leader
-    assert not plans[7].is_leader
+    assert all(plans[rank].my_leader == rank for rank in (100, 2, 50))
     assert plans[7].my_leader == 2
     assert plans[143].my_leader == 100
 
@@ -58,8 +57,7 @@ def test_plan_root_leads_its_own_device(system):
     for plan in plans.values():
         # Device 0's leader is the root (rank 7), not first-member 2.
         assert plan.leaders == [100, 7, 50]
-    assert plans[7].is_leader
-    assert not plans[2].is_leader
+    assert plans[7].my_leader == 7
     assert plans[2].my_leader == 7
 
 
@@ -77,7 +75,7 @@ def test_plan_identical_across_members(system):
 def test_plan_single_device_degenerates(system):
     plans = plan_for(system, [5, 1, 9])
     for plan in plans.values():
-        assert plan.num_devices == 1
+        assert len(plan.groups) == 1
         assert plan.leaders == [5]
         assert plan.sub == [5, 1, 9]
 

@@ -11,7 +11,7 @@ def test_alignment_and_first_fit():
     b = alloc.malloc(33)
     assert a == 0
     assert b == 32          # rounded to the cache line
-    assert alloc.bytes_allocated == 32 + 64
+    assert alloc.capacity - alloc.bytes_free == 32 + 64
 
 
 def test_free_and_coalesce():

@@ -12,10 +12,11 @@ from repro.sim.engine import Simulator
 
 def test_boot_all_cores():
     dev = SCCDevice(Simulator())
-    assert not dev.booted
+    with pytest.raises(RuntimeError, match="not been booted"):
+        dev.available_cores
     available = dev.boot()
     assert available == list(range(48))
-    assert dev.booted
+    assert dev.available_cores == available
 
 
 def test_unbooted_access_raises():

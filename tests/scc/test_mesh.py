@@ -46,10 +46,3 @@ def test_link_busy_ns_is_flits_times_flit_cost_per_hop(router):
     assert sum(router.hops(src, dst) for src, dst in pairs) == 255
     assert router.link_busy_ns == 3 * 5.0 * 255
     assert (sum(router.link_bytes.values()), len(router.link_bytes)) == (96 * 255, 64)
-
-
-def test_reset(router):
-    router.account(0, 5, 10)
-    router.reset()
-    assert not router.link_bytes
-    assert router.link_busy_ns == 0.0

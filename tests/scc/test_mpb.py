@@ -6,6 +6,7 @@ import pytest
 from repro.scc.mpb import MPBMemory, MpbAddr
 from repro.scc.params import SCCParams
 from repro.sim.engine import Simulator
+from repro.sim.errors import DeadlockError
 
 
 @pytest.fixture
@@ -66,9 +67,10 @@ def test_watchpoint_ignores_other_addresses(mem):
         yield mem.watch(MpbAddr(0, 2, 100))
         seen.append(sim.now)
 
-    sim.spawn(watcher(), name="daemon:watch")
+    sim.spawn(watcher(), name="watch")
     sim.call_at(5.0, lambda: mem.write(MpbAddr(0, 2, 101), b"x"))
-    sim.run()
+    with pytest.raises(DeadlockError, match="watch"):  # still parked
+        sim.run()
     assert seen == []
 
 
@@ -83,11 +85,13 @@ def test_many_watchpoints_pulse_only_the_touched_byte(mem):
     sf = mem.params.mpb_payload_bytes
     addrs = [MpbAddr(0, core, sf + b) for core in range(8) for b in range(64)]
     for addr in addrs:
-        mem.sim.spawn(watcher(addr), name="daemon:watch")
+        mem.sim.spawn(watcher(addr), name="watch")
     mem.sim.call_at(1.0, lambda: mem.write(MpbAddr(0, 0, 0), bytes(32)))
     mem.sim.call_at(2.0, lambda: mem.write_byte(addrs[70], 1))
-    mem.sim.run()
+    with pytest.raises(DeadlockError) as parked:
+        mem.sim.run()
     assert seen == [addrs[70]]
+    assert len(parked.value.waiting) == len(addrs) - 1
 
 
 def test_numpy_and_bytes_payloads(mem):

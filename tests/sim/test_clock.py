@@ -12,7 +12,7 @@ def test_cycles_to_ns_and_back():
 
 
 def test_period():
-    assert Clock(800.0).period_ns == pytest.approx(1.25)
+    assert Clock(800.0).cycles(1) == pytest.approx(1.25)
 
 
 def test_roundtrip():

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from repro.sim.engine import Delay, Event, Process, Signal, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.errors import DeadlockError, InvalidYield, ProcessFailed, SimulationError
 
 
@@ -13,8 +13,8 @@ def test_delay_advances_time():
     sim = Simulator()
 
     def prog():
-        yield Delay(10.0)
-        yield Delay(2.5)
+        yield 10.0
+        yield 2.5
         return sim.now
 
     proc = sim.spawn(prog())
@@ -23,18 +23,13 @@ def test_delay_advances_time():
     assert sim.now == pytest.approx(12.5)
 
 
-def test_negative_delay_rejected():
-    with pytest.raises(ValueError):
-        Delay(-1.0)
-
-
 def test_processes_interleave_deterministically():
     sim = Simulator()
     order = []
 
     def prog(name, step):
         for i in range(3):
-            yield Delay(step)
+            yield step
             order.append((name, sim.now))
 
     sim.spawn(prog("a", 2.0))
@@ -55,7 +50,7 @@ def test_event_wakes_waiter_with_value():
         return value
 
     def trigger(evt):
-        yield Delay(5.0)
+        yield 5.0
         evt.trigger("payload")
 
     evt = sim.event()
@@ -92,7 +87,7 @@ def test_wait_on_process_returns_its_value():
     sim = Simulator()
 
     def child():
-        yield Delay(3.0)
+        yield 3.0
         return "done"
 
     def parent(child_proc):
@@ -109,7 +104,7 @@ def test_process_failure_propagates_to_waiter():
     sim = Simulator(fail_fast=False)
 
     def child():
-        yield Delay(1.0)
+        yield 1.0
         raise RuntimeError("boom")
 
     def parent(child_proc):
@@ -127,7 +122,7 @@ def test_fail_fast_raises_from_run():
     sim = Simulator(fail_fast=True)
 
     def bad():
-        yield Delay(1.0)
+        yield 1.0
         raise ValueError("bad")
 
     sim.spawn(bad())
@@ -157,22 +152,12 @@ def test_deadlock_detection():
         sim.run()
 
 
-def test_daemon_processes_do_not_deadlock():
-    sim = Simulator()
-
-    def stuck(evt):
-        yield evt
-
-    sim.spawn(stuck(sim.event()), name="daemon:parked")
-    sim.run()  # no DeadlockError
-
-
 def test_run_until_limit():
     sim = Simulator()
 
     def forever():
         while True:
-            yield Delay(1.0)
+            yield 1.0
 
     sim.spawn(forever())
     sim.run(until=10.0)
@@ -387,7 +372,7 @@ def test_simulator_that_ran_a_process_frees_by_refcount():
         sim = Simulator()
 
         def prog():
-            yield Delay(1.0)
+            yield 1.0
             yield (2.0, 3.0)
 
         sim.spawn(prog())

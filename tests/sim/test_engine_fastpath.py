@@ -1,14 +1,14 @@
 """Unit tests for the kernel hot paths: bare-number yields + zero-delay lane.
 
 These pin the behaviours the hot-path overhaul introduced: a bare
-``float``/``int`` yield is exactly ``Delay(value)``, negative bare
+``float``/``int`` yield advances time by its value, negative bare
 numbers are invalid yields, and the zero-delay fast lane preserves the
 global (time, seq) dispatch order against heap-scheduled wake-ups.
 """
 
 import pytest
 
-from repro.sim.engine import Delay, Event, Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.errors import DeadlockError, InvalidYield
 
 
@@ -36,24 +36,6 @@ def test_bare_int_yield_advances_time():
     proc = sim.spawn(prog())
     sim.run()
     assert proc.result == pytest.approx(10.0)
-
-
-def test_bare_and_delay_yields_are_equivalent():
-    """The same program yields identical event counts and times both ways."""
-
-    def run(make_command):
-        sim = Simulator()
-
-        def prog(step):
-            for _ in range(5):
-                yield make_command(step)
-
-        sim.spawn(prog(2.0))
-        sim.spawn(prog(3.0))
-        sim.run()
-        return sim.now, sim.events_processed
-
-    assert run(lambda ns: ns) == run(Delay)
 
 
 def test_negative_bare_yield_is_invalid():
@@ -132,29 +114,6 @@ def test_event_trigger_uses_fast_lane_deterministically():
     assert order == ["w1", "w2", "w3"]
 
 
-def test_run_until_with_fast_lane_pending():
-    """run_until stops at the trigger even with zero-delay work queued."""
-    sim = Simulator()
-    evt = Event(sim, "done")
-    ticks = []
-
-    def spinner():
-        for i in range(50):
-            ticks.append(i)
-            yield 0.0
-        yield 100.0
-
-    def firer():
-        yield 2.0
-        evt.trigger(42)
-
-    sim.spawn(spinner(), name="daemon:spin")
-    sim.spawn(firer())
-    assert sim.run_until(evt) == 42
-    assert sim.now == pytest.approx(2.0)
-    assert len(ticks) == 50  # the t=0 fast-lane burst ran before t=2
-
-
 def test_deadlock_detected_with_empty_fast_lane():
     sim = Simulator()
 
@@ -164,21 +123,6 @@ def test_deadlock_detected_with_empty_fast_lane():
     sim.spawn(stuck(sim.event("never")))
     with pytest.raises(DeadlockError):
         sim.run()
-
-
-def test_run_until_time_limit_still_enforced():
-    from repro.sim.errors import SimulationError
-
-    sim = Simulator()
-    evt = sim.event("never")
-
-    def ticker():
-        while True:
-            yield 10.0
-
-    sim.spawn(ticker(), name="daemon:tick")
-    with pytest.raises(SimulationError):
-        sim.run_until(evt, limit=100.0)
 
 
 # -- NaN delays ------------------------------------------------------------------
@@ -230,11 +174,6 @@ def test_nan_tail_of_a_waitable_headed_chain_is_invalid(fuse):
     sim.spawn(prog(), "p")
     with pytest.raises(InvalidYield, match="NaN delay nan inside a chain"):
         sim.run()
-
-
-def test_nan_delay_object_is_rejected():
-    with pytest.raises(ValueError, match="NaN delay"):
-        Delay(NAN)
 
 
 def test_nan_timer_delay_is_rejected():

@@ -1,54 +1,6 @@
-"""Additional kernel coverage: run_until, max_events."""
+"""Additional kernel coverage: max_events, event and signal callbacks."""
 
-import pytest
-
-from repro.sim.engine import Delay, Simulator
-from repro.sim.errors import DeadlockError, SimulationError
-
-
-def test_run_until_event():
-    sim = Simulator()
-    evt = sim.event()
-
-    def trigger():
-        yield Delay(25.0)
-        evt.trigger("v")
-
-    def background():
-        for _ in range(100):
-            yield Delay(10.0)
-
-    sim.spawn(trigger())
-    sim.spawn(background())
-    value = sim.run_until(evt)
-    assert value == "v"
-    assert sim.now == 25.0  # stopped at the trigger, not the background end
-
-
-def test_run_until_time_limit():
-    sim = Simulator()
-    evt = sim.event()
-
-    def never():
-        while True:
-            yield Delay(10.0)
-
-    sim.spawn(never())
-    with pytest.raises(SimulationError, match="limit"):
-        sim.run_until(evt, limit=100.0)
-
-
-def test_run_until_deadlock_detected():
-    sim = Simulator()
-    evt = sim.event()
-    other = sim.event()
-
-    def stuck():
-        yield other
-
-    sim.spawn(stuck())
-    with pytest.raises(DeadlockError):
-        sim.run_until(evt)
+from repro.sim.engine import Simulator
 
 
 def test_max_events_stops_early():
@@ -56,7 +8,7 @@ def test_max_events_stops_early():
 
     def ticker():
         for _ in range(100):
-            yield Delay(1.0)
+            yield 1.0
 
     sim.spawn(ticker())
     sim.run(max_events=10)

@@ -7,7 +7,7 @@ switch between the fused event stream and the unfused oracle.
 
 import pytest
 
-from repro.sim import Delay, Event, Simulator
+from repro.sim import Event, Simulator
 from repro.sim.engine import FUSE_ENV_VAR
 from repro.sim.errors import DeadlockError
 
@@ -224,11 +224,11 @@ def test_env_var_selects_backend_for_systems(monkeypatch):
 
 @pytest.mark.parametrize(
     "step, nprocs, nyields, end_ns",
-    [(Delay(1.0), 200, 200, 200.0), (1.0, 200, 200, 200.0), (Delay(0), 100, 500, 0.0)],
-    ids=["Delay", "float", "zero-delay-storm"],
+    [(1, 200, 200, 200.0), (1.0, 200, 200, 200.0), (0, 100, 500, 0.0)],
+    ids=["int", "float", "zero-delay-storm"],
 )
 def test_one_event_per_spawn_plus_one_per_yield(step, nprocs, nyields, end_ns):
-    """A bare float costs what a ``Delay`` does; zero delays never advance time."""
+    """A bare int costs what a float does; zero delays never advance time."""
     sim = Simulator()
     for _ in range(nprocs):
         sim.spawn(step for _ in range(nyields))

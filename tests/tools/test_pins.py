@@ -108,3 +108,46 @@ def test_command_line_raises_what_a_case_raises(tmp_path):
     path.write_text(json.dumps({"broken": {"x": 1}}))
     with pytest.raises(ZeroDivisionError):
         pins.main(path, {"broken": partial(divmod, 1, 0)}, [])
+
+
+def test_reach_lists_the_functions_no_case_calls(tmp_path, monkeypatch):
+    package = tmp_path / "reachpkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        "def called():\n"
+        "    def unused():\n"
+        "        return 0\n"
+        "    return 1\n"
+        "\n"
+        "\n"
+        "class Box:\n"
+        "    @property\n"
+        "    def never(self):\n"
+        "        def helper():\n"
+        "            return 2\n"
+        "        return helper()\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    from reachpkg import mod
+
+    cases = {"one": lambda: {"x": mod.called()}, "two": lambda: {"y": mod.called()}}
+    total, unreached = pins.reach(cases, root=package)
+    # A function inside an unreached one counts no lines of its own.
+    assert (total, unreached) == (4, {"reachpkg/mod.py": [
+        ("called.unused", 2), ("Box.never", 5), ("Box.never.helper", 0),
+    ]})
+    assert pins.reach_report(total, unreached) == [
+        "reachpkg/mod.py: 3 unreached, 7 lines",
+        "    called.unused (2 lines)",
+        "    Box.never (5 lines)",
+        "    Box.never.helper",
+        "reach: 3 of 4 functions unreached (7 lines)",
+    ]
+
+
+def test_reach_option_prints_the_report_and_compares_no_pin(tmp_path, capsys):
+    assert pins.main(tmp_path / "none.json", {"case": partial(dict, x=1)}, ["--reach"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^reach: \d+ of \d+ functions unreached \(\d+ lines\)$", out, re.M)
+    assert "repro/sim/engine.py: " in out

@@ -16,7 +16,6 @@ def test_device_coordinate(system):
     assert topo.coords(0) == (0, 0, 0, 0)
     assert topo.coords(48) == (0, 0, 1, 0)
     assert topo.coords(96 + 47) == (5, 3, 2, 0)
-    assert topo.num_devices() == 3
 
 
 def test_is_cross_device(system):

@@ -11,19 +11,30 @@ is the command line (``--update`` re-pins and prints old -> new); it
 replays the fused and the unfused runs side by side in two spawned
 worker processes, one per mode, and prints each worker's peak RSS.
 :func:`check` is the pytest entry; it replays in-process.
+
+:func:`reach` (``--reach`` on the command line) is the other question a
+pin set answers: which functions of a package no case ever calls. It
+replays the cases in-process, fused and unfused, under
+``sys.setprofile`` and ``threading.setprofile``, and lists every
+function the package's source defines (found by ``ast``) whose code
+never ran, with its lines, per module.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import multiprocessing
 import os
 import resource
+import sys
+import threading
 from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping
 
+import repro
 from repro.sim.engine import FUSE_ENV_VAR
 
 #: Fields fusion may change: event counts, ``outcome_digest`` (it hashes
@@ -201,6 +212,72 @@ def check(path: Path, cases: Cases, name: str | None = None) -> None:
     assert not failures, "\n".join(failures)
 
 
+def _functions(path: Path):
+    """``(qualname, first line, last line)`` of every function ``path``
+    defines, each before the functions inside it; a decorated one starts
+    at its first decorator, as its code object does."""
+    def walk(node, prefix: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                name = prefix + child.name
+                yield name, first, child.end_lineno
+                yield from walk(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, prefix + child.name + ".")
+            else:
+                yield from walk(child, prefix)
+    yield from walk(ast.parse(path.read_text(), str(path)), "")
+
+
+def reach(cases: Cases, names: list[str] | None = None,
+          root: Path = Path(repro.__file__).parent) -> tuple[int, dict]:
+    """Replay ``names`` (default: all) fused and unfused in this process and
+    return ``(functions defined under root, {module: [(qualname, lines)]})``
+    for every function no replay called. A function inside an unreached one
+    is listed too, but its lines count only in the outer one's."""
+    called: set[tuple[str, int]] = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            code = frame.f_code
+            called.add((code.co_filename, code.co_firstlineno))
+
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        for _name, _fused, _unfused in _replays(cases, sorted(cases) if names is None else names):
+            pass
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    reached = {(os.path.realpath(file), line) for file, line in called}
+    total, unreached = 0, {}
+    for path in sorted(root.resolve().rglob("*.py")):
+        module = path.relative_to(root.resolve().parent).as_posix()
+        spans: list[tuple[int, int]] = []
+        for name, first, last in _functions(path):
+            total += 1
+            if (str(path), first) not in reached:
+                inside = any(a <= first and last <= b for a, b in spans)
+                spans.append((first, last))
+                lines = 0 if inside else last - first + 1
+                unreached.setdefault(module, []).append((name, lines))
+    return total, unreached
+
+
+def reach_report(total: int, unreached: dict) -> list[str]:
+    """One heading per module with its unreached functions, then the sum."""
+    lines, funcs, body = [], 0, 0
+    for module, entries in unreached.items():
+        size = sum(n for _name, n in entries)
+        lines.append(f"{module}: {len(entries)} unreached, {size} lines")
+        lines += [f"    {name} ({n} lines)" if n else f"    {name}" for name, n in entries]
+        funcs, body = funcs + len(entries), body + size
+    lines.append(f"reach: {funcs} of {total} functions unreached ({body} lines)")
+    return lines
+
+
 def main(path: Path, cases: Cases, argv: list[str] | None = None,
          select: str | None = None) -> int:
     """Check every case (or those picked by the ``--{select}`` flag)."""
@@ -209,12 +286,19 @@ def main(path: Path, cases: Cases, argv: list[str] | None = None,
         parser.add_argument(f"--{select}", dest="names", action="append",
                             choices=sorted(cases), metavar="NAME",
                             help=f"check only this {select} (repeatable)")
-    parser.add_argument("--update", action="store_true",
-                        help=f"rerun every case, rewrite {path.name}, print old -> new")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--update", action="store_true",
+                      help=f"rerun every case, rewrite {path.name}, print old -> new")
+    mode.add_argument("--reach", action="store_true",
+                      help="list the repro functions the cases never call, "
+                           "per module (in-process; compares no pin)")
     args = parser.parse_args(argv)
     names = getattr(args, "names", None)
     if args.update and names:
         parser.error(f"--update reruns every case; drop --{select}")
+    if args.reach:
+        print("\n".join(reach_report(*reach(cases, names))))
+        return 0
 
     old = load(path) if path.exists() else {}
     peak_rss_kb: dict[str, int] = {}
