@@ -25,6 +25,10 @@ with ``if registry.enabled:`` so a disabled run allocates nothing.
 Plain attribute counters (``Link.bytes_carried`` and friends) are
 always maintained — they are single adds and snapshots read them
 lazily.
+
+Unpinned: ``Histogram.percentile``/``percentiles`` — no pinned run
+snapshots a histogram that holds samples; ``tests/obs`` and the serve
+suites (the service's per-tenant latency summary) read them.
 """
 
 from __future__ import annotations

@@ -29,12 +29,10 @@ and the ``bt``/``rpc``/``deadlock`` service workloads (the serve suites).
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import json
 import math
 import random
-import time
 from dataclasses import replace
 from functools import partial, reduce
 from itertools import pairwise
@@ -1010,43 +1008,32 @@ def build_specs(jobs: int, seed: int) -> list:
     return specs
 
 
-async def _drive(specs, workers: int, pool: str, mode: str, rate_hz: float,
-                 seed: int) -> dict:
-    """Submit the fleet, drain it, measure. Returns the raw run record."""
-    from repro.serve import SimService
+def run_fleet(jobs: int = 132, seed: int = 2026) -> dict:
+    """Serve ``jobs`` seeded mixed-tenant jobs through one serve core.
 
-    rng = random.Random(seed)
-    async with SimService(workers=workers, pool=pool,
-                          weights=TENANT_WEIGHTS) as service:
-        t0 = time.perf_counter()
-        peak_queued = 0
-        for spec in specs:
-            if mode == "poisson":
-                await asyncio.sleep(rng.expovariate(rate_hz))
-            await service.submit(spec)
-            peak_queued = max(peak_queued, len(service.core.scheduler))
-        submitted_s = time.perf_counter() - t0
-        results = await service.join(timeout=600)
-        wall_s = time.perf_counter() - t0
-        return {
-            "results": results,
-            "wall_s": wall_s,
-            "submitted_s": submitted_s,
-            "peak_queued": peak_queued,
-            "latency": service.latency_summary(),
-        }
-
-
-def run_fleet(jobs: int = 132, workers: int = 2, pool: str = "inline",
-              mode: str = "burst", rate_hz: float = 500.0,
-              seed: int = 2026) -> dict:
-    """Submit ``jobs`` seeded mixed-tenant jobs to a fresh service.
-
-    ``mode="burst"`` submits everything at once; ``"poisson"`` spaces
-    submissions as open-loop arrivals at ``rate_hz`` jobs/sec.
+    Every spec is submitted first, then the core dispatches them one at
+    a time and each attempt runs with :func:`repro.serve.execute_job` on
+    the calling thread. The core's clock is constant: only simulated
+    results come out, so no wall time enters.
     """
-    specs = build_specs(jobs, seed)
-    return asyncio.run(_drive(specs, workers, pool, mode, rate_hz, seed))
+    from repro.serve import JobError, ServeCore, execute_job
+
+    core = ServeCore(clock=lambda: 0.0, weights=TENANT_WEIGHTS)
+    for spec in build_specs(jobs, seed):
+        core.submit(spec)
+    peak_queued = len(core.scheduler)
+    while (assignment := core.next_assignment(0)) is not None:
+        job, _ = assignment
+        try:
+            payload = execute_job(job.spec)
+        except JobError as exc:
+            core.attempt_failed(job.job_id, exc.to_dict(), infra=False)
+        else:
+            core.attempt_finished(job.job_id, payload)
+    return {
+        "results": [job.result for job in core.jobs.values()],
+        "peak_queued": peak_queued,
+    }
 
 
 def outcome_fingerprint(results) -> dict:
@@ -1074,14 +1061,14 @@ def outcome_fingerprint(results) -> dict:
 
 
 def serve_mixed_tenants() -> dict:
-    """Burst 132 mixed-tenant jobs through the service; fingerprint them.
+    """Burst 132 mixed-tenant jobs through the serve core; fingerprint them.
 
     The fingerprint is the outcome digest of the whole fleet (scheduler
-    + pool + per-job system builds). The in-scenario assertions *are*
-    the service-level acceptance bar — a backlog of >= 100 concurrently
+    + per-job system builds). The in-scenario assertions *are* the
+    service-level acceptance bar — a backlog of >= 100 concurrently
     queued jobs across >= 3 tenants, every job terminal.
     """
-    record = run_fleet(jobs=132, workers=2, pool="inline", mode="burst")
+    record = run_fleet(jobs=132)
     results = record["results"]
     assert record["peak_queued"] >= 100, (
         f"backlog never reached 100 queued jobs "

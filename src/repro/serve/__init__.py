@@ -4,9 +4,9 @@ The paper models a *system* of cluster-on-a-chip processors; this
 package models the operational reality of sharing that system — many
 tenants submitting simulation jobs against one bounded worker pool,
 with fair-share scheduling across tenants, strict priority within each,
-streaming progress, cancellation, per-attempt wall timeouts, and retry
-budgets that distinguish infrastructure failures (retryable) from
-deterministic simulation errors (not).
+streaming progress, cancellation, and retry budgets that distinguish
+infrastructure failures (retryable) from deterministic simulation
+errors (not). No wall-clock limit ends a job.
 
 Layering, bottom-up:
 
@@ -14,7 +14,9 @@ Layering, bottom-up:
   :func:`~repro.serve.job.execute_job` (the one execution path); the
   workloads a spec names live in :data:`repro.scenarios.WORKLOADS`.
 * :mod:`repro.serve.scheduler` — deterministic two-level fair queueing.
-* :mod:`repro.serve.core` — the clock-injected lifecycle state machine.
+* :mod:`repro.serve.core` — the clock-injected lifecycle state machine;
+  :func:`repro.scenarios.run_fleet` drives it synchronously for the
+  ``serve_mixed_tenants`` pin.
 * :mod:`repro.serve.pool` — process- and thread-backed worker pools.
 * :mod:`repro.serve.service` — the asyncio shell: tenants submit specs
   and await handles.
@@ -41,7 +43,8 @@ is a pure function of the spec — identical across workers, schedulers,
 retries and pool backends. ``REPRO_FUSE`` in the service's environment
 picks the event stream (``events``) of every job; ``sim_now_ns`` is the
 same under both. Only wall-clock fields (queue wait, run time) vary
-between runs; the throughput bench fingerprints exactly the pure part.
+between runs; the ``serve_mixed_tenants`` pin fingerprints exactly the
+pure part.
 """
 
 from .core import JobRecord, ServeCore

@@ -3,12 +3,14 @@
 Everything that decides *what happens to a job* lives here, synchronous
 and deterministic: submission, dispatch (via the
 :class:`~repro.serve.scheduler.FairShareScheduler`), attempt outcomes,
-retry budgets, timeouts, cancellation, and the exactly-one-terminal-
-state invariant. The asyncio service (:mod:`repro.serve.service`) is a
+retry budgets, cancellation, and the exactly-one-terminal-state
+invariant. The asyncio service (:mod:`repro.serve.service`) is a
 thin shell that feeds this core with pool messages and executes the
-directives it returns; the test harness feeds it directly with a fake
-clock and a virtual pool, which is how scheduler behaviour is tested
-without a single real timer.
+directives it returns. :func:`repro.scenarios.run_fleet`, the serve
+pin, drives it synchronously: one attempt at a time on the calling
+thread, on a constant clock. The test harness feeds it directly with a
+fake clock and a virtual pool, which is how scheduler behaviour is
+tested without a single real timer.
 
 State machine (DESIGN.md §13)::
 
@@ -21,9 +23,10 @@ State machine (DESIGN.md §13)::
 
 Simulation errors never retry (they are deterministic — the same spec
 would fail identically); only *infrastructure* failures (worker death,
-wall timeout) consume the retry budget. Every transition into a
-terminal state happens exactly once — a second transition raises, and
-the Hypothesis harness leans on that.
+abort) consume the retry budget. No wall-clock limit ends an attempt;
+cancel does. Every transition into a terminal state happens exactly
+once — a second transition raises, and the Hypothesis harness leans on
+that.
 
 Service-level observability rides on :class:`repro.obs.MetricsRegistry`
 (a standalone registry — simulator-scoped registries belong to each
@@ -32,7 +35,9 @@ job's own system): ``serve.jobs{state=}`` counters, per-tenant
 ``serve.queue_wait_ms`` / ``serve.run_ms`` / per-tenant
 ``serve.job_latency_ms{tenant=}`` histograms (p50/p95/p99 in snapshots).
 
-Unpinned failure/cancel paths: kept for the chaos suites (ROADMAP 21).
+Unpinned: the failure, retry and cancel paths and the snapshots — the
+pin's fleet only completes; the core, property and chaos suites drive
+them (ROADMAP 21).
 """
 
 from __future__ import annotations
@@ -67,7 +72,6 @@ class JobRecord:
         "finished_at",
         "worker",
         "cancel_requested",
-        "timed_out",
         "queue_wait_s",
         "error",
         "result",
@@ -87,9 +91,6 @@ class JobRecord:
         self.finished_at: Optional[float] = None
         self.worker: Optional[int] = None
         self.cancel_requested = False
-        #: Set by ``expire_timeouts`` so the eventual attempt failure is
-        #: attributed to the timeout, not the kill it triggered.
-        self.timed_out = False
         #: Accumulated wall seconds spent queued across attempts.
         self.queue_wait_s = 0.0
         self.error: Optional[dict] = None
@@ -188,7 +189,6 @@ class ServeCore:
         job.attempts += 1
         job.attempt_started_at = now
         job.worker = worker
-        job.timed_out = False
         self.worker_jobs[worker] = job.job_id
         self.registry.histogram("serve.queue_wait_ms").observe(wait_s * 1e3)
         self._running_gauge.set(len(self.worker_jobs))
@@ -236,16 +236,6 @@ class ServeCore:
         if job.cancel_requested:
             result = self._result_for(job, JobState.CANCELLED, error=None, now=now)
             return self._finalize(job, JobState.CANCELLED, result, now)
-        if job.timed_out:
-            error = {
-                "type": "JobTimeout",
-                "message": (
-                    f"attempt {job.attempts} exceeded timeout_s="
-                    f"{job.spec.timeout_s}"
-                ),
-            }
-            job.timed_out = False
-            infra = True
         if infra and job.attempts < job.spec.max_attempts:
             job.state = JobState.PENDING
             job.enqueued_at = now
@@ -288,20 +278,6 @@ class ServeCore:
             {"type": "WorkerDied", "message": f"worker {worker} died mid-attempt"},
             infra=True,
         )
-
-    def expire_timeouts(self, now: Optional[float] = None) -> list[tuple]:
-        """Kill directives for running attempts past their wall budget."""
-        now = self.clock() if now is None else now
-        directives: list[tuple] = []
-        for job_id in self.worker_jobs.values():
-            job = self.jobs[job_id]
-            timeout = job.spec.timeout_s
-            if timeout is None or job.timed_out or job.attempt_started_at is None:
-                continue
-            if now - job.attempt_started_at >= timeout:
-                job.timed_out = True
-                directives.append(("kill", job.worker))
-        return directives
 
     # -- terminal bookkeeping --------------------------------------------------
 

@@ -2,26 +2,26 @@
 
 A *job* is one simulation run requested by a tenant: a
 :class:`repro.vscc.VSCCSystem` configuration (device count, scheme,
-delay-fusion flag, optional fault plan) plus a named *workload*
+seed, optional fault plan) plus a named *workload*
 (:data:`repro.scenarios.WORKLOADS`) with parameters. Specs are pure
-data — picklable across the worker-pool process boundary and
-JSON-round-trippable for clients — so the worker that executes a job
-rebuilds the whole system from scratch, which is also what makes job
-outcomes deterministic: the same spec always produces the bit-identical
-simulated fingerprint, no matter which worker ran it, in what order, or
-how many times it was retried.
+data, picklable across the worker-pool process boundary, so the worker
+that executes a job rebuilds the whole system from scratch, which is
+also what makes job outcomes deterministic: the same spec always
+produces the bit-identical simulated fingerprint, no matter which
+worker ran it, in what order, or how many times it was retried.
 
 :func:`execute_job` is the single execution path. It is synchronous and
 process-agnostic: the process pool calls it inside a worker, the inline
-pool calls it on a thread, and tests call it directly. Progress and
-metrics snapshots stream out through the ``emit`` callback as the
-payloads of ``schemas/job_result.schema.json`` events.
+pool calls it on a thread, and :func:`repro.scenarios.run_fleet` and the
+tests call it directly. Progress and metrics snapshots stream out
+through the ``emit`` callback as the payloads of
+``schemas/job_result.schema.json`` events.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Mapping, Optional
 
@@ -31,6 +31,7 @@ __all__ = [
     "JobError",
     "JobSpec",
     "JobState",
+    "PROGRESS_EVERY_EVENTS",
     "TERMINAL_STATES",
     "execute_job",
 ]
@@ -38,6 +39,10 @@ __all__ = [
 #: Schema tag carried by every streamed job event
 #: (``schemas/job_result.schema.json``).
 JOB_EVENT_SCHEMA = "repro.job_event/v1"
+
+#: Kernel events between streamed ``progress`` events and between the
+#: cooperative abort checks of an attempt.
+PROGRESS_EVERY_EVENTS = 25_000
 
 
 class JobState(str, Enum):
@@ -58,7 +63,7 @@ TERMINAL_STATES = frozenset(
 
 
 class JobAborted(Exception):
-    """The attempt was cooperatively aborted (cancellation / timeout)."""
+    """The attempt was cooperatively aborted (cancel or worker kill)."""
 
 
 class JobError(Exception):
@@ -110,18 +115,10 @@ class JobSpec:
     seed: Optional[int] = None
     #: Optional chaos plan installed into the job's own system.
     fault_plan: Optional[object] = None
-    #: Wall-clock budget of one attempt (seconds); ``None`` = unlimited.
-    timeout_s: Optional[float] = None
     #: Attempts the service may spend on infrastructure failures (worker
-    #: death, timeout). Simulation errors never retry — they are
+    #: death, abort). Simulation errors never retry — they are
     #: deterministic and would fail identically again.
     max_attempts: int = 2
-    #: Kernel-event chunk size between streamed progress events (and
-    #: cooperative abort checks); ``None`` runs each ``run()`` call in
-    #: one uninterruptible stretch. Chunking never perturbs the
-    #: simulation — no extra events, no extra simulated time — so
-    #: fingerprints stay bit-identical to an unchunked run.
-    progress_every_events: Optional[int] = 25_000
 
     def validate(self) -> None:
         from repro.scenarios import WORKLOADS
@@ -137,13 +134,6 @@ class JobSpec:
             raise ValueError(f"num_devices must be >= 1, got {self.num_devices}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.progress_every_events is not None and self.progress_every_events < 1:
-            raise ValueError(
-                f"progress_every_events must be >= 1, got "
-                f"{self.progress_every_events}"
-            )
         self.resolved_scheme()  # raises on unknown scheme names
 
     def resolved_scheme(self):
@@ -160,40 +150,6 @@ class JobSpec:
             except KeyError:
                 raise ValueError(f"unknown scheme {self.scheme!r}") from None
 
-    def to_dict(self) -> dict:
-        """JSON-able mapping; the fault plan nests as plain dataclass data."""
-        out = asdict(replace(self, fault_plan=None))
-        out["params"] = dict(self.params)
-        if self.fault_plan is not None:
-            plan = asdict(self.fault_plan)
-            plan["links"] = {k: asdict(v) if not isinstance(v, dict) else v
-                             for k, v in dict(self.fault_plan.links).items()}
-            plan["devices"] = {k: asdict(v) if not isinstance(v, dict) else v
-                               for k, v in dict(self.fault_plan.devices).items()}
-            out["fault_plan"] = plan
-        return out
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "JobSpec":
-        doc = dict(doc)
-        plan = doc.pop("fault_plan", None)
-        if plan is not None:
-            from repro.faults import DeviceFaults, FaultPlan, LinkFaults
-
-            plan = dict(plan)
-            defaults = plan.pop("link_defaults", None)
-            plan["link_defaults"] = (
-                LinkFaults(**defaults) if defaults is not None else LinkFaults()
-            )
-            plan["links"] = {
-                k: LinkFaults(**v) for k, v in plan.pop("links", {}).items()
-            }
-            plan["devices"] = {
-                int(k): DeviceFaults(**v) for k, v in plan.pop("devices", {}).items()
-            }
-            plan = FaultPlan(**plan)
-        return cls(fault_plan=plan, **doc)
-
 
 # -- execution -----------------------------------------------------------------
 
@@ -205,7 +161,7 @@ def execute_job(
 ) -> dict:
     """Run one attempt of ``spec`` to completion, synchronously.
 
-    Streams ``progress`` events (every ``spec.progress_every_events``
+    Streams ``progress`` events (every :data:`PROGRESS_EVERY_EVENTS`
     kernel events) and one final ``metrics`` snapshot through ``emit``,
     then returns the terminal payload (fingerprint + metrics) the
     service wraps into a :class:`repro.results.JobResult`.
@@ -239,34 +195,25 @@ def execute_job(
     )
     sim = system.sim
 
-    if spec.progress_every_events is not None:
-        chunk = int(spec.progress_every_events)
-        inner_run = sim.run
+    inner_run = sim.run
 
-        def chunked_run(until=None, max_events=None):
-            remaining = max_events
-            while True:
-                if abort is not None and abort.is_set():
-                    raise JobAborted(f"attempt aborted at {sim.now} sim ns")
-                budget = chunk if remaining is None else min(chunk, remaining)
-                before = sim.events_processed
-                now = inner_run(until=until, max_events=budget)
-                stepped = sim.events_processed - before
-                if remaining is not None:
-                    remaining -= stepped
-                    if remaining <= 0:
-                        return now
-                if stepped < budget:
-                    return now  # drained (or past ``until``) inside the chunk
-                emit(
-                    {
-                        "type": "progress",
-                        "sim_now_ns": sim.now,
-                        "events": float(sim.events_processed),
-                    }
-                )
+    def chunked_run(until=None):
+        while True:
+            if abort is not None and abort.is_set():
+                raise JobAborted(f"attempt aborted at {sim.now} sim ns")
+            before = sim.events_processed
+            now = inner_run(until=until, max_events=PROGRESS_EVERY_EVENTS)
+            if sim.events_processed - before < PROGRESS_EVERY_EVENTS:
+                return now  # drained (or past ``until``) inside the chunk
+            emit(
+                {
+                    "type": "progress",
+                    "sim_now_ns": sim.now,
+                    "events": float(sim.events_processed),
+                }
+            )
 
-        sim.run = chunked_run
+    sim.run = chunked_run
 
     try:
         run = WORKLOADS[spec.workload](system, dict(spec.params))

@@ -16,9 +16,7 @@ Two interchangeable implementations behind one small contract:
 * :class:`InlinePool` — same contract on daemon threads in-process, for
   tests and environments where forking is unwanted. Threads cannot be
   killed, so :meth:`InlinePool.kill` sets the attempt's abort event and
-  relies on the cooperative abort checks between run-loop chunks (a
-  spec with ``progress_every_events=None`` is uncancellable here — the
-  process pool has no such caveat).
+  relies on the cooperative abort checks between run-loop chunks.
 
 The contract (duck-typed; the service and the chaos tests are the two
 consumers)::
@@ -44,14 +42,16 @@ callback must be thread-safe; the asyncio service bridges with
 infrastructure trouble (abort) from deterministic simulation errors;
 ``worker_exit`` is always infrastructure.
 
-Unpinned: the benchmark builds ``SimService(pool="process")`` (ROADMAP 21).
+Unpinned: no pin reaches either pool; the ``serve_fleet`` workload of
+``benchmarks/e2e`` (:class:`ProcessPool`) and the chaos suites keep them
+(ROADMAP 21).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import threading
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from .job import JobAborted, JobError, JobSpec, execute_job
 

@@ -27,7 +27,7 @@ pop time) so cancel is O(1) and the heap never needs re-sifting.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 __all__ = ["FairShareScheduler"]
 
@@ -68,11 +68,6 @@ class FairShareScheduler:
     def weight(self, tenant: str) -> float:
         return self._weights.get(tenant, self._default_weight)
 
-    def set_weight(self, tenant: str, weight: float) -> None:
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight}")
-        self._weights[tenant] = float(weight)
-
     # -- queue state -----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -80,13 +75,6 @@ class FairShareScheduler:
 
     def depth(self, tenant: str) -> int:
         return self._depth.get(tenant, 0)
-
-    def depths(self) -> dict[str, int]:
-        """Live queue depth per tenant (zero-depth tenants included)."""
-        return dict(self._depth)
-
-    def backlogged(self) -> Iterator[str]:
-        return (t for t, d in self._depth.items() if d > 0)
 
     # -- operations ------------------------------------------------------------
 

@@ -4,9 +4,8 @@
 worker-pool reader threads into a single-consumer asyncio queue
 (``loop.call_soon_threadsafe`` — the only thread boundary in the whole
 service), runs the dispatcher that applies each pool message to the
-core, ticks wall-clock timeouts, fans job events out to subscribers,
-and resolves the per-job result futures that :class:`JobHandle.result`
-awaits.
+core, fans job events out to subscribers, and resolves the per-job
+result futures that :class:`JobHandle.result` awaits.
 
 Design rule: *the core decides, the service executes.* Every state
 transition happens inside :class:`ServeCore` (synchronous,
@@ -15,20 +14,21 @@ and performs the directives — pool kills, respawns — the core hands
 back. If you are looking for scheduling or retry policy, it is not
 here.
 
-Unpinned cancel/chaos/event paths: kept for the chaos suites (ROADMAP 21).
+Unpinned: no pin reaches :class:`SimService` or :class:`JobHandle`; the
+``serve_fleet`` workload of ``benchmarks/e2e`` and the chaos suites keep
+them (ROADMAP 21).
 """
 
 from __future__ import annotations
 
 import asyncio
 import collections
-import time
-from typing import Any, AsyncIterator, Callable, Mapping, Optional
+from typing import AsyncIterator, Mapping, Optional
 
 from repro.results import JobResult
 
 from .core import ServeCore
-from .job import JobSpec, JobState
+from .job import JobSpec
 from .pool import InlinePool, ProcessPool
 
 __all__ = ["JobHandle", "SimService"]
@@ -51,14 +51,6 @@ class JobHandle:
         self.job_id = job_id
         self._queue = queue
         self._future = future
-
-    @property
-    def state(self) -> JobState:
-        return self.service.core.jobs[self.job_id].state
-
-    @property
-    def done(self) -> bool:
-        return self._future.done()
 
     async def result(self, timeout: Optional[float] = None) -> JobResult:
         """The terminal :class:`JobResult` (never raises for job errors —
@@ -83,25 +75,21 @@ class SimService:
     """Multi-tenant async façade over the vSCC simulator.
 
     ``pool`` selects the execution backend: ``"process"`` (forked
-    workers, hard kills — the default), ``"inline"`` (threads,
-    cooperative kills — test-friendly), or a callable
-    ``(size, on_message) -> pool`` implementing the contract in
+    workers, hard kills — the default) or ``"inline"`` (threads,
+    cooperative kills — test-friendly); both implement the contract in
     :mod:`repro.serve.pool`.
     """
 
     def __init__(
         self,
         workers: int = 2,
-        pool: Any = "process",
+        pool: str = "process",
         weights: Optional[Mapping[str, float]] = None,
-        tick_s: float = 0.02,
-        clock: Optional[Callable[[], float]] = None,
     ):
-        self.core = ServeCore(clock=clock or time.monotonic, weights=weights)
-        self.tick_s = tick_s
+        self.core = ServeCore(weights=weights)
         self._pool_spec = pool
         self._workers = workers
-        self.pool: Any = None
+        self.pool: Optional[ProcessPool | InlinePool] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queue: Optional[asyncio.Queue] = None
         #: Pool messages posted from other threads, moved onto ``_queue``
@@ -109,7 +97,6 @@ class SimService:
         self._inbox: collections.deque = collections.deque()
         self._wake_pending = False
         self._dispatcher: Optional[asyncio.Task] = None
-        self._ticker: Optional[asyncio.Task] = None
         self._subs: dict[str, list[asyncio.Queue]] = {}
         self._futures: dict[str, asyncio.Future] = {}
         #: Every event ever broadcast, in order — the service-level
@@ -120,8 +107,6 @@ class SimService:
     # -- lifecycle -------------------------------------------------------------
 
     def _make_pool(self):
-        if callable(self._pool_spec):
-            return self._pool_spec(self._workers, self._post)
         if self._pool_spec == "process":
             return ProcessPool(self._workers, self._post)
         if self._pool_spec == "inline":
@@ -138,7 +123,6 @@ class SimService:
         self._dispatcher = asyncio.create_task(
             self._dispatch_loop(), name="serve-dispatcher"
         )
-        self._ticker = asyncio.create_task(self._tick_loop(), name="serve-ticker")
         self._started = True
         return self
 
@@ -152,7 +136,6 @@ class SimService:
             await self.join(timeout=timeout)
         except asyncio.TimeoutError:
             pass  # stop anyway; pool teardown hard-kills stragglers
-        self._ticker.cancel()
         self._queue.put_nowait(_SHUTDOWN)
         await self._dispatcher
         await asyncio.get_running_loop().run_in_executor(None, self.pool.stop)
@@ -221,7 +204,7 @@ class SimService:
         few hundred microseconds of CPU; a self-pipe write per message
         releases and at once retakes the GIL, which restarts CPython's
         switch-interval wait of the loop thread, so the loop starved and
-        timeouts and cancels waited for the attempt to finish.
+        cancels waited for the attempt to finish.
         """
         self._inbox.append(msg)
         if not self._wake_pending:
@@ -239,12 +222,6 @@ class SimService:
             if msg is _SHUTDOWN:
                 return
             self._handle(msg)
-
-    async def _tick_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.tick_s)
-            for _, worker in self.core.expire_timeouts():
-                self.pool.kill(worker)
 
     def _handle(self, msg: dict) -> None:
         kind = msg["type"]

@@ -321,10 +321,10 @@ class Process:
         sim = self.sim
         if isinstance(exc, StopIteration):
             self.done.trigger(exc.value)
-            sim._live_processes.discard(self)
+            sim._live_processes.pop(self, None)
             return
         self._failure = exc
-        sim._live_processes.discard(self)
+        sim._live_processes.pop(self, None)
         sim._failures.append(self)
         # Wake waiters with the failure so it propagates.
         self.done.trigger(_Throw(ProcessFailed(self.name, exc)))
@@ -733,7 +733,10 @@ class Simulator:
         self._fast: deque[tuple[float, int, Any, Any]] = deque()
         self._seq = 0
         self._fuse = _fuse_default() if fuse_delays is None else bool(fuse_delays)
-        self._live_processes: set[Process] = set()
+        #: Spawned, unfinished processes in spawn order (an insertion-
+        #: ordered dict, so a deadlock report lists them the same way on
+        #: every interpreter).
+        self._live_processes: dict[Process, None] = {}
         #: Armed timers and unfinished records; with the live processes
         #: they make up ``sim.processes_live``.
         self._live_records = 0
@@ -786,7 +789,7 @@ class Simulator:
         self._spawned += 1
         proc = Process(self, gen, name or f"proc-{self._spawned}")
         proc._source = self._source_of(proc.name)
-        self._live_processes.add(proc)
+        self._live_processes[proc] = None
         self.schedule(0.0, proc, None)
         return proc
 

@@ -443,7 +443,8 @@ class VsccSelector(OnChipSelector):
         #: Cross-host routes decided per owner ("src"/"dst").
         self.affinity_decisions: dict[str, int] = {}
         #: Messages routed per transport name (selection happens once per
-        #: send/recv, so counting here is off the byte-moving hot path).
+        #: send/recv, so counting here is off the byte-moving hot path; a
+        #: wildcard receive's probes move no message and do not count).
         self.selections: dict[str, int] = {}
         #: Policy decisions per scheme (one count per message).
         self.decisions: dict[CommScheme, int] = {}
@@ -642,6 +643,7 @@ class VsccSelector(OnChipSelector):
                 chosen = self._direct
             else:
                 chosen = self._transports[scheme]
-        name = chosen.name
-        self.selections[name] = self.selections.get(name, 0) + 1
+        if not probe:
+            name = chosen.name
+            self.selections[name] = self.selections.get(name, 0) + 1
         return chosen

@@ -7,9 +7,10 @@ Three layers of testability, cheapest first:
   time; tests drive dispatch and outcomes by hand (``test_core``,
   ``test_properties``).
 * ``run_async`` + inline pool — real asyncio service, thread workers,
-  cooperative kills (``test_service``, ``test_env_matrix``).
+  cooperative kills (``test_service``, ``test_stream_schema``,
+  ``test_env_matrix``).
 * process pool — real forked workers and SIGKILL chaos
-  (``test_chaos``).
+  (``test_chaos``), and the outcome check of ``test_env_matrix``.
 
 ``run_async`` exists because the suite must not depend on a pytest
 asyncio plugin: each async test is a plain sync function that owns one

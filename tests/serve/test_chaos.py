@@ -26,7 +26,6 @@ MEDIUM_SPIN = {"steps": 800_000, "step_ns": 10.0}
 
 def spec(tenant="t", params=MEDIUM_SPIN, **kw):
     kw.setdefault("max_attempts", 5)
-    kw.setdefault("progress_every_events", 50_000)
     return JobSpec(workload="spin", tenant=tenant, params=dict(params), **kw)
 
 

@@ -1,7 +1,7 @@
 """ServeCore lifecycle state machine, driven by hand on a fake clock.
 
 No pool, no asyncio, no real time: the tests play the role of the
-service shell — dispatching, reporting outcomes, ticking timeouts — and
+service shell — dispatching, reporting outcomes, cancelling — and
 assert on the returned events, directives, and metrics.
 """
 
@@ -159,44 +159,6 @@ class TestCancel:
         _, d1 = core.request_cancel(job.job_id)
         _, d2 = core.request_cancel(job.job_id)
         assert d1 == [("kill", 0)] and d2 == []
-
-
-class TestTimeouts:
-    def test_expiry_emits_kill_once(self, core, clock):
-        job, _ = core.submit(spec(timeout_s=1.0))
-        core.next_assignment(worker=0)
-        assert core.expire_timeouts() == []
-        clock.advance(1.5)
-        assert core.expire_timeouts() == [("kill", 0)]
-        assert core.expire_timeouts() == []  # already marked
-
-    def test_timeout_attributed_not_worker_death(self, core, clock):
-        job, _ = core.submit(spec(timeout_s=1.0, max_attempts=1))
-        core.next_assignment(worker=0)
-        clock.advance(2.0)
-        core.expire_timeouts()
-        events = core.worker_died(0)
-        assert job.state is JobState.FAILED
-        assert job.result.error["type"] == "JobTimeout"
-
-    def test_timeout_retries_with_budget(self, core, clock):
-        job, _ = core.submit(spec(timeout_s=1.0, max_attempts=2))
-        core.next_assignment(worker=0)
-        clock.advance(2.0)
-        core.expire_timeouts()
-        events = core.worker_died(0)
-        assert [e["type"] for e in events] == ["retrying"]
-        assert job.state is JobState.PENDING
-        # fresh attempt gets a fresh budget
-        core.next_assignment(worker=0)
-        assert not job.timed_out
-        assert core.expire_timeouts() == []
-
-    def test_no_timeout_when_unset(self, core, clock):
-        core.submit(spec())
-        core.next_assignment(worker=0)
-        clock.advance(1e6)
-        assert core.expire_timeouts() == []
 
 
 class TestInvariants:

@@ -1,9 +1,10 @@
 """Environment-matrix regression: service path vs direct ``run()``.
 
-For every ``REPRO_FUSE`` mode the repo supports, a job runs under the
+For every ``REPRO_FUSE`` mode the repo supports and both worker pools
+(threads in-process, forked processes), a job runs under the
 environment's mode exactly like a hand-built system — and produces the
-bit-identical ``sim_now_ns`` through the whole service stack
-(scheduler, pool, retries-not-taken and all) as a direct
+bit-identical ``sim_now_ns`` and event count through the whole service
+stack (scheduler, pool, retries-not-taken and all) as a direct
 ``VSCCSystem.run()`` in the same environment.
 
 This is the guardrail for the service's determinism contract: a
@@ -23,6 +24,7 @@ from repro.vscc.system import VSCCSystem
 from .conftest import run_async
 
 FUSE_MODES = ("0", "1")
+POOLS = ("inline", "process")
 
 WORKLOAD = "pingpong"
 PARAMS = {"sizes": (256, 4096), "iterations": 1}
@@ -40,9 +42,9 @@ def direct_fingerprint():
     return system.sim.now, system.sim.events_processed
 
 
-def service_fingerprint():
+def service_fingerprint(pool="inline"):
     async def scenario():
-        async with SimService(workers=2, pool="inline") as service:
+        async with SimService(workers=2, pool=pool) as service:
             handle = await service.submit(
                 JobSpec(
                     workload=WORKLOAD,
@@ -61,10 +63,11 @@ def service_fingerprint():
 
 
 @pytest.mark.parametrize("fuse", FUSE_MODES)
-def test_service_matches_direct_run(monkeypatch, fuse):
+@pytest.mark.parametrize("pool", POOLS)
+def test_service_matches_direct_run(monkeypatch, pool, fuse):
     monkeypatch.setenv(FUSE_ENV_VAR, fuse)
     direct_now, direct_events = direct_fingerprint()
-    served_now, served_events = service_fingerprint()
+    served_now, served_events = service_fingerprint(pool)
     assert served_now == direct_now
     assert served_events == direct_events
 

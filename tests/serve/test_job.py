@@ -1,4 +1,4 @@
-"""Job model: spec validation, serialization, and the execution path."""
+"""Job model: spec validation and the execution path."""
 
 from __future__ import annotations
 
@@ -6,9 +6,11 @@ import threading
 
 import pytest
 
-from repro.faults import DeviceFaults, FaultPlan, LinkFaults
+import repro.serve.job as job_module
+from repro.faults import FaultPlan
 from repro.scenarios import WORKLOADS
 from repro.serve import JobAborted, JobError, JobSpec, execute_job
+from repro.vscc.system import VSCCSystem
 
 
 class TestJobSpec:
@@ -22,9 +24,6 @@ class TestJobSpec:
             ("tenant", ""),
             ("num_devices", 0),
             ("max_attempts", 0),
-            ("timeout_s", 0.0),
-            ("timeout_s", -1.0),
-            ("progress_every_events", 0),
             ("scheme", "no-such-scheme"),
         ],
     )
@@ -44,34 +43,6 @@ class TestJobSpec:
         by_name = JobSpec(scheme=CommScheme("vdma").name).resolved_scheme()
         assert by_name == JobSpec(scheme="vdma").resolved_scheme()
         assert JobSpec().resolved_scheme() is None
-
-    def test_dict_round_trip(self):
-        spec = JobSpec(
-            workload="pingpong",
-            params={"sizes": (256,), "iterations": 2},
-            tenant="alice",
-            priority=3,
-            num_devices=2,
-            scheme="vdma",
-            seed=7,
-            timeout_s=1.5,
-            max_attempts=3,
-            progress_every_events=100,
-        )
-        assert JobSpec.from_dict(spec.to_dict()) == spec
-
-    def test_dict_round_trip_with_fault_plan(self):
-        plan = FaultPlan(
-            seed=11,
-            link_defaults=LinkFaults(drop=0.01),
-            links={"pcie:0": LinkFaults(corrupt=0.1)},
-            devices={1: DeviceFaults(dead_at_ns=5000.0)},
-            max_retries=7,
-        )
-        spec = JobSpec(workload="spin", fault_plan=plan, seed=3)
-        restored = JobSpec.from_dict(spec.to_dict())
-        assert restored.fault_plan == plan
-        assert restored == spec
 
 
 class TestExecuteJob:
@@ -98,15 +69,18 @@ class TestExecuteJob:
         assert a["sim_now_ns"] == b["sim_now_ns"]
         assert a["events"] == b["events"]
 
-    def test_chunked_progress_does_not_perturb_simulation(self):
-        base = dict(workload="pingpong", params={"sizes": (256, 1024)}, num_devices=2)
+    def test_chunked_progress_does_not_perturb_simulation(self, monkeypatch):
+        monkeypatch.setattr(job_module, "PROGRESS_EVERY_EVENTS", 25)
+        params = {"sizes": (256, 1024)}
         chunked_events = []
         chunked = execute_job(
-            JobSpec(progress_every_events=25, **base), emit=chunked_events.append
+            JobSpec(workload="pingpong", params=params, num_devices=2),
+            emit=chunked_events.append,
         )
-        plain = execute_job(JobSpec(progress_every_events=None, **base))
-        assert chunked["sim_now_ns"] == plain["sim_now_ns"]
-        assert chunked["events"] == plain["events"]
+        plain = VSCCSystem(num_devices=2)
+        WORKLOADS["pingpong"](plain, dict(params))
+        assert chunked["sim_now_ns"] == plain.sim.now
+        assert chunked["events"] == plain.sim.events_processed
         progress = [e for e in chunked_events if e["type"] == "progress"]
         assert progress, "a 25-event chunk must emit progress on this workload"
         ticks = [e["events"] for e in progress]
@@ -206,11 +180,7 @@ class TestExecuteJob:
         abort.set()
         with pytest.raises(JobAborted):
             execute_job(
-                JobSpec(
-                    workload="spin",
-                    params={"steps": 10_000, "step_ns": 10.0},
-                    progress_every_events=50,
-                ),
+                JobSpec(workload="spin", params={"steps": 10_000, "step_ns": 10.0}),
                 abort=abort,
             )
 

@@ -8,7 +8,7 @@ dispatch / complete / fail / kill / cancel / clock-advance:
    ``result`` event was streamed per job, and nothing stays queued or
    running (the no-deadlock / no-starvation claim);
 2. **budget algebra** — attempts never exceed ``max_attempts``; a job
-   fails with ``WorkerDied``/``JobTimeout`` only at its last attempt;
+   fails with ``WorkerDied`` only at its last attempt;
 3. **priority order within a tenant** — every dispatch picks the
    highest-priority (FIFO among equals) queued job of the tenant it
    serves;
@@ -33,7 +33,6 @@ action = st.one_of(
         st.sampled_from(["a", "b", "c"]),
         st.integers(0, 3),       # priority
         st.integers(1, 3),       # max_attempts
-        st.booleans(),           # with timeout
     ),
     st.tuples(st.just("dispatch"), st.sampled_from(WORKERS)),
     st.tuples(st.just("complete"), st.sampled_from(WORKERS)),
@@ -62,13 +61,12 @@ class Model:
 
     # -- actions ---------------------------------------------------------------
 
-    def submit(self, tenant, priority, max_attempts, with_timeout):
+    def submit(self, tenant, priority, max_attempts):
         spec = JobSpec(
             workload="spin",
             tenant=tenant,
             priority=priority,
             max_attempts=max_attempts,
-            timeout_s=1.0 if with_timeout else None,
         )
         job, events = self.core.submit(spec)
         self.record(events)
@@ -102,9 +100,7 @@ class Model:
         assert job.attempts <= job.spec.max_attempts
         if job.state is JobState.PENDING:  # retried
             self.queued[job.spec.tenant].append(job)
-        elif job.state is JobState.FAILED and job.result.error["type"] in (
-            "WorkerDied", "JobTimeout"
-        ):
+        elif job.state is JobState.FAILED and job.result.error["type"] == "WorkerDied":
             assert job.attempts == job.spec.max_attempts
 
     def complete(self, worker):
@@ -145,8 +141,6 @@ class Model:
 
     def advance(self, dt):
         self.clock.advance(dt)
-        for _, worker in self.core.expire_timeouts():
-            self.worker_die(worker)
 
     # -- drain + final invariants ---------------------------------------------
 

@@ -19,7 +19,6 @@ LONG_SPIN = {"steps": 10_000_000, "step_ns": 10.0}
 
 
 def spin_spec(tenant="t", params=SMALL_SPIN, **kw):
-    kw.setdefault("progress_every_events", 1000)
     return JobSpec(workload="spin", tenant=tenant, params=dict(params), **kw)
 
 
@@ -158,21 +157,6 @@ class TestCancellation:
             await service.shutdown(timeout=30)
             assert service.core.jobs[running.job_id].terminal
             assert service.core.jobs[queued.job_id].state.value == "cancelled"
-
-        run_async(scenario())
-
-
-class TestTimeout:
-    def test_per_job_timeout_enforced(self):
-        async def scenario():
-            async with SimService(workers=1, pool="inline",
-                                  tick_s=0.01) as service:
-                handle = await service.submit(
-                    spin_spec(params=LONG_SPIN, timeout_s=0.2, max_attempts=1)
-                )
-                result = await handle.result(timeout=30)
-                assert result.state == "failed"
-                assert result.error["type"] == "JobTimeout"
 
         run_async(scenario())
 

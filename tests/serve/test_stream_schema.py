@@ -24,30 +24,36 @@ sys.path.insert(0, "tools")
 from validate_job_stream import load_events, validate_stream  # noqa: E402
 
 
+#: Long enough to stream ``progress`` and to still be running when it is
+#: killed or cancelled.
+LONG_SPIN = {"steps": 10_000_000, "step_ns": 10.0}
+
+
 @pytest.fixture(scope="module")
 def event_log():
     async def scenario():
-        async with SimService(workers=2, pool="inline", tick_s=0.01) as service:
-            ok = await service.submit(
+        async with SimService(workers=2, pool="inline") as service:
+            await service.submit(
                 JobSpec(workload="pingpong", tenant="alice",
-                        params={"sizes": (256,)}, num_devices=2, seed=1,
-                        progress_every_events=10)
+                        params={"sizes": (256,)}, num_devices=2, seed=1)
             )
-            bad = await service.submit(
-                JobSpec(workload="deadlock", tenant="bob")
-            )
-            # timeout with budget 2: attempt 1 emits ``retrying``
+            await service.submit(JobSpec(workload="deadlock", tenant="bob"))
+            # killed once with budget 2: attempt 1 emits ``retrying``;
+            # attempt 2 streams ``progress`` and is then cancelled
             slow = await service.submit(
-                JobSpec(workload="spin", tenant="carol",
-                        params={"steps": 10_000_000, "step_ns": 10.0},
-                        timeout_s=0.15, max_attempts=2,
-                        progress_every_events=10_000)
+                JobSpec(workload="spin", tenant="carol", params=LONG_SPIN,
+                        max_attempts=2)
             )
             doomed = await service.submit(
-                JobSpec(workload="spin", tenant="alice",
-                        params={"steps": 10_000_000, "step_ns": 10.0})
+                JobSpec(workload="spin", tenant="alice", params=LONG_SPIN)
             )
             await doomed.cancel()
+            async for event in slow.events():
+                if event["type"] == "started" and event["attempt"] == 1:
+                    service.chaos_kill_worker(int(event["worker"]))
+                elif event["type"] == "progress" and event["attempt"] == 2:
+                    await slow.cancel()
+                    break
             await service.join(timeout=120)
             return list(service.event_log)
 

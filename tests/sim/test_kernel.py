@@ -142,6 +142,25 @@ def test_deadlock_detected_under_sharded():
     assert excinfo.value.waiting == ["stuck"]
 
 
+def test_deadlock_report_lists_blocked_processes_in_spawn_order():
+    """The report follows spawn order, not the addresses of the process
+    objects, so it reads the same on every interpreter."""
+    sim = Simulator()
+    evt = sim.event()
+    ballast = []
+
+    def stuck():
+        yield evt
+
+    names = [f"stuck-{i}" for i in range(64)]
+    for i, name in enumerate(names):
+        ballast.append([object() for _ in range(1 + 5 * (i % 7))])
+        sim.spawn(stuck(), name)
+    with pytest.raises(DeadlockError) as excinfo:
+        sim.run()
+    assert excinfo.value.waiting == names
+
+
 # -- metrics -------------------------------------------------------------------
 
 

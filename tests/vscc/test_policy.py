@@ -284,6 +284,24 @@ def test_wildcard_recv_works_in_cached_band_of_threshold_policy():
     assert got["src"] == 49 and got["ok"]
 
 
+def test_wildcard_recv_probes_are_not_counted_as_routed_messages():
+    """A wildcard receive probes every candidate source's transport; only
+    the send and the receive that moves the message count as selected."""
+    from repro.ircce.nonblocking import recv_any_source
+
+    system = VSCCSystem(num_devices=2, policy=ThresholdPolicy())
+
+    def program(comm):
+        if comm.rank == 0:
+            yield from comm.send(bytes(256), 48)
+        else:
+            src, _ = yield from recv_any_source(comm, 256, [0, 1])
+            assert src == 0
+
+    result = system.run(program, ranks=[0, 48])
+    assert result.metrics["scheme.selected{transport=cached-get}"] == 2.0
+
+
 # -- trace integration -------------------------------------------------------------
 
 
