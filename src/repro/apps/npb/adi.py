@@ -64,13 +64,13 @@ def _thomas_axis0(d: np.ndarray, r: float) -> np.ndarray:
     return x
 
 
-def adi_reference(u0: np.ndarray, steps: int, r: float = ADI_R) -> np.ndarray:
+def adi_reference(u0: np.ndarray, steps: int) -> np.ndarray:
     """Serial reference: the exact arithmetic the parallel solver performs."""
     u = u0.astype(np.float64, copy=True)
     for _ in range(steps):
         for axis in (0, 1, 2):
             moved = np.moveaxis(u, axis, 0)
-            moved[...] = _thomas_axis0(moved, r)
+            moved[...] = _thomas_axis0(moved, ADI_R)
     return u
 
 

@@ -47,7 +47,6 @@ class BTResult:
     elapsed_s: float
     total_gflops: float
     gflops_per_s: float
-    verified: bool
 
 
 class BTBenchmark:
@@ -196,7 +195,7 @@ class BTBenchmark:
 
     # -- results -----------------------------------------------------------------------
 
-    def result(self, verified: bool = True) -> BTResult:
+    def result(self) -> BTResult:
         if not self._elapsed:
             raise RuntimeError("run the benchmark before collecting results")
         elapsed_ns = max(self._elapsed.values())
@@ -210,7 +209,6 @@ class BTBenchmark:
             elapsed_s=seconds,
             total_gflops=total_gflops,
             gflops_per_s=total_gflops / seconds if seconds else 0.0,
-            verified=verified,
         )
 
 

@@ -20,7 +20,7 @@ open-loop request/response exchanges against a host-side
   when the batch reaches ``batch_bytes`` *or* a configurable flush
   deadline expires (the classic throughput/latency knob of response
   queuing), riding one ``route_down`` post per flush;
-* **caches serializations** — an optional host-side cache over response
+* **caches serializations** — a host-side cache over response
   serialization state, reusing the :mod:`repro.host.softcache`
   accounting idiom (hits / misses / evictions): a hit charges
   ``cache_hit_ns`` instead of the full per-byte marshalling cost.
@@ -83,8 +83,6 @@ class RpcParams:
     #: Deadline after the first response enters a batch (ns); expiry
     #: flushes whatever accumulated.
     flush_deadline_ns: float = 20_000.0
-    #: Enable the host-side serialization cache.
-    cache: bool = True
     #: LRU capacity of the serialization cache (distinct methods).
     cache_capacity: int = 64
     #: Response marshalling cost on a cache miss: floor + per-byte.
@@ -237,7 +235,7 @@ class _Server:
         call = calls[index]
         self.index = index + 1
         params = dispatcher.params
-        if params.cache and dispatcher.cache.lookup(call.method):
+        if dispatcher.cache.lookup(call.method):
             delay = params.cache_hit_ns
         else:
             delay = params.serialize_floor_ns + params.serialize_ns_per_byte * call.resp_bytes
@@ -445,7 +443,7 @@ class RpcDispatcher:
     # -- export -----------------------------------------------------------------
 
     def metrics_snapshot(self) -> dict[str, float]:
-        out = {
+        return {
             "rpc.requests": float(self.requests),
             "rpc.responses": float(self.responses),
             "rpc.descriptors": float(self.descriptors),
@@ -453,15 +451,10 @@ class RpcDispatcher:
             "rpc.priority_submits": float(self.priority_submits),
             "rpc.flushes{cause=full}": float(self.flushes_full),
             "rpc.flushes{cause=deadline}": float(self.flushes_deadline),
+            "rpc.cache.hits": float(self.cache.hits),
+            "rpc.cache.misses": float(self.cache.misses),
+            "rpc.cache.evictions": float(self.cache.evictions),
         }
-        # Cache series only when the cache is in play — snapshots of
-        # cache-off runs stay byte-stable (the softcache peer_drops
-        # precedent for conditionally emitted series).
-        if self.params.cache:
-            out["rpc.cache.hits"] = float(self.cache.hits)
-            out["rpc.cache.misses"] = float(self.cache.misses)
-            out["rpc.cache.evictions"] = float(self.cache.evictions)
-        return out
 
 
 def install_rpc(

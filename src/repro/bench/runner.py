@@ -117,8 +117,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_timeline(records, width: int = 72) -> str:
-    """ASCII Gantt of protocol trace records (Fig 2 style).
+def render_timeline(records) -> str:
+    """ASCII Gantt of protocol trace records (Fig 2 style), 72 columns wide.
 
     ``records`` are :class:`repro.sim.trace.TraceRecord` of category
     "protocol" with payload ``(rank, role, phase, index)``. Spans paired
@@ -128,6 +128,7 @@ def render_timeline(records, width: int = 72) -> str:
     """
     if not records:
         return "(no protocol records)"
+    width = 72
     t0 = min(r.t for r in records)
     t1 = max(r.t for r in records)
     span = max(t1 - t0, 1e-9)

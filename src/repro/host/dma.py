@@ -114,15 +114,13 @@ class DMAEngine:
         self,
         addr: MpbAddr,
         data: np.ndarray,
-        on_granule: Optional[Callable[[int, int], None]] = None,
         granule: Optional[int] = None,
         via: Optional["Host"] = None,
     ) -> "Transfer":
         """Copy host ``data`` into device MPB, granule by granule.
 
         Each granule is committed to device memory at its arrival time
-        (waking any flag watchers); ``on_granule(index, end_offset)``
-        runs right after each commit. The returned record triggers after
+        (waking any flag watchers). The returned record triggers after
         the final commit.
 
         ``via`` is the host the data sits on. Without it the data is on
@@ -143,18 +141,11 @@ class DMAEngine:
             buf = np.asarray(data, dtype=np.uint8)
             offset = 0
             pending = []
-            for index, size in enumerate(granule_sizes(len(buf), granule or self.granule)):
-                chunk = buf[offset : offset + size].copy()
-                off = offset
-
-                def _arrive(index=index, off=off, chunk=chunk, size=size) -> None:
-                    device.mpb.write(addr + off, chunk)
-                    if on_granule is not None:
-                        on_granule(index, off + size)
-
+            for size in granule_sizes(len(buf), granule or self.granule):
                 pending.append(send(
                     size,
-                    on_arrival=_arrive,
+                    on_arrival=partial(device.mpb.write, addr + offset,
+                                       buf[offset : offset + size].copy()),
                     extra_overhead_ns=self.cable.params.dma_setup_ns,
                 ))
                 self.bytes_pushed += size

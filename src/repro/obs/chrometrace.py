@@ -237,9 +237,8 @@ def export_chrome_trace(
 def write_chrome_trace(
     path: Union[str, Path],
     tracer: Union[Tracer, Iterable[TraceRecord]],
-    indent: Optional[int] = None,
 ) -> Path:
     """Write ``trace.json`` loadable by Perfetto; returns the path."""
     path = Path(path)
-    path.write_text(json.dumps(export_chrome_trace(tracer), indent=indent))
+    path.write_text(json.dumps(export_chrome_trace(tracer)))
     return path

@@ -130,9 +130,9 @@ class Counter(_Instrument):
         super().__init__(registry, key)
         self.value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
+    def inc(self) -> None:
         if self.registry.enabled:
-            self.value += amount
+            self.value += 1.0
 
 
 class Gauge(_Instrument):

@@ -120,7 +120,6 @@ class RcceSession:
         self,
         program: Callable[[Rcce], Generator],
         ranks: Optional[Sequence[int]] = None,
-        until: Optional[float] = None,
         trace_json: Optional[Union[str, Path]] = None,
     ) -> RunResult:
         """Spawn ``program(comm)`` on ``ranks`` (default: all), run to
@@ -144,7 +143,7 @@ class RcceSession:
                 rank: self.sim.spawn(program(self.comm_for(rank)), name=f"rank{rank}")
                 for rank in ranks
             }
-            self.sim.run(until=until)
+            self.sim.run()
             trace_path = None
             if trace_json is not None:
                 trace_path = write_chrome_trace(

@@ -17,7 +17,7 @@ and its cost is charged.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional, Union
+from typing import TYPE_CHECKING, Generator, Union
 
 import numpy as np
 
@@ -36,6 +36,7 @@ Bytes = Union[bytes, bytearray, np.ndarray]
 
 #: Guard for flag waits: no experiment in the paper blocks longer than
 #: this (1 simulated minute); exceeding it indicates a protocol deadlock.
+#: Read when a wait starts.
 DEFAULT_FLAG_TIMEOUT_NS = 60e9
 
 #: Above this many bytes, per-line L1 bookkeeping is skipped and the
@@ -301,37 +302,26 @@ class CoreEnv:
             yield self._remote_read_ns[self._hops_table[addr.core]]
         return self.device.mpb.read_byte(addr)
 
-    def wait_flag(
-        self,
-        addr: MpbAddr,
-        value: int,
-        timeout_ns: Optional[float] = DEFAULT_FLAG_TIMEOUT_NS,
-    ) -> Generator:
+    def wait_flag(self, addr: MpbAddr, value: int) -> Generator:
         """Busy-wait until the (local) flag equals ``value``."""
-        return self._poll_flag(addr, value, None, timeout_ns)
+        return self._poll_flag(addr, value, None)
 
-    def wait_flag_pred(
-        self,
-        addr: MpbAddr,
-        predicate,
-        timeout_ns: Optional[float] = DEFAULT_FLAG_TIMEOUT_NS,
-    ) -> Generator:
+    def wait_flag_pred(self, addr: MpbAddr, predicate) -> Generator:
         """Busy-wait until ``predicate(flag_byte)`` holds on a local flag.
 
         Counter-valued flags (the pipelined and vDMA protocols) wait
         with ``>=``-style predicates here.
         """
-        return self._poll_flag(addr, None, predicate, timeout_ns)
+        return self._poll_flag(addr, None, predicate)
 
-    def _poll_flag(
-        self, addr: MpbAddr, value, predicate, timeout_ns: Optional[float]
-    ) -> Generator:
+    def _poll_flag(self, addr: MpbAddr, value, predicate) -> Generator:
         """The flag-polling loop of :meth:`wait_flag` and :meth:`wait_flag_pred`.
 
         Without a ``predicate`` the flag byte is compared with ``value``
         inline. Each poll costs a poll iteration plus a local read;
         between polls the process parks on the memory watchpoint, so a
-        long wait is one simulator event, not thousands.
+        long wait is one simulator event, not thousands. A wait still
+        unmet :data:`DEFAULT_FLAG_TIMEOUT_NS` after it started raises.
         """
         if (
             addr.device != self._device_id
@@ -343,7 +333,7 @@ class CoreEnv:
             )
         mem = self.device.mpb
         poll_ns = self._poll_base_ns
-        deadline = None if timeout_ns is None else self.sim.now + timeout_ns
+        deadline = self.sim.now + DEFAULT_FLAG_TIMEOUT_NS
         park = None
         while True:
             if park is None:
@@ -356,7 +346,7 @@ class CoreEnv:
             byte = mem.read_byte(addr)
             if (byte == value) if predicate is None else predicate(byte):
                 return
-            if deadline is not None and self.sim.now > deadline:
+            if self.sim.now > deadline:
                 raise SimulationError(
                     f"flag wait timed out: dev {self.device.device_id} core "
                     f"{self.core_id} waiting at {addr}"
@@ -370,18 +360,15 @@ class CoreEnv:
                     watch = mem.watch(addr)
                 park = (watch, poll_ns)
 
-    def wait_any_flag(
-        self,
-        specs: list,
-        timeout_ns: Optional[float] = DEFAULT_FLAG_TIMEOUT_NS,
-    ) -> Generator:
+    def wait_any_flag(self, specs: list) -> Generator:
         """Busy-wait until any of several local flags satisfies its predicate.
 
         ``specs`` is a list of ``(addr, predicate)`` pairs; returns the
         index of the first satisfied entry (scanned in order per poll —
         iRCCE's wildcard receive probes its pending-request list the
         same way). Between polls the process parks until *any* watched
-        byte is written.
+        byte is written. The :data:`DEFAULT_FLAG_TIMEOUT_NS` guard holds
+        here too.
         """
         mem = self.device.mpb
         for addr, _pred in specs:
@@ -392,13 +379,13 @@ class CoreEnv:
                 raise SimulationError(
                     f"wait_any_flag on non-local flag {addr} (core {self.core_id})"
                 )
-        deadline = None if timeout_ns is None else self.sim.now + timeout_ns
+        deadline = self.sim.now + DEFAULT_FLAG_TIMEOUT_NS
         while True:
             yield self._poll_base_ns * len(specs)
             for index, (addr, pred) in enumerate(specs):
                 if pred(mem.read_byte(addr)):
                     return index
-            if deadline is not None and self.sim.now > deadline:
+            if self.sim.now > deadline:
                 raise SimulationError(
                     f"wait_any_flag timed out on core {self.core_id}"
                 )

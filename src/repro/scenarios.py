@@ -33,7 +33,6 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import replace
 from functools import partial, reduce
 from itertools import pairwise
 from operator import getitem
@@ -53,10 +52,6 @@ __all__ = [
 
 
 # -- shared building blocks ----------------------------------------------------
-
-
-#: The :class:`repro.apps.rpc.RpcParams` fields a job's ``params`` may set.
-_RPC_KNOBS = ("coalesce_bytes", "coalesce_max", "batch_bytes", "flush_deadline_ns", "cache")
 
 
 def _rpc_trace(params: Mapping, nranks: int) -> list:
@@ -106,23 +101,17 @@ def _rpc_trace(params: Mapping, nranks: int) -> list:
 
 
 def rpc_report(system, params: Mapping):
-    """Trace ``params`` over the first ``nranks`` ranks and serve it.
+    """Trace ``params`` over the first ``nranks`` ranks and serve it with
+    the default :class:`repro.apps.rpc.RpcParams`.
 
-    The dispatcher knobs in :data:`_RPC_KNOBS` override their
-    :class:`repro.apps.rpc.RpcParams` defaults. Raises
-    :class:`repro.serve.JobError` if a response goes missing; returns the
-    :class:`repro.apps.rpc.RpcReport`.
+    Raises :class:`repro.serve.JobError` if a response goes missing;
+    returns the :class:`repro.apps.rpc.RpcReport`.
     """
     from repro.apps.rpc import RpcParams, run_rpc
     from repro.serve.job import JobError
 
-    defaults = RpcParams()
-    rpc_params = replace(
-        defaults,
-        **{k: type(getattr(defaults, k))(params[k]) for k in _RPC_KNOBS if k in params},
-    )
     nranks = int(params.get("nranks", min(4, system.num_ranks)))
-    report = run_rpc(system, _rpc_trace(params, nranks), rpc_params)
+    report = run_rpc(system, _rpc_trace(params, nranks), RpcParams())
     if report.completed != report.offered:
         raise JobError(
             "LostResponses",
@@ -784,8 +773,8 @@ def ext_coll_three_level() -> dict:
 # -- RCCE flag and chunked-send paths ------------------------------------------
 
 
-def flag_wait_churn(nrounds: int = 400) -> dict:
-    """set_flag/wait_flag ping-pong between two on-die ranks.
+def flag_wait_churn() -> dict:
+    """400 rounds of set_flag/wait_flag ping-pong between two on-die ranks.
 
     Exercises the flag hot path end to end: remote one-byte flag write
     (mesh hop + ``call_at`` arrival), watchpoint park, and the fused
@@ -795,6 +784,7 @@ def flag_wait_churn(nrounds: int = 400) -> dict:
     from repro.rcce.flags import FlagLayout
     from repro.rcce.session import RcceSession
 
+    nrounds = 400
     session = RcceSession()
     fl = session.flags
     ping = fl.sent(1, 0)  # in rank 1's SF, written by rank 0
@@ -821,8 +811,9 @@ def flag_wait_churn(nrounds: int = 400) -> dict:
     }
 
 
-def chunk_send_churn(nmsgs: int = 48, nbytes: int = 4096) -> dict:
-    """Blocking RCCE send/recv stream between two on-die ranks.
+def chunk_send_churn() -> dict:
+    """Blocking RCCE send/recv stream of 48 4 kB messages between two
+    on-die ranks.
 
     Exercises the chunked default transport — ``put_chunk``/``get_chunk``
     staging through the communication buffer plus the sent/ready flag
@@ -833,6 +824,7 @@ def chunk_send_churn(nmsgs: int = 48, nbytes: int = 4096) -> dict:
 
     from repro.rcce.session import RcceSession
 
+    nmsgs, nbytes = 48, 4096
     session = RcceSession()
     payload = (np.arange(nbytes, dtype=np.int64) % 251).astype(np.uint8)
     checksums: list[int] = []
@@ -1008,8 +1000,8 @@ def build_specs(jobs: int, seed: int) -> list:
     return specs
 
 
-def run_fleet(jobs: int = 132, seed: int = 2026) -> dict:
-    """Serve ``jobs`` seeded mixed-tenant jobs through one serve core.
+def run_fleet() -> dict:
+    """Serve 132 mixed-tenant jobs, seeded 2026, through one serve core.
 
     Every spec is submitted first, then the core dispatches them one at
     a time and each attempt runs with :func:`repro.serve.execute_job` on
@@ -1019,7 +1011,7 @@ def run_fleet(jobs: int = 132, seed: int = 2026) -> dict:
     from repro.serve import JobError, ServeCore, execute_job
 
     core = ServeCore(clock=lambda: 0.0, weights=TENANT_WEIGHTS)
-    for spec in build_specs(jobs, seed):
+    for spec in build_specs(132, 2026):
         core.submit(spec)
     peak_queued = len(core.scheduler)
     while (assignment := core.next_assignment(0)) is not None:
@@ -1068,7 +1060,7 @@ def serve_mixed_tenants() -> dict:
     service-level acceptance bar — a backlog of >= 100 concurrently
     queued jobs across >= 3 tenants, every job terminal.
     """
-    record = run_fleet(jobs=132)
+    record = run_fleet()
     results = record["results"]
     assert record["peak_queued"] >= 100, (
         f"backlog never reached 100 queued jobs "

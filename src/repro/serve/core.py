@@ -114,11 +114,10 @@ class ServeCore:
         self,
         clock: Optional[Callable[[], float]] = None,
         weights: Optional[Mapping[str, float]] = None,
-        registry: Optional[MetricsRegistry] = None,
     ):
         self.clock = clock or time.monotonic
         self.scheduler = FairShareScheduler(weights)
-        self.registry = registry or MetricsRegistry(enabled=True)
+        self.registry = MetricsRegistry(enabled=True)
         self.jobs: dict[str, JobRecord] = {}
         #: worker id -> job_id of the attempt it is running.
         self.worker_jobs: dict[int, str] = {}

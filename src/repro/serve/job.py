@@ -197,14 +197,14 @@ def execute_job(
 
     inner_run = sim.run
 
-    def chunked_run(until=None):
+    def chunked_run():
         while True:
             if abort is not None and abort.is_set():
                 raise JobAborted(f"attempt aborted at {sim.now} sim ns")
             before = sim.events_processed
-            now = inner_run(until=until, max_events=PROGRESS_EVERY_EVENTS)
+            now = inner_run(max_events=PROGRESS_EVERY_EVENTS)
             if sim.events_processed - before < PROGRESS_EVERY_EVENTS:
-                return now  # drained (or past ``until``) inside the chunk
+                return now  # drained inside the chunk
             emit(
                 {
                     "type": "progress",

@@ -40,20 +40,13 @@ class FairShareScheduler:
     service's ``JobRecord``.
     """
 
-    def __init__(
-        self,
-        weights: Optional[Mapping[str, float]] = None,
-        default_weight: float = 1.0,
-    ):
-        if default_weight <= 0:
-            raise ValueError(f"default_weight must be positive, got {default_weight}")
+    def __init__(self, weights: Optional[Mapping[str, float]] = None):
         for tenant, weight in (weights or {}).items():
             if weight <= 0:
                 raise ValueError(
                     f"tenant {tenant!r} weight must be positive, got {weight}"
                 )
         self._weights = dict(weights or {})
-        self._default_weight = float(default_weight)
         # tenant -> heap of (-priority, seq, record)
         self._queues: dict[str, list] = {}
         # live (non-tombstoned) entries per tenant
@@ -66,7 +59,8 @@ class FairShareScheduler:
     # -- configuration ---------------------------------------------------------
 
     def weight(self, tenant: str) -> float:
-        return self._weights.get(tenant, self._default_weight)
+        """The tenant's share weight; 1.0 for a tenant without one."""
+        return self._weights.get(tenant, 1.0)
 
     # -- queue state -----------------------------------------------------------
 

@@ -16,19 +16,22 @@ entry. A process yields:
   time ``((now + d0) + d1) + …`` — bit-identical to sleeping the
   elements one by one, because the accumulation uses the exact same
   float-addition order the per-element wake-ups would. With fusion
-  disabled (``REPRO_FUSE=0`` or ``Simulator(fuse_delays=False)``) each
-  element is replayed as its own wake-up, reproducing the legacy
-  per-yield event stream exactly. The chain may instead *start* with an
-  :class:`Event`, :class:`Signal` or :class:`Process`: the process then
-  parks until the head fires and sleeps the remaining elements from the
-  trigger instant — the flag-wait idiom ``yield (watch, poll_ns)``. The
-  head's value is discarded (the resume delivers ``None``), so only
-  value-free waits qualify.
+  disabled (``REPRO_FUSE=0``) each element is replayed as its own
+  wake-up, reproducing the legacy per-yield event stream exactly. The
+  chain may instead *start* with an :class:`Event`, :class:`Signal` or
+  :class:`Process`: the process then parks until the head fires and
+  sleeps the remaining elements from the trigger instant — the
+  flag-wait idiom ``yield (watch, poll_ns)``. The head's value is
+  discarded (the resume delivers ``None``), so only value-free waits
+  qualify.
 * an :class:`Event`    — resume when the event is triggered; ``yield`` returns
   the event's value.
 * a :class:`Process`   — resume when that process terminates; ``yield``
-  returns its return value (``StopIteration.value``). If the awaited
-  process failed, the exception is re-raised in the waiter.
+  returns its return value (``StopIteration.value``).
+
+A process, record or timer that raises fails the whole run:
+:meth:`Simulator.run` raises :class:`ProcessFailed` naming it, with the
+original exception as the cause. Nothing waiting on it is resumed.
 
 Time is a float in **nanoseconds**; frequency-domain helpers live in
 :mod:`repro.sim.clock`. Pending wake-ups live in two queues owned by the
@@ -44,8 +47,8 @@ call: a positive bare ``float`` (onto the heap), a fused chain with a
 heap), and the two-element flag park ``(Signal, d)`` (a waiter on the
 signal). Everything else takes one cold path, the process's
 ``_step``/``_dispatch``: every other yield, a generator that returns
-or raises, every wake-up with a payload (an event value, an unfused
-chain's next element, a delivered failure) and every record. The cold
+or raises, every wake-up with a payload (an event value or an
+unfused chain's next element) and every record. The cold
 dispatch is type-keyed (one dict lookup on ``type(command)``) with an
 isinstance fallback that caches subclasses.
 
@@ -53,11 +56,11 @@ There is no global locking — dispatch is single-threaded and
 deterministic (ties are broken by spawn/schedule order), which is what
 keeps every simulated fingerprint bit-identical run to run.
 
-Unpinned: the failure paths (``fail_fast=False``, ``Simulator.failures``,
-``Process.failure``, ``_bad_delay``, ``TimerHandle.name``), the timer
-states ``TimerHandle.active``/``cancelled``, ``fuse_delays`` and
-``schedule_at`` (a chain not headed by a float) — the kernel tests
-drive them. ``_DoneStub.__init__`` runs at import, before any pin.
+Unpinned: the failure paths (``ProcessFailed`` from a process, record
+or timer, ``_bad_delay``, ``TimerHandle.name``), the timer states
+``TimerHandle.active``/``cancelled`` and ``schedule_at`` (a chain not
+headed by a float) — the kernel tests drive them.
+``_DoneStub.__init__`` runs at import, before any pin.
 """
 
 from __future__ import annotations
@@ -87,14 +90,6 @@ __all__ = [
 #: whole test suite against that unfused oracle; the pin runner
 #: (``tools/pins.py``) sets it around each fused and unfused replay.
 FUSE_ENV_VAR = "REPRO_FUSE"
-
-
-def _fuse_default() -> bool:
-    return os.environ.get(FUSE_ENV_VAR, "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-    )
 
 
 class Event:
@@ -135,7 +130,7 @@ class Event:
         sim = self.sim
         for proc in self._waiters:
             if proc.__class__ is _ChainWaiter:
-                proc.wake(sim, value)
+                proc.wake(sim)
             else:
                 sim.schedule(0.0, proc, value)
         for cb in self._callbacks:
@@ -173,7 +168,7 @@ class Signal:
         self._waiters: list[Process] = []
         self._once: list[Callable[[], None]] = []
 
-    def pulse(self, value: Any = None) -> None:
+    def pulse(self) -> None:
         # A pulse nobody waits for allocates nothing, and each list is
         # swapped only when it holds something.
         waiters = self._waiters
@@ -182,9 +177,9 @@ class Signal:
             sim = self.sim
             for proc in waiters:
                 if proc.__class__ is _ChainWaiter:
-                    proc.wake(sim, value)
+                    proc.wake(sim)
                 else:
-                    sim.schedule(0.0, proc, value)
+                    sim.schedule(0.0, proc, None)
         callbacks = self._once
         if callbacks:
             self._once = []
@@ -253,16 +248,13 @@ class Process:
     process object from another process.
     """
 
-    __slots__ = (
-        "sim", "name", "gen", "done", "_failure", "_source",
-    )
+    __slots__ = ("sim", "name", "gen", "done", "_source")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str):
         self.sim = sim
         self.name = name
         self.gen = gen
         self.done = Event(sim, name=f"{name}.done")
-        self._failure: Optional[BaseException] = None
         #: Event-source index (kernel.events{source=...} attribution),
         #: assigned at spawn from the normalized process name.
         self._source = 0
@@ -272,14 +264,8 @@ class Process:
         return self.done.triggered
 
     @property
-    def failure(self) -> Optional[BaseException]:
-        return self._failure
-
-    @property
     def result(self) -> Any:
-        """Return value of the generator; raises if it failed or is live."""
-        if self._failure is not None:
-            raise ProcessFailed(self.name, self._failure)
+        """Return value of the generator; raises while it has not returned."""
         return self.done.value
 
     def _step(self, payload: Any) -> None:
@@ -288,28 +274,22 @@ class Process:
         The dispatch loop resumes a process woken without a payload
         itself; it comes here for every other wake-up.
         """
+        if payload.__class__ is _Chain:
+            # Unfused replay of a delay chain: sleep the next element as
+            # its own kernel wake-up *without* resuming the generator —
+            # the chain's contract is that nothing observable happens
+            # between elements, so the only job here is to reproduce the
+            # legacy per-yield timing and event stream exactly.
+            chain = payload.chain
+            nxt = payload.index + 1
+            self.sim.schedule(
+                chain[payload.index],
+                self,
+                _Chain(chain, nxt) if nxt < len(chain) else None,
+            )
+            return
         try:
-            cls = payload.__class__
-            if cls is _Chain:
-                # Unfused replay of a delay chain: sleep the next element
-                # as its own kernel wake-up *without* resuming the
-                # generator — the chain's contract is that nothing
-                # observable happens between elements, so the only job
-                # here is to reproduce the legacy per-yield timing and
-                # event stream exactly.
-                chain = payload.chain
-                index = payload.index
-                nxt = index + 1
-                self.sim.schedule(
-                    chain[index],
-                    self,
-                    _Chain(chain, nxt) if nxt < len(chain) else None,
-                )
-                return
-            if cls is _Throw:
-                command = self.gen.throw(payload.exc)
-            else:
-                command = self.gen.send(payload)
+            command = self.gen.send(payload)
         except BaseException as exc:  # noqa: BLE001 - must capture sim faults
             self._exit(exc)
             return
@@ -317,19 +297,14 @@ class Process:
 
     def _exit(self, exc: BaseException) -> None:
         """End the process on what its generator raised: a return
-        (``StopIteration``) completes ``done``; anything else fails it."""
-        sim = self.sim
+        (``StopIteration``) completes ``done``; anything else fails the
+        run with :class:`ProcessFailed`."""
         if isinstance(exc, StopIteration):
             self.done.trigger(exc.value)
-            sim._live_processes.pop(self, None)
+            self.sim._live_processes.pop(self, None)
             return
-        self._failure = exc
-        sim._live_processes.pop(self, None)
-        sim._failures.append(self)
-        # Wake waiters with the failure so it propagates.
-        self.done.trigger(_Throw(ProcessFailed(self.name, exc)))
-        if sim.fail_fast:
-            raise ProcessFailed(self.name, exc) from exc
+        self.sim._live_processes.pop(self, None)
+        raise ProcessFailed(self.name, exc) from exc
 
     def _dispatch(self, command: Any) -> None:
         """Queue what the generator yielded; raise InvalidYield if it
@@ -369,7 +344,7 @@ class Process:
                 if not waitable._add_waiter(waiter):
                     # Already triggered: the wake is immediate, exactly as
                     # the plain ``yield head`` resume would be.
-                    waiter.wake(sim, waitable._value)
+                    waiter.wake(sim)
                 return
             if sim._fuse:
                 # Accumulate at schedule time in the exact sequential
@@ -398,15 +373,6 @@ class Process:
             )
 
 
-class _Throw:
-    """Internal payload: deliver an exception into a resumed generator."""
-
-    __slots__ = ("exc",)
-
-    def __init__(self, exc: BaseException):
-        self.exc = exc
-
-
 class _Chain:
     """Internal payload: remaining elements of an unfused delay chain."""
 
@@ -433,13 +399,8 @@ class _ChainWaiter:
         self.proc = proc
         self.chain = chain
 
-    def wake(self, sim: "Simulator", value: Any = None) -> None:
+    def wake(self, sim: "Simulator") -> None:
         proc = self.proc
-        if value.__class__ is _Throw:
-            # A failed awaited process: deliver the exception at the
-            # trigger instant instead of sleeping the tail.
-            sim.schedule(0.0, proc, value)
-            return
         chain = self.chain
         if sim._fuse:
             # Queued as schedule_at would, without its call; the flag
@@ -562,7 +523,7 @@ class TimerHandle:
     path needs no guard.
     """
 
-    __slots__ = ("sim", "fn", "delay", "done", "fired", "failure", "_name", "_source")
+    __slots__ = ("sim", "fn", "delay", "done", "fired", "_name", "_source")
 
     def __init__(
         self, sim: "Simulator", fn: Callable[[], None], delay: float, name: str, source: int
@@ -573,8 +534,6 @@ class TimerHandle:
         self.done = _LIVE
         #: True once the callback has run.
         self.fired = False
-        #: The exception the callback raised, if it raised.
-        self.failure: Optional[BaseException] = None
         self._name = name
         self._source = source
 
@@ -610,10 +569,7 @@ class TimerHandle:
         try:
             self.fn()
         except BaseException as exc:  # noqa: BLE001 - must capture sim faults
-            self.failure = exc
-            sim._failures.append(self)
-            if sim.fail_fast:
-                raise ProcessFailed(self.name, exc) from exc
+            raise ProcessFailed(self.name, exc) from exc
         finally:
             self.done = _DEAD
             sim._live_records -= 1
@@ -627,12 +583,11 @@ class Record(Event):
     ends (never in a :class:`DeadlockError`); it interns its event
     source from ``name``; its first step ``start`` runs in the start
     slot. A step ends in :meth:`_wait`, :meth:`_sleep`, :meth:`_finish`
-    or a ``schedule`` made elsewhere. A step that raises fails the record
-    as a process fails: ``ProcessFailed(name)`` in ``sim.failures``,
-    raised under ``fail_fast`` and delivered to its waiters.
+    or a ``schedule`` made elsewhere. A step that raises fails the run
+    as a process does: :meth:`Simulator.run` raises ``ProcessFailed(name)``.
     """
 
-    __slots__ = ("failure", "_source", "_next")
+    __slots__ = ("_source", "_next")
 
     done = _LIVE
 
@@ -643,7 +598,6 @@ class Record(Event):
         self._value: Any = None
         self._waiters: list = []
         self._callbacks: list = []
-        self.failure: Optional[BaseException] = None
         self._next = start
         sim._spawned += 1
         sim._live_records += 1
@@ -667,18 +621,11 @@ class Record(Event):
 
     def _step(self, payload: Any) -> None:
         try:
-            if payload.__class__ is _Throw:
-                raise payload.exc
             self._next(payload)
         except BaseException as exc:  # noqa: BLE001 - must capture sim faults
-            sim = self.sim
-            self.failure = exc
             self._next = None
-            sim._live_records -= 1
-            sim._failures.append(self)
-            self.trigger(_Throw(ProcessFailed(self.name, exc)))
-            if sim.fail_fast:
-                raise ProcessFailed(self.name, exc) from exc
+            self.sim._live_records -= 1
+            raise ProcessFailed(self.name, exc) from exc
 
 
 # Loop-exit reasons of :meth:`Simulator._loop`.
@@ -699,20 +646,15 @@ class Simulator:
     queues, preserving exactly the global ``(time, seq)`` order of a
     heap-only kernel.
 
-    Parameters
-    ----------
-    fail_fast:
-        When True (default) an exception inside any process aborts
-        :meth:`run` immediately with :class:`ProcessFailed`. When False,
-        failures are collected in :attr:`failures` and only waiters on the
-        failed process see the exception.
-    fuse_delays:
-        When True (the default), fused delay chains (tuple yields) and
-        timer arming collapse into single kernel wake-ups; when False
-        every chain element is replayed as its own wake-up, reproducing
-        the legacy per-yield event stream. ``None`` reads the
-        ``REPRO_FUSE`` environment variable (default on). Simulated
-        times are bit-identical either way — only event counts differ.
+    An exception inside any process, record or timer aborts :meth:`run`
+    at once with :class:`ProcessFailed`.
+
+    Fused delay chains (tuple yields) and timer arming collapse into
+    single kernel wake-ups unless the ``REPRO_FUSE`` environment
+    variable, read at construction, turns fusion off; then every chain
+    element is replayed as its own wake-up, reproducing the legacy
+    per-yield event stream. Simulated times are bit-identical either
+    way — only event counts differ.
 
     Observability lives here too: :attr:`tracer` collects categorized
     trace records and :attr:`obs` holds the typed metrics instruments.
@@ -720,19 +662,16 @@ class Simulator:
     through the ``sim`` it already holds.
     """
 
-    def __init__(
-        self,
-        fail_fast: bool = True,
-        fuse_delays: Optional[bool] = None,
-    ):
+    def __init__(self):
         self.now: float = 0.0
-        self.fail_fast = fail_fast
         self._queue: list[tuple[float, int, Any, Any]] = []
         #: Zero-delay fast lane: appended in seq order at nondecreasing
         #: times, hence always sorted by (time, seq).
         self._fast: deque[tuple[float, int, Any, Any]] = deque()
         self._seq = 0
-        self._fuse = _fuse_default() if fuse_delays is None else bool(fuse_delays)
+        self._fuse = os.environ.get(FUSE_ENV_VAR, "1").strip().lower() not in (
+            "0", "false", "off",
+        )
         #: Spawned, unfinished processes in spawn order (an insertion-
         #: ordered dict, so a deadlock report lists them the same way on
         #: every interpreter).
@@ -740,7 +679,6 @@ class Simulator:
         #: Armed timers and unfinished records; with the live processes
         #: they make up ``sim.processes_live``.
         self._live_records = 0
-        self._failures: list[Any] = []
         self._spawned = 0
         self.events_processed = 0
         #: Kernel wake-ups saved by delay fusion (chain elements folded
@@ -763,11 +701,6 @@ class Simulator:
         #: Typed metrics instruments of this simulation (see
         #: :mod:`repro.obs.metrics`); disabled by default.
         self.obs = MetricsRegistry()
-
-    @property
-    def fuse_delays(self) -> bool:
-        """Whether delay chains are fused into single wake-ups."""
-        return self._fuse
 
     # -- process management -------------------------------------------------
 
@@ -820,11 +753,6 @@ class Simulator:
 
     def signal(self, name: str = "signal") -> Signal:
         return Signal(self, name)
-
-    @property
-    def failures(self) -> list:
-        """Failed processes, timer handles and records (``name``, ``failure``)."""
-        return list(self._failures)
 
     def metrics_snapshot(self) -> dict[str, float]:
         """Kernel-level counters for the unified observability surface.

@@ -95,12 +95,12 @@ class Link:
 
     # -- blocking transfer ---------------------------------------------------
 
-    def transfer(self, nbytes: int, extra_overhead_ns: float = 0.0) -> Generator:
+    def transfer(self, nbytes: int) -> Generator:
         """Coroutine: move ``nbytes`` and resume once they have arrived."""
         if self.faults is not None:
-            yield self.faults.post(nbytes, None, None, extra_overhead_ns)
+            yield self.faults.post(nbytes, None, None, 0.0)
             return
-        arrival = self._occupy(nbytes, extra_overhead_ns)
+        arrival = self._occupy(nbytes)
         yield arrival - self.sim.now
 
     # -- posted (pipelined) transfer ------------------------------------------

@@ -196,40 +196,28 @@ class StaticPolicy(SchemePolicy):
 class ThresholdPolicy(SchemePolicy):
     """Three-band size rule generalizing the §3.3 direct threshold.
 
-    * ``nbytes <= direct_bytes`` — route onto the vDMA scheme, whose
-      per-scheme direct threshold (§3.3: 128 B) then engages the
+    * ``nbytes <= DIRECT_BYTES`` (64 B) — route onto the vDMA scheme,
+      whose per-scheme direct threshold (§3.3: 128 B) then engages the
       direct-transfer path: payload pushed by the core itself, no
       vDMA programming or cache machinery;
-    * ``nbytes > vdma_cutover`` — the vDMA scheme: its double-buffered
-      slots pipeline multi-chunk messages past the MPB cliff (§4.1);
+    * ``nbytes > route.chunk_bytes`` — the vDMA scheme: its
+      double-buffered slots pipeline multi-chunk messages past the MPB
+      cliff (§4.1). The cutover is the communication buffer's
+      single-transfer capacity (7680 B on the default geometry), so
+      exactly the messages that need more than one chunk — where the
+      8 kB cliff would bite — go to the vDMA engine;
     * in between — the cached-get scheme (local put / remote get via
       the host software cache), whose announce+prefetch protocol wins
       the single-chunk band (Fig 6b crossover).
-
-    ``vdma_cutover=None`` (the default) tracks the communication
-    buffer's single-transfer capacity (``Route.chunk_bytes``, 7680 B on
-    the default geometry): exactly the messages that need more than one
-    chunk — where the 8 kB cliff would bite — go to the vDMA engine.
     """
 
     name = "threshold"
 
-    def __init__(
-        self,
-        direct_bytes: int = 64,
-        vdma_cutover: Optional[int] = None,
-        cross_host_affinity: str = "src",
-    ):
+    #: Messages up to this many bytes take the vDMA scheme's direct path.
+    DIRECT_BYTES = 64
+
+    def __init__(self, cross_host_affinity: str = "src"):
         self.cross_host_affinity = _check_affinity(cross_host_affinity)
-        if direct_bytes < 0:
-            raise ValueError(f"direct_bytes must be >= 0, got {direct_bytes}")
-        if vdma_cutover is not None and vdma_cutover < direct_bytes:
-            raise ValueError(
-                f"vdma_cutover ({vdma_cutover}) must not undercut "
-                f"direct_bytes ({direct_bytes})"
-            )
-        self.direct_bytes = direct_bytes
-        self.vdma_cutover = vdma_cutover
 
     @property
     def schemes(self) -> tuple[CommScheme, ...]:
@@ -241,12 +229,7 @@ class ThresholdPolicy(SchemePolicy):
     def choose(
         self, src_rank: int, dst_rank: int, nbytes: int, route: Route
     ) -> CommScheme:
-        if nbytes <= self.direct_bytes:
-            return CommScheme.LOCAL_PUT_LOCAL_GET_VDMA
-        cutover = (
-            route.chunk_bytes if self.vdma_cutover is None else self.vdma_cutover
-        )
-        if nbytes > cutover:
+        if nbytes <= self.DIRECT_BYTES or nbytes > route.chunk_bytes:
             return CommScheme.LOCAL_PUT_LOCAL_GET_VDMA
         return CommScheme.LOCAL_PUT_REMOTE_GET
 
@@ -275,13 +258,15 @@ class AdaptivePolicy(SchemePolicy):
 
     name = "adaptive"
 
+    #: Weight of a new throughput sample in a route's EWMA.
+    ALPHA = 0.25
+
     def __init__(
         self,
         candidates: Sequence[CommScheme] = (
             CommScheme.LOCAL_PUT_REMOTE_GET,
             CommScheme.LOCAL_PUT_LOCAL_GET_VDMA,
         ),
-        alpha: float = 0.25,
         probe_every: int = 32,
         cross_host_affinity: str = "src",
     ):
@@ -291,12 +276,9 @@ class AdaptivePolicy(SchemePolicy):
             raise ValueError("AdaptivePolicy needs at least one candidate scheme")
         if len(set(candidates)) != len(candidates):
             raise ValueError(f"duplicate candidate schemes: {candidates}")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         if probe_every < 0:
             raise ValueError(f"probe_every must be >= 0, got {probe_every}")
         self.candidates = candidates
-        self.alpha = alpha
         self.probe_every = probe_every
         #: (src_device, dst_device, size_class) -> {scheme: ewma bytes/ns}
         self._ewma: dict[tuple[int, int, int], dict[CommScheme, float]] = {}
@@ -346,5 +328,5 @@ class AdaptivePolicy(SchemePolicy):
         table[scheme] = (
             throughput
             if prev is None
-            else prev + self.alpha * (throughput - prev)
+            else prev + self.ALPHA * (throughput - prev)
         )

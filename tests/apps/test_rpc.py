@@ -286,26 +286,6 @@ def test_cache_capacity_evicts_lru():
     assert cache.evictions == 7
 
 
-def test_cache_off_emits_no_series_and_costs_full_serialization():
-    # Two widely spaced same-method calls: the repeat is a cache hit
-    # (cheap template reuse) with nothing else on the critical path —
-    # a tight burst would bottleneck on the down cable and a deadline
-    # flush would mask the serialization savings behind the timer.
-    calls = [
-        RpcCall(0, 0, 0.0, 64, 64, "m0"),
-        RpcCall(1, 0, 500_000.0, 64, 64, "m0"),
-    ]
-    system_on = vdma_system()
-    on = run_rpc(system_on, calls, RpcParams(cache=True, batch_bytes=32))
-    system_off = vdma_system()
-    off = run_rpc(system_off, calls, RpcParams(cache=False, batch_bytes=32))
-    assert not any("rpc.cache" in k for k in system_off.metrics)
-    assert any("rpc.cache" in k for k in system_on.metrics)
-    # Same outcome, strictly more simulated time without the cache.
-    assert on.digest == off.digest
-    assert system_off.sim.now > system_on.sim.now
-
-
 def test_cache_lookup_hits_misses_and_evicts():
     cache = SerializationCache(capacity=2)
     assert cache.lookup("a") is False
@@ -591,8 +571,9 @@ def call_of(req_id, resp_bytes, method=None):
 def test_descriptors_arriving_mid_call_are_served_fifo_after_it(fuse):
     system = vdma_system()
     system.sim.tracer.enable("rpc")
-    params = RpcParams(cache=False, batch_bytes=1)
+    params = RpcParams(batch_bytes=1)
     dispatcher = install_rpc(system, params)
+    # Every call has its own method, so each one misses the cache.
     # The first call serializes from 0 to 1600 ns. Two descriptors land
     # together at 100 ns and one more at 900 ns, all while it runs.
     deliver_at(system, dispatcher, [
@@ -607,19 +588,20 @@ def test_descriptors_arriving_mid_call_are_served_fifo_after_it(fuse):
     assert_served_back_to_back(order, params)
 
 
-def test_cache_off_charges_the_full_cost_for_every_call(fuse):
+def test_repeats_of_one_method_charge_the_cache_hit_cost(fuse):
     system = vdma_system()
     system.sim.tracer.enable("rpc")
-    params = RpcParams(cache=False, batch_bytes=1)
+    params = RpcParams(batch_bytes=1)
     dispatcher = install_rpc(system, params)
-    # One method throughout: with the cache on, every repeat would hit.
+    # One method throughout: the first call misses, every repeat hits.
     calls = [call_of(i, 64 * (i + 1), method="m0") for i in range(4)]
     deliver_at(system, dispatcher, [(0.0, calls[:2]), (10.0, calls[2:])])
     system.sim.run()
     order = serve_order(system)
     assert [size for _, size in order] == [64, 128, 192, 256]
-    assert_served_back_to_back(order, params)
-    assert dispatcher.cache.hits == dispatcher.cache.misses == 0
+    t = params.serialize_floor_ns + params.serialize_ns_per_byte * 64
+    assert [instant for instant, _ in order] == [t + k * params.cache_hit_ns for k in range(4)]
+    assert (dispatcher.cache.hits, dispatcher.cache.misses) == (3, 1)
 
 
 def test_client_whose_responses_never_come_is_named_in_the_deadlock(fuse):

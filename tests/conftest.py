@@ -8,7 +8,7 @@ import pytest
 
 from repro.rcce.session import RcceSession
 from repro.scc.chip import SCCDevice
-from repro.sim.engine import Simulator
+from repro.sim.engine import FUSE_ENV_VAR, Simulator
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
@@ -43,6 +43,19 @@ def repro_env_leak_check():
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()
+
+
+@pytest.fixture
+def make_sim(monkeypatch):
+    """``make_sim(fuse)``: a new :class:`Simulator` on the fused (True)
+    or the unfused (False) event stream. ``REPRO_FUSE`` is the one
+    fusion switch, so this sets it for the rest of the test."""
+
+    def build(fuse: bool) -> Simulator:
+        monkeypatch.setenv(FUSE_ENV_VAR, "1" if fuse else "0")
+        return Simulator()
+
+    return build
 
 
 @pytest.fixture

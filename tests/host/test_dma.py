@@ -40,19 +40,26 @@ def test_pull_delivers_granules_in_order(rig):
 
 
 def test_push_commits_progressively(rig):
+    """Each granule lands in device memory at its own arrival: a watcher
+    on a granule's last byte sees the payload up to it and none past it."""
     sim, dev, dma = rig
-    payload = (np.arange(4000) % 251).astype(np.uint8)
+    base = MpbAddr(0, 7, 0)
+    payload = (np.arange(4000) % 250 + 1).astype(np.uint8)
     progress = []
 
-    def prog():
-        yield dma.push(
-            MpbAddr(0, 7, 0), payload, on_granule=lambda i, end: progress.append(end)
-        )
+    def watcher(end):
+        yield dev.mpb.watch(base + (end - 1))
+        progress.append((end, int(np.count_nonzero(dev.mpb.read(base, 4000)))))
 
+    def prog():
+        yield dma.push(base, payload)
+
+    for end in (1920, 3840, 4000):
+        sim.spawn(watcher(end))
     sim.spawn(prog())
     sim.run()
-    assert progress == [1920, 3840, 4000]
-    assert (dev.mpb.read(MpbAddr(0, 7, 0), 4000) == payload).all()
+    assert progress == [(1920, 1920), (3840, 3840), (4000, 4000)]
+    assert (dev.mpb.read(base, 4000) == payload).all()
 
 
 def test_granule_override(rig):
@@ -98,10 +105,10 @@ def test_throughput_includes_descriptor_setup(rig):
 
 
 @pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
-def test_pull_samples_memory_in_its_start_slot(fuse):
+def test_pull_samples_memory_in_its_start_slot(fuse, make_sim):
     """A same-instant write made after ``pull`` is called, but before the
     pull's start slot, is in the pulled data."""
-    sim = Simulator(fuse_delays=fuse)
+    sim = make_sim(fuse)
     dev = SCCDevice(sim)
     dev.boot()
     dma = DMAEngine(PCIeCable(sim, PCIeParams(), dev), granule=1920)

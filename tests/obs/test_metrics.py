@@ -65,7 +65,8 @@ def test_counter_and_gauge_respect_enabled_flag():
     gauge.set(5.0)
     assert counter.value == 0.0 and gauge.value == 0.0  # disabled by default
     reg.enabled = True
-    counter.inc(2.0)
+    counter.inc()
+    counter.inc()
     gauge.set(5.0)
     gauge.add(-1.0)
     assert counter.value == 2.0
@@ -130,7 +131,8 @@ def test_percentile_is_the_histograms_interpolation():
 
 def test_snapshot_expands_histograms():
     reg = MetricsRegistry(enabled=True)
-    reg.counter("events", device=0).inc(3)
+    for _ in range(3):
+        reg.counter("events", device=0).inc()
     hist = reg.histogram("wait", device=0)
     hist.observe(1.0)
     hist.observe(3.0)

@@ -12,7 +12,7 @@ from repro.rcce.malloc import MpbAllocator, OutOfMpbError
 from repro.scc.mesh import XYRouter
 from repro.scc.params import SCCParams
 from repro.sim.clock import Clock
-from repro.sim.engine import Simulator
+from repro.sim.engine import FUSE_ENV_VAR, Simulator
 from repro.sim.resources import Link
 
 
@@ -127,15 +127,18 @@ def test_fused_chain_time_is_bitwise_the_sequential_sum(delays):
         for d in delays:
             yield d
 
-    fused = Simulator(fuse_delays=True)
-    fused.spawn(fused_prog())
-    fused.run()
-    unfused = Simulator(fuse_delays=False)
-    unfused.spawn(fused_prog())
-    unfused.run()
-    plain = Simulator()
-    plain.spawn(sequential_prog())
-    plain.run()
+    def run(fuse, prog):
+        # REPRO_FUSE is read at construction.
+        with pytest.MonkeyPatch.context() as env:
+            env.setenv(FUSE_ENV_VAR, "1" if fuse else "0")
+            sim = Simulator()
+        sim.spawn(prog())
+        sim.run()
+        return sim
+
+    fused = run(True, fused_prog)
+    unfused = run(False, fused_prog)
+    plain = run(True, sequential_prog)
 
     expected = 0.0
     for d in delays:

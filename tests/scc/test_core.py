@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import repro.scc.core
 from repro.scc.chip import SCCDevice
 from repro.scc.mpb import MpbAddr
 from repro.sim.engine import Simulator
-from repro.sim.errors import SimulationError
+from repro.sim.errors import ProcessFailed, SimulationError
 
 
 @pytest.fixture
@@ -133,22 +134,45 @@ def test_wait_flag_rejects_remote_flag(dev):
         dev.sim.run()
 
 
-def test_wait_flag_timeout(dev):
-    flag = dev.core(0).local_addr(8000)
+def _run_past_the_flag_guard(dev, monkeypatch, waiter, flag):
+    """Run ``waiter`` on core 0 against a poller on core 1 that keeps
+    writing a wrong value to ``flag``, with the flag-wait guard lowered
+    to 1 ms; return the cause of the run's failure."""
+    monkeypatch.setattr(repro.scc.core, "DEFAULT_FLAG_TIMEOUT_NS", 1e6)
 
-    def waiter():
-        yield from dev.core(0).wait_flag(flag, 1, timeout_ns=1e6)
-
-    # A poller that keeps the queue alive but never sets the flag value.
     def noise():
         for _ in range(300):
             yield from dev.core(1).compute(cycles=5000)
             dev.mpb.write_byte(flag, 0)  # wrong value, wakes the watcher
 
-    dev.sim.spawn(waiter())
-    dev.sim.spawn(noise())
-    with pytest.raises(Exception):
+    dev.sim.spawn(waiter(), "waiter")
+    dev.sim.spawn(noise(), "noise")
+    with pytest.raises(ProcessFailed, match="'waiter' failed") as failed:
         dev.sim.run()
+    assert 1e6 < dev.sim.now < 2e6
+    return failed.value.__cause__
+
+
+def test_wait_flag_timeout(dev, monkeypatch):
+    flag = dev.core(0).local_addr(8000)
+
+    def waiter():
+        yield from dev.core(0).wait_flag(flag, 1)
+
+    cause = _run_past_the_flag_guard(dev, monkeypatch, waiter, flag)
+    assert type(cause) is SimulationError
+    assert str(cause).startswith("flag wait timed out: dev 0 core 0")
+
+
+def test_wait_any_flag_timeout(dev, monkeypatch):
+    flags = [dev.core(0).local_addr(8000), dev.core(0).local_addr(8001)]
+
+    def waiter():
+        yield from dev.core(0).wait_any_flag([(f, lambda v: v == 1) for f in flags])
+
+    cause = _run_past_the_flag_guard(dev, monkeypatch, waiter, flags[0])
+    assert type(cause) is SimulationError
+    assert str(cause) == "wait_any_flag timed out on core 0"
 
 
 def test_compute_flops(dev):

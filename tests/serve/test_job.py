@@ -147,34 +147,6 @@ class TestExecuteJob:
         assert "payload corrupted at size 256" in excinfo.value.message
         assert len(echoes) == 2
 
-    def test_rpc_job_sets_only_the_dispatcher_knobs(self, monkeypatch):
-        import repro.apps.rpc as rpc
-
-        real_run_rpc = rpc.run_rpc
-        seen = []
-
-        def spying_run_rpc(system, calls, params):
-            seen.append(params)
-            return real_run_rpc(system, calls, params)
-
-        monkeypatch.setattr(rpc, "run_rpc", spying_run_rpc)
-        knobs = {
-            "coalesce_bytes": 64,
-            "coalesce_max": 4,
-            "batch_bytes": 1024,
-            "flush_deadline_ns": 10_000.0,
-            "cache": False,
-        }
-        spec = JobSpec(
-            workload="rpc",
-            params={"nranks": 2, "calls_per_rank": 4, "cache_capacity": 3, **knobs},
-            num_devices=2,
-        )
-        execute_job(spec)
-        (params,) = seen
-        assert {k: getattr(params, k) for k in knobs} == knobs
-        assert params.cache_capacity == rpc.RpcParams().cache_capacity
-
     def test_abort_between_chunks(self):
         abort = threading.Event()
         abort.set()

@@ -124,7 +124,8 @@ class TestFairShare:
         with pytest.raises(ValueError):
             FairShareScheduler(weights={"a": 0.0})
         with pytest.raises(ValueError):
-            FairShareScheduler(default_weight=-1.0)
+            FairShareScheduler(weights={"a": 2.0, "b": -1.0})
+        assert FairShareScheduler(weights={"a": 2.0}).weight("b") == 1.0
 
 
 class TestRemove:

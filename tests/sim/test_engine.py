@@ -100,34 +100,27 @@ def test_wait_on_process_returns_its_value():
     assert p.result == "done!"
 
 
-def test_process_failure_propagates_to_waiter():
-    sim = Simulator(fail_fast=False)
-
-    def child():
-        yield 1.0
-        raise RuntimeError("boom")
-
-    def parent(child_proc):
-        yield child_proc
-
-    c = sim.spawn(child())
-    p = sim.spawn(parent(c))
-    sim.run()
-    assert c.failure is not None
-    assert p.failure is not None
-    assert isinstance(p.failure, ProcessFailed)
-
-
 def test_fail_fast_raises_from_run():
-    sim = Simulator(fail_fast=True)
+    """A failing process fails the run at once, under its own name and
+    with its exception as the cause; a process waiting on it never
+    resumes."""
+    sim = Simulator()
+    resumed = []
 
     def bad():
         yield 1.0
         raise ValueError("bad")
 
-    sim.spawn(bad())
-    with pytest.raises(ProcessFailed):
+    def waiter(proc):
+        yield proc
+        resumed.append(sim.now)
+
+    sim.spawn(waiter(sim.spawn(bad(), "bad")), "waiter")
+    with pytest.raises(ProcessFailed, match="'bad' failed") as failed:
         sim.run()
+    assert failed.value.process_name == "bad"
+    assert repr(failed.value.__cause__) == "ValueError('bad')"
+    assert (sim.now, resumed) == (1.0, [])
 
 
 def test_invalid_yield_detected():

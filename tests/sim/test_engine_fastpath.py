@@ -144,8 +144,8 @@ NAN = float("nan")
     ],
     ids=["bare", "chain-tail", "chain-head"],
 )
-def test_nan_yield_is_invalid(command, message, fuse):
-    sim = Simulator(fuse_delays=fuse)
+def test_nan_yield_is_invalid(command, message, fuse, make_sim):
+    sim = make_sim(fuse)
     woken = []
 
     def other():
@@ -164,8 +164,8 @@ def test_nan_yield_is_invalid(command, message, fuse):
 
 
 @pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
-def test_nan_tail_of_a_waitable_headed_chain_is_invalid(fuse):
-    sim = Simulator(fuse_delays=fuse)
+def test_nan_tail_of_a_waitable_headed_chain_is_invalid(fuse, make_sim):
+    sim = make_sim(fuse)
     sig = sim.signal()
 
     def prog():

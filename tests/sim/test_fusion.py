@@ -1,7 +1,8 @@
 """Delay-fusion semantics: fused chains must be invisible except in speed.
 
-Every test here runs the same program under ``fuse_delays=True`` and
-``fuse_delays=False`` and demands bitwise-identical simulated time —
+Every test here runs the same program fused and unfused (``REPRO_FUSE``
+on and off, through the ``make_sim`` fixture) and demands
+bitwise-identical simulated time —
 the soundness contract of DESIGN.md §12. Event counts are the one
 sanctioned difference (fusing collapses wake-ups).
 """
@@ -23,7 +24,7 @@ def _bits(x: float) -> bytes:
 # -- pure-delay chains ---------------------------------------------------------
 
 
-def test_fused_chain_matches_sequential_yields_bitwise():
+def test_fused_chain_matches_sequential_yields_bitwise(make_sim):
     delays = (0.1, 0.2, 0.30000000000000004, 1e-9, 7.25)
 
     def chain():
@@ -33,10 +34,10 @@ def test_fused_chain_matches_sequential_yields_bitwise():
         for d in delays:
             yield d
 
-    fused = Simulator(fuse_delays=True)
+    fused = make_sim(True)
     fused.spawn(chain())
     fused.run()
-    unfused = Simulator(fuse_delays=False)
+    unfused = make_sim(False)
     unfused.spawn(chain())
     unfused.run()
     plain = Simulator()
@@ -49,17 +50,17 @@ def test_fused_chain_matches_sequential_yields_bitwise():
     assert unfused.fused_yields == 0
 
 
-def test_fused_chain_rejects_negative_element():
+def test_fused_chain_rejects_negative_element(make_sim):
     def prog():
         yield (1.0, -0.5, 2.0)
 
-    sim = Simulator(fuse_delays=True)
+    sim = make_sim(True)
     sim.spawn(prog())
     with pytest.raises((InvalidYield, SimulationError)):
         sim.run()
 
 
-def test_empty_and_singleton_chains():
+def test_empty_and_singleton_chains(make_sim):
     log = []
 
     def prog():
@@ -69,7 +70,7 @@ def test_empty_and_singleton_chains():
         log.append(("done", None))
 
     for fuse in (True, False):
-        sim = Simulator(fuse_delays=fuse)
+        sim = make_sim(fuse)
         sim.spawn(prog())
         sim.run()
         assert sim.now == 4.0
@@ -79,11 +80,11 @@ def test_empty_and_singleton_chains():
 # -- waitable-headed chains ----------------------------------------------------
 
 
-def test_event_headed_chain_wakes_at_trigger_plus_tail():
+def test_event_headed_chain_wakes_at_trigger_plus_tail(make_sim):
     """yield (event, d) resumes at trigger_time + d, bitwise, both modes."""
     results = {}
     for fuse in (True, False):
-        sim = Simulator(fuse_delays=fuse)
+        sim = make_sim(fuse)
         ev = sim.event()
 
         def waiter():
@@ -101,7 +102,7 @@ def test_event_headed_chain_wakes_at_trigger_plus_tail():
     assert results[True] == (2.5 + 0.75) + 0.125
 
 
-def test_event_headed_chain_discards_the_head_value():
+def test_event_headed_chain_discards_the_head_value(make_sim):
     """The resume delivers None — only value-free waits may head a chain."""
     seen = []
 
@@ -110,7 +111,7 @@ def test_event_headed_chain_discards_the_head_value():
         seen.append(got)
 
     for fuse in (True, False):
-        sim = Simulator(fuse_delays=fuse)
+        sim = make_sim(fuse)
         ev = sim.event()
         sim.spawn(waiter(sim, ev))
         sim.call_at(1.0, lambda ev=ev: ev.trigger("ignored"))
@@ -118,10 +119,10 @@ def test_event_headed_chain_discards_the_head_value():
     assert seen == [None, None]
 
 
-def test_event_headed_chain_on_already_triggered_event():
+def test_event_headed_chain_on_already_triggered_event(make_sim):
     results = {}
     for fuse in (True, False):
-        sim = Simulator(fuse_delays=fuse)
+        sim = make_sim(fuse)
         ev = sim.event()
         ev.trigger("early")
 
@@ -135,35 +136,34 @@ def test_event_headed_chain_on_already_triggered_event():
     assert results[True] == 0.75
 
 
-def test_process_headed_chain_propagates_failure():
-    """A failed awaited process raises in the waiter; the tail is skipped."""
+def test_process_headed_chain_propagates_failure(make_sim):
+    """A failed awaited process fails the run at the failure instant; the
+    waiter parked on it never resumes and its tail is never charged."""
 
     from repro.sim.errors import ProcessFailed
 
     for fuse in (True, False):
-        sim = Simulator(fuse_delays=fuse, fail_fast=False)
+        sim = make_sim(fuse)
 
         def failing():
             yield 1.0
             raise RuntimeError("dead")
 
-        proc = sim.spawn(failing())
-        caught = []
+        proc = sim.spawn(failing(), "failing")
+        resumed = []
 
         def waiter():
-            try:
-                yield (proc, 100.0)
-            except ProcessFailed:
-                caught.append(sim.now)
+            yield (proc, 100.0)
+            resumed.append(sim.now)
 
-        sim.spawn(waiter())
-        sim.run()
-        # The exception arrives at the failure instant — the 100 ns tail
-        # must NOT be charged on the error path.
-        assert caught == [1.0]
+        sim.spawn(waiter(), "waiter")
+        with pytest.raises(ProcessFailed, match="'failing' failed") as failed:
+            sim.run()
+        assert isinstance(failed.value.__cause__, RuntimeError)
+        assert (sim.now, resumed) == (1.0, [])
 
 
-def test_signal_headed_chain_parks_once_per_pulse():
+def test_signal_headed_chain_parks_once_per_pulse(make_sim):
     woken = []
 
     def waiter(sim, sig):
@@ -174,7 +174,7 @@ def test_signal_headed_chain_parks_once_per_pulse():
     ends = {}
     for fuse in (True, False):
         woken.clear()
-        sim = Simulator(fuse_delays=fuse)
+        sim = make_sim(fuse)
         sig = sim.signal()
 
         def pulser():
@@ -192,9 +192,9 @@ def test_signal_headed_chain_parks_once_per_pulse():
 # -- fused call_at -------------------------------------------------------------
 
 
-def test_call_at_fires_callback_at_the_instant_under_fusion():
+def test_call_at_fires_callback_at_the_instant_under_fusion(make_sim):
     for fuse in (True, False):
-        sim = Simulator(fuse_delays=fuse)
+        sim = make_sim(fuse)
         seen = []
         sim.call_at(5.0, lambda s=seen: s.append(sim.now))
 
@@ -206,8 +206,8 @@ def test_call_at_fires_callback_at_the_instant_under_fusion():
         assert seen == [5.0]
 
 
-def test_call_at_callbacks_are_attributed_to_their_own_source():
-    sim = Simulator(fuse_delays=True)
+def test_call_at_callbacks_are_attributed_to_their_own_source(make_sim):
+    sim = make_sim(True)
     sim.call_at(1.0, lambda: None)
     sim.call_at(2.0, lambda: None)
 

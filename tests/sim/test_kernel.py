@@ -81,10 +81,10 @@ def test_single_lane_kernel_degenerates_to_lane_zero():
 
 
 @pytest.mark.parametrize("spec", KERNELS)
-def test_mixed_program_identical_across_backends(spec):
+def test_mixed_program_identical_across_backends(spec, make_sim):
     """The fused event stream and the unfused oracle agree on the log."""
-    log_f, now_f, events_f = _replay(Simulator(fuse_delays=True))
-    log_u, now_u, events_u = _replay(Simulator(fuse_delays=False))
+    log_f, now_f, events_f = _replay(make_sim(True))
+    log_u, now_u, events_u = _replay(make_sim(False))
     assert log_f == log_u
     assert now_f == now_u == 3.5
     assert events_f <= events_u
@@ -211,30 +211,40 @@ def test_spec_errors():
         JobSpec(workload="spin", tenant="t", kernel="serial")
 
 
+def _fuses(sim) -> bool:
+    """Whether ``sim`` folds a two-element delay chain into one wake-up."""
+    sim.spawn(chain for chain in [(1.0, 1.0)])
+    sim.run()
+    return sim.fused_yields == 1
+
+
 def test_spec_case_and_whitespace_insensitive(monkeypatch):
     """``REPRO_FUSE`` values are read case- and whitespace-insensitively."""
     for value in ("0", " 0 ", "false", "FALSE", " Off "):
         monkeypatch.setenv(FUSE_ENV_VAR, value)
-        assert Simulator().fuse_delays is False, value
+        assert not _fuses(Simulator()), value
     for value in ("1", " 1 ", "on", "TRUE", ""):
         monkeypatch.setenv(FUSE_ENV_VAR, value)
-        assert Simulator().fuse_delays is True, value
+        assert _fuses(Simulator()), value
 
 
 def test_env_var_selects_backend_for_systems(monkeypatch):
     """``REPRO_FUSE`` is the one switch that picks the event stream of
-    systems, sessions and served jobs; none takes a per-instance override."""
+    bare kernels, systems, sessions and served jobs; none takes a
+    per-instance override."""
     from repro.rcce.session import RcceSession
     from repro.serve import JobSpec
     from repro.vscc.system import VSCCSystem
 
     monkeypatch.setenv(FUSE_ENV_VAR, "0")
-    assert VSCCSystem(num_devices=2).sim.fuse_delays is False
-    assert RcceSession().sim.fuse_delays is False
+    assert not _fuses(VSCCSystem(num_devices=2).sim)
+    assert not _fuses(RcceSession().sim)
 
     monkeypatch.setenv(FUSE_ENV_VAR, "1")
-    assert VSCCSystem(num_devices=2).sim.fuse_delays is True
-    assert RcceSession().sim.fuse_delays is True
+    assert _fuses(VSCCSystem(num_devices=2).sim)
+    assert _fuses(RcceSession().sim)
+    with pytest.raises(TypeError):
+        Simulator(fuse_delays=False)
     with pytest.raises(TypeError):
         VSCCSystem(num_devices=2, fuse_delays=False)
     with pytest.raises(TypeError):

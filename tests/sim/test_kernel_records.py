@@ -97,8 +97,8 @@ PINNED_LOG = [
 
 
 @pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
-def test_record_event_stream_is_pinned(fuse):
-    sim = Simulator(fuse_delays=fuse)
+def test_record_event_stream_is_pinned(fuse, make_sim):
+    sim = make_sim(fuse)
     log = _record_program(sim)
     sim.run()
     snap = sim.metrics_snapshot()
@@ -114,8 +114,8 @@ def test_record_event_stream_is_pinned(fuse):
 
 
 @pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
-def test_timer_handle_truth_table(fuse):
-    sim = Simulator(fuse_delays=fuse)
+def test_timer_handle_truth_table(fuse, make_sim):
+    sim = make_sim(fuse)
     states = {}
 
     def state(handle):
@@ -156,27 +156,19 @@ def test_timer_callback_failure_fails_fast_under_the_daemon_name():
         raise RuntimeError("watchdog bug")
 
     handle = sim.after(5.0, boom, name="dog")
-    with pytest.raises(ProcessFailed, match="daemon:dog"):
+    later = sim.after(6.0, lambda: None)
+    with pytest.raises(ProcessFailed, match="'daemon:dog' failed") as failed:
         sim.run()
+    assert failed.value.process_name == handle.name == "daemon:dog"
+    assert repr(failed.value.__cause__) == "RuntimeError('watchdog bug')"
     assert handle.fired and not handle.active
-    assert isinstance(handle.failure, RuntimeError)
-    assert sim.metrics_snapshot()["sim.processes_live"] == 0.0
-
-
-def test_timer_callback_failure_is_collected_without_fail_fast():
-    sim = Simulator(fail_fast=False)
-    handle = sim.after(5.0, lambda: 1 / 0, name="dog")
-    sim.after(6.0, lambda: None)
-    sim.run()
-    assert sim.now == 6.0
-    assert sim.failures == [handle]
-    assert handle.name == "daemon:dog"
-    assert isinstance(handle.failure, ZeroDivisionError)
+    assert sim.now == 5.0 and later.active
+    assert sim.metrics_snapshot()["sim.processes_live"] == 1.0
 
 
 @pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
-def test_trigger_at_runs_before_then_triggers_with_the_value(fuse):
-    sim = Simulator(fuse_delays=fuse)
+def test_trigger_at_runs_before_then_triggers_with_the_value(fuse, make_sim):
+    sim = make_sim(fuse)
     seen = []
     event = sim.trigger_at(12.5, value="payload", before=lambda: seen.append(sim.now))
     assert not event.triggered
@@ -222,8 +214,8 @@ class _Steps(Record):
 
 
 @pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
-def test_record_takes_a_spawns_start_slot_and_source(fuse):
-    sim = Simulator(fuse_delays=fuse)
+def test_record_takes_a_spawns_start_slot_and_source(fuse, make_sim):
+    sim = make_sim(fuse)
     event = sim.event()
     order = []
 
@@ -264,39 +256,26 @@ def test_record_takes_a_spawns_start_slot_and_source(fuse):
 
 
 @pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
-def test_record_failure_fails_fast_under_its_daemon_name(fuse):
-    sim = Simulator(fuse_delays=fuse)
+def test_record_failure_fails_fast_under_its_daemon_name(fuse, make_sim):
+    sim = make_sim(fuse)
     event = sim.event()
     record = _Steps(sim, event, fail=True)
     sim.call_at(8.0, event.trigger)
-    with pytest.raises(ProcessFailed, match="daemon:steps.e0") as failed:
-        sim.run()
-    assert isinstance(failed.value.__cause__, RuntimeError)
-    assert isinstance(record.failure, RuntimeError)
-    assert sim.now == 8.0
-    assert sim.failures == [record]
-    assert sim.metrics_snapshot()["sim.processes_live"] == 0.0
-
-
-@pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
-def test_record_failure_is_collected_without_fail_fast(fuse):
-    sim = Simulator(fail_fast=False, fuse_delays=fuse)
-    event = sim.event()
-    record = _Steps(sim, event, fail=True)
-    sim.call_at(8.0, event.trigger)
+    resumed = []
 
     def waiter():
         yield record
+        resumed.append(sim.now)
 
-    proc = sim.spawn(waiter(), "waiter")
-    sim.run()
-    assert sim.failures == [record, proc]
-    assert record.name == "daemon:steps.e0"
-    assert isinstance(record.failure, RuntimeError)
-    # Its waiter sees the failure, as a waiter on a failed process does.
-    assert isinstance(proc.failure, ProcessFailed)
-    assert proc.failure.process_name == "daemon:steps.e0"
-    assert sim.metrics_snapshot()["sim.processes_live"] == 0.0
+    sim.spawn(waiter(), "waiter")
+    with pytest.raises(ProcessFailed, match="'daemon:steps.e0' failed") as failed:
+        sim.run()
+    assert failed.value.process_name == record.name
+    assert repr(failed.value.__cause__) == "RuntimeError('engine bug')"
+    assert (sim.now, resumed) == (8.0, [])
+    assert record.log[-1] == (2, 8.0) and not record.triggered
+    # The record is over; its waiter stays parked.
+    assert sim.metrics_snapshot()["sim.processes_live"] == 1.0
 
 
 def test_parked_record_counts_as_live_but_never_deadlocks():

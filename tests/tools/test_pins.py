@@ -19,13 +19,18 @@ def delay_chain() -> dict:
     return {"t": sim.now, "events": sim.events_processed, **sim.metrics_snapshot()}
 
 
+def fused_kernel() -> dict:
+    """Whether a new kernel fuses delay chains (moved by the unfused replay)."""
+    return {"fused": delay_chain()["kernel.fused_yields"] > 0, "events": 1}
+
+
 def fusion_setting() -> dict:
     """The fusion switch as the replaying process sees it."""
     return {"fuse": os.environ.get(FUSE_ENV_VAR)}
 
 
 def test_fusion_invariant_field_moved_by_fusion_fails_and_is_named():
-    case = {"flag": lambda: {"fused": Simulator().fuse_delays, "events": 1}}
+    case = {"flag": fused_kernel}
     _fresh, failures = pins.run(case, {"flag": {"fused": True, "events": 1}})
     assert failures[0].startswith("run: unfused replay differs")
     assert failures[1:] == ["    flag.fused: True -> False"]

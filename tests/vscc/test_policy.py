@@ -128,22 +128,23 @@ def test_threshold_matches_best_fixed_scheme_at_every_size():
 
 
 def test_threshold_band_rule():
-    policy = ThresholdPolicy(direct_bytes=64)
+    policy = ThresholdPolicy()
     route = Route(src_device=0, dst_device=1, chunk_bytes=7680)
     assert policy.choose(0, 48, 64, route) is VDMA       # direct band
     assert policy.choose(0, 48, 65, route) is CACHED     # mid band
     assert policy.choose(0, 48, 7680, route) is CACHED   # last single-chunk size
     assert policy.choose(0, 48, 7681, route) is VDMA     # past the cliff
-    explicit = ThresholdPolicy(direct_bytes=0, vdma_cutover=4096)
-    assert explicit.choose(0, 48, 4096, route) is CACHED
-    assert explicit.choose(0, 48, 4097, route) is VDMA
+    # The cutover is the route's chunk size, whatever the geometry.
+    small = Route(src_device=0, dst_device=1, chunk_bytes=4096)
+    assert policy.choose(0, 48, 4096, small) is CACHED
+    assert policy.choose(0, 48, 4097, small) is VDMA
 
 
 def test_threshold_validation():
-    with pytest.raises(ValueError, match="direct_bytes"):
-        ThresholdPolicy(direct_bytes=-1)
-    with pytest.raises(ValueError, match="undercut"):
-        ThresholdPolicy(direct_bytes=256, vdma_cutover=128)
+    with pytest.raises(ValueError, match="cross_host_affinity"):
+        ThresholdPolicy(cross_host_affinity="both")
+    with pytest.raises(TypeError):
+        ThresholdPolicy(direct_bytes=64)
 
 
 def test_threshold_run_uses_both_transports():
@@ -240,8 +241,6 @@ def test_adaptive_validation():
         AdaptivePolicy(candidates=())
     with pytest.raises(ValueError, match="duplicate"):
         AdaptivePolicy(candidates=(VDMA, VDMA))
-    with pytest.raises(ValueError, match="alpha"):
-        AdaptivePolicy(alpha=0.0)
     with pytest.raises(ValueError, match="probe_every"):
         AdaptivePolicy(probe_every=-1)
 
