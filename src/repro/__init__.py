@@ -10,7 +10,7 @@ The package layers exactly like the paper's system:
 * :mod:`repro.ircce` — iRCCE non-blocking / pipelined extensions,
 * :mod:`repro.vscc`  — the multi-device vSCC system and its schemes,
 * :mod:`repro.apps`  — ping-pong, NPB BT, traffic analysis,
-* :mod:`repro.obs`   — metrics registry and Chrome-trace export,
+* :mod:`repro.obs`   — metrics snapshot plumbing and Chrome-trace export,
 * :mod:`repro.bench` — harness regenerating the paper's figures.
 
 Quickstart::

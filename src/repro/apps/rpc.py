@@ -288,10 +288,6 @@ class RpcDispatcher:
         self.flushes_deadline = 0
         self.priority_submits = 0
         self._routes: dict[int, Route] = {}
-        # Created on first delivery with obs enabled — instrument
-        # creation registers the series eagerly, and an obs-off run's
-        # snapshot must not grow empty rpc.latency_ns rows.
-        self._latency_hist = None
         self._server = _Server(self)
 
     # -- client-side hooks ------------------------------------------------------
@@ -412,10 +408,6 @@ class RpcDispatcher:
                         issue_ns=c.issue_ns, done_ns=now,
                     )
                 )
-                if self.sim.obs.enabled:
-                    if self._latency_hist is None:
-                        self._latency_hist = self.sim.obs.histogram("rpc.latency_ns")
-                    self._latency_hist.observe(now - c.issue_ns)
                 if self.policy.wants_feedback:
                     scheme = self._inflight_schemes.pop(c.req_id, None)
                     if scheme is not None:

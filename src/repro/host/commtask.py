@@ -71,15 +71,13 @@ COARSEN_LINES = 60
 class _Lane:
     """Counters of one scheduler lane: requests, bytes, in-flight depth."""
 
-    __slots__ = ("name", "requests", "bytes", "depth", "gauge")
+    __slots__ = ("name", "requests", "bytes", "depth")
 
     def __init__(self, name: str):
         self.name = name
         self.requests = 0
         self.bytes = 0
         self.depth = 0
-        #: ``sched.queue_depth`` gauge in ``sim.obs`` (None until created).
-        self.gauge = None
 
 
 class HostRequestScheduler:
@@ -103,9 +101,8 @@ class HostRequestScheduler:
     * ``ctrl`` — MMIO register traffic programming the task itself.
 
     Every request pairs one :meth:`admit` with one :meth:`complete` on
-    its lane. Per-lane request/byte counters are always on;
-    ``sched.queue_depth`` gauges in ``sim.obs`` track in-flight requests
-    when that registry is enabled.
+    its lane. Per-lane request/byte counters are always on; each lane's
+    in-flight ``depth`` decides ``sync_bypass``.
 
     **vDMA descriptor coalescing.** When the host runs a dynamic
     communication policy (``host.sched_coalesce``), a vDMA descriptor
@@ -129,7 +126,7 @@ class HostRequestScheduler:
 
     __slots__ = (
         "task", "host", "device_id", "lanes", "sync", "bulk", "ctrl", "rpc",
-        "sync_bypass", "coalesced_vdma", "_vdma_inflight", "_obs",
+        "sync_bypass", "coalesced_vdma", "_vdma_inflight",
     )
 
     def __init__(self, task: "CommunicationTask"):
@@ -144,17 +141,6 @@ class HostRequestScheduler:
         self.coalesced_vdma = 0
         #: In-flight vDMA copies per destination device (the route key).
         self._vdma_inflight: dict[int, int] = {}
-        self._obs = task.sim.obs
-        # The rpc gauge is created on first admission — instrument
-        # creation registers the series eagerly, and a non-RPC run's
-        # snapshot must not grow a zero-valued rpc lane.
-        for lane in (self.sync, self.bulk, self.ctrl):
-            lane.gauge = self._gauge(lane)
-
-    def _gauge(self, lane: "_Lane"):
-        return self._obs.gauge(
-            "sched.queue_depth", device=self.device_id, lane=lane.name
-        )
 
     # -- lane admission (one admit/complete pair per host request) -------------
 
@@ -166,15 +152,9 @@ class HostRequestScheduler:
         if lane is self.sync and (self.bulk.depth or self.rpc.depth):
             self.sync_bypass += 1
         lane.depth += 1
-        if self._obs.enabled:
-            if lane.gauge is None:
-                lane.gauge = self._gauge(lane)
-            lane.gauge.set(float(lane.depth))
 
     def complete(self, lane: "_Lane") -> None:
         lane.depth -= 1
-        if self._obs.enabled and lane.gauge is not None:
-            lane.gauge.set(float(lane.depth))
 
     # -- vDMA route coalescing -----------------------------------------------------
 

@@ -79,7 +79,6 @@ class VDMAController:
         self._watchdog_name = f"vdma.watchdog.d{device_id}"
         bank = host.task_of(device_id).mmio
         bank.on_write(REG_VDMA_CTRL, self._on_ctrl)
-        self._depth_gauge = self.sim.obs.gauge("vdma.queue_depth", device=device_id)
 
     def metrics_snapshot(self) -> dict[str, float]:
         """Engine series of this device's vDMA controller."""
@@ -122,7 +121,6 @@ class VDMAController:
                 f"values for {len(sizes)} granules"
             )
         self.copies_started += 1
-        self._depth_gauge.add(1.0)
         tracer = self.sim.tracer
         if tracer.wants("vdma"):
             tracer.emit(
@@ -251,6 +249,5 @@ class _Copy(Record):
             self._watchdog = None  # the timer's callback holds this record
         ctrl.copies_completed += 1
         ctrl.host.task_of(ctrl.device_id).sched.vdma_end(self.cmd.dst.device)
-        ctrl._depth_gauge.add(-1.0)
         self._trace("vdma", "copy_done")
         self._finish()

@@ -1,4 +1,4 @@
-"""Simulator-scoped metrics registry: counters, gauges, histograms.
+"""Metrics series keys, snapshot plumbing and a typed-instrument registry.
 
 The paper's whole argument is quantitative — which scheme wins at which
 message size, where the 8 kB MPB cliff bites, how much of the
@@ -9,22 +9,15 @@ instead of ad-hoc accessors:
 * **metric series** are named like ``pcie.bytes{device=0,dir=up}`` —
   a dotted metric name plus sorted ``key=value`` labels;
 * every instrumented component implements
-  ``metrics_snapshot() -> dict[str, float]`` over such keys;
-* a :class:`MetricsRegistry` additionally holds *typed instruments*
-  (:class:`Counter`, :class:`Gauge`, :class:`Histogram`) for
-  distributions that plain attribute counters cannot express
-  (vDMA queue depth, memory-controller FIFO waits, …).
+  ``metrics_snapshot() -> dict[str, float]`` over such keys, read from
+  plain attribute counters (``Link.bytes_carried`` and friends) that
+  are always maintained — single adds, read lazily by the snapshot.
 
-Scoping: every :class:`~repro.sim.engine.Simulator` owns one registry
-at ``sim.obs``, so any component holding a ``sim`` reference reaches it
-without plumbing, and two concurrently built systems never share series.
-
-Cost discipline: instruments record only while ``registry.enabled`` is
-True (the default is **disabled**); hot call sites additionally guard
-with ``if registry.enabled:`` so a disabled run allocates nothing.
-Plain attribute counters (``Link.bytes_carried`` and friends) are
-always maintained — they are single adds and snapshots read them
-lazily.
+A :class:`MetricsRegistry` holds *typed instruments* (:class:`Counter`,
+:class:`Gauge`, :class:`Histogram`) that always record; the service
+core (:mod:`repro.serve.core`) keeps its job counters, queue gauges and
+latency histograms in one. Simulated runs need none: their series are
+the components' snapshots.
 
 Unpinned: ``Histogram.percentile``/``percentiles`` — no pinned run
 snapshots a histogram that holds samples; ``tests/obs`` and the serve
@@ -112,12 +105,11 @@ def merge_snapshots(snapshots: Iterable[Mapping[str, float]]) -> dict[str, float
 
 
 class _Instrument:
-    """Common base: a named, labeled series owned by one registry."""
+    """Common base: a named, labeled series."""
 
-    __slots__ = ("registry", "key")
+    __slots__ = ("key",)
 
-    def __init__(self, registry: "MetricsRegistry", key: str):
-        self.registry = registry
+    def __init__(self, key: str):
         self.key = key
 
 
@@ -126,13 +118,12 @@ class Counter(_Instrument):
 
     __slots__ = ("value",)
 
-    def __init__(self, registry: "MetricsRegistry", key: str):
-        super().__init__(registry, key)
+    def __init__(self, key: str):
+        super().__init__(key)
         self.value = 0.0
 
     def inc(self) -> None:
-        if self.registry.enabled:
-            self.value += 1.0
+        self.value += 1.0
 
 
 class Gauge(_Instrument):
@@ -140,17 +131,12 @@ class Gauge(_Instrument):
 
     __slots__ = ("value",)
 
-    def __init__(self, registry: "MetricsRegistry", key: str):
-        super().__init__(registry, key)
+    def __init__(self, key: str):
+        super().__init__(key)
         self.value = 0.0
 
     def set(self, value: float) -> None:
-        if self.registry.enabled:
-            self.value = float(value)
-
-    def add(self, delta: float) -> None:
-        if self.registry.enabled:
-            self.value += delta
+        self.value = float(value)
 
 
 class Histogram(_Instrument):
@@ -163,15 +149,14 @@ class Histogram(_Instrument):
 
     __slots__ = ("samples", "total")
 
-    def __init__(self, registry: "MetricsRegistry", key: str):
-        super().__init__(registry, key)
+    def __init__(self, key: str):
+        super().__init__(key)
         self.samples: list[float] = []
         self.total = 0.0
 
     def observe(self, value: float) -> None:
-        if self.registry.enabled:
-            self.samples.append(float(value))
-            self.total += value
+        self.samples.append(float(value))
+        self.total += value
 
     @property
     def count(self) -> int:
@@ -193,7 +178,7 @@ class Histogram(_Instrument):
 
 
 class MetricsRegistry:
-    """Typed instruments of one simulator, keyed by (name, labels).
+    """Typed instruments keyed by (name, labels).
 
     Asking twice for the same series returns the same instrument, so
     components can create instruments eagerly at construction and share
@@ -203,8 +188,7 @@ class MetricsRegistry:
     #: Percentiles a histogram expands to in :meth:`snapshot`.
     SNAPSHOT_PERCENTILES = (50.0, 95.0, 99.0)
 
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
+    def __init__(self):
         self._series: dict[str, _Instrument] = {}
 
     # -- instrument construction ------------------------------------------------
@@ -213,7 +197,7 @@ class MetricsRegistry:
         key = format_key(name, labels)
         inst = self._series.get(key)
         if inst is None:
-            inst = cls(self, key)
+            inst = cls(key)
             self._series[key] = inst
         elif not isinstance(inst, cls):
             raise TypeError(

@@ -16,8 +16,8 @@ operations::
 The non-gory interface is blocking send/recv plus collectives; the gory
 one-sided layer is reachable through :attr:`gory`.
 
-Unpinned: ``Rcce._observed`` — collectives with metrics or ``coll``
-tracing on, which the observability tests turn on.
+Unpinned: ``Rcce._observed`` — collectives with ``coll`` tracing on,
+which the observability tests and ``run(trace_json=...)`` turn on.
 """
 
 from __future__ import annotations
@@ -302,34 +302,23 @@ class Rcce:
         return collectives, "flat"
 
     def _run_collective(self, op_name: str, impl_name: str, gen) -> Generator:
-        """Drive one collective, emitting ``coll.*`` metrics and "coll"
-        trace spans when observability is on.
+        """Drive one collective, wrapped in "coll" start/done trace spans
+        when that category is on.
 
-        With both off, the collective's own generator is returned: the
+        With it off, the collective's own generator is returned: the
         caller resumes it with no wrapper frame in between.
         """
-        sim = self.env.sim
-        if not (sim.obs.enabled or sim.tracer.wants("coll")):
+        if not self.env.sim.tracer.wants("coll"):
             return gen
         return self._observed(op_name, impl_name, gen)
 
     def _observed(self, op_name: str, impl_name: str, gen) -> Generator:
-        tracer = self.env.sim.tracer
-        registry = self.env.sim.obs
+        sim = self.env.sim
         seq = self._coll_seq
         self._coll_seq += 1
-        started = self.env.sim.now
-        if tracer.wants("coll"):
-            tracer.emit(started, "coll", self.rank, op_name, impl_name, "start", seq)
+        sim.tracer.emit(sim.now, "coll", self.rank, op_name, impl_name, "start", seq)
         result = yield from gen
-        now = self.env.sim.now
-        if tracer.wants("coll"):
-            tracer.emit(now, "coll", self.rank, op_name, impl_name, "done", seq)
-        if registry.enabled:
-            registry.counter("coll.calls", op=op_name, impl=impl_name).inc()
-            registry.histogram(
-                "coll.latency_ns", op=op_name, impl=impl_name
-            ).observe(now - started)
+        sim.tracer.emit(sim.now, "coll", self.rank, op_name, impl_name, "done", seq)
         return result
 
     def barrier(

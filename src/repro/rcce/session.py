@@ -25,7 +25,7 @@ from typing import Callable, Generator, Optional, Sequence, Union
 import numpy as np
 
 from repro.obs.chrometrace import write_chrome_trace
-from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.obs.metrics import merge_snapshots
 from repro.results import RunResult
 from repro.scc.chip import SCCDevice
 from repro.scc.params import SCCParams
@@ -46,11 +46,10 @@ TRACE_CATEGORIES = ("protocol", "vdma", "faults", "policy", "sched", "coll", "rp
 class RcceSession:
     """Booted SCC devices, their rank layout, and the RCCE run loop.
 
-    Observability belongs to the simulator: ``session.obs`` is
-    ``sim.obs``, the metrics registry (:mod:`repro.obs`), and
-    ``session.tracer`` is ``sim.tracer``. ``run(trace_json=...)``
-    records the trace categories for that run and writes its
-    Chrome-trace file.
+    ``session.metrics`` merges the kernel's and every device's
+    ``metrics_snapshot()`` (:mod:`repro.obs`); ``session.tracer`` is the
+    simulator's ``sim.tracer``. ``run(trace_json=...)`` records the
+    trace categories for that run and writes its Chrome-trace file.
     """
 
     #: How many devices the constructor boots; a subclass sets its own
@@ -71,11 +70,9 @@ class RcceSession:
         seed: Optional[int] = None,
     ):
         self.sim = Simulator()
-        #: The simulator's tracer and metrics registry (disabled by
-        #: default so the hot path stays allocation-free; see
-        #: :mod:`repro.obs`).
+        #: The simulator's tracer (every category off by default so the
+        #: hot path stays allocation-free).
         self.tracer: Tracer = self.sim.tracer
-        self.obs: MetricsRegistry = self.sim.obs
         self.params = params or SCCParams()
         self.options = options or RcceOptions()
         self.devices = [

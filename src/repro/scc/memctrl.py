@@ -57,8 +57,6 @@ class MemoryControllers:
         self.fifo_wait_ns = 0.0
         #: core_id -> quadrant Link, resolved once (pure of the geometry).
         self._link_memo: dict[int, Link] = {}
-        self._obs = sim.obs
-        self._wait_hist = self._obs.histogram("memctrl.fifo_wait_ns", device=device_id)
 
     def controller_of(self, core_id: int) -> int:
         """Quadrant assignment: west/east × south/north."""
@@ -89,8 +87,6 @@ class MemoryControllers:
         arrival = link._occupy(nbytes, at=at)
         wait = max(0.0, arrival - at)
         self.fifo_wait_ns += wait
-        if self._obs.enabled:
-            self._wait_hist.observe(wait)
         return wait
 
     def metrics_snapshot(self) -> dict[str, float]:

@@ -28,9 +28,8 @@ cancel does. Every transition into a terminal state happens exactly
 once — a second transition raises, and the Hypothesis harness leans on
 that.
 
-Service-level observability rides on :class:`repro.obs.MetricsRegistry`
-(a standalone registry — simulator-scoped registries belong to each
-job's own system): ``serve.jobs{state=}`` counters, per-tenant
+Service-level observability rides on the service's own
+:class:`repro.obs.MetricsRegistry`: ``serve.jobs{state=}`` counters, per-tenant
 ``serve.queue_depth{tenant=}`` gauges, a ``serve.running`` gauge, and
 ``serve.queue_wait_ms`` / ``serve.run_ms`` / per-tenant
 ``serve.job_latency_ms{tenant=}`` histograms (p50/p95/p99 in snapshots).
@@ -117,7 +116,7 @@ class ServeCore:
     ):
         self.clock = clock or time.monotonic
         self.scheduler = FairShareScheduler(weights)
-        self.registry = MetricsRegistry(enabled=True)
+        self.registry = MetricsRegistry()
         self.jobs: dict[str, JobRecord] = {}
         #: worker id -> job_id of the attempt it is running.
         self.worker_jobs: dict[int, str] = {}

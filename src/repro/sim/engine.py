@@ -70,7 +70,6 @@ import os
 from collections import deque
 from typing import Any, Callable, Generator, Optional
 
-from repro.obs.metrics import MetricsRegistry
 
 from .errors import DeadlockError, InvalidYield, ProcessFailed, SimulationError
 from .trace import Tracer
@@ -630,8 +629,7 @@ class Record(Event):
 
 # Loop-exit reasons of :meth:`Simulator._loop`.
 _DRAINED = 0
-_PAST_UNTIL = 1
-_MAX_EVENTS = 2
+_MAX_EVENTS = 1
 
 
 class Simulator:
@@ -656,9 +654,8 @@ class Simulator:
     per-yield event stream. Simulated times are bit-identical either
     way — only event counts differ.
 
-    Observability lives here too: :attr:`tracer` collects categorized
-    trace records and :attr:`obs` holds the typed metrics instruments.
-    Both are off until enabled, and every component reaches them
+    Tracing lives here too: :attr:`tracer` collects categorized trace
+    records once a category is enabled, and every component reaches it
     through the ``sim`` it already holds.
     """
 
@@ -698,9 +695,6 @@ class Simulator:
         self._call_at_source: Optional[int] = None
         #: Trace records of every component of this simulation.
         self.tracer = Tracer()
-        #: Typed metrics instruments of this simulation (see
-        #: :mod:`repro.obs.metrics`); disabled by default.
-        self.obs = MetricsRegistry()
 
     # -- process management -------------------------------------------------
 
@@ -872,11 +866,11 @@ class Simulator:
 
     # -- main loop -----------------------------------------------------------
 
-    def _loop(self, until: Optional[float], max_events: Optional[int]) -> int:
+    def _loop(self, max_events: Optional[int]) -> int:
         """Merge-pop the fast lane and the heap in global (time, seq) order.
 
-        Dispatches until a boundary is hit: the next event lying past
-        ``until``, ``max_events`` dispatched, or both queues drained.
+        Dispatches until ``max_events`` are dispatched or both queues
+        drain.
 
         A process woken without a payload is resumed here and its three
         hot yields are queued here (see the module docstring); anything
@@ -903,8 +897,6 @@ class Simulator:
                 from_heap = True
             else:
                 return _DRAINED
-            if until is not None and entry[0] > until:
-                return _PAST_UNTIL
             if from_heap:
                 pop(queue)
             else:
@@ -958,18 +950,13 @@ class Simulator:
                 if events >= max_events:
                     return _MAX_EVENTS
 
-    def run(
-        self, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> float:
-        """Process events until the queue drains, ``until`` or ``max_events``.
+    def run(self, max_events: Optional[int] = None) -> float:
+        """Process events until the queue drains or ``max_events``.
 
         Returns the simulated time at which the run stopped. Raises
         :class:`DeadlockError` if the queue drains while spawned
         processes remain blocked (armed timers and records never count).
         """
-        reason = self._loop(until, max_events)
-        if reason == _PAST_UNTIL:
-            self.now = until
-        elif reason == _DRAINED and self._live_processes:
+        if self._loop(max_events) == _DRAINED and self._live_processes:
             raise DeadlockError([p.name for p in self._live_processes])
         return self.now

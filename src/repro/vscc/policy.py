@@ -19,8 +19,8 @@ Three policies ship:
   vDMA scheme above the MPB-cliff-aware cutover (messages that no
   longer fit one communication-buffer chunk — ~8 kB — pipeline best
   through the vDMA engine);
-* :class:`AdaptivePolicy` — closes the loop with :mod:`repro.obs`-style
-  feedback: per (route, size-class) throughput EWMAs, deterministic
+* :class:`AdaptivePolicy` — closes the loop with feedback from completed
+  sends: per (route, size-class) throughput EWMAs, deterministic
   probe-then-exploit selection.
 
 Both end points of a message must agree on the transport; the selector
@@ -251,9 +251,7 @@ class AdaptivePolicy(SchemePolicy):
       change (congestion, degraded link) is re-learned instead of
       locked in.
 
-    The selector feeds :meth:`observe` with completed sends (and
-    mirrors the same samples into ``policy.route_mbps`` gauges of the
-    :mod:`repro.obs` registry when it is enabled).
+    The selector feeds :meth:`observe` with completed sends.
     """
 
     name = "adaptive"

@@ -616,14 +616,6 @@ class VsccSelector(OnChipSelector):
             return
         route = self._route(comm, comm.rank, peer)
         self.policy.observe(route, scheme, nbytes, elapsed_ns)
-        registry = self.host.sim.obs
-        if registry.enabled and elapsed_ns > 0:
-            registry.gauge(
-                "policy.route_mbps",
-                src=route.src_device,
-                dst=route.dst_device,
-                scheme=scheme.value,
-            ).set(nbytes / elapsed_ns * 1e3)
 
     # -- selection ----------------------------------------------------------------
 

@@ -19,11 +19,9 @@ rank layout over the cores that booted — and runs RCCE programs on it::
 
 The system is an :class:`repro.rcce.session.RcceSession` — the same
 simulator, devices, rank layout, communicators and ``run`` — with the
-host tier on top. Observability belongs to the simulator: ``system.obs``
-is ``sim.obs``, the metrics registry (:mod:`repro.obs`), and
-``system.tracer`` is ``sim.tracer``. Flip ``system.obs.enabled = True``
-before running to collect the typed instruments (histograms, gauges) on
-top of the always-on counters. ``run(trace_json=...)`` additionally
+host tier on top. ``system.metrics`` merges the always-on counters of
+every component (:mod:`repro.obs`); ``system.tracer`` is the
+simulator's ``sim.tracer``. ``run(trace_json=...)`` additionally
 records protocol/vDMA trace events and writes that run's Chrome-trace
 file.
 """
@@ -183,8 +181,7 @@ class VSCCSystem(RcceSession):
     # -- stats ----------------------------------------------------------------------------
 
     def _metric_parts(self) -> list[dict[str, float]]:
-        """The session's parts, then the host tier's, then the
-        typed-instrument registry (``system.obs``) when it was enabled."""
+        """The session's parts, then the host tier's."""
         parts = super()._metric_parts()
         parts.extend(host.metrics_snapshot() for host in self.hosts)
         if self.cluster is not None:
@@ -193,5 +190,4 @@ class VSCCSystem(RcceSession):
         parts.extend(d.metrics_snapshot() for d in self.rpc_dispatchers)
         if self.fault_injector is not None:
             parts.append(self.fault_injector.metrics_snapshot())
-        parts.append(self.obs.snapshot())
         return parts

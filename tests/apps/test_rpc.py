@@ -475,14 +475,14 @@ def test_run_rpc_validates_ranks():
 
 def test_report_throughput_and_metrics_surface():
     system = vdma_system()
-    system.obs.enabled = True
     report = run_rpc(system, golden_trace(ranks=(0, 1)))
     assert report.completed == 100 and report.duration_ns > 0
     metrics = system.metrics
     assert metrics["rpc.requests"] == 100.0
     assert metrics["rpc.responses"] == 100.0
-    assert metrics["rpc.latency_ns.count"] == 100.0
-    assert metrics["rpc.latency_ns.p99"] >= metrics["rpc.latency_ns.p50"]
+    # Latencies come from the report's per-request timestamps.
+    assert len(report.completions) == 100
+    assert report.latency_percentile(99) >= report.latency_percentile(50) > 0
 
 
 def test_install_rpc_joins_system_metrics():

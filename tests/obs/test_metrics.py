@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.obs.metrics import (
@@ -15,7 +18,6 @@ from repro.obs.metrics import (
     parse_key,
     percentile,
 )
-from repro.sim.engine import Simulator
 
 
 # -- series keys --------------------------------------------------------------
@@ -57,24 +59,20 @@ def test_merge_snapshots_sums_identical_series():
 # -- instruments --------------------------------------------------------------
 
 
-def test_counter_and_gauge_respect_enabled_flag():
+def test_counter_and_gauge_record():
     reg = MetricsRegistry()
     counter = reg.counter("events")
     gauge = reg.gauge("depth")
     counter.inc()
-    gauge.set(5.0)
-    assert counter.value == 0.0 and gauge.value == 0.0  # disabled by default
-    reg.enabled = True
-    counter.inc()
     counter.inc()
     gauge.set(5.0)
-    gauge.add(-1.0)
+    gauge.set(4)
     assert counter.value == 2.0
     assert gauge.value == 4.0
 
 
 def test_same_series_returns_same_instrument():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     a = reg.counter("x.bytes", device=0, dir="up")
     b = reg.counter("x.bytes", dir="up", device=0)  # label order irrelevant
     assert a is b
@@ -82,14 +80,14 @@ def test_same_series_returns_same_instrument():
 
 
 def test_series_type_conflict_raises():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     reg.counter("x")
     with pytest.raises(TypeError):
         reg.gauge("x")
 
 
 def test_histogram_exact_percentiles():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     hist = reg.histogram("wait_ns")
     for v in [10.0, 20.0, 30.0, 40.0, 50.0]:
         hist.observe(v)
@@ -103,7 +101,7 @@ def test_histogram_exact_percentiles():
 
 
 def test_histogram_edge_cases():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     hist = reg.histogram("h")
     with pytest.raises(ValueError):
         hist.percentile(50)  # no samples
@@ -115,7 +113,7 @@ def test_histogram_edge_cases():
 
 def test_percentile_is_the_histograms_interpolation():
     samples = [float(v) for v in range(10, 101, 10)]
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     hist = reg.histogram("h")
     for v in reversed(samples):
         hist.observe(v)
@@ -130,7 +128,7 @@ def test_percentile_is_the_histograms_interpolation():
 
 
 def test_snapshot_expands_histograms():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     for _ in range(3):
         reg.counter("events", device=0).inc()
     hist = reg.histogram("wait", device=0)
@@ -148,17 +146,22 @@ def test_snapshot_expands_histograms():
     assert "empty.p50" not in snap
 
 
-# -- simulator scoping --------------------------------------------------------
+# -- lifetime -------------------------------------------------------------------
 
 
-def test_simulator_owns_an_isolated_registry():
-    sim_a, sim_b = Simulator(), Simulator()
-    reg_a, reg_b = sim_a.obs, sim_b.obs
-    assert isinstance(reg_a, MetricsRegistry)
-    assert reg_a is not reg_b
-    assert sim_a.obs is reg_a  # stable per simulator
-    assert not reg_a.enabled  # off until enabled
-    reg_a.enabled = True
-    reg_a.counter("only.in.a").inc()
-    assert reg_a.snapshot() == {"only.in.a": 1.0}
-    assert reg_b.snapshot() == {}
+def test_registry_frees_by_refcount_alone():
+    """No instrument refers back to its registry, so a dropped registry
+    is freed at once, without the cyclic collector."""
+    reg = MetricsRegistry()
+    reg.counter("events").inc()
+    reg.gauge("depth").set(2.0)
+    reg.histogram("wait_ns").observe(1.0)
+    ref = weakref.ref(reg)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del reg
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()

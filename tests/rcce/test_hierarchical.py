@@ -1,5 +1,7 @@
 """Unit tests for the two-level collectives (repro.rcce.hierarchical)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -366,23 +368,30 @@ def test_allreduce_bulk_rides_vdma():
 # -- instrumentation -----------------------------------------------------------
 
 
-def test_coll_metrics_emitted(system):
-    system.obs.enabled = True
+def test_coll_spans_count_calls_per_impl(system):
+    members = [0, 50, 100]
+
+    def program(comm):
+        yield from comm.barrier(members=members, hierarchical=True)
+        yield from comm.allreduce(
+            np.arange(4.0), np.add, members=members, hierarchical=False
+        )
+
+    tracer = system.tracer
+    first = len(tracer.records)
+    tracer.enable("coll")
     try:
-        members = [0, 50, 100]
-
-        def program(comm):
-            yield from comm.barrier(members=members, hierarchical=True)
-            yield from comm.allreduce(
-                np.arange(4.0), np.add, members=members, hierarchical=False
-            )
-
-        metrics = system.run(program, ranks=members).metrics
+        system.run(program, ranks=members)
     finally:
-        system.obs.enabled = False
-    assert metrics["coll.calls{impl=hier,op=barrier}"] == 3
-    assert metrics["coll.calls{impl=flat,op=allreduce}"] == 3
-    assert metrics["coll.latency_ns.count{impl=hier,op=barrier}"] == 3
+        tracer.disable("coll")
+    # (op, impl, phase) of every span record of this run.
+    spans = Counter(
+        r.payload[1:4] for r in tracer.records[first:] if r.category == "coll"
+    )
+    assert spans == {
+        ("barrier", "hier", "start"): 3, ("barrier", "hier", "done"): 3,
+        ("allreduce", "flat", "start"): 3, ("allreduce", "flat", "done"): 3,
+    }
 
 
 def test_coll_trace_spans(system, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from repro.apps.pingpong import pingpong_program, run_pingpong
 from repro.rcce import RcceOptions
 from repro.rcce.session import RcceSession
+from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
 
@@ -60,24 +61,35 @@ def test_plain_session_matches_one_device_system(pipelined, sim_now):
 
 
 def test_metrics_key_set():
-    """Kernel and device series only: the typed-instrument registry
-    (``sim.obs``) stays out of a plain session's snapshot."""
+    """Kernel and device series only on a plain session; a 2-device
+    vDMA system adds its host tier's families and no others."""
     session = RcceSession()
-    session.obs.enabled = True
     run_pingpong(session, 0, 10, sizes=(64, 4096), iterations=1)
-    assert session.obs.snapshot()  # the registry did record something
     metrics = session.metrics
-    assert {key.split("{")[0] for key in metrics} == {
+    session_families = {
         "cores.available", "kernel.events", "kernel.fused_yields",
         "memctrl.bytes", "memctrl.fifo_wait_ns", "mesh.link_busy_ns",
         "mesh.link_bytes", "mesh.links_used", "sim.events", "sim.now_ns",
         "sim.processes_live", "sim.processes_spawned",
     }
+    assert {key.split("{")[0] for key in metrics} == session_families
     assert all(
         key.startswith(("sim.", "kernel.")) or "device=0" in key
         for key in metrics
     )
-    assert not set(session.obs.snapshot()) & set(metrics)
+    system = VSCCSystem(num_devices=2, scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA)
+    run_pingpong(system, 0, 48, sizes=(64, 16384), iterations=1)
+    assert {key.split("{")[0] for key in system.metrics} == session_families | {
+        "commtask.flag_forwards", "commtask.routed_reads",
+        "commtask.routed_writes", "dma.bytes", "pcie.busy_ns", "pcie.bytes",
+        "pcie.transfers", "policy.decisions", "sched.bytes",
+        "sched.coalesced", "sched.requests", "sched.sync_bypass",
+        "scheme.selected", "softcache.announces", "softcache.demand_fills",
+        "softcache.hits", "softcache.invalidations", "softcache.misses",
+        "vdma.bytes", "vdma.copies_completed", "vdma.inflight",
+        "vdma.transfers", "vdma.watchdog_fires", "wcbuf.bytes_combined",
+        "wcbuf.flushes",
+    }
 
 
 def test_run_writes_chrome_trace(tmp_path):

@@ -145,18 +145,6 @@ def test_deadlock_detection():
         sim.run()
 
 
-def test_run_until_limit():
-    sim = Simulator()
-
-    def forever():
-        while True:
-            yield 1.0
-
-    sim.spawn(forever())
-    sim.run(until=10.0)
-    assert sim.now == 10.0
-
-
 def test_signal_is_not_sticky():
     sim = Simulator()
     woken = []

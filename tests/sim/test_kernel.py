@@ -90,25 +90,6 @@ def test_mixed_program_identical_across_backends(spec, make_sim):
     assert events_f <= events_u
 
 
-def test_run_until_stops_at_horizon_boundary():
-    sim = Simulator()
-    ticks = []
-
-    def ticker(period):
-        while True:
-            yield period
-            ticks.append((period, sim.now))
-
-    sim.spawn(ticker(3.0), name="t3")
-    sim.spawn(ticker(5.0), name="t5")
-    sim.run(until=12.0)
-    assert sim.now == 12.0
-    assert ticks == [
-        (3.0, 3.0), (5.0, 5.0), (3.0, 6.0), (3.0, 9.0),
-        (5.0, 10.0), (3.0, 12.0),
-    ]
-
-
 def test_max_events_exact_under_sharded():
     """Processes spawned with (ignored) shard hints stop at exactly N."""
     sim = Simulator()

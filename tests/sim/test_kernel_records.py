@@ -134,7 +134,9 @@ def test_timer_handle_truth_table(fuse, make_sim):
     assert cancelled.cancel()
     assert not cancelled.cancel()
     assert sim.metrics_snapshot()["sim.processes_live"] == 3.0
-    sim.run(until=35.0)
+    while not selfish.fired:  # step past the 30 ns timer, not the 40 ns one
+        sim.run(max_events=1)
+    assert sim.now == 30.0
     assert state(armed) == (True, False, False)
     assert state(cancelled) == (False, True, False)
     assert state(fired) == (False, False, True)
@@ -146,7 +148,7 @@ def test_timer_handle_truth_table(fuse, make_sim):
     assert state(armed) == (False, True, False)
     assert sim.metrics_snapshot()["sim.processes_live"] == 0.0
     sim.run()
-    assert sim.now == 35.0  # a cancelled timer never advances the clock
+    assert sim.now == 30.0  # a cancelled timer never advances the clock
 
 
 def test_timer_callback_failure_fails_fast_under_the_daemon_name():
@@ -234,7 +236,9 @@ def test_record_takes_a_spawns_start_slot_and_source(fuse, make_sim):
         seen.append((yield record))
 
     sim.spawn(waiter(), "waiter")
-    sim.run(until=10.0)
+    while len(record.log) < 2:  # step to the record's 5 ns wake-up
+        sim.run(max_events=1)
+    assert sim.now == 5.0
     assert order == ["first"]
     assert record.log == [(0, 0.0), (1, 5.0)]
     snap = sim.metrics_snapshot()

@@ -245,16 +245,6 @@ def test_adaptive_validation():
         AdaptivePolicy(probe_every=-1)
 
 
-def test_adaptive_route_gauges_when_obs_enabled():
-    system = VSCCSystem(num_devices=2, policy=AdaptivePolicy())
-    system.obs.enabled = True
-    system.run(_transfer_program((4096, 16384)), ranks=list(CROSS_PAIR))
-    gauges = [
-        key for key in system.metrics if key.startswith("policy.route_mbps")
-    ]
-    assert gauges, "expected policy.route_mbps{src=,dst=,scheme=} gauges"
-
-
 # -- host capability derivation ----------------------------------------------------
 
 
